@@ -75,6 +75,10 @@ SWEEP_HEADER = [
 # ----------------------------------------------------------------------
 
 
+class InputError(Exception):
+    """Malformed user input; main() reports it on one line and exits 2."""
+
+
 def _parse_m_range(text: str) -> list[int]:
     """'5' -> [5]; '2..6' -> [2..6]; '6..2' -> [] (empty range)."""
     try:
@@ -93,6 +97,13 @@ def _parse_m_range(text: str) -> list[int]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_precision(text: str) -> int:
     bits = int(text)
     if bits < MIN_PREC_BITS:
@@ -107,7 +118,7 @@ def _worker_count(n_items: int) -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise SystemExit(f"error: WELLCOND_WORKERS must be an integer, got {raw!r}")
+        raise InputError(f"WELLCOND_WORKERS must be an integer, got {raw!r}")
     return max(1, min(n, n_items))
 
 
@@ -119,13 +130,20 @@ def _load_phases_file(path: str | None) -> dict[int, list[str]] | None:
     """
     if path is None:
         return None
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, list):
-        return {-1: [str(v) for v in data]}
-    if isinstance(data, dict):
-        return {int(k): [str(v) for v in vals] for k, vals in data.items()}
-    raise SystemExit(f"error: {path}: expected a JSON array or object of phase lists")
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if isinstance(data, list):
+            data = {-1: data}
+        elif not isinstance(data, dict):
+            raise ValueError("expected a JSON array or object of phase lists")
+        table = {int(k): [str(v) for v in vals] for k, vals in data.items()}
+        for vals in table.values():
+            for v in vals:
+                mp.mpf(v)  # a non-numeric angle fails here, before any work
+    except (OSError, TypeError, ValueError) as e:
+        raise InputError(f"{path}: {e}") from None
+    return table
 
 
 def _phases_for(overrides: dict[int, list[str]] | None, M: int, prec_bits: int):
@@ -138,12 +156,19 @@ def _phases_for(overrides: dict[int, list[str]] | None, M: int, prec_bits: int):
     if raw is None:
         return None
     if len(raw) != want:
-        raise SystemExit(
-            f"error: phases for M={M} must list {want} angles, got {len(raw)}"
-        )
+        raise InputError(f"phases for M={M} must list {want} angles, got {len(raw)}")
     with mp.workprec(prec_bits):
         return [mp.mpf(v) for v in raw]
 
+
+def _spherical_report(M: int, prec: int, margin: int, phases=None):
+    """Spherical route at the CLI's node margin, orbit-reduced unless phased."""
+    try:
+        return mu_max_spherical_route(
+            M, prec, phases=phases, node_margin=margin, reduce_symmetry=phases is None
+        )
+    except ValueError as e:  # the margin left no quadrature nodes
+        raise InputError(f"--margin {margin}: {e}") from None
 
 
 def _short(s: str) -> str:
@@ -302,15 +327,7 @@ def _cond_one(prec: int, route: str, certify: bool, margin: int, phases_raw, M: 
             reports.append(mu_max_coefficient_route(M, prec))
         if route in ("sphere", "both"):
             phases = _phases_for(phases_raw, M, prec)
-            reports.append(
-                mu_max_spherical_route(
-                    M,
-                    prec,
-                    phases=phases,
-                    node_margin=margin,
-                    reduce_symmetry=phases is None,
-                )
-            )
+            reports.append(_spherical_report(M, prec, margin, phases))
         if route == "both":
             a, b = reports[0].mu_max, reports[1].mu_max
             rel_diff = abs(a - b) / b
@@ -512,7 +529,7 @@ def cmd_verify(args) -> int:
 def _sweep_one(prec: int, route: str, margin: int, M: int) -> dict:
     t0 = time.perf_counter()
     if route == "sphere":
-        rep = mu_max_spherical_route(M, prec, node_margin=margin, reduce_symmetry=True)
+        rep = _spherical_report(M, prec, margin)
     else:
         rep = mu_max_coefficient_route(M, prec)
     cond_dt = time.perf_counter() - t0
@@ -630,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument(
         "--sums-max",
-        type=int,
+        type=_positive_int,
         default=64,
         help="largest M in the sum-check grids (default 64)",
     )
@@ -656,7 +673,10 @@ def main(argv: list[str] | None = None) -> int:
         args.M = _parse_m_range(args.M_text)
     except argparse.ArgumentTypeError as e:
         parser.error(str(e))
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputError as e:
+        parser.exit(2, f"error: {e}\n")
 
 
 if __name__ == "__main__":

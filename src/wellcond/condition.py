@@ -6,8 +6,10 @@ Two independent routes compute mu_norm for the degree-N = 4M^2 family:
 
       mu(f, z) = sqrt(N) * (1 + |z|^2)^((N-2)/2) * ||f|| / |f'(z)|
 
-  with ||f|| the Bombieri-Weyl norm, everything assembled in log-domain
-  from exact rational data plus high-precision root values;
+  with ||f|| the Bombieri-Weyl norm, computed once per call, and
+  |f'(z)| from the factor-wise closed form of polynomials.RootDerivative
+  (one term per other factor, not N - 1 root differences), assembled
+  in log-domain at the working precision;
 
 * spherical route: with the roots pushed onto the sphere by inverse
   stereographic projection,
@@ -20,11 +22,11 @@ Two independent routes compute mu_norm for the degree-N = 4M^2 family:
   polynomial of degree N in the height and a trigonometric polynomial
   of degree N in the azimuth).
 
-The certified path re-derives the coefficient route in exact rational
-interval arithmetic: for the canonical family every quantity in mu^2 is
-rational except cos(2 pi k r / r'), which is enclosed by directed
-rounding, so each bound verdict is a machine-checked inequality between
-rationals (or reported inconclusive, never falsely passed).
+The certified path evaluates the same closed form in exact rational
+interval arithmetic: every quantity in mu^2 is rational except
+cos(2 pi r_m t / r_k), which is enclosed by directed rounding, so each
+bound verdict is a machine-checked inequality between rationals (or
+reported inconclusive, never falsely passed).
 
 Distance products against a full parallel use the closed form
 
@@ -39,7 +41,6 @@ non-negative terms, so it never cancels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -60,15 +61,13 @@ from .numerics import (
 )
 from .points import Parallel, PointSet, build_point_set
 from .polynomials import (
-    DensePolynomial,
     MultipleRootError,
-    RootEntry,
+    RootDerivative,
     bombieri_norm_sq,
-    canonical_factor_parallel,
     canonical_polynomial,
     derivative_modulus_at_root,
     expand,
-    roots,
+    root_derivative_data,
 )
 
 LOWER_CONST = Fraction(227, 500)  # 0.454, the floor on mu_max / sqrt(N)
@@ -131,43 +130,25 @@ def _bound_verdicts(mu_max: mp.mpf, N: int) -> dict[str, bool | None]:
     }
 
 
-def mu_at_root(
-    f: DensePolynomial,
-    root_list: Sequence[RootEntry],
-    i: int,
-    prec_bits: int = DEFAULT_PREC_BITS,
-) -> mp.mpf:
-    """mu(f, z_i); +inf when z_i is a repeated root (1/|f'| blows up)."""
-    lm = log_mu_at_root(f, root_list, i, prec_bits)
-    with mp.workprec(prec_bits):
-        return mp.exp(lm) if mp.isfinite(lm) else mp.mpf("+inf")
-
-
 def log_mu_at_root(
-    f: DensePolynomial,
-    root_list: Sequence[RootEntry],
-    i: int,
+    root: RootDerivative,
+    N: int,
+    log_norm_sq: mp.mpf,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> mp.mpf:
-    """log mu(f, z_i) in log-domain; +inf sentinel at repeated roots."""
-    check_precision(prec_bits)
-    N = f.degree
-    if N < 1:
-        raise ValueError("condition number needs degree >= 1")
+    """log mu(f, z) at one root of the degree-N family with log ||f||^2.
+
+    Returns the +inf sentinel at a repeated root.
+    """
     try:
-        log_fp = derivative_modulus_at_root(
-            root_list, i, leading=f.leading, prec_bits=prec_bits
-        )
+        log_fp = derivative_modulus_at_root(root, prec_bits)
     except MultipleRootError:
         return mp.mpf("+inf")
-    norm_sq = bombieri_norm_sq(f)
-    z = root_list[i].value
     with mp.workprec(prec_bits):
-        mod_sq = z.real * z.real + z.imag * z.imag
         return (
             mp.log(N) / 2
-            + mp.mpf(N - 2) / 2 * mp.log(1 + mod_sq)
-            + mp.log(to_mpf(norm_sq)) / 2
+            + mp.mpf(N - 2) / 2 * mp.log(1 + to_mpf(root.rho_sq))
+            + log_norm_sq / 2
             - log_fp
         )
 
@@ -177,21 +158,20 @@ def mu_max_coefficient_route(
 ) -> ConditionReport:
     """max mu over all roots of the canonical polynomial, coefficient route."""
     check_precision(prec_bits)
-    fac = canonical_polynomial(M)
-    dense = expand(fac)
-    root_list = roots(fac, prec_bits)
-    per_root: list[tuple[str, mp.mpf]] = []
-    for i, entry in enumerate(root_list):
-        par = canonical_factor_parallel(M, entry.factor)
-        lm = log_mu_at_root(dense, root_list, i, prec_bits)
-        per_root.append((f"p{par}.k{entry.azimuth}", lm))
+    N = 4 * M * M
+    norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
     with mp.workprec(prec_bits):
+        log_norm_sq = mp.log(to_mpf(norm_sq))
+        per_root = [
+            (root.label, log_mu_at_root(root, N, log_norm_sq, prec_bits))
+            for root in root_derivative_data(M)
+        ]
         log_mu_max = max(lm for _, lm in per_root)
         mu_max = mp.exp(log_mu_max)
-        verdicts = _bound_verdicts(mu_max, dense.degree)
+        verdicts = _bound_verdicts(mu_max, N)
     return ConditionReport(
         M=M,
-        N=dense.degree,
+        N=N,
         route="coefficient",
         precision_bits=prec_bits,
         mu_max=mu_max,
@@ -475,36 +455,17 @@ def mu_max_spherical_route(
 # ----------------------------------------------------------------------
 
 
-def _canonical_factor_data(M: int) -> list[tuple[int, Fraction, Fraction]]:
-    """(power r, shift s, squared root modulus rho^2) per canonical factor."""
-    out = [(4 * M, Fraction(1), Fraction(1))]
-    for j in range(1, M):
-        rho_sq = Fraction(2 * M * M - j * j, j * j)
-        s = rho_sq ** (2 * j)
-        out.append((4 * j, s, rho_sq))
-        out.append((4 * j, 1 / s, 1 / rho_sq))
-    return out
-
-
 def _mu_sq_intervals(
-    M: int, cos_prec: int
+    root_data: Sequence[RootDerivative], N: int, norm_sq: Fraction, cos_prec: int
 ) -> list[tuple[str, Fraction, Fraction]]:
     """Rigorous [lo, hi] enclosures of mu^2 at every root.
 
-    mu^2 = N (1 + rho^2)^(N-2) ||f||^2 / |f'(z)|^2 and
-
-        |f'(z)|^2 = r_k^2 rho^(2(r_k-1))
-                    * prod_{m != k} (rho^(2 r_m) + s_m^2
-                                     - 2 rho^(r_m) s_m cos(2 pi r_m t / r_k))
-
-    for the azimuth-t root of factor k.  Everything here is an exact
+    mu^2 = N (1 + rho^2)^(N-2) ||f||^2 / |f'(z)|^2 with |f'(z)|^2 from
+    the closed form of RootDerivative.  Everything here is an exact
     rational except the cosines, which get interval enclosures at
     cos_prec bits; distinct factor moduli keep every product term
     strictly positive, so interval division is safe.
     """
-    data = _canonical_factor_data(M)
-    N = sum(r for r, _, _ in data)
-    norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
     cos_cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
 
     def cos_iv(q: Fraction) -> tuple[Fraction, Fraction]:
@@ -515,22 +476,14 @@ def _mu_sq_intervals(
         return cos_cache[q]
 
     out: list[tuple[str, Fraction, Fraction]] = []
-    for k, (r_k, _, rho_sq) in enumerate(data):
-        parallel = canonical_factor_parallel(M, k)
+    for root in root_data:
+        r_k, rho_sq = root.power, root.rho_sq
         numer = N * (1 + rho_sq) ** (N - 2) * norm_sq
-        fixed = Fraction(r_k * r_k) * rho_sq ** (r_k - 1)
-        for t in range(r_k):
-            d_lo, d_hi = fixed, fixed
-            for m, (r_m, s_m, _) in enumerate(data):
-                if m == k:
-                    continue
-                a = rho_sq**r_m + s_m * s_m
-                b = 2 * rho_sq ** (r_m // 2) * s_m
-                c_lo, c_hi = cos_iv(Fraction(2 * r_m * t, r_k))
-                term_lo = a - b * c_hi
-                term_hi = a - b * c_lo
-                d_lo, d_hi = d_lo * term_lo, d_hi * term_hi
-            out.append((f"p{parallel}.k{t}", numer / d_hi, numer / d_lo))
+        d_lo = d_hi = Fraction(r_k * r_k) * rho_sq ** (r_k - 1)
+        for a, b, q in root.terms:
+            c_lo, c_hi = cos_iv(q)
+            d_lo, d_hi = d_lo * (a - b * c_hi), d_hi * (a - b * c_lo)
+        out.append((root.label, numer / d_hi, numer / d_lo))
     return out
 
 
@@ -557,10 +510,11 @@ def certify_bound(
         "ge_lower": (LOWER_CONST**2 * N, "lower"),
     }
     verdicts: dict[str, bool | None] = {k: None for k in thresholds}
+    norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
+    root_data = list(root_derivative_data(M))
     cos_prec = prec_bits
-    intervals: list[tuple[str, Fraction, Fraction]] = []
     while True:
-        intervals = _mu_sq_intervals(M, cos_prec)
+        intervals = _mu_sq_intervals(root_data, N, norm_sq, cos_prec)
         max_lo = max(lo for _, lo, _ in intervals)
         max_hi = max(hi for _, _, hi in intervals)
         for key, (thresh, side) in thresholds.items():

@@ -639,7 +639,7 @@ def verify_sn_kappa(
                     Cell({**params, "side": "upper"}, val, chain_hi, chain_hi - val)
                 )
     grid = (
-        f"bands 1..{M} x 13 probe heights "
+        f"bands 1..{M} x {5 + n_random} probe heights "
         f"(5 structural + {n_random} seeded per band, seed={seed})"
     )
     return [
@@ -733,8 +733,8 @@ def verify_numerator(
                     sum_cells.append(Cell(params, lhs, sum_rhs, sum_rhs - lhs))
                     exp_cells.append(Cell(params, lhs, exp_rhs, exp_rhs - lhs))
     grid = (
-        f"bands 1..{M} x 13 probe heights x {len(AZIMUTH_TURNS)} azimuths "
-        f"(seed={seed})"
+        f"bands 1..{M} x {5 + n_random} probe heights "
+        f"x {len(AZIMUTH_TURNS)} azimuths (seed={seed})"
     )
     return [
         VerificationReport(

@@ -10,9 +10,9 @@ every s_j is an explicit positive rational.  The roots of the factor
 stereographic projection they land on the parallel of height h with
 rho(h)^2 = (1+h)/(1-h).
 
-Expansion, Bombieri-Weyl norms and derivatives stay in exact rational
-arithmetic; root values and evaluation use mpmath at a caller-chosen
-binary precision.
+Expansion, Bombieri-Weyl norms and the factor-wise data of |f'| at
+each root stay in exact rational arithmetic; root values and the float
+evaluation of |f'| use mpmath at a caller-chosen binary precision.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator
 
 import mpmath as mp
 
@@ -31,6 +31,7 @@ from .numerics import (
     frac_str,
     to_mpf,
 )
+from .points import build_parallels
 
 
 class MultipleRootError(ValueError):
@@ -96,6 +97,28 @@ class DensePolynomial:
 
 
 @dataclass(frozen=True)
+class RootDerivative:
+    """Exact data of |f'(z)|^2 at the azimuth-t root z of factor k.
+
+        |f'(z)|^2 = r_k^2 rho_k^(2(r_k-1)) prod_{m != k} (a_m - b_m cos(pi q_m))
+
+    with rho_k^2 = |z|^2, a_m = rho_k^(2 r_m) + s_m^2,
+    b_m = 2 rho_k^(r_m) s_m and q_m = 2 r_m t / r_k; every entry is an
+    exact rational.  Distinct factor moduli keep each term positive.
+    """
+
+    parallel: int
+    azimuth: int
+    power: int
+    rho_sq: Fraction
+    terms: tuple[tuple[Fraction, Fraction, Fraction], ...]
+
+    @property
+    def label(self) -> str:
+        return f"p{self.parallel}.k{self.azimuth}"
+
+
+@dataclass(frozen=True)
 class RootEntry:
     """One root: complex value plus (factor, azimuth) bookkeeping."""
 
@@ -149,15 +172,6 @@ def expand(f: FactorizedPolynomial) -> DensePolynomial:
     return DensePolynomial(coeffs=tuple(coeffs))
 
 
-def derivative(p: DensePolynomial) -> DensePolynomial:
-    """Exact formal derivative."""
-    if p.degree == 0:
-        return DensePolynomial(coeffs=(Fraction(0),))
-    return DensePolynomial(
-        coeffs=tuple(i * c for i, c in enumerate(p.coeffs) if i > 0)
-    )
-
-
 def bombieri_norm_sq(p: DensePolynomial) -> Fraction:
     """Squared Bombieri-Weyl norm: sum_i binom(N, i)^-1 * a_i^2.
 
@@ -197,41 +211,48 @@ def roots(f: FactorizedPolynomial, prec_bits: int = DEFAULT_PREC_BITS) -> list[R
     return out
 
 
-def evaluate(p: DensePolynomial, z) -> mp.mpc:
-    """Horner evaluation at the current working precision."""
-    z = mp.mpc(z)
-    acc = mp.mpc(0)
-    for c in reversed(p.coeffs):
-        acc = acc * z + to_mpf(c)
-    return acc
+def root_derivative_data(M: int) -> Iterator[RootDerivative]:
+    """Exact |f'(z)|^2 data at every root of the canonical polynomial.
+
+    Roots come factor by factor, azimuth by azimuth, in the order of
+    roots().  The modulus rho_k^2 = (1+h)/(1-h) is read from the exact
+    height h of the factor's parallel.  For every other factor m the
+    pair depends only on (k, m); the cosine argument adds the azimuth t.
+    """
+    f = canonical_polynomial(M)
+    heights = [par.height for par in build_parallels(M)]
+    for k, fac in enumerate(f.factors):
+        parallel = canonical_factor_parallel(M, k)
+        h = heights[parallel - 1]
+        rho_sq = (1 + h) / (1 - h)
+        pairs = []
+        for m, g in enumerate(f.factors):
+            if m != k:
+                rho_r = rho_sq ** (g.power // 2)  # rho_k^(r_m); every r_m is even
+                pairs.append((g.power, rho_r * rho_r + g.shift**2, 2 * rho_r * g.shift))
+        for t in range(fac.power):
+            terms = tuple(
+                (a, b, Fraction(2 * r_m * t, fac.power)) for r_m, a, b in pairs
+            )
+            yield RootDerivative(parallel, t, fac.power, rho_sq, terms)
 
 
 def derivative_modulus_at_root(
-    root_list: Sequence[RootEntry],
-    i: int,
-    leading: Fraction = Fraction(1),
-    prec_bits: int = DEFAULT_PREC_BITS,
+    root: RootDerivative, prec_bits: int = DEFAULT_PREC_BITS
 ) -> mp.mpf:
-    """log |f'(z_i)| via the product over root differences.
+    """log |f'(z)| at one root, from the closed form in mpf.
 
-    For f = leading * prod (z - z_j) the derivative at a simple root is
-    leading * prod_{j != i} (z_i - z_j).  The result is returned as a
-    log since the product of N - 1 gaps spans hundreds of orders of
-    magnitude for large degrees.  An exactly repeated root raises
-    MultipleRootError.
+    Returned as a log since |f'| spans hundreds of orders of magnitude
+    for large degrees.  A vanishing factor term means a repeated root
+    and raises MultipleRootError.
     """
     check_precision(prec_bits)
-    zi = root_list[i].value
     with mp.workprec(prec_bits):
-        acc = mp.log(abs(to_mpf(leading)))
-        for j, entry in enumerate(root_list):
-            if j == i:
-                continue
-            d = zi - entry.value
-            gap_sq = d.real * d.real + d.imag * d.imag
-            if gap_sq == 0:
-                raise MultipleRootError(
-                    f"roots {i} and {j} coincide; derivative product vanishes"
-                )
-            acc += mp.log(gap_sq) / 2
-        return acc
+        prod = mp.mpf(1)
+        for a, b, q in root.terms:
+            term = to_mpf(a) - to_mpf(b) * cos_pi_fraction(q)
+            if term == 0:
+                raise MultipleRootError(f"root {root.label} is repeated")
+            prod *= term
+        r = root.power
+        return mp.log(r) + ((r - 1) * mp.log(to_mpf(root.rho_sq)) + mp.log(prod)) / 2

@@ -198,3 +198,35 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def test_non_numeric_phase_exits_2(tmp_path, capsys):
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps(["a", "b", "c"]))
+    with pytest.raises(SystemExit) as exc:
+        run(
+            ["cond", "--M", "2", "--route", "sphere", "--phases", phases,
+             "--out", tmp_path]
+        )
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_margin_without_quadrature_nodes_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(
+            ["cond", "--M", "1", "--route", "sphere", "--margin", "-100",
+             "--out", tmp_path]
+        )
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --margin -100") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_sums_max_below_1_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--M", "2", "--sums-max", "0", "--out", tmp_path])
+    assert exc.value.code == 2
+    assert not (tmp_path / "sum_checks.json").exists()

@@ -160,12 +160,14 @@ def test_certified_verdicts_resolve_true(M):
 
 
 def test_certified_encloses_float_route():
-    rep_f = mu_max_coefficient_route(3, 256)
-    rep_c = certify_bound(3, 256)
-    with mp.workprec(256):
-        lo = mp.mpf(rep_c.extras["mu_max_lo"])
-        hi = mp.mpf(rep_c.extras["mu_max_hi"])
-        assert lo - mp.mpf(2) ** -200 <= rep_f.mu_max <= hi + mp.mpf(2) ** -200
+    for M in range(1, 9):
+        rep_f = mu_max_coefficient_route(M, 256)
+        rep_c = certify_bound(M, 256)
+        with mp.workprec(256):
+            lo = mp.mpf(rep_c.extras["mu_max_lo"])
+            hi = mp.mpf(rep_c.extras["mu_max_hi"])
+            slack = mp.mpf(2) ** -200
+            assert lo - slack <= rep_f.mu_max <= hi + slack, M
 
 
 def test_report_json_shape():

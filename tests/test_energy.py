@@ -213,3 +213,12 @@ def test_t_bounds_report_covers_all_ell():
     rep = verify_t_bounds(6, 192)
     assert rep.passed
     assert len(rep.cells) == 2 * 6
+
+
+def test_grid_strings_count_probe_heights():
+    """The grid prose counts 5 structural plus n_random seeded heights."""
+    for rep in verify_sn_kappa(3, 128, informational=True, n_random=2):
+        assert rep.grid.startswith("bands 1..3 x 7 probe heights ")
+        assert len(rep.cells) == 3 * 7 * 2
+    for rep in verify_numerator(3, 128, informational=True, n_random=2):
+        assert rep.grid.startswith("bands 1..3 x 7 probe heights x 8 azimuths ")

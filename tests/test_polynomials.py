@@ -5,18 +5,20 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from polynomial_oracle import derivative, evaluate, log_derivative_modulus_by_gaps
+from wellcond.condition import log_mu_at_root
 from wellcond.polynomials import (
     DensePolynomial,
     Factor,
     FactorizedPolynomial,
     MultipleRootError,
+    RootDerivative,
     bombieri_norm_sq,
     canonical_polynomial,
     canonical_factor_parallel,
-    derivative,
     derivative_modulus_at_root,
-    evaluate,
     expand,
+    root_derivative_data,
     roots,
 )
 
@@ -121,25 +123,51 @@ def test_factor_to_parallel_mapping_m3():
 
 
 def test_derivative_modulus_matches_direct_evaluation():
+    """Closed form vs the root-difference product at every root, M = 1..4."""
     prec = 256
-    M = 2
-    f = canonical_polynomial(M)
-    dense = expand(f)
-    rs = roots(f, prec)
-    dp = derivative(dense)
+    tol = mp.mpf(2) ** -(prec - 16)
+    for M in range(1, 5):
+        f = canonical_polynomial(M)
+        rs = roots(f, prec)
+        data = list(root_derivative_data(M))
+        assert len(data) == len(rs) == f.degree
+        with mp.workprec(prec):
+            for i, (entry, root) in enumerate(zip(rs, data)):
+                assert root.parallel == canonical_factor_parallel(M, entry.factor)
+                assert root.azimuth == entry.azimuth
+                got = derivative_modulus_at_root(root, prec)
+                want = log_derivative_modulus_by_gaps(rs, i, prec)
+                # |log a - log b| bounds the relative error of a vs b
+                assert abs(got - want) < tol, (M, root.label)
+    # Horner on the exact derivative agrees too, at M = 2 where its
+    # cancellation stays small.
+    f = canonical_polynomial(2)
+    rs, data = roots(f, prec), list(root_derivative_data(2))
+    dp = derivative(expand(f))
     with mp.workprec(prec):
         for i in (0, 5, 11):
-            log_mod = derivative_modulus_at_root(rs, i, dense.leading, prec)
             direct = abs(evaluate(dp, rs[i].value))
-            assert abs(mp.exp(log_mod) - direct) / direct < mp.mpf(2) ** -(prec - 32)
+            got = mp.exp(derivative_modulus_at_root(data[i], prec))
+            assert abs(got - direct) / direct < mp.mpf(2) ** -(prec - 32)
 
 
 def test_multiple_root_raises():
     prec = 128
-    f = FactorizedPolynomial(factors=(Factor(4, Fraction(1)), Factor(4, Fraction(1))))
-    rs = roots(f, prec)
+    # f = (z^4 - 1)^2 at z = 1: the other copy of the factor contributes
+    # the term a - b cos(0) with a = b = 2.
+    root = RootDerivative(
+        parallel=1,
+        azimuth=0,
+        power=4,
+        rho_sq=Fraction(1),
+        terms=((Fraction(2), Fraction(2), Fraction(0)),),
+    )
     with pytest.raises(MultipleRootError):
-        derivative_modulus_at_root(rs, 0, Fraction(1), prec)
+        derivative_modulus_at_root(root, prec)
+    assert log_mu_at_root(root, 8, mp.mpf(1), prec) == mp.mpf("+inf")
+    f = FactorizedPolynomial(factors=(Factor(4, Fraction(1)), Factor(4, Fraction(1))))
+    with pytest.raises(MultipleRootError):
+        log_derivative_modulus_by_gaps(roots(f, prec), 0, prec)
 
 
 def test_factor_validation():
