@@ -59,6 +59,8 @@ GATED_SUITES = (
     "gap_product_absolute_floor",
 )
 
+ROUTE_TOLERANCE = 1e-6  # largest relative mu_max gap between routes that passes
+
 SWEEP_HEADER = [
     "M",
     "N",
@@ -162,13 +164,21 @@ def _phases_for(overrides: dict[int, list[str]] | None, M: int, prec_bits: int):
 
 
 def _spherical_report(M: int, prec: int, margin: int, phases=None):
-    """Spherical route at the CLI's node margin, orbit-reduced unless phased."""
+    """Spherical route at the CLI's node margin."""
     try:
-        return mu_max_spherical_route(
-            M, prec, phases=phases, node_margin=margin, reduce_symmetry=phases is None
-        )
+        return mu_max_spherical_route(M, prec, phases=phases, node_margin=margin)
     except ValueError as e:  # the margin left no quadrature nodes
         raise InputError(f"--margin {margin}: {e}") from None
+
+
+def _quadrature_problems(rep) -> list[str]:
+    """Why a report cannot pass on quadrature grounds (empty if it can)."""
+    if rep.extras.get("quadrature_undersampled"):
+        return [
+            f"spherical quadrature undersampled ({rep.extras['gl_nodes']} x "
+            f"{rep.extras['azimuth_nodes']} nodes)"
+        ]
+    return []
 
 
 def _short(s: str) -> str:
@@ -321,6 +331,7 @@ def cmd_generate(args) -> int:
 
 def _cond_one(prec: int, route: str, certify: bool, margin: int, phases_raw, M: int) -> dict:
     reports = []
+    problems = []
     rel_diff = None
     with mp.workprec(prec):
         if route in ("coeff", "both"):
@@ -328,9 +339,15 @@ def _cond_one(prec: int, route: str, certify: bool, margin: int, phases_raw, M: 
         if route in ("sphere", "both"):
             phases = _phases_for(phases_raw, M, prec)
             reports.append(_spherical_report(M, prec, margin, phases))
+            problems += _quadrature_problems(reports[-1])
         if route == "both":
             a, b = reports[0].mu_max, reports[1].mu_max
             rel_diff = abs(a - b) / b
+            if rel_diff > ROUTE_TOLERANCE:
+                problems.append(
+                    f"routes disagree: route_rel_diff={mp.nstr(rel_diff, 8)} "
+                    f"> {ROUTE_TOLERANCE}"
+                )
         if certify:
             reports.append(certify_bound(M, prec))
         payload_reports = []
@@ -339,10 +356,15 @@ def _cond_one(prec: int, route: str, certify: bool, margin: int, phases_raw, M: 
             if rel_diff is not None:
                 d["route_rel_diff"] = fmt_real(rel_diff)
             payload_reports.append(d)
-    gated_ok = all(
+    gated_ok = not problems and all(
         v is True for rep in reports for v in rep.verdicts.values()
     )
-    return {"M": M, "reports": payload_reports, "gated_ok": gated_ok}
+    return {
+        "M": M,
+        "reports": payload_reports,
+        "problems": problems,
+        "gated_ok": gated_ok,
+    }
 
 
 def _cond_csv_rows(payload: dict) -> list[list[str]]:
@@ -407,6 +429,8 @@ def cmd_cond(args) -> int:
             f"M={M} N={head['N']}: mu_max={_short(head['mu_max'])} "
             f"verdicts_ok={payload['gated_ok']}"
         )
+        for problem in payload["problems"]:
+            print(f"M={M}: {problem}")
     if args.format == "csv":
         _write_atomic(outdir / "cond.csv", _csv_text(COND_HEADER, csv_rows))
     return 0 if all_ok else 1
@@ -493,7 +517,7 @@ def cmd_verify(args) -> int:
         for d in payload["reports"]:
             print(
                 f"M={M} {d['lemma']}: worst_margin={_short(d['worst_margin'])} "
-                f"pass={d['pass']}"
+                f"pass={d['pass']}" + ("" if d["cells"] else " (no cells checked)")
             )
         for r in payload["refused"]:
             print(f"M={M} {r['lemma']}: refused ({r['reason']})")
@@ -548,8 +572,9 @@ def _sweep_one(prec: int, route: str, margin: int, M: int) -> dict:
             "cond_seconds": f"{cond_dt:.3f}",
             "energy_seconds": f"{energy_dt:.3f}",
         }
-    gated_ok = all(v is True for v in rep.verdicts.values())
-    return {"M": M, "row": row, "gated_ok": gated_ok}
+    problems = _quadrature_problems(rep)
+    gated_ok = not problems and all(v is True for v in rep.verdicts.values())
+    return {"M": M, "row": row, "problems": problems, "gated_ok": gated_ok}
 
 
 def cmd_sweep(args) -> int:
@@ -569,6 +594,8 @@ def cmd_sweep(args) -> int:
             f"({r['cond_seconds']}s cond, {r['energy_seconds']}s energy)",
             file=sys.stderr,
         )
+        for problem in payload["problems"]:
+            print(f"M={r['M']}: {problem}")
     if args.format == "json":
         _write_atomic(
             outdir / "sweep.json",

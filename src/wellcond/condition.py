@@ -36,7 +36,10 @@ Distance products against a full parallel use the closed form
 
 for a query point at height c and azimuth offset dphi from the r
 uniformly spaced points at height h; the two-term form is a sum of
-non-negative terms, so it never cancels.
+non-negative terms, so it never cancels.  The offset is passed as an
+exact turn t (a multiple of pi) plus a radian offset phi, and the
+versine is evaluated as 1 - cos(r (pi t + phi)) = 2 sin^2(r (pi t + phi)/2),
+exactly zero at a coincidence when phi = 0.
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ from .numerics import (
     cos_pi_fraction,
     cos_pi_fraction_interval,
     fmt_real,
-    frac_str,
     gauss_legendre,
     log_dot_exp,
     log_sum_exp,
+    to_fraction,
     to_mpf,
 )
 from .points import Parallel, PointSet, build_point_set
@@ -182,9 +185,9 @@ def mu_max_coefficient_route(
     )
 
 
-def _sin_pi_fraction_sq_twice(q: Fraction) -> mp.mpf:
-    """2 sin^2(pi q / 2) = 1 - cos(pi q), exact at multiples of 1/2."""
-    s = cos_pi_fraction(q / 2 - Fraction(1, 2))
+def _versine(r: int, turn: Fraction, offset=0) -> mp.mpf:
+    """1 - cos(r (pi turn + offset)), exactly 0 at a zero-offset coincidence."""
+    s = cos_pi_fraction(r * turn / 2 - Fraction(1, 2), r * offset / 2)
     return 2 * s * s
 
 
@@ -192,19 +195,14 @@ def _theta_terms(r: int, h, c, prec_bits: int) -> tuple[mp.mpf, mp.mpf]:
     """(gap, rim) with Theta = gap + rim * (1 - cos(r dphi)).
 
     gap = (x^r - y^r)^2 is the squared product of distances at aligned
-    azimuth; rim = 2 (xy)^r scales the azimuthal modulation.
+    azimuth; rim = 2 (xy)^r scales the azimuthal modulation.  x^2 and
+    y^2 are formed exactly from the heights and rounded once.
     """
-    one = Fraction(1)
-    if isinstance(h, (int, Fraction)) and isinstance(c, (int, Fraction)):
-        x2 = to_mpf((one - c) * (one + h))
-        y2 = to_mpf((one + c) * (one - h))
-    else:
-        hm, cm = to_mpf(h), to_mpf(c)
-        x2 = (1 - cm) * (1 + hm)
-        y2 = (1 + cm) * (1 - hm)
+    h, c = to_fraction(h), to_fraction(c)
+    x2, y2 = (1 - c) * (1 + h), (1 + c) * (1 - h)
     if x2 < 0 or y2 < 0:
         raise ValueError("heights must lie in [-1, 1]")
-    x, y = mp.sqrt(x2), mp.sqrt(y2)
+    x, y = mp.sqrt(to_mpf(x2)), mp.sqrt(to_mpf(y2))
     xr, yr = x**r, y**r
     d = xr - yr
     return d * d, 2 * xr * yr
@@ -224,23 +222,27 @@ def theta_product(
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
         gap, rim = _theta_terms(r, h, c, prec_bits)
-        vers = 1 - mp.cos(r * to_mpf(dphi))
-        return gap + rim * vers
+        return gap + rim * _versine(r, Fraction(0), dphi)
 
 
 def theta_product_log_turn(
-    r: int, h, c, turn: Fraction, prec_bits: int = DEFAULT_PREC_BITS
+    r: int,
+    h,
+    c,
+    turn: Fraction,
+    prec_bits: int = DEFAULT_PREC_BITS,
+    offset=0,
 ) -> mp.mpf:
-    """log Theta with the azimuth offset given as a multiple of pi.
+    """log Theta at azimuth offset pi * turn + offset (radians).
 
-    Rational turns keep coincidences exact: the result is -inf precisely
-    when the query point equals a parallel point.
+    With a zero offset, rational turns keep coincidences exact: the
+    result is -inf precisely when the query point equals a parallel
+    point.
     """
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
         gap, rim = _theta_terms(r, h, c, prec_bits)
-        vers = _sin_pi_fraction_sq_twice(r * turn)
-        return mp.log(gap + rim * vers)
+        return mp.log(gap + rim * _versine(r, turn, offset))
 
 
 def parallel_self_product_log(
@@ -258,17 +260,11 @@ def parallel_self_product_log(
     check_precision(prec_bits)
     if r == 1:
         return mp.mpf(0)
-    if isinstance(h, (int, Fraction)):
-        if abs(h) >= 1:
-            raise ValueError("parallel height must satisfy |h| < 1")
-        rad_sq = to_mpf(1 - Fraction(h) ** 2)
-    else:
-        hm = to_mpf(h)
-        if abs(hm) >= 1:
-            raise ValueError("parallel height must satisfy |h| < 1")
-        rad_sq = (1 - hm) * (1 + hm)
+    h = to_fraction(h)
+    if abs(h) >= 1:
+        raise ValueError("parallel height must satisfy |h| < 1")
     with mp.workprec(prec_bits):
-        return mp.log(r) + mp.mpf(r - 1) / 2 * mp.log(rad_sq)
+        return mp.log(r) + mp.mpf(r - 1) / 2 * mp.log(to_mpf(1 - h * h))
 
 
 def _parallels_of(point_set) -> list[Parallel]:
@@ -308,17 +304,10 @@ def numerator_integral_log(
     with mp.workprec(prec_bits):
         # Azimuthal modulation factors 1 - cos(r_j (alpha_m - phase_j)):
         # they do not depend on the height node, so build them once.
-        vers_table: list[list[mp.mpf]] = []
-        for par in parallels:
-            row = []
-            for m in range(n_az):
-                turn = Fraction(2 * m, n_az)
-                if par.phase == 0:
-                    row.append(_sin_pi_fraction_sq_twice(par.count * turn))
-                else:
-                    ang = par.count * (to_mpf(turn) * mp.pi - par.phase)
-                    row.append(1 - mp.cos(ang))
-            vers_table.append(row)
+        vers_table = [
+            [_versine(par.count, Fraction(2 * m, n_az), -par.phase) for m in range(n_az)]
+            for par in parallels
+        ]
 
         log_w = [mp.log(w) for w in weights]
         log_height_means: list[mp.mpf] = []
@@ -366,15 +355,10 @@ def point_gap_product_log(
         for par in parallels:
             if par.index == parallel_index:
                 continue
-            if own.phase == 0 and par.phase == 0:
-                total += theta_product_log_turn(
-                    par.count, par.height, own.height, own_turn, prec_bits
-                ) / 2
-            else:
-                dphi = (own.phase + to_mpf(own_turn) * mp.pi) - par.phase
-                total += mp.log(
-                    theta_product(par.count, par.height, own.height, dphi, prec_bits)
-                ) / 2
+            total += theta_product_log_turn(
+                par.count, par.height, own.height, own_turn, prec_bits,
+                own.phase - par.phase,
+            ) / 2
         return total
 
 
@@ -384,20 +368,20 @@ def spherical_condition_of_point_set(
     gl_nodes: int | None = None,
     azimuth_nodes: int | None = None,
     node_margin: int = 16,
-    reduce_symmetry: bool = False,
 ) -> ConditionReport:
     """Spherical-route mu_max for an arbitrary parallel-structured family.
 
-    reduce_symmetry exploits the quarter-turn invariance of zero-phase
-    families (all counts divisible by 4): only azimuth representatives
-    k < r/4 are evaluated.  The reduction never changes the maximum.
+    A family with every phase 0 and every count divisible by 4 is
+    invariant under the quarter turn, so only the azimuth
+    representatives k < r/4 are evaluated there; the reduction never
+    changes the maximum.
     """
     check_precision(prec_bits)
     num = numerator_integral_log(
         point_set, prec_bits, gl_nodes, azimuth_nodes, node_margin
     )
     N = sum(par.count for par in point_set.parallels)
-    reducible = reduce_symmetry and all(
+    reducible = all(
         par.phase == 0 and par.count % 4 == 0 for par in point_set.parallels
     )
     per_root: list[tuple[str, mp.mpf]] = []
@@ -429,7 +413,7 @@ def spherical_condition_of_point_set(
             "gl_nodes": num.gl_nodes,
             "azimuth_nodes": num.azimuth_nodes,
             "quadrature_undersampled": num.undersampled,
-            "symmetry_reduced": bool(reducible),
+            "symmetry_reduced": reducible,
         },
     )
 
@@ -441,12 +425,11 @@ def mu_max_spherical_route(
     gl_nodes: int | None = None,
     azimuth_nodes: int | None = None,
     node_margin: int = 16,
-    reduce_symmetry: bool = False,
 ) -> ConditionReport:
     """Spherical-route mu_max for the canonical family of parameter M."""
     ps = build_point_set(M, phases=phases, prec_bits=prec_bits)
     return spherical_condition_of_point_set(
-        ps, prec_bits, gl_nodes, azimuth_nodes, node_margin, reduce_symmetry
+        ps, prec_bits, gl_nodes, azimuth_nodes, node_margin
     )
 
 

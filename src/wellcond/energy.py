@@ -32,6 +32,12 @@ condition number: comparison windows between a parallel average and its
 band average, the window and chain bounds on S_N + N kappa, and the
 upper/lower bounds on products of distances from a query point (or a
 family point) to the whole family.
+
+Heights (t, h, c, eps) are exact rationals: every public function here
+converts its height arguments once at entry with numerics.to_fraction,
+so an int, float or mpf input gives the same bits as the equal
+Fraction.  A query azimuth is an exact turn (a multiple of pi) plus a
+radian offset, as in condition.theta_product_log_turn.
 """
 
 from __future__ import annotations
@@ -42,17 +48,13 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .condition import (
-    parallel_self_product_log,
-    point_gap_product_log,
-    theta_product,
-    theta_product_log_turn,
-)
+from .condition import point_gap_product_log, theta_product_log_turn
 from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
     fmt_real,
     frac_str,
+    to_fraction,
     to_mpf,
 )
 from .points import Band, PointSet, SpherePoint, build_parallels, build_point_set
@@ -69,18 +71,13 @@ def kappa(prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
         return mp.mpf(1) / 2 - mp.log(2)
 
 
-def _log_of(v) -> mp.mpf:
-    """log of an exact rational or an mpf, -inf at zero."""
-    if isinstance(v, (int, Fraction)):
-        if v < 0:
-            raise ValueError(f"log of negative value {v}")
-        if v == 0:
-            return mp.mpf("-inf")
-        return mp.log(to_mpf(v))
-    v = mp.mpf(v)
+def _log_of(v: Fraction) -> mp.mpf:
+    """log of an exact rational, -inf at zero."""
     if v < 0:
         raise ValueError(f"log of negative value {v}")
-    return mp.log(v) if v > 0 else mp.mpf("-inf")
+    if v == 0:
+        return mp.mpf("-inf")
+    return mp.log(to_mpf(v))
 
 
 def expected_log_parallel(t, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
@@ -90,39 +87,27 @@ def expected_log_parallel(t, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     t = c.  Can be -inf only in the degenerate cases t = c = +-1.
     """
     check_precision(prec_bits)
-    exact = isinstance(t, (int, Fraction)) and isinstance(c, (int, Fraction))
+    t, c = to_fraction(t), to_fraction(c)
     with mp.workprec(prec_bits):
-        if exact:
-            north = t >= c
+        if t >= c:
+            a, b = 1 + t, 1 - c
         else:
-            north = to_mpf(t) >= to_mpf(c)
-        if north:
-            a, b = _plus_one(t), _one_minus(c)
-        else:
-            a, b = _one_minus(t), _plus_one(c)
+            a, b = 1 - t, 1 + c
         return (_log_of(a) + _log_of(b)) / 2
 
 
-def _plus_one(v):
-    return 1 + v if isinstance(v, (int, Fraction)) else 1 + to_mpf(v)
-
-
-def _one_minus(v):
-    return 1 - v if isinstance(v, (int, Fraction)) else 1 - to_mpf(v)
-
-
-def _antideriv_log1p(u) -> mp.mpf:
+def _antideriv_log1p(u: Fraction) -> mp.mpf:
     """int log(1+t) dt = (1+u)log(1+u) - u, continuous value 1 at u = -1."""
-    w = _plus_one(u)
+    w = 1 + u
     if w == 0:
         return mp.mpf(1)
     wm = to_mpf(w)
     return wm * mp.log(wm) - (wm - 1)
 
 
-def _antideriv_log1m(u) -> mp.mpf:
+def _antideriv_log1m(u: Fraction) -> mp.mpf:
     """int log(1-t) dt = -(1-u)log(1-u) - u, continuous value -1 at u = 1."""
-    w = _one_minus(u)
+    w = 1 - u
     if w == 0:
         return mp.mpf(-1)
     wm = to_mpf(w)
@@ -139,9 +124,7 @@ def band_integral(h, eps, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     band inside [-1, 1].
     """
     check_precision(prec_bits)
-    exact = all(isinstance(v, (int, Fraction)) for v in (h, eps, c))
-    if not exact:
-        h, eps, c = to_mpf(h), to_mpf(eps), to_mpf(c)
+    h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
     if eps <= 0:
         raise ValueError("band half-width must be positive")
     lo, hi = h - eps, h + eps
@@ -152,21 +135,21 @@ def band_integral(h, eps, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     with mp.workprec(prec_bits):
         if c <= lo:
             body = _antideriv_log1p(hi) - _antideriv_log1p(lo)
-            rim = 2 * to_mpf(eps) * _log_of(_one_minus(c))
+            rim = 2 * to_mpf(eps) * _log_of(1 - c)
             return (body + rim) / 4
         if c >= hi:
             body = _antideriv_log1m(hi) - _antideriv_log1m(lo)
-            rim = 2 * to_mpf(eps) * _log_of(_plus_one(c))
+            rim = 2 * to_mpf(eps) * _log_of(1 + c)
             return (body + rim) / 4
         upper = (
             _antideriv_log1p(hi)
             - _antideriv_log1p(c)
-            + to_mpf(hi - c) * _log_of(_one_minus(c))
+            + to_mpf(hi - c) * _log_of(1 - c)
         )
         lower = (
             _antideriv_log1m(c)
             - _antideriv_log1m(lo)
-            + to_mpf(c - lo) * _log_of(_plus_one(c))
+            + to_mpf(c - lo) * _log_of(1 + c)
         )
         return (upper + lower) / 4
 
@@ -206,12 +189,11 @@ def comparison_outside_margin(
     1 - h above the band and 1 + h below it.
     """
     check_precision(prec_bits)
-    exact = all(isinstance(v, (int, Fraction)) for v in (h, eps, c))
-    hq, eq, cq = (h, eps, c) if exact else (to_mpf(h), to_mpf(eps), to_mpf(c))
-    if cq >= hq + eq:
-        pole_gap = _one_minus(h)
-    elif cq <= hq - eq:
-        pole_gap = _plus_one(h)
+    h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
+    if c >= h + eps:
+        pole_gap = 1 - h
+    elif c <= h - eps:
+        pole_gap = 1 + h
     else:
         raise ValueError("query height must lie outside the open band")
     with mp.workprec(prec_bits):
@@ -239,11 +221,10 @@ def comparison_inside_margin(
     with 1 - h when c >= h and 1 + h when c < h.
     """
     check_precision(prec_bits)
-    exact = all(isinstance(v, (int, Fraction)) for v in (h, eps, c))
-    hq, eq, cq = (h, eps, c) if exact else (to_mpf(h), to_mpf(eps), to_mpf(c))
-    if not hq - eq <= cq <= hq + eq:
+    h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
+    if not h - eps <= c <= h + eps:
         raise ValueError("query height must lie in the closed band")
-    pole_gap = _one_minus(h) if cq >= hq else _plus_one(h)
+    pole_gap = 1 - h if c >= h else 1 + h
     with mp.workprec(prec_bits):
         epsm = to_mpf(eps)
         u = (
@@ -291,30 +272,22 @@ def t_ell(ell: int, M: int) -> Fraction:
 def log_product_to_set(q, point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     """log prod over all family points of |p_i - q| for an external query.
 
-    q may be a SpherePoint or a pair (height, azimuth_turn) with the
-    azimuth given as an exact multiple of pi; the pair form keeps
+    q may be a SpherePoint (turn 0 plus the radian offset atan2(y, x))
+    or a pair (height, azimuth_turn) with the azimuth given as an exact
+    multiple of pi; against zero-phase parallels the pair form keeps
     coincidence with a family point exact, returning -inf.
     """
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
         if isinstance(q, SpherePoint):
-            c = q.z
-            alpha = mp.atan2(q.y, q.x)
-            turn = None
+            c, turn, alpha = q.z, Fraction(0), mp.atan2(q.y, q.x)
         else:
-            c, turn = q
+            c, turn, alpha = q[0], Fraction(q[1]), 0
         total = mp.mpf(0)
         for par in point_set.parallels:
-            if turn is not None and par.phase == 0:
-                lg = theta_product_log_turn(
-                    par.count, par.height, c, Fraction(turn), prec_bits
-                )
-            else:
-                dphi = (alpha if turn is None else to_mpf(Fraction(turn)) * mp.pi) - par.phase
-                lg = mp.mpf("-inf")
-                th = theta_product(par.count, par.height, c, dphi, prec_bits)
-                if th > 0:
-                    lg = mp.log(th)
+            lg = theta_product_log_turn(
+                par.count, par.height, c, turn, prec_bits, alpha - par.phase
+            )
             if lg == mp.mpf("-inf"):
                 return mp.mpf("-inf")
             total += lg / 2
@@ -329,9 +302,8 @@ class EnergyReport:
     per point.
     """
 
-    M: int | None
+    M: int
     N: int
-    method: str
     precision_bits: int
     energy: mp.mpf
     kappa_n_sq: mp.mpf
@@ -342,7 +314,6 @@ class EnergyReport:
         return {
             "M": self.M,
             "N": self.N,
-            "method": self.method,
             "precision_bits": self.precision_bits,
             "energy": fmt_real(self.energy),
             "kappa_n_sq": fmt_real(self.kappa_n_sq),
@@ -362,49 +333,21 @@ class EnergyReport:
         ]
 
 
-def log_energy(
-    point_set,
-    prec_bits: int = DEFAULT_PREC_BITS,
-    method: str = "parallel",
-) -> EnergyReport:
+def log_energy(point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> EnergyReport:
     """E(P) = sum_{i != j} log 1/|p_i - p_j|.
 
-    method "parallel" uses the closed-form within-parallel products plus
-    Theta products across parallels (PointSet input only); "pairwise"
-    sums over materialised coordinate pairs and also accepts a plain
-    list of SpherePoints.  Coincident points give E = +inf.
+    Sums the closed-form within-parallel products plus Theta products
+    across parallels over every family point.  Coincident points give
+    E = +inf.
     """
     check_precision(prec_bits)
-    if method not in ("parallel", "pairwise"):
-        raise ValueError(f"unknown energy method {method!r}")
+    N, M = point_set.N, point_set.M
     with mp.workprec(prec_bits):
-        if method == "parallel":
-            if not isinstance(point_set, PointSet):
-                raise ValueError("parallel method needs a PointSet")
-            total = mp.mpf(0)
-            for par in point_set.parallels:
-                for k in range(par.count):
-                    total += point_gap_product_log(
-                        point_set, par.index, k, prec_bits
-                    )
-            energy = -total
-            N = point_set.N
-            M = point_set.M
-        else:
-            if isinstance(point_set, PointSet):
-                pts = [p for _, _, p in point_set.all_points()]
-                M = point_set.M
-            else:
-                pts = list(point_set)
-                M = None
-            N = len(pts)
-            acc = mp.mpf(0)
-            for i in range(N):
-                for j in range(i + 1, N):
-                    d2 = pts[i].distance_sq(pts[j])
-                    acc += mp.log(d2) if d2 > 0 else mp.mpf("-inf")
-            # sum_{i != j} log 1/|p_i - p_j| = -sum_{i < j} log |p_i - p_j|^2
-            energy = -acc
+        total = mp.mpf(0)
+        for par in point_set.parallels:
+            for k in range(par.count):
+                total += point_gap_product_log(point_set, par.index, k, prec_bits)
+        energy = -total
         kap = kappa(prec_bits)
         kn2 = kap * N * N
         hnln = mp.mpf(N) / 2 * mp.log(N)
@@ -412,7 +355,6 @@ def log_energy(
     return EnergyReport(
         M=M,
         N=N,
-        method=method,
         precision_bits=prec_bits,
         energy=energy,
         kappa_n_sq=kn2,
@@ -472,7 +414,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return bool(self.worst_margin >= -self.tolerance)
+        """Every margin within tolerance; an empty grid never passes."""
+        return bool(self.cells and self.worst_margin >= -self.tolerance)
 
     def to_json_dict(self) -> dict:
         return {

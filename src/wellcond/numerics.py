@@ -6,6 +6,15 @@ precision.  This module owns the conversions between the two worlds,
 the log-domain accumulation helpers, Gauss-Legendre nodes at working
 precision, and rigorous enclosures of cos(pi * q) for rational q used
 by the certified condition-number path.
+
+Two representations are fixed here for the whole package:
+
+* a height is an exact ``Fraction``; public functions that take heights
+  convert their input once at entry with ``to_fraction`` (ints, floats
+  and finite mpfs are dyadic or integer rationals, so this is exact);
+* an azimuth is an exact turn q (a rational multiple of pi) plus a
+  radian offset; ``cos_pi_fraction(q, offset)`` is the one place that
+  evaluates it, exactly at multiples of pi/2 when the offset is 0.
 """
 
 from __future__ import annotations
@@ -63,6 +72,13 @@ def fraction_from_mpf(x: mp.mpf) -> Fraction:
     return fraction_from_raw(x._mpf_)
 
 
+def to_fraction(x: RealLike) -> Fraction:
+    """Exact Fraction equal to an int, Fraction, float or finite mpf."""
+    if isinstance(x, mp.mpf):
+        return fraction_from_mpf(x)
+    return Fraction(x)
+
+
 def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction, Fraction]:
     """Rigorous enclosure [lo, hi] of cos(pi * q) for rational q.
 
@@ -86,13 +102,16 @@ def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction,
     return (fraction_from_raw(ra), fraction_from_raw(rb))
 
 
-def cos_pi_fraction(q: RationalLike) -> mp.mpf:
-    """cos(pi * q) for rational q at working precision.
+def cos_pi_fraction(q: RationalLike, offset: RealLike = 0) -> mp.mpf:
+    """cos(pi * q + offset) for rational q at working precision.
 
-    Multiples of 1/2 come out exactly (0 or +-1), which lets callers
-    detect exact point coincidences on uniform azimuth grids.
+    With a zero offset, multiples of 1/2 come out exactly (0 or +-1),
+    which lets callers detect exact point coincidences on uniform
+    azimuth grids.
     """
     q = Fraction(q) % 2
+    if offset != 0:
+        return mp.cos(mp.pi * to_mpf(q) + offset)
     if q.denominator == 1:
         return mp.mpf(1) if q == 0 else mp.mpf(-1)
     if q.denominator == 2:
@@ -204,8 +223,3 @@ def frac_str(q: RationalLike) -> str:
     """Exact "numerator/denominator" string for a rational."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    """Inverse of frac_str; also accepts plain integer strings."""
-    return Fraction(s)

@@ -15,6 +15,9 @@ The sphere splits into 2M-1 horizontal bands B_j = [H_j, H_{j-1}] with
 so that h_j is the midpoint of B_j and the band covers a fraction
 nu_j = r_j / N of the surface measure.  All heights are kept as exact
 rationals; coordinates are materialised at an explicit binary precision.
+The azimuth of point k on parallel j is the exact turn 2k/r_j (a
+multiple of pi) plus the parallel's radian phase as an offset, both
+evaluated by numerics.cos_pi_fraction.
 """
 
 from __future__ import annotations
@@ -182,8 +185,8 @@ def build_point_set(
 ) -> PointSet:
     """Materialise the N = 4M^2 points at the requested precision.
 
-    With the default zero phases the azimuths are exact rational
-    multiples of pi, so points on the coordinate axes come out exact.
+    With the default zero phases the azimuth offsets vanish, so points
+    on the coordinate axes come out exact.
     """
     check_precision(prec_bits)
     parallels = build_parallels(M, phases)
@@ -196,12 +199,8 @@ def build_point_set(
             group = []
             for k in range(par.count):
                 turn = Fraction(2 * k, par.count)  # azimuth as multiple of pi
-                if par.phase == 0:
-                    ca = cos_pi_fraction(turn)
-                    sa = cos_pi_fraction(turn - Fraction(1, 2))  # sin(pi t)
-                else:
-                    alpha = par.phase + to_mpf(turn) * mp.pi
-                    ca, sa = mp.cos(alpha), mp.sin(alpha)
+                ca = cos_pi_fraction(turn, par.phase)
+                sa = cos_pi_fraction(turn - Fraction(1, 2), par.phase)  # sin
                 group.append(SpherePoint(x=radius * ca, y=radius * sa, z=height))
             points.append(group)
     return PointSet(
@@ -242,33 +241,3 @@ def inverse_stereographic(z, prec_bits: int = DEFAULT_PREC_BITS) -> SpherePoint:
             z=(t - 1) / denom,
         )
 
-
-def band_of(q, bands: list[Band]):
-    """Index of the band containing a height (or SpherePoint's height).
-
-    Boundary heights are assigned deterministically to the band nearer
-    its pole: H_j (northern, j <= M-1) belongs to band j, a southern
-    boundary H_j to band j+1.  Exact inputs (int/Fraction) are compared
-    exactly; floats/mpf compare at current working precision.
-    """
-    t = q.z if isinstance(q, SpherePoint) else q
-    exact = isinstance(t, (int, Fraction))
-    if not exact:
-        t = mp.mpf(t)
-    n_bands = len(bands)
-    M = (n_bands + 1) // 2
-
-    def lo(j):  # lower boundary H_j of band j
-        v = bands[j - 1].lower
-        return v if exact else to_mpf(v)
-
-    if not (bands[0].upper >= t >= bands[-1].lower if exact
-            else to_mpf(bands[0].upper) >= t >= to_mpf(bands[-1].lower)):
-        raise ValueError(f"height {t} outside [-1, 1]")
-    for j in range(1, M):
-        if t >= lo(j):
-            return j
-    for j in range(M, n_bands):
-        if t > lo(j):
-            return j
-    return n_bands

@@ -230,3 +230,49 @@ def test_verify_sums_max_below_1_exits_2(tmp_path):
         run(["verify", "--M", "2", "--sums-max", "0", "--out", tmp_path])
     assert exc.value.code == 2
     assert not (tmp_path / "sum_checks.json").exists()
+
+
+def test_cond_route_disagreement_and_undersampling_exit_1(tmp_path, capsys):
+    # 7 x 25 quadrature nodes at M=3: the routes differ by about 1.8e-2
+    rc = run(
+        ["cond", "--M", "3", "--route", "both", "--margin", "-12", "--out", tmp_path]
+    )
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "M=3: spherical quadrature undersampled (7 x 25 nodes)" in out
+    assert "M=3: routes disagree: route_rel_diff=0.01789" in out
+    reports = read_json(tmp_path / "cond_M3.json")["reports"]
+    assert reports[1]["quadrature_undersampled"] is True
+    assert all(v is True for r in reports for v in r["verdicts"].values())
+
+
+def test_sweep_undersampled_exits_1(tmp_path, capsys):
+    rc = run(
+        ["sweep", "--M", "2", "--route", "sphere", "--margin", "-4", "--out", tmp_path]
+    )
+    assert rc == 1
+    assert "M=2: spherical quadrature undersampled (5 x 13 nodes)" in capsys.readouterr().out
+    assert len(read_rows(tmp_path / "sweep.csv")) == 2
+
+
+def test_verify_empty_grid_exits_1(tmp_path, capsys):
+    # a single band covers the sphere, so no probe lies outside it
+    assert run(["verify", "--M", "1", "--sums-max", "8", "--out", tmp_path]) == 1
+    assert (
+        "M=1 band_average_outside_window: worst_margin=+inf pass=False "
+        "(no cells checked)" in capsys.readouterr().out
+    )
+    rep = read_json(tmp_path / "verify_M1.json")["reports"][0]
+    assert rep["lemma"] == "band_average_outside_window"
+    assert rep["cells"] == [] and rep["pass"] is False
+
+
+def test_zero_phases_file_is_symmetry_reduced(tmp_path):
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps(["0", "0.0", "-0"]))
+    out = tmp_path / "out"
+    assert run(
+        ["cond", "--M", "2", "--route", "sphere", "--phases", phases, "--out", out]
+    ) == 0
+    rep = read_json(out / "cond_M2.json")["reports"][0]
+    assert rep["symmetry_reduced"] is True and len(rep["per_root"]) == 4

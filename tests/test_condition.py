@@ -15,8 +15,8 @@ from wellcond.condition import (
     theta_product,
     theta_product_log_turn,
 )
-from wellcond.numerics import to_mpf
-from wellcond.points import build_point_set
+from wellcond.numerics import gauss_legendre, to_mpf
+from wellcond.points import SpherePoint, build_point_set
 
 
 def brute_theta(r, h, c, dphi, prec):
@@ -105,11 +105,44 @@ def test_routes_agree(M):
 
 
 def test_spherical_route_symmetry_reduction_identical():
+    """The quarter-turn reduced route equals the maximum over all points."""
     prec = 192
-    full = mu_max_spherical_route(2, prec, reduce_symmetry=False)
-    fast = mu_max_spherical_route(2, prec, reduce_symmetry=True)
+    M = 2
+    fast = mu_max_spherical_route(M, prec)
+    assert fast.extras["symmetry_reduced"]
+    assert len(fast.per_root) == 4 * M * M // 4
+    ps = build_point_set(M, prec_bits=prec)
+    num = numerator_integral_log(ps, prec)
+    N = ps.N
     with mp.workprec(prec):
-        assert abs(full.mu_max - fast.mu_max) / full.mu_max < mp.mpf(2) ** -150
+        base = -mp.log(2) + (mp.log(N) + mp.log(N + 1)) / 2 + num.log_value / 2
+        full = max(
+            base - point_gap_product_log(ps, j, k, prec) for j, k, _ in ps.all_points()
+        )
+        assert abs(full - fast.log_mu_max) < mp.mpf(2) ** -150
+
+
+def test_uniform_nonzero_phase_matches_zero_phase():
+    """Rotating every parallel by the same angle changes no distance.
+
+    The phased family goes through the radian-offset path of the point
+    coordinates and of the numerator quadrature, the zero-phase family
+    through the exact-turn path; they agree to rounding.
+    """
+    prec = 256
+    M = 2
+    tol = mp.mpf(2) ** -(prec - 16)
+    zero = build_point_set(M, prec_bits=prec)
+    phased = build_point_set(M, phases=[mp.mpf("0.3")] * (2 * M - 1), prec_bits=prec)
+    with mp.workprec(prec):
+        for j, k, _ in zero.all_points():
+            a = point_gap_product_log(zero, j, k, prec)
+            b = point_gap_product_log(phased, j, k, prec)
+            assert abs(a - b) < tol, (j, k)
+        a = mu_max_spherical_route(M, prec)
+        b = mu_max_spherical_route(M, prec, phases=[mp.mpf("0.3")] * (2 * M - 1))
+        assert a.extras["symmetry_reduced"] and not b.extras["symmetry_reduced"]
+        assert abs(a.mu_max - b.mu_max) / a.mu_max < tol
 
 
 def test_numerator_integral_node_convergence():
@@ -125,6 +158,29 @@ def test_numerator_integral_node_convergence():
         assert abs(base.log_value - more.log_value) < mp.mpf(2) ** -(prec - 32)
 
 
+def test_numerator_integral_matches_point_quadrature_with_phases():
+    """The Theta-form integrand equals the product over materialised points.
+
+    Distinct phases make the azimuth offsets of the modulation table
+    matter; the same product rule is applied to the coordinates.
+    """
+    prec = 192
+    ps = build_point_set(2, phases=[0.1, 0.7, -1.2], prec_bits=prec)
+    num = numerator_integral_log(ps, prec)
+    nodes, weights = gauss_legendre(num.gl_nodes, prec)
+    n_az = num.azimuth_nodes
+    pts = [p for _, _, p in ps.all_points()]
+    with mp.workprec(prec):
+        acc = mp.mpf(0)
+        for c, w in zip(nodes, weights):
+            rho = mp.sqrt(1 - c * c)
+            for m in range(n_az):
+                a = 2 * mp.pi * m / n_az
+                q = SpherePoint(rho * mp.cos(a), rho * mp.sin(a), c)
+                acc += w * mp.fprod(q.distance_sq(p) for p in pts) / n_az
+        assert abs(mp.log(acc / 2) - num.log_value) < mp.mpf(2) ** -(prec - 24)
+
+
 def test_undersampled_flag_raised_below_exactness():
     ps = build_point_set(2, prec_bits=192)
     rep = numerator_integral_log(ps, 192, gl_nodes=4, azimuth_nodes=8)
@@ -133,11 +189,17 @@ def test_undersampled_flag_raised_below_exactness():
 
 def test_point_gap_product_matches_brute_force():
     prec = 256
-    M = 2
-    ps = build_point_set(M, prec_bits=prec)
+    _check_gap_products(build_point_set(2, prec_bits=prec), prec, (0, 5, 9))
+    # distinct phases; point 13 (k = 1 of 12) sits off the 8-point
+    # parallels' symmetry axes, so the sign of the phase offset matters
+    phased = build_point_set(3, phases=[0.1, 0.7, -1.2, 0.4, 2.0], prec_bits=prec)
+    _check_gap_products(phased, prec, (0, 5, 13))
+
+
+def _check_gap_products(ps, prec, indices):
     flat = ps.all_points()
     with mp.workprec(prec):
-        for idx in (0, 5, 9):
+        for idx in indices:
             par_index, azimuth, p = flat[idx]
             got = point_gap_product_log(ps, par_index, azimuth, prec)
             acc = mp.mpf(0)

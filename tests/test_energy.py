@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from wellcond.energy import (
+    ComparisonMargins,
     band_integral,
     comparison_inside_margin,
     comparison_outside_margin,
@@ -22,8 +23,26 @@ from wellcond.energy import (
     verify_sn_kappa,
     verify_t_bounds,
 )
-from wellcond.numerics import to_mpf
-from wellcond.points import build_bands, build_parallels, build_point_set
+from wellcond.condition import parallel_self_product_log
+from wellcond.numerics import to_fraction, to_mpf
+from wellcond.points import (
+    SpherePoint,
+    build_bands,
+    build_parallels,
+    build_point_set,
+)
+
+
+def pairwise_log_energy(points, prec):
+    """E(P) = sum_{i != j} log 1/|p_i - p_j| straight from coordinate pairs."""
+    with mp.workprec(prec):
+        acc = mp.mpf(0)
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                d2 = points[i].distance_sq(points[j])
+                acc += mp.log(d2) if d2 > 0 else mp.mpf("-inf")
+        # sum_{i != j} log 1/|p_i - p_j| = -sum_{i < j} log |p_i - p_j|^2
+        return -acc
 
 
 def test_kappa_value():
@@ -116,6 +135,11 @@ def test_t_ell_matches_direct_definition():
 def test_comparison_margins_nonnegative_small_m():
     for M in (1, 2, 3, 4):
         for rep in verify_comparison(M, 192, seed=3):
+            if M == 1 and rep.lemma == "band_average_outside_window":
+                # one band covers the sphere: no probe lies outside it,
+                # and an empty grid is not a pass
+                assert not rep.cells and not rep.passed
+                continue
             assert rep.passed, (M, rep.lemma, rep.worst_margin)
 
 
@@ -142,6 +166,22 @@ def test_log_product_to_set_matches_pairwise_sum():
                 d2 = (qx - p.x) ** 2 + (qy - p.y) ** 2 + (t - p.z) ** 2
                 acc += mp.log(d2) / 2
             assert abs(got - acc) < mp.mpf("1e-25")
+
+
+def test_log_product_to_set_sphere_point_matches_pair_form():
+    prec = 256
+    c, turn = Fraction(11, 16), Fraction(1, 5)
+    for phases in (None, [0.1, 0.7, -1.2]):
+        ps = build_point_set(2, phases=phases, prec_bits=prec)
+        with mp.workprec(prec):
+            rho = mp.sqrt(1 - to_mpf(c) ** 2)
+            q = SpherePoint(
+                x=rho * mp.cospi(to_mpf(turn)), y=rho * mp.sinpi(to_mpf(turn)), z=to_mpf(c)
+            )
+            pair = log_product_to_set((c, turn), ps, prec)
+            point = log_product_to_set(q, ps, prec)
+            assert mp.isfinite(pair)
+            assert abs(point - pair) < mp.mpf(2) ** -(prec - 16)
 
 
 def test_log_product_to_set_coincidence_is_minus_inf():
@@ -173,11 +213,11 @@ def test_energy_m1_exact_minus_8_log2():
 def test_energy_parallel_vs_pairwise(M):
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
-    a = log_energy(ps, prec, method="parallel")
-    b = log_energy(ps, prec, method="pairwise")
+    a = log_energy(ps, prec)
+    b = pairwise_log_energy([p for _, _, p in ps.all_points()], prec)
     with mp.workprec(prec):
-        assert abs(a.energy - b.energy) < mp.mpf("1e-25")
-    assert a.residual is not None and b.N == 4 * M * M
+        assert abs(a.energy - b) < mp.mpf("1e-25")
+    assert a.residual is not None and a.N == 4 * M * M
 
 
 def test_gating_raises_below_hypothesis():
@@ -222,3 +262,41 @@ def test_grid_strings_count_probe_heights():
         assert len(rep.cells) == 3 * 7 * 2
     for rep in verify_numerator(3, 128, informational=True, n_random=2):
         assert rep.grid.startswith("bands 1..3 x 7 probe heights x 8 azimuths ")
+
+
+@pytest.mark.parametrize("convert", [float, to_mpf], ids=["float", "mpf"])
+def test_height_inputs_match_equal_fraction_bit_for_bit(convert):
+    """Heights are exact at entry: any input type gives the Fraction's bits."""
+    prec = 256
+    h, eps = Fraction(1, 2), Fraction(1, 8)
+    with mp.workprec(prec):
+        # 256-bit dyadics, not floats: each equals its to_mpf image
+        two_thirds = to_fraction(mp.mpf(2) / 3)
+        inside = to_fraction(mp.mpf(1) / 3 + mp.mpf(1) / 4)
+    # (function, heights): the outside margin probes above and below the
+    # band, the inside margin both halves of it
+    cases = [
+        (expected_log_parallel, (Fraction(5, 8), Fraction(-3, 16))),
+        (band_integral, (h, eps, Fraction(-3, 16))),
+        (band_integral, (h, eps, Fraction(9, 16))),
+        (comparison_outside_margin, (h, eps, Fraction(3, 4))),
+        (comparison_outside_margin, (h, eps, Fraction(-1, 4))),
+        (comparison_inside_margin, (h, eps, Fraction(9, 16))),
+        (comparison_inside_margin, (h, eps, Fraction(7, 16))),
+        (parallel_self_product_log, (12, Fraction(3, 8))),
+    ]
+    if convert is to_mpf:
+        cases += [
+            (expected_log_parallel, (two_thirds, h)),
+            (band_integral, (h, eps, two_thirds)),
+            (comparison_inside_margin, (h, eps, inside)),
+            (parallel_self_product_log, (12, two_thirds)),
+        ]
+    with mp.workprec(prec):
+        for fn, args in cases:
+            want = fn(*args, prec)
+            got = fn(*(a if isinstance(a, int) else convert(a) for a in args), prec)
+            if isinstance(want, ComparisonMargins):
+                got = (got.value, got.lower_bound, got.upper_bound)
+                want = (want.value, want.lower_bound, want.upper_bound)
+            assert got == want, (fn.__name__, args)

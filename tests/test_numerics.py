@@ -14,9 +14,14 @@ from wellcond.numerics import (
     gauss_legendre,
     log_dot_exp,
     log_sum_exp,
-    parse_frac,
+    to_fraction,
     to_mpf,
 )
+
+
+def parse_frac(s: str) -> Fraction:
+    """Inverse of frac_str; also accepts plain integer strings."""
+    return Fraction(s)
 
 
 def test_to_mpf_rounds_fractions_correctly():
@@ -112,3 +117,27 @@ def test_frac_str_round_trip():
     f = Fraction(-7, 12)
     assert parse_frac(frac_str(f)) == f
     assert parse_frac("5") == Fraction(5)
+
+
+def test_to_fraction_is_exact_for_every_input_type():
+    with mp.workprec(256):
+        third = mp.mpf(1) / 3
+        assert to_fraction(third) == fraction_from_mpf(third)
+        assert to_mpf(to_fraction(third)) == third
+    assert to_fraction(0.375) == Fraction(3, 8)
+    assert to_fraction(-2) == Fraction(-2)
+    assert to_fraction(Fraction(5, 9)) == Fraction(5, 9)
+    with pytest.raises(ValueError):
+        to_fraction(mp.mpf("inf"))
+
+
+def test_cos_pi_fraction_offset():
+    prec = 256
+    with mp.workprec(prec):
+        off = mp.mpf("0.3")
+        for q in (Fraction(0), Fraction(1, 2), Fraction(7, 5), Fraction(-3, 4)):
+            want = mp.cos(mp.pi * to_mpf(q) + off)
+            assert abs(cos_pi_fraction(q, off) - want) < mp.mpf(2) ** -(prec - 8)
+        # a zero offset of any type keeps the exact values
+        assert cos_pi_fraction(Fraction(1, 2), mp.mpf(0)) == 0
+        assert cos_pi_fraction(Fraction(3), 0.0) == -1

@@ -5,15 +5,35 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from wellcond.numerics import to_mpf
+from wellcond.numerics import to_fraction, to_mpf
 from wellcond.points import (
-    band_of,
+    SpherePoint,
     build_bands,
     build_parallels,
     build_point_set,
     inverse_stereographic,
     stereographic,
 )
+
+
+def band_of(q, bands):
+    """Index of the band containing a height (or SpherePoint's height).
+
+    Boundary heights are assigned deterministically to the band nearer
+    its pole: H_j (northern, j <= M-1) belongs to band j, a southern
+    boundary H_j to band j+1.  The height is compared exactly.
+    """
+    t = to_fraction(q.z if isinstance(q, SpherePoint) else q)
+    if not bands[-1].lower <= t <= bands[0].upper:
+        raise ValueError(f"height {t} outside [-1, 1]")
+    M = (len(bands) + 1) // 2
+    for band in bands[: M - 1]:
+        if t >= band.lower:
+            return band.index
+    for band in bands[M - 1 : -1]:
+        if t > band.lower:
+            return band.index
+    return len(bands)
 
 
 def test_m3_heights_and_counts_by_hand():
