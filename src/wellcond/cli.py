@@ -5,8 +5,9 @@ Subcommands
 * ``generate`` — write the point sets and polynomials for each M.
 * ``cond``     — compute mu_max by the chosen route(s), optionally with
   certified (rigorously rounded) bound verdicts.
-* ``verify``   — run every inequality suite plus the sum checks;
-  below M = 5 the sharpened suites are refused unless --informational.
+* ``verify``   — run every inequality suite plus the sum checks; a
+  suite whose hypothesis M does not meet is refused, or with
+  --informational run ungated.
 * ``sweep``    — one row per M with mu_max, its normalized ratio, the
   energy residual, and runtimes; plot-ready CSV.
 
@@ -31,33 +32,17 @@ import mpmath as mp
 
 from . import __version__
 from .condition import (
+    BOUNDS,
     certify_bound,
     mu_max_coefficient_route,
     mu_max_spherical_route,
 )
-from .energy import (
-    HYPOTHESIS_MIN_M,
-    log_energy,
-    verify_comparison,
-    verify_denominator,
-    verify_numerator,
-    verify_sn_kappa,
-    verify_t_bounds,
-)
+from .energy import log_energy, verification_suite
 from .numerics import MIN_PREC_BITS, fmt_real
 from .points import build_point_set
 from .polynomials import canonical_polynomial, expand
 from .sums import CSV_HEADER as SUMS_CSV_HEADER
 from .sums import sum_check_suite
-
-GATED_SUITES = (
-    "parallel_energy_window",
-    "parallel_energy_chain",
-    "point_product_vs_parallel_sum",
-    "point_product_explicit_bound",
-    "gap_product_vs_parallel_sum",
-    "gap_product_absolute_floor",
-)
 
 ROUTE_TOLERANCE = 1e-6  # largest relative mu_max gap between routes that passes
 
@@ -82,7 +67,8 @@ class InputError(Exception):
 
 
 def _parse_m_range(text: str) -> list[int]:
-    """'5' -> [5]; '2..6' -> [2..6]; '6..2' -> [] (empty range)."""
+    """'5' -> [5]; '2..6' -> [2, 3, 4, 5, 6]; an empty range like '6..2'
+    is malformed, as is any M below 1."""
     try:
         if ".." in text:
             a, b = text.split("..", 1)
@@ -94,6 +80,8 @@ def _parse_m_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected an integer or a..b range, got {text!r}"
         ) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty M range {text!r}: need a <= b")
     if any(m < 1 for m in values):
         raise argparse.ArgumentTypeError("M values must be >= 1")
     return values
@@ -142,7 +130,9 @@ def _load_phases_file(path: str | None) -> dict[int, list[str]] | None:
         table = {int(k): [str(v) for v in vals] for k, vals in data.items()}
         for vals in table.values():
             for v in vals:
-                mp.mpf(v)  # a non-numeric angle fails here, before any work
+                # a non-numeric or non-finite angle fails here, before any work
+                if not mp.isfinite(mp.mpf(v)):
+                    raise ValueError(f"angle {v!r} is not finite")
     except (OSError, TypeError, ValueError) as e:
         raise InputError(f"{path}: {e}") from None
     return table
@@ -378,9 +368,7 @@ def _cond_csv_rows(payload: dict) -> list[list[str]]:
                 str(d["precision_bits"]),
                 d["mu_max"],
                 d["log_mu_max"],
-                str(d["verdicts"]["le_N"]),
-                str(d["verdicts"]["le_19half_sqrt"]),
-                str(d["verdicts"]["ge_lower"]),
+                *(str(d["verdicts"][key]) for key in BOUNDS),
                 str(d["certified"]),
                 d.get("route_rel_diff", ""),
             ]
@@ -395,9 +383,7 @@ COND_HEADER = [
     "precision_bits",
     "mu_max",
     "log_mu_max",
-    "le_N",
-    "le_19half_sqrt",
-    "ge_lower",
+    *BOUNDS,
     "certified",
     "route_rel_diff",
 ]
@@ -442,33 +428,15 @@ def cmd_cond(args) -> int:
 
 
 def _verify_one(prec: int, seed: int, informational: bool, M: int) -> dict:
-    gated = M >= HYPOTHESIS_MIN_M
-    reports = []
-    reports.extend(verify_comparison(M, prec, seed))
-    reports.append(verify_t_bounds(M, prec))
-    refused = []
-    run_gated = gated or informational
-    if run_gated:
-        reports.extend(verify_sn_kappa(M, prec, seed, informational))
-        reports.extend(verify_numerator(M, prec, seed, informational))
-        reports.extend(verify_denominator(M, prec, informational))
-    else:
-        refused = [
-            {"lemma": name, "reason": f"hypothesis M >= {HYPOTHESIS_MIN_M} not met"}
-            for name in GATED_SUITES
-        ]
+    suite = verification_suite(M, prec, seed, informational)
     with mp.workprec(prec):
-        report_dicts = [r.to_json_dict() for r in reports]
-    gating = {
-        r.lemma: (r.lemma not in GATED_SUITES or gated) for r in reports
-    }
-    gated_ok = all(r.passed for r in reports if gating[r.lemma])
+        report_dicts = [r.to_json_dict() for r in suite.reports]
     return {
         "M": M,
         "reports": report_dicts,
-        "refused": refused,
-        "gating": gating,
-        "gated_ok": gated_ok,
+        "refused": suite.refused,
+        "gating": suite.gated,
+        "gated_ok": suite.passed,
     }
 
 
@@ -670,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--informational",
         action="store_true",
-        help="evaluate sharpened suites below M = 5 without gating them",
+        help="run the suites whose hypothesis M does not meet, ungated",
     )
     v.add_argument(
         "--sums-max",

@@ -75,6 +75,14 @@ from .polynomials import (
 
 LOWER_CONST = Fraction(227, 500)  # 0.454, the floor on mu_max / sqrt(N)
 
+# Bound id -> (exact threshold on mu_max^2 at degree N, side): an
+# "upper" bound holds when mu_max^2 <= threshold, a "lower" one when >=.
+BOUNDS = {
+    "le_N": (lambda N: Fraction(N) ** 2, "upper"),
+    "le_19half_sqrt": (lambda N: Fraction(361, 4) * (N + 1), "upper"),
+    "ge_lower": (lambda N: LOWER_CONST**2 * N, "lower"),
+}
+
 
 @dataclass
 class ConditionReport:
@@ -123,14 +131,20 @@ class NumeratorIntegral:
     undersampled: bool
 
 
-def _bound_verdicts(mu_max: mp.mpf, N: int) -> dict[str, bool | None]:
-    """Float-path verdicts for the three standard bounds."""
-    sqrt_np1 = mp.sqrt(mp.mpf(N + 1))
-    return {
-        "le_N": bool(mu_max <= N),
-        "le_19half_sqrt": bool(mu_max <= mp.mpf(19) / 2 * sqrt_np1),
-        "ge_lower": bool(mu_max >= to_mpf(LOWER_CONST) * mp.sqrt(mp.mpf(N))),
-    }
+def _bound_verdicts(
+    N: int, sq_lo: Fraction, sq_hi: Fraction | None = None
+) -> dict[str, bool | None]:
+    """Exact verdicts on BOUNDS for mu_max^2 in [sq_lo, sq_hi] (default
+    [sq_lo, sq_lo]); None where the enclosure straddles a threshold."""
+    sq_hi = sq_lo if sq_hi is None else sq_hi
+    verdicts: dict[str, bool | None] = {}
+    for key, (threshold, side) in BOUNDS.items():
+        t = threshold(N)
+        if side == "upper":
+            verdicts[key] = True if sq_hi <= t else False if sq_lo > t else None
+        else:
+            verdicts[key] = True if sq_lo >= t else False if sq_hi < t else None
+    return verdicts
 
 
 def log_mu_at_root(
@@ -171,7 +185,7 @@ def mu_max_coefficient_route(
         ]
         log_mu_max = max(lm for _, lm in per_root)
         mu_max = mp.exp(log_mu_max)
-        verdicts = _bound_verdicts(mu_max, N)
+        verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
     return ConditionReport(
         M=M,
         N=N,
@@ -398,7 +412,7 @@ def spherical_condition_of_point_set(
                 per_root.append((f"p{par.index}.k{k}", base - gap_log))
         log_mu_max = max(lm for _, lm in per_root)
         mu_max = mp.exp(log_mu_max)
-        verdicts = _bound_verdicts(mu_max, N)
+        verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
     return ConditionReport(
         M=point_set.M,
         N=N,
@@ -477,8 +491,8 @@ def certify_bound(
 ) -> ConditionReport:
     """Certified verdicts for the three standard bounds on mu_max.
 
-    Compares the rigorous mu_max^2 enclosure against N^2,
-    (19/2)^2 (N+1) and (227/500)^2 N in exact rational arithmetic,
+    Compares the rigorous mu_max^2 enclosure against each threshold of
+    BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N) in exact arithmetic,
     doubling the cosine precision until each verdict resolves or the
     cap (default 16x the working precision) is reached; unresolved
     comparisons are reported as None, never as a pass.
@@ -487,12 +501,6 @@ def certify_bound(
     if max_prec_bits is None:
         max_prec_bits = 16 * prec_bits
     N = 4 * M * M
-    thresholds = {
-        "le_N": (Fraction(N) ** 2, "upper"),
-        "le_19half_sqrt": (Fraction(361, 4) * (N + 1), "upper"),
-        "ge_lower": (LOWER_CONST**2 * N, "lower"),
-    }
-    verdicts: dict[str, bool | None] = {k: None for k in thresholds}
     norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
     root_data = list(root_derivative_data(M))
     cos_prec = prec_bits
@@ -500,19 +508,7 @@ def certify_bound(
         intervals = _mu_sq_intervals(root_data, N, norm_sq, cos_prec)
         max_lo = max(lo for _, lo, _ in intervals)
         max_hi = max(hi for _, _, hi in intervals)
-        for key, (thresh, side) in thresholds.items():
-            if side == "upper":
-                verdicts[key] = (
-                    True if max_hi <= thresh
-                    else False if max_lo > thresh
-                    else None
-                )
-            else:
-                verdicts[key] = (
-                    True if max_lo >= thresh
-                    else False if max_hi < thresh
-                    else None
-                )
+        verdicts = _bound_verdicts(N, max_lo, max_hi)
         if all(v is not None for v in verdicts.values()):
             break
         if cos_prec >= max_prec_bits:

@@ -31,7 +31,9 @@ signed margins for each inequality in the chain that controls the
 condition number: comparison windows between a parallel average and its
 band average, the window and chain bounds on S_N + N kappa, and the
 upper/lower bounds on products of distances from a query point (or a
-family point) to the whole family.
+family point) to the whole family.  SUITES declares each verify_*
+function's lemmas and hypothesis; verification_suite alone refuses or
+gates by it.
 
 Heights (t, h, c, eps) are exact rationals: every public function here
 converts its height arguments once at entry with numerics.to_fraction,
@@ -45,6 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import mpmath as mp
 
@@ -59,7 +62,7 @@ from .numerics import (
 )
 from .points import Band, PointSet, SpherePoint, build_parallels, build_point_set
 
-HYPOTHESIS_MIN_M = 5  # the sharpened bounds assume M >= 5
+HYPOTHESIS_MIN_M = 5  # the smallest M the sharpened bounds are proved for
 
 _RANDOM_DENOM = 2**20
 
@@ -431,11 +434,6 @@ class VerificationReport:
         }
 
 
-def _rounding_allowance(prec_bits: int) -> mp.mpf:
-    """Margin slack for exactly-attained bounds: 2^(8 - prec_bits)."""
-    return mp.ldexp(1, 8 - prec_bits)
-
-
 def band_probe_heights(
     band: Band, rng: random.Random, n_random: int = 8
 ) -> list[Fraction]:
@@ -457,16 +455,68 @@ def band_probe_heights(
 AZIMUTH_TURNS = [Fraction(m, 16) for m in range(8)]  # multiples of pi in [0, pi/2)
 
 
-def _gate(M: int, minimum: int, informational: bool, what: str) -> str:
-    if M < minimum and not informational:
-        raise ValueError(
-            f"{what} assumes M >= {minimum}; pass informational=True to "
-            f"evaluate the margins at M={M} anyway"
-        )
-    hyp = f"M >= {minimum}"
-    if M < minimum:
+@dataclass(frozen=True)
+class Suite:
+    """A verify_* function's lemmas (in report order) and the smallest M
+    its bounds are proved for; the hypothesis is `proviso` if given, else
+    M >= min_M.  `run(M, prec_bits, seed, point_set)` returns its reports,
+    calling the function by its module-level name."""
+
+    lemmas: tuple[str, ...]
+    min_M: int
+    run: Callable[[int, int, int, PointSet], list[VerificationReport]]
+    proviso: str = ""
+
+    @property
+    def hypothesis(self) -> str:
+        return self.proviso or f"M >= {self.min_M}"
+
+
+# Suite function name -> declaration, in the order verification_suite runs.
+SUITES = {
+    "verify_comparison": Suite(
+        ("band_average_outside_window", "band_average_inside_window"),
+        1,
+        lambda M, prec, seed, ps: verify_comparison(M, prec, seed, point_set=ps),
+        "none (holds for every band geometry)",
+    ),
+    "verify_t_bounds": Suite(
+        ("band_correction_log_bounds",),
+        1,
+        lambda M, prec, seed, ps: [verify_t_bounds(M, prec)],
+    ),
+    "verify_sn_kappa": Suite(
+        ("parallel_energy_window", "parallel_energy_chain"),
+        HYPOTHESIS_MIN_M,
+        lambda M, prec, seed, ps: verify_sn_kappa(M, prec, seed, point_set=ps),
+    ),
+    "verify_numerator": Suite(
+        ("point_product_vs_parallel_sum", "point_product_explicit_bound"),
+        HYPOTHESIS_MIN_M,
+        lambda M, prec, seed, ps: verify_numerator(M, prec, seed, point_set=ps),
+    ),
+    "verify_denominator": Suite(
+        ("gap_product_vs_parallel_sum", "gap_product_absolute_floor"),
+        HYPOTHESIS_MIN_M,
+        lambda M, prec, seed, ps: verify_denominator(M, prec, point_set=ps),
+    ),
+}
+
+
+def _reports(
+    suite: str, M: int, prec_bits: int, grid: str, cells: list, notes: Sequence = ()
+) -> list[VerificationReport]:
+    """One report per lemma of SUITES[suite], one cell list each; below
+    the suite's min_M the hypothesis marks the run informational."""
+    decl = SUITES[suite]
+    hyp = decl.hypothesis
+    if M < decl.min_M:
         hyp += f" (informational run at M={M})"
-    return hyp
+    tol = mp.ldexp(1, 8 - prec_bits)  # the rounding allowance 2^(8 - prec)
+    return [
+        VerificationReport(lemma, hyp, M, grid, c, list(notes), tol)
+        for lemma, c in zip(decl.lemmas, cells, strict=True)
+    ]
 
 
 def verify_comparison(
@@ -474,15 +524,17 @@ def verify_comparison(
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
     n_random: int = 8,
+    point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Margins for the outside/inside band-average comparison windows.
 
     Sweeps every (band, probe height) pair of the standard grid; each
     pair is classified by whether the probe lies in the closed band and
     checked against the corresponding window.  No hypothesis on M.
+    `point_set`, here and in the other suites, is the family of M at
+    prec_bits when the caller has built it already.
     """
-    check_precision(prec_bits)
-    ps = build_point_set(M, prec_bits=prec_bits)
+    ps = point_set or build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
     probes = [h for band in ps.bands for h in band_probe_heights(band, rng, n_random)]
     out_cells: list[Cell] = []
@@ -513,32 +565,15 @@ def verify_comparison(
         f"{len(ps.bands)} bands x {len(probes)} probe heights "
         f"(5 structural + {n_random} seeded per band, seed={seed})"
     )
-    return [
-        VerificationReport(
-            lemma="band_average_outside_window",
-            hypothesis="none (holds for every band geometry)",
-            M=M,
-            grid=grid,
-            cells=out_cells,
-            tolerance=_rounding_allowance(prec_bits),
-        ),
-        VerificationReport(
-            lemma="band_average_inside_window",
-            hypothesis="none (holds for every band geometry)",
-            M=M,
-            grid=grid,
-            cells=in_cells,
-            tolerance=_rounding_allowance(prec_bits),
-        ),
-    ]
+    return _reports("verify_comparison", M, prec_bits, grid, [out_cells, in_cells])
 
 
 def verify_sn_kappa(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
-    informational: bool = False,
     n_random: int = 8,
+    point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Window and chain bounds on S_N(c) + N kappa for c in a band <= M.
 
@@ -547,9 +582,7 @@ def verify_sn_kappa(
                                           <= (1/3) log(M/ell)
                                              + 2 (1 - log 2)/ell + 1/4.
     """
-    hyp = _gate(M, HYPOTHESIS_MIN_M, informational, "the S_N + N kappa window")
-    check_precision(prec_bits)
-    ps = build_point_set(M, prec_bits=prec_bits)
+    ps = point_set or build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
     kap = kappa(prec_bits)
     win_cells: list[Cell] = []
@@ -585,24 +618,7 @@ def verify_sn_kappa(
         f"bands 1..{M} x {5 + n_random} probe heights "
         f"(5 structural + {n_random} seeded per band, seed={seed})"
     )
-    return [
-        VerificationReport(
-            lemma="parallel_energy_window",
-            hypothesis=hyp,
-            M=M,
-            grid=grid,
-            cells=win_cells,
-            tolerance=_rounding_allowance(prec_bits),
-        ),
-        VerificationReport(
-            lemma="parallel_energy_chain",
-            hypothesis=hyp,
-            M=M,
-            grid=grid,
-            cells=chain_cells,
-            tolerance=_rounding_allowance(prec_bits),
-        ),
-    ]
+    return _reports("verify_sn_kappa", M, prec_bits, grid, [win_cells, chain_cells])
 
 
 def verify_t_bounds(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> VerificationReport:
@@ -619,22 +635,15 @@ def verify_t_bounds(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> VerificationR
             hi = mp.log(mp.mpf(M) / ell) / 3 + mp.mpf(1) / 6
             cells.append(Cell({"ell": ell, "side": "lower"}, val, lo, val - lo))
             cells.append(Cell({"ell": ell, "side": "upper"}, val, hi, hi - val))
-    return VerificationReport(
-        lemma="band_correction_log_bounds",
-        hypothesis="M >= 1",
-        M=M,
-        grid=f"ell = 1..{M}",
-        cells=cells,
-        tolerance=_rounding_allowance(prec_bits),
-    )
+    return _reports("verify_t_bounds", M, prec_bits, f"ell = 1..{M}", [cells])[0]
 
 
 def verify_numerator(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
-    informational: bool = False,
     n_random: int = 8,
+    point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Upper bounds on log prod_i |p_i - q| for external query points q.
 
@@ -644,9 +653,7 @@ def verify_numerator(
                     + (2/ell)(1 - log 2).
     Queries that hit a family point exactly are skipped with a note.
     """
-    hyp = _gate(M, HYPOTHESIS_MIN_M, informational, "the distance-product upper bound")
-    check_precision(prec_bits)
-    ps = build_point_set(M, prec_bits=prec_bits)
+    ps = point_set or build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
     kap = kappa(prec_bits)
     sum_cells: list[Cell] = []
@@ -679,41 +686,22 @@ def verify_numerator(
         f"bands 1..{M} x {5 + n_random} probe heights "
         f"x {len(AZIMUTH_TURNS)} azimuths (seed={seed})"
     )
-    return [
-        VerificationReport(
-            lemma="point_product_vs_parallel_sum",
-            hypothesis=hyp,
-            M=M,
-            grid=grid,
-            cells=sum_cells,
-            notes=notes,
-            tolerance=_rounding_allowance(prec_bits),
-        ),
-        VerificationReport(
-            lemma="point_product_explicit_bound",
-            hypothesis=hyp,
-            M=M,
-            grid=grid,
-            cells=exp_cells,
-            notes=list(notes),
-            tolerance=_rounding_allowance(prec_bits),
-        ),
-    ]
+    return _reports(
+        "verify_numerator", M, prec_bits, grid, [sum_cells, exp_cells], notes
+    )
 
 
 def verify_denominator(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
-    informational: bool = False,
+    point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Lower bounds on log prod_{p_i != p} |p_i - p| at every family point.
 
     Against the parallel sum:  >= S_N(h) + log(2 sqrt(2) M) - 1/8.
     Absolute floor:            >= (1/2) log(2N) - kappa N - 9/8.
     """
-    hyp = _gate(M, HYPOTHESIS_MIN_M, informational, "the gap-product lower bound")
-    check_precision(prec_bits)
-    ps = build_point_set(M, prec_bits=prec_bits)
+    ps = point_set or build_point_set(M, prec_bits=prec_bits)
     kap = kappa(prec_bits)
     sum_cells: list[Cell] = []
     abs_cells: list[Cell] = []
@@ -731,24 +719,23 @@ def verify_denominator(
                 sum_cells.append(Cell(params, lhs, sum_rhs, lhs - sum_rhs))
                 abs_cells.append(Cell(params, lhs, abs_rhs, lhs - abs_rhs))
     grid = f"all {ps.N} family points"
-    return [
-        VerificationReport(
-            lemma="gap_product_vs_parallel_sum",
-            hypothesis=hyp,
-            M=M,
-            grid=grid,
-            cells=sum_cells,
-            tolerance=_rounding_allowance(prec_bits),
-        ),
-        VerificationReport(
-            lemma="gap_product_absolute_floor",
-            hypothesis=hyp,
-            M=M,
-            grid=grid,
-            cells=abs_cells,
-            tolerance=_rounding_allowance(prec_bits),
-        ),
-    ]
+    return _reports("verify_denominator", M, prec_bits, grid, [sum_cells, abs_cells])
+
+
+@dataclass
+class SuiteResult:
+    """The suites for one M: `reports` in SUITES order, `refused`
+    ({"lemma", "reason"} for each lemma whose hypothesis M does not
+    meet), and `gated[lemma]`, False for an informational report."""
+
+    reports: list[VerificationReport] = field(default_factory=list)
+    refused: list[dict] = field(default_factory=list)
+    gated: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """Every gated report passes."""
+        return all(r.passed for r in self.reports if self.gated[r.lemma])
 
 
 def verification_suite(
@@ -756,12 +743,24 @@ def verification_suite(
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
     informational: bool = False,
-) -> list[VerificationReport]:
-    """All inequality suites for one M, in a fixed deterministic order."""
-    reports = []
-    reports.extend(verify_comparison(M, prec_bits, seed))
-    reports.append(verify_t_bounds(M, prec_bits))
-    reports.extend(verify_sn_kappa(M, prec_bits, seed, informational))
-    reports.extend(verify_numerator(M, prec_bits, seed, informational))
-    reports.extend(verify_denominator(M, prec_bits, informational))
-    return reports
+) -> SuiteResult:
+    """Every suite of SUITES for one M, in table order, on one point set.
+
+    A suite whose bounds are proved only for M >= min_M is refused below
+    that, each of its lemmas listed with the unmet hypothesis and none
+    evaluated, unless `informational`, which evaluates it ungated.
+    """
+    ps = build_point_set(M, prec_bits=prec_bits)
+    result = SuiteResult()
+    for decl in SUITES.values():
+        proved = M >= decl.min_M
+        if not (proved or informational):
+            result.refused += [
+                {"lemma": lemma, "reason": f"hypothesis {decl.hypothesis} not met"}
+                for lemma in decl.lemmas
+            ]
+            continue
+        for rep in decl.run(M, prec_bits, seed, ps):
+            result.reports.append(rep)
+            result.gated[rep.lemma] = proved
+    return result

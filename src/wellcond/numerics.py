@@ -79,12 +79,23 @@ def to_fraction(x: RealLike) -> Fraction:
     return Fraction(x)
 
 
+def interval_endpoints(fn, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Exact Fraction endpoints of fn(mp.iv) at prec_bits (then restored)."""
+    old = mp.iv.prec
+    try:
+        mp.iv.prec = prec_bits
+        x = fn(mp.iv)
+    finally:
+        mp.iv.prec = old
+    ra, rb = x._mpi_
+    return fraction_from_raw(ra), fraction_from_raw(rb)
+
+
 def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction, Fraction]:
     """Rigorous enclosure [lo, hi] of cos(pi * q) for rational q.
 
     Multiples of 1/2 are returned exactly; everything else goes through
-    interval arithmetic at prec_bits and the dyadic endpoints are
-    converted to Fractions without further rounding.
+    interval arithmetic at prec_bits.
     """
     q = Fraction(q) % 2  # cos(pi * q) has period 2
     if q.denominator == 1:
@@ -92,14 +103,10 @@ def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction,
         return (c, c)
     if q.denominator == 2:
         return (Fraction(0), Fraction(0))
-    old = mp.iv.prec
-    try:
-        mp.iv.prec = prec_bits
-        x = mp.iv.cos(mp.iv.pi * (mp.iv.mpf(q.numerator) / mp.iv.mpf(q.denominator)))
-    finally:
-        mp.iv.prec = old
-    ra, rb = x._mpi_
-    return (fraction_from_raw(ra), fraction_from_raw(rb))
+    return interval_endpoints(
+        lambda iv: iv.cos(iv.pi * (iv.mpf(q.numerator) / iv.mpf(q.denominator))),
+        prec_bits,
+    )
 
 
 def cos_pi_fraction(q: RationalLike, offset: RealLike = 0) -> mp.mpf:

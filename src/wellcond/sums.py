@@ -27,7 +27,7 @@ from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
     fmt_real,
-    fraction_from_raw,
+    interval_endpoints,
     to_mpf,
 )
 
@@ -87,21 +87,9 @@ def _fmt_value(v) -> str:
     return fmt_real(v)
 
 
-def _interval(fn, prec_bits: int) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of an interval-arithmetic evaluation."""
-    old = mp.iv.prec
-    try:
-        mp.iv.prec = prec_bits
-        x = fn(mp.iv)
-    finally:
-        mp.iv.prec = old
-    ra, rb = x._mpi_
-    return fraction_from_raw(ra), fraction_from_raw(rb)
-
-
 def _log_ratio_interval(num: int, den: int, prec_bits: int) -> tuple[Fraction, Fraction]:
     """Enclosure of log(num/den) for positive integers."""
-    return _interval(lambda iv: iv.log(iv.mpf(num) / iv.mpf(den)), prec_bits)
+    return interval_endpoints(lambda iv: iv.log(iv.mpf(num) / iv.mpf(den)), prec_bits)
 
 
 @dataclass
@@ -180,7 +168,7 @@ def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> TailSumRes
     companion = sum(
         Fraction(ell * (ell + 1), j * j) ** (2 * j) for j in range(ell + 2, M + 1)
     )
-    bound_lo, _ = _interval(lambda iv: 1 / (iv.exp(iv.mpf(4)) - 1), prec_bits)
+    bound_lo, _ = interval_endpoints(lambda iv: 1 / (iv.exp(iv.mpf(4)) - 1), prec_bits)
     checks = [
         SumCheck(
             "tail_sum_le_inv_e4m1",
@@ -236,8 +224,10 @@ def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> WeightedSumResul
         m13 = iv.exp(iv.log(iv.mpf(M)) / 3)
         return iv.mpf(3) / 4 * (m13 ** 4) + 12 * (1 - log2) * m13 + 3
 
-    lhs_lo, lhs_hi = _interval(lhs, prec_bits) if M > 1 else (Fraction(0), Fraction(0))
-    rhs_lo, rhs_hi = _interval(rhs, prec_bits)
+    lhs_lo, lhs_hi = (
+        interval_endpoints(lhs, prec_bits) if M > 1 else (Fraction(0), Fraction(0))
+    )
+    rhs_lo, rhs_hi = interval_endpoints(rhs, prec_bits)
     margin = rhs_lo - lhs_hi
     with mp.workprec(prec_bits):
         value = to_mpf((lhs_lo + lhs_hi) / 2)

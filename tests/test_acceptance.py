@@ -144,11 +144,13 @@ def test_criterion_06_inequality_suites_gated():
     worst_dt = 0.0
     for M in range(5, 9):
         t0 = time.perf_counter()
-        reports = verification_suite(M, PREC, seed=0)
+        suite = verification_suite(M, PREC, seed=0)
         dt = time.perf_counter() - t0
         worst_dt = max(worst_dt, dt)
-        assert len(reports) == 9
-        for rep in reports:
+        assert len(suite.reports) == 9
+        assert suite.refused == [] and all(suite.gated.values())
+        assert suite.passed
+        for rep in suite.reports:
             assert rep.passed, (M, rep.lemma, rep.worst_margin)
         assert dt < 60.0, (M, dt)
     say(f"criterion 6 PASS: 9 suites x M=5..8 all margins pass, {worst_dt:.1f}s worst M")

@@ -149,10 +149,14 @@ def test_sweep_rows_and_bounds(tmp_path, capsys):
     assert err.count("mu_max=") == 3  # per-M progress on stderr
 
 
-def test_sweep_empty_range_header_only(tmp_path):
-    assert run(["sweep", "--M", "5..4", "--out", tmp_path]) == 0
-    rows = read_rows(tmp_path / "sweep.csv")
-    assert len(rows) == 1
+@pytest.mark.parametrize("command", ["generate", "cond", "verify", "sweep"])
+def test_reversed_m_range_exits_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--M", "6..2", "--out", tmp_path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "empty M range '6..2'" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_runtime_columns_excluded_from_determinism(tmp_path):
@@ -211,6 +215,21 @@ def test_non_numeric_phase_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("angles", [["inf", "0", "0"], [0.0, float("nan"), 0.0]])
+def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps(angles))  # the float nan is written as NaN
+    out = tmp_path / "out"
+    for command in (["generate"], ["cond", "--route", "sphere"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--M", "2", "--phases", phases, "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not finite" in err
+        assert not list(out.iterdir())
 
 
 def test_margin_without_quadrature_nodes_exits_2(tmp_path, capsys):

@@ -6,6 +6,9 @@ import mpmath as mp
 import pytest
 
 from wellcond.condition import (
+    BOUNDS,
+    LOWER_CONST,
+    _bound_verdicts,
     certify_bound,
     mu_max_coefficient_route,
     mu_max_spherical_route,
@@ -230,6 +233,43 @@ def test_certified_encloses_float_route():
             hi = mp.mpf(rep_c.extras["mu_max_hi"])
             slack = mp.mpf(2) ** -200
             assert lo - slack <= rep_f.mu_max <= hi + slack, M
+
+
+def test_bound_verdicts_compare_mu_squared_exactly():
+    """One threshold table: a point value on a threshold passes, an
+    enclosure straddling one is unresolved, one just outside fails."""
+    N = 64
+    assert list(BOUNDS) == ["le_N", "le_19half_sqrt", "ge_lower"]
+    at_n = _bound_verdicts(N, Fraction(N) ** 2)
+    assert at_n["le_N"] is True
+    assert at_n["le_19half_sqrt"] is True  # 64 < 9.5 * sqrt(65)
+    tiny = Fraction(1, 2**300)
+    assert _bound_verdicts(N, Fraction(N) ** 2 + tiny)["le_N"] is False
+    assert _bound_verdicts(N, Fraction(N) ** 2 - tiny, Fraction(N) ** 2 + tiny)[
+        "le_N"
+    ] is None
+    floor = LOWER_CONST**2 * N
+    assert _bound_verdicts(N, floor)["ge_lower"] is True
+    assert _bound_verdicts(N, floor - tiny)["ge_lower"] is False
+    assert _bound_verdicts(N, floor - tiny, floor)["ge_lower"] is None
+    top = Fraction(361, 4) * (N + 1)
+    assert _bound_verdicts(N, top)["le_19half_sqrt"] is True
+    assert _bound_verdicts(N, top, top + tiny)["le_19half_sqrt"] is None
+
+
+@pytest.mark.parametrize("M", [1, 2, 4])
+def test_float_verdicts_match_direct_mu_comparisons(M):
+    """The exact mu^2 comparison gives the verdicts of comparing mu itself."""
+    prec = 256
+    for rep in (mu_max_coefficient_route(M, prec), mu_max_spherical_route(M, prec)):
+        with mp.workprec(prec):
+            mu, n = rep.mu_max, mp.mpf(rep.N)
+            want = {
+                "le_N": mu <= n,
+                "le_19half_sqrt": mu <= mp.mpf(19) / 2 * mp.sqrt(n + 1),
+                "ge_lower": mu >= to_mpf(LOWER_CONST) * mp.sqrt(n),
+            }
+        assert rep.verdicts == want, (M, rep.route)
 
 
 def test_report_json_shape():

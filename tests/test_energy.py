@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from wellcond import energy
 from wellcond.energy import (
     ComparisonMargins,
     band_integral,
@@ -220,33 +221,88 @@ def test_energy_parallel_vs_pairwise(M):
     assert a.residual is not None and a.N == 4 * M * M
 
 
-def test_gating_raises_below_hypothesis():
-    with pytest.raises(ValueError):
-        verify_sn_kappa(3, 128, seed=0, informational=False)
-    with pytest.raises(ValueError):
-        verify_numerator(4, 128, seed=0, informational=False)
-    with pytest.raises(ValueError):
-        verify_denominator(2, 128, informational=False)
+GENERAL_LEMMAS = [
+    "band_average_outside_window",
+    "band_average_inside_window",
+    "band_correction_log_bounds",
+]
+SHARPENED_LEMMAS = [
+    "parallel_energy_window",
+    "parallel_energy_chain",
+    "point_product_vs_parallel_sum",
+    "point_product_explicit_bound",
+    "gap_product_vs_parallel_sum",
+    "gap_product_absolute_floor",
+]
+
+
+def test_suite_refuses_sharpened_lemmas_below_hypothesis(monkeypatch):
+    """Below M = 5 the six sharpened lemmas are refused and not evaluated;
+    informational=True evaluates all nine and gates none of the six."""
+
+    def refused_suite_ran(*args, **kwargs):
+        raise AssertionError("a refused suite was evaluated")
+
+    for M in (2, 3, 4):
+        with monkeypatch.context() as patch:
+            # the registry calls the suites by module-level name
+            for name in ("verify_sn_kappa", "verify_numerator", "verify_denominator"):
+                patch.setattr(energy, name, refused_suite_ran)
+            suite = verification_suite(M, 128)
+        assert suite.refused == [
+            {"lemma": lemma, "reason": "hypothesis M >= 5 not met"}
+            for lemma in SHARPENED_LEMMAS
+        ]
+        assert [r.lemma for r in suite.reports] == GENERAL_LEMMAS
+        assert suite.gated == dict.fromkeys(GENERAL_LEMMAS, True)
+
+        info = verification_suite(M, 128, informational=True)
+        assert info.refused == []
+        assert [r.lemma for r in info.reports] == GENERAL_LEMMAS + SHARPENED_LEMMAS
+        for rep in info.reports[3:]:
+            assert rep.hypothesis == f"M >= 5 (informational run at M={M})"
+            assert info.gated[rep.lemma] is False
+        assert all(info.gated[lemma] for lemma in GENERAL_LEMMAS)
 
 
 def test_full_suite_m5_passes_and_is_deterministic():
     prec = 192
-    reps_a = verification_suite(5, prec, seed=11)
-    reps_b = verification_suite(5, prec, seed=11)
-    assert [r.lemma for r in reps_a] == [
-        "band_average_outside_window",
-        "band_average_inside_window",
-        "band_correction_log_bounds",
-        "parallel_energy_window",
-        "parallel_energy_chain",
-        "point_product_vs_parallel_sum",
-        "point_product_explicit_bound",
-        "gap_product_vs_parallel_sum",
-        "gap_product_absolute_floor",
-    ]
-    for ra, rb in zip(reps_a, reps_b):
+    suite_a = verification_suite(5, prec, seed=11)
+    suite_b = verification_suite(5, prec, seed=11)
+    reps_a, reps_b = suite_a.reports, suite_b.reports
+    assert [r.lemma for r in reps_a] == GENERAL_LEMMAS + SHARPENED_LEMMAS
+    assert suite_a.refused == [] and all(suite_a.gated.values())
+    assert suite_a.passed
+    for ra, rb in zip(reps_a, reps_b, strict=True):
         assert ra.passed, (ra.lemma, ra.worst_margin)
         assert ra.to_json_dict() == rb.to_json_dict()
+
+
+def test_suite_shares_one_point_set_and_matches_the_standalone_suites(monkeypatch):
+    """One point set per M, and the same reports as each suite run alone."""
+    prec, M, seed = 128, 3, 4
+    builds = []
+    real_build = energy.build_point_set
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(energy, "build_point_set", counting_build)
+        suite = verification_suite(M, prec, seed=seed, informational=True)
+    assert len(builds) == 1
+    alone = [
+        *verify_comparison(M, prec, seed),
+        verify_t_bounds(M, prec),
+        *verify_sn_kappa(M, prec, seed),
+        *verify_numerator(M, prec, seed),
+        *verify_denominator(M, prec),
+    ]
+    with mp.workprec(prec):
+        assert [r.to_json_dict() for r in suite.reports] == [
+            r.to_json_dict() for r in alone
+        ]
 
 
 def test_t_bounds_report_covers_all_ell():
@@ -257,10 +313,11 @@ def test_t_bounds_report_covers_all_ell():
 
 def test_grid_strings_count_probe_heights():
     """The grid prose counts 5 structural plus n_random seeded heights."""
-    for rep in verify_sn_kappa(3, 128, informational=True, n_random=2):
+    for rep in verify_sn_kappa(3, 128, n_random=2):
         assert rep.grid.startswith("bands 1..3 x 7 probe heights ")
         assert len(rep.cells) == 3 * 7 * 2
-    for rep in verify_numerator(3, 128, informational=True, n_random=2):
+        assert rep.hypothesis == "M >= 5 (informational run at M=3)"
+    for rep in verify_numerator(3, 128, n_random=2):
         assert rep.grid.startswith("bands 1..3 x 7 probe heights x 8 azimuths ")
 
 

@@ -1,4 +1,5 @@
-"""Every name a wellcond module imports is used in that module."""
+"""Every name a wellcond module imports is used in that module, and every
+private module-level helper is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -22,11 +23,62 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each module-level `_`-prefixed function, class or
+    constant that no code in any of the sources reads outside its own
+    definition (a name read, an attribute or an import of it)."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads: list[tuple[ast.AST, str]] = []  # (node, name read there)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((node, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                reads += [(node, a.name) for a in node.names]
+    dead = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            own = {id(n) for n in ast.walk(stmt)}
+            for name in _defined_names(stmt):
+                if name.startswith("_") and not name.startswith("__") and not any(
+                    read == name and id(node) not in own for node, read in reads
+                ):
+                    dead.append(f"{mod}.{name}")
+    return sorted(dead)
+
+
 def test_checker_flags_an_unused_name():
     src = "from fractions import Fraction\nimport mpmath as mp\nx = mp.mpf(1)\n"
     assert unused_imports(src) == ["Fraction"]
 
 
+def test_dead_helper_checker_flags_a_planted_helper():
+    sources = {
+        "a": "_LIMIT = 3\ndef _used(n):\n    return _used(n - 1) if n else _LIMIT\n"
+        "def _dead():\n    return _dead()\ndef f():\n    return _used(2)\n",
+        "b": "from .a import _imported\n",
+    }
+    sources["a"] += "def _imported():\n    return 1\n"
+    assert dead_private_names(sources) == ["a._dead"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_dead_private_helpers():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_private_names(sources) == []
