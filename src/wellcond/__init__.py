@@ -20,8 +20,6 @@ from .condition import (
     mu_max_spherical_route,
     numerator_integral_log,
     point_gap_product_log,
-    spherical_condition_of_point_set,
-    theta_product,
     theta_product_log_turn,
 )
 from .energy import (
@@ -105,11 +103,9 @@ __all__ = [
     "r_sum",
     "roots",
     "s_n",
-    "spherical_condition_of_point_set",
     "stereographic",
     "t_ell",
     "tail_sum",
-    "theta_product",
     "theta_product_log_turn",
     "verification_suite",
     "weighted_sum",

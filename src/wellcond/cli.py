@@ -36,6 +36,7 @@ from .condition import (
     certify_bound,
     mu_max_coefficient_route,
     mu_max_spherical_route,
+    quadrature_node_counts,
 )
 from .energy import log_energy, verification_suite
 from .numerics import MIN_PREC_BITS, fmt_real
@@ -153,12 +154,31 @@ def _phases_for(overrides: dict[int, list[str]] | None, M: int, prec_bits: int):
         return [mp.mpf(v) for v in raw]
 
 
-def _spherical_report(M: int, prec: int, margin: int, phases=None):
-    """Spherical route at the CLI's node margin."""
+def _prepare(args, phased: bool = False, margin: bool = False):
+    """Validate every input, then create --out.
+
+    Returns (output directory, {M: phases or None}, worker count).
+    `phased` checks the phase overrides against each M, `margin` checks
+    that --margin leaves quadrature nodes at each M; input rejected here
+    exits 2 and leaves no directory behind.
+    """
+    table = _load_phases_file(getattr(args, "phases", None))
+    workers = _worker_count(len(args.M))
+    phases = {
+        M: _phases_for(table, M, args.precision) if phased else None for M in args.M
+    }
+    if margin:
+        for M in args.M:
+            try:
+                quadrature_node_counts(4 * M * M, args.margin)
+            except ValueError as e:
+                raise InputError(f"--margin {args.margin}: {e}") from None
+    outdir = Path(args.out)
     try:
-        return mu_max_spherical_route(M, prec, phases=phases, node_margin=margin)
-    except ValueError as e:  # the margin left no quadrature nodes
-        raise InputError(f"--margin {margin}: {e}") from None
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"--out {args.out}: {e}") from None
+    return outdir, phases, workers
 
 
 def _quadrature_problems(rep) -> list[str]:
@@ -225,12 +245,11 @@ def _config_block(args, command: str) -> dict:
     return block
 
 
-def _map_over_m(fn, m_values: list[int]) -> list:
-    """Apply fn to each M, optionally across WELLCOND_WORKERS processes.
+def _map_over_m(fn, m_values: list[int], workers: int) -> list:
+    """Apply fn to each M, across `workers` processes if more than one.
 
     Results are merged in M order, so worker count never changes output.
     """
-    workers = _worker_count(len(m_values))
     if workers > 1 and len(m_values) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, m_values))
@@ -242,9 +261,8 @@ def _map_over_m(fn, m_values: list[int]) -> list:
 # ----------------------------------------------------------------------
 
 
-def _generate_one(prec: int, phases_raw, fmt: str, M: int) -> dict:
-    phases = _phases_for(phases_raw, M, prec)
-    ps = build_point_set(M, phases=phases, prec_bits=prec)
+def _generate_one(prec: int, phases: dict, fmt: str, M: int) -> dict:
+    ps = build_point_set(M, phases=phases[M], prec_bits=prec)
     fac = canonical_polynomial(M)
     dense = expand(fac)
     with mp.workprec(prec):
@@ -275,12 +293,10 @@ def _generate_one(prec: int, phases_raw, fmt: str, M: int) -> dict:
 
 
 def cmd_generate(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    phases_raw = _load_phases_file(args.phases)
+    outdir, phases, workers = _prepare(args, phased=True)
     config = _config_block(args, "generate")
-    worker = functools.partial(_generate_one, args.precision, phases_raw, args.format)
-    for payload in _map_over_m(worker, args.M):
+    worker = functools.partial(_generate_one, args.precision, phases, args.format)
+    for payload in _map_over_m(worker, args.M, workers):
         M = payload["M"]
         if args.format == "json":
             _write_atomic(
@@ -319,7 +335,9 @@ def cmd_generate(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _cond_one(prec: int, route: str, certify: bool, margin: int, phases_raw, M: int) -> dict:
+def _cond_one(
+    prec: int, route: str, certify: bool, margin: int, phases: dict, M: int
+) -> dict:
     reports = []
     problems = []
     rel_diff = None
@@ -327,8 +345,9 @@ def _cond_one(prec: int, route: str, certify: bool, margin: int, phases_raw, M: 
         if route in ("coeff", "both"):
             reports.append(mu_max_coefficient_route(M, prec))
         if route in ("sphere", "both"):
-            phases = _phases_for(phases_raw, M, prec)
-            reports.append(_spherical_report(M, prec, margin, phases))
+            reports.append(
+                mu_max_spherical_route(M, prec, phases=phases[M], node_margin=margin)
+            )
             problems += _quadrature_problems(reports[-1])
         if route == "both":
             a, b = reports[0].mu_max, reports[1].mu_max
@@ -390,14 +409,13 @@ COND_HEADER = [
 
 
 def cmd_cond(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    phases_raw = _load_phases_file(args.phases)
+    sphere = args.route != "coeff"
+    outdir, phases, workers = _prepare(args, phased=sphere, margin=sphere)
     config = _config_block(args, "cond")
     worker = functools.partial(
-        _cond_one, args.precision, args.route, args.certify, args.margin, phases_raw
+        _cond_one, args.precision, args.route, args.certify, args.margin, phases
     )
-    payloads = _map_over_m(worker, args.M)
+    payloads = _map_over_m(worker, args.M, workers)
     all_ok = True
     csv_rows = []
     for payload in payloads:
@@ -444,13 +462,12 @@ VERIFY_HEADER = ["M", "lemma", "cells", "worst_margin", "tolerance", "gated", "p
 
 
 def cmd_verify(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir, _, workers = _prepare(args)
     config = _config_block(args, "verify")
     worker = functools.partial(
         _verify_one, args.precision, args.seed, args.informational
     )
-    payloads = _map_over_m(worker, args.M)
+    payloads = _map_over_m(worker, args.M, workers)
     all_ok = True
     for payload in payloads:
         M = payload["M"]
@@ -521,7 +538,7 @@ def cmd_verify(args) -> int:
 def _sweep_one(prec: int, route: str, margin: int, M: int) -> dict:
     t0 = time.perf_counter()
     if route == "sphere":
-        rep = _spherical_report(M, prec, margin)
+        rep = mu_max_spherical_route(M, prec, node_margin=margin)
     else:
         rep = mu_max_coefficient_route(M, prec)
     cond_dt = time.perf_counter() - t0
@@ -546,11 +563,10 @@ def _sweep_one(prec: int, route: str, margin: int, M: int) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir, _, workers = _prepare(args, margin=args.route == "sphere")
     config = _config_block(args, "sweep")
     worker = functools.partial(_sweep_one, args.precision, args.route, args.margin)
-    payloads = _map_over_m(worker, args.M)
+    payloads = _map_over_m(worker, args.M, workers)
     all_ok = True
     rows = []
     for payload in payloads:

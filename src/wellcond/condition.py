@@ -62,7 +62,7 @@ from .numerics import (
     to_fraction,
     to_mpf,
 )
-from .points import Parallel, PointSet, build_point_set
+from .points import PointSet, build_point_set
 from .polynomials import (
     MultipleRootError,
     RootDerivative,
@@ -74,6 +74,7 @@ from .polynomials import (
 )
 
 LOWER_CONST = Fraction(227, 500)  # 0.454, the floor on mu_max / sqrt(N)
+CERTIFY_PREC_FACTOR = 16  # cap on certify_bound's cosine precision, x working precision
 
 # Bound id -> (exact threshold on mu_max^2 at degree N, side): an
 # "upper" bound holds when mu_max^2 <= threshold, a "lower" one when >=.
@@ -222,23 +223,6 @@ def _theta_terms(r: int, h, c, prec_bits: int) -> tuple[mp.mpf, mp.mpf]:
     return d * d, 2 * xr * yr
 
 
-def theta_product(
-    r: int, h, c, dphi, prec_bits: int = DEFAULT_PREC_BITS
-) -> mp.mpf:
-    """prod over the r points at height h of |p - q_i|^2.
-
-    The query point sits at height c with azimuth offset dphi (radians)
-    from the first of the r uniformly spaced points.  Zero is returned
-    exactly when the query coincides with a point of the parallel.
-    """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"point count must be a positive integer, got {r!r}")
-    check_precision(prec_bits)
-    with mp.workprec(prec_bits):
-        gap, rim = _theta_terms(r, h, c, prec_bits)
-        return gap + rim * _versine(r, Fraction(0), dphi)
-
-
 def theta_product_log_turn(
     r: int,
     h,
@@ -281,38 +265,31 @@ def parallel_self_product_log(
         return mp.log(r) + mp.mpf(r - 1) / 2 * mp.log(to_mpf(1 - h * h))
 
 
-def _parallels_of(point_set) -> list[Parallel]:
-    if isinstance(point_set, PointSet):
-        return point_set.parallels
-    return list(point_set)
+def quadrature_node_counts(N: int, node_margin: int) -> tuple[int, int]:
+    """(Gauss-Legendre, azimuth) node counts for a degree-N family.
+
+    After averaging over the azimuth the numerator integrand is a
+    polynomial of degree N in the height (all parallel point counts are
+    even for the canonical family), so ceil((N+1)/2) Gauss-Legendre nodes
+    and N+1 uniform azimuth samples integrate it exactly up to rounding;
+    node_margin is added to both, and a negative margin undersamples.
+    """
+    n_gl, n_az = (N + 2) // 2 + node_margin, N + 1 + node_margin
+    if n_gl < 1 or n_az < 1:
+        raise ValueError("node counts must be positive")
+    return n_gl, n_az
 
 
 def numerator_integral_log(
-    point_set,
+    point_set: PointSet,
     prec_bits: int = DEFAULT_PREC_BITS,
-    gl_nodes: int | None = None,
-    azimuth_nodes: int | None = None,
     node_margin: int = 16,
 ) -> NumeratorIntegral:
-    """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family.
-
-    After averaging over the azimuth the integrand is a polynomial of
-    degree N in the height (all parallel point counts are even for the
-    canonical family), so gl_nodes >= ceil((N+1)/2) Gauss-Legendre nodes
-    and azimuth_nodes >= N+1 uniform azimuth samples integrate it
-    exactly up to rounding.  Smaller custom node counts are accepted but
-    flagged undersampled.
-    """
+    """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family,
+    on the product rule of quadrature_node_counts."""
     check_precision(prec_bits)
-    parallels = _parallels_of(point_set)
-    N = sum(par.count for par in parallels)
-    need_gl = (N + 1 + 1) // 2
-    need_az = N + 1
-    n_gl = gl_nodes if gl_nodes is not None else need_gl + node_margin
-    n_az = azimuth_nodes if azimuth_nodes is not None else need_az + node_margin
-    if n_gl < 1 or n_az < 1:
-        raise ValueError("node counts must be positive")
-    undersampled = n_gl < need_gl or n_az < need_az
+    parallels = point_set.parallels
+    n_gl, n_az = quadrature_node_counts(point_set.N, node_margin)
 
     nodes, weights = gauss_legendre(n_gl, prec_bits)
     with mp.workprec(prec_bits):
@@ -343,7 +320,7 @@ def numerator_integral_log(
         log_value=log_integral,
         gl_nodes=n_gl,
         azimuth_nodes=n_az,
-        undersampled=undersampled,
+        undersampled=node_margin < 0,
     )
 
 
@@ -359,7 +336,7 @@ def point_gap_product_log(
     and a Theta product per other parallel.
     """
     check_precision(prec_bits)
-    parallels = _parallels_of(point_set)
+    parallels = point_set.parallels
     own = parallels[parallel_index - 1]
     if own.index != parallel_index:
         raise ValueError("parallel list is not indexed contiguously")
@@ -376,25 +353,22 @@ def point_gap_product_log(
         return total
 
 
-def spherical_condition_of_point_set(
-    point_set: PointSet,
+def mu_max_spherical_route(
+    M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
-    gl_nodes: int | None = None,
-    azimuth_nodes: int | None = None,
+    phases: Sequence | None = None,
     node_margin: int = 16,
 ) -> ConditionReport:
-    """Spherical-route mu_max for an arbitrary parallel-structured family.
+    """Spherical-route mu_max for the family of parameter M.
 
     A family with every phase 0 and every count divisible by 4 is
     invariant under the quarter turn, so only the azimuth
     representatives k < r/4 are evaluated there; the reduction never
     changes the maximum.
     """
-    check_precision(prec_bits)
-    num = numerator_integral_log(
-        point_set, prec_bits, gl_nodes, azimuth_nodes, node_margin
-    )
-    N = sum(par.count for par in point_set.parallels)
+    point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
+    num = numerator_integral_log(point_set, prec_bits, node_margin)
+    N = point_set.N
     reducible = all(
         par.phase == 0 and par.count % 4 == 0 for par in point_set.parallels
     )
@@ -429,21 +403,6 @@ def spherical_condition_of_point_set(
             "quadrature_undersampled": num.undersampled,
             "symmetry_reduced": reducible,
         },
-    )
-
-
-def mu_max_spherical_route(
-    M: int,
-    prec_bits: int = DEFAULT_PREC_BITS,
-    phases: Sequence | None = None,
-    gl_nodes: int | None = None,
-    azimuth_nodes: int | None = None,
-    node_margin: int = 16,
-) -> ConditionReport:
-    """Spherical-route mu_max for the canonical family of parameter M."""
-    ps = build_point_set(M, phases=phases, prec_bits=prec_bits)
-    return spherical_condition_of_point_set(
-        ps, prec_bits, gl_nodes, azimuth_nodes, node_margin
     )
 
 
@@ -484,22 +443,17 @@ def _mu_sq_intervals(
     return out
 
 
-def certify_bound(
-    M: int,
-    prec_bits: int = DEFAULT_PREC_BITS,
-    max_prec_bits: int | None = None,
-) -> ConditionReport:
+def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport:
     """Certified verdicts for the three standard bounds on mu_max.
 
     Compares the rigorous mu_max^2 enclosure against each threshold of
     BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N) in exact arithmetic,
-    doubling the cosine precision until each verdict resolves or the
-    cap (default 16x the working precision) is reached; unresolved
+    doubling the cosine precision until each verdict resolves or it
+    reaches CERTIFY_PREC_FACTOR times the working precision; unresolved
     comparisons are reported as None, never as a pass.
     """
     check_precision(prec_bits)
-    if max_prec_bits is None:
-        max_prec_bits = 16 * prec_bits
+    cap_bits = CERTIFY_PREC_FACTOR * prec_bits
     N = 4 * M * M
     norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
     root_data = list(root_derivative_data(M))
@@ -511,9 +465,9 @@ def certify_bound(
         verdicts = _bound_verdicts(N, max_lo, max_hi)
         if all(v is not None for v in verdicts.values()):
             break
-        if cos_prec >= max_prec_bits:
+        if cos_prec >= cap_bits:
             break
-        cos_prec = min(2 * cos_prec, max_prec_bits)
+        cos_prec = min(2 * cos_prec, cap_bits)
 
     with mp.workprec(prec_bits):
         mu_lo = mp.sqrt(to_mpf(max_lo))

@@ -60,10 +60,11 @@ from .numerics import (
     to_fraction,
     to_mpf,
 )
-from .points import Band, PointSet, SpherePoint, build_parallels, build_point_set
+from .points import Band, PointSet, build_parallels, build_point_set
 
 HYPOTHESIS_MIN_M = 5  # the smallest M the sharpened bounds are proved for
 
+N_RANDOM_PROBES = 8  # seeded probe heights per band, after the five structural
 _RANDOM_DENOM = 2**20
 
 
@@ -240,13 +241,12 @@ def comparison_inside_margin(
         return ComparisonMargins(value=u, lower_bound=lb, upper_bound=ub)
 
 
-def s_n(c, point_set, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
+def s_n(c, point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     """S_N(c) = sum_j r_j * expected_log_parallel(h_j, c)."""
     check_precision(prec_bits)
-    parallels = point_set.parallels if isinstance(point_set, PointSet) else point_set
     with mp.workprec(prec_bits):
         acc = mp.mpf(0)
-        for par in parallels:
+        for par in point_set.parallels:
             acc += par.count * expected_log_parallel(par.height, c, prec_bits)
         return acc
 
@@ -275,21 +275,17 @@ def t_ell(ell: int, M: int) -> Fraction:
 def log_product_to_set(q, point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     """log prod over all family points of |p_i - q| for an external query.
 
-    q may be a SpherePoint (turn 0 plus the radian offset atan2(y, x))
-    or a pair (height, azimuth_turn) with the azimuth given as an exact
-    multiple of pi; against zero-phase parallels the pair form keeps
-    coincidence with a family point exact, returning -inf.
+    q is a pair (height, azimuth_turn) with the azimuth given as an exact
+    multiple of pi; against zero-phase parallels this keeps coincidence
+    with a family point exact, returning -inf.
     """
     check_precision(prec_bits)
+    c, turn = q[0], Fraction(q[1])
     with mp.workprec(prec_bits):
-        if isinstance(q, SpherePoint):
-            c, turn, alpha = q.z, Fraction(0), mp.atan2(q.y, q.x)
-        else:
-            c, turn, alpha = q[0], Fraction(q[1]), 0
         total = mp.mpf(0)
         for par in point_set.parallels:
             lg = theta_product_log_turn(
-                par.count, par.height, c, turn, prec_bits, alpha - par.phase
+                par.count, par.height, c, turn, prec_bits, -par.phase
             )
             if lg == mp.mpf("-inf"):
                 return mp.mpf("-inf")
@@ -312,28 +308,6 @@ class EnergyReport:
     kappa_n_sq: mp.mpf
     half_n_log_n: mp.mpf
     residual: mp.mpf
-
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "N": self.N,
-            "precision_bits": self.precision_bits,
-            "energy": fmt_real(self.energy),
-            "kappa_n_sq": fmt_real(self.kappa_n_sq),
-            "half_n_log_n": fmt_real(self.half_n_log_n),
-            "residual": fmt_real(self.residual),
-        }
-
-    def csv_row(self) -> list[str]:
-        d = self.to_json_dict()
-        return [
-            str(d["M"]) if d["M"] is not None else "",
-            str(d["N"]),
-            d["energy"],
-            d["kappa_n_sq"],
-            d["half_n_log_n"],
-            d["residual"],
-        ]
 
 
 def log_energy(point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> EnergyReport:
@@ -434,9 +408,7 @@ class VerificationReport:
         }
 
 
-def band_probe_heights(
-    band: Band, rng: random.Random, n_random: int = 8
-) -> list[Fraction]:
+def band_probe_heights(band: Band, rng: random.Random) -> list[Fraction]:
     """Standard height grid for one band: five structural plus seeded.
 
     The structural heights are both boundaries, the midpoint, and the
@@ -446,7 +418,7 @@ def band_probe_heights(
     c, hw = band.center, band.half_width
     heights = [band.upper, c + hw / 2, c, c - hw / 2, band.lower]
     span = band.upper - band.lower
-    for _ in range(n_random):
+    for _ in range(N_RANDOM_PROBES):
         k = rng.randint(1, _RANDOM_DENOM - 1)
         heights.append(band.lower + span * Fraction(k, _RANDOM_DENOM))
     return heights
@@ -523,7 +495,6 @@ def verify_comparison(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
-    n_random: int = 8,
     point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Margins for the outside/inside band-average comparison windows.
@@ -536,7 +507,7 @@ def verify_comparison(
     """
     ps = point_set or build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
-    probes = [h for band in ps.bands for h in band_probe_heights(band, rng, n_random)]
+    probes = [h for band in ps.bands for h in band_probe_heights(band, rng)]
     out_cells: list[Cell] = []
     in_cells: list[Cell] = []
     with mp.workprec(prec_bits):
@@ -563,7 +534,7 @@ def verify_comparison(
                 )
     grid = (
         f"{len(ps.bands)} bands x {len(probes)} probe heights "
-        f"(5 structural + {n_random} seeded per band, seed={seed})"
+        f"(5 structural + {N_RANDOM_PROBES} seeded per band, seed={seed})"
     )
     return _reports("verify_comparison", M, prec_bits, grid, [out_cells, in_cells])
 
@@ -572,7 +543,6 @@ def verify_sn_kappa(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
-    n_random: int = 8,
     point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Window and chain bounds on S_N(c) + N kappa for c in a band <= M.
@@ -598,7 +568,7 @@ def verify_sn_kappa(
                 + 2 * (1 - mp.log(2)) / ell
                 + mp.mpf(1) / 4
             )
-            for c in band_probe_heights(band, rng, n_random):
+            for c in band_probe_heights(band, rng):
                 val = s_n(c, ps, prec_bits) + ps.N * kap
                 params = {"band": ell, "c": frac_str(c)}
                 win = val - t_corr
@@ -615,8 +585,8 @@ def verify_sn_kappa(
                     Cell({**params, "side": "upper"}, val, chain_hi, chain_hi - val)
                 )
     grid = (
-        f"bands 1..{M} x {5 + n_random} probe heights "
-        f"(5 structural + {n_random} seeded per band, seed={seed})"
+        f"bands 1..{M} x {5 + N_RANDOM_PROBES} probe heights "
+        f"(5 structural + {N_RANDOM_PROBES} seeded per band, seed={seed})"
     )
     return _reports("verify_sn_kappa", M, prec_bits, grid, [win_cells, chain_cells])
 
@@ -642,7 +612,6 @@ def verify_numerator(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
-    n_random: int = 8,
     point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Upper bounds on log prod_i |p_i - q| for external query points q.
@@ -669,7 +638,7 @@ def verify_numerator(
                 + mp.mpf(3) / 4
                 + 2 * (1 - mp.log(2)) / ell
             )
-            for c in band_probe_heights(band, rng, n_random):
+            for c in band_probe_heights(band, rng):
                 sum_rhs = s_n(c, ps, prec_bits) + mp.log(2) + mp.mpf(1) / 2
                 for turn in AZIMUTH_TURNS:
                     lhs = log_product_to_set((c, turn), ps, prec_bits)
@@ -683,7 +652,7 @@ def verify_numerator(
                     sum_cells.append(Cell(params, lhs, sum_rhs, sum_rhs - lhs))
                     exp_cells.append(Cell(params, lhs, exp_rhs, exp_rhs - lhs))
     grid = (
-        f"bands 1..{M} x {5 + n_random} probe heights "
+        f"bands 1..{M} x {5 + N_RANDOM_PROBES} probe heights "
         f"x {len(AZIMUTH_TURNS)} azimuths (seed={seed})"
     )
     return _reports(

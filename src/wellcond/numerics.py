@@ -206,12 +206,9 @@ def gauss_legendre(n: int, prec_bits: int = DEFAULT_PREC_BITS) -> tuple[list[mp.
     return nodes, weights
 
 
-def fmt_real(x, dps: int | None = None) -> str:
-    """Deterministic decimal string for report output.
-
-    dps defaults to the decimal equivalent of the current working
-    precision plus a couple of guard digits.
-    """
+def fmt_real(x) -> str:
+    """Deterministic decimal string for report output, at the decimal
+    equivalent of the current working precision plus two guard digits."""
     if isinstance(x, Fraction):
         x = to_mpf(x)
     x = mp.mpf(x)
@@ -221,9 +218,7 @@ def fmt_real(x, dps: int | None = None) -> str:
         return "inf"
     if x == mp.mpf("-inf"):
         return "-inf"
-    if dps is None:
-        dps = mp.mp.dps + 2
-    return mp.nstr(x, dps, strip_zeros=True)
+    return mp.nstr(x, mp.mp.dps + 2, strip_zeros=True)
 
 
 def frac_str(q: RationalLike) -> str:

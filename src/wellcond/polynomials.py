@@ -85,10 +85,6 @@ class DensePolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1]
-
     def to_json_dict(self) -> dict:
         return {
             "N": self.degree,

@@ -18,7 +18,7 @@ to pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -30,9 +30,6 @@ from .numerics import (
     interval_endpoints,
     to_mpf,
 )
-
-EXACT_CUTOVER_M = 64  # beyond this, rational powers grow too wide; use floats
-
 
 @dataclass(frozen=True)
 class SumCheck:
@@ -92,74 +89,28 @@ def _log_ratio_interval(num: int, den: int, prec_bits: int) -> tuple[Fraction, F
     return interval_endpoints(lambda iv: iv.log(iv.mpf(num) / iv.mpf(den)), prec_bits)
 
 
-@dataclass
-class RSumResult:
-    M: int
-    value: object  # Fraction (exact path) or mpf
-    exact: bool
-    checks: list[SumCheck] = field(default_factory=list)
-
-
-def r_sum(
-    M: int,
-    exact: bool | None = None,
-    prec_bits: int = DEFAULT_PREC_BITS,
-) -> RSumResult:
-    """R(M) = sum_{j=1}^{M-1} (j/M)^(4j) with its 1/16 and 1/30 checks.
-
-    The exact rational path is the default up to M = 64; beyond that
-    (or on request) the terms are accumulated as exp(4j log(j/M)) at
-    working precision.
-    """
+def r_sum(M: int) -> list[SumCheck]:
+    """R(M) = sum_{j=1}^{M-1} (j/M)^(4j), exactly, with its 1/16 and
+    1/30 checks; each check's value is R(M)."""
     if not isinstance(M, int) or M < 2:
         raise ValueError(f"R(M) needs an integer M >= 2, got {M!r}")
-    check_precision(prec_bits)
-    if exact is None:
-        exact = M <= EXACT_CUTOVER_M
-    if exact:
-        value: object = sum(Fraction(j, M) ** (4 * j) for j in range(1, M))
-    else:
-        with mp.workprec(prec_bits):
-            value = mp.mpf(0)
-            for j in range(1, M):
-                value += mp.exp(4 * j * (mp.log(j) - mp.log(M)))
-    checks = [_ratio_check("r_sum_le_1_16", {"M": M}, value, Fraction(1, 16), exact, prec_bits)]
+    value = sum(Fraction(j, M) ** (4 * j) for j in range(1, M))
+    bounds = [("r_sum_le_1_16", Fraction(1, 16))]
     if M >= 5:
-        checks.append(
-            _ratio_check("r_sum_le_1_30", {"M": M}, value, Fraction(1, 30), exact, prec_bits)
-        )
-    return RSumResult(M=M, value=value, exact=exact, checks=checks)
+        bounds.append(("r_sum_le_1_30", Fraction(1, 30)))
+    return [
+        SumCheck(check_id, {"M": M}, value, bound, bound - value, value <= bound)
+        for check_id, bound in bounds
+    ]
 
 
-def _ratio_check(
-    check_id: str, params: dict, value, bound: Fraction, exact: bool, prec_bits: int
-) -> SumCheck:
-    """Upper-bound check against an exact rational bound."""
-    if exact:
-        margin = bound - value
-        passed = margin >= 0
-    else:
-        with mp.workprec(prec_bits):
-            margin = to_mpf(bound) - value
-            passed = bool(margin >= 0)
-    return SumCheck(check_id, params, value, bound, margin, bool(passed))
-
-
-@dataclass
-class TailSumResult:
-    ell: int
-    M: int
-    envelope_value: Fraction
-    companion_value: Fraction
-    checks: list[SumCheck] = field(default_factory=list)
-
-
-def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> TailSumResult:
+def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
     """Tail sums over j = ell+2 .. M with the 1/(e^4 - 1) bound.
 
-    envelope_value = sum ((ell+1)/j)^(4j); companion_value is the
-    smaller sum ((ell (ell+1))/j^2)^(2j) that appears when two narrowing
-    factors differ, bounded by the envelope form termwise.
+    The envelope sum ((ell+1)/j)^(4j) is checked against the bound; the
+    smaller companion sum ((ell (ell+1))/j^2)^(2j), which appears when
+    two narrowing factors differ, against the envelope (the second
+    check's value and bound).
     """
     if not (isinstance(ell, int) and isinstance(M, int) and 1 <= ell <= M - 2):
         raise ValueError(f"need 1 <= ell <= M - 2, got ell={ell!r}, M={M!r}")
@@ -169,7 +120,7 @@ def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> TailSumRes
         Fraction(ell * (ell + 1), j * j) ** (2 * j) for j in range(ell + 2, M + 1)
     )
     bound_lo, _ = interval_endpoints(lambda iv: 1 / (iv.exp(iv.mpf(4)) - 1), prec_bits)
-    checks = [
+    return [
         SumCheck(
             "tail_sum_le_inv_e4m1",
             {"ell": ell, "M": M},
@@ -187,20 +138,9 @@ def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> TailSumRes
             companion <= envelope,
         ),
     ]
-    return TailSumResult(
-        ell=ell, M=M, envelope_value=envelope, companion_value=companion, checks=checks
-    )
 
 
-@dataclass
-class WeightedSumResult:
-    M: int
-    value: mp.mpf
-    bound: mp.mpf
-    checks: list[SumCheck] = field(default_factory=list)
-
-
-def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> WeightedSumResult:
+def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
     """sum_{ell=1}^{M-1} ell^(1/3) (e/2)^(4/ell) vs its cubic-root bound.
 
     Both sides are enclosed by interval arithmetic; the check compares
@@ -230,40 +170,33 @@ def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> WeightedSumResul
     rhs_lo, rhs_hi = interval_endpoints(rhs, prec_bits)
     margin = rhs_lo - lhs_hi
     with mp.workprec(prec_bits):
-        value = to_mpf((lhs_lo + lhs_hi) / 2)
-        bound = to_mpf((rhs_lo + rhs_hi) / 2)
-        check = SumCheck(
-            "weighted_sum_le_cubic_bound",
-            {"M": M},
-            value,
-            bound,
-            to_mpf(margin),
-            margin >= 0,
-        )
-    return WeightedSumResult(M=M, value=value, bound=bound, checks=[check])
-
-
-@dataclass
-class HarmonicBoundsResult:
-    ell: int
-    M: int
-    lower: mp.mpf
-    value: Fraction
-    upper: mp.mpf
-    checks: list[SumCheck] = field(default_factory=list)
+        return [
+            SumCheck(
+                "weighted_sum_le_cubic_bound",
+                {"M": M},
+                to_mpf((lhs_lo + lhs_hi) / 2),
+                to_mpf((rhs_lo + rhs_hi) / 2),
+                to_mpf(margin),
+                margin >= 0,
+            )
+        ]
 
 
 def harmonic_bounds(
     ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS
-) -> HarmonicBoundsResult:
-    """Partial harmonic sum sum_{j=ell+1}^{M} 1/j between its log bounds."""
+) -> list[SumCheck]:
+    """Partial harmonic sum sum_{j=ell+1}^{M} 1/j between its log bounds.
+
+    The bounds are the conservative endpoints of enclosures of
+    log((M+1)/(ell+1)) (lower) and log(M/ell) (upper).
+    """
     if not (isinstance(ell, int) and isinstance(M, int) and M >= 2 and 1 <= ell <= M - 1):
         raise ValueError(f"need M >= 2 and 1 <= ell <= M - 1, got ell={ell!r}, M={M!r}")
     check_precision(prec_bits)
     value = sum(Fraction(1, j) for j in range(ell + 1, M + 1))
-    lo_lo, lo_hi = _log_ratio_interval(M + 1, ell + 1, prec_bits)
-    hi_lo, hi_hi = _log_ratio_interval(M, ell, prec_bits)
-    checks = [
+    _, lo_hi = _log_ratio_interval(M + 1, ell + 1, prec_bits)
+    hi_lo, _ = _log_ratio_interval(M, ell, prec_bits)
+    return [
         SumCheck(
             "harmonic_ge_log_upper_ratio",
             {"ell": ell, "M": M},
@@ -281,15 +214,6 @@ def harmonic_bounds(
             value <= hi_lo,
         ),
     ]
-    with mp.workprec(prec_bits):
-        return HarmonicBoundsResult(
-            ell=ell,
-            M=M,
-            lower=to_mpf((lo_lo + lo_hi) / 2),
-            value=value,
-            upper=to_mpf((hi_lo + hi_hi) / 2),
-            checks=checks,
-        )
 
 
 def _tail_grid(M: int) -> list[int]:
@@ -313,9 +237,9 @@ def sum_check_suite(
     checks: list[SumCheck] = []
     values = {}
     for M in range(2, max_m + 1):
-        res = r_sum(M, exact=True)
-        values[M] = res.value
-        checks.extend(res.checks)
+        r_checks = r_sum(M)
+        values[M] = r_checks[0].value
+        checks.extend(r_checks)
     for hi, lo in ((2, 3), (3, 4), (4, 5)):
         if hi in values and lo in values:
             checks.append(
@@ -331,10 +255,10 @@ def sum_check_suite(
     for M in range(3, max_m + 1):
         if M <= 18 or M in (24, 32, 48, 64):
             for ell in _tail_grid(M):
-                checks.extend(tail_sum(ell, M, prec_bits).checks)
+                checks.extend(tail_sum(ell, M, prec_bits))
     for M in range(1, max_m + 1):
-        checks.extend(weighted_sum(M, prec_bits).checks)
+        checks.extend(weighted_sum(M, prec_bits))
     for M in range(2, max_m + 1):
         for ell in range(1, M):
-            checks.extend(harmonic_bounds(ell, M, prec_bits).checks)
+            checks.extend(harmonic_bounds(ell, M, prec_bits))
     return checks

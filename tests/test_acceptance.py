@@ -17,7 +17,7 @@ from wellcond.condition import (
     certify_bound,
     mu_max_coefficient_route,
     mu_max_spherical_route,
-    theta_product,
+    theta_product_log_turn,
 )
 from wellcond.energy import (
     band_integral,
@@ -160,9 +160,9 @@ def test_criterion_07_sum_inequalities():
     """R(2) = 1/16 exactly; R <= 1/30 for M = 5..64; tail and log bounds."""
     from wellcond.sums import r_sum, sum_check_suite
 
-    assert r_sum(2).value == Fraction(1, 16)
+    assert r_sum(2)[0].value == Fraction(1, 16)
     for M in range(5, 65):
-        assert r_sum(M, exact=True).value <= Fraction(1, 30), M
+        assert r_sum(M)[0].value <= Fraction(1, 30), M
     checks = sum_check_suite(64, PREC)
     failed = [c for c in checks if not c.passed]
     assert not failed, failed[:3]
@@ -184,7 +184,7 @@ def test_criterion_08_closed_forms_vs_brute_force():
                 + (rho_q * mp.sin(dphi) - rho_p * mp.sin(ang)) ** 2
                 + (to_mpf(c) - to_mpf(h)) ** 2
             )
-        got = theta_product(r, h, c, dphi, PREC)
+        got = mp.exp(theta_product_log_turn(r, h, c, Fraction(1, 16), PREC))
         assert abs(got - brute) / brute < mp.mpf("1e-20")
 
         # parallel average of log distance vs 4096-node mean (1e-8)

@@ -229,7 +229,55 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "is not finite" in err
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,phases,workers",
+    [
+        (["generate", "--M", "1"], ["nan"], "1"),
+        (["generate", "--M", "1..2"], {"2": [0.1]}, "1"),
+        (["cond", "--M", "2", "--route", "both"], {"2": [0.1]}, "1"),
+        (["cond", "--M", "1", "--route", "sphere", "--margin", "-100"], None, "1"),
+        (["sweep", "--M", "1", "--route", "sphere", "--margin", "-100"], None, "1"),
+        (["generate", "--M", "1"], None, "x"),
+        (["cond", "--M", "1"], None, "x"),
+        (["verify", "--M", "5"], None, "x"),
+        (["sweep", "--M", "1"], None, "x"),
+    ],
+    ids=[
+        "nan-phase", "phase-count-generate", "phase-count-cond", "margin-cond",
+        "margin-sweep", "workers-generate", "workers-cond", "workers-verify",
+        "workers-sweep",
+    ],
+)
+def test_rejected_input_creates_no_output_directory(
+    tmp_path, capsys, monkeypatch, argv, phases, workers
+):
+    monkeypatch.setenv("WELLCOND_WORKERS", workers)
+    if phases is not None:
+        (tmp_path / "ph.json").write_text(json.dumps(phases))
+        argv = [*argv, "--phases", tmp_path / "ph.json"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "cond", "verify", "sweep"])
+def test_uncreatable_out_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "sub", blocker):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--M", "1", "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_margin_without_quadrature_nodes_exits_2(tmp_path, capsys):

@@ -15,7 +15,6 @@ from wellcond.condition import (
     numerator_integral_log,
     parallel_self_product_log,
     point_gap_product_log,
-    theta_product,
     theta_product_log_turn,
 )
 from wellcond.numerics import gauss_legendre, to_mpf
@@ -52,7 +51,7 @@ def test_theta_product_matches_brute_force(r, h, c, turn):
     prec = 256
     with mp.workprec(prec):
         dphi = mp.pi * to_mpf(turn)
-        got = theta_product(r, h, c, dphi, prec)
+        got = mp.exp(theta_product_log_turn(r, h, c, turn, prec))
         want = brute_theta(r, h, c, dphi, prec)
         assert abs(got - want) / want < mp.mpf("1e-20")
 
@@ -153,9 +152,9 @@ def test_numerator_integral_node_convergence():
     prec = 256
     ps = build_point_set(2, prec_bits=prec)
     base = numerator_integral_log(ps, prec)
-    more = numerator_integral_log(
-        ps, prec, gl_nodes=2 * base.gl_nodes, azimuth_nodes=2 * base.azimuth_nodes
-    )
+    more = numerator_integral_log(ps, prec, node_margin=base.azimuth_nodes + 16)
+    assert more.gl_nodes >= 2 * base.gl_nodes
+    assert more.azimuth_nodes >= 2 * base.azimuth_nodes
     assert not base.undersampled
     with mp.workprec(prec):
         assert abs(base.log_value - more.log_value) < mp.mpf(2) ** -(prec - 32)
@@ -186,8 +185,10 @@ def test_numerator_integral_matches_point_quadrature_with_phases():
 
 def test_undersampled_flag_raised_below_exactness():
     ps = build_point_set(2, prec_bits=192)
-    rep = numerator_integral_log(ps, 192, gl_nodes=4, azimuth_nodes=8)
+    rep = numerator_integral_log(ps, 192, node_margin=-5)
+    assert (rep.gl_nodes, rep.azimuth_nodes) == (4, 12)
     assert rep.undersampled
+    assert not numerator_integral_log(ps, 192, node_margin=0).undersampled
 
 
 def test_point_gap_product_matches_brute_force():

@@ -27,7 +27,6 @@ from wellcond.energy import (
 from wellcond.condition import parallel_self_product_log
 from wellcond.numerics import to_fraction, to_mpf
 from wellcond.points import (
-    SpherePoint,
     build_bands,
     build_parallels,
     build_point_set,
@@ -153,8 +152,11 @@ def test_comparison_raises_outside_domain():
 
 def test_log_product_to_set_matches_pairwise_sum():
     prec = 256
-    for M in (1, 2, 3):
-        ps = build_point_set(M, prec_bits=prec)
+    # the phased M = 2 family puts the sign of each parallel's phase offset
+    # into the query's azimuth
+    families = [(M, None) for M in (1, 2, 3)] + [(2, [0.1, 0.7, -1.2])]
+    for M, phases in families:
+        ps = build_point_set(M, phases=phases, prec_bits=prec)
         q = (Fraction(11, 16), Fraction(1, 5))
         with mp.workprec(prec):
             got = log_product_to_set(q, ps, prec)
@@ -166,23 +168,7 @@ def test_log_product_to_set_matches_pairwise_sum():
             for _, _, p in ps.all_points():
                 d2 = (qx - p.x) ** 2 + (qy - p.y) ** 2 + (t - p.z) ** 2
                 acc += mp.log(d2) / 2
-            assert abs(got - acc) < mp.mpf("1e-25")
-
-
-def test_log_product_to_set_sphere_point_matches_pair_form():
-    prec = 256
-    c, turn = Fraction(11, 16), Fraction(1, 5)
-    for phases in (None, [0.1, 0.7, -1.2]):
-        ps = build_point_set(2, phases=phases, prec_bits=prec)
-        with mp.workprec(prec):
-            rho = mp.sqrt(1 - to_mpf(c) ** 2)
-            q = SpherePoint(
-                x=rho * mp.cospi(to_mpf(turn)), y=rho * mp.sinpi(to_mpf(turn)), z=to_mpf(c)
-            )
-            pair = log_product_to_set((c, turn), ps, prec)
-            point = log_product_to_set(q, ps, prec)
-            assert mp.isfinite(pair)
-            assert abs(point - pair) < mp.mpf(2) ** -(prec - 16)
+            assert abs(got - acc) < mp.mpf("1e-25"), (M, phases)
 
 
 def test_log_product_to_set_coincidence_is_minus_inf():
@@ -312,13 +298,13 @@ def test_t_bounds_report_covers_all_ell():
 
 
 def test_grid_strings_count_probe_heights():
-    """The grid prose counts 5 structural plus n_random seeded heights."""
-    for rep in verify_sn_kappa(3, 128, n_random=2):
-        assert rep.grid.startswith("bands 1..3 x 7 probe heights ")
-        assert len(rep.cells) == 3 * 7 * 2
+    """The grid prose counts 5 structural plus 8 seeded heights."""
+    for rep in verify_sn_kappa(3, 128):
+        assert rep.grid.startswith("bands 1..3 x 13 probe heights ")
+        assert len(rep.cells) == 3 * 13 * 2
         assert rep.hypothesis == "M >= 5 (informational run at M=3)"
-    for rep in verify_numerator(3, 128, n_random=2):
-        assert rep.grid.startswith("bands 1..3 x 7 probe heights x 8 azimuths ")
+    for rep in verify_numerator(3, 128):
+        assert rep.grid.startswith("bands 1..3 x 13 probe heights x 8 azimuths ")
 
 
 @pytest.mark.parametrize("convert", [float, to_mpf], ids=["float", "mpf"])

@@ -1,12 +1,15 @@
-"""Every name a wellcond module imports is used in that module, and every
-private module-level helper is used somewhere in the package."""
+"""Every name a wellcond module imports is used in that module, every
+private module-level helper is used somewhere in the package, and every
+function the benchmark tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wellcond"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wellcond"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -82,3 +85,27 @@ def test_no_unused_imports(path):
 def test_no_dead_private_helpers():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def traced_names(source: str) -> list[str]:
+    """`layer.name` for each entry of the TRACED table in a spans module."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            table = ast.literal_eval(node.value)
+            return [f"{layer}.{name}" for layer, names in table.items() for name in names]
+    raise AssertionError("no TRACED table found")
+
+
+def test_every_traced_function_exists():
+    """perfbench/run.py --trace wraps these names; each must be callable."""
+    names = traced_names((ROOT / "perfbench" / "spans.py").read_text())
+    assert len(names) > 20
+    missing = []
+    for dotted in names:
+        layer, name = dotted.split(".")
+        module = importlib.import_module(f"wellcond.{layer}")
+        if not callable(getattr(module, name, None)):
+            missing.append(dotted)
+    assert missing == []

@@ -17,41 +17,39 @@ from wellcond.sums import (
 
 
 def test_r2_is_exactly_one_sixteenth():
-    res = r_sum(2)
-    assert res.value == Fraction(1, 16)
-    check = res.checks[0]
+    checks = r_sum(2)
+    assert len(checks) == 1
+    check = checks[0]
+    assert check.value == Fraction(1, 16)
     assert check.check_id == "r_sum_le_1_16"
     assert check.margin == 0 and check.passed
 
 
 def test_r3_hand_value():
     # (1/3)^4 + (2/3)^8 = 1/81 + 256/6561
-    assert r_sum(3).value == Fraction(337, 6561)
+    assert r_sum(3)[0].value == Fraction(337, 6561)
 
 
 def test_r_monotone_chain_2_to_5():
-    vals = [r_sum(M).value for M in (2, 3, 4, 5)]
+    vals = [r_sum(M)[0].value for M in (2, 3, 4, 5)]
     assert vals[0] >= vals[1] >= vals[2] >= vals[3]
 
 
 def test_r_below_one_thirtieth_from_5_to_64():
     for M in range(5, 65):
-        res = r_sum(M, exact=True)
-        assert res.value <= Fraction(1, 30), M
-        assert all(c.passed for c in res.checks)
+        checks = r_sum(M)
+        assert checks[0].value <= Fraction(1, 30), M
+        assert all(c.passed for c in checks)
 
 
-def test_r_exact_vs_float_paths_agree():
-    with mp.workprec(256):
-        for M in (7, 33, 64, 90):
-            ex = to_mpf(r_sum(M, exact=True).value)
-            fl = r_sum(M, exact=False).value
-            assert abs(ex - fl) < mp.mpf("1e-25"), M
-
-
-def test_r_auto_cutover_at_64():
-    assert r_sum(64).exact
-    assert not r_sum(65).exact
+def test_r_stays_exact_past_m_64():
+    """R(M) and both margins are exact rationals at every M."""
+    for M in (65, 90):
+        checks = r_sum(M)
+        assert [c.check_id for c in checks] == ["r_sum_le_1_16", "r_sum_le_1_30"]
+        value = sum(Fraction(j, M) ** (4 * j) for j in range(1, M))
+        for c in checks:
+            assert c.value == value and c.margin == c.bound - value and c.passed
 
 
 def test_r_rejects_bad_m():
@@ -61,15 +59,15 @@ def test_r_rejects_bad_m():
 
 
 def test_tail_single_term_hand_value():
-    res = tail_sum(3, 5)
-    assert res.envelope_value == Fraction(4, 5) ** 20
-    assert res.companion_value == Fraction(12, 25) ** 10
-    assert all(c.passed for c in res.checks)
+    envelope, companion = tail_sum(3, 5)
+    assert envelope.value == Fraction(4, 5) ** 20
+    assert companion.value == Fraction(12, 25) ** 10
+    assert companion.bound == envelope.value
+    assert envelope.passed and companion.passed
 
 
 def test_tail_bound_holds_on_worst_small_ell():
-    res = tail_sum(1, 16)
-    bound = [c for c in res.checks if c.check_id == "tail_sum_le_inv_e4m1"][0]
+    bound = [c for c in tail_sum(1, 16) if c.check_id == "tail_sum_le_inv_e4m1"][0]
     assert bound.passed
     # the enclosure endpoint really is below 1/(e^4 - 1)
     with mp.workprec(128):
@@ -78,8 +76,9 @@ def test_tail_bound_holds_on_worst_small_ell():
 
 def test_tail_companion_never_exceeds_envelope_form():
     for ell, M in ((1, 6), (2, 9), (5, 12)):
-        res = tail_sum(ell, M)
-        assert res.companion_value <= res.envelope_value
+        envelope, companion = tail_sum(ell, M)
+        assert companion.bound == envelope.value
+        assert companion.value <= envelope.value
 
 
 def test_tail_rejects_out_of_range():
@@ -90,19 +89,19 @@ def test_tail_rejects_out_of_range():
 
 
 def test_harmonic_sandwich_hand_case():
-    res = harmonic_bounds(1, 2)
-    assert res.value == Fraction(1, 2)
+    lower, upper = harmonic_bounds(1, 2)
+    assert lower.value == upper.value == Fraction(1, 2)
     with mp.workprec(128):
-        assert abs(res.lower - mp.log(mp.mpf(3) / 2)) < mp.mpf(2) ** -100
-        assert abs(res.upper - mp.log(mp.mpf(2))) < mp.mpf(2) ** -100
-    assert all(c.passed for c in res.checks)
+        assert abs(to_mpf(lower.bound) - mp.log(mp.mpf(3) / 2)) < mp.mpf(2) ** -100
+        assert abs(to_mpf(upper.bound) - mp.log(mp.mpf(2))) < mp.mpf(2) ** -100
+    assert lower.passed and upper.passed
 
 
 def test_weighted_sum_margin_positive():
     for M in (1, 2, 5, 32, 64):
-        res = weighted_sum(M)
-        assert res.checks[0].passed
-        assert res.checks[0].margin > 0 or M == 1
+        (check,) = weighted_sum(M)
+        assert check.passed
+        assert check.margin > 0 or M == 1
 
 
 def test_suite_all_checks_pass():
@@ -123,7 +122,7 @@ def test_suite_all_checks_pass():
 
 
 def test_check_serialization_round_trip():
-    check = r_sum(2).checks[0]
+    check = r_sum(2)[0]
     d = check.to_json_dict()
     assert d["id"] == "r_sum_le_1_16"
     assert d["value"] == "1/16" and d["pass"] is True
@@ -134,8 +133,8 @@ def test_check_serialization_round_trip():
 
 def test_huge_rationals_format_without_overflow():
     """Exact values beyond ~4000 digits fall back to decimal display."""
-    res = tail_sum(1, 64)
-    for c in res.checks:
+    checks = tail_sum(1, 64)
+    for c in checks:
         for cell in c.csv_row():
             assert len(cell) < 5000
-    assert all(c.passed for c in res.checks)
+    assert all(c.passed for c in checks)
