@@ -45,8 +45,6 @@ from .points import (
     build_bands,
     build_parallels,
     build_point_set,
-    inverse_stereographic,
-    stereographic,
 )
 from .polynomials import (
     DensePolynomial,
@@ -92,7 +90,6 @@ __all__ = [
     "expand",
     "expected_log_parallel",
     "harmonic_bounds",
-    "inverse_stereographic",
     "kappa",
     "log_energy",
     "log_product_to_set",
@@ -103,7 +100,6 @@ __all__ = [
     "r_sum",
     "roots",
     "s_n",
-    "stereographic",
     "t_ell",
     "tail_sum",
     "theta_product_log_turn",

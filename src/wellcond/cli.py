@@ -36,7 +36,6 @@ from .condition import (
     certify_bound,
     mu_max_coefficient_route,
     mu_max_spherical_route,
-    quadrature_node_counts,
 )
 from .energy import log_energy, verification_suite
 from .numerics import MIN_PREC_BITS, fmt_real
@@ -116,8 +115,9 @@ def _worker_count(n_items: int) -> int:
 def _load_phases_file(path: str | None) -> dict[int, list[str]] | None:
     """Phase overrides keyed by M; values are radian angles as strings.
 
-    The file holds either an object {"<M>": [2M-1 angles], ...} or a
-    bare array applying to whichever M has a matching parallel count.
+    The file holds either an object {"<M>": [2M-1 angles], ...} with
+    every key an M >= 1, or a bare array applying to whichever M has a
+    matching parallel count; the table keeps a bare array under -1.
     """
     if path is None:
         return None
@@ -126,7 +126,11 @@ def _load_phases_file(path: str | None) -> dict[int, list[str]] | None:
             data = json.load(fh)
         if isinstance(data, list):
             data = {-1: data}
-        elif not isinstance(data, dict):
+        elif isinstance(data, dict):
+            for k in data:
+                if int(k) < 1:
+                    raise ValueError(f"key {k!r} is not an M >= 1")
+        else:
             raise ValueError("expected a JSON array or object of phase lists")
         table = {int(k): [str(v) for v in vals] for k, vals in data.items()}
         for vals in table.values():
@@ -154,41 +158,24 @@ def _phases_for(overrides: dict[int, list[str]] | None, M: int, prec_bits: int):
         return [mp.mpf(v) for v in raw]
 
 
-def _prepare(args, phased: bool = False, margin: bool = False):
+def _prepare(args, phased: bool = False):
     """Validate every input, then create --out.
 
     Returns (output directory, {M: phases or None}, worker count).
-    `phased` checks the phase overrides against each M, `margin` checks
-    that --margin leaves quadrature nodes at each M; input rejected here
-    exits 2 and leaves no directory behind.
+    `phased` checks the phase overrides against each M; input rejected
+    here exits 2 and leaves no directory behind.
     """
     table = _load_phases_file(getattr(args, "phases", None))
     workers = _worker_count(len(args.M))
     phases = {
         M: _phases_for(table, M, args.precision) if phased else None for M in args.M
     }
-    if margin:
-        for M in args.M:
-            try:
-                quadrature_node_counts(4 * M * M, args.margin)
-            except ValueError as e:
-                raise InputError(f"--margin {args.margin}: {e}") from None
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise InputError(f"--out {args.out}: {e}") from None
     return outdir, phases, workers
-
-
-def _quadrature_problems(rep) -> list[str]:
-    """Why a report cannot pass on quadrature grounds (empty if it can)."""
-    if rep.extras.get("quadrature_undersampled"):
-        return [
-            f"spherical quadrature undersampled ({rep.extras['gl_nodes']} x "
-            f"{rep.extras['azimuth_nodes']} nodes)"
-        ]
-    return []
 
 
 def _short(s: str) -> str:
@@ -238,8 +225,6 @@ def _config_block(args, command: str) -> dict:
         block["certify"] = args.certify
     if hasattr(args, "informational"):
         block["informational"] = args.informational
-    if hasattr(args, "margin"):
-        block["node_margin"] = args.margin
     if getattr(args, "phases", None):
         block["phases_file"] = os.path.basename(args.phases)
     return block
@@ -335,9 +320,7 @@ def cmd_generate(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _cond_one(
-    prec: int, route: str, certify: bool, margin: int, phases: dict, M: int
-) -> dict:
+def _cond_one(prec: int, route: str, certify: bool, phases: dict, M: int) -> dict:
     reports = []
     problems = []
     rel_diff = None
@@ -345,10 +328,7 @@ def _cond_one(
         if route in ("coeff", "both"):
             reports.append(mu_max_coefficient_route(M, prec))
         if route in ("sphere", "both"):
-            reports.append(
-                mu_max_spherical_route(M, prec, phases=phases[M], node_margin=margin)
-            )
-            problems += _quadrature_problems(reports[-1])
+            reports.append(mu_max_spherical_route(M, prec, phases=phases[M]))
         if route == "both":
             a, b = reports[0].mu_max, reports[1].mu_max
             rel_diff = abs(a - b) / b
@@ -409,11 +389,10 @@ COND_HEADER = [
 
 
 def cmd_cond(args) -> int:
-    sphere = args.route != "coeff"
-    outdir, phases, workers = _prepare(args, phased=sphere, margin=sphere)
+    outdir, phases, workers = _prepare(args, phased=args.route != "coeff")
     config = _config_block(args, "cond")
     worker = functools.partial(
-        _cond_one, args.precision, args.route, args.certify, args.margin, phases
+        _cond_one, args.precision, args.route, args.certify, phases
     )
     payloads = _map_over_m(worker, args.M, workers)
     all_ok = True
@@ -535,10 +514,10 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _sweep_one(prec: int, route: str, margin: int, M: int) -> dict:
+def _sweep_one(prec: int, route: str, M: int) -> dict:
     t0 = time.perf_counter()
     if route == "sphere":
-        rep = mu_max_spherical_route(M, prec, node_margin=margin)
+        rep = mu_max_spherical_route(M, prec)
     else:
         rep = mu_max_coefficient_route(M, prec)
     cond_dt = time.perf_counter() - t0
@@ -557,15 +536,14 @@ def _sweep_one(prec: int, route: str, margin: int, M: int) -> dict:
             "cond_seconds": f"{cond_dt:.3f}",
             "energy_seconds": f"{energy_dt:.3f}",
         }
-    problems = _quadrature_problems(rep)
-    gated_ok = not problems and all(v is True for v in rep.verdicts.values())
-    return {"M": M, "row": row, "problems": problems, "gated_ok": gated_ok}
+    gated_ok = all(v is True for v in rep.verdicts.values())
+    return {"M": M, "row": row, "gated_ok": gated_ok}
 
 
 def cmd_sweep(args) -> int:
-    outdir, _, workers = _prepare(args, margin=args.route == "sphere")
+    outdir, _, workers = _prepare(args)
     config = _config_block(args, "sweep")
-    worker = functools.partial(_sweep_one, args.precision, args.route, args.margin)
+    worker = functools.partial(_sweep_one, args.precision, args.route)
     payloads = _map_over_m(worker, args.M, workers)
     all_ok = True
     rows = []
@@ -578,8 +556,6 @@ def cmd_sweep(args) -> int:
             f"({r['cond_seconds']}s cond, {r['energy_seconds']}s energy)",
             file=sys.stderr,
         )
-        for problem in payload["problems"]:
-            print(f"M={r['M']}: {problem}")
     if args.format == "json":
         _write_atomic(
             outdir / "sweep.json",
@@ -640,12 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add rigorously rounded bound verdicts",
     )
-    c.add_argument(
-        "--margin",
-        type=int,
-        default=16,
-        help="extra quadrature nodes beyond exactness (default 16)",
-    )
     c.add_argument("--phases", help="JSON file of phase overrides (radians)")
     c.set_defaults(fn=cmd_cond)
 
@@ -667,12 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sweep", help="per-M summary rows (plot-ready)")
     _add_common(s, "csv")
     s.add_argument("--route", choices=("coeff", "sphere"), default="coeff")
-    s.add_argument(
-        "--margin",
-        type=int,
-        default=16,
-        help="extra quadrature nodes beyond exactness (default 16)",
-    )
     s.set_defaults(fn=cmd_sweep)
     return parser
 

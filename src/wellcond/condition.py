@@ -1,6 +1,6 @@
 """Normalized condition numbers of the canonical polynomials.
 
-Two independent routes compute mu_norm for the degree-N = 4M^2 family:
+Two routes compute mu_norm for the degree-N = 4M^2 family:
 
 * coefficient route: for each root z of f,
 
@@ -17,10 +17,17 @@ Two independent routes compute mu_norm for the degree-N = 4M^2 family:
       mu_max = 1/2 * sqrt(N(N+1)) * (int_S prod_j |p - p_j|^2 dsigma)^(1/2)
                / min_i prod_{j != i} |p_i - p_j|,
 
-  where the surface integral is evaluated exactly-up-to-rounding by a
-  Gauss-Legendre x uniform-azimuth product rule (the integrand is a
-  polynomial of degree N in the height and a trigonometric polynomial
-  of degree N in the azimuth).
+  where the numerator integral I is the identity
+
+      I = 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)),
+
+  from the chordal distance |p - p_j|^2 = 4 |z - z_j|^2 /
+  ((1+|z|^2)(1+|z_j|^2)) and the Bombieri-Weyl integral
+  int_S |f|^2 / (1+|z|^2)^N dsigma = ||f||^2 / (N+1) (Shub & Smale,
+  Complexity of Bezout's theorem I).  The per-point denominators come
+  from Theta products over the points, so the two routes evaluate one
+  formula through two implementations: Theta products here, the
+  factor-wise |f'| there.
 
 The certified path evaluates the same closed form in exact rational
 interval arithmetic: every quantity in mu^2 is rational except
@@ -56,17 +63,17 @@ from .numerics import (
     cos_pi_fraction,
     cos_pi_fraction_interval,
     fmt_real,
-    gauss_legendre,
-    log_dot_exp,
-    log_sum_exp,
     to_fraction,
     to_mpf,
 )
 from .points import PointSet, build_point_set
 from .polynomials import (
+    Factor,
+    FactorizedPolynomial,
     MultipleRootError,
     RootDerivative,
     bombieri_norm_sq,
+    canonical_factor_parallel,
     canonical_polynomial,
     derivative_modulus_at_root,
     expand,
@@ -124,12 +131,12 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class NumeratorIntegral:
-    """log of int_S prod_j |p - p_j|^2 dsigma plus quadrature metadata."""
+    """log of int_S prod_j |p - p_j|^2 dsigma."""
 
     log_value: mp.mpf
-    gl_nodes: int
-    azimuth_nodes: int
-    undersampled: bool
+    # No quadrature nodes are used; perfbench/spans.py reads their
+    # product as the condition.quadrature_nodes counter.
+    gl_nodes = azimuth_nodes = 0
 
 
 def _bound_verdicts(
@@ -265,63 +272,34 @@ def parallel_self_product_log(
         return mp.log(r) + mp.mpf(r - 1) / 2 * mp.log(to_mpf(1 - h * h))
 
 
-def quadrature_node_counts(N: int, node_margin: int) -> tuple[int, int]:
-    """(Gauss-Legendre, azimuth) node counts for a degree-N family.
-
-    After averaging over the azimuth the numerator integrand is a
-    polynomial of degree N in the height (all parallel point counts are
-    even for the canonical family), so ceil((N+1)/2) Gauss-Legendre nodes
-    and N+1 uniform azimuth samples integrate it exactly up to rounding;
-    node_margin is added to both, and a negative margin undersamples.
-    """
-    n_gl, n_az = (N + 2) // 2 + node_margin, N + 1 + node_margin
-    if n_gl < 1 or n_az < 1:
-        raise ValueError("node counts must be positive")
-    return n_gl, n_az
-
-
 def numerator_integral_log(
-    point_set: PointSet,
-    prec_bits: int = DEFAULT_PREC_BITS,
-    node_margin: int = 16,
+    point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS
 ) -> NumeratorIntegral:
-    """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family,
-    on the product rule of quadrature_node_counts."""
+    """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family.
+
+    Evaluates 4^N ||f||^2 / ((N+1) prod_k (2/(1-h_k))^(r_k)), with
+    1 + rho_k^2 = 2/(1-h_k), for the monic f whose roots project to the
+    points.  Rotating parallel k by phi_k multiplies the shift of its
+    factor by exp(i r_k phi_k); with every phase 0 the value is an exact
+    rational, rounded once.
+    """
     check_precision(prec_bits)
-    parallels = point_set.parallels
-    n_gl, n_az = quadrature_node_counts(point_set.N, node_margin)
-
-    nodes, weights = gauss_legendre(n_gl, prec_bits)
+    M, N = point_set.M, point_set.N
+    phases = [par.phase for par in point_set.parallels]
     with mp.workprec(prec_bits):
-        # Azimuthal modulation factors 1 - cos(r_j (alpha_m - phase_j)):
-        # they do not depend on the height node, so build them once.
-        vers_table = [
-            [_versine(par.count, Fraction(2 * m, n_az), -par.phase) for m in range(n_az)]
-            for par in parallels
-        ]
-
-        log_w = [mp.log(w) for w in weights]
-        log_height_means: list[mp.mpf] = []
-        for c in nodes:
-            terms = []
-            for par in parallels:
-                gap, rim = _theta_terms(par.count, par.height, c, prec_bits)
-                terms.append((gap, rim))
-            log_f = []
-            for m in range(n_az):
-                prod = mp.mpf(1)
-                for (gap, rim), row in zip(terms, vers_table):
-                    prod *= gap + rim * row[m]
-                log_f.append(mp.log(prod) if prod > 0 else mp.mpf("-inf"))
-            log_height_means.append(log_sum_exp(log_f) - mp.log(n_az))
-        log_integral = log_dot_exp(log_w, log_height_means) - mp.log(2)
-
-    return NumeratorIntegral(
-        log_value=log_integral,
-        gl_nodes=n_gl,
-        azimuth_nodes=n_az,
-        undersampled=node_margin < 0,
-    )
+        f = canonical_polynomial(M)
+        if any(phases):
+            f = FactorizedPolynomial(tuple(
+                Factor(fac.power, fac.shift * mp.expj(
+                    fac.power * phases[canonical_factor_parallel(M, k) - 1]
+                ))
+                for k, fac in enumerate(f.factors)
+            ))
+        scale = Fraction(4**N, N + 1)
+        for par in point_set.parallels:
+            scale *= ((1 - par.height) / 2) ** par.count
+        value = to_mpf(scale * bombieri_norm_sq(expand(f)))
+        return NumeratorIntegral(log_value=mp.log(value))
 
 
 def point_gap_product_log(
@@ -357,7 +335,6 @@ def mu_max_spherical_route(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     phases: Sequence | None = None,
-    node_margin: int = 16,
 ) -> ConditionReport:
     """Spherical-route mu_max for the family of parameter M.
 
@@ -367,7 +344,7 @@ def mu_max_spherical_route(
     changes the maximum.
     """
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
-    num = numerator_integral_log(point_set, prec_bits, node_margin)
+    num = numerator_integral_log(point_set, prec_bits)
     N = point_set.N
     reducible = all(
         par.phase == 0 and par.count % 4 == 0 for par in point_set.parallels
@@ -397,12 +374,7 @@ def mu_max_spherical_route(
         per_root=per_root,
         verdicts=verdicts,
         certified=False,
-        extras={
-            "gl_nodes": num.gl_nodes,
-            "azimuth_nodes": num.azimuth_nodes,
-            "quadrature_undersampled": num.undersampled,
-            "symmetry_reduced": reducible,
-        },
+        extras={"symmetry_reduced": reducible},
     )
 
 

@@ -3,9 +3,11 @@
 Everything in this package computes either with exact rationals
 (``fractions.Fraction``) or with mpmath floats at an explicit binary
 precision.  This module owns the conversions between the two worlds,
-the log-domain accumulation helpers, Gauss-Legendre nodes at working
-precision, and rigorous enclosures of cos(pi * q) for rational q used
-by the certified condition-number path.
+rigorous enclosures of cos(pi * q) for rational q used by the certified
+condition-number path, and Gauss-Legendre nodes at working precision
+(the package integrates nothing numerically; the nodes serve the
+product-rule reference that the tests check the spherical numerator
+identity against).
 
 Two representations are fixed here for the whole package:
 
@@ -20,7 +22,6 @@ Two representations are fixed here for the whole package:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import mpmath as mp
 from mpmath import libmp
@@ -124,32 +125,6 @@ def cos_pi_fraction(q: RationalLike, offset: RealLike = 0) -> mp.mpf:
     if q.denominator == 2:
         return mp.mpf(0)
     return mp.cospi(to_mpf(q))
-
-
-def log_sum_exp(terms: Iterable[mp.mpf]) -> mp.mpf:
-    """log(sum(exp(t) for t in terms)) with max-shift stabilisation.
-
-    -inf terms (logs of exact zeros) are skipped; an empty or all-(-inf)
-    input yields -inf.
-    """
-    vals = [t for t in terms if t != mp.mpf("-inf")]
-    if not vals:
-        return mp.mpf("-inf")
-    m = max(vals)
-    acc = mp.mpf(0)
-    for t in vals:
-        acc += mp.exp(t - m)
-    return m + mp.log(acc)
-
-
-def log_dot_exp(log_weights: Sequence[mp.mpf], log_terms: Sequence[mp.mpf]) -> mp.mpf:
-    """log(sum(w_k * exp(t_k))) given log(w_k), with max-shift.
-
-    Weights must be positive (their logs finite); -inf terms are skipped.
-    """
-    if len(log_weights) != len(log_terms):
-        raise ValueError("weight/term length mismatch")
-    return log_sum_exp(lw + lt for lw, lt in zip(log_weights, log_terms))
 
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mp.mpf], list[mp.mpf]]] = {}

@@ -84,10 +84,6 @@ class SpherePoint:
     y: mp.mpf
     z: mp.mpf
 
-    def distance_sq(self, other: "SpherePoint") -> mp.mpf:
-        dx, dy, dz = self.x - other.x, self.y - other.y, self.z - other.z
-        return dx * dx + dy * dy + dz * dz
-
 
 @dataclass
 class PointSet:
@@ -211,33 +207,3 @@ def build_point_set(
         prec_bits=prec_bits,
         points=points,
     )
-
-
-def stereographic(p: SpherePoint) -> mp.mpc:
-    """Projection from the north pole to the equatorial complex plane.
-
-    (x, y, z) on S^2 maps to (x + i y)/(1 - z); a parallel of height h
-    maps to the circle of modulus rho(h) = sqrt((1+h)/(1-h)).  The north
-    pole itself has no image.
-    """
-    if p.z == 1:
-        raise ValueError("north pole has no stereographic image")
-    return mp.mpc(p.x, p.y) / (1 - p.z)
-
-
-def inverse_stereographic(z, prec_bits: int = DEFAULT_PREC_BITS) -> SpherePoint:
-    """Inverse projection: complex z to the sphere point below it.
-
-    |z|^2 = t gives height (t-1)/(t+1); z = 0 is the south pole.
-    """
-    check_precision(prec_bits)
-    with mp.workprec(prec_bits):
-        z = mp.mpc(z)
-        t = z.real * z.real + z.imag * z.imag
-        denom = t + 1
-        return SpherePoint(
-            x=2 * z.real / denom,
-            y=2 * z.imag / denom,
-            z=(t - 1) / denom,
-        )
-

@@ -11,8 +11,9 @@ stereographic projection they land on the parallel of height h with
 rho(h)^2 = (1+h)/(1-h).
 
 Expansion, Bombieri-Weyl norms and the factor-wise data of |f'| at
-each root stay in exact rational arithmetic; root values and the float
-evaluation of |f'| use mpmath at a caller-chosen binary precision.
+each root stay in exact rational arithmetic; root values, the float
+evaluation of |f'| and the expansion of factors with rotated (complex)
+shifts use mpmath at a caller-chosen binary precision.
 """
 
 from __future__ import annotations
@@ -40,16 +41,21 @@ class MultipleRootError(ValueError):
 
 @dataclass(frozen=True)
 class Factor:
-    """A binomial factor z^power - shift with positive rational shift."""
+    """A binomial factor z^power - shift.
+
+    The canonical family's shifts are positive rationals; rotating the
+    roots of a factor by an angle phi multiplies its shift by
+    exp(i power phi), which makes it a complex mpc.
+    """
 
     power: int
-    shift: Fraction
+    shift: Fraction | mp.mpc
 
     def __post_init__(self):
         if self.power < 1:
             raise ValueError(f"factor power must be >= 1, got {self.power}")
-        if self.shift <= 0:
-            raise ValueError(f"factor shift must be positive, got {self.shift}")
+        if self.shift.imag == 0 and self.shift.real <= 0:
+            raise ValueError(f"a real factor shift must be positive, got {self.shift}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,12 @@ class FactorizedPolynomial:
 
 @dataclass(frozen=True)
 class DensePolynomial:
-    """Exact rational coefficients, ascending order; degree = len - 1."""
+    """Coefficients in ascending order; degree = len - 1.
 
-    coeffs: tuple[Fraction, ...]
+    Exact rationals for rational shifts, mpc for rotated factors.
+    """
+
+    coeffs: tuple[Fraction | mp.mpc, ...]
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -156,7 +165,8 @@ def canonical_factor_parallel(M: int, factor_index: int) -> int:
 
 
 def expand(f: FactorizedPolynomial) -> DensePolynomial:
-    """Multiply the binomial factors into exact dense coefficients."""
+    """Multiply the binomial factors into dense coefficients: exact for
+    rational shifts, at the working precision for complex ones."""
     coeffs = [Fraction(1)]
     for fac in f.factors:
         new = [Fraction(0)] * (len(coeffs) + fac.power)
@@ -168,16 +178,16 @@ def expand(f: FactorizedPolynomial) -> DensePolynomial:
     return DensePolynomial(coeffs=tuple(coeffs))
 
 
-def bombieri_norm_sq(p: DensePolynomial) -> Fraction:
-    """Squared Bombieri-Weyl norm: sum_i binom(N, i)^-1 * a_i^2.
+def bombieri_norm_sq(p: DensePolynomial) -> Fraction | mp.mpf:
+    """Squared Bombieri-Weyl norm: sum_i binom(N, i)^-1 * |a_i|^2.
 
-    Exact over the rationals.  This is the norm invariant under the
-    unitary action on homogenisations, which is what makes condition
-    numbers comparable across the sphere.
+    Exact over the rationals, an mpf for complex coefficients.  This is
+    the norm invariant under the unitary action on homogenisations,
+    which is what makes condition numbers comparable across the sphere.
     """
     N = p.degree
     return sum(
-        c * c / math.comb(N, i) for i, c in enumerate(p.coeffs)
+        abs(c) ** 2 / math.comb(N, i) for i, c in enumerate(p.coeffs)
     )
 
 

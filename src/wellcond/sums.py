@@ -231,7 +231,7 @@ def sum_check_suite(
 
     R(M) for all 2 <= M <= max_m (exact), plus the recorded monotone
     chain R(5) <= R(4) <= R(3) <= R(2); tail sums on a representative
-    (ell, M) grid; the weighted sum and the harmonic sandwich for every
+    (ell, M) grid that always includes M = max_m; the weighted sum and the harmonic sandwich for every
     M up to max_m.
     """
     checks: list[SumCheck] = []
@@ -253,7 +253,7 @@ def sum_check_suite(
                 )
             )
     for M in range(3, max_m + 1):
-        if M <= 18 or M in (24, 32, 48, 64):
+        if M <= 18 or M in (24, 32, 48, 64) or M == max_m:
             for ell in _tail_grid(M):
                 checks.extend(tail_sum(ell, M, prec_bits))
     for M in range(1, max_m + 1):

@@ -1,0 +1,84 @@
+"""Brute-force references for the sphere layer, kept out of the package.
+
+Squared chordal distances between materialised points, the
+stereographic maps between the sphere and the complex plane, and a
+Gauss-Legendre x uniform-azimuth product rule for the numerator
+integral int_S prod_j |p - p_j|^2 dsigma, against which the closed form
+of ``wellcond.condition.numerator_integral_log`` is checked.
+"""
+
+import mpmath as mp
+
+from wellcond.numerics import gauss_legendre, to_mpf
+from wellcond.points import PointSet, SpherePoint
+
+
+def distance_sq(p: SpherePoint, q: SpherePoint) -> mp.mpf:
+    """|p - q|^2 from the coordinates."""
+    dx, dy, dz = p.x - q.x, p.y - q.y, p.z - q.z
+    return dx * dx + dy * dy + dz * dz
+
+
+def stereographic(p: SpherePoint) -> mp.mpc:
+    """Projection from the north pole to the equatorial complex plane.
+
+    (x, y, z) on S^2 maps to (x + i y)/(1 - z); a parallel of height h
+    maps to the circle of modulus rho(h) = sqrt((1+h)/(1-h)).
+    """
+    if p.z == 1:
+        raise ValueError("north pole has no stereographic image")
+    return mp.mpc(p.x, p.y) / (1 - p.z)
+
+
+def inverse_stereographic(z, prec_bits: int) -> SpherePoint:
+    """Inverse projection: complex z to the sphere point below it.
+
+    |z|^2 = t gives height (t-1)/(t+1); z = 0 is the south pole.
+    """
+    with mp.workprec(prec_bits):
+        z = mp.mpc(z)
+        t = z.real * z.real + z.imag * z.imag
+        denom = t + 1
+        return SpherePoint(x=2 * z.real / denom, y=2 * z.imag / denom, z=(t - 1) / denom)
+
+
+def product_rule_nodes(N: int) -> tuple[int, int]:
+    """(Gauss-Legendre, azimuth) node counts that integrate the degree-N
+    numerator exactly: after averaging over the azimuth the integrand is
+    a polynomial of degree N in the height (every parallel count is
+    even), and before it a trigonometric polynomial of degree N."""
+    return N // 2 + 1, N + 1
+
+
+def numerator_by_product_rule(point_set: PointSet, prec_bits: int) -> mp.mpf:
+    """log int_S prod_j |p - p_j|^2 dsigma by the exact product rule.
+
+    The product over the r points of one parallel at height h, seen from
+    a query point at height c and azimuth offset d, is
+    (x^r - y^r)^2 + 2 (xy)^r (1 - cos(r d)) with x^2 = (1-c)(1+h) and
+    y^2 = (1+c)(1-h).
+    """
+    n_gl, n_az = product_rule_nodes(point_set.N)
+    nodes, weights = gauss_legendre(n_gl, prec_bits)
+    parallels = point_set.parallels
+    with mp.workprec(prec_bits):
+        versines = [
+            [
+                2 * mp.sin(par.count * (mp.pi * m / n_az - par.phase / 2)) ** 2
+                for m in range(n_az)
+            ]
+            for par in parallels
+        ]
+        total = mp.mpf(0)
+        for c, w in zip(nodes, weights):
+            terms = []
+            for par in parallels:
+                h = to_mpf(par.height)
+                xr = mp.sqrt((1 - c) * (1 + h)) ** par.count
+                yr = mp.sqrt((1 + c) * (1 - h)) ** par.count
+                terms.append(((xr - yr) ** 2, 2 * xr * yr))
+            total += w * mp.fsum(
+                mp.fprod(gap + rim * row[m] for (gap, rim), row in zip(terms, versines))
+                for m in range(n_az)
+            ) / n_az
+        return mp.log(total / 2)

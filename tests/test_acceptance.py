@@ -102,15 +102,15 @@ def test_criterion_02_upper_bounds_and_certification(coeff_reports):
 
 
 def test_criterion_03_route_agreement(coeff_reports):
-    """Coefficient and spherical routes agree to relative 1e-6, M = 1..5."""
+    """Coefficient and spherical routes agree to relative 1e-6, M = 1..12."""
     worst = mp.mpf(0)
     with mp.workprec(PREC):
-        for M in range(1, 6):
+        for M in range(1, 13):
             sph = mu_max_spherical_route(M, PREC)
             rel = abs(coeff_reports[M].mu_max - sph.mu_max) / sph.mu_max
             worst = max(worst, rel)
             assert rel < mp.mpf("1e-6"), (M, rel)
-    say(f"criterion 3 PASS: route agreement M=1..5, worst rel diff {mp.nstr(worst, 3)}")
+    say(f"criterion 3 PASS: route agreement M=1..12, worst rel diff {mp.nstr(worst, 3)}")
 
 
 def test_criterion_04_lower_bound(coeff_reports):

@@ -238,17 +238,17 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
         (["generate", "--M", "1"], ["nan"], "1"),
         (["generate", "--M", "1..2"], {"2": [0.1]}, "1"),
         (["cond", "--M", "2", "--route", "both"], {"2": [0.1]}, "1"),
-        (["cond", "--M", "1", "--route", "sphere", "--margin", "-100"], None, "1"),
-        (["sweep", "--M", "1", "--route", "sphere", "--margin", "-100"], None, "1"),
+        (["generate", "--M", "2"], {"-1": [0.5, 0.5, 0.5]}, "1"),
+        (["cond", "--M", "2", "--route", "sphere"], {"0": [0.5, 0.5, 0.5]}, "1"),
         (["generate", "--M", "1"], None, "x"),
         (["cond", "--M", "1"], None, "x"),
         (["verify", "--M", "5"], None, "x"),
         (["sweep", "--M", "1"], None, "x"),
     ],
     ids=[
-        "nan-phase", "phase-count-generate", "phase-count-cond", "margin-cond",
-        "margin-sweep", "workers-generate", "workers-cond", "workers-verify",
-        "workers-sweep",
+        "nan-phase", "phase-count-generate", "phase-count-cond",
+        "phase-key-minus-1", "phase-key-0", "workers-generate", "workers-cond",
+        "workers-verify", "workers-sweep",
     ],
 )
 def test_rejected_input_creates_no_output_directory(
@@ -280,18 +280,6 @@ def test_uncreatable_out_exits_2(tmp_path, capsys, command):
     assert blocker.read_text() == ""
 
 
-def test_margin_without_quadrature_nodes_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(
-            ["cond", "--M", "1", "--route", "sphere", "--margin", "-100",
-             "--out", tmp_path]
-        )
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --margin -100") and err.count("\n") == 1
-    assert not list(tmp_path.iterdir())
-
-
 def test_verify_sums_max_below_1_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--M", "2", "--sums-max", "0", "--out", tmp_path])
@@ -299,27 +287,18 @@ def test_verify_sums_max_below_1_exits_2(tmp_path):
     assert not (tmp_path / "sum_checks.json").exists()
 
 
-def test_cond_route_disagreement_and_undersampling_exit_1(tmp_path, capsys):
-    # 7 x 25 quadrature nodes at M=3: the routes differ by about 1.8e-2
+def test_cond_route_disagreement_exits_1(tmp_path, capsys):
+    # the coefficient route ignores phases, so a phased family disagrees
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps([0.1, 0.7, -1.2]))
     rc = run(
-        ["cond", "--M", "3", "--route", "both", "--margin", "-12", "--out", tmp_path]
+        ["cond", "--M", "2", "--route", "both", "--phases", phases, "--out", tmp_path]
     )
     assert rc == 1
     out = capsys.readouterr().out
-    assert "M=3: spherical quadrature undersampled (7 x 25 nodes)" in out
-    assert "M=3: routes disagree: route_rel_diff=0.01789" in out
-    reports = read_json(tmp_path / "cond_M3.json")["reports"]
-    assert reports[1]["quadrature_undersampled"] is True
+    assert "M=2: routes disagree: route_rel_diff=0.03207987" in out
+    reports = read_json(tmp_path / "cond_M2.json")["reports"]
     assert all(v is True for r in reports for v in r["verdicts"].values())
-
-
-def test_sweep_undersampled_exits_1(tmp_path, capsys):
-    rc = run(
-        ["sweep", "--M", "2", "--route", "sphere", "--margin", "-4", "--out", tmp_path]
-    )
-    assert rc == 1
-    assert "M=2: spherical quadrature undersampled (5 x 13 nodes)" in capsys.readouterr().out
-    assert len(read_rows(tmp_path / "sweep.csv")) == 2
 
 
 def test_verify_empty_grid_exits_1(tmp_path, capsys):

@@ -19,6 +19,8 @@ from wellcond.condition import (
 )
 from wellcond.numerics import gauss_legendre, to_mpf
 from wellcond.points import SpherePoint, build_point_set
+from wellcond.polynomials import bombieri_norm_sq, canonical_polynomial, expand
+from sphere_oracle import distance_sq, numerator_by_product_rule, product_rule_nodes
 
 
 def brute_theta(r, h, c, dphi, prec):
@@ -95,7 +97,7 @@ def test_mu_max_m1_is_sqrt_2():
     assert rep.verdicts == {"le_N": True, "le_19half_sqrt": True, "ge_lower": True}
 
 
-@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("M", range(1, 13))
 def test_routes_agree(M):
     prec = 256
     a = mu_max_coefficient_route(M, prec)
@@ -128,8 +130,9 @@ def test_uniform_nonzero_phase_matches_zero_phase():
     """Rotating every parallel by the same angle changes no distance.
 
     The phased family goes through the radian-offset path of the point
-    coordinates and of the numerator quadrature, the zero-phase family
-    through the exact-turn path; they agree to rounding.
+    coordinates and the complex expansion of the numerator, the
+    zero-phase family through the exact-turn path and the exact rational
+    numerator; they agree to rounding.
     """
     prec = 256
     M = 2
@@ -147,30 +150,56 @@ def test_uniform_nonzero_phase_matches_zero_phase():
         assert abs(a.mu_max - b.mu_max) / a.mu_max < tol
 
 
-def test_numerator_integral_node_convergence():
-    """Doubling quadrature nodes beyond exactness leaves the value fixed."""
+PHASED = {
+    2: [0.1, 0.7, -1.2],
+    3: [0.1, 0.7, -1.2, 0.4, 2.0],
+    5: [0.3, -0.2, 1.1, 0.05, -2.5, 0.9, 0.0, 1.7, -0.4],
+}
+
+
+@pytest.mark.parametrize(
+    "M,phases",
+    [(M, None) for M in range(1, 7)] + [(M, PHASED[M]) for M in PHASED],
+    ids=[f"M{M}" for M in range(1, 7)] + [f"M{M}-phased" for M in PHASED],
+)
+def test_numerator_integral_matches_product_rule(M, phases):
+    """The closed form equals the exact product-rule quadrature."""
     prec = 256
-    ps = build_point_set(2, prec_bits=prec)
-    base = numerator_integral_log(ps, prec)
-    more = numerator_integral_log(ps, prec, node_margin=base.azimuth_nodes + 16)
-    assert more.gl_nodes >= 2 * base.gl_nodes
-    assert more.azimuth_nodes >= 2 * base.azimuth_nodes
-    assert not base.undersampled
+    ps = build_point_set(M, phases=phases, prec_bits=prec)
+    got = numerator_integral_log(ps, prec).log_value
+    want = numerator_by_product_rule(ps, prec)
     with mp.workprec(prec):
-        assert abs(base.log_value - more.log_value) < mp.mpf(2) ** -(prec - 32)
+        assert abs(got - want) < mp.mpf(2) ** -(prec - 16)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_numerator_integral_zero_phase_is_exact_rational(M):
+    """I = 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)), rounded once;
+    at M = 1, f = z^4 - 1 on the equator gives 4^4 * 2 / (5 * 2^4)."""
+    prec = 256
+    ps = build_point_set(M, prec_bits=prec)
+    N = ps.N
+    exact = Fraction(4**N, N + 1) * bombieri_norm_sq(expand(canonical_polynomial(M)))
+    for par in ps.parallels:
+        rho_sq = (1 + par.height) / (1 - par.height)
+        exact /= (1 + rho_sq) ** par.count
+    if M == 1:
+        assert exact == Fraction(32, 5)
+    with mp.workprec(prec):
+        assert numerator_integral_log(ps, prec).log_value == mp.log(to_mpf(exact))
 
 
 def test_numerator_integral_matches_point_quadrature_with_phases():
-    """The Theta-form integrand equals the product over materialised points.
+    """The closed form equals the product rule over materialised points.
 
-    Distinct phases make the azimuth offsets of the modulation table
-    matter; the same product rule is applied to the coordinates.
+    Distinct phases make the complex shifts of the expansion matter; the
+    integrand is the product of squared distances to the coordinates.
     """
     prec = 192
     ps = build_point_set(2, phases=[0.1, 0.7, -1.2], prec_bits=prec)
     num = numerator_integral_log(ps, prec)
-    nodes, weights = gauss_legendre(num.gl_nodes, prec)
-    n_az = num.azimuth_nodes
+    n_gl, n_az = product_rule_nodes(ps.N)
+    nodes, weights = gauss_legendre(n_gl, prec)
     pts = [p for _, _, p in ps.all_points()]
     with mp.workprec(prec):
         acc = mp.mpf(0)
@@ -179,16 +208,8 @@ def test_numerator_integral_matches_point_quadrature_with_phases():
             for m in range(n_az):
                 a = 2 * mp.pi * m / n_az
                 q = SpherePoint(rho * mp.cos(a), rho * mp.sin(a), c)
-                acc += w * mp.fprod(q.distance_sq(p) for p in pts) / n_az
+                acc += w * mp.fprod(distance_sq(q, p) for p in pts) / n_az
         assert abs(mp.log(acc / 2) - num.log_value) < mp.mpf(2) ** -(prec - 24)
-
-
-def test_undersampled_flag_raised_below_exactness():
-    ps = build_point_set(2, prec_bits=192)
-    rep = numerator_integral_log(ps, 192, node_margin=-5)
-    assert (rep.gl_nodes, rep.azimuth_nodes) == (4, 12)
-    assert rep.undersampled
-    assert not numerator_integral_log(ps, 192, node_margin=0).undersampled
 
 
 def test_point_gap_product_matches_brute_force():

@@ -31,6 +31,7 @@ from wellcond.points import (
     build_parallels,
     build_point_set,
 )
+from sphere_oracle import distance_sq
 
 
 def pairwise_log_energy(points, prec):
@@ -39,7 +40,7 @@ def pairwise_log_energy(points, prec):
         acc = mp.mpf(0)
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
-                d2 = points[i].distance_sq(points[j])
+                d2 = distance_sq(points[i], points[j])
                 acc += mp.log(d2) if d2 > 0 else mp.mpf("-inf")
         # sum_{i != j} log 1/|p_i - p_j| = -sum_{i < j} log |p_i - p_j|^2
         return -acc

@@ -12,8 +12,6 @@ from wellcond.numerics import (
     fraction_from_mpf,
     frac_str,
     gauss_legendre,
-    log_dot_exp,
-    log_sum_exp,
     to_fraction,
     to_mpf,
 )
@@ -65,24 +63,6 @@ def test_cos_pi_fraction_interval_clamped_to_unit():
     assert lo == hi == 1
     lo, hi = cos_pi_fraction_interval(Fraction(12345, 12346), 64)
     assert -1 <= lo <= hi <= 1
-
-
-def test_log_sum_exp_matches_direct_sum():
-    with mp.workprec(256):
-        vals = [mp.log(mp.mpf(3)), mp.log(mp.mpf(5)), mp.log(mp.mpf(11))]
-        got = log_sum_exp(vals)
-        assert abs(got - mp.log(mp.mpf(19))) < mp.mpf(2) ** -240
-        assert log_sum_exp([]) == mp.mpf("-inf")
-        assert log_sum_exp([mp.mpf("-inf"), mp.log(mp.mpf(2))]) == mp.log(mp.mpf(2))
-
-
-def test_log_dot_exp_applies_weights():
-    """log-weights [log 3, log 1/2] on terms [log 2, log 4] -> log 8."""
-    with mp.workprec(256):
-        lw = [mp.log(mp.mpf(3)), mp.log(mp.mpf("0.5"))]
-        lt = [mp.log(mp.mpf(2)), mp.log(mp.mpf(4))]
-        got = log_dot_exp(lw, lt)
-        assert abs(got - mp.log(mp.mpf(8))) < mp.mpf(2) ** -240
 
 
 @pytest.mark.parametrize("n", [2, 6, 17])

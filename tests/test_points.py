@@ -11,9 +11,8 @@ from wellcond.points import (
     build_bands,
     build_parallels,
     build_point_set,
-    inverse_stereographic,
-    stereographic,
 )
+from sphere_oracle import inverse_stereographic, stereographic
 
 
 def band_of(q, bands):

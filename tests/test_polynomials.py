@@ -175,3 +175,6 @@ def test_factor_validation():
         Factor(0, Fraction(1))
     with pytest.raises(ValueError):
         Factor(4, Fraction(-2))
+    with pytest.raises(ValueError):
+        Factor(4, mp.mpc(-2, 0))
+    assert Factor(4, mp.mpc(1, 1)).shift == mp.mpc(1, 1)  # a rotated factor

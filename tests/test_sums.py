@@ -121,6 +121,16 @@ def test_suite_all_checks_pass():
     } <= ids
 
 
+def test_suite_tail_grid_reaches_max_m():
+    """--sums-max past the fixed grid still checks tail sums at max_m."""
+    tails = [
+        c for c in sum_check_suite(80)
+        if c.check_id.startswith("tail_") and c.params["M"] == 80
+    ]
+    assert len(tails) == 12
+    assert all(c.passed for c in tails)
+
+
 def test_check_serialization_round_trip():
     check = r_sum(2)[0]
     d = check.to_json_dict()
