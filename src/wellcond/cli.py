@@ -8,12 +8,12 @@ Subcommands
 * ``verify``   — run every inequality suite plus the sum checks; a
   suite whose hypothesis M does not meet is refused, or with
   --informational run ungated.
-* ``sweep``    — one row per M with mu_max, its normalized ratio, the
-  energy residual, and runtimes; plot-ready CSV.
+* ``sweep``    — one row per M with mu_max, its normalized ratio and the
+  energy residual; plot-ready CSV, runtimes on stderr only.
 
-Outputs are deterministic for a fixed configuration and seed (runtime
-columns in sweeps excepted); files are written atomically; the process
-exits 0 only if every gated check passed.  The environment variable
+Outputs are deterministic for a fixed configuration and seed; files are
+written atomically; the process exits 0 only if every gated check
+passed.  The environment variable
 ``WELLCOND_WORKERS`` sets the number of processes used across M values.
 """
 
@@ -46,15 +46,7 @@ from .sums import sum_check_suite
 
 ROUTE_TOLERANCE = 1e-6  # largest relative mu_max gap between routes that passes
 
-SWEEP_HEADER = [
-    "M",
-    "N",
-    "mu_max",
-    "mu_ratio_sqrt_np1",
-    "energy_residual",
-    "cond_seconds",
-    "energy_seconds",
-]
+SWEEP_HEADER = ["M", "N", "mu_max", "mu_ratio_sqrt_np1", "energy_residual"]
 
 
 # ----------------------------------------------------------------------
@@ -158,18 +150,15 @@ def _phases_for(overrides: dict[int, list[str]] | None, M: int, prec_bits: int):
         return [mp.mpf(v) for v in raw]
 
 
-def _prepare(args, phased: bool = False):
+def _prepare(args):
     """Validate every input, then create --out.
 
     Returns (output directory, {M: phases or None}, worker count).
-    `phased` checks the phase overrides against each M; input rejected
-    here exits 2 and leaves no directory behind.
+    Input rejected here exits 2 and leaves no directory behind.
     """
     table = _load_phases_file(getattr(args, "phases", None))
     workers = _worker_count(len(args.M))
-    phases = {
-        M: _phases_for(table, M, args.precision) if phased else None for M in args.M
-    }
+    phases = {M: _phases_for(table, M, args.precision) for M in args.M}
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -278,7 +267,7 @@ def _generate_one(prec: int, phases: dict, fmt: str, M: int) -> dict:
 
 
 def cmd_generate(args) -> int:
-    outdir, phases, workers = _prepare(args, phased=True)
+    outdir, phases, workers = _prepare(args)
     config = _config_block(args, "generate")
     worker = functools.partial(_generate_one, args.precision, phases, args.format)
     for payload in _map_over_m(worker, args.M, workers):
@@ -389,7 +378,9 @@ COND_HEADER = [
 
 
 def cmd_cond(args) -> int:
-    outdir, phases, workers = _prepare(args, phased=args.route != "coeff")
+    if args.phases and (args.route != "sphere" or args.certify):
+        raise InputError("--phases applies only to --route sphere without --certify")
+    outdir, phases, workers = _prepare(args)
     config = _config_block(args, "cond")
     worker = functools.partial(
         _cond_one, args.precision, args.route, args.certify, phases
@@ -533,11 +524,9 @@ def _sweep_one(prec: int, route: str, M: int) -> dict:
             "mu_max": fmt_real(rep.mu_max),
             "mu_ratio_sqrt_np1": fmt_real(ratio),
             "energy_residual": fmt_real(erep.residual),
-            "cond_seconds": f"{cond_dt:.3f}",
-            "energy_seconds": f"{energy_dt:.3f}",
         }
     gated_ok = all(v is True for v in rep.verdicts.values())
-    return {"M": M, "row": row, "gated_ok": gated_ok}
+    return {"M": M, "row": row, "seconds": (cond_dt, energy_dt), "gated_ok": gated_ok}
 
 
 def cmd_sweep(args) -> int:
@@ -550,10 +539,10 @@ def cmd_sweep(args) -> int:
     for payload in payloads:
         all_ok &= payload["gated_ok"]
         r = payload["row"]
-        rows.append([str(r["M"]), str(r["N"])] + [r[k] for k in SWEEP_HEADER[2:]])
+        rows.append([str(r[k]) for k in SWEEP_HEADER])
         print(
             f"M={r['M']} N={r['N']} mu_max={_short(r['mu_max'])} "
-            f"({r['cond_seconds']}s cond, {r['energy_seconds']}s energy)",
+            "({:.3f}s cond, {:.3f}s energy)".format(*payload["seconds"]),
             file=sys.stderr,
         )
     if args.format == "json":

@@ -68,15 +68,13 @@ from .numerics import (
 )
 from .points import PointSet, build_point_set
 from .polynomials import (
-    Factor,
-    FactorizedPolynomial,
     MultipleRootError,
     RootDerivative,
     bombieri_norm_sq,
-    canonical_factor_parallel,
     canonical_polynomial,
     derivative_modulus_at_root,
     expand,
+    family_polynomial,
     root_derivative_data,
 )
 
@@ -277,27 +275,17 @@ def numerator_integral_log(
 ) -> NumeratorIntegral:
     """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family.
 
-    Evaluates 4^N ||f||^2 / ((N+1) prod_k (2/(1-h_k))^(r_k)), with
-    1 + rho_k^2 = 2/(1-h_k), for the monic f whose roots project to the
-    points.  Rotating parallel k by phi_k multiplies the shift of its
-    factor by exp(i r_k phi_k); with every phase 0 the value is an exact
-    rational, rounded once.
+    Evaluates 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)) for the
+    f and the weights 1/(1 + rho_k^2) of polynomials.family_polynomial;
+    with every phase 0 the value is an exact rational, rounded once.
     """
     check_precision(prec_bits)
-    M, N = point_set.M, point_set.N
-    phases = [par.phase for par in point_set.parallels]
+    N = point_set.N
     with mp.workprec(prec_bits):
-        f = canonical_polynomial(M)
-        if any(phases):
-            f = FactorizedPolynomial(tuple(
-                Factor(fac.power, fac.shift * mp.expj(
-                    fac.power * phases[canonical_factor_parallel(M, k) - 1]
-                ))
-                for k, fac in enumerate(f.factors)
-            ))
+        f, weights = family_polynomial(point_set)
         scale = Fraction(4**N, N + 1)
-        for par in point_set.parallels:
-            scale *= ((1 - par.height) / 2) ** par.count
+        for fac, w in zip(f.factors, weights):
+            scale *= w**fac.power
         value = to_mpf(scale * bombieri_norm_sq(expand(f)))
         return NumeratorIntegral(log_value=mp.log(value))
 

@@ -8,6 +8,16 @@ to be compared with kappa N^2 - (N/2) log N where
 
     kappa = 1/2 - log 2 = - int_S int_S log|p - q| dsigma dsigma.
 
+For the family, E is an identity in the monic f = prod_k (z^(r_k) - s_k)
+whose roots z_i project to the points: by the chordal distance
+|p_i - p_j|^2 = 4 |z_i - z_j|^2 / ((1+|z_i|^2)(1+|z_j|^2)),
+
+    -E = N(N-1) log 2 + log|Disc f| - (N-1) sum_k r_k log(1 + rho_k^2),
+
+with |Disc(z^r - s)| = r^r |s|^(r-1) and |Res(z^r - a, z^q - b)| =
+|a^(q/g) - b^(r/g)|^g, g = gcd(r, q) (Shub & Smale, Complexity of
+Bezout's theorem III).
+
 The workhorse quantities, for a query point q at height c:
 
 * expected_log_parallel(t, c): the average of log|p - q| over the
@@ -44,6 +54,7 @@ radian offset, as in condition.theta_product_log_turn.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,6 +72,7 @@ from .numerics import (
     to_mpf,
 )
 from .points import Band, PointSet, build_parallels, build_point_set
+from .polynomials import family_polynomial
 
 HYPOTHESIS_MIN_M = 5  # the smallest M the sharpened bounds are proved for
 
@@ -75,8 +87,8 @@ def kappa(prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
         return mp.mpf(1) / 2 - mp.log(2)
 
 
-def _log_of(v: Fraction) -> mp.mpf:
-    """log of an exact rational, -inf at zero."""
+def _log_of(v: Fraction | mp.mpf) -> mp.mpf:
+    """log of an exact rational (rounded once) or an mpf, -inf at zero."""
     if v < 0:
         raise ValueError(f"log of negative value {v}")
     if v == 0:
@@ -305,39 +317,32 @@ class EnergyReport:
     N: int
     precision_bits: int
     energy: mp.mpf
-    kappa_n_sq: mp.mpf
-    half_n_log_n: mp.mpf
     residual: mp.mpf
 
 
 def log_energy(point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> EnergyReport:
-    """E(P) = sum_{i != j} log 1/|p_i - p_j|.
-
-    Sums the closed-form within-parallel products plus Theta products
-    across parallels over every family point.  Coincident points give
-    E = +inf.
+    """E(P) = sum_{i != j} log 1/|p_i - p_j| by the identity of the module
+    docstring for the f of polynomials.family_polynomial, with |Disc f| =
+    prod_k r_k^(r_k) |s_k|^(r_k - 1) prod_{k<l} |s_k^(r_l/g) - s_l^(r_k/g)|^(2g):
+    one log per factor and per factor pair, each of an exact rational
+    (zero phases) or an mpc modulus (phased), rounded once.
     """
     check_precision(prec_bits)
-    N, M = point_set.N, point_set.M
+    N = point_set.N
     with mp.workprec(prec_bits):
-        total = mp.mpf(0)
-        for par in point_set.parallels:
-            for k in range(par.count):
-                total += point_gap_product_log(point_set, par.index, k, prec_bits)
+        f, weights = family_polynomial(point_set)  # weights 1/(1 + rho_k^2)
+        total = N * (N - 1) * mp.log(2)
+        for fac, w in zip(f.factors, weights):
+            r = fac.power
+            total += _log_of(r**r * abs(fac.shift) ** (r - 1)) + (N - 1) * r * _log_of(w)
+        for k, a in enumerate(f.factors):
+            for b in f.factors[k + 1 :]:
+                g = math.gcd(a.power, b.power)
+                diff = a.shift ** (b.power // g) - b.shift ** (a.power // g)
+                total += 2 * g * _log_of(abs(diff))
         energy = -total
-        kap = kappa(prec_bits)
-        kn2 = kap * N * N
-        hnln = mp.mpf(N) / 2 * mp.log(N)
-        residual = (energy - kn2 + hnln) / N
-    return EnergyReport(
-        M=M,
-        N=N,
-        precision_bits=prec_bits,
-        energy=energy,
-        kappa_n_sq=kn2,
-        half_n_log_n=hnln,
-        residual=residual,
-    )
+        residual = (energy - kappa(prec_bits) * N * N + mp.mpf(N) / 2 * mp.log(N)) / N
+    return EnergyReport(point_set.M, N, prec_bits, energy, residual)
 
 
 # ----------------------------------------------------------------------

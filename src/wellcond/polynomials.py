@@ -32,7 +32,7 @@ from .numerics import (
     frac_str,
     to_mpf,
 )
-from .points import build_parallels
+from .points import PointSet, build_parallels
 
 
 class MultipleRootError(ValueError):
@@ -162,6 +162,23 @@ def canonical_factor_parallel(M: int, factor_index: int) -> int:
     if not 1 <= j <= M - 1:
         raise ValueError(f"factor index {factor_index} out of range for M={M}")
     return j if factor_index % 2 == 1 else 2 * M - j
+
+
+def family_polynomial(point_set: PointSet) -> tuple[FactorizedPolynomial, tuple[Fraction, ...]]:
+    """The monic f whose roots project to the points, and the exact
+    weights 1/(1 + rho_k^2) = (1 - h_k)/2 in factor order.  Rotating the
+    parallel of factor k by phi_k multiplies its shift by exp(i r_k phi_k),
+    an mpc at the working precision; with every phase 0 f stays exact.
+    """
+    M = point_set.M
+    f = canonical_polynomial(M)
+    pars = [point_set.parallels[canonical_factor_parallel(M, k) - 1] for k in range(len(f.factors))]
+    if any(par.phase for par in pars):
+        f = FactorizedPolynomial(tuple(
+            Factor(fac.power, fac.shift * mp.expj(fac.power * par.phase))
+            for fac, par in zip(f.factors, pars)
+        ))
+    return f, tuple((1 - par.height) / 2 for par in pars)
 
 
 def expand(f: FactorizedPolynomial) -> DensePolynomial:

@@ -1,14 +1,18 @@
 """Brute-force references for the sphere layer, kept out of the package.
 
 Squared chordal distances between materialised points, the
-stereographic maps between the sphere and the complex plane, and a
+stereographic maps between the sphere and the complex plane, a
 Gauss-Legendre x uniform-azimuth product rule for the numerator
 integral int_S prod_j |p - p_j|^2 dsigma, against which the closed form
-of ``wellcond.condition.numerator_integral_log`` is checked.
+of ``wellcond.condition.numerator_integral_log`` is checked, and the
+logarithmic energy as a sum of gap products over every point, against
+which the discriminant identity of ``wellcond.energy.log_energy`` is
+checked.
 """
 
 import mpmath as mp
 
+from wellcond.condition import point_gap_product_log
 from wellcond.numerics import gauss_legendre, to_mpf
 from wellcond.points import PointSet, SpherePoint
 
@@ -17,6 +21,18 @@ def distance_sq(p: SpherePoint, q: SpherePoint) -> mp.mpf:
     """|p - q|^2 from the coordinates."""
     dx, dy, dz = p.x - q.x, p.y - q.y, p.z - q.z
     return dx * dx + dy * dy + dz * dz
+
+
+def energy_by_gap_products(point_set: PointSet, prec_bits: int) -> mp.mpf:
+    """E = -sum over every point p of log prod_{q != p} |p - q|: one
+    within-parallel closed form plus a Theta product per other parallel
+    at each of the N points."""
+    with mp.workprec(prec_bits):
+        total = mp.mpf(0)
+        for par in point_set.parallels:
+            for k in range(par.count):
+                total += point_gap_product_log(point_set, par.index, k, prec_bits)
+        return -total
 
 
 def stereographic(p: SpherePoint) -> mp.mpc:

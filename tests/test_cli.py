@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: files, formats, gating, determinism."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from wellcond import cli
 from wellcond.cli import main
 
 
@@ -132,7 +134,7 @@ def test_workers_do_not_change_output(tmp_path, monkeypatch):
 def test_sweep_rows_and_bounds(tmp_path, capsys):
     assert run(["sweep", "--M", "1..3", "--out", tmp_path]) == 0
     rows = read_rows(tmp_path / "sweep.csv")
-    assert rows[0][:5] == [
+    assert rows[0] == [
         "M",
         "N",
         "mu_max",
@@ -160,11 +162,15 @@ def test_reversed_m_range_exits_2(tmp_path, capsys, command):
 
 
 def test_sweep_runtime_columns_excluded_from_determinism(tmp_path):
+    # runtimes go to stderr only, so whole sweep files repeat byte for byte
     a, b = tmp_path / "a", tmp_path / "b"
-    run(["sweep", "--M", "1..2", "--out", a])
-    run(["sweep", "--M", "1..2", "--out", b])
-    strip = lambda p: [row[:5] for row in read_rows(p)]
-    assert strip(a / "sweep.csv") == strip(b / "sweep.csv")
+    for fmt in ("csv", "json"):
+        run(["sweep", "--M", "1..2", "--format", fmt, "--out", a])
+        run(["sweep", "--M", "1..2", "--format", fmt, "--out", b])
+        name = f"sweep.{fmt}"
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert "seconds" not in (a / "sweep.csv").read_text()
+    assert all("seconds" not in row for row in read_json(a / "sweep.json")["rows"])
 
 
 def test_phases_file_applies_to_sphere_route(tmp_path):
@@ -237,7 +243,10 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
     [
         (["generate", "--M", "1"], ["nan"], "1"),
         (["generate", "--M", "1..2"], {"2": [0.1]}, "1"),
-        (["cond", "--M", "2", "--route", "both"], {"2": [0.1]}, "1"),
+        (["cond", "--M", "2", "--route", "sphere"], {"2": [0.1]}, "1"),
+        (["cond", "--M", "2", "--route", "coeff"], [0.1, 0.7, -1.2], "1"),
+        (["cond", "--M", "2", "--route", "both"], [0.1, 0.7, -1.2], "1"),
+        (["cond", "--M", "2", "--route", "sphere", "--certify"], [0.1, 0.7, -1.2], "1"),
         (["generate", "--M", "2"], {"-1": [0.5, 0.5, 0.5]}, "1"),
         (["cond", "--M", "2", "--route", "sphere"], {"0": [0.5, 0.5, 0.5]}, "1"),
         (["generate", "--M", "1"], None, "x"),
@@ -247,6 +256,7 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
     ],
     ids=[
         "nan-phase", "phase-count-generate", "phase-count-cond",
+        "phases-route-coeff", "phases-route-both", "phases-certify",
         "phase-key-minus-1", "phase-key-0", "workers-generate", "workers-cond",
         "workers-verify", "workers-sweep",
     ],
@@ -287,16 +297,19 @@ def test_verify_sums_max_below_1_exits_2(tmp_path):
     assert not (tmp_path / "sum_checks.json").exists()
 
 
-def test_cond_route_disagreement_exits_1(tmp_path, capsys):
-    # the coefficient route ignores phases, so a phased family disagrees
-    phases = tmp_path / "ph.json"
-    phases.write_text(json.dumps([0.1, 0.7, -1.2]))
-    rc = run(
-        ["cond", "--M", "2", "--route", "both", "--phases", phases, "--out", tmp_path]
-    )
+def test_cond_route_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    # a spherical route that doubles mu_max disagrees by 1/2
+    spherical = cli.mu_max_spherical_route
+
+    def doubled(*args, **kwargs):
+        rep = spherical(*args, **kwargs)
+        return dataclasses.replace(rep, mu_max=2 * rep.mu_max)
+
+    monkeypatch.setattr(cli, "mu_max_spherical_route", doubled)
+    rc = run(["cond", "--M", "2", "--route", "both", "--out", tmp_path])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "M=2: routes disagree: route_rel_diff=0.03207987" in out
+    assert "M=2: routes disagree: route_rel_diff=0.5 " in out
     reports = read_json(tmp_path / "cond_M2.json")["reports"]
     assert all(v is True for r in reports for v in r["verdicts"].values())
 

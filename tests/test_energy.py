@@ -31,7 +31,7 @@ from wellcond.points import (
     build_parallels,
     build_point_set,
 )
-from sphere_oracle import distance_sq
+from sphere_oracle import distance_sq, energy_by_gap_products
 
 
 def pairwise_log_energy(points, prec):
@@ -197,15 +197,44 @@ def test_energy_m1_exact_minus_8_log2():
         assert abs(rep.energy - (-8 * mp.log(2))) < mp.mpf("1e-12")
 
 
-@pytest.mark.parametrize("M", [1, 2, 3])
-def test_energy_parallel_vs_pairwise(M):
+def assert_energy_close(got, want, prec):
+    """Relative agreement to 2^-(prec - 16)."""
+    with mp.workprec(prec):
+        assert abs(got - want) <= mp.ldexp(abs(want), 16 - prec), (got, want)
+
+
+@pytest.mark.parametrize(
+    "M,phases",
+    [(1, None), (2, None), (3, None), (4, None),
+     (2, [0.1, 0.7, -1.2]), (3, [0.1, 0.7, -1.2, 0.4, 2.0])],
+    ids=["1", "2", "3", "4", "2-phased", "3-phased"],
+)
+def test_energy_parallel_vs_pairwise(M, phases):
+    """The discriminant identity against the sum over coordinate pairs."""
     prec = 256
-    ps = build_point_set(M, prec_bits=prec)
+    ps = build_point_set(M, phases=phases, prec_bits=prec)
     a = log_energy(ps, prec)
     b = pairwise_log_energy([p for _, _, p in ps.all_points()], prec)
-    with mp.workprec(prec):
-        assert abs(a.energy - b) < mp.mpf("1e-25")
+    assert_energy_close(a.energy, b, prec)
     assert a.residual is not None and a.N == 4 * M * M
+
+
+@pytest.mark.parametrize("M", [5, 6, 7, 8])
+def test_energy_matches_gap_product_sum(M):
+    prec = 256
+    ps = build_point_set(M, prec_bits=prec)
+    assert_energy_close(log_energy(ps, prec).energy, energy_by_gap_products(ps, prec), prec)
+
+
+def test_log_energy_forms_no_distance_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("log_energy formed a distance product")
+
+    monkeypatch.setattr(energy, "point_gap_product_log", forbidden)
+    monkeypatch.setattr(energy, "theta_product_log_turn", forbidden)
+    prec = 256
+    ps = build_point_set(6, prec_bits=prec)
+    assert_energy_close(log_energy(ps, prec).energy, energy_by_gap_products(ps, prec), prec)
 
 
 GENERAL_LEMMAS = [
