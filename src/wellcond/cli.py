@@ -507,13 +507,13 @@ def cmd_verify(args) -> int:
 
 def _sweep_one(prec: int, route: str, M: int) -> dict:
     t0 = time.perf_counter()
+    ps = build_point_set(M, prec_bits=prec)  # for the spherical route and the energy
     if route == "sphere":
-        rep = mu_max_spherical_route(M, prec)
+        rep = mu_max_spherical_route(M, prec, point_set=ps)
     else:
         rep = mu_max_coefficient_route(M, prec)
     cond_dt = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ps = build_point_set(M, prec_bits=prec)
     erep = log_energy(ps, prec)
     energy_dt = time.perf_counter() - t0
     with mp.workprec(prec):

@@ -46,7 +46,12 @@ uniformly spaced points at height h; the two-term form is a sum of
 non-negative terms, so it never cancels.  The offset is passed as an
 exact turn t (a multiple of pi) plus a radian offset phi, and the
 versine is evaluated as 1 - cos(r (pi t + phi)) = 2 sin^2(r (pi t + phi)/2),
-exactly zero at a coincidence when phi = 0.
+exactly zero at a coincidence when phi = 0.  (gap, rim) depends only on
+the parallel and the query height, the versine only on the parallel and
+the turn, so theta_product_log_turn evaluates a whole grid of heights x
+turns against one parallel: (gap, rim) per (parallel, height), versine
+per (parallel, turn), one log per cell; point_gap_product_log takes
+every requested azimuth of one parallel in one call.
 """
 
 from __future__ import annotations
@@ -231,21 +236,28 @@ def _theta_terms(r: int, h, c, prec_bits: int) -> tuple[mp.mpf, mp.mpf]:
 def theta_product_log_turn(
     r: int,
     h,
-    c,
-    turn: Fraction,
+    heights: Sequence,
+    turns: Sequence,
     prec_bits: int = DEFAULT_PREC_BITS,
     offset=0,
-) -> mp.mpf:
-    """log Theta at azimuth offset pi * turn + offset (radians).
+) -> list[list[mp.mpf]]:
+    """log Theta for every query height c in `heights` and azimuth offset
+    pi * turn + offset (radians), turn in `turns`: row i, column m is
+    (heights[i], turns[m]).
 
-    With a zero offset, rational turns keep coincidences exact: the
-    result is -inf precisely when the query point equals a parallel
-    point.
+    (gap, rim) is formed once per height, the versine once per turn, and
+    each cell takes one log.  With a zero offset, rational turns keep
+    coincidences exact: a cell is -inf precisely when the query point
+    equals a parallel point.
     """
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
-        gap, rim = _theta_terms(r, h, c, prec_bits)
-        return mp.log(gap + rim * _versine(r, turn, offset))
+        versines = [_versine(r, Fraction(turn), offset) for turn in turns]
+        rows = []
+        for c in heights:
+            gap, rim = _theta_terms(r, h, c, prec_bits)
+            rows.append([mp.log(gap + rim * v) for v in versines])
+        return rows
 
 
 def parallel_self_product_log(
@@ -293,45 +305,51 @@ def numerator_integral_log(
 def point_gap_product_log(
     point_set: PointSet,
     parallel_index: int,
-    azimuth: int,
+    azimuths: Sequence[int],
     prec_bits: int = DEFAULT_PREC_BITS,
-) -> mp.mpf:
-    """log prod over all other family points of |p - p_other|.
+) -> list[mp.mpf]:
+    """log prod over all other family points of |p - p_other|, for the
+    point p of azimuth index k on the given parallel, each k in `azimuths`.
 
-    Splits into the closed-form product within the point's own parallel
-    and a Theta product per other parallel.
+    Splits into the closed-form product within the point's own parallel,
+    formed once, and one Theta row per other parallel: (gap, rim) once
+    per pair of parallels, the versine once per point.
     """
     check_precision(prec_bits)
     parallels = point_set.parallels
     own = parallels[parallel_index - 1]
     if own.index != parallel_index:
         raise ValueError("parallel list is not indexed contiguously")
+    turns = [Fraction(2 * k, own.count) for k in azimuths]
     with mp.workprec(prec_bits):
-        total = parallel_self_product_log(own.count, own.height, prec_bits)
-        own_turn = Fraction(2 * azimuth, own.count)
+        own_log = parallel_self_product_log(own.count, own.height, prec_bits)
+        totals = [own_log] * len(turns)
         for par in parallels:
             if par.index == parallel_index:
                 continue
-            total += theta_product_log_turn(
-                par.count, par.height, own.height, own_turn, prec_bits,
+            (row,) = theta_product_log_turn(
+                par.count, par.height, [own.height], turns, prec_bits,
                 own.phase - par.phase,
-            ) / 2
-        return total
+            )
+            totals = [total + lg / 2 for total, lg in zip(totals, row)]
+        return totals
 
 
 def mu_max_spherical_route(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     phases: Sequence | None = None,
+    point_set: PointSet | None = None,
 ) -> ConditionReport:
     """Spherical-route mu_max for the family of parameter M.
 
     A family with every phase 0 and every count divisible by 4 is
     invariant under the quarter turn, so only the azimuth
     representatives k < r/4 are evaluated there; the reduction never
-    changes the maximum.
+    changes the maximum.  `point_set` is the family of M with `phases`
+    at prec_bits when the caller has built it already.
     """
-    point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
+    point_set = point_set or build_point_set(M, phases=phases, prec_bits=prec_bits)
     num = numerator_integral_log(point_set, prec_bits)
     N = point_set.N
     reducible = all(
@@ -346,9 +364,10 @@ def mu_max_spherical_route(
         )
         for par in point_set.parallels:
             ks = range(par.count // 4) if reducible else range(par.count)
-            for k in ks:
-                gap_log = point_gap_product_log(point_set, par.index, k, prec_bits)
-                per_root.append((f"p{par.index}.k{k}", base - gap_log))
+            gap_logs = point_gap_product_log(point_set, par.index, ks, prec_bits)
+            per_root += [
+                (f"p{par.index}.k{k}", base - gap_log) for k, gap_log in zip(ks, gap_logs)
+            ]
         log_mu_max = max(lm for _, lm in per_root)
         mu_max = mp.exp(log_mu_max)
         verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)

@@ -45,6 +45,16 @@ family point) to the whole family.  SUITES declares each verify_*
 function's lemmas and hypothesis; verification_suite alone refuses or
 gates by it.
 
+The suites form each transcendental value once per index it depends
+on: log(1 +- u) and the antiderivatives once per height (a parallel, a
+probe or a band edge), each band's window constants once, and the
+distance products through the Theta grids of
+condition.theta_product_log_turn, (gap, rim) per (parallel, height) and
+the versine per (parallel, turn).  Every cell comes out of the same
+operations in the same order as the one-pair forms: expected_log_parallel,
+band_integral, comparison_{inside,outside}_margin and s_n evaluate the
+same core for a single pair.
+
 Heights (t, h, c, eps) are exact rationals: every public function here
 converts its height arguments once at entry with numerics.to_fraction,
 so an int, float or mpf input gives the same bits as the equal
@@ -96,6 +106,42 @@ def _log_of(v: Fraction | mp.mpf) -> mp.mpf:
     return mp.log(to_mpf(v))
 
 
+@dataclass(frozen=True)
+class _Height:
+    """An exact height u in [-1, 1] with its logs and antiderivatives at
+    the working precision, each log rounded once (-inf at a pole):
+
+        log_p = log(1 + u),  anti_p = (1+u) log(1+u) - u = int log(1+t) dt,
+        log_m = log(1 - u),  anti_m = -(1-u) log(1-u) - u = int log(1-t) dt,
+
+    the antiderivatives taking their continuous values 1 at u = -1 and
+    -1 at u = 1.
+    """
+
+    u: Fraction
+    log_p: mp.mpf
+    log_m: mp.mpf
+    anti_p: mp.mpf
+    anti_m: mp.mpf
+
+
+def _height(u) -> _Height:
+    u = to_fraction(u)
+    if not -1 <= u <= 1:
+        raise ValueError(f"height {u} must lie in [-1, 1]")
+    wp, wm = to_mpf(1 + u), to_mpf(1 - u)
+    log_p, log_m = mp.log(wp), mp.log(wm)  # -inf at 0
+    anti_p = mp.mpf(1) if u == -1 else wp * log_p - (wp - 1)
+    anti_m = mp.mpf(-1) if u == 1 else -wm * log_m - (1 - wm)
+    return _Height(u, log_p, log_m, anti_p, anti_m)
+
+
+def _expected_log(t: _Height, c: _Height) -> mp.mpf:
+    if t.u >= c.u:
+        return (t.log_p + c.log_m) / 2
+    return (t.log_m + c.log_p) / 2
+
+
 def expected_log_parallel(t, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     """Average of log|p - q| over the parallel at height t, query at c.
 
@@ -103,31 +149,75 @@ def expected_log_parallel(t, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     t = c.  Can be -inf only in the degenerate cases t = c = +-1.
     """
     check_precision(prec_bits)
-    t, c = to_fraction(t), to_fraction(c)
     with mp.workprec(prec_bits):
-        if t >= c:
-            a, b = 1 + t, 1 - c
-        else:
-            a, b = 1 - t, 1 + c
-        return (_log_of(a) + _log_of(b)) / 2
+        return _expected_log(_height(t), _height(c))
 
 
-def _antideriv_log1p(u: Fraction) -> mp.mpf:
-    """int log(1+t) dt = (1+u)log(1+u) - u, continuous value 1 at u = -1."""
-    w = 1 + u
-    if w == 0:
-        return mp.mpf(1)
-    wm = to_mpf(w)
-    return wm * mp.log(wm) - (wm - 1)
+@dataclass(frozen=True)
+class _PoleGap:
+    """The window bounds of a band that use one pole gap g = 1 -+ h."""
+
+    correction: mp.mpf  # eps^2 / (12 g^2)
+    outside_upper: mp.mpf  # (1/2)(5/6 - log 2) eps^4 / g^4
+    inside_upper: mp.mpf  # (1 - log 2) eps^2 / (2 g^2)
 
 
-def _antideriv_log1m(u: Fraction) -> mp.mpf:
-    """int log(1-t) dt = -(1-u)log(1-u) - u, continuous value -1 at u = 1."""
-    w = 1 - u
-    if w == 0:
-        return mp.mpf(-1)
-    wm = to_mpf(w)
-    return -wm * mp.log(wm) - (1 - wm)
+@dataclass(frozen=True)
+class _Band:
+    """A band [h - eps, h + eps] with every constant its comparison
+    windows need, formed once; `north` uses g = 1 - h, `south` 1 + h."""
+
+    center: _Height
+    lo: _Height
+    hi: _Height
+    eps: mp.mpf
+    inside_lower: mp.mpf  # -eps / (4 (1 - h^2))
+    north: _PoleGap
+    south: _PoleGap
+
+
+def _band(h, eps) -> _Band:
+    h, eps = to_fraction(h), to_fraction(eps)
+    if eps <= 0:
+        raise ValueError("band half-width must be positive")
+    if h - eps < -1 or h + eps > 1:
+        raise ValueError("band must lie inside [-1, 1]")
+    epsm, hm = to_mpf(eps), to_mpf(h)
+
+    def pole_gap(g: Fraction) -> _PoleGap:
+        gap = to_mpf(g)
+        return _PoleGap(
+            epsm**2 / (12 * gap**2),
+            (mp.mpf(5) / 6 - mp.log(2)) / 2 * epsm**4 / gap**4,
+            (1 - mp.log(2)) / 2 * epsm**2 / gap**2,
+        )
+
+    return _Band(
+        _height(h),
+        _height(h - eps),
+        _height(h + eps),
+        epsm,
+        -epsm / (4 * (1 - hm * hm)),
+        pole_gap(1 - h),
+        pole_gap(1 + h),
+    )
+
+
+def _band_integral(band: _Band, c: _Height) -> mp.mpf:
+    """band_integral of the band at c; the branches run in this order, so
+    a probe on a band edge takes the closed form without a 0 * log 0."""
+    lo, hi = band.lo, band.hi
+    if c.u <= lo.u:
+        body = hi.anti_p - lo.anti_p
+        rim = 2 * band.eps * c.log_m
+        return (body + rim) / 4
+    if c.u >= hi.u:
+        body = hi.anti_m - lo.anti_m
+        rim = 2 * band.eps * c.log_p
+        return (body + rim) / 4
+    upper = hi.anti_p - c.anti_p + to_mpf(hi.u - c.u) * c.log_m
+    lower = c.anti_m - lo.anti_m + to_mpf(c.u - lo.u) * c.log_p
+    return (upper + lower) / 4
 
 
 def band_integral(h, eps, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
@@ -140,34 +230,8 @@ def band_integral(h, eps, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     band inside [-1, 1].
     """
     check_precision(prec_bits)
-    h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
-    if eps <= 0:
-        raise ValueError("band half-width must be positive")
-    lo, hi = h - eps, h + eps
-    if lo < -1 or hi > 1:
-        raise ValueError("band must lie inside [-1, 1]")
-    if not -1 <= c <= 1:
-        raise ValueError("query height must lie in [-1, 1]")
     with mp.workprec(prec_bits):
-        if c <= lo:
-            body = _antideriv_log1p(hi) - _antideriv_log1p(lo)
-            rim = 2 * to_mpf(eps) * _log_of(1 - c)
-            return (body + rim) / 4
-        if c >= hi:
-            body = _antideriv_log1m(hi) - _antideriv_log1m(lo)
-            rim = 2 * to_mpf(eps) * _log_of(1 + c)
-            return (body + rim) / 4
-        upper = (
-            _antideriv_log1p(hi)
-            - _antideriv_log1p(c)
-            + to_mpf(hi - c) * _log_of(1 - c)
-        )
-        lower = (
-            _antideriv_log1m(c)
-            - _antideriv_log1m(lo)
-            + to_mpf(c - lo) * _log_of(1 + c)
-        )
-        return (upper + lower) / 4
+        return _band_integral(_band(h, eps), _height(c))
 
 
 @dataclass(frozen=True)
@@ -191,6 +255,23 @@ class ComparisonMargins:
         return self.upper_bound - self.value
 
 
+def _parallel_minus_band(band: _Band, c: _Height) -> mp.mpf:
+    """expected_log_parallel(h, c) - band_integral(h, eps, c) / eps."""
+    return _expected_log(band.center, c) - _band_integral(band, c) / band.eps
+
+
+def _outside_margins(band: _Band, c: _Height) -> ComparisonMargins:
+    gap = band.north if c.u >= band.hi.u else band.south
+    d = _parallel_minus_band(band, c) - gap.correction
+    return ComparisonMargins(value=d, lower_bound=mp.mpf(0), upper_bound=gap.outside_upper)
+
+
+def _inside_margins(band: _Band, c: _Height) -> ComparisonMargins:
+    gap = band.north if c.u >= band.center.u else band.south
+    u = _parallel_minus_band(band, c)
+    return ComparisonMargins(value=u, lower_bound=band.inside_lower, upper_bound=gap.inside_upper)
+
+
 def comparison_outside_margin(
     h, eps, c, prec_bits: int = DEFAULT_PREC_BITS
 ) -> ComparisonMargins:
@@ -206,22 +287,10 @@ def comparison_outside_margin(
     """
     check_precision(prec_bits)
     h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
-    if c >= h + eps:
-        pole_gap = 1 - h
-    elif c <= h - eps:
-        pole_gap = 1 + h
-    else:
+    if h - eps < c < h + eps:
         raise ValueError("query height must lie outside the open band")
     with mp.workprec(prec_bits):
-        gap = to_mpf(pole_gap)
-        epsm = to_mpf(eps)
-        d = (
-            expected_log_parallel(h, c, prec_bits)
-            - band_integral(h, eps, c, prec_bits) / epsm
-            - epsm**2 / (12 * gap**2)
-        )
-        ub = (mp.mpf(5) / 6 - mp.log(2)) / 2 * epsm**4 / gap**4
-        return ComparisonMargins(value=d, lower_bound=mp.mpf(0), upper_bound=ub)
+        return _outside_margins(_band(h, eps), _height(c))
 
 
 def comparison_inside_margin(
@@ -240,27 +309,29 @@ def comparison_inside_margin(
     h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
     if not h - eps <= c <= h + eps:
         raise ValueError("query height must lie in the closed band")
-    pole_gap = 1 - h if c >= h else 1 + h
     with mp.workprec(prec_bits):
-        epsm = to_mpf(eps)
-        u = (
-            expected_log_parallel(h, c, prec_bits)
-            - band_integral(h, eps, c, prec_bits) / epsm
-        )
-        hm = to_mpf(h)
-        lb = -epsm / (4 * (1 - hm * hm))
-        ub = (1 - mp.log(2)) / 2 * epsm**2 / to_mpf(pole_gap) ** 2
-        return ComparisonMargins(value=u, lower_bound=lb, upper_bound=ub)
+        return _inside_margins(_band(h, eps), _height(c))
+
+
+def _s_n_values(heights: Sequence, point_set: PointSet) -> list[mp.mpf]:
+    """S_N at each height at the working precision: log(1 +- h_j) once
+    per parallel and log(1 +- c) once per height."""
+    parallels = [(par.count, _height(par.height)) for par in point_set.parallels]
+    out = []
+    for c in heights:
+        c = _height(c)
+        acc = mp.mpf(0)
+        for count, t in parallels:
+            acc += count * _expected_log(t, c)
+        out.append(acc)
+    return out
 
 
 def s_n(c, point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     """S_N(c) = sum_j r_j * expected_log_parallel(h_j, c)."""
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
-        acc = mp.mpf(0)
-        for par in point_set.parallels:
-            acc += par.count * expected_log_parallel(par.height, c, prec_bits)
-        return acc
+        return _s_n_values([c], point_set)[0]
 
 
 def t_ell(ell: int, M: int) -> Fraction:
@@ -284,25 +355,32 @@ def t_ell(ell: int, M: int) -> Fraction:
     return total
 
 
-def log_product_to_set(q, point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
-    """log prod over all family points of |p_i - q| for an external query.
+def log_product_to_set(
+    heights: Sequence,
+    turns: Sequence,
+    point_set: PointSet,
+    prec_bits: int = DEFAULT_PREC_BITS,
+) -> list[list[mp.mpf]]:
+    """log prod over all family points of |p_i - q| for every external
+    query q at a height c in `heights` and azimuth pi * turn, turn in
+    `turns`: row i, column m is the query (heights[i], turns[m]).
 
-    q is a pair (height, azimuth_turn) with the azimuth given as an exact
-    multiple of pi; against zero-phase parallels this keeps coincidence
-    with a family point exact, returning -inf.
+    One Theta grid per parallel (condition.theta_product_log_turn).
+    Against zero-phase parallels the exact turns keep coincidence with a
+    family point exact: that query's value is -inf.
     """
     check_precision(prec_bits)
-    c, turn = q[0], Fraction(q[1])
     with mp.workprec(prec_bits):
-        total = mp.mpf(0)
+        totals = [[mp.mpf(0)] * len(turns) for _ in heights]
         for par in point_set.parallels:
-            lg = theta_product_log_turn(
-                par.count, par.height, c, turn, prec_bits, -par.phase
+            grid = theta_product_log_turn(
+                par.count, par.height, heights, turns, prec_bits, -par.phase
             )
-            if lg == mp.mpf("-inf"):
-                return mp.mpf("-inf")
-            total += lg / 2
-        return total
+            totals = [
+                [total + lg / 2 for total, lg in zip(row, logs)]
+                for row, logs in zip(totals, grid)
+            ]
+        return totals
 
 
 @dataclass
@@ -516,20 +594,21 @@ def verify_comparison(
     out_cells: list[Cell] = []
     in_cells: list[Cell] = []
     with mp.workprec(prec_bits):
+        queries = [(_height(c), frac_str(c)) for c in probes]
         for band in ps.bands:
-            h, eps = band.center, band.half_width
-            for c in probes:
-                params = {
-                    "band": band.index,
-                    "h": frac_str(h),
-                    "eps": frac_str(eps),
-                    "c": frac_str(c),
-                }
-                if band.lower <= c <= band.upper:
-                    m = comparison_inside_margin(h, eps, c, prec_bits)
+            terms = _band(band.center, band.half_width)
+            head = {
+                "band": band.index,
+                "h": frac_str(band.center),
+                "eps": frac_str(band.half_width),
+            }
+            for c, c_str in queries:
+                params = {**head, "c": c_str}
+                if band.lower <= c.u <= band.upper:
+                    m = _inside_margins(terms, c)
                     bucket = in_cells
                 else:
-                    m = comparison_outside_margin(h, eps, c, prec_bits)
+                    m = _outside_margins(terms, c)
                     bucket = out_cells
                 bucket.append(
                     Cell({**params, "side": "lower"}, m.value, m.lower_bound, m.lower_margin)
@@ -562,9 +641,10 @@ def verify_sn_kappa(
     kap = kappa(prec_bits)
     win_cells: list[Cell] = []
     chain_cells: list[Cell] = []
+    probes = [(band.index, band_probe_heights(band, rng)) for band in ps.bands[:M]]
     with mp.workprec(prec_bits):
-        for band in ps.bands[:M]:
-            ell = band.index
+        s_values = iter(_s_n_values([c for _, cs in probes for c in cs], ps))
+        for ell, heights in probes:
             t_corr = to_mpf(t_ell(ell, M))
             win_hi = 2 * (1 - mp.log(2)) / ell + mp.mpf(1) / 15
             chain_lo = -1 + mp.log(mp.mpf(M + 1) / (ell + 1)) / 3
@@ -573,8 +653,8 @@ def verify_sn_kappa(
                 + 2 * (1 - mp.log(2)) / ell
                 + mp.mpf(1) / 4
             )
-            for c in band_probe_heights(band, rng):
-                val = s_n(c, ps, prec_bits) + ps.N * kap
+            for c in heights:
+                val = next(s_values) + ps.N * kap
                 params = {"band": ell, "c": frac_str(c)}
                 win = val - t_corr
                 win_cells.append(
@@ -633,9 +713,13 @@ def verify_numerator(
     sum_cells: list[Cell] = []
     exp_cells: list[Cell] = []
     notes: list[str] = []
+    probes = [(band.index, band_probe_heights(band, rng)) for band in ps.bands[:M]]
+    heights = [c for _, cs in probes for c in cs]
+    turn_strs = [frac_str(turn) for turn in AZIMUTH_TURNS]
     with mp.workprec(prec_bits):
-        for band in ps.bands[:M]:
-            ell = band.index
+        s_values = iter(_s_n_values(heights, ps))
+        lhs_rows = iter(log_product_to_set(heights, AZIMUTH_TURNS, ps, prec_bits))
+        for ell, cs in probes:
             exp_rhs = (
                 mp.log(2)
                 - kap * ps.N
@@ -643,14 +727,14 @@ def verify_numerator(
                 + mp.mpf(3) / 4
                 + 2 * (1 - mp.log(2)) / ell
             )
-            for c in band_probe_heights(band, rng):
-                sum_rhs = s_n(c, ps, prec_bits) + mp.log(2) + mp.mpf(1) / 2
-                for turn in AZIMUTH_TURNS:
-                    lhs = log_product_to_set((c, turn), ps, prec_bits)
-                    params = {"band": ell, "c": frac_str(c), "turn": frac_str(turn)}
+            for c in cs:
+                sum_rhs = next(s_values) + mp.log(2) + mp.mpf(1) / 2
+                c_str = frac_str(c)
+                for turn_str, lhs in zip(turn_strs, next(lhs_rows)):
+                    params = {"band": ell, "c": c_str, "turn": turn_str}
                     if lhs == mp.mpf("-inf"):
                         notes.append(
-                            f"skipped query at c={frac_str(c)}, turn={frac_str(turn)}: "
+                            f"skipped query at c={c_str}, turn={turn_str}: "
                             "coincides with a family point"
                         )
                         continue
@@ -681,14 +765,11 @@ def verify_denominator(
     abs_cells: list[Cell] = []
     with mp.workprec(prec_bits):
         abs_rhs = mp.log(2 * ps.N) / 2 - kap * ps.N - mp.mpf(9) / 8
-        for par in ps.parallels:
-            sum_rhs = (
-                s_n(par.height, ps, prec_bits)
-                + mp.log(2 * mp.sqrt(2) * M)
-                - mp.mpf(1) / 8
-            )
-            for k in range(par.count):
-                lhs = point_gap_product_log(ps, par.index, k, prec_bits)
+        s_values = _s_n_values([par.height for par in ps.parallels], ps)
+        for par, s_val in zip(ps.parallels, s_values):
+            sum_rhs = s_val + mp.log(2 * mp.sqrt(2) * M) - mp.mpf(1) / 8
+            gap_logs = point_gap_product_log(ps, par.index, range(par.count), prec_bits)
+            for k, lhs in enumerate(gap_logs):
                 params = {"parallel": par.index, "k": k}
                 sum_cells.append(Cell(params, lhs, sum_rhs, lhs - sum_rhs))
                 abs_cells.append(Cell(params, lhs, abs_rhs, lhs - abs_rhs))

@@ -7,14 +7,59 @@ integral int_S prod_j |p - p_j|^2 dsigma, against which the closed form
 of ``wellcond.condition.numerator_integral_log`` is checked, and the
 logarithmic energy as a sum of gap products over every point, against
 which the discriminant identity of ``wellcond.energy.log_energy`` is
-checked.
+checked, and the one-query-at-a-time forms of the Theta products,
+against which the package's grid and per-parallel forms are held bit
+for bit.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 
-from wellcond.condition import point_gap_product_log
-from wellcond.numerics import gauss_legendre, to_mpf
+from wellcond.condition import parallel_self_product_log, point_gap_product_log
+from wellcond.numerics import cos_pi_fraction, gauss_legendre, to_fraction, to_mpf
 from wellcond.points import PointSet, SpherePoint
+
+
+def theta_log_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
+    """log Theta for one query, (gap, rim) and the versine formed afresh:
+    (x^r - y^r)^2 + 2 (xy)^r * 2 sin^2(r (pi turn + offset)/2)."""
+    h, c, turn = to_fraction(h), to_fraction(c), Fraction(turn)
+    with mp.workprec(prec_bits):
+        x = mp.sqrt(to_mpf((1 - c) * (1 + h)))
+        y = mp.sqrt(to_mpf((1 + c) * (1 - h)))
+        xr, yr = x**r, y**r
+        d = xr - yr
+        s = cos_pi_fraction(r * turn / 2 - Fraction(1, 2), r * offset / 2)
+        return mp.log(d * d + 2 * xr * yr * (2 * s * s))
+
+
+def log_product_by_query(c, turn, point_set: PointSet, prec_bits: int) -> mp.mpf:
+    """log prod_i |p_i - q| for the one query (c, pi * turn), summed
+    parallel by parallel; -inf as soon as a parallel holds q."""
+    with mp.workprec(prec_bits):
+        total = mp.mpf(0)
+        for par in point_set.parallels:
+            lg = theta_log_by_query(par.count, par.height, c, turn, prec_bits, -par.phase)
+            if lg == mp.mpf("-inf"):
+                return lg
+            total += lg / 2
+        return total
+
+
+def gap_product_by_point(point_set: PointSet, j: int, k: int, prec_bits: int) -> mp.mpf:
+    """log prod over the other family points of |p - p_other| for the one
+    point k of parallel j."""
+    own = point_set.parallels[j - 1]
+    turn = Fraction(2 * k, own.count)
+    with mp.workprec(prec_bits):
+        total = parallel_self_product_log(own.count, own.height, prec_bits)
+        for par in point_set.parallels:
+            if par.index != j:
+                total += theta_log_by_query(
+                    par.count, par.height, own.height, turn, prec_bits, own.phase - par.phase
+                ) / 2
+        return total
 
 
 def distance_sq(p: SpherePoint, q: SpherePoint) -> mp.mpf:
@@ -30,8 +75,10 @@ def energy_by_gap_products(point_set: PointSet, prec_bits: int) -> mp.mpf:
     with mp.workprec(prec_bits):
         total = mp.mpf(0)
         for par in point_set.parallels:
-            for k in range(par.count):
-                total += point_gap_product_log(point_set, par.index, k, prec_bits)
+            for gap_log in point_gap_product_log(
+                point_set, par.index, range(par.count), prec_bits
+            ):
+                total += gap_log
         return -total
 
 

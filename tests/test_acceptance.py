@@ -183,7 +183,7 @@ def test_criterion_08_closed_forms_vs_brute_force():
                 + (rho_q * mp.sin(dphi) - rho_p * mp.sin(ang)) ** 2
                 + (to_mpf(c) - to_mpf(h)) ** 2
             )
-        got = mp.exp(theta_product_log_turn(r, h, c, Fraction(1, 16), PREC))
+        got = mp.exp(theta_product_log_turn(r, h, [c], [Fraction(1, 16)], PREC)[0][0])
         assert abs(got - brute) / brute < mp.mpf("1e-20")
 
         # parallel average of log distance vs 4096-node mean (1e-8)
@@ -224,7 +224,7 @@ def test_criterion_08_closed_forms_vs_brute_force():
         for M in (1, 2, 3):
             ps = build_point_set(M, prec_bits=PREC)
             q = (Fraction(11, 16), Fraction(1, 5))
-            got = log_product_to_set(q, ps, PREC)
+            got = log_product_to_set([q[0]], [q[1]], ps, PREC)[0][0]
             tq = to_mpf(q[0])
             rho = mp.sqrt(1 - tq * tq)
             qx, qy = rho * mp.cospi(to_mpf(q[1])), rho * mp.sinpi(to_mpf(q[1]))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from wellcond import cli
+from wellcond import cli, condition
 from wellcond.cli import main
 
 
@@ -312,6 +312,23 @@ def test_cond_route_disagreement_exits_1(tmp_path, capsys, monkeypatch):
     assert "M=2: routes disagree: route_rel_diff=0.5 " in out
     reports = read_json(tmp_path / "cond_M2.json")["reports"]
     assert all(v is True for r in reports for v in r["verdicts"].values())
+
+
+def test_sweep_builds_one_point_set_per_m(tmp_path, monkeypatch):
+    """The spherical route and the energy share one family per M."""
+    builds = []
+
+    def counting(real):
+        def build(M, *args, **kwargs):
+            builds.append(M)
+            return real(M, *args, **kwargs)
+
+        return build
+
+    for module in (cli, condition):
+        monkeypatch.setattr(module, "build_point_set", counting(module.build_point_set))
+    assert run(["sweep", "--M", "2..3", "--route", "sphere", "--out", tmp_path]) == 0
+    assert builds == [2, 3]
 
 
 def test_verify_empty_grid_exits_1(tmp_path, capsys):

@@ -53,25 +53,22 @@ def test_theta_product_matches_brute_force(r, h, c, turn):
     prec = 256
     with mp.workprec(prec):
         dphi = mp.pi * to_mpf(turn)
-        got = mp.exp(theta_product_log_turn(r, h, c, turn, prec))
+        got = mp.exp(theta_product_log_turn(r, h, [c], [turn], prec)[0][0])
         want = brute_theta(r, h, c, dphi, prec)
         assert abs(got - want) / want < mp.mpf("1e-20")
 
 
 def test_theta_log_turn_exact_zero_at_coincidence():
+    turns = [Fraction(0), Fraction(1, 2), Fraction(1, 16)]
+    ((on_grid, quarter, off_grid),) = theta_product_log_turn(
+        8, Fraction(5, 9), [Fraction(5, 9)], turns, 192
+    )
     # q lies exactly on the parallel grid: distance product is zero
-    got = theta_product_log_turn(8, Fraction(5, 9), Fraction(5, 9), Fraction(0), 192)
-    assert got == mp.mpf("-inf")
+    assert on_grid == mp.mpf("-inf")
     # quarter-turn offset on an 8-point grid also hits a grid point
-    got = theta_product_log_turn(
-        8, Fraction(5, 9), Fraction(5, 9), Fraction(1, 2), 192
-    )
-    assert got == mp.mpf("-inf")
+    assert quarter == mp.mpf("-inf")
     # off-grid azimuth stays finite
-    got = theta_product_log_turn(
-        8, Fraction(5, 9), Fraction(5, 9), Fraction(1, 16), 192
-    )
-    assert mp.isfinite(got)
+    assert mp.isfinite(off_grid)
 
 
 @pytest.mark.parametrize("r,h", [(1, Fraction(0)), (4, Fraction(5, 9)), (12, 0)])
@@ -121,7 +118,9 @@ def test_spherical_route_symmetry_reduction_identical():
     with mp.workprec(prec):
         base = -mp.log(2) + (mp.log(N) + mp.log(N + 1)) / 2 + num.log_value / 2
         full = max(
-            base - point_gap_product_log(ps, j, k, prec) for j, k, _ in ps.all_points()
+            base - gap_log
+            for par in ps.parallels
+            for gap_log in point_gap_product_log(ps, par.index, range(par.count), prec)
         )
         assert abs(full - fast.log_mu_max) < mp.mpf(2) ** -150
 
@@ -140,10 +139,12 @@ def test_uniform_nonzero_phase_matches_zero_phase():
     zero = build_point_set(M, prec_bits=prec)
     phased = build_point_set(M, phases=[mp.mpf("0.3")] * (2 * M - 1), prec_bits=prec)
     with mp.workprec(prec):
-        for j, k, _ in zero.all_points():
-            a = point_gap_product_log(zero, j, k, prec)
-            b = point_gap_product_log(phased, j, k, prec)
-            assert abs(a - b) < tol, (j, k)
+        for par in zero.parallels:
+            ks = range(par.count)
+            a = point_gap_product_log(zero, par.index, ks, prec)
+            b = point_gap_product_log(phased, par.index, ks, prec)
+            for k in ks:
+                assert abs(a[k] - b[k]) < tol, (par.index, k)
         a = mu_max_spherical_route(M, prec)
         b = mu_max_spherical_route(M, prec, phases=[mp.mpf("0.3")] * (2 * M - 1))
         assert a.extras["symmetry_reduced"] and not b.extras["symmetry_reduced"]
@@ -226,7 +227,7 @@ def _check_gap_products(ps, prec, indices):
     with mp.workprec(prec):
         for idx in indices:
             par_index, azimuth, p = flat[idx]
-            got = point_gap_product_log(ps, par_index, azimuth, prec)
+            (got,) = point_gap_product_log(ps, par_index, [azimuth], prec)
             acc = mp.mpf(0)
             for jdx, (_, _, q) in enumerate(flat):
                 if jdx == idx:

@@ -160,7 +160,7 @@ def test_log_product_to_set_matches_pairwise_sum():
         ps = build_point_set(M, phases=phases, prec_bits=prec)
         q = (Fraction(11, 16), Fraction(1, 5))
         with mp.workprec(prec):
-            got = log_product_to_set(q, ps, prec)
+            got = log_product_to_set([q[0]], [q[1]], ps, prec)[0][0]
             t = to_mpf(q[0])
             rho = mp.sqrt(1 - t * t)
             qx = rho * mp.cospi(to_mpf(q[1]))
@@ -174,8 +174,8 @@ def test_log_product_to_set_matches_pairwise_sum():
 
 def test_log_product_to_set_coincidence_is_minus_inf():
     ps = build_point_set(2, prec_bits=192)
-    got = log_product_to_set((ps.parallels[0].height, Fraction(0)), ps, 192)
-    assert got == mp.mpf("-inf")
+    got = log_product_to_set([ps.parallels[0].height], [Fraction(0)], ps, 192)
+    assert got == [[mp.mpf("-inf")]]
 
 
 def test_s_n_equator_branch_consistency():

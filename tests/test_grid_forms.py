@@ -1,0 +1,218 @@
+"""The grid and per-parallel forms against their one-query oracles, bit for bit.
+
+The suites evaluate each transcendental value once per index it depends
+on: (gap, rim) per (parallel, query height), the versine per (parallel,
+turn), log(1 +- h) per parallel and per probe, and each band's window
+constants once.  Every cell must still come out of the same operations
+in the same order as the one-query forms, so equality here is `==`, not
+a tolerance.
+"""
+
+import random
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+
+from wellcond.condition import point_gap_product_log, theta_product_log_turn
+from wellcond.energy import (
+    AZIMUTH_TURNS,
+    band_integral,
+    band_probe_heights,
+    comparison_inside_margin,
+    comparison_outside_margin,
+    expected_log_parallel,
+    kappa,
+    log_product_to_set,
+    s_n,
+    verify_comparison,
+    verify_denominator,
+    verify_numerator,
+    verify_sn_kappa,
+)
+from wellcond.numerics import frac_str, to_mpf
+from wellcond.points import build_point_set
+from sphere_oracle import gap_product_by_point, log_product_by_query, theta_log_by_query
+
+PREC = 256
+MINUS_INF = mp.mpf("-inf")
+PHASED = {2: [0.1, 0.7, -1.2], 3: [0.1, 0.7, -1.2, 0.4, 2.0]}
+FAMILIES = [(M, None) for M in (1, 2, 3)] + [(M, PHASED[M]) for M in PHASED]
+FAMILY_IDS = ["1", "2", "3", "2-phased", "3-phased"]
+
+
+def edge_heights(ps):
+    """Both poles, every band edge, midpoint (= parallel height) and a
+    quarter point, in increasing order."""
+    heights = {Fraction(-1), Fraction(1)}
+    for band in ps.bands:
+        heights |= {band.lower, band.upper, band.center, band.center + band.half_width / 2}
+    return sorted(heights)
+
+
+def s_n_by_parallel(c, ps):
+    """S_N(c) accumulated one expected_log_parallel call per parallel."""
+    with mp.workprec(PREC):
+        acc = mp.mpf(0)
+        for par in ps.parallels:
+            acc += par.count * expected_log_parallel(par.height, c, PREC)
+        return acc
+
+
+@pytest.mark.parametrize("M,phases", FAMILIES, ids=FAMILY_IDS)
+def test_theta_grid_matches_single_query_oracle(M, phases):
+    ps = build_point_set(M, phases=phases, prec_bits=PREC)
+    heights = edge_heights(ps)
+    turns = AZIMUTH_TURNS + [Fraction(1, 3), Fraction(7, 5)]
+    for par in ps.parallels:
+        grid = theta_product_log_turn(
+            par.count, par.height, heights, turns, PREC, -par.phase
+        )
+        assert len(grid) == len(heights)
+        for c, row in zip(heights, grid):
+            want = [
+                theta_log_by_query(par.count, par.height, c, t, PREC, -par.phase)
+                for t in turns
+            ]
+            assert row == want, (par.index, c)
+
+
+@pytest.mark.parametrize("M,phases", FAMILIES, ids=FAMILY_IDS)
+def test_log_product_grid_matches_per_query_sum(M, phases):
+    ps = build_point_set(M, phases=phases, prec_bits=PREC)
+    heights = edge_heights(ps)
+    grid = log_product_to_set(heights, AZIMUTH_TURNS, ps, PREC)
+    for c, row in zip(heights, grid, strict=True):
+        want = [log_product_by_query(c, t, ps, PREC) for t in AZIMUTH_TURNS]
+        assert row == want, c
+    coincidences = sum(v == MINUS_INF for row in grid for v in row)
+    # every zero-phase parallel holds its k = 0 point at turn 0
+    assert coincidences >= (len(ps.parallels) if phases is None else 0)
+
+
+@pytest.mark.parametrize(
+    "M,phases",
+    [(M, None) for M in range(1, 7)] + [(M, PHASED[M]) for M in PHASED],
+    ids=[str(M) for M in range(1, 7)] + ["2-phased", "3-phased"],
+)
+def test_gap_products_per_parallel_match_per_point(M, phases):
+    ps = build_point_set(M, phases=phases, prec_bits=PREC)
+    for par in ps.parallels:
+        got = point_gap_product_log(ps, par.index, range(par.count), PREC)
+        want = [gap_product_by_point(ps, par.index, k, PREC) for k in range(par.count)]
+        assert got == want, par.index
+        # the quarter-turn representatives the spherical route asks for
+        quarter = range(par.count // 4)
+        assert point_gap_product_log(ps, par.index, quarter, PREC) == want[: len(quarter)]
+
+
+def one_pair_comparison_cells(ps, seed):
+    """(outside, inside) cells of verify_comparison, each pair through the
+    public one-pair margin functions."""
+    rng = random.Random(seed)
+    probes = [c for band in ps.bands for c in band_probe_heights(band, rng)]
+    out_cells, in_cells = [], []
+    with mp.workprec(PREC):
+        for band in ps.bands:
+            h, eps = band.center, band.half_width
+            for c in probes:
+                if band.lower <= c <= band.upper:
+                    m, bucket = comparison_inside_margin(h, eps, c, PREC), in_cells
+                else:
+                    m, bucket = comparison_outside_margin(h, eps, c, PREC), out_cells
+                params = {"band": band.index, "h": frac_str(h), "eps": frac_str(eps), "c": frac_str(c)}
+                bucket.append(({**params, "side": "lower"}, m.value, m.lower_bound, m.lower_margin))
+                bucket.append(({**params, "side": "upper"}, m.value, m.upper_bound, m.upper_margin))
+    return out_cells, in_cells
+
+
+def cell_tuples(report):
+    return [(c.params, c.lhs, c.rhs, c.margin) for c in report.cells]
+
+
+@pytest.mark.parametrize("M,seed", [(2, 0), (3, 5), (5, 1)])
+def test_comparison_cells_match_one_pair_margins(M, seed):
+    ps = build_point_set(M, prec_bits=PREC)
+    outside, inside = verify_comparison(M, PREC, seed, point_set=ps)
+    want_out, want_in = one_pair_comparison_cells(ps, seed)
+    assert cell_tuples(outside) == want_out
+    assert cell_tuples(inside) == want_in
+    # the structural probes put c on both edges of every band and on both
+    # poles; an edge probe takes band_integral's c <= lo / c >= hi closed
+    # form, so no cell is 0 * log 0
+    edges = {(p["band"], p["c"]) for p, *_ in want_in}
+    for band in ps.bands:
+        assert {(band.index, frac_str(band.lower)), (band.index, frac_str(band.upper))} <= edges
+    poles = {p["c"] for p, *_ in want_in} & {"1/1", "-1/1"}
+    assert poles == {"1/1", "-1/1"}
+    with mp.workprec(PREC):
+        assert all(mp.isfinite(v) for _, *vals in want_in + want_out for v in vals)
+    assert outside.passed and inside.passed
+
+
+def test_band_integral_takes_the_closed_form_on_the_edges():
+    """At c = lo and c = hi the value is the outside branch's closed form,
+    finite even where the band touches a pole (c = hi = 1, c = lo = -1)."""
+    with mp.workprec(PREC):
+        for h, eps in [(Fraction(7, 8), Fraction(1, 8)), (Fraction(-3, 4), Fraction(1, 4)),
+                       (Fraction(1, 3), Fraction(1, 6))]:
+            lo, hi = h - eps, h + eps
+
+            def anti(w):  # w log w, continuous value 0 at w = 0
+                return to_mpf(w) * mp.log(to_mpf(w)) if w else mp.mpf(0)
+
+            # c = lo: (1/4) [int_lo^hi log(1+t) dt + 2 eps log(1 - lo)]
+            at_lo = (anti(1 + hi) - anti(1 + lo) - 2 * to_mpf(eps)
+                     + 2 * to_mpf(eps) * mp.log(to_mpf(1 - lo))) / 4
+            # c = hi: (1/4) [int_lo^hi log(1-t) dt + 2 eps log(1 + hi)]
+            at_hi = (anti(1 - lo) - anti(1 - hi) - 2 * to_mpf(eps)
+                     + 2 * to_mpf(eps) * mp.log(to_mpf(1 + hi))) / 4
+            tol = mp.mpf(2) ** (16 - PREC)
+            for c, want in [(lo, at_lo), (hi, at_hi)]:
+                got = band_integral(h, eps, c, PREC)
+                assert mp.isfinite(got) and abs(got - want) <= tol, (h, eps, c)
+
+
+@pytest.mark.parametrize("M,seed", [(3, 2), (5, 1)])
+def test_suites_match_one_query_oracles(M, seed):
+    """Numerator, S_N + N kappa and denominator cells, each recomputed one
+    query at a time; a coincidence is skipped with the same note."""
+    ps = build_point_set(M, prec_bits=PREC)
+    kap = kappa(PREC)
+    rng = random.Random(seed)
+    probes = [(band.index, c) for band in ps.bands[:M] for c in band_probe_heights(band, rng)]
+
+    numer_sum, _ = verify_numerator(M, PREC, seed, point_set=ps)
+    cells, notes = [], []
+    with mp.workprec(PREC):
+        for ell, c in probes:
+            sum_rhs = s_n_by_parallel(c, ps) + mp.log(2) + mp.mpf(1) / 2
+            for turn in AZIMUTH_TURNS:
+                lhs = log_product_by_query(c, turn, ps, PREC)
+                if lhs == MINUS_INF:
+                    notes.append(
+                        f"skipped query at c={frac_str(c)}, turn={frac_str(turn)}: "
+                        "coincides with a family point"
+                    )
+                    continue
+                params = {"band": ell, "c": frac_str(c), "turn": frac_str(turn)}
+                cells.append((params, lhs, sum_rhs, sum_rhs - lhs))
+    assert notes, "the band midpoints at turn 0 are family points"
+    assert numer_sum.notes == notes
+    assert cell_tuples(numer_sum) == cells
+
+    _, chain = verify_sn_kappa(M, PREC, seed, point_set=ps)
+    with mp.workprec(PREC):
+        vals = [s_n_by_parallel(c, ps) + ps.N * kap for _, c in probes]
+        assert [c.lhs for c in chain.cells] == [v for v in vals for _side in (0, 1)]
+        assert [s_n(c, ps, PREC) for _, c in probes] == [s_n_by_parallel(c, ps) for _, c in probes]
+
+    denom_sum, _ = verify_denominator(M, PREC, point_set=ps)
+    cells = []
+    with mp.workprec(PREC):
+        for par in ps.parallels:
+            rhs = s_n_by_parallel(par.height, ps) + mp.log(2 * mp.sqrt(2) * M) - mp.mpf(1) / 8
+            for k in range(par.count):
+                lhs = gap_product_by_point(ps, par.index, k, PREC)
+                cells.append(({"parallel": par.index, "k": k}, lhs, rhs, lhs - rhs))
+    assert cell_tuples(denom_sum) == cells
