@@ -38,11 +38,9 @@ from .energy import (
 )
 from .numerics import DEFAULT_PREC_BITS
 from .points import (
-    Band,
     Parallel,
     PointSet,
     SpherePoint,
-    build_bands,
     build_parallels,
     build_point_set,
 )
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PREC_BITS",
-    "Band",
     "ConditionReport",
     "DensePolynomial",
     "EnergyReport",
@@ -80,7 +77,6 @@ __all__ = [
     "sum_check_suite",
     "band_integral",
     "bombieri_norm_sq",
-    "build_bands",
     "build_parallels",
     "build_point_set",
     "canonical_polynomial",

@@ -249,7 +249,7 @@ def _generate_one(prec: int, phases: dict, fmt: str, M: int) -> dict:
             }
         point_rows = [
             [str(j), str(k), fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
-            for j, k, p in ps.all_points()
+            for j, k, p in ps.coordinates()
         ]
     factor_rows = [
         [str(f.power), f"{f.shift.numerator}/{f.shift.denominator}"]
@@ -507,14 +507,13 @@ def cmd_verify(args) -> int:
 
 def _sweep_one(prec: int, route: str, M: int) -> dict:
     t0 = time.perf_counter()
-    ps = build_point_set(M, prec_bits=prec)  # for the spherical route and the energy
     if route == "sphere":
-        rep = mu_max_spherical_route(M, prec, point_set=ps)
+        rep = mu_max_spherical_route(M, prec)
     else:
         rep = mu_max_coefficient_route(M, prec)
     cond_dt = time.perf_counter() - t0
     t0 = time.perf_counter()
-    erep = log_energy(ps, prec)
+    erep = log_energy(build_point_set(M, prec_bits=prec), prec)
     energy_dt = time.perf_counter() - t0
     with mp.workprec(prec):
         ratio = rep.mu_max / mp.sqrt(mp.mpf(rep.N + 1))
@@ -578,7 +577,6 @@ def _add_common(sub, default_format: str) -> None:
         "--format", choices=("json", "csv"), default=default_format
     )
     sub.add_argument("--out", default=".", help="output directory (default .)")
-    sub.add_argument("--seed", type=int, default=0, help="probe-grid seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -610,6 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = subs.add_parser("verify", help="run inequality suites and sum checks")
     _add_common(v, "json")
+    v.add_argument("--seed", type=int, default=0, help="probe-grid seed")
     v.add_argument(
         "--informational",
         action="store_true",

@@ -216,7 +216,7 @@ def _versine(r: int, turn: Fraction, offset=0) -> mp.mpf:
     return 2 * s * s
 
 
-def _theta_terms(r: int, h, c, prec_bits: int) -> tuple[mp.mpf, mp.mpf]:
+def _theta_terms(r: int, h, c) -> tuple[mp.mpf, mp.mpf]:
     """(gap, rim) with Theta = gap + rim * (1 - cos(r dphi)).
 
     gap = (x^r - y^r)^2 is the squared product of distances at aligned
@@ -255,7 +255,7 @@ def theta_product_log_turn(
         versines = [_versine(r, Fraction(turn), offset) for turn in turns]
         rows = []
         for c in heights:
-            gap, rim = _theta_terms(r, h, c, prec_bits)
+            gap, rim = _theta_terms(r, h, c)
             rows.append([mp.log(gap + rim * v) for v in versines])
         return rows
 
@@ -339,22 +339,18 @@ def mu_max_spherical_route(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     phases: Sequence | None = None,
-    point_set: PointSet | None = None,
 ) -> ConditionReport:
     """Spherical-route mu_max for the family of parameter M.
 
-    A family with every phase 0 and every count divisible by 4 is
-    invariant under the quarter turn, so only the azimuth
+    Every count r_j = 4j is divisible by 4, so a family with every phase
+    0 is invariant under the quarter turn: only the azimuth
     representatives k < r/4 are evaluated there; the reduction never
-    changes the maximum.  `point_set` is the family of M with `phases`
-    at prec_bits when the caller has built it already.
+    changes the maximum.
     """
-    point_set = point_set or build_point_set(M, phases=phases, prec_bits=prec_bits)
+    point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
     num = numerator_integral_log(point_set, prec_bits)
     N = point_set.N
-    reducible = all(
-        par.phase == 0 and par.count % 4 == 0 for par in point_set.parallels
-    )
+    reducible = all(par.phase == 0 for par in point_set.parallels)
     per_root: list[tuple[str, mp.mpf]] = []
     with mp.workprec(prec_bits):
         base = (

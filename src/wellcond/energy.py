@@ -81,7 +81,7 @@ from .numerics import (
     to_fraction,
     to_mpf,
 )
-from .points import Band, PointSet, build_parallels, build_point_set
+from .points import Parallel, PointSet, build_parallels, build_point_set
 from .polynomials import family_polynomial
 
 HYPOTHESIS_MIN_M = 5  # the smallest M the sharpened bounds are proved for
@@ -491,19 +491,20 @@ class VerificationReport:
         }
 
 
-def band_probe_heights(band: Band, rng: random.Random) -> list[Fraction]:
-    """Standard height grid for one band: five structural plus seeded.
+def band_probe_heights(par: Parallel, rng: random.Random) -> list[Fraction]:
+    """Standard height grid for the band of one parallel: five structural
+    plus seeded.
 
-    The structural heights are both boundaries, the midpoint, and the
-    midpoint offset by half the half-width each way; random heights are
-    exact rationals uniform over the band at denominator 2^20.
+    The structural heights are both band edges, the parallel's height
+    (the band's midpoint), and that height offset by half the half-width
+    each way; random heights are exact rationals uniform over the band
+    at denominator 2^20.
     """
-    c, hw = band.center, band.half_width
-    heights = [band.upper, c + hw / 2, c, c - hw / 2, band.lower]
-    span = band.upper - band.lower
+    c, hw = par.height, par.half_width
+    heights = [par.upper, c + hw / 2, c, c - hw / 2, par.lower]
     for _ in range(N_RANDOM_PROBES):
         k = rng.randint(1, _RANDOM_DENOM - 1)
-        heights.append(band.lower + span * Fraction(k, _RANDOM_DENOM))
+        heights.append(par.lower + 2 * hw * Fraction(k, _RANDOM_DENOM))
     return heights
 
 
@@ -514,12 +515,12 @@ AZIMUTH_TURNS = [Fraction(m, 16) for m in range(8)]  # multiples of pi in [0, pi
 class Suite:
     """A verify_* function's lemmas (in report order) and the smallest M
     its bounds are proved for; the hypothesis is `proviso` if given, else
-    M >= min_M.  `run(M, prec_bits, seed, point_set)` returns its reports,
-    calling the function by its module-level name."""
+    M >= min_M.  `run(M, prec_bits, seed)` returns its reports, calling
+    the function by its module-level name."""
 
     lemmas: tuple[str, ...]
     min_M: int
-    run: Callable[[int, int, int, PointSet], list[VerificationReport]]
+    run: Callable[[int, int, int], list[VerificationReport]]
     proviso: str = ""
 
     @property
@@ -532,28 +533,28 @@ SUITES = {
     "verify_comparison": Suite(
         ("band_average_outside_window", "band_average_inside_window"),
         1,
-        lambda M, prec, seed, ps: verify_comparison(M, prec, seed, point_set=ps),
+        lambda M, prec, seed: verify_comparison(M, prec, seed),
         "none (holds for every band geometry)",
     ),
     "verify_t_bounds": Suite(
         ("band_correction_log_bounds",),
         1,
-        lambda M, prec, seed, ps: [verify_t_bounds(M, prec)],
+        lambda M, prec, seed: [verify_t_bounds(M, prec)],
     ),
     "verify_sn_kappa": Suite(
         ("parallel_energy_window", "parallel_energy_chain"),
         HYPOTHESIS_MIN_M,
-        lambda M, prec, seed, ps: verify_sn_kappa(M, prec, seed, point_set=ps),
+        lambda M, prec, seed: verify_sn_kappa(M, prec, seed),
     ),
     "verify_numerator": Suite(
         ("point_product_vs_parallel_sum", "point_product_explicit_bound"),
         HYPOTHESIS_MIN_M,
-        lambda M, prec, seed, ps: verify_numerator(M, prec, seed, point_set=ps),
+        lambda M, prec, seed: verify_numerator(M, prec, seed),
     ),
     "verify_denominator": Suite(
         ("gap_product_vs_parallel_sum", "gap_product_absolute_floor"),
         HYPOTHESIS_MIN_M,
-        lambda M, prec, seed, ps: verify_denominator(M, prec, point_set=ps),
+        lambda M, prec, seed: verify_denominator(M, prec),
     ),
 }
 
@@ -578,33 +579,30 @@ def verify_comparison(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
-    point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Margins for the outside/inside band-average comparison windows.
 
     Sweeps every (band, probe height) pair of the standard grid; each
     pair is classified by whether the probe lies in the closed band and
     checked against the corresponding window.  No hypothesis on M.
-    `point_set`, here and in the other suites, is the family of M at
-    prec_bits when the caller has built it already.
     """
-    ps = point_set or build_point_set(M, prec_bits=prec_bits)
+    ps = build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
-    probes = [h for band in ps.bands for h in band_probe_heights(band, rng)]
+    probes = [h for par in ps.parallels for h in band_probe_heights(par, rng)]
     out_cells: list[Cell] = []
     in_cells: list[Cell] = []
     with mp.workprec(prec_bits):
         queries = [(_height(c), frac_str(c)) for c in probes]
-        for band in ps.bands:
-            terms = _band(band.center, band.half_width)
+        for par in ps.parallels:
+            terms = _band(par.height, par.half_width)
             head = {
-                "band": band.index,
-                "h": frac_str(band.center),
-                "eps": frac_str(band.half_width),
+                "band": par.index,
+                "h": frac_str(par.height),
+                "eps": frac_str(par.half_width),
             }
             for c, c_str in queries:
                 params = {**head, "c": c_str}
-                if band.lower <= c.u <= band.upper:
+                if par.lower <= c.u <= par.upper:
                     m = _inside_margins(terms, c)
                     bucket = in_cells
                 else:
@@ -617,7 +615,7 @@ def verify_comparison(
                     Cell({**params, "side": "upper"}, m.value, m.upper_bound, m.upper_margin)
                 )
     grid = (
-        f"{len(ps.bands)} bands x {len(probes)} probe heights "
+        f"{len(ps.parallels)} bands x {len(probes)} probe heights "
         f"(5 structural + {N_RANDOM_PROBES} seeded per band, seed={seed})"
     )
     return _reports("verify_comparison", M, prec_bits, grid, [out_cells, in_cells])
@@ -627,7 +625,6 @@ def verify_sn_kappa(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
-    point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Window and chain bounds on S_N(c) + N kappa for c in a band <= M.
 
@@ -636,12 +633,12 @@ def verify_sn_kappa(
                                           <= (1/3) log(M/ell)
                                              + 2 (1 - log 2)/ell + 1/4.
     """
-    ps = point_set or build_point_set(M, prec_bits=prec_bits)
+    ps = build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
     kap = kappa(prec_bits)
     win_cells: list[Cell] = []
     chain_cells: list[Cell] = []
-    probes = [(band.index, band_probe_heights(band, rng)) for band in ps.bands[:M]]
+    probes = [(par.index, band_probe_heights(par, rng)) for par in ps.parallels[:M]]
     with mp.workprec(prec_bits):
         s_values = iter(_s_n_values([c for _, cs in probes for c in cs], ps))
         for ell, heights in probes:
@@ -697,7 +694,6 @@ def verify_numerator(
     M: int,
     prec_bits: int = DEFAULT_PREC_BITS,
     seed: int = 0,
-    point_set: PointSet | None = None,
 ) -> list[VerificationReport]:
     """Upper bounds on log prod_i |p_i - q| for external query points q.
 
@@ -707,13 +703,13 @@ def verify_numerator(
                     + (2/ell)(1 - log 2).
     Queries that hit a family point exactly are skipped with a note.
     """
-    ps = point_set or build_point_set(M, prec_bits=prec_bits)
+    ps = build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
     kap = kappa(prec_bits)
     sum_cells: list[Cell] = []
     exp_cells: list[Cell] = []
     notes: list[str] = []
-    probes = [(band.index, band_probe_heights(band, rng)) for band in ps.bands[:M]]
+    probes = [(par.index, band_probe_heights(par, rng)) for par in ps.parallels[:M]]
     heights = [c for _, cs in probes for c in cs]
     turn_strs = [frac_str(turn) for turn in AZIMUTH_TURNS]
     with mp.workprec(prec_bits):
@@ -750,16 +746,14 @@ def verify_numerator(
 
 
 def verify_denominator(
-    M: int,
-    prec_bits: int = DEFAULT_PREC_BITS,
-    point_set: PointSet | None = None,
+    M: int, prec_bits: int = DEFAULT_PREC_BITS
 ) -> list[VerificationReport]:
     """Lower bounds on log prod_{p_i != p} |p_i - p| at every family point.
 
     Against the parallel sum:  >= S_N(h) + log(2 sqrt(2) M) - 1/8.
     Absolute floor:            >= (1/2) log(2N) - kappa N - 9/8.
     """
-    ps = point_set or build_point_set(M, prec_bits=prec_bits)
+    ps = build_point_set(M, prec_bits=prec_bits)
     kap = kappa(prec_bits)
     sum_cells: list[Cell] = []
     abs_cells: list[Cell] = []
@@ -799,13 +793,12 @@ def verification_suite(
     seed: int = 0,
     informational: bool = False,
 ) -> SuiteResult:
-    """Every suite of SUITES for one M, in table order, on one point set.
+    """Every suite of SUITES for one M, in table order.
 
     A suite whose bounds are proved only for M >= min_M is refused below
     that, each of its lemmas listed with the unmet hypothesis and none
     evaluated, unless `informational`, which evaluates it ungated.
     """
-    ps = build_point_set(M, prec_bits=prec_bits)
     result = SuiteResult()
     for decl in SUITES.values():
         proved = M >= decl.min_M
@@ -815,7 +808,7 @@ def verification_suite(
                 for lemma in decl.lemmas
             ]
             continue
-        for rep in decl.run(M, prec_bits, seed, ps):
+        for rep in decl.run(M, prec_bits, seed):
             result.reports.append(rep)
             result.gated[rep.lemma] = proved
     return result

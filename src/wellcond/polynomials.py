@@ -1,14 +1,18 @@
 """Polynomials with prescribed root moduli, kept exact where possible.
 
-The canonical degree-N = 4M^2 family is a product of binomials
+The canonical degree-N = 4M^2 family has one binomial factor per
+parallel of points.Parallel,
 
-    P(z) = (z^(4M) - 1) * prod_{j=1}^{M-1} (z^(r_j) - s_j)(z^(r_j) - 1/s_j),
+    P(z) = prod_j (z^(r_j) - s_j),   s_j = ((1 + h_j)/(1 - h_j))^(r_j/2),
 
-with r_j = 4j and s_j = rho_j^(r_j) for rho_j^2 = (2M^2 - j^2)/j^2, so
-every s_j is an explicit positive rational.  The roots of the factor
-(z^r - s) are the r-th roots of s, all of modulus s^(1/r); under inverse
-stereographic projection they land on the parallel of height h with
-rho(h)^2 = (1+h)/(1-h).
+an explicit positive rational because every r_j is even.  The roots of
+the factor (z^r - s) are the r-th roots of s, all of modulus
+rho = s^(1/r), and inverse stereographic projection puts them on the
+parallel of height h with rho^2 = (1+h)/(1-h).  The factor order is the
+equator first, then the parallels j and 2M - j for j = 1..M-1; with
+rho_j^2 = (2M^2 - j^2)/j^2 this is
+
+    P(z) = (z^(4M) - 1) * prod_{j=1}^{M-1} (z^(4j) - s_j)(z^(4j) - 1/s_j).
 
 Expansion, Bombieri-Weyl norms and the factor-wise data of |f'| at
 each root stay in exact rational arithmetic; root values, the float
@@ -32,7 +36,7 @@ from .numerics import (
     frac_str,
     to_mpf,
 )
-from .points import PointSet, build_parallels
+from .points import Parallel, PointSet, build_parallels
 
 
 class MultipleRootError(ValueError):
@@ -132,36 +136,29 @@ class RootEntry:
     azimuth: int
 
 
+def _factor_parallels(parallels: list[Parallel]) -> list[Parallel]:
+    """The parallels in factor order: the equator M, then j and 2M - j
+    for j = 1..M-1."""
+    M = (len(parallels) + 1) // 2
+    order = [M] + [i for j in range(1, M) for i in (j, 2 * M - j)]
+    return [parallels[i - 1] for i in order]
+
+
+def _rho_sq(par: Parallel) -> Fraction:
+    """Squared root modulus (1+h)/(1-h) of the parallel's factor."""
+    return (1 + par.height) / (1 - par.height)
+
+
+def _factors(pars: list[Parallel]) -> tuple[Factor, ...]:
+    """The exact factor z^r - rho^r of each parallel, in the given order."""
+    return tuple(Factor(par.count, _rho_sq(par) ** (par.count // 2)) for par in pars)
+
+
 def canonical_polynomial(M: int) -> FactorizedPolynomial:
-    """The degree-4M^2 product with one factor pair per off-equator parallel.
-
-    Factor order: the equatorial (z^(4M) - 1) first, then for j = 1..M-1
-    the pair (z^(4j) - s_j), (z^(4j) - 1/s_j) with s_j the (4j)-th power
-    of the modulus sqrt((2M^2 - j^2))/j.
-    """
-    if not isinstance(M, int) or M < 1:
-        raise ValueError(f"M must be a positive integer, got {M!r}")
-    factors = [Factor(power=4 * M, shift=Fraction(1))]
-    for j in range(1, M):
-        rho_sq = Fraction(2 * M * M - j * j, j * j)
-        s = rho_sq ** (2 * j)  # (rho^2)^(r_j / 2) = rho^(4j)
-        factors.append(Factor(power=4 * j, shift=s))
-        factors.append(Factor(power=4 * j, shift=1 / s))
-    return FactorizedPolynomial(factors=tuple(factors))
-
-
-def canonical_factor_parallel(M: int, factor_index: int) -> int:
-    """Parallel index carrying the roots of the given canonical factor.
-
-    Factor 0 is equatorial (parallel M); factor 2j-1 sits on the northern
-    parallel j and factor 2j on its southern mirror 2M - j.
-    """
-    if factor_index == 0:
-        return M
-    j = (factor_index + 1) // 2
-    if not 1 <= j <= M - 1:
-        raise ValueError(f"factor index {factor_index} out of range for M={M}")
-    return j if factor_index % 2 == 1 else 2 * M - j
+    """The degree-4M^2 product with one factor per parallel, in factor
+    order: (z^(4M) - 1) first, then for j = 1..M-1 the pair
+    (z^(4j) - s_j), (z^(4j) - 1/s_j) of the parallels j and 2M - j."""
+    return FactorizedPolynomial(_factors(_factor_parallels(build_parallels(M))))
 
 
 def family_polynomial(point_set: PointSet) -> tuple[FactorizedPolynomial, tuple[Fraction, ...]]:
@@ -170,15 +167,14 @@ def family_polynomial(point_set: PointSet) -> tuple[FactorizedPolynomial, tuple[
     parallel of factor k by phi_k multiplies its shift by exp(i r_k phi_k),
     an mpc at the working precision; with every phase 0 f stays exact.
     """
-    M = point_set.M
-    f = canonical_polynomial(M)
-    pars = [point_set.parallels[canonical_factor_parallel(M, k) - 1] for k in range(len(f.factors))]
+    pars = _factor_parallels(point_set.parallels)
+    factors = _factors(pars)
     if any(par.phase for par in pars):
-        f = FactorizedPolynomial(tuple(
+        factors = tuple(
             Factor(fac.power, fac.shift * mp.expj(fac.power * par.phase))
-            for fac, par in zip(f.factors, pars)
-        ))
-    return f, tuple((1 - par.height) / 2 for par in pars)
+            for fac, par in zip(factors, pars)
+        )
+    return FactorizedPolynomial(factors), tuple((1 - par.height) / 2 for par in pars)
 
 
 def expand(f: FactorizedPolynomial) -> DensePolynomial:
@@ -242,14 +238,12 @@ def root_derivative_data(M: int) -> Iterator[RootDerivative]:
     height h of the factor's parallel.  For every other factor m the
     pair depends only on (k, m); the cosine argument adds the azimuth t.
     """
-    f = canonical_polynomial(M)
-    heights = [par.height for par in build_parallels(M)]
-    for k, fac in enumerate(f.factors):
-        parallel = canonical_factor_parallel(M, k)
-        h = heights[parallel - 1]
-        rho_sq = (1 + h) / (1 - h)
+    pars = _factor_parallels(build_parallels(M))
+    factors = _factors(pars)
+    for k, (fac, par) in enumerate(zip(factors, pars)):
+        rho_sq = _rho_sq(par)
         pairs = []
-        for m, g in enumerate(f.factors):
+        for m, g in enumerate(factors):
             if m != k:
                 rho_r = rho_sq ** (g.power // 2)  # rho_k^(r_m); every r_m is even
                 pairs.append((g.power, rho_r * rho_r + g.shift**2, 2 * rho_r * g.shift))
@@ -257,7 +251,7 @@ def root_derivative_data(M: int) -> Iterator[RootDerivative]:
             terms = tuple(
                 (a, b, Fraction(2 * r_m * t, fac.power)) for r_m, a, b in pairs
             )
-            yield RootDerivative(parallel, t, fac.power, rho_sq, terms)
+            yield RootDerivative(par.index, t, fac.power, rho_sq, terms)
 
 
 def derivative_modulus_at_root(

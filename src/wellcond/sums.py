@@ -193,25 +193,30 @@ def harmonic_bounds(
     if not (isinstance(ell, int) and isinstance(M, int) and M >= 2 and 1 <= ell <= M - 1):
         raise ValueError(f"need M >= 2 and 1 <= ell <= M - 1, got ell={ell!r}, M={M!r}")
     check_precision(prec_bits)
+    _, lower = _log_ratio_interval(M + 1, ell + 1, prec_bits)
+    upper, _ = _log_ratio_interval(M, ell, prec_bits)
+    return _harmonic_checks(ell, M, lower, upper)
+
+
+def _harmonic_checks(ell: int, M: int, lower: Fraction, upper: Fraction) -> list[SumCheck]:
+    """harmonic_bounds' two checks against the bounds `lower` and `upper`."""
     value = sum(Fraction(1, j) for j in range(ell + 1, M + 1))
-    _, lo_hi = _log_ratio_interval(M + 1, ell + 1, prec_bits)
-    hi_lo, _ = _log_ratio_interval(M, ell, prec_bits)
     return [
         SumCheck(
             "harmonic_ge_log_upper_ratio",
             {"ell": ell, "M": M},
             value,
-            lo_hi,
-            value - lo_hi,
-            value >= lo_hi,
+            lower,
+            value - lower,
+            value >= lower,
         ),
         SumCheck(
             "harmonic_le_log_lower_ratio",
             {"ell": ell, "M": M},
             value,
-            hi_lo,
-            hi_lo - value,
-            value <= hi_lo,
+            upper,
+            upper - value,
+            value <= upper,
         ),
     ]
 
@@ -258,7 +263,14 @@ def sum_check_suite(
                 checks.extend(tail_sum(ell, M, prec_bits))
     for M in range(1, max_m + 1):
         checks.extend(weighted_sum(M, prec_bits))
+    # The lower bound at (ell, M) encloses log((M+1)/(ell+1)), the ratio
+    # of the upper bound at (ell+1, M+1): each ratio is enclosed once, and
+    # only the enclosures of one M and the next are held.
+    row = {}  # den -> enclosure of log(M/den)
     for M in range(2, max_m + 1):
+        row[1] = _log_ratio_interval(M, 1, prec_bits)
+        following = {den: _log_ratio_interval(M + 1, den, prec_bits) for den in range(2, M + 1)}
         for ell in range(1, M):
-            checks.extend(harmonic_bounds(ell, M, prec_bits))
+            checks.extend(_harmonic_checks(ell, M, following[ell + 1][1], row[ell][0]))
+        row = following
     return checks

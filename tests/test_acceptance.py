@@ -27,7 +27,7 @@ from wellcond.energy import (
     verification_suite,
 )
 from wellcond.numerics import to_mpf
-from wellcond.points import build_bands, build_point_set
+from wellcond.points import build_parallels, build_point_set
 from wellcond.polynomials import canonical_polynomial
 from wellcond.cli import main as cli_main
 
@@ -213,10 +213,9 @@ def test_criterion_08_closed_forms_vs_brute_force():
         assert abs(band_integral(h, eps, cq, PREC) - want) < mp.mpf("1e-12")
 
         # whole-sphere split: sum of band integrals = -kappa (1e-12)
-        bands = build_bands(4)
         total = mp.fsum(
-            band_integral(b.center, b.half_width, Fraction(1, 3), PREC)
-            for b in bands
+            band_integral(p.height, p.half_width, Fraction(1, 3), PREC)
+            for p in build_parallels(4)
         )
         assert abs(total + kappa(PREC)) < mp.mpf("1e-12")
 
@@ -229,7 +228,7 @@ def test_criterion_08_closed_forms_vs_brute_force():
             rho = mp.sqrt(1 - tq * tq)
             qx, qy = rho * mp.cospi(to_mpf(q[1])), rho * mp.sinpi(to_mpf(q[1]))
             acc = mp.mpf(0)
-            for _, _, p in ps.all_points():
+            for _, _, p in ps.coordinates():
                 acc += (
                     mp.log((qx - p.x) ** 2 + (qy - p.y) ** 2 + (tq - p.z) ** 2) / 2
                 )

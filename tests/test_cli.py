@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from wellcond import cli, condition
+from wellcond import cli, points
 from wellcond.cli import main
 
 
@@ -314,21 +314,37 @@ def test_cond_route_disagreement_exits_1(tmp_path, capsys, monkeypatch):
     assert all(v is True for r in reports for v in r["verdicts"].values())
 
 
-def test_sweep_builds_one_point_set_per_m(tmp_path, monkeypatch):
-    """The spherical route and the energy share one family per M."""
-    builds = []
+def test_cond_sweep_and_verify_build_no_coordinates(tmp_path, monkeypatch):
+    """Only generate writes coordinates; the other commands read the
+    exact parallels alone."""
 
-    def counting(real):
-        def build(M, *args, **kwargs):
-            builds.append(M)
-            return real(M, *args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a point coordinate was formed")
 
-        return build
+    monkeypatch.setattr(points, "cos_pi_fraction", forbidden)  # every azimuth
+    for argv in (
+        ["cond", "--M", "2..3", "--route", "both"],
+        ["sweep", "--M", "2..3", "--route", "sphere"],
+        ["verify", "--M", "2..3", "--informational", "--sums-max", "4"],
+    ):
+        assert run([*argv, "--out", tmp_path]) == 0, argv
+    with pytest.raises(AssertionError, match="coordinate"):
+        run(["generate", "--M", "2", "--out", tmp_path])
 
-    for module in (cli, condition):
-        monkeypatch.setattr(module, "build_point_set", counting(module.build_point_set))
-    assert run(["sweep", "--M", "2..3", "--route", "sphere", "--out", tmp_path]) == 0
-    assert builds == [2, 3]
+
+@pytest.mark.parametrize("command", ["generate", "cond", "sweep"])
+def test_seed_only_on_verify(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--M", "2", "--seed", "1", "--out", tmp_path])
+    assert exc.value.code == 2
+
+
+def test_generate_writes_phases_at_the_working_precision(tmp_path):
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps(["0.1", "0.7", "-1.2"]))
+    assert run(["generate", "--M", "2", "--phases", phases, "--out", tmp_path]) == 0
+    pars = read_json(tmp_path / "points_M2.json")["points"]["parallels"]
+    assert pars[0]["phase"] == "0.1"
 
 
 def test_verify_empty_grid_exits_1(tmp_path, capsys):

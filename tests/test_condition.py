@@ -151,6 +151,17 @@ def test_uniform_nonzero_phase_matches_zero_phase():
         assert abs(a.mu_max - b.mu_max) / a.mu_max < tol
 
 
+def test_spherical_route_phases_keep_the_working_precision():
+    """Decimal phases are rounded at prec_bits, not at the caller's
+    working precision."""
+    prec = 256
+    strings = ["0.1", "0.7", "-1.2"]
+    a = mu_max_spherical_route(2, prec, phases=strings)
+    with mp.workprec(prec):
+        b = mu_max_spherical_route(2, prec, phases=[mp.mpf(v) for v in strings])
+    assert a.log_mu_max == b.log_mu_max and a.per_root == b.per_root
+
+
 PHASED = {
     2: [0.1, 0.7, -1.2],
     3: [0.1, 0.7, -1.2, 0.4, 2.0],
@@ -201,7 +212,7 @@ def test_numerator_integral_matches_point_quadrature_with_phases():
     num = numerator_integral_log(ps, prec)
     n_gl, n_az = product_rule_nodes(ps.N)
     nodes, weights = gauss_legendre(n_gl, prec)
-    pts = [p for _, _, p in ps.all_points()]
+    pts = [p for _, _, p in ps.coordinates()]
     with mp.workprec(prec):
         acc = mp.mpf(0)
         for c, w in zip(nodes, weights):
@@ -223,7 +234,7 @@ def test_point_gap_product_matches_brute_force():
 
 
 def _check_gap_products(ps, prec, indices):
-    flat = ps.all_points()
+    flat = ps.coordinates()
     with mp.workprec(prec):
         for idx in indices:
             par_index, azimuth, p = flat[idx]

@@ -26,11 +26,7 @@ from wellcond.energy import (
 )
 from wellcond.condition import parallel_self_product_log
 from wellcond.numerics import to_fraction, to_mpf
-from wellcond.points import (
-    build_bands,
-    build_parallels,
-    build_point_set,
-)
+from wellcond.points import build_parallels, build_point_set
 from sphere_oracle import distance_sq, energy_by_gap_products
 
 
@@ -102,10 +98,10 @@ def test_band_integrals_sum_to_minus_kappa(c):
     """The full-sphere expected log distance: sum of all bands = -kappa."""
     prec = 256
     M = 5
-    bands = build_bands(M)
+    pars = build_parallels(M)
     with mp.workprec(prec):
         total = mp.fsum(
-            band_integral(b.center, b.half_width, Fraction(c), prec) for b in bands
+            band_integral(p.height, p.half_width, Fraction(c), prec) for p in pars
         )
         assert abs(total - (-kappa(prec))) < mp.mpf("1e-12")
 
@@ -166,7 +162,7 @@ def test_log_product_to_set_matches_pairwise_sum():
             qx = rho * mp.cospi(to_mpf(q[1]))
             qy = rho * mp.sinpi(to_mpf(q[1]))
             acc = mp.mpf(0)
-            for _, _, p in ps.all_points():
+            for _, _, p in ps.coordinates():
                 d2 = (qx - p.x) ** 2 + (qy - p.y) ** 2 + (t - p.z) ** 2
                 acc += mp.log(d2) / 2
             assert abs(got - acc) < mp.mpf("1e-25"), (M, phases)
@@ -214,7 +210,7 @@ def test_energy_parallel_vs_pairwise(M, phases):
     prec = 256
     ps = build_point_set(M, phases=phases, prec_bits=prec)
     a = log_energy(ps, prec)
-    b = pairwise_log_energy([p for _, _, p in ps.all_points()], prec)
+    b = pairwise_log_energy([p for _, _, p in ps.coordinates()], prec)
     assert_energy_close(a.energy, b, prec)
     assert a.residual is not None and a.N == 4 * M * M
 
@@ -294,20 +290,10 @@ def test_full_suite_m5_passes_and_is_deterministic():
         assert ra.to_json_dict() == rb.to_json_dict()
 
 
-def test_suite_shares_one_point_set_and_matches_the_standalone_suites(monkeypatch):
-    """One point set per M, and the same reports as each suite run alone."""
+def test_suite_matches_the_standalone_suites():
+    """The suite gives the same reports as each suite run alone."""
     prec, M, seed = 128, 3, 4
-    builds = []
-    real_build = energy.build_point_set
-
-    def counting_build(*args, **kwargs):
-        builds.append(args)
-        return real_build(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(energy, "build_point_set", counting_build)
-        suite = verification_suite(M, prec, seed=seed, informational=True)
-    assert len(builds) == 1
+    suite = verification_suite(M, prec, seed=seed, informational=True)
     alone = [
         *verify_comparison(M, prec, seed),
         verify_t_bounds(M, prec),

@@ -45,8 +45,8 @@ def edge_heights(ps):
     """Both poles, every band edge, midpoint (= parallel height) and a
     quarter point, in increasing order."""
     heights = {Fraction(-1), Fraction(1)}
-    for band in ps.bands:
-        heights |= {band.lower, band.upper, band.center, band.center + band.half_width / 2}
+    for par in ps.parallels:
+        heights |= {par.lower, par.upper, par.height, par.height + par.half_width / 2}
     return sorted(heights)
 
 
@@ -110,17 +110,17 @@ def one_pair_comparison_cells(ps, seed):
     """(outside, inside) cells of verify_comparison, each pair through the
     public one-pair margin functions."""
     rng = random.Random(seed)
-    probes = [c for band in ps.bands for c in band_probe_heights(band, rng)]
+    probes = [c for par in ps.parallels for c in band_probe_heights(par, rng)]
     out_cells, in_cells = [], []
     with mp.workprec(PREC):
-        for band in ps.bands:
-            h, eps = band.center, band.half_width
+        for par in ps.parallels:
+            h, eps = par.height, par.half_width
             for c in probes:
-                if band.lower <= c <= band.upper:
+                if h - eps <= c <= h + eps:
                     m, bucket = comparison_inside_margin(h, eps, c, PREC), in_cells
                 else:
                     m, bucket = comparison_outside_margin(h, eps, c, PREC), out_cells
-                params = {"band": band.index, "h": frac_str(h), "eps": frac_str(eps), "c": frac_str(c)}
+                params = {"band": par.index, "h": frac_str(h), "eps": frac_str(eps), "c": frac_str(c)}
                 bucket.append(({**params, "side": "lower"}, m.value, m.lower_bound, m.lower_margin))
                 bucket.append(({**params, "side": "upper"}, m.value, m.upper_bound, m.upper_margin))
     return out_cells, in_cells
@@ -133,7 +133,7 @@ def cell_tuples(report):
 @pytest.mark.parametrize("M,seed", [(2, 0), (3, 5), (5, 1)])
 def test_comparison_cells_match_one_pair_margins(M, seed):
     ps = build_point_set(M, prec_bits=PREC)
-    outside, inside = verify_comparison(M, PREC, seed, point_set=ps)
+    outside, inside = verify_comparison(M, PREC, seed)
     want_out, want_in = one_pair_comparison_cells(ps, seed)
     assert cell_tuples(outside) == want_out
     assert cell_tuples(inside) == want_in
@@ -141,8 +141,8 @@ def test_comparison_cells_match_one_pair_margins(M, seed):
     # poles; an edge probe takes band_integral's c <= lo / c >= hi closed
     # form, so no cell is 0 * log 0
     edges = {(p["band"], p["c"]) for p, *_ in want_in}
-    for band in ps.bands:
-        assert {(band.index, frac_str(band.lower)), (band.index, frac_str(band.upper))} <= edges
+    for par in ps.parallels:
+        assert {(par.index, frac_str(par.lower)), (par.index, frac_str(par.upper))} <= edges
     poles = {p["c"] for p, *_ in want_in} & {"1/1", "-1/1"}
     assert poles == {"1/1", "-1/1"}
     with mp.workprec(PREC):
@@ -180,9 +180,9 @@ def test_suites_match_one_query_oracles(M, seed):
     ps = build_point_set(M, prec_bits=PREC)
     kap = kappa(PREC)
     rng = random.Random(seed)
-    probes = [(band.index, c) for band in ps.bands[:M] for c in band_probe_heights(band, rng)]
+    probes = [(par.index, c) for par in ps.parallels[:M] for c in band_probe_heights(par, rng)]
 
-    numer_sum, _ = verify_numerator(M, PREC, seed, point_set=ps)
+    numer_sum, _ = verify_numerator(M, PREC, seed)
     cells, notes = [], []
     with mp.workprec(PREC):
         for ell, c in probes:
@@ -201,13 +201,13 @@ def test_suites_match_one_query_oracles(M, seed):
     assert numer_sum.notes == notes
     assert cell_tuples(numer_sum) == cells
 
-    _, chain = verify_sn_kappa(M, PREC, seed, point_set=ps)
+    _, chain = verify_sn_kappa(M, PREC, seed)
     with mp.workprec(PREC):
         vals = [s_n_by_parallel(c, ps) + ps.N * kap for _, c in probes]
         assert [c.lhs for c in chain.cells] == [v for v in vals for _side in (0, 1)]
         assert [s_n(c, ps, PREC) for _, c in probes] == [s_n_by_parallel(c, ps) for _, c in probes]
 
-    denom_sum, _ = verify_denominator(M, PREC, point_set=ps)
+    denom_sum, _ = verify_denominator(M, PREC)
     cells = []
     with mp.workprec(PREC):
         for par in ps.parallels:

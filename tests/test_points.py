@@ -1,4 +1,4 @@
-"""Parallel/band layout and materialised spherical coordinates."""
+"""Parallel/band layout, phases, and spherical coordinates on request."""
 
 from fractions import Fraction
 
@@ -8,31 +8,32 @@ import pytest
 from wellcond.numerics import to_fraction, to_mpf
 from wellcond.points import (
     SpherePoint,
-    build_bands,
     build_parallels,
     build_point_set,
 )
 from sphere_oracle import inverse_stereographic, stereographic
 
 
-def band_of(q, bands):
-    """Index of the band containing a height (or SpherePoint's height).
+def band_of(q, pars):
+    """Index of the parallel whose band contains a height (or a
+    SpherePoint's height).
 
     Boundary heights are assigned deterministically to the band nearer
-    its pole: H_j (northern, j <= M-1) belongs to band j, a southern
-    boundary H_j to band j+1.  The height is compared exactly.
+    its pole: a northern edge (below parallel j <= M-1) belongs to band
+    j, a southern one to the band below it.  The height is compared
+    exactly.
     """
     t = to_fraction(q.z if isinstance(q, SpherePoint) else q)
-    if not bands[-1].lower <= t <= bands[0].upper:
+    if not pars[-1].lower <= t <= pars[0].upper:
         raise ValueError(f"height {t} outside [-1, 1]")
-    M = (len(bands) + 1) // 2
-    for band in bands[: M - 1]:
-        if t >= band.lower:
-            return band.index
-    for band in bands[M - 1 : -1]:
-        if t > band.lower:
-            return band.index
-    return len(bands)
+    M = (len(pars) + 1) // 2
+    for par in pars[: M - 1]:
+        if t >= par.lower:
+            return par.index
+    for par in pars[M - 1 : -1]:
+        if t > par.lower:
+            return par.index
+    return len(pars)
 
 
 def test_m3_heights_and_counts_by_hand():
@@ -59,30 +60,37 @@ def test_counts_sum_to_n_and_mirror(M):
 
 @pytest.mark.parametrize("M", [1, 2, 3, 5, 8])
 def test_bands_partition_and_center_on_parallels(M):
-    bands = build_bands(M)
+    """The band edges h -+ nu run contiguously from 1 down to -1, and each
+    half-width nu is the parallel's point share r/N."""
     pars = build_parallels(M)
-    assert bands[0].upper == 1 and bands[-1].lower == -1
-    for a, b in zip(bands, bands[1:]):
+    assert pars[0].upper == 1 and pars[-1].lower == -1
+    for a, b in zip(pars, pars[1:]):
         assert a.lower == b.upper
     N = 4 * M * M
-    for band, par in zip(bands, pars):
-        assert band.center == par.height
-        # normalized band area (dt/2) equals the parallel's point share
-        assert (band.upper - band.lower) / 2 == Fraction(par.count, N)
+    for par in pars:
+        assert par.lower < par.height < par.upper
+        assert (par.lower + par.upper) / 2 == par.height
+        assert (par.upper - par.lower) / 2 == par.half_width == Fraction(par.count, N)
+
+
+def test_band_edges_m3_by_hand():
+    """H_j = 1 - j(j+1)/M^2 north of the equator, its mirror south."""
+    edges = [par.lower for par in build_parallels(3)]
+    assert edges == [Fraction(7, 9), Fraction(1, 3), Fraction(-1, 3), Fraction(-7, 9), Fraction(-1)]
 
 
 def test_band_of_boundary_rule_m3():
-    bands = build_bands(3)
-    assert band_of(Fraction(7, 9), bands) == 1
-    assert band_of(Fraction(-7, 9), bands) == 5
-    assert band_of(Fraction(0), bands) == 3
-    assert band_of(Fraction(1), bands) == 1
-    assert band_of(Fraction(-1), bands) == 5
+    pars = build_parallels(3)
+    assert band_of(Fraction(7, 9), pars) == 1
+    assert band_of(Fraction(-7, 9), pars) == 5
+    assert band_of(Fraction(0), pars) == 3
+    assert band_of(Fraction(1), pars) == 1
+    assert band_of(Fraction(-1), pars) == 5
 
 
 def test_equator_points_exact_axes_m1():
     ps = build_point_set(1, prec_bits=128)
-    pts = [(p.x, p.y, p.z) for _, _, p in ps.all_points()]
+    pts = [(p.x, p.y, p.z) for _, _, p in ps.coordinates()]
     assert pts == [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
 
 
@@ -90,21 +98,24 @@ def test_equator_points_exact_axes_m1():
 def test_points_lie_on_their_parallels(M):
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
+    coords = ps.coordinates()
+    assert [(j, k) for j, k, _ in coords] == [
+        (par.index, k) for par in ps.parallels for k in range(par.count)
+    ]
     with mp.workprec(prec):
-        for par, group in zip(ps.parallels, ps.points):
-            assert len(group) == par.count
+        for j, _, p in coords:
+            par = ps.parallels[j - 1]
             h = to_mpf(par.height)
             r_sq = to_mpf(par.radius_sq)
-            for p in group:
-                assert abs(p.z - h) == 0
-                assert abs(p.x**2 + p.y**2 - r_sq) < mp.mpf(2) ** -(prec - 8)
+            assert abs(p.z - h) == 0
+            assert abs(p.x**2 + p.y**2 - r_sq) < mp.mpf(2) ** -(prec - 8)
 
 
 def test_stereographic_round_trip():
     prec = 256
     ps = build_point_set(2, prec_bits=prec)
     with mp.workprec(prec):
-        for _, _, p in ps.all_points():
+        for _, _, p in ps.coordinates():
             z = stereographic(p)
             q = inverse_stereographic(z, prec)
             assert abs(q.x - p.x) < mp.mpf(2) ** -(prec - 12)
@@ -118,7 +129,7 @@ def test_phase_overrides_validated_and_applied():
     prec = 192
     with mp.workprec(prec):
         ps = build_point_set(1, phases=[mp.pi / 4], prec_bits=prec)
-        p0 = ps.points[0][0]
+        (_, _, p0), *_ = ps.coordinates()
         assert abs(p0.x - mp.sqrt(2) / 2) < mp.mpf(2) ** -(prec - 8)
         assert abs(p0.y - mp.sqrt(2) / 2) < mp.mpf(2) ** -(prec - 8)
 
@@ -127,3 +138,14 @@ def test_invalid_m_rejected():
     for bad in (0, -1, 2.5):
         with pytest.raises((ValueError, TypeError)):
             build_parallels(bad)
+
+
+def test_phases_are_rounded_at_the_point_set_precision():
+    """A phase keeps the point set's precision whatever the caller's
+    working precision; the default context is 53 bits."""
+    ps = build_point_set(2, phases=["0.1", "0.7", "-1.2"], prec_bits=256)
+    with mp.workprec(256):
+        assert [par.phase for par in ps.parallels] == [
+            mp.mpf("0.1"), mp.mpf("0.7"), mp.mpf("-1.2")
+        ]
+    assert ps.parallels[0].phase._mpf_[3] > 53  # mantissa bits

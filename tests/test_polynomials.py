@@ -7,6 +7,8 @@ import pytest
 
 from polynomial_oracle import derivative, evaluate, log_derivative_modulus_by_gaps
 from wellcond.condition import log_mu_at_root
+from wellcond.numerics import to_mpf
+from wellcond.points import build_parallels
 from wellcond.polynomials import (
     DensePolynomial,
     Factor,
@@ -15,7 +17,6 @@ from wellcond.polynomials import (
     RootDerivative,
     bombieri_norm_sq,
     canonical_polynomial,
-    canonical_factor_parallel,
     derivative_modulus_at_root,
     expand,
     root_derivative_data,
@@ -109,11 +110,14 @@ def test_roots_satisfy_their_factors(M):
 
 
 def test_factor_to_parallel_mapping_m3():
+    """The parallel of each factor's roots, as root_derivative_data labels
+    them, in the factor order the roots come in."""
     f = canonical_polynomial(3)
     got = {
-        (g.power, g.shift): canonical_factor_parallel(3, i)
-        for i, g in enumerate(f.factors)
+        (f.factors[entry.factor].power, f.factors[entry.factor].shift): root.parallel
+        for entry, root in zip(roots(f, 64), root_derivative_data(3), strict=True)
     }
+    assert len(got) == len(f.factors)
     # equator has index M; shift > 1 sits north (smaller index), < 1 south
     assert got[(12, Fraction(1))] == 3
     assert got[(4, Fraction(289))] == 1
@@ -130,10 +134,15 @@ def test_derivative_modulus_matches_direct_evaluation():
         f = canonical_polynomial(M)
         rs = roots(f, prec)
         data = list(root_derivative_data(M))
+        heights = [par.height for par in build_parallels(M)]
         assert len(data) == len(rs) == f.degree
         with mp.workprec(prec):
             for i, (entry, root) in enumerate(zip(rs, data)):
-                assert root.parallel == canonical_factor_parallel(M, entry.factor)
+                # the root lies on the stereographic image of its parallel
+                h = heights[root.parallel - 1]
+                assert root.rho_sq == (1 + h) / (1 - h)
+                assert abs(abs(entry.value) ** 2 - to_mpf(root.rho_sq)) < tol * root.rho_sq
+                assert root.power == f.factors[entry.factor].power
                 assert root.azimuth == entry.azimuth
                 got = derivative_modulus_at_root(root, prec)
                 want = log_derivative_modulus_by_gaps(rs, i, prec)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from wellcond import sums
 from wellcond.numerics import to_mpf
 from wellcond.sums import (
     sum_check_suite,
@@ -119,6 +120,25 @@ def test_suite_all_checks_pass():
         "harmonic_ge_log_upper_ratio",
         "harmonic_le_log_lower_ratio",
     } <= ids
+
+
+def test_suite_encloses_each_log_ratio_once(monkeypatch):
+    """The harmonic checks equal harmonic_bounds at every (ell, M), with
+    each log ratio enclosed once: M ratios for every M = 2..max_m."""
+    calls = []
+    real = sums._log_ratio_interval
+
+    def counting(num, den, prec_bits):
+        calls.append((num, den))
+        return real(num, den, prec_bits)
+
+    max_m = 12
+    with monkeypatch.context() as patch:
+        patch.setattr(sums, "_log_ratio_interval", counting)
+        got = [c for c in sum_check_suite(max_m) if c.check_id.startswith("harmonic_")]
+    assert len(calls) == len(set(calls)) == sum(range(2, max_m + 1))
+    want = [c for M in range(2, max_m + 1) for ell in range(1, M) for c in harmonic_bounds(ell, M)]
+    assert got == want
 
 
 def test_suite_tail_grid_reaches_max_m():
