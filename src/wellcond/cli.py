@@ -38,7 +38,7 @@ from .condition import (
     mu_max_spherical_route,
 )
 from .energy import log_energy, verification_suite
-from .numerics import MIN_PREC_BITS, fmt_real
+from .numerics import MIN_PREC_BITS, fmt_real, frac_str
 from .points import build_point_set
 from .polynomials import canonical_polynomial, expand
 from .sums import CSV_HEADER as SUMS_CSV_HEADER
@@ -135,7 +135,8 @@ def _load_phases_file(path: str | None) -> dict[int, list[str]] | None:
     return table
 
 
-def _phases_for(overrides: dict[int, list[str]] | None, M: int, prec_bits: int):
+def _phases_for(overrides: dict[int, list[str]] | None, M: int) -> list[str] | None:
+    """The angle strings for M, which build_point_set rounds."""
     if overrides is None:
         return None
     want = 2 * M - 1
@@ -146,8 +147,7 @@ def _phases_for(overrides: dict[int, list[str]] | None, M: int, prec_bits: int):
         return None
     if len(raw) != want:
         raise InputError(f"phases for M={M} must list {want} angles, got {len(raw)}")
-    with mp.workprec(prec_bits):
-        return [mp.mpf(v) for v in raw]
+    return raw
 
 
 def _prepare(args):
@@ -158,7 +158,7 @@ def _prepare(args):
     """
     table = _load_phases_file(getattr(args, "phases", None))
     workers = _worker_count(len(args.M))
-    phases = {M: _phases_for(table, M, args.precision) for M in args.M}
+    phases = {M: _phases_for(table, M) for M in args.M}
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -239,25 +239,20 @@ def _generate_one(prec: int, phases: dict, fmt: str, M: int) -> dict:
     ps = build_point_set(M, phases=phases[M], prec_bits=prec)
     fac = canonical_polynomial(M)
     dense = expand(fac)
+    if fmt == "json":
+        return {
+            "M": M,
+            "points": ps.to_json_dict(),
+            "factorized": fac.to_json_dict(),
+            "dense": dense.to_json_dict(),
+        }
     with mp.workprec(prec):
-        if fmt == "json":
-            return {
-                "M": M,
-                "points": ps.to_json_dict(),
-                "factorized": fac.to_json_dict(),
-                "dense": dense.to_json_dict(),
-            }
         point_rows = [
             [str(j), str(k), fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
             for j, k, p in ps.coordinates()
         ]
-    factor_rows = [
-        [str(f.power), f"{f.shift.numerator}/{f.shift.denominator}"]
-        for f in fac.factors
-    ]
-    dense_rows = [
-        [str(i), f"{c.numerator}/{c.denominator}"] for i, c in enumerate(dense.coeffs)
-    ]
+    factor_rows = [[str(f.power), frac_str(f.shift)] for f in fac.factors]
+    dense_rows = [[str(i), frac_str(c)] for i, c in enumerate(dense.coeffs)]
     return {
         "M": M,
         "point_rows": point_rows,
@@ -417,11 +412,9 @@ def cmd_cond(args) -> int:
 
 def _verify_one(prec: int, seed: int, informational: bool, M: int) -> dict:
     suite = verification_suite(M, prec, seed, informational)
-    with mp.workprec(prec):
-        report_dicts = [r.to_json_dict() for r in suite.reports]
     return {
         "M": M,
-        "reports": report_dicts,
+        "reports": [r.to_json_dict() for r in suite.reports],
         "refused": suite.refused,
         "gating": suite.gated,
         "gated_ok": suite.passed,
@@ -513,7 +506,7 @@ def _sweep_one(prec: int, route: str, M: int) -> dict:
         rep = mu_max_coefficient_route(M, prec)
     cond_dt = time.perf_counter() - t0
     t0 = time.perf_counter()
-    erep = log_energy(build_point_set(M, prec_bits=prec), prec)
+    erep = log_energy(build_point_set(M, prec_bits=prec))
     energy_dt = time.perf_counter() - t0
     with mp.workprec(prec):
         ratio = rep.mu_max / mp.sqrt(mp.mpf(rep.N + 1))

@@ -52,6 +52,12 @@ the turn, so theta_product_log_turn evaluates a whole grid of heights x
 turns against one parallel: (gap, rim) per (parallel, height), versine
 per (parallel, turn), one log per cell; point_gap_product_log takes
 every requested azimuth of one parallel in one call.
+
+Precision has one source per input: numerator_integral_log and
+point_gap_product_log read the prec_bits of the point set they take,
+the routes and the Theta forms take prec_bits with M or a raw (r, h),
+and a ConditionReport prints its floats at the precision_bits it
+records, whatever the caller's mpmath context.
 """
 
 from __future__ import annotations
@@ -73,7 +79,6 @@ from .numerics import (
 )
 from .points import PointSet, build_point_set
 from .polynomials import (
-    MultipleRootError,
     RootDerivative,
     bombieri_norm_sq,
     canonical_polynomial,
@@ -100,10 +105,11 @@ class ConditionReport:
     """Outcome of one condition-number computation.
 
     verdicts maps bound ids to True/False, or None when a certified run
-    could not resolve the comparison at the precision cap.
+    could not resolve the comparison at the precision cap.  The floats
+    print at precision_bits.
     """
 
-    M: int | None
+    M: int
     N: int
     route: str
     precision_bits: int
@@ -115,19 +121,20 @@ class ConditionReport:
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "M": self.M,
-            "N": self.N,
-            "route": self.route,
-            "precision_bits": self.precision_bits,
-            "mu_max": fmt_real(self.mu_max),
-            "log_mu_max": fmt_real(self.log_mu_max),
-            "per_root": [
-                {"root": rid, "log_mu": fmt_real(lm)} for rid, lm in self.per_root
-            ],
-            "verdicts": dict(self.verdicts),
-            "certified": self.certified,
-        }
+        with mp.workprec(self.precision_bits):
+            out = {
+                "M": self.M,
+                "N": self.N,
+                "route": self.route,
+                "precision_bits": self.precision_bits,
+                "mu_max": fmt_real(self.mu_max),
+                "log_mu_max": fmt_real(self.log_mu_max),
+                "per_root": [
+                    {"root": rid, "log_mu": fmt_real(lm)} for rid, lm in self.per_root
+                ],
+                "verdicts": dict(self.verdicts),
+                "certified": self.certified,
+            }
         out.update(self.extras)
         return out
 
@@ -164,14 +171,9 @@ def log_mu_at_root(
     log_norm_sq: mp.mpf,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> mp.mpf:
-    """log mu(f, z) at one root of the degree-N family with log ||f||^2.
-
-    Returns the +inf sentinel at a repeated root.
-    """
-    try:
-        log_fp = derivative_modulus_at_root(root, prec_bits)
-    except MultipleRootError:
-        return mp.mpf("+inf")
+    """log mu(f, z) at one root of the degree-N family with log ||f||^2;
+    +inf at a repeated root, where log |f'| = -inf."""
+    log_fp = derivative_modulus_at_root(root, prec_bits)
     with mp.workprec(prec_bits):
         return (
             mp.log(N) / 2
@@ -282,18 +284,16 @@ def parallel_self_product_log(
         return mp.log(r) + mp.mpf(r - 1) / 2 * mp.log(to_mpf(1 - h * h))
 
 
-def numerator_integral_log(
-    point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS
-) -> NumeratorIntegral:
-    """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family.
+def numerator_integral_log(point_set: PointSet) -> NumeratorIntegral:
+    """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family,
+    at the point set's precision.
 
     Evaluates 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)) for the
     f and the weights 1/(1 + rho_k^2) of polynomials.family_polynomial;
     with every phase 0 the value is an exact rational, rounded once.
     """
-    check_precision(prec_bits)
     N = point_set.N
-    with mp.workprec(prec_bits):
+    with mp.workprec(point_set.prec_bits):
         f, weights = family_polynomial(point_set)
         scale = Fraction(4**N, N + 1)
         for fac, w in zip(f.factors, weights):
@@ -303,19 +303,17 @@ def numerator_integral_log(
 
 
 def point_gap_product_log(
-    point_set: PointSet,
-    parallel_index: int,
-    azimuths: Sequence[int],
-    prec_bits: int = DEFAULT_PREC_BITS,
+    point_set: PointSet, parallel_index: int, azimuths: Sequence[int]
 ) -> list[mp.mpf]:
     """log prod over all other family points of |p - p_other|, for the
-    point p of azimuth index k on the given parallel, each k in `azimuths`.
+    point p of azimuth index k on the given parallel, each k in `azimuths`,
+    at the point set's precision.
 
     Splits into the closed-form product within the point's own parallel,
     formed once, and one Theta row per other parallel: (gap, rim) once
     per pair of parallels, the versine once per point.
     """
-    check_precision(prec_bits)
+    prec_bits = point_set.prec_bits
     parallels = point_set.parallels
     own = parallels[parallel_index - 1]
     if own.index != parallel_index:
@@ -348,7 +346,7 @@ def mu_max_spherical_route(
     changes the maximum.
     """
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
-    num = numerator_integral_log(point_set, prec_bits)
+    num = numerator_integral_log(point_set)
     N = point_set.N
     reducible = all(par.phase == 0 for par in point_set.parallels)
     per_root: list[tuple[str, mp.mpf]] = []
@@ -360,7 +358,7 @@ def mu_max_spherical_route(
         )
         for par in point_set.parallels:
             ks = range(par.count // 4) if reducible else range(par.count)
-            gap_logs = point_gap_product_log(point_set, par.index, ks, prec_bits)
+            gap_logs = point_gap_product_log(point_set, par.index, ks)
             per_root += [
                 (f"p{par.index}.k{k}", base - gap_log) for k, gap_log in zip(ks, gap_logs)
             ]

@@ -60,6 +60,10 @@ converts its height arguments once at entry with numerics.to_fraction,
 so an int, float or mpf input gives the same bits as the equal
 Fraction.  A query azimuth is an exact turn (a multiple of pi) plus a
 radian offset, as in condition.theta_product_log_turn.
+
+log_energy, s_n and log_product_to_set compute at the prec_bits of the
+point set they take; a VerificationReport records its precision_bits,
+derives its tolerance from it and prints its floats at it.
 """
 
 from __future__ import annotations
@@ -95,15 +99,6 @@ def kappa(prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
         return mp.mpf(1) / 2 - mp.log(2)
-
-
-def _log_of(v: Fraction | mp.mpf) -> mp.mpf:
-    """log of an exact rational (rounded once) or an mpf, -inf at zero."""
-    if v < 0:
-        raise ValueError(f"log of negative value {v}")
-    if v == 0:
-        return mp.mpf("-inf")
-    return mp.log(to_mpf(v))
 
 
 @dataclass(frozen=True)
@@ -327,10 +322,10 @@ def _s_n_values(heights: Sequence, point_set: PointSet) -> list[mp.mpf]:
     return out
 
 
-def s_n(c, point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
-    """S_N(c) = sum_j r_j * expected_log_parallel(h_j, c)."""
-    check_precision(prec_bits)
-    with mp.workprec(prec_bits):
+def s_n(c, point_set: PointSet) -> mp.mpf:
+    """S_N(c) = sum_j r_j * expected_log_parallel(h_j, c), at the point
+    set's precision."""
+    with mp.workprec(point_set.prec_bits):
         return _s_n_values([c], point_set)[0]
 
 
@@ -356,20 +351,18 @@ def t_ell(ell: int, M: int) -> Fraction:
 
 
 def log_product_to_set(
-    heights: Sequence,
-    turns: Sequence,
-    point_set: PointSet,
-    prec_bits: int = DEFAULT_PREC_BITS,
+    heights: Sequence, turns: Sequence, point_set: PointSet
 ) -> list[list[mp.mpf]]:
     """log prod over all family points of |p_i - q| for every external
     query q at a height c in `heights` and azimuth pi * turn, turn in
-    `turns`: row i, column m is the query (heights[i], turns[m]).
+    `turns`: row i, column m is the query (heights[i], turns[m]), at the
+    point set's precision.
 
     One Theta grid per parallel (condition.theta_product_log_turn).
     Against zero-phase parallels the exact turns keep coincidence with a
     family point exact: that query's value is -inf.
     """
-    check_precision(prec_bits)
+    prec_bits = point_set.prec_bits
     with mp.workprec(prec_bits):
         totals = [[mp.mpf(0)] * len(turns) for _ in heights]
         for par in point_set.parallels:
@@ -398,26 +391,28 @@ class EnergyReport:
     residual: mp.mpf
 
 
-def log_energy(point_set: PointSet, prec_bits: int = DEFAULT_PREC_BITS) -> EnergyReport:
+def log_energy(point_set: PointSet) -> EnergyReport:
     """E(P) = sum_{i != j} log 1/|p_i - p_j| by the identity of the module
     docstring for the f of polynomials.family_polynomial, with |Disc f| =
     prod_k r_k^(r_k) |s_k|^(r_k - 1) prod_{k<l} |s_k^(r_l/g) - s_l^(r_k/g)|^(2g):
     one log per factor and per factor pair, each of an exact rational
-    (zero phases) or an mpc modulus (phased), rounded once.
+    (zero phases) or an mpc modulus (phased), rounded once at the point
+    set's precision; a zero resultant (a repeated root) gives log 0 = -inf.
     """
-    check_precision(prec_bits)
+    prec_bits = point_set.prec_bits
     N = point_set.N
     with mp.workprec(prec_bits):
         f, weights = family_polynomial(point_set)  # weights 1/(1 + rho_k^2)
         total = N * (N - 1) * mp.log(2)
         for fac, w in zip(f.factors, weights):
             r = fac.power
-            total += _log_of(r**r * abs(fac.shift) ** (r - 1)) + (N - 1) * r * _log_of(w)
+            disc = r**r * abs(fac.shift) ** (r - 1)
+            total += mp.log(to_mpf(disc)) + (N - 1) * r * mp.log(to_mpf(w))
         for k, a in enumerate(f.factors):
             for b in f.factors[k + 1 :]:
                 g = math.gcd(a.power, b.power)
                 diff = a.shift ** (b.power // g) - b.shift ** (a.power // g)
-                total += 2 * g * _log_of(abs(diff))
+                total += 2 * g * mp.log(to_mpf(abs(diff)))
         energy = -total
         residual = (energy - kappa(prec_bits) * N * N + mp.mpf(N) / 2 * mp.log(N)) / N
     return EnergyReport(point_set.M, N, prec_bits, energy, residual)
@@ -454,8 +449,9 @@ class VerificationReport:
     inside-window upper bound when the band touches a pole and c sits on
     it), so floating evaluation of the margin can land a few ulps on
     either side of zero.  `tolerance` is the rounding allowance for
-    this: pass means worst_margin >= -tolerance.  It is 2^(8 - prec) by
-    default, dozens of orders below any non-degenerate margin.
+    this: pass means worst_margin >= -tolerance.  It is 2^(8 - prec) at
+    the report's precision_bits, dozens of orders below any
+    non-degenerate margin; the floats print at precision_bits.
     """
 
     lemma: str
@@ -463,8 +459,12 @@ class VerificationReport:
     M: int
     grid: str
     cells: list[Cell]
+    precision_bits: int
     notes: list[str] = field(default_factory=list)
-    tolerance: object = 0
+
+    @property
+    def tolerance(self) -> mp.mpf:
+        return mp.ldexp(1, 8 - self.precision_bits)
 
     @property
     def worst_margin(self) -> mp.mpf:
@@ -478,17 +478,18 @@ class VerificationReport:
         return bool(self.cells and self.worst_margin >= -self.tolerance)
 
     def to_json_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "hypothesis": self.hypothesis,
-            "M": self.M,
-            "grid": self.grid,
-            "cells": [c.to_json_dict() for c in self.cells],
-            "worst_margin": fmt_real(self.worst_margin),
-            "tolerance": fmt_real(to_mpf(self.tolerance)),
-            "pass": self.passed,
-            "notes": list(self.notes),
-        }
+        with mp.workprec(self.precision_bits):
+            return {
+                "lemma": self.lemma,
+                "hypothesis": self.hypothesis,
+                "M": self.M,
+                "grid": self.grid,
+                "cells": [c.to_json_dict() for c in self.cells],
+                "worst_margin": fmt_real(self.worst_margin),
+                "tolerance": fmt_real(self.tolerance),
+                "pass": self.passed,
+                "notes": list(self.notes),
+            }
 
 
 def band_probe_heights(par: Parallel, rng: random.Random) -> list[Fraction]:
@@ -568,9 +569,8 @@ def _reports(
     hyp = decl.hypothesis
     if M < decl.min_M:
         hyp += f" (informational run at M={M})"
-    tol = mp.ldexp(1, 8 - prec_bits)  # the rounding allowance 2^(8 - prec)
     return [
-        VerificationReport(lemma, hyp, M, grid, c, list(notes), tol)
+        VerificationReport(lemma, hyp, M, grid, c, prec_bits, list(notes))
         for lemma, c in zip(decl.lemmas, cells, strict=True)
     ]
 
@@ -714,7 +714,7 @@ def verify_numerator(
     turn_strs = [frac_str(turn) for turn in AZIMUTH_TURNS]
     with mp.workprec(prec_bits):
         s_values = iter(_s_n_values(heights, ps))
-        lhs_rows = iter(log_product_to_set(heights, AZIMUTH_TURNS, ps, prec_bits))
+        lhs_rows = iter(log_product_to_set(heights, AZIMUTH_TURNS, ps))
         for ell, cs in probes:
             exp_rhs = (
                 mp.log(2)
@@ -762,7 +762,7 @@ def verify_denominator(
         s_values = _s_n_values([par.height for par in ps.parallels], ps)
         for par, s_val in zip(ps.parallels, s_values):
             sum_rhs = s_val + mp.log(2 * mp.sqrt(2) * M) - mp.mpf(1) / 8
-            gap_logs = point_gap_product_log(ps, par.index, range(par.count), prec_bits)
+            gap_logs = point_gap_product_log(ps, par.index, range(par.count))
             for k, lhs in enumerate(gap_logs):
                 params = {"parallel": par.index, "k": k}
                 sum_cells.append(Cell(params, lhs, sum_rhs, lhs - sum_rhs))

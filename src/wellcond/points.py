@@ -12,8 +12,10 @@ nu_j = r_j / N, the fraction of the surface measure it covers; the
 bands tile [-1, 1] from the north pole down.  A Parallel is the one
 record of this geometry: the band edges, the factors of the polynomial
 family (polynomials) and the phases all come from it.  Heights and
-half-widths are exact rationals; a phase is rounded once at the point
-set's precision.  Coordinates are formed only on request, by
+half-widths are exact rationals.  build_parallels gives the zero-phase
+geometry; build_point_set rounds each phase once, at the point set's
+precision, which every function that takes the point set reads and its
+JSON prints at.  Coordinates are formed only on request, by
 PointSet.coordinates: the azimuth of point k on parallel j is the exact
 turn 2k/r_j (a multiple of pi) plus the parallel's radian phase as an
 offset, both evaluated by numerics.cos_pi_fraction.
@@ -21,7 +23,7 @@ offset, both evaluated by numerics.cos_pi_fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -79,7 +81,7 @@ class SpherePoint:
 @dataclass
 class PointSet:
     """The full family: its parallels, with every phase rounded at
-    ``prec_bits``, the precision coordinates are formed at."""
+    ``prec_bits``, the precision coordinates are formed and printed at."""
 
     M: int
     N: int
@@ -103,24 +105,25 @@ class PointSet:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "N": self.N,
-            "precision_bits": self.prec_bits,
-            "parallels": [
-                {
-                    "j": par.index,
-                    "r": par.count,
-                    "h": frac_str(par.height),
-                    "phase": fmt_real(par.phase),
-                }
-                for par in self.parallels
-            ],
-            "points": [
-                [fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
-                for _, _, p in self.coordinates()
-            ],
-        }
+        with mp.workprec(self.prec_bits):
+            return {
+                "M": self.M,
+                "N": self.N,
+                "precision_bits": self.prec_bits,
+                "parallels": [
+                    {
+                        "j": par.index,
+                        "r": par.count,
+                        "h": frac_str(par.height),
+                        "phase": fmt_real(par.phase),
+                    }
+                    for par in self.parallels
+                ],
+                "points": [
+                    [fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
+                    for _, _, p in self.coordinates()
+                ],
+            }
 
 
 def _check_m(M: int) -> int:
@@ -129,18 +132,10 @@ def _check_m(M: int) -> int:
     return M
 
 
-def build_parallels(M: int, phases: Sequence | None = None) -> list[Parallel]:
-    """The 2M-1 parallels (index, count, exact height and half-width) for
-    a given M.
-
-    phases, if given, must supply one azimuth (radians) per parallel;
-    each is rounded at the working precision.
-    """
+def build_parallels(M: int) -> list[Parallel]:
+    """The 2M-1 zero-phase parallels (index, count, exact height and
+    half-width) for a given M."""
     _check_m(M)
-    if phases is not None and len(phases) != 2 * M - 1:
-        raise ValueError(
-            f"need {2 * M - 1} phases for M={M}, got {len(phases)}"
-        )
     N = 4 * M * M
     out = []
     for j in range(1, 2 * M):
@@ -150,8 +145,7 @@ def build_parallels(M: int, phases: Sequence | None = None) -> list[Parallel]:
         else:
             count = 4 * (2 * M - j)
             height = -1 + Fraction((2 * M - j) ** 2, M * M)
-        phase = to_mpf(phases[j - 1]) if phases is not None else mp.mpf(0)
-        out.append(Parallel(j, count, height, Fraction(count, N), phase))
+        out.append(Parallel(j, count, height, Fraction(count, N)))
     return out
 
 
@@ -160,9 +154,14 @@ def build_point_set(
     phases: Sequence | None = None,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> PointSet:
-    """The family of M with its phases rounded at prec_bits; no
-    coordinates are formed (see PointSet.coordinates)."""
+    """The family of M; phases, if given, supply one azimuth (radians)
+    per parallel, each rounded once at prec_bits.  No coordinates are
+    formed (see PointSet.coordinates)."""
     check_precision(prec_bits)
-    with mp.workprec(prec_bits):
-        parallels = build_parallels(M, phases)
+    parallels = build_parallels(M)
+    if phases is not None:
+        if len(phases) != len(parallels):
+            raise ValueError(f"need {len(parallels)} phases for M={M}, got {len(phases)}")
+        with mp.workprec(prec_bits):
+            parallels = [replace(par, phase=to_mpf(ph)) for par, ph in zip(parallels, phases)]
     return PointSet(M=M, N=4 * M * M, parallels=parallels, prec_bits=prec_bits)

@@ -15,9 +15,10 @@ rho_j^2 = (2M^2 - j^2)/j^2 this is
     P(z) = (z^(4M) - 1) * prod_{j=1}^{M-1} (z^(4j) - s_j)(z^(4j) - 1/s_j).
 
 Expansion, Bombieri-Weyl norms and the factor-wise data of |f'| at
-each root stay in exact rational arithmetic; root values, the float
-evaluation of |f'| and the expansion of factors with rotated (complex)
-shifts use mpmath at a caller-chosen binary precision.
+each root stay in exact rational arithmetic; root values and the float
+evaluation of |f'| use mpmath at a caller-chosen binary precision, and
+the rotated (complex) shifts of a phased family the precision of its
+point set.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ from .numerics import (
     to_mpf,
 )
 from .points import Parallel, PointSet, build_parallels
-
-
-class MultipleRootError(ValueError):
-    """Raised when a derivative product hits a repeated root exactly."""
 
 
 @dataclass(frozen=True)
@@ -165,15 +162,16 @@ def family_polynomial(point_set: PointSet) -> tuple[FactorizedPolynomial, tuple[
     """The monic f whose roots project to the points, and the exact
     weights 1/(1 + rho_k^2) = (1 - h_k)/2 in factor order.  Rotating the
     parallel of factor k by phi_k multiplies its shift by exp(i r_k phi_k),
-    an mpc at the working precision; with every phase 0 f stays exact.
+    an mpc at the point set's precision; with every phase 0 f stays exact.
     """
     pars = _factor_parallels(point_set.parallels)
     factors = _factors(pars)
     if any(par.phase for par in pars):
-        factors = tuple(
-            Factor(fac.power, fac.shift * mp.expj(fac.power * par.phase))
-            for fac, par in zip(factors, pars)
-        )
+        with mp.workprec(point_set.prec_bits):
+            factors = tuple(
+                Factor(fac.power, fac.shift * mp.expj(fac.power * par.phase))
+                for fac, par in zip(factors, pars)
+            )
     return FactorizedPolynomial(factors), tuple((1 - par.height) / 2 for par in pars)
 
 
@@ -260,16 +258,13 @@ def derivative_modulus_at_root(
     """log |f'(z)| at one root, from the closed form in mpf.
 
     Returned as a log since |f'| spans hundreds of orders of magnitude
-    for large degrees.  A vanishing factor term means a repeated root
-    and raises MultipleRootError.
+    for large degrees.  A vanishing factor term means a repeated root,
+    where f' = 0: the log is log 0 = -inf.
     """
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
         prod = mp.mpf(1)
         for a, b, q in root.terms:
-            term = to_mpf(a) - to_mpf(b) * cos_pi_fraction(q)
-            if term == 0:
-                raise MultipleRootError(f"root {root.label} is repeated")
-            prod *= term
+            prod *= to_mpf(a) - to_mpf(b) * cos_pi_fraction(q)
         r = root.power
         return mp.log(r) + ((r - 1) * mp.log(to_mpf(root.rho_sq)) + mp.log(prod)) / 2

@@ -27,17 +27,19 @@ from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
     fmt_real,
+    frac_str,
     interval_endpoints,
     to_mpf,
 )
 
 @dataclass(frozen=True)
 class SumCheck:
-    """One verified sum inequality; margin >= 0 means the bound holds.
+    """One verified sum inequality; it passes when margin >= 0.
 
     For upper bounds margin = bound - value, for lower bounds
     value - bound; interval-backed margins are conservative (measured
-    from the unfavourable enclosure endpoint).
+    from the unfavourable enclosure endpoint), and an mpf margin is the
+    exact one rounded to nearest, which keeps its sign.
     """
 
     check_id: str
@@ -45,7 +47,10 @@ class SumCheck:
     value: object  # Fraction or mpf
     bound: object
     margin: object
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -79,7 +84,7 @@ def _fmt_value(v) -> str:
             v.numerator.bit_length() <= _MAX_EXACT_BITS
             and v.denominator.bit_length() <= _MAX_EXACT_BITS
         ):
-            return f"{v.numerator}/{v.denominator}"
+            return frac_str(v)
         return fmt_real(to_mpf(v))
     return fmt_real(v)
 
@@ -99,7 +104,7 @@ def r_sum(M: int) -> list[SumCheck]:
     if M >= 5:
         bounds.append(("r_sum_le_1_30", Fraction(1, 30)))
     return [
-        SumCheck(check_id, {"M": M}, value, bound, bound - value, value <= bound)
+        SumCheck(check_id, {"M": M}, value, bound, bound - value)
         for check_id, bound in bounds
     ]
 
@@ -120,23 +125,10 @@ def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCh
         Fraction(ell * (ell + 1), j * j) ** (2 * j) for j in range(ell + 2, M + 1)
     )
     bound_lo, _ = interval_endpoints(lambda iv: 1 / (iv.exp(iv.mpf(4)) - 1), prec_bits)
+    params = {"ell": ell, "M": M}
     return [
-        SumCheck(
-            "tail_sum_le_inv_e4m1",
-            {"ell": ell, "M": M},
-            envelope,
-            bound_lo,
-            bound_lo - envelope,
-            envelope <= bound_lo,
-        ),
-        SumCheck(
-            "tail_companion_le_envelope",
-            {"ell": ell, "M": M},
-            companion,
-            envelope,
-            envelope - companion,
-            companion <= envelope,
-        ),
+        SumCheck("tail_sum_le_inv_e4m1", params, envelope, bound_lo, bound_lo - envelope),
+        SumCheck("tail_companion_le_envelope", params, companion, envelope, envelope - companion),
     ]
 
 
@@ -177,7 +169,6 @@ def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
                 to_mpf((lhs_lo + lhs_hi) / 2),
                 to_mpf((rhs_lo + rhs_hi) / 2),
                 to_mpf(margin),
-                margin >= 0,
             )
         ]
 
@@ -201,23 +192,10 @@ def harmonic_bounds(
 def _harmonic_checks(ell: int, M: int, lower: Fraction, upper: Fraction) -> list[SumCheck]:
     """harmonic_bounds' two checks against the bounds `lower` and `upper`."""
     value = sum(Fraction(1, j) for j in range(ell + 1, M + 1))
+    params = {"ell": ell, "M": M}
     return [
-        SumCheck(
-            "harmonic_ge_log_upper_ratio",
-            {"ell": ell, "M": M},
-            value,
-            lower,
-            value - lower,
-            value >= lower,
-        ),
-        SumCheck(
-            "harmonic_le_log_lower_ratio",
-            {"ell": ell, "M": M},
-            value,
-            upper,
-            upper - value,
-            value <= upper,
-        ),
+        SumCheck("harmonic_ge_log_upper_ratio", params, value, lower, value - lower),
+        SumCheck("harmonic_le_log_lower_ratio", params, value, upper, upper - value),
     ]
 
 
@@ -254,7 +232,6 @@ def sum_check_suite(
                     values[lo],
                     values[hi],
                     values[hi] - values[lo],
-                    values[lo] <= values[hi],
                 )
             )
     for M in range(3, max_m + 1):

@@ -12,7 +12,11 @@ from typing import Sequence
 import mpmath as mp
 
 from wellcond.numerics import to_mpf
-from wellcond.polynomials import DensePolynomial, MultipleRootError, RootEntry
+from wellcond.polynomials import DensePolynomial, RootEntry
+
+
+class RepeatedRootError(ValueError):
+    """Raised when two roots of the list coincide exactly."""
 
 
 def evaluate(p: DensePolynomial, z) -> mp.mpc:
@@ -38,7 +42,7 @@ def log_derivative_modulus_by_gaps(
 ) -> mp.mpf:
     """log |f'(z_i)| = sum_{j != i} log |z_i - z_j| for a monic f.
 
-    An exactly repeated root raises MultipleRootError.
+    An exactly repeated root raises RepeatedRootError.
     """
     zi = root_list[i].value
     with mp.workprec(prec_bits):
@@ -49,6 +53,6 @@ def log_derivative_modulus_by_gaps(
             d = zi - entry.value
             gap_sq = d.real * d.real + d.imag * d.imag
             if gap_sq == 0:
-                raise MultipleRootError(f"roots {i} and {j} coincide")
+                raise RepeatedRootError(f"roots {i} and {j} coincide")
             acc += mp.log(gap_sq) / 2
         return acc

@@ -75,9 +75,7 @@ def energy_by_gap_products(point_set: PointSet, prec_bits: int) -> mp.mpf:
     with mp.workprec(prec_bits):
         total = mp.mpf(0)
         for par in point_set.parallels:
-            for gap_log in point_gap_product_log(
-                point_set, par.index, range(par.count), prec_bits
-            ):
+            for gap_log in point_gap_product_log(point_set, par.index, range(par.count)):
                 total += gap_log
         return -total
 

@@ -48,7 +48,7 @@ def coeff_reports():
 @pytest.fixture(scope="module")
 def energy_reports():
     return {
-        M: log_energy(build_point_set(M, prec_bits=PREC), PREC)
+        M: log_energy(build_point_set(M, prec_bits=PREC))
         for M in range(1, 13)
     }
 
@@ -223,7 +223,7 @@ def test_criterion_08_closed_forms_vs_brute_force():
         for M in (1, 2, 3):
             ps = build_point_set(M, prec_bits=PREC)
             q = (Fraction(11, 16), Fraction(1, 5))
-            got = log_product_to_set([q[0]], [q[1]], ps, PREC)[0][0]
+            got = log_product_to_set([q[0]], [q[1]], ps)[0][0]
             tq = to_mpf(q[0])
             rho = mp.sqrt(1 - tq * tq)
             qx, qy = rho * mp.cospi(to_mpf(q[1])), rho * mp.sinpi(to_mpf(q[1]))

@@ -4,10 +4,14 @@ import csv
 import dataclasses
 import json
 
+import mpmath as mp
 import pytest
 
 from wellcond import cli, points
 from wellcond.cli import main
+from wellcond.condition import mu_max_coefficient_route
+from wellcond.energy import verify_t_bounds
+from wellcond.points import build_point_set
 
 
 def run(argv):
@@ -368,3 +372,36 @@ def test_zero_phases_file_is_symmetry_reduced(tmp_path):
     ) == 0
     rep = read_json(out / "cond_M2.json")["reports"][0]
     assert rep["symmetry_reduced"] is True and len(rep["per_root"]) == 4
+
+
+# At mpmath's default 53-bit context the library prints what the CLI
+# writes at 256 bits: each report and point set prints at its own precision.
+
+
+def test_library_condition_report_prints_like_cond(tmp_path):
+    assert mp.mp.prec == 53
+    assert run(["cond", "--M", "2", "--route", "coeff", "--out", tmp_path]) == 0
+    written = read_json(tmp_path / "cond_M2.json")["reports"][0]
+    assert mu_max_coefficient_route(2).to_json_dict() == written
+
+
+def test_library_verification_report_prints_like_verify(tmp_path):
+    assert mp.mp.prec == 53
+    assert run(["verify", "--M", "5", "--sums-max", "2", "--out", tmp_path]) == 0
+    (written,) = [
+        d for d in read_json(tmp_path / "verify_M5.json")["reports"]
+        if d["lemma"] == "band_correction_log_bounds"
+    ]
+    assert verify_t_bounds(5).to_json_dict() == written
+
+
+def test_library_point_set_prints_like_generate(tmp_path):
+    assert mp.mp.prec == 53
+    strings = ["0.1", "0.7", "-1.2"]
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps(strings))
+    assert run(["generate", "--M", "2", "--phases", phases, "--out", tmp_path]) == 0
+    written = read_json(tmp_path / "points_M2.json")["points"]
+    got = build_point_set(2, phases=strings).to_json_dict()
+    assert got["parallels"][0]["phase"] == "0.1"
+    assert got == written

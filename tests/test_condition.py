@@ -113,14 +113,14 @@ def test_spherical_route_symmetry_reduction_identical():
     assert fast.extras["symmetry_reduced"]
     assert len(fast.per_root) == 4 * M * M // 4
     ps = build_point_set(M, prec_bits=prec)
-    num = numerator_integral_log(ps, prec)
+    num = numerator_integral_log(ps)
     N = ps.N
     with mp.workprec(prec):
         base = -mp.log(2) + (mp.log(N) + mp.log(N + 1)) / 2 + num.log_value / 2
         full = max(
             base - gap_log
             for par in ps.parallels
-            for gap_log in point_gap_product_log(ps, par.index, range(par.count), prec)
+            for gap_log in point_gap_product_log(ps, par.index, range(par.count))
         )
         assert abs(full - fast.log_mu_max) < mp.mpf(2) ** -150
 
@@ -141,8 +141,8 @@ def test_uniform_nonzero_phase_matches_zero_phase():
     with mp.workprec(prec):
         for par in zero.parallels:
             ks = range(par.count)
-            a = point_gap_product_log(zero, par.index, ks, prec)
-            b = point_gap_product_log(phased, par.index, ks, prec)
+            a = point_gap_product_log(zero, par.index, ks)
+            b = point_gap_product_log(phased, par.index, ks)
             for k in ks:
                 assert abs(a[k] - b[k]) < tol, (par.index, k)
         a = mu_max_spherical_route(M, prec)
@@ -178,7 +178,7 @@ def test_numerator_integral_matches_product_rule(M, phases):
     """The closed form equals the exact product-rule quadrature."""
     prec = 256
     ps = build_point_set(M, phases=phases, prec_bits=prec)
-    got = numerator_integral_log(ps, prec).log_value
+    got = numerator_integral_log(ps).log_value
     want = numerator_by_product_rule(ps, prec)
     with mp.workprec(prec):
         assert abs(got - want) < mp.mpf(2) ** -(prec - 16)
@@ -198,7 +198,7 @@ def test_numerator_integral_zero_phase_is_exact_rational(M):
     if M == 1:
         assert exact == Fraction(32, 5)
     with mp.workprec(prec):
-        assert numerator_integral_log(ps, prec).log_value == mp.log(to_mpf(exact))
+        assert numerator_integral_log(ps).log_value == mp.log(to_mpf(exact))
 
 
 def test_numerator_integral_matches_point_quadrature_with_phases():
@@ -209,7 +209,7 @@ def test_numerator_integral_matches_point_quadrature_with_phases():
     """
     prec = 192
     ps = build_point_set(2, phases=[0.1, 0.7, -1.2], prec_bits=prec)
-    num = numerator_integral_log(ps, prec)
+    num = numerator_integral_log(ps)
     n_gl, n_az = product_rule_nodes(ps.N)
     nodes, weights = gauss_legendre(n_gl, prec)
     pts = [p for _, _, p in ps.coordinates()]
@@ -238,7 +238,7 @@ def _check_gap_products(ps, prec, indices):
     with mp.workprec(prec):
         for idx in indices:
             par_index, azimuth, p = flat[idx]
-            (got,) = point_gap_product_log(ps, par_index, [azimuth], prec)
+            (got,) = point_gap_product_log(ps, par_index, [azimuth])
             acc = mp.mpf(0)
             for jdx, (_, _, q) in enumerate(flat):
                 if jdx == idx:

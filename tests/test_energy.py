@@ -156,7 +156,7 @@ def test_log_product_to_set_matches_pairwise_sum():
         ps = build_point_set(M, phases=phases, prec_bits=prec)
         q = (Fraction(11, 16), Fraction(1, 5))
         with mp.workprec(prec):
-            got = log_product_to_set([q[0]], [q[1]], ps, prec)[0][0]
+            got = log_product_to_set([q[0]], [q[1]], ps)[0][0]
             t = to_mpf(q[0])
             rho = mp.sqrt(1 - t * t)
             qx = rho * mp.cospi(to_mpf(q[1]))
@@ -170,7 +170,7 @@ def test_log_product_to_set_matches_pairwise_sum():
 
 def test_log_product_to_set_coincidence_is_minus_inf():
     ps = build_point_set(2, prec_bits=192)
-    got = log_product_to_set([ps.parallels[0].height], [Fraction(0)], ps, 192)
+    got = log_product_to_set([ps.parallels[0].height], [Fraction(0)], ps)
     assert got == [[mp.mpf("-inf")]]
 
 
@@ -178,7 +178,7 @@ def test_s_n_equator_branch_consistency():
     prec = 192
     ps = build_point_set(3, prec_bits=prec)
     with mp.workprec(prec):
-        v = s_n(Fraction(1, 2), ps, prec)
+        v = s_n(Fraction(1, 2), ps)
         # direct: sum r_j * expected - parallel-weighted
         acc = mp.fsum(
             p.count * expected_log_parallel(p.height, Fraction(1, 2), prec)
@@ -188,7 +188,7 @@ def test_s_n_equator_branch_consistency():
 
 
 def test_energy_m1_exact_minus_8_log2():
-    rep = log_energy(build_point_set(1, prec_bits=256), 256)
+    rep = log_energy(build_point_set(1, prec_bits=256))
     with mp.workprec(256):
         assert abs(rep.energy - (-8 * mp.log(2))) < mp.mpf("1e-12")
 
@@ -209,7 +209,7 @@ def test_energy_parallel_vs_pairwise(M, phases):
     """The discriminant identity against the sum over coordinate pairs."""
     prec = 256
     ps = build_point_set(M, phases=phases, prec_bits=prec)
-    a = log_energy(ps, prec)
+    a = log_energy(ps)
     b = pairwise_log_energy([p for _, _, p in ps.coordinates()], prec)
     assert_energy_close(a.energy, b, prec)
     assert a.residual is not None and a.N == 4 * M * M
@@ -219,7 +219,7 @@ def test_energy_parallel_vs_pairwise(M, phases):
 def test_energy_matches_gap_product_sum(M):
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
-    assert_energy_close(log_energy(ps, prec).energy, energy_by_gap_products(ps, prec), prec)
+    assert_energy_close(log_energy(ps).energy, energy_by_gap_products(ps, prec), prec)
 
 
 def test_log_energy_forms_no_distance_product(monkeypatch):
@@ -230,7 +230,7 @@ def test_log_energy_forms_no_distance_product(monkeypatch):
     monkeypatch.setattr(energy, "theta_product_log_turn", forbidden)
     prec = 256
     ps = build_point_set(6, prec_bits=prec)
-    assert_energy_close(log_energy(ps, prec).energy, energy_by_gap_products(ps, prec), prec)
+    assert_energy_close(log_energy(ps).energy, energy_by_gap_products(ps, prec), prec)
 
 
 GENERAL_LEMMAS = [

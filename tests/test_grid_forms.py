@@ -81,7 +81,7 @@ def test_theta_grid_matches_single_query_oracle(M, phases):
 def test_log_product_grid_matches_per_query_sum(M, phases):
     ps = build_point_set(M, phases=phases, prec_bits=PREC)
     heights = edge_heights(ps)
-    grid = log_product_to_set(heights, AZIMUTH_TURNS, ps, PREC)
+    grid = log_product_to_set(heights, AZIMUTH_TURNS, ps)
     for c, row in zip(heights, grid, strict=True):
         want = [log_product_by_query(c, t, ps, PREC) for t in AZIMUTH_TURNS]
         assert row == want, c
@@ -98,12 +98,12 @@ def test_log_product_grid_matches_per_query_sum(M, phases):
 def test_gap_products_per_parallel_match_per_point(M, phases):
     ps = build_point_set(M, phases=phases, prec_bits=PREC)
     for par in ps.parallels:
-        got = point_gap_product_log(ps, par.index, range(par.count), PREC)
+        got = point_gap_product_log(ps, par.index, range(par.count))
         want = [gap_product_by_point(ps, par.index, k, PREC) for k in range(par.count)]
         assert got == want, par.index
         # the quarter-turn representatives the spherical route asks for
         quarter = range(par.count // 4)
-        assert point_gap_product_log(ps, par.index, quarter, PREC) == want[: len(quarter)]
+        assert point_gap_product_log(ps, par.index, quarter) == want[: len(quarter)]
 
 
 def one_pair_comparison_cells(ps, seed):
@@ -205,7 +205,7 @@ def test_suites_match_one_query_oracles(M, seed):
     with mp.workprec(PREC):
         vals = [s_n_by_parallel(c, ps) + ps.N * kap for _, c in probes]
         assert [c.lhs for c in chain.cells] == [v for v in vals for _side in (0, 1)]
-        assert [s_n(c, ps, PREC) for _, c in probes] == [s_n_by_parallel(c, ps) for _, c in probes]
+        assert [s_n(c, ps) for _, c in probes] == [s_n_by_parallel(c, ps) for _, c in probes]
 
     denom_sum, _ = verify_denominator(M, PREC)
     cells = []

@@ -87,6 +87,35 @@ def test_no_dead_private_helpers():
     assert dead_private_names(sources) == []
 
 
+def point_set_with_precision(source: str) -> list[str]:
+    """Public functions and methods that take both a `point_set` and a
+    `prec_bits` parameter: one of the two precisions is redundant."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if {"point_set", "prec_bits"} <= names:
+                found.append(node.name)
+    return found
+
+
+def test_precision_checker_flags_a_planted_function():
+    src = (
+        "def f(point_set, prec_bits=256):\n    pass\n"
+        "def g(point_set):\n    pass\n"
+        "def _h(point_set, prec_bits):\n    pass\n"
+        "def k(M, *, prec_bits=256):\n    pass\n"
+    )
+    assert point_set_with_precision(src) == ["f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_point_set_functions_read_its_precision(path):
+    """A function that takes a point set reads point_set.prec_bits."""
+    assert point_set_with_precision(path.read_text()) == []
+
+
 def traced_names(source: str) -> list[str]:
     """`layer.name` for each entry of the TRACED table in a spans module."""
     for node in ast.parse(source).body:

@@ -125,7 +125,7 @@ def test_stereographic_round_trip():
 
 def test_phase_overrides_validated_and_applied():
     with pytest.raises(ValueError):
-        build_parallels(2, phases=[0.0, 0.0])  # needs 2M-1 = 3 entries
+        build_point_set(2, phases=[0.0, 0.0])  # needs 2M-1 = 3 entries
     prec = 192
     with mp.workprec(prec):
         ps = build_point_set(1, phases=[mp.pi / 4], prec_bits=prec)

@@ -5,20 +5,25 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from polynomial_oracle import derivative, evaluate, log_derivative_modulus_by_gaps
+from polynomial_oracle import (
+    RepeatedRootError,
+    derivative,
+    evaluate,
+    log_derivative_modulus_by_gaps,
+)
 from wellcond.condition import log_mu_at_root
 from wellcond.numerics import to_mpf
-from wellcond.points import build_parallels
+from wellcond.points import build_parallels, build_point_set
 from wellcond.polynomials import (
     DensePolynomial,
     Factor,
     FactorizedPolynomial,
-    MultipleRootError,
     RootDerivative,
     bombieri_norm_sq,
     canonical_polynomial,
     derivative_modulus_at_root,
     expand,
+    family_polynomial,
     root_derivative_data,
     roots,
 )
@@ -160,7 +165,8 @@ def test_derivative_modulus_matches_direct_evaluation():
             assert abs(got - direct) / direct < mp.mpf(2) ** -(prec - 32)
 
 
-def test_multiple_root_raises():
+def test_multiple_root_gives_infinite_mu():
+    """A repeated root has f' = 0: log |f'| = log 0 = -inf and log mu = +inf."""
     prec = 128
     # f = (z^4 - 1)^2 at z = 1: the other copy of the factor contributes
     # the term a - b cos(0) with a = b = 2.
@@ -171,11 +177,10 @@ def test_multiple_root_raises():
         rho_sq=Fraction(1),
         terms=((Fraction(2), Fraction(2), Fraction(0)),),
     )
-    with pytest.raises(MultipleRootError):
-        derivative_modulus_at_root(root, prec)
+    assert derivative_modulus_at_root(root, prec) == mp.mpf("-inf")
     assert log_mu_at_root(root, 8, mp.mpf(1), prec) == mp.mpf("+inf")
     f = FactorizedPolynomial(factors=(Factor(4, Fraction(1)), Factor(4, Fraction(1))))
-    with pytest.raises(MultipleRootError):
+    with pytest.raises(RepeatedRootError):
         log_derivative_modulus_by_gaps(roots(f, prec), 0, prec)
 
 
@@ -187,3 +192,16 @@ def test_factor_validation():
     with pytest.raises(ValueError):
         Factor(4, mp.mpc(-2, 0))
     assert Factor(4, mp.mpc(1, 1)).shift == mp.mpc(1, 1)  # a rotated factor
+
+
+def test_rotated_shifts_keep_the_point_set_precision():
+    """At mpmath's default 53-bit context a phased family still rotates
+    its shifts at the point set's 256 bits."""
+    assert mp.mp.prec == 53
+    ps = build_point_set(2, phases=["0.1", "0.7", "-1.2"], prec_bits=256)
+    f, _ = family_polynomial(ps)
+    with mp.workprec(256):
+        want, _ = family_polynomial(ps)
+    assert [fac.shift for fac in f.factors] == [fac.shift for fac in want.factors]
+    assert all(isinstance(fac.shift, mp.mpc) for fac in f.factors)
+    assert f.factors[0].shift.real._mpf_[3] > 53  # mantissa bits
