@@ -472,23 +472,22 @@ def cmd_verify(args) -> int:
     checks = sum_check_suite(args.sums_max, args.precision)
     sums_ok = all(c.passed for c in checks)
     all_ok &= sums_ok
-    with mp.workprec(args.precision):
-        if args.format == "json":
-            _write_atomic(
-                outdir / "sum_checks.json",
-                _json_text(
-                    {
-                        "config": config,
-                        "checks": [c.to_json_dict() for c in checks],
-                        "pass": sums_ok,
-                    }
-                ),
-            )
-        else:
-            _write_atomic(
-                outdir / "sum_checks.csv",
-                _csv_text(SUMS_CSV_HEADER, [c.csv_row() for c in checks]),
-            )
+    if args.format == "json":
+        _write_atomic(
+            outdir / "sum_checks.json",
+            _json_text(
+                {
+                    "config": config,
+                    "checks": [c.to_json_dict() for c in checks],
+                    "pass": sums_ok,
+                }
+            ),
+        )
+    else:
+        _write_atomic(
+            outdir / "sum_checks.csv",
+            _csv_text(SUMS_CSV_HEADER, [c.csv_row() for c in checks]),
+        )
     print(f"sum checks: {len(checks)} checks, pass={sums_ok}")
     return 0 if all_ok else 1
 

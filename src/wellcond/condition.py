@@ -7,9 +7,9 @@ Two routes compute mu_norm for the degree-N = 4M^2 family:
       mu(f, z) = sqrt(N) * (1 + |z|^2)^((N-2)/2) * ||f|| / |f'(z)|
 
   with ||f|| the Bombieri-Weyl norm, computed once per call, and
-  |f'(z)| from the factor-wise closed form of polynomials.RootDerivative
-  (one term per other factor, not N - 1 root differences), assembled
-  in log-domain at the working precision;
+  |f'(z)| from the factor-wise closed form of
+  polynomials.derivative_modulus_at_root (one term per other factor,
+  not N - 1 root differences), assembled in log-domain;
 
 * spherical route: with the roots pushed onto the sphere by inverse
   stereographic projection,
@@ -29,11 +29,11 @@ Two routes compute mu_norm for the degree-N = 4M^2 family:
   formula through two implementations: Theta products here, the
   factor-wise |f'| there.
 
-The certified path evaluates the same closed form in exact rational
-interval arithmetic: every quantity in mu^2 is rational except
-cos(2 pi r_m t / r_k), which is enclosed by directed rounding, so each
-bound verdict is a machine-checked inequality between rationals (or
-reported inconclusive, never falsely passed).
+log mu at the roots is written once, against an mpmath context: the
+coefficient route evaluates it under mp.mp, certify_bound under mp.iv,
+and compares the exact endpoints of the outward-rounded mu_max^2
+enclosure with each threshold, so a bound verdict is a machine-checked
+inequality between rationals (or inconclusive, never falsely passed).
 
 Distance products against a full parallel use the closed form
 
@@ -71,9 +71,12 @@ import mpmath as mp
 from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
+    context_precision,
     cos_pi_fraction,
-    cos_pi_fraction_interval,
     fmt_real,
+    fraction_endpoints,
+    interval_endpoints,
+    log_fraction,
     to_fraction,
     to_mpf,
 )
@@ -89,7 +92,7 @@ from .polynomials import (
 )
 
 LOWER_CONST = Fraction(227, 500)  # 0.454, the floor on mu_max / sqrt(N)
-CERTIFY_PREC_FACTOR = 16  # cap on certify_bound's cosine precision, x working precision
+CERTIFY_PREC_FACTOR = 16  # cap on certify_bound's interval precision, x working precision
 
 # Bound id -> (exact threshold on mu_max^2 at degree N, side): an
 # "upper" bound holds when mu_max^2 <= threshold, a "lower" one when >=.
@@ -166,21 +169,29 @@ def _bound_verdicts(
 
 
 def log_mu_at_root(
-    root: RootDerivative,
-    N: int,
-    log_norm_sq: mp.mpf,
-    prec_bits: int = DEFAULT_PREC_BITS,
-) -> mp.mpf:
-    """log mu(f, z) at one root of the degree-N family with log ||f||^2;
+    root: RootDerivative, N: int, norm_sq: Fraction, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp
+) -> list:
+    """log mu(f, z) at every root z of one factor of the degree-N family
+    with ||f||^2 = norm_sq, under the mpmath context ctx at prec_bits:
+
+        log mu = (log N + (N-2) log(1 + rho^2) + log ||f||^2) / 2 - log |f'(z)|;
+
     +inf at a repeated root, where log |f'| = -inf."""
-    log_fp = derivative_modulus_at_root(root, prec_bits)
-    with mp.workprec(prec_bits):
-        return (
-            mp.log(N) / 2
-            + mp.mpf(N - 2) / 2 * mp.log(1 + to_mpf(root.rho_sq))
-            + log_norm_sq / 2
-            - log_fp
-        )
+    log_fps = derivative_modulus_at_root(root, prec_bits, ctx)
+    with context_precision(ctx, prec_bits):
+        log_w = log_fraction(ctx, 1 + root.rho_sq)  # log(1 + |z|^2)
+        base = (ctx.log(N) + (N - 2) * log_w + log_fraction(ctx, norm_sq)) / 2
+        return [base - log_fp for log_fp in log_fps]
+
+
+def _log_mu_per_root(M: int, norm_sq: Fraction, prec_bits: int, ctx) -> list[tuple[str, object]]:
+    """(label, log mu) at every root of the canonical polynomial of
+    parameter M with ||f||^2 = norm_sq, under ctx at prec_bits."""
+    return [
+        (f"p{root.parallel}.k{t}", lm)
+        for root in root_derivative_data(M)
+        for t, lm in enumerate(log_mu_at_root(root, 4 * M * M, norm_sq, prec_bits, ctx))
+    ]
 
 
 def mu_max_coefficient_route(
@@ -190,12 +201,8 @@ def mu_max_coefficient_route(
     check_precision(prec_bits)
     N = 4 * M * M
     norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
+    per_root = _log_mu_per_root(M, norm_sq, prec_bits, mp.mp)
     with mp.workprec(prec_bits):
-        log_norm_sq = mp.log(to_mpf(norm_sq))
-        per_root = [
-            (root.label, log_mu_at_root(root, N, log_norm_sq, prec_bits))
-            for root in root_derivative_data(M)
-        ]
         log_mu_max = max(lm for _, lm in per_root)
         mu_max = mp.exp(log_mu_max)
         verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
@@ -379,77 +386,36 @@ def mu_max_spherical_route(
     )
 
 
-# ----------------------------------------------------------------------
-# Certified route: exact rationals plus directed-rounded cosines.
-# ----------------------------------------------------------------------
-
-
-def _mu_sq_intervals(
-    root_data: Sequence[RootDerivative], N: int, norm_sq: Fraction, cos_prec: int
-) -> list[tuple[str, Fraction, Fraction]]:
-    """Rigorous [lo, hi] enclosures of mu^2 at every root.
-
-    mu^2 = N (1 + rho^2)^(N-2) ||f||^2 / |f'(z)|^2 with |f'(z)|^2 from
-    the closed form of RootDerivative.  Everything here is an exact
-    rational except the cosines, which get interval enclosures at
-    cos_prec bits; distinct factor moduli keep every product term
-    strictly positive, so interval division is safe.
-    """
-    cos_cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
-
-    def cos_iv(q: Fraction) -> tuple[Fraction, Fraction]:
-        q = q % 2
-        if q not in cos_cache:
-            lo, hi = cos_pi_fraction_interval(q, cos_prec)
-            cos_cache[q] = (max(lo, Fraction(-1)), min(hi, Fraction(1)))
-        return cos_cache[q]
-
-    out: list[tuple[str, Fraction, Fraction]] = []
-    for root in root_data:
-        r_k, rho_sq = root.power, root.rho_sq
-        numer = N * (1 + rho_sq) ** (N - 2) * norm_sq
-        d_lo = d_hi = Fraction(r_k * r_k) * rho_sq ** (r_k - 1)
-        for a, b, q in root.terms:
-            c_lo, c_hi = cos_iv(q)
-            d_lo, d_hi = d_lo * (a - b * c_hi), d_hi * (a - b * c_lo)
-        out.append((root.label, numer / d_hi, numer / d_lo))
-    return out
-
-
 def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport:
     """Certified verdicts for the three standard bounds on mu_max.
 
-    Compares the rigorous mu_max^2 enclosure against each threshold of
-    BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N) in exact arithmetic,
-    doubling the cosine precision until each verdict resolves or it
-    reaches CERTIFY_PREC_FACTOR times the working precision; unresolved
+    Encloses log mu at every root under mp.iv and compares the exact
+    endpoints of the resulting mu_max^2 enclosure against each threshold
+    of BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N), doubling the interval
+    precision until each verdict resolves or it reaches
+    CERTIFY_PREC_FACTOR times the working precision; unresolved
     comparisons are reported as None, never as a pass.
     """
     check_precision(prec_bits)
     cap_bits = CERTIFY_PREC_FACTOR * prec_bits
     N = 4 * M * M
     norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
-    root_data = list(root_derivative_data(M))
-    cos_prec = prec_bits
+    iv_prec = prec_bits
     while True:
-        intervals = _mu_sq_intervals(root_data, N, norm_sq, cos_prec)
-        max_lo = max(lo for _, lo, _ in intervals)
-        max_hi = max(hi for _, _, hi in intervals)
-        verdicts = _bound_verdicts(N, max_lo, max_hi)
-        if all(v is not None for v in verdicts.values()):
+        per_root = _log_mu_per_root(M, norm_sq, iv_prec, mp.iv)
+        top = [max(lm.a for _, lm in per_root), max(lm.b for _, lm in per_root)]
+        sq_lo, sq_hi = interval_endpoints(lambda iv: iv.exp(2 * iv.mpf(top)), iv_prec)
+        verdicts = _bound_verdicts(N, sq_lo, sq_hi)
+        if all(v is not None for v in verdicts.values()) or iv_prec >= cap_bits:
             break
-        if cos_prec >= cap_bits:
-            break
-        cos_prec = min(2 * cos_prec, cap_bits)
+        iv_prec = min(2 * iv_prec, cap_bits)
 
     with mp.workprec(prec_bits):
-        mu_lo = mp.sqrt(to_mpf(max_lo))
-        mu_hi = mp.sqrt(to_mpf(max_hi))
+        mu_lo = mp.sqrt(to_mpf(sq_lo))
+        mu_hi = mp.sqrt(to_mpf(sq_hi))
         mu_mid = (mu_lo + mu_hi) / 2
         log_mu = mp.log(mu_mid)
-        per_root = [
-            (rid, mp.log(to_mpf((lo + hi) / 2)) / 2) for rid, lo, hi in intervals
-        ]
+        per_root = [(rid, to_mpf(sum(fraction_endpoints(lm)) / 2)) for rid, lm in per_root]
         # Verdicts come from the exact rational comparison above; the
         # extras are decimal views of the enclosure, widened by an ulp
         # so lo <= true mu_max <= hi survives the formatting rounding.
@@ -457,7 +423,7 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
         extras = {
             "mu_max_lo": fmt_real(mu_lo * (1 - slack)),
             "mu_max_hi": fmt_real(mu_hi * (1 + slack)),
-            "cos_precision_bits": cos_prec,
+            "cos_precision_bits": iv_prec,
         }
     return ConditionReport(
         M=M,

@@ -1,13 +1,12 @@
 """Shared arbitrary-precision numeric helpers.
 
 Everything in this package computes either with exact rationals
-(``fractions.Fraction``) or with mpmath floats at an explicit binary
-precision.  This module owns the conversions between the two worlds,
-rigorous enclosures of cos(pi * q) for rational q used by the certified
-condition-number path, and Gauss-Legendre nodes at working precision
-(the package integrates nothing numerically; the nodes serve the
-product-rule reference that the tests check the spherical numerator
-identity against).
+(``fractions.Fraction``) or under an mpmath context at an explicit
+binary precision: floats under mp.mp, outward-rounded intervals under
+mp.iv.  This module owns the conversions between the two worlds,
+rigorous enclosures of cos(pi * q) for rational q, and Gauss-Legendre
+nodes (the package integrates nothing numerically; the enclosures and
+the nodes serve references in the tests).
 
 Two representations are fixed here for the whole package:
 
@@ -21,6 +20,7 @@ Two representations are fixed here for the whole package:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath as mp
@@ -80,16 +80,33 @@ def to_fraction(x: RealLike) -> Fraction:
     return Fraction(x)
 
 
-def interval_endpoints(fn, prec_bits: int) -> tuple[Fraction, Fraction]:
-    """Exact Fraction endpoints of fn(mp.iv) at prec_bits (then restored)."""
-    old = mp.iv.prec
+@contextmanager
+def context_precision(ctx, prec_bits: int):
+    """Run a block with the mpmath context ctx (mp.mp or mp.iv) at prec_bits,
+    then restore its precision."""
+    old, ctx.prec = ctx.prec, prec_bits
     try:
-        mp.iv.prec = prec_bits
-        x = fn(mp.iv)
+        yield
     finally:
-        mp.iv.prec = old
+        ctx.prec = old
+
+
+def log_fraction(ctx, q: Fraction):
+    """log q for a positive rational q under ctx at its precision: a float
+    under mp, an enclosure under mp.iv."""
+    return ctx.log(ctx.mpf(q.numerator) / q.denominator)
+
+
+def fraction_endpoints(x) -> tuple[Fraction, Fraction]:
+    """Exact Fraction endpoints of a finite mp.iv interval."""
     ra, rb = x._mpi_
     return fraction_from_raw(ra), fraction_from_raw(rb)
+
+
+def interval_endpoints(fn, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Exact Fraction endpoints of fn(mp.iv) at prec_bits (then restored)."""
+    with context_precision(mp.iv, prec_bits):
+        return fraction_endpoints(fn(mp.iv))
 
 
 def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction, Fraction]:

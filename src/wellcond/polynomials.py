@@ -14,27 +14,29 @@ rho_j^2 = (2M^2 - j^2)/j^2 this is
 
     P(z) = (z^(4M) - 1) * prod_{j=1}^{M-1} (z^(4j) - s_j)(z^(4j) - 1/s_j).
 
-Expansion, Bombieri-Weyl norms and the factor-wise data of |f'| at
-each root stay in exact rational arithmetic; root values and the float
-evaluation of |f'| use mpmath at a caller-chosen binary precision, and
-the rotated (complex) shifts of a phased family the precision of its
-point set.
+Expansion, Bombieri-Weyl norms and the factor-wise data of |f'| stay
+in exact rational arithmetic; root values and the closed form of |f'|
+use an mpmath context at a caller-chosen binary precision (floats
+under mp.mp, enclosures under mp.iv), and the rotated (complex) shifts
+of a phased family the precision of its point set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
+    context_precision,
     cos_pi_fraction,
     frac_str,
+    log_fraction,
     to_mpf,
 )
 from .points import Parallel, PointSet, build_parallels
@@ -104,24 +106,18 @@ class DensePolynomial:
 
 @dataclass(frozen=True)
 class RootDerivative:
-    """Exact data of |f'(z)|^2 at the azimuth-t root z of factor k.
+    """Exact data of |f'| at the roots z_t = rho e^(2 pi i t / r) of one
+    factor z^r - rho^r of a monic f with factors z^(r_m) - s_m:
 
-        |f'(z)|^2 = r_k^2 rho_k^(2(r_k-1)) prod_{m != k} (a_m - b_m cos(pi q_m))
+        |f'(z_t)|^2 = r^2 rho^(2(r-1)) prod_{m} |rho^(r_m) e^(i pi q_m) - s_m|^2,
 
-    with rho_k^2 = |z|^2, a_m = rho_k^(2 r_m) + s_m^2,
-    b_m = 2 rho_k^(r_m) s_m and q_m = 2 r_m t / r_k; every entry is an
-    exact rational.  Distinct factor moduli keep each term positive.
-    """
+    q_m = 2 r_m t / r, over every other factor m, given in `others` as
+    (r_m, rho_m^2) with s_m = rho_m^(r_m)."""
 
     parallel: int
-    azimuth: int
     power: int
     rho_sq: Fraction
-    terms: tuple[tuple[Fraction, Fraction, Fraction], ...]
-
-    @property
-    def label(self) -> str:
-        return f"p{self.parallel}.k{self.azimuth}"
+    others: tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -228,43 +224,53 @@ def roots(f: FactorizedPolynomial, prec_bits: int = DEFAULT_PREC_BITS) -> list[R
     return out
 
 
-def root_derivative_data(M: int) -> Iterator[RootDerivative]:
-    """Exact |f'(z)|^2 data at every root of the canonical polynomial.
-
-    Roots come factor by factor, azimuth by azimuth, in the order of
-    roots().  The modulus rho_k^2 = (1+h)/(1-h) is read from the exact
-    height h of the factor's parallel.  For every other factor m the
-    pair depends only on (k, m); the cosine argument adds the azimuth t.
-    """
+def root_derivative_data(M: int) -> list[RootDerivative]:
+    """The |f'| data of every factor of the canonical polynomial, in
+    factor order, so its roots come in the order of roots().  Each
+    modulus rho^2 = (1+h)/(1-h) is read from the exact height h of the
+    factor's parallel."""
     pars = _factor_parallels(build_parallels(M))
-    factors = _factors(pars)
-    for k, (fac, par) in enumerate(zip(factors, pars)):
-        rho_sq = _rho_sq(par)
-        pairs = []
-        for m, g in enumerate(factors):
-            if m != k:
-                rho_r = rho_sq ** (g.power // 2)  # rho_k^(r_m); every r_m is even
-                pairs.append((g.power, rho_r * rho_r + g.shift**2, 2 * rho_r * g.shift))
-        for t in range(fac.power):
-            terms = tuple(
-                (a, b, Fraction(2 * r_m * t, fac.power)) for r_m, a, b in pairs
-            )
-            yield RootDerivative(par.index, t, fac.power, rho_sq, terms)
+    moduli = [(par.count, _rho_sq(par)) for par in pars]
+    return [
+        RootDerivative(par.index, *moduli[k], tuple(moduli[:k] + moduli[k + 1:]))
+        for k, par in enumerate(pars)
+    ]
 
 
 def derivative_modulus_at_root(
-    root: RootDerivative, prec_bits: int = DEFAULT_PREC_BITS
-) -> mp.mpf:
-    """log |f'(z)| at one root, from the closed form in mpf.
+    root: RootDerivative, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp
+) -> list:
+    """log |f'(z_t)| at every root z_t of one factor, t = 0..r-1, under the
+    mpmath context ctx at prec_bits (floats under mp.mp, enclosures under
+    mp.iv).  With l = log rho^2 and L = (r_m/2)(l - log rho_m^2), the
+    term of factor m over s_m^2 is the two-term form
 
-    Returned as a log since |f'| spans hundreds of orders of magnitude
-    for large degrees.  A vanishing factor term means a repeated root,
-    where f' = 0: the log is log 0 = -inf.
+        |e^L e^(i pi q_m) - 1|^2 = expm1(L)^2 + 4 e^L sin^2(pi q_m / 2),
+
+    whose terms are non-negative, so nothing cancels.  It is formed once
+    per other factor, sin^2 once per distinct turn.  A vanishing term
+    means a repeated root, where f' = 0: the log is -inf.
     """
     check_precision(prec_bits)
-    with mp.workprec(prec_bits):
-        prod = mp.mpf(1)
-        for a, b, q in root.terms:
-            prod *= to_mpf(a) - to_mpf(b) * cos_pi_fraction(q)
-        r = root.power
-        return mp.log(r) + ((r - 1) * mp.log(to_mpf(root.rho_sq)) + mp.log(prod)) / 2
+    r = root.power
+    with context_precision(ctx, prec_bits):
+        ell = log_fraction(ctx, root.rho_sq)
+        base = ctx.log(r) + (r - 1) * ell / 2
+        terms = []
+        for r_m, rho_sq_m in root.others:
+            ell_m = log_fraction(ctx, rho_sq_m)
+            L = r_m * (ell - ell_m) / 2
+            terms.append((r_m, ctx.expm1(L) ** 2, 4 * ctx.exp(L)))
+            base += r_m * ell_m / 2
+
+        @functools.cache
+        def sin_sq(j: int):  # sin^2(pi j / r) for j / r = q_m / 2 mod 1, exact at pi/4 steps
+            if 4 * j % r == 0:
+                return ctx.mpf((0, 0.5, 1, 0.5)[4 * j // r])
+            return ctx.sin(ctx.pi * j / r) ** 2
+
+        return [
+            base
+            + ctx.log(ctx.fprod(gap + rim * sin_sq(r_m * t % r) for r_m, gap, rim in terms)) / 2
+            for t in range(r)
+        ]

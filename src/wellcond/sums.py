@@ -39,7 +39,8 @@ class SumCheck:
     For upper bounds margin = bound - value, for lower bounds
     value - bound; interval-backed margins are conservative (measured
     from the unfavourable enclosure endpoint), and an mpf margin is the
-    exact one rounded to nearest, which keeps its sign.
+    exact one rounded to nearest, which keeps its sign.  Values print at
+    precision_bits, whatever the caller's mpmath context.
     """
 
     check_id: str
@@ -47,20 +48,22 @@ class SumCheck:
     value: object  # Fraction or mpf
     bound: object
     margin: object
+    precision_bits: int
 
     @property
     def passed(self) -> bool:
         return self.margin >= 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.check_id,
-            "params": dict(self.params),
-            "value": _fmt_value(self.value),
-            "bound": _fmt_value(self.bound),
-            "margin": _fmt_value(self.margin),
-            "pass": self.passed,
-        }
+        with mp.workprec(self.precision_bits):
+            return {
+                "id": self.check_id,
+                "params": dict(self.params),
+                "value": _fmt_value(self.value),
+                "bound": _fmt_value(self.bound),
+                "margin": _fmt_value(self.margin),
+                "pass": self.passed,
+            }
 
     def csv_row(self) -> list[str]:
         d = self.to_json_dict()
@@ -73,7 +76,7 @@ CSV_HEADER = ["id", "params", "value", "bound", "margin", "pass"]
 
 # Exact rationals print as num/den up to this many bits per side
 # (roughly 4000 decimal digits); larger ones fall back to a decimal at
-# working precision so reports stay readable.  Checks themselves always
+# the check's precision so reports stay readable.  Checks themselves always
 # compare exactly regardless of how the value is printed.
 _MAX_EXACT_BITS = 13288
 
@@ -94,17 +97,18 @@ def _log_ratio_interval(num: int, den: int, prec_bits: int) -> tuple[Fraction, F
     return interval_endpoints(lambda iv: iv.log(iv.mpf(num) / iv.mpf(den)), prec_bits)
 
 
-def r_sum(M: int) -> list[SumCheck]:
+def r_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
     """R(M) = sum_{j=1}^{M-1} (j/M)^(4j), exactly, with its 1/16 and
     1/30 checks; each check's value is R(M)."""
     if not isinstance(M, int) or M < 2:
         raise ValueError(f"R(M) needs an integer M >= 2, got {M!r}")
+    check_precision(prec_bits)
     value = sum(Fraction(j, M) ** (4 * j) for j in range(1, M))
     bounds = [("r_sum_le_1_16", Fraction(1, 16))]
     if M >= 5:
         bounds.append(("r_sum_le_1_30", Fraction(1, 30)))
     return [
-        SumCheck(check_id, {"M": M}, value, bound, bound - value)
+        SumCheck(check_id, {"M": M}, value, bound, bound - value, prec_bits)
         for check_id, bound in bounds
     ]
 
@@ -125,10 +129,12 @@ def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCh
         Fraction(ell * (ell + 1), j * j) ** (2 * j) for j in range(ell + 2, M + 1)
     )
     bound_lo, _ = interval_endpoints(lambda iv: 1 / (iv.exp(iv.mpf(4)) - 1), prec_bits)
-    params = {"ell": ell, "M": M}
     return [
-        SumCheck("tail_sum_le_inv_e4m1", params, envelope, bound_lo, bound_lo - envelope),
-        SumCheck("tail_companion_le_envelope", params, companion, envelope, envelope - companion),
+        SumCheck(check_id, {"ell": ell, "M": M}, value, bound, bound - value, prec_bits)
+        for check_id, value, bound in (
+            ("tail_sum_le_inv_e4m1", envelope, bound_lo),
+            ("tail_companion_le_envelope", companion, envelope),
+        )
     ]
 
 
@@ -169,6 +175,7 @@ def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
                 to_mpf((lhs_lo + lhs_hi) / 2),
                 to_mpf((rhs_lo + rhs_hi) / 2),
                 to_mpf(margin),
+                prec_bits,
             )
         ]
 
@@ -186,16 +193,18 @@ def harmonic_bounds(
     check_precision(prec_bits)
     _, lower = _log_ratio_interval(M + 1, ell + 1, prec_bits)
     upper, _ = _log_ratio_interval(M, ell, prec_bits)
-    return _harmonic_checks(ell, M, lower, upper)
+    return _harmonic_checks(ell, M, lower, upper, prec_bits)
 
 
-def _harmonic_checks(ell: int, M: int, lower: Fraction, upper: Fraction) -> list[SumCheck]:
+def _harmonic_checks(
+    ell: int, M: int, lower: Fraction, upper: Fraction, prec_bits: int
+) -> list[SumCheck]:
     """harmonic_bounds' two checks against the bounds `lower` and `upper`."""
     value = sum(Fraction(1, j) for j in range(ell + 1, M + 1))
     params = {"ell": ell, "M": M}
     return [
-        SumCheck("harmonic_ge_log_upper_ratio", params, value, lower, value - lower),
-        SumCheck("harmonic_le_log_lower_ratio", params, value, upper, upper - value),
+        SumCheck("harmonic_ge_log_upper_ratio", params, value, lower, value - lower, prec_bits),
+        SumCheck("harmonic_le_log_lower_ratio", params, value, upper, upper - value, prec_bits),
     ]
 
 
@@ -220,7 +229,7 @@ def sum_check_suite(
     checks: list[SumCheck] = []
     values = {}
     for M in range(2, max_m + 1):
-        r_checks = r_sum(M)
+        r_checks = r_sum(M, prec_bits)
         values[M] = r_checks[0].value
         checks.extend(r_checks)
     for hi, lo in ((2, 3), (3, 4), (4, 5)):
@@ -232,6 +241,7 @@ def sum_check_suite(
                     values[lo],
                     values[hi],
                     values[hi] - values[lo],
+                    prec_bits,
                 )
             )
     for M in range(3, max_m + 1):
@@ -248,6 +258,6 @@ def sum_check_suite(
         row[1] = _log_ratio_interval(M, 1, prec_bits)
         following = {den: _log_ratio_interval(M + 1, den, prec_bits) for den in range(2, M + 1)}
         for ell in range(1, M):
-            checks.extend(_harmonic_checks(ell, M, following[ell + 1][1], row[ell][0]))
+            checks.extend(_harmonic_checks(ell, M, following[ell + 1][1], row[ell][0], prec_bits))
         row = following
     return checks

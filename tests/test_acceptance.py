@@ -80,7 +80,7 @@ def test_criterion_01_exact_factor_tables():
 
 
 def test_criterion_02_upper_bounds_and_certification(coeff_reports):
-    """mu_max <= min(N, 9.5 sqrt(N+1)) for M = 1..8; certified for M <= 4."""
+    """mu_max <= min(N, 9.5 sqrt(N+1)) for M = 1..8; certified for M <= 8."""
     with mp.workprec(PREC):
         for M in range(1, 9):
             rep = coeff_reports[M]
@@ -88,7 +88,7 @@ def test_criterion_02_upper_bounds_and_certification(coeff_reports):
             assert rep.mu_max <= cap, M
             assert rep.verdicts["le_N"] and rep.verdicts["le_19half_sqrt"]
     per_m = []
-    for M in range(1, 5):
+    for M in range(1, 9):
         t0 = time.perf_counter()
         cert = certify_bound(M, PREC)
         per_m.append(time.perf_counter() - t0)
@@ -96,7 +96,7 @@ def test_criterion_02_upper_bounds_and_certification(coeff_reports):
         assert cert.verdicts["le_N"] is True, M
     say(
         "criterion 2 PASS: mu_max under both caps for M=1..8; "
-        f"le_N certified for M=1..4 (certify {max(per_m):.2f}s worst case)"
+        f"le_N certified for M=1..8 (certify {max(per_m):.2f}s worst case)"
     )
 
 

@@ -12,6 +12,7 @@ from wellcond.cli import main
 from wellcond.condition import mu_max_coefficient_route
 from wellcond.energy import verify_t_bounds
 from wellcond.points import build_point_set
+from wellcond.sums import weighted_sum
 
 
 def run(argv):
@@ -393,6 +394,18 @@ def test_library_verification_report_prints_like_verify(tmp_path):
         if d["lemma"] == "band_correction_log_bounds"
     ]
     assert verify_t_bounds(5).to_json_dict() == written
+
+
+def test_library_sum_check_prints_like_verify(tmp_path):
+    assert mp.mp.prec == 53
+    assert run(["verify", "--M", "5", "--sums-max", "2", "--out", tmp_path]) == 0
+    (written,) = [
+        d for d in read_json(tmp_path / "sum_checks.json")["checks"]
+        if d["id"] == "weighted_sum_le_cubic_bound" and d["params"] == {"M": 1}
+    ]
+    (check,) = weighted_sum(1)
+    assert len(written["margin"]) > 70
+    assert check.to_json_dict() == written
 
 
 def test_library_point_set_prints_like_generate(tmp_path):

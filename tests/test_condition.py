@@ -5,8 +5,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from wellcond.cli import main as cli_main
 from wellcond.condition import (
     BOUNDS,
+    CERTIFY_PREC_FACTOR,
     LOWER_CONST,
     _bound_verdicts,
     certify_bound,
@@ -20,6 +22,7 @@ from wellcond.condition import (
 from wellcond.numerics import gauss_legendre, to_mpf
 from wellcond.points import SpherePoint, build_point_set
 from wellcond.polynomials import bombieri_norm_sq, canonical_polynomial, expand
+from polynomial_oracle import mu_sq_enclosures
 from sphere_oracle import distance_sq, numerator_by_product_rule, product_rule_nodes
 
 
@@ -267,6 +270,53 @@ def test_certified_encloses_float_route():
             hi = mp.mpf(rep_c.extras["mu_max_hi"])
             slack = mp.mpf(2) ** -200
             assert lo - slack <= rep_f.mu_max <= hi + slack, M
+
+
+def test_certified_route_matches_fraction_oracle():
+    """For M = 1..8 the interval enclosures agree with the exact-rational
+    ones: the same roots, the same verdicts, overlapping mu_max^2
+    enclosures, a mu_max enclosure narrower than 2^-(prec-16) relative
+    and per-root log mu within 2^-(prec-16)."""
+    prec = 256
+    for M in range(1, 9):
+        rep = certify_bound(M, prec)
+        norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
+        oracle = mu_sq_enclosures(M, norm_sq, prec)
+        assert [rid for rid, _ in rep.per_root] == [rid for rid, _, _ in oracle]
+        sq_lo = max(lo for _, lo, _ in oracle)
+        sq_hi = max(hi for _, _, hi in oracle)
+        assert _bound_verdicts(rep.N, sq_lo, sq_hi) == rep.verdicts, M
+        mu_lo = Fraction(rep.extras["mu_max_lo"])
+        mu_hi = Fraction(rep.extras["mu_max_hi"])
+        assert mu_lo**2 <= sq_hi and sq_lo <= mu_hi**2, M
+        assert mu_hi - mu_lo < mu_lo / 2 ** (prec - 16), M
+        with mp.workprec(prec):
+            for (rid, got), (_, lo, hi) in zip(rep.per_root, oracle):
+                want = mp.log(to_mpf((lo + hi) / 2)) / 2
+                assert abs(got - want) < mp.mpf(2) ** -(prec - 16), (M, rid)
+
+
+def test_unresolved_verdict_escalates_to_the_cap_and_never_passes(tmp_path, monkeypatch):
+    """A threshold inside every enclosure stays unresolved through each
+    precision doubling up to the cap: the verdict is None, the run is not
+    certified and `cond --certify` exits non-zero.
+
+    At M = 3 the maximum sits at azimuth 0 of the equator, where every
+    cosine is exactly 1, so mu_max^2 is an exact rational that no
+    enclosure can exclude."""
+    prec = 256
+    norm_sq = bombieri_norm_sq(expand(canonical_polynomial(3)))
+    label, sq_lo, sq_hi = max(mu_sq_enclosures(3, norm_sq, prec), key=lambda e: e[1])
+    assert label == "p3.k0" and sq_lo == sq_hi
+    monkeypatch.setitem(BOUNDS, "le_N", (lambda N: sq_lo, "upper"))
+    rep = certify_bound(3, prec)
+    assert rep.verdicts["le_N"] is None
+    assert rep.verdicts["le_19half_sqrt"] is True and rep.verdicts["ge_lower"] is True
+    assert rep.extras["cos_precision_bits"] == CERTIFY_PREC_FACTOR * prec
+    assert rep.certified is False
+    monkeypatch.setenv("WELLCOND_WORKERS", "1")
+    argv = ["cond", "--M", "3", "--route", "coeff", "--certify", "--out", str(tmp_path)]
+    assert cli_main(argv) != 0
 
 
 def test_bound_verdicts_compare_mu_squared_exactly():

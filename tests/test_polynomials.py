@@ -12,7 +12,7 @@ from polynomial_oracle import (
     log_derivative_modulus_by_gaps,
 )
 from wellcond.condition import log_mu_at_root
-from wellcond.numerics import to_mpf
+from wellcond.numerics import fraction_endpoints, fraction_from_mpf, to_mpf
 from wellcond.points import build_parallels, build_point_set
 from wellcond.polynomials import (
     DensePolynomial,
@@ -118,9 +118,10 @@ def test_factor_to_parallel_mapping_m3():
     """The parallel of each factor's roots, as root_derivative_data labels
     them, in the factor order the roots come in."""
     f = canonical_polynomial(3)
+    parallels = [root.parallel for root in root_derivative_data(3) for _ in range(root.power)]
     got = {
-        (f.factors[entry.factor].power, f.factors[entry.factor].shift): root.parallel
-        for entry, root in zip(roots(f, 64), root_derivative_data(3), strict=True)
+        (f.factors[entry.factor].power, f.factors[entry.factor].shift): parallel
+        for entry, parallel in zip(roots(f, 64), parallels, strict=True)
     }
     assert len(got) == len(f.factors)
     # equator has index M; shift > 1 sits north (smaller index), < 1 south
@@ -132,54 +133,68 @@ def test_factor_to_parallel_mapping_m3():
 
 
 def test_derivative_modulus_matches_direct_evaluation():
-    """Closed form vs the root-difference product at every root, M = 1..4."""
+    """Closed form vs the root-difference product at every root, M = 1..4:
+    within 2^-(prec-16) under mp, and the mp.iv enclosure contains the
+    product taken at 64 more bits."""
     prec = 256
     tol = mp.mpf(2) ** -(prec - 16)
+    tol_q = Fraction(1, 2 ** (prec - 16))
     for M in range(1, 5):
         f = canonical_polynomial(M)
-        rs = roots(f, prec)
-        data = list(root_derivative_data(M))
+        rs, fine = roots(f, prec), roots(f, prec + 64)
+        data = root_derivative_data(M)
         heights = [par.height for par in build_parallels(M)]
-        assert len(data) == len(rs) == f.degree
-        with mp.workprec(prec):
-            for i, (entry, root) in enumerate(zip(rs, data)):
-                # the root lies on the stereographic image of its parallel
-                h = heights[root.parallel - 1]
-                assert root.rho_sq == (1 + h) / (1 - h)
-                assert abs(abs(entry.value) ** 2 - to_mpf(root.rho_sq)) < tol * root.rho_sq
-                assert root.power == f.factors[entry.factor].power
-                assert root.azimuth == entry.azimuth
-                got = derivative_modulus_at_root(root, prec)
-                want = log_derivative_modulus_by_gaps(rs, i, prec)
-                # |log a - log b| bounds the relative error of a vs b
-                assert abs(got - want) < tol, (M, root.label)
+        assert len(data) == len(f.factors)
+        assert sum(root.power for root in data) == len(rs) == f.degree
+        floats = [v for root in data for v in derivative_modulus_at_root(root, prec)]
+        enclosures = [
+            v for root in data for v in derivative_modulus_at_root(root, prec, mp.iv)
+        ]
+        i = 0
+        for fi, (root, fac) in enumerate(zip(data, f.factors, strict=True)):
+            # the roots lie on the stereographic image of their parallel
+            h = heights[root.parallel - 1]
+            assert root.rho_sq == (1 + h) / (1 - h) and root.power == fac.power
+            for t in range(root.power):
+                entry = rs[i]
+                assert (entry.factor, entry.azimuth) == (fi, t)
+                with mp.workprec(prec):
+                    assert abs(abs(entry.value) ** 2 - to_mpf(root.rho_sq)) < tol * root.rho_sq
+                    want = log_derivative_modulus_by_gaps(rs, i, prec)
+                    # |log a - log b| bounds the relative error of a vs b
+                    assert abs(floats[i] - want) < tol, (M, root.parallel, t)
+                exact = fraction_from_mpf(log_derivative_modulus_by_gaps(fine, i, prec + 64))
+                lo, hi = fraction_endpoints(enclosures[i])
+                assert lo <= exact <= hi and hi - lo < 2 * tol_q, (M, root.parallel, t)
+                i += 1
     # Horner on the exact derivative agrees too, at M = 2 where its
     # cancellation stays small.
     f = canonical_polynomial(2)
-    rs, data = roots(f, prec), list(root_derivative_data(2))
+    rs = roots(f, prec)
+    floats = [
+        v for root in root_derivative_data(2) for v in derivative_modulus_at_root(root, prec)
+    ]
     dp = derivative(expand(f))
     with mp.workprec(prec):
         for i in (0, 5, 11):
             direct = abs(evaluate(dp, rs[i].value))
-            got = mp.exp(derivative_modulus_at_root(data[i], prec))
+            got = mp.exp(floats[i])
             assert abs(got - direct) / direct < mp.mpf(2) ** -(prec - 32)
 
 
 def test_multiple_root_gives_infinite_mu():
-    """A repeated root has f' = 0: log |f'| = log 0 = -inf and log mu = +inf."""
-    prec = 128
-    # f = (z^4 - 1)^2 at z = 1: the other copy of the factor contributes
-    # the term a - b cos(0) with a = b = 2.
-    root = RootDerivative(
-        parallel=1,
-        azimuth=0,
-        power=4,
-        rho_sq=Fraction(1),
-        terms=((Fraction(2), Fraction(2), Fraction(0)),),
-    )
-    assert derivative_modulus_at_root(root, prec) == mp.mpf("-inf")
-    assert log_mu_at_root(root, 8, mp.mpf(1), prec) == mp.mpf("+inf")
+    """A repeated root has f' = 0: log |f'| = log 0 = -inf and log mu = +inf,
+    under mp and under mp.iv."""
+    prec = 256
+    # f = (z^4 - 1)^2: at every root the other copy of the factor gives
+    # L = 0 and a turn q = 2t = 0 mod 2, so its term vanishes exactly.
     f = FactorizedPolynomial(factors=(Factor(4, Fraction(1)), Factor(4, Fraction(1))))
+    root = RootDerivative(parallel=1, power=4, rho_sq=Fraction(1), others=((4, Fraction(1)),))
+    for ctx in (mp.mp, mp.iv):
+        for log_fp in derivative_modulus_at_root(root, prec, ctx):
+            assert log_fp == ctx.mpf("-inf"), ctx
+        for log_mu in log_mu_at_root(root, 8, bombieri_norm_sq(expand(f)), prec, ctx):
+            assert log_mu == ctx.mpf("+inf"), ctx
     with pytest.raises(RepeatedRootError):
         log_derivative_modulus_by_gaps(roots(f, prec), 0, prec)
 
