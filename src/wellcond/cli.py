@@ -38,9 +38,9 @@ from .condition import (
     mu_max_spherical_route,
 )
 from .energy import log_energy, verification_suite
-from .numerics import MIN_PREC_BITS, fmt_real, frac_str
+from .numerics import MIN_PREC_BITS, fmt_real
 from .points import build_point_set
-from .polynomials import canonical_polynomial, expand
+from .polynomials import coeff_str, expand, family_polynomial
 from .sums import CSV_HEADER as SUMS_CSV_HEADER
 from .sums import sum_check_suite
 
@@ -237,22 +237,22 @@ def _map_over_m(fn, m_values: list[int], workers: int) -> list:
 
 def _generate_one(prec: int, phases: dict, fmt: str, M: int) -> dict:
     ps = build_point_set(M, phases=phases[M], prec_bits=prec)
-    fac = canonical_polynomial(M)
-    dense = expand(fac)
-    if fmt == "json":
-        return {
-            "M": M,
-            "points": ps.to_json_dict(),
-            "factorized": fac.to_json_dict(),
-            "dense": dense.to_json_dict(),
-        }
     with mp.workprec(prec):
+        fac, _ = family_polynomial(ps)
+        dense = expand(fac)
+        if fmt == "json":
+            return {
+                "M": M,
+                "points": ps.to_json_dict(),
+                "factorized": fac.to_json_dict(),
+                "dense": dense.to_json_dict(),
+            }
         point_rows = [
             [str(j), str(k), fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
             for j, k, p in ps.coordinates()
         ]
-    factor_rows = [[str(f.power), frac_str(f.shift)] for f in fac.factors]
-    dense_rows = [[str(i), frac_str(c)] for i, c in enumerate(dense.coeffs)]
+        factor_rows = [[str(f.power), coeff_str(f.shift)] for f in fac.factors]
+        dense_rows = [[str(i), coeff_str(c)] for i, c in enumerate(dense.coeffs)]
     return {
         "M": M,
         "point_rows": point_rows,

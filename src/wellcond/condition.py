@@ -24,10 +24,10 @@ Two routes compute mu_norm for the degree-N = 4M^2 family:
   from the chordal distance |p - p_j|^2 = 4 |z - z_j|^2 /
   ((1+|z|^2)(1+|z_j|^2)) and the Bombieri-Weyl integral
   int_S |f|^2 / (1+|z|^2)^N dsigma = ||f||^2 / (N+1) (Shub & Smale,
-  Complexity of Bezout's theorem I).  The per-point denominators come
-  from Theta products over the points, so the two routes evaluate one
-  formula through two implementations: Theta products here, the
-  factor-wise |f'| there.
+  Complexity of Bezout's theorem I), and the per-point denominators
+  are Theta products over the points.  Both routes assemble the kernel
+  numerics.two_term_log: gap products over heights here, |f'| over
+  moduli there, so the route check compares two assemblies of it.
 
 log mu at the roots is written once, against an mpmath context: the
 coefficient route evaluates it under mp.mp, certify_bound under mp.iv,
@@ -37,21 +37,16 @@ inequality between rationals (or inconclusive, never falsely passed).
 
 Distance products against a full parallel use the closed form
 
-    Theta(r, h, c, dphi) = prod_i |p - q_i|^2
-                         = (x^r - y^r)^2 + 2 (xy)^r (1 - cos(r dphi)),
-    x = sqrt((1-c)(1+h)),  y = sqrt((1+c)(1-h)),
+    Theta(r, h, c, dphi) = prod_i |p - q_i|^2 = |x^r e^(i r dphi) - y^r|^2,
+    x^2 = (1-c)(1+h),  y^2 = (1+c)(1-h),
 
 for a query point at height c and azimuth offset dphi from the r
-uniformly spaced points at height h; the two-term form is a sum of
-non-negative terms, so it never cancels.  The offset is passed as an
-exact turn t (a multiple of pi) plus a radian offset phi, and the
-versine is evaluated as 1 - cos(r (pi t + phi)) = 2 sin^2(r (pi t + phi)/2),
-exactly zero at a coincidence when phi = 0.  (gap, rim) depends only on
-the parallel and the query height, the versine only on the parallel and
-the turn, so theta_product_log_turn evaluates a whole grid of heights x
-turns against one parallel: (gap, rim) per (parallel, height), versine
-per (parallel, turn), one log per cell; point_gap_product_log takes
-every requested azimuth of one parallel in one call.
+uniformly spaced points at height h: the kernel with R = r.  The offset
+is an exact turn t (a multiple of pi) plus a radian offset phi, so
+sin^2(r (pi t + phi)/2) is exactly zero at a coincidence when phi = 0.
+theta_product_log_turn evaluates a grid of heights x turns against one
+parallel: log(1 +- u) once per height u, (base, gap, rim) per (parallel,
+height), sin^2 per (parallel, turn), one log per cell.
 
 Precision has one source per input: numerator_integral_log and
 point_gap_product_log read the prec_bits of the point set they take,
@@ -72,13 +67,15 @@ from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
     context_precision,
-    cos_pi_fraction,
     fmt_real,
     fraction_endpoints,
     interval_endpoints,
     log_fraction,
+    log_one_pm,
+    sin_sq_pi,
     to_fraction,
     to_mpf,
+    two_term_log,
 )
 from .points import PointSet, build_point_set
 from .polynomials import (
@@ -219,29 +216,6 @@ def mu_max_coefficient_route(
     )
 
 
-def _versine(r: int, turn: Fraction, offset=0) -> mp.mpf:
-    """1 - cos(r (pi turn + offset)), exactly 0 at a zero-offset coincidence."""
-    s = cos_pi_fraction(r * turn / 2 - Fraction(1, 2), r * offset / 2)
-    return 2 * s * s
-
-
-def _theta_terms(r: int, h, c) -> tuple[mp.mpf, mp.mpf]:
-    """(gap, rim) with Theta = gap + rim * (1 - cos(r dphi)).
-
-    gap = (x^r - y^r)^2 is the squared product of distances at aligned
-    azimuth; rim = 2 (xy)^r scales the azimuthal modulation.  x^2 and
-    y^2 are formed exactly from the heights and rounded once.
-    """
-    h, c = to_fraction(h), to_fraction(c)
-    x2, y2 = (1 - c) * (1 + h), (1 + c) * (1 - h)
-    if x2 < 0 or y2 < 0:
-        raise ValueError("heights must lie in [-1, 1]")
-    x, y = mp.sqrt(to_mpf(x2)), mp.sqrt(to_mpf(y2))
-    xr, yr = x**r, y**r
-    d = xr - yr
-    return d * d, 2 * xr * yr
-
-
 def theta_product_log_turn(
     r: int,
     h,
@@ -254,18 +228,20 @@ def theta_product_log_turn(
     pi * turn + offset (radians), turn in `turns`: row i, column m is
     (heights[i], turns[m]).
 
-    (gap, rim) is formed once per height, the versine once per turn, and
-    each cell takes one log.  With a zero offset, rational turns keep
-    coincidences exact: a cell is -inf precisely when the query point
-    equals a parallel point.
+    Each cell is base + log(gap + rim sin^2) of numerics.two_term_log,
+    (base, gap, rim) formed once per height, sin^2 once per turn.  With
+    a zero offset, rational turns keep coincidences exact: a cell is -inf
+    precisely when the query point equals a parallel point.
     """
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
-        versines = [_versine(r, Fraction(turn), offset) for turn in turns]
+        sin_sqs = [sin_sq_pi(mp.mp, r * Fraction(turn) / 2, r * offset / 2) for turn in turns]
+        log_hp, log_hm = log_one_pm(to_fraction(h), prec_bits)
         rows = []
         for c in heights:
-            gap, rim = _theta_terms(r, h, c)
-            rows.append([mp.log(gap + rim * v) for v in versines])
+            log_cp, log_cm = log_one_pm(to_fraction(c), prec_bits)
+            base, gap, rim = two_term_log(mp.mp, r, log_cm + log_hp, log_cp + log_hm)
+            rows.append([base + mp.log(gap + rim * s) for s in sin_sqs])
         return rows
 
 
@@ -317,8 +293,8 @@ def point_gap_product_log(
     at the point set's precision.
 
     Splits into the closed-form product within the point's own parallel,
-    formed once, and one Theta row per other parallel: (gap, rim) once
-    per pair of parallels, the versine once per point.
+    formed once, and one Theta row per other parallel: (base, gap, rim)
+    once per pair of parallels, sin^2 once per point.
     """
     prec_bits = point_set.prec_bits
     parallels = point_set.parallels

@@ -9,14 +9,16 @@ to be compared with kappa N^2 - (N/2) log N where
     kappa = 1/2 - log 2 = - int_S int_S log|p - q| dsigma dsigma.
 
 For the family, E is an identity in the monic f = prod_k (z^(r_k) - s_k)
-whose roots z_i project to the points: by the chordal distance
+whose roots z_i project to the points, s_k = rho_k^(r_k) e^(i r_k phi_k)
+(polynomials.family_polynomial): by the chordal distance
 |p_i - p_j|^2 = 4 |z_i - z_j|^2 / ((1+|z_i|^2)(1+|z_j|^2)),
 
     -E = N(N-1) log 2 + log|Disc f| - (N-1) sum_k r_k log(1 + rho_k^2),
 
 with |Disc(z^r - s)| = r^r |s|^(r-1) and |Res(z^r - a, z^q - b)| =
 |a^(q/g) - b^(r/g)|^g, g = gcd(r, q) (Shub & Smale, Complexity of
-Bezout's theorem III).
+Bezout's theorem III): |a^(q/g) - b^(r/g)|^2 is the kernel
+numerics.two_term_log with R = lcm(r, q), as are the Theta products.
 
 The workhorse quantities, for a query point q at height c:
 
@@ -49,8 +51,7 @@ The suites form each transcendental value once per index it depends
 on: log(1 +- u) and the antiderivatives once per height (a parallel, a
 probe or a band edge), each band's window constants once, and the
 distance products through the Theta grids of
-condition.theta_product_log_turn, (gap, rim) per (parallel, height) and
-the versine per (parallel, turn).  Every cell comes out of the same
+condition.theta_product_log_turn.  Every cell comes out of the same
 operations in the same order as the one-pair forms: expected_log_parallel,
 band_integral, comparison_{inside,outside}_margin and s_n evaluate the
 same core for a single pair.
@@ -82,11 +83,14 @@ from .numerics import (
     check_precision,
     fmt_real,
     frac_str,
+    log_fraction,
+    log_one_pm,
+    sin_sq_pi,
     to_fraction,
     to_mpf,
+    two_term_log,
 )
 from .points import Parallel, PointSet, build_parallels, build_point_set
-from .polynomials import family_polynomial
 
 HYPOTHESIS_MIN_M = 5  # the smallest M the sharpened bounds are proved for
 
@@ -122,10 +126,8 @@ class _Height:
 
 def _height(u) -> _Height:
     u = to_fraction(u)
-    if not -1 <= u <= 1:
-        raise ValueError(f"height {u} must lie in [-1, 1]")
+    log_p, log_m = log_one_pm(u, mp.mp.prec)  # shared with the Theta grids
     wp, wm = to_mpf(1 + u), to_mpf(1 - u)
-    log_p, log_m = mp.log(wp), mp.log(wm)  # -inf at 0
     anti_p = mp.mpf(1) if u == -1 else wp * log_p - (wp - 1)
     anti_m = mp.mpf(-1) if u == 1 else -wm * log_m - (1 - wm)
     return _Height(u, log_p, log_m, anti_p, anti_m)
@@ -393,26 +395,25 @@ class EnergyReport:
 
 def log_energy(point_set: PointSet) -> EnergyReport:
     """E(P) = sum_{i != j} log 1/|p_i - p_j| by the identity of the module
-    docstring for the f of polynomials.family_polynomial, with |Disc f| =
-    prod_k r_k^(r_k) |s_k|^(r_k - 1) prod_{k<l} |s_k^(r_l/g) - s_l^(r_k/g)|^(2g):
-    one log per factor and per factor pair, each of an exact rational
-    (zero phases) or an mpc modulus (phased), rounded once at the point
-    set's precision; a zero resultant (a repeated root) gives log 0 = -inf.
-    """
+    docstring, at the point set's precision: logs of rho_k^2 and of the
+    weight per factor, one kernel call per factor pair with R = lcm(r_k,
+    r_l) and theta = R (phi_k - phi_l); a repeated root gives -inf."""
     prec_bits = point_set.prec_bits
     N = point_set.N
+    pars = point_set.parallels
     with mp.workprec(prec_bits):
-        f, weights = family_polynomial(point_set)  # weights 1/(1 + rho_k^2)
+        logs = [log_fraction(mp.mp, (1 + par.height) / (1 - par.height)) for par in pars]
         total = N * (N - 1) * mp.log(2)
-        for fac, w in zip(f.factors, weights):
-            r = fac.power
-            disc = r**r * abs(fac.shift) ** (r - 1)
-            total += mp.log(to_mpf(disc)) + (N - 1) * r * mp.log(to_mpf(w))
-        for k, a in enumerate(f.factors):
-            for b in f.factors[k + 1 :]:
-                g = math.gcd(a.power, b.power)
-                diff = a.shift ** (b.power // g) - b.shift ** (a.power // g)
-                total += 2 * g * mp.log(to_mpf(abs(diff)))
+        for par, ell in zip(pars, logs):
+            r, log_w = par.count, log_fraction(mp.mp, (1 - par.height) / 2)  # w = 1/(1 + rho^2)
+            total += r * mp.log(r) + r * (r - 1) * ell / 2 + (N - 1) * r * log_w
+        for k, (a, log_a) in enumerate(zip(pars, logs)):
+            for b, log_b in zip(pars[k + 1 :], logs[k + 1 :]):
+                g = math.gcd(a.count, b.count)
+                R = a.count // g * b.count
+                base, gap, rim = two_term_log(mp.mp, R, log_a, log_b)
+                sin_sq = sin_sq_pi(mp.mp, 0, R * (a.phase - b.phase) / 2)
+                total += g * (base + mp.log(gap + rim * sin_sq))
         energy = -total
         residual = (energy - kappa(prec_bits) * N * N + mp.mpf(N) / 2 * mp.log(N)) / N
     return EnergyReport(point_set.M, N, prec_bits, energy, residual)

@@ -4,9 +4,10 @@ Everything in this package computes either with exact rationals
 (``fractions.Fraction``) or under an mpmath context at an explicit
 binary precision: floats under mp.mp, outward-rounded intervals under
 mp.iv.  This module owns the conversions between the two worlds,
-rigorous enclosures of cos(pi * q) for rational q, and Gauss-Legendre
+rigorous enclosures of cos(pi * q) for rational q, Gauss-Legendre
 nodes (the package integrates nothing numerically; the enclosures and
-the nodes serve references in the tests).
+the nodes serve references in the tests), and ``two_term_log``, the one
+kernel for every product of distances between parallels.
 
 Two representations are fixed here for the whole package:
 
@@ -14,12 +15,14 @@ Two representations are fixed here for the whole package:
   convert their input once at entry with ``to_fraction`` (ints, floats
   and finite mpfs are dyadic or integer rationals, so this is exact);
 * an azimuth is an exact turn q (a rational multiple of pi) plus a
-  radian offset; ``cos_pi_fraction(q, offset)`` is the one place that
-  evaluates it, exactly at multiples of pi/2 when the offset is 0.
+  radian offset; ``cos_pi_fraction(q, offset)`` and
+  ``sin_sq_pi(ctx, q, offset)`` evaluate it, exactly at multiples of
+  pi/2 (of pi/4 for sin^2) when the offset is 0.
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -109,22 +112,20 @@ def interval_endpoints(fn, prec_bits: int) -> tuple[Fraction, Fraction]:
         return fraction_endpoints(fn(mp.iv))
 
 
-def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction, Fraction]:
-    """Rigorous enclosure [lo, hi] of cos(pi * q) for rational q.
+@functools.lru_cache(maxsize=1 << 12)
+def log_one_pm(u: Fraction, prec_bits: int) -> tuple[mp.mpf, mp.mpf]:
+    """(log(1 + u), log(1 - u)) for an exact height u in [-1, 1] at
+    prec_bits (-inf at a pole), memoised: every parallel asks for them."""
+    if not -1 <= u <= 1:
+        raise ValueError("heights must lie in [-1, 1]")
+    with mp.workprec(prec_bits):
+        return log_fraction(mp.mp, 1 + u), log_fraction(mp.mp, 1 - u)
 
-    Multiples of 1/2 are returned exactly; everything else goes through
-    interval arithmetic at prec_bits.
-    """
-    q = Fraction(q) % 2  # cos(pi * q) has period 2
-    if q.denominator == 1:
-        c = Fraction(1) if q == 0 else Fraction(-1)
-        return (c, c)
-    if q.denominator == 2:
-        return (Fraction(0), Fraction(0))
-    return interval_endpoints(
-        lambda iv: iv.cos(iv.pi * (iv.mpf(q.numerator) / iv.mpf(q.denominator))),
-        prec_bits,
-    )
+
+def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Rigorous enclosure [lo, hi] of cos(pi * q) = 1 - 2 sin^2(pi q / 2)
+    for rational q at prec_bits, exact at multiples of 1/2."""
+    return interval_endpoints(lambda iv: 1 - 2 * sin_sq_pi(iv, Fraction(q) / 2), prec_bits)
 
 
 def cos_pi_fraction(q: RationalLike, offset: RealLike = 0) -> mp.mpf:
@@ -137,11 +138,30 @@ def cos_pi_fraction(q: RationalLike, offset: RealLike = 0) -> mp.mpf:
     q = Fraction(q) % 2
     if offset != 0:
         return mp.cos(mp.pi * to_mpf(q) + offset)
-    if q.denominator == 1:
-        return mp.mpf(1) if q == 0 else mp.mpf(-1)
-    if q.denominator == 2:
-        return mp.mpf(0)
+    if q.denominator <= 2:
+        return mp.mpf((1, 0, -1, 0)[int(2 * q)])
     return mp.cospi(to_mpf(q))
+
+
+def sin_sq_pi(ctx, q: RationalLike, offset=0):
+    """sin^2(pi * q + offset) for rational q under ctx (mp.mp or mp.iv);
+    exactly 0, 1/2 or 1 at quarter turns (4q an integer) with offset 0."""
+    q = Fraction(q) % 1  # sin^2 has period pi
+    if offset == 0 and (4 * q).denominator == 1:
+        return ctx.mpf((0, 0.5, 1, 0.5)[int(4 * q)])
+    return ctx.sin(ctx.pi * (ctx.mpf(q.numerator) / q.denominator) + offset) ** 2
+
+
+def two_term_log(ctx, R: int, log_x2, log_y2) -> tuple:
+    """(base, gap, rim) with log |x^R e^(i theta) - y^R|^2 = base +
+    log(gap + rim sin^2(theta/2)) from log x^2, log y^2 under ctx (mp.mp or
+    mp.iv): base = R log max^2, gap = expm1(L)^2, rim = 4 e^L with L = (R/2)
+    (log min^2 - log max^2) <= 0.  Both terms are non-negative, nothing the
+    size of x^R is formed, and a pole (log -inf) needs no branch."""
+    if log_y2 > log_x2:
+        log_x2, log_y2 = log_y2, log_x2
+    L = R * (log_y2 - log_x2) / 2
+    return R * log_x2, ctx.expm1(L) ** 2, 4 * ctx.exp(L)
 
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mp.mpf], list[mp.mpf]]] = {}
@@ -200,17 +220,21 @@ def gauss_legendre(n: int, prec_bits: int = DEFAULT_PREC_BITS) -> tuple[list[mp.
 
 def fmt_real(x) -> str:
     """Deterministic decimal string for report output, at the decimal
-    equivalent of the current working precision plus two guard digits."""
+    equivalent of the current working precision plus two guard digits.
+    Reports repeat values (a cell's value on both sides, a bound shared
+    across a band), so the string is memoised on the value's bits and the
+    precision."""
     if isinstance(x, Fraction):
         x = to_mpf(x)
-    x = mp.mpf(x)
-    if mp.isnan(x):
-        return "nan"
-    if x == mp.mpf("inf"):
-        return "inf"
-    if x == mp.mpf("-inf"):
-        return "-inf"
-    return mp.nstr(x, mp.mp.dps + 2, strip_zeros=True)
+    return _fmt_raw(mp.mpf(x)._mpf_, mp.mp.prec)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _fmt_raw(raw, prec_bits: int) -> str:
+    x = mp.make_mpf(raw)
+    if not mp.isfinite(x):
+        return str(x).lstrip("+")  # nan, inf, -inf
+    return mp.nstr(x, libmp.prec_to_dps(prec_bits) + 2, strip_zeros=True)
 
 
 def frac_str(q: RationalLike) -> str:

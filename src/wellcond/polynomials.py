@@ -15,15 +15,15 @@ rho_j^2 = (2M^2 - j^2)/j^2 this is
     P(z) = (z^(4M) - 1) * prod_{j=1}^{M-1} (z^(4j) - s_j)(z^(4j) - 1/s_j).
 
 Expansion, Bombieri-Weyl norms and the factor-wise data of |f'| stay
-in exact rational arithmetic; root values and the closed form of |f'|
-use an mpmath context at a caller-chosen binary precision (floats
-under mp.mp, enclosures under mp.iv), and the rotated (complex) shifts
-of a phased family the precision of its point set.
+in exact rational arithmetic; |f'| at the roots takes the kernel
+numerics.two_term_log once per other factor, under an mpmath context at
+a caller-chosen binary precision (floats under mp.mp, enclosures under
+mp.iv), and the rotated (complex) shifts of a phased family the
+precision of its point set.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,11 +35,22 @@ from .numerics import (
     check_precision,
     context_precision,
     cos_pi_fraction,
+    fmt_real,
     frac_str,
     log_fraction,
+    sin_sq_pi,
     to_mpf,
+    two_term_log,
 )
 from .points import Parallel, PointSet, build_parallels
+
+
+def coeff_str(c: Fraction | mp.mpc) -> str:
+    """An exact rational as "num/den", a complex value as "re+imj" or "re-imj"."""
+    if isinstance(c, mp.mpc):
+        re, im = fmt_real(c.real), fmt_real(c.imag)
+        return f"{re}{'' if im.startswith('-') else '+'}{im}j"
+    return frac_str(c)
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,7 @@ class FactorizedPolynomial:
         return {
             "N": self.degree,
             "factors": [
-                {"r": f.power, "s": frac_str(f.shift)} for f in self.factors
+                {"r": f.power, "s": coeff_str(f.shift)} for f in self.factors
             ],
         }
 
@@ -100,7 +111,7 @@ class DensePolynomial:
     def to_json_dict(self) -> dict:
         return {
             "N": self.degree,
-            "coeffs": [frac_str(c) for c in self.coeffs],
+            "coeffs": [coeff_str(c) for c in self.coeffs],
         }
 
 
@@ -242,14 +253,10 @@ def derivative_modulus_at_root(
 ) -> list:
     """log |f'(z_t)| at every root z_t of one factor, t = 0..r-1, under the
     mpmath context ctx at prec_bits (floats under mp.mp, enclosures under
-    mp.iv).  With l = log rho^2 and L = (r_m/2)(l - log rho_m^2), the
-    term of factor m over s_m^2 is the two-term form
-
-        |e^L e^(i pi q_m) - 1|^2 = expm1(L)^2 + 4 e^L sin^2(pi q_m / 2),
-
-    whose terms are non-negative, so nothing cancels.  It is formed once
-    per other factor, sin^2 once per distinct turn.  A vanishing term
-    means a repeated root, where f' = 0: the log is -inf.
+    mp.iv).  The term |rho^(r_m) e^(i pi q_m) - s_m|^2 of factor m is the
+    kernel numerics.two_term_log with R = r_m, (base, gap, rim) once per
+    other factor, sin^2(pi r_m t / r) once per distinct turn.  A vanishing
+    term means a repeated root, where f' = 0: the log is -inf.
     """
     check_precision(prec_bits)
     r = root.power
@@ -258,19 +265,13 @@ def derivative_modulus_at_root(
         base = ctx.log(r) + (r - 1) * ell / 2
         terms = []
         for r_m, rho_sq_m in root.others:
-            ell_m = log_fraction(ctx, rho_sq_m)
-            L = r_m * (ell - ell_m) / 2
-            terms.append((r_m, ctx.expm1(L) ** 2, 4 * ctx.exp(L)))
-            base += r_m * ell_m / 2
-
-        @functools.cache
-        def sin_sq(j: int):  # sin^2(pi j / r) for j / r = q_m / 2 mod 1, exact at pi/4 steps
-            if 4 * j % r == 0:
-                return ctx.mpf((0, 0.5, 1, 0.5)[4 * j // r])
-            return ctx.sin(ctx.pi * j / r) ** 2
-
+            log_m, gap, rim = two_term_log(ctx, r_m, ell, log_fraction(ctx, rho_sq_m))
+            terms.append((r_m, gap, rim))
+            base += log_m / 2
+        turns = {r_m * t % r for r_m, _, _ in terms for t in range(r)}
+        sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r)) for j in turns}
         return [
             base
-            + ctx.log(ctx.fprod(gap + rim * sin_sq(r_m * t % r) for r_m, gap, rim in terms)) / 2
+            + ctx.log(ctx.fprod(gap + rim * sin_sq[r_m * t % r] for r_m, gap, rim in terms)) / 2
             for t in range(r)
         ]

@@ -8,7 +8,8 @@ Four families of sums, each with explicit bounds:
   together with its smaller companion sum_{j} (ell(ell+1)/j^2)^(2j).
 * sum_{ell=1}^{M-1} ell^(1/3) (e/2)^(4/ell)
   <= (3/4) M^(4/3) + 12 (1 - log 2) M^(1/3) + 3.
-* log((M+1)/(ell+1)) <= sum_{j=ell+1}^{M} 1/j <= log(M/ell).
+* log((M+1)/(ell+1)) <= sum_{j=ell+1}^{M} 1/j <= log(M/ell), the sum
+  H_M - H_ell of exact harmonic numbers, each log n enclosed once.
 
 Rational sums are evaluated exactly; transcendental bounds are enclosed
 by interval arithmetic, and a check passes only if the exact value
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 
@@ -92,9 +94,9 @@ def _fmt_value(v) -> str:
     return fmt_real(v)
 
 
-def _log_ratio_interval(num: int, den: int, prec_bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of log(num/den) for positive integers."""
-    return interval_endpoints(lambda iv: iv.log(iv.mpf(num) / iv.mpf(den)), prec_bits)
+def _log_enclosure(n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure [lo, hi] of log n for a positive integer n."""
+    return interval_endpoints(lambda iv: iv.log(iv.mpf(n)), prec_bits)
 
 
 def r_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
@@ -185,22 +187,22 @@ def harmonic_bounds(
 ) -> list[SumCheck]:
     """Partial harmonic sum sum_{j=ell+1}^{M} 1/j between its log bounds.
 
-    The bounds are the conservative endpoints of enclosures of
-    log((M+1)/(ell+1)) (lower) and log(M/ell) (upper).
+    The bounds are the conservative ends of log(M+1) - log(ell+1)
+    (lower) and log(M) - log(ell) (upper), each log n enclosed.
     """
     if not (isinstance(ell, int) and isinstance(M, int) and M >= 2 and 1 <= ell <= M - 1):
         raise ValueError(f"need M >= 2 and 1 <= ell <= M - 1, got ell={ell!r}, M={M!r}")
     check_precision(prec_bits)
-    _, lower = _log_ratio_interval(M + 1, ell + 1, prec_bits)
-    upper, _ = _log_ratio_interval(M, ell, prec_bits)
-    return _harmonic_checks(ell, M, lower, upper, prec_bits)
-
-
-def _harmonic_checks(
-    ell: int, M: int, lower: Fraction, upper: Fraction, prec_bits: int
-) -> list[SumCheck]:
-    """harmonic_bounds' two checks against the bounds `lower` and `upper`."""
     value = sum(Fraction(1, j) for j in range(ell + 1, M + 1))
+    logs = {n: _log_enclosure(n, prec_bits) for n in (ell, ell + 1, M, M + 1)}
+    return _harmonic_checks(ell, M, value, logs, prec_bits)
+
+
+def _harmonic_checks(ell: int, M: int, value: Fraction, logs: dict, prec_bits: int) -> list[SumCheck]:
+    """harmonic_bounds' two checks of the sum `value`, each bound a
+    difference of the unfavourable ends of the enclosures logs[n] of log n."""
+    lower = logs[M + 1][1] - logs[ell + 1][0]
+    upper = logs[M][0] - logs[ell][1]
     params = {"ell": ell, "M": M}
     return [
         SumCheck("harmonic_ge_log_upper_ratio", params, value, lower, value - lower, prec_bits),
@@ -250,14 +252,9 @@ def sum_check_suite(
                 checks.extend(tail_sum(ell, M, prec_bits))
     for M in range(1, max_m + 1):
         checks.extend(weighted_sum(M, prec_bits))
-    # The lower bound at (ell, M) encloses log((M+1)/(ell+1)), the ratio
-    # of the upper bound at (ell+1, M+1): each ratio is enclosed once, and
-    # only the enclosures of one M and the next are held.
-    row = {}  # den -> enclosure of log(M/den)
+    harmonic = list(accumulate((Fraction(1, j) for j in range(1, max_m + 1)), initial=Fraction(0)))
+    logs = {n: _log_enclosure(n, prec_bits) for n in range(1, max_m + 2)}
     for M in range(2, max_m + 1):
-        row[1] = _log_ratio_interval(M, 1, prec_bits)
-        following = {den: _log_ratio_interval(M + 1, den, prec_bits) for den in range(2, M + 1)}
         for ell in range(1, M):
-            checks.extend(_harmonic_checks(ell, M, following[ell + 1][1], row[ell][0], prec_bits))
-        row = following
+            checks.extend(_harmonic_checks(ell, M, harmonic[M] - harmonic[ell], logs, prec_bits))
     return checks

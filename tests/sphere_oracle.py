@@ -4,34 +4,34 @@ Squared chordal distances between materialised points, the
 stereographic maps between the sphere and the complex plane, a
 Gauss-Legendre x uniform-azimuth product rule for the numerator
 integral int_S prod_j |p - p_j|^2 dsigma, against which the closed form
-of ``wellcond.condition.numerator_integral_log`` is checked, and the
-logarithmic energy as a sum of gap products over every point, against
-which the discriminant identity of ``wellcond.energy.log_energy`` is
-checked, and the one-query-at-a-time forms of the Theta products,
-against which the package's grid and per-parallel forms are held bit
-for bit.
+of ``wellcond.condition.numerator_integral_log`` is checked, the
+logarithmic energy as a sum of gap products over every point and as
+the discriminant identity with exact resultants, against which the
+two-term kernel of ``wellcond.energy.log_energy`` is checked, and the
+one-query-at-a-time forms of the Theta products, against which the
+package's grid and per-parallel forms are held bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 
 from wellcond.condition import parallel_self_product_log, point_gap_product_log
-from wellcond.numerics import cos_pi_fraction, gauss_legendre, to_fraction, to_mpf
+from wellcond.numerics import gauss_legendre, sin_sq_pi, to_fraction, to_mpf, two_term_log
 from wellcond.points import PointSet, SpherePoint
+from wellcond.polynomials import family_polynomial
 
 
 def theta_log_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
-    """log Theta for one query, (gap, rim) and the versine formed afresh:
-    (x^r - y^r)^2 + 2 (xy)^r * 2 sin^2(r (pi turn + offset)/2)."""
+    """log Theta for one query: every log, (base, gap, rim) and sin^2
+    formed afresh, through the kernel numerics.two_term_log."""
     h, c, turn = to_fraction(h), to_fraction(c), Fraction(turn)
     with mp.workprec(prec_bits):
-        x = mp.sqrt(to_mpf((1 - c) * (1 + h)))
-        y = mp.sqrt(to_mpf((1 + c) * (1 - h)))
-        xr, yr = x**r, y**r
-        d = xr - yr
-        s = cos_pi_fraction(r * turn / 2 - Fraction(1, 2), r * offset / 2)
-        return mp.log(d * d + 2 * xr * yr * (2 * s * s))
+        log_x2 = mp.log(to_mpf(1 - c)) + mp.log(to_mpf(1 + h))
+        log_y2 = mp.log(to_mpf(1 + c)) + mp.log(to_mpf(1 - h))
+        base, gap, rim = two_term_log(mp.mp, r, log_x2, log_y2)
+        return base + mp.log(gap + rim * sin_sq_pi(mp.mp, r * turn / 2, r * offset / 2))
 
 
 def log_product_by_query(c, turn, point_set: PointSet, prec_bits: int) -> mp.mpf:
@@ -77,6 +77,27 @@ def energy_by_gap_products(point_set: PointSet, prec_bits: int) -> mp.mpf:
         for par in point_set.parallels:
             for gap_log in point_gap_product_log(point_set, par.index, range(par.count)):
                 total += gap_log
+        return -total
+
+
+def energy_by_resultants(point_set: PointSet) -> mp.mpf:
+    """E by the discriminant identity of ``wellcond.energy``, each
+    resultant formed as the exact rational (or, phased, the mpc)
+    a^(q/g) - b^(r/g) of the shifts of ``family_polynomial`` and rounded
+    once: -E = N(N-1) log 2 + sum_k [log(r^r |s_k|^(r-1)) + (N-1) r log w_k]
+    + sum_{k<l} 2g log |s_k^(r_l/g) - s_l^(r_k/g)|."""
+    N = point_set.N
+    with mp.workprec(point_set.prec_bits):
+        f, weights = family_polynomial(point_set)
+        total = N * (N - 1) * mp.log(2)
+        for fac, w in zip(f.factors, weights):
+            r = fac.power
+            total += mp.log(to_mpf(r**r * abs(fac.shift) ** (r - 1))) + (N - 1) * r * mp.log(to_mpf(w))
+        for k, a in enumerate(f.factors):
+            for b in f.factors[k + 1 :]:
+                g = math.gcd(a.power, b.power)
+                diff = a.shift ** (b.power // g) - b.shift ** (a.power // g)
+                total += 2 * g * mp.log(to_mpf(abs(diff)))
         return -total
 
 

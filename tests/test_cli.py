@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import re
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -11,6 +13,7 @@ from wellcond import cli, points
 from wellcond.cli import main
 from wellcond.condition import mu_max_coefficient_route
 from wellcond.energy import verify_t_bounds
+from wellcond.numerics import to_mpf
 from wellcond.points import build_point_set
 from wellcond.sums import weighted_sum
 
@@ -418,3 +421,60 @@ def test_library_point_set_prints_like_generate(tmp_path):
     got = build_point_set(2, phases=strings).to_json_dict()
     assert got["parallels"][0]["phase"] == "0.1"
     assert got == written
+
+
+_FLOAT = r"[+-]?\d+(?:\.\d*)?(?:e[+-]?\d+)?"
+_COMPLEX = re.compile(rf"^({_FLOAT})([+-]\d+(?:\.\d*)?(?:e[+-]?\d+)?)j$")
+
+
+def parse_complex(text):
+    """An "re+imj" shift or coefficient of a phased polynomial file as an mpc."""
+    m = _COMPLEX.match(text)
+    assert m, text
+    return mp.mpc(mp.mpf(m.group(1)), mp.mpf(m.group(2)))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_generate_phases_writes_the_rotated_family(tmp_path, fmt):
+    """The polynomial file of generate --phases describes the points file:
+    the shift of the factor of parallel j has modulus rho_j^(r_j) and
+    argument r_j phi_j mod 2 pi, printed at --precision."""
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps(["0.1", "0.7", "-1.2"]))
+    out = tmp_path / "out"
+    assert run(["generate", "--M", "2", "--phases", phases, "--out", out]) == 0
+    pars = read_json(out / "points_M2.json")["points"]["parallels"]
+    if fmt == "json":
+        factors = read_json(out / "polynomial_M2.json")["factorized"]["factors"]
+        rows = [(f["r"], f["s"]) for f in factors]
+    else:
+        assert run(["generate", "--M", "2", "--format", "csv", "--phases", phases, "--out", out]) == 0
+        rows = [(int(r), s) for r, s in read_rows(out / "factors_M2.csv")[1:]]
+    order = [2, 1, 3]  # the equator first, then j and 2M - j
+    with mp.workprec(256):
+        tol = mp.mpf(2) ** -240
+        for (r, text), j in zip(rows, order, strict=True):
+            par = pars[j - 1]
+            assert r == par["r"]
+            shift = parse_complex(text)
+            h = Fraction(par["h"])
+            assert abs(abs(shift) - to_mpf(((1 + h) / (1 - h)) ** (r // 2))) < tol * abs(shift)
+            want = mp.mpf(r) * mp.mpf(par["phase"])
+            turn = (mp.arg(shift) - want) / (2 * mp.pi)
+            assert abs(turn - mp.nint(turn)) < tol, (j, text)
+
+
+def test_generate_phases_dense_coefficients_expand_the_factors(tmp_path):
+    """The dense coefficients of a phased family are the expansion of its
+    printed factors: exact zeros as 0/1, the rest complex."""
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps(["0.1", "0.7", "-1.2"]))
+    assert run(["generate", "--M", "2", "--phases", phases, "--out", tmp_path]) == 0
+    d = read_json(tmp_path / "polynomial_M2.json")
+    coeffs = d["dense"]["coeffs"]
+    assert len(coeffs) == 17 and coeffs[16] == "1/1"
+    assert all(c == "0/1" for i, c in enumerate(coeffs) if i % 4)
+    with mp.workprec(256):
+        shifts = [parse_complex(f["s"]) for f in d["factorized"]["factors"]]
+        const = -shifts[0] * shifts[1] * shifts[2]  # (-1)^3 times their product
+        assert abs(parse_complex(coeffs[0]) - const) < mp.mpf(2) ** -240 * abs(const)

@@ -27,7 +27,7 @@ from wellcond.energy import (
 from wellcond.condition import parallel_self_product_log
 from wellcond.numerics import to_fraction, to_mpf
 from wellcond.points import build_parallels, build_point_set
-from sphere_oracle import distance_sq, energy_by_gap_products
+from sphere_oracle import distance_sq, energy_by_gap_products, energy_by_resultants
 
 
 def pairwise_log_energy(points, prec):
@@ -220,6 +220,20 @@ def test_energy_matches_gap_product_sum(M):
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
     assert_energy_close(log_energy(ps).energy, energy_by_gap_products(ps, prec), prec)
+
+
+@pytest.mark.parametrize(
+    "M,phases",
+    [(M, None) for M in range(1, 9)]
+    + [(2, [0.1, 0.7, -1.2]), (3, [0.1, 0.7, -1.2, 0.4, 2.0])],
+    ids=[str(M) for M in range(1, 9)] + ["2-phased", "3-phased"],
+)
+def test_energy_kernel_matches_exact_resultants(M, phases):
+    """The two-term kernel against the resultants a^(q/g) - b^(r/g) formed
+    exactly (or, phased, as mpc) and rounded once."""
+    prec = 256
+    ps = build_point_set(M, phases=phases, prec_bits=prec)
+    assert_energy_close(log_energy(ps).energy, energy_by_resultants(ps), prec)
 
 
 def test_log_energy_forms_no_distance_product(monkeypatch):

@@ -1,11 +1,12 @@
 """The grid and per-parallel forms against their one-query oracles, bit for bit.
 
 The suites evaluate each transcendental value once per index it depends
-on: (gap, rim) per (parallel, query height), the versine per (parallel,
+on: (base, gap, rim) per (parallel, query height), sin^2 per (parallel,
 turn), log(1 +- h) per parallel and per probe, and each band's window
 constants once.  Every cell must still come out of the same operations
 in the same order as the one-query forms, so equality here is `==`, not
-a tolerance.
+a tolerance.  The kernel itself is held, under mp.iv, to Theta taken
+from the point coordinates.
 """
 
 import random
@@ -30,9 +31,24 @@ from wellcond.energy import (
     verify_numerator,
     verify_sn_kappa,
 )
-from wellcond.numerics import frac_str, to_mpf
-from wellcond.points import build_point_set
-from sphere_oracle import gap_product_by_point, log_product_by_query, theta_log_by_query
+from wellcond.numerics import (
+    context_precision,
+    cos_pi_fraction,
+    frac_str,
+    fraction_endpoints,
+    fraction_from_mpf,
+    log_fraction,
+    sin_sq_pi,
+    to_mpf,
+    two_term_log,
+)
+from wellcond.points import SpherePoint, build_point_set
+from sphere_oracle import (
+    distance_sq,
+    gap_product_by_point,
+    log_product_by_query,
+    theta_log_by_query,
+)
 
 PREC = 256
 MINUS_INF = mp.mpf("-inf")
@@ -75,6 +91,64 @@ def test_theta_grid_matches_single_query_oracle(M, phases):
                 for t in turns
             ]
             assert row == want, (par.index, c)
+
+
+def theta_log_enclosure(par, c, turn, prec_bits):
+    """log Theta for one query (c, pi * turn) against one parallel through
+    the kernel under mp.iv: an outward-rounded enclosure."""
+    iv = mp.iv
+    with context_precision(iv, prec_bits):
+        log_hp, log_hm = log_fraction(iv, 1 + par.height), log_fraction(iv, 1 - par.height)
+        log_cp, log_cm = log_fraction(iv, 1 + c), log_fraction(iv, 1 - c)
+        base, gap, rim = two_term_log(iv, par.count, log_cm + log_hp, log_cp + log_hm)
+        sin_sq = sin_sq_pi(iv, par.count * turn / 2, -par.count * iv.mpf(par.phase) / 2)
+        return base + iv.log(gap + rim * sin_sq)
+
+
+def theta_log_from_coordinates(points, c, turn, prec_bits):
+    """log prod over `points` (one parallel's, from PointSet.coordinates())
+    of |p - q|^2 for the query q at (c, pi * turn), at prec_bits."""
+    with mp.workprec(prec_bits):
+        radius = mp.sqrt(to_mpf(1 - c * c))
+        q = SpherePoint(
+            radius * cos_pi_fraction(turn), radius * cos_pi_fraction(turn - Fraction(1, 2)), to_mpf(c)
+        )
+        return mp.log(mp.fprod(distance_sq(p, q) for p in points))
+
+
+@pytest.mark.parametrize("M,phases", FAMILIES[1:], ids=FAMILY_IDS[1:])
+def test_kernel_encloses_theta_from_coordinates(M, phases):
+    """Under mp.iv the two-term kernel encloses Theta taken from the point
+    coordinates at 64 more bits: at both poles, every band edge, the
+    parallels' own heights (coincidences at turn 0 without phases, -inf
+    exactly under mp) and seeded heights, with and without phases."""
+    ps = build_point_set(M, phases=phases, prec_bits=PREC)
+    fine = build_point_set(M, phases=phases, prec_bits=PREC + 64)
+    rng = random.Random(M)
+    heights = edge_heights(ps) + [Fraction(rng.randint(-2**20, 2**20), 2**20) for _ in range(3)]
+    turns = [Fraction(0), Fraction(1, 16), Fraction(1, 4), Fraction(1, 3)]
+    tol = Fraction(1, 2 ** (PREC - 16))
+    coincidences = 0
+    coordinates = fine.coordinates()
+    for par in ps.parallels:
+        points = [p for j, _, p in coordinates if j == par.index]
+        grid = theta_product_log_turn(par.count, par.height, heights, turns, PREC, -par.phase)
+        for c, row in zip(heights, grid):
+            for turn, got in zip(turns, row):
+                enclosure = theta_log_enclosure(par, c, turn, PREC)
+                want = theta_log_from_coordinates(points, c, turn, fine.prec_bits)
+                if want == MINUS_INF:
+                    coincidences += 1
+                    assert got == MINUS_INF, (par.index, c, turn)
+                    assert enclosure._mpi_[0] == MINUS_INF._mpf_, (par.index, c, turn)
+                    continue
+                lo, hi = fraction_endpoints(enclosure)
+                want = fraction_from_mpf(want)
+                assert lo <= want <= hi, (par.index, c, turn)
+                assert abs(fraction_from_mpf(got) - want) <= tol * max(1, abs(want))
+    # every zero-phase parallel holds its k = 0 point at turn 0
+    assert coincidences >= (len(ps.parallels) if phases is None else 0)
+    assert coincidences == 0 or phases is None
 
 
 @pytest.mark.parametrize("M,phases", FAMILIES, ids=FAMILY_IDS)

@@ -1,6 +1,7 @@
 """Every name a wellcond module imports is used in that module, every
-private module-level helper is used somewhere in the package, and every
-function the benchmark tracer wraps exists."""
+private module-level helper is used somewhere in the package, every
+function the benchmark tracer wraps exists, and the products between
+parallels share one kernel."""
 
 import ast
 import importlib
@@ -138,3 +139,47 @@ def test_every_traced_function_exists():
         if not callable(getattr(module, name, None)):
             missing.append(dotted)
     assert missing == []
+
+
+def callers_of(sources: dict[str, str], callee: str) -> set[str]:
+    """`module.function` for each top-level function or method whose body
+    calls `callee`, as a bare name or as an attribute."""
+    found = set()
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            defs += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+        for fn in defs:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == callee:
+                        found.add(f"{mod}.{fn.name}")
+    return found
+
+
+def test_callers_checker_finds_names_attributes_and_nested_calls():
+    src = (
+        "def a(ctx):\n    return ctx.expm1(1)\n"
+        "def b():\n    return [expm1(x) for x in (1, 2)]\n"
+        "def c():\n    def inner():\n        return kernel()\n    return inner\n"
+        "class D:\n    def m(self):\n        return kernel()\n"
+        "def e():\n    return expm1\n"
+    )
+    assert callers_of({"x": src}, "expm1") == {"x.a", "x.b"}
+    assert callers_of({"x": src}, "kernel") == {"x.c", "x.m"}
+
+
+def test_one_two_term_kernel_for_every_product_between_parallels():
+    """|f'| at the roots, the Theta grids and the energy's resultants all
+    evaluate the two-term form through numerics.two_term_log, and no
+    other function forms its expm1 term."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert callers_of(sources, "two_term_log") == {
+        "polynomials.derivative_modulus_at_root",
+        "condition.theta_product_log_turn",
+        "energy.log_energy",
+    }
+    assert callers_of(sources, "expm1") == {"numerics.two_term_log"}

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from wellcond import sums
-from wellcond.numerics import to_mpf
+from wellcond.numerics import fraction_from_mpf, to_mpf
 from wellcond.sums import (
     sum_check_suite,
     CSV_HEADER,
@@ -124,21 +124,31 @@ def test_suite_all_checks_pass():
 
 def test_suite_encloses_each_log_ratio_once(monkeypatch):
     """The harmonic checks equal harmonic_bounds at every (ell, M), with
-    each log ratio enclosed once: M ratios for every M = 2..max_m."""
+    each log n enclosed once, n = 1..max_m + 1; every bound is a
+    difference of two such enclosures, on the conservative side of the
+    log ratio and within a few ulps of it."""
     calls = []
-    real = sums._log_ratio_interval
+    real = sums._log_enclosure
 
-    def counting(num, den, prec_bits):
-        calls.append((num, den))
-        return real(num, den, prec_bits)
+    def counting(n, prec_bits):
+        calls.append(n)
+        return real(n, prec_bits)
 
     max_m = 12
     with monkeypatch.context() as patch:
-        patch.setattr(sums, "_log_ratio_interval", counting)
+        patch.setattr(sums, "_log_enclosure", counting)
         got = [c for c in sum_check_suite(max_m) if c.check_id.startswith("harmonic_")]
-    assert len(calls) == len(set(calls)) == sum(range(2, max_m + 1))
+    assert calls == list(range(1, max_m + 2))
     want = [c for M in range(2, max_m + 1) for ell in range(1, M) for c in harmonic_bounds(ell, M)]
     assert got == want
+    slack = Fraction(1, 2 ** (256 - 8))
+    with mp.workprec(512):
+        for c in got:
+            ell, M = c.params["ell"], c.params["M"]
+            num, den = (M + 1, ell + 1) if c.check_id == "harmonic_ge_log_upper_ratio" else (M, ell)
+            exact = fraction_from_mpf(mp.log(mp.mpf(num) / den))
+            gap = c.bound - exact if num == M + 1 else exact - c.bound
+            assert 0 < gap < slack, (c.check_id, ell, M)
 
 
 def test_suite_tail_grid_reaches_max_m():
