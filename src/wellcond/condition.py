@@ -6,7 +6,8 @@ Two routes compute mu_norm for the degree-N = 4M^2 family:
 
       mu(f, z) = sqrt(N) * (1 + |z|^2)^((N-2)/2) * ||f|| / |f'(z)|
 
-  with ||f|| the Bombieri-Weyl norm, computed once per call, and
+  with ||f|| the Bombieri-Weyl norm, formed once per M
+  (polynomials.canonical_norm_sq), and
   |f'(z)| from the factor-wise closed form of
   polynomials.derivative_modulus_at_root (one term per other factor,
   not N - 1 root differences), assembled in log-domain;
@@ -34,6 +35,13 @@ coefficient route evaluates it under mp.mp, certify_bound under mp.iv,
 and compares the exact endpoints of the outward-rounded mu_max^2
 enclosure with each threshold, so a bound verdict is a machine-checked
 inequality between rationals (or inconclusive, never falsely passed).
+
+Each route evaluates one root (or point) per orbit of the family's
+symmetry group, points.orbit_representative: the quarter turn, the
+conjugation and the mirror j <-> 2M - j, the last exact because
+z^N P(1/z) = -P(z) and mu_norm is invariant under the rotation z -> 1/z
+of the Riemann sphere.  Every per_root entry, and under mp.iv its
+enclosure, is its representative's.
 
 Distance products against a full parallel use the closed form
 
@@ -77,11 +85,11 @@ from .numerics import (
     to_mpf,
     two_term_log,
 )
-from .points import PointSet, build_point_set
+from .points import PointSet, build_point_set, orbit_representative
 from .polynomials import (
     RootDerivative,
     bombieri_norm_sq,
-    canonical_polynomial,
+    canonical_norm_sq,
     derivative_modulus_at_root,
     expand,
     family_polynomial,
@@ -166,29 +174,43 @@ def _bound_verdicts(
 
 
 def log_mu_at_root(
-    root: RootDerivative, N: int, norm_sq: Fraction, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp
+    root: RootDerivative, N: int, norm_sq: Fraction, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp,
+    azimuths=None,
 ) -> list:
-    """log mu(f, z) at every root z of one factor of the degree-N family
-    with ||f||^2 = norm_sq, under the mpmath context ctx at prec_bits:
+    """log mu(f, z) at the roots z_t, t in `azimuths` (default all), of one
+    factor of the degree-N family with ||f||^2 = norm_sq, under ctx:
 
         log mu = (log N + (N-2) log(1 + rho^2) + log ||f||^2) / 2 - log |f'(z)|;
 
     +inf at a repeated root, where log |f'| = -inf."""
-    log_fps = derivative_modulus_at_root(root, prec_bits, ctx)
+    log_fps = derivative_modulus_at_root(root, prec_bits, ctx, azimuths)
     with context_precision(ctx, prec_bits):
         log_w = log_fraction(ctx, 1 + root.rho_sq)  # log(1 + |z|^2)
         base = (ctx.log(N) + (N - 2) * log_w + log_fraction(ctx, norm_sq)) / 2
         return [base - log_fp for log_fp in log_fps]
 
 
-def _log_mu_per_root(M: int, norm_sq: Fraction, prec_bits: int, ctx) -> list[tuple[str, object]]:
-    """(label, log mu) at every root of the canonical polynomial of
-    parameter M with ||f||^2 = norm_sq, under ctx at prec_bits."""
-    return [
-        (f"p{root.parallel}.k{t}", lm)
-        for root in root_derivative_data(M)
-        for t, lm in enumerate(log_mu_at_root(root, 4 * M * M, norm_sq, prec_bits, ctx))
-    ]
+def _by_orbit(M: int, points, evaluate, symmetric: bool = True):
+    """([(p{j}.k{t}, value)] in the order of `points`, {representative: value})
+    for (parallel j, azimuth t) pairs, evaluate(j, ts) called once per parallel
+    j on its representatives' ascending azimuths ts; a representative is
+    points.orbit_representative's, or the point itself if not `symmetric`."""
+    reps = [orbit_representative(M, j, t) if symmetric else (j, t) for j, t in points]
+    turns: dict[int, list[int]] = {}
+    for j, t in sorted(set(reps)):
+        turns.setdefault(j, []).append(t)
+    values = {(j, t): v for j, ts in turns.items() for t, v in zip(ts, evaluate(j, ts))}
+    return [(f"p{j}.k{t}", values[rep]) for (j, t), rep in zip(points, reps)], values
+
+
+def _log_mu_per_root(M: int, norm_sq: Fraction, prec_bits: int, ctx):
+    """_by_orbit of log mu under ctx at prec_bits, ||f||^2 = norm_sq, over
+    every root of the canonical polynomial of M, in factor order."""
+    data = {root.parallel: root for root in root_derivative_data(M)}
+    return _by_orbit(
+        M, [(j, t) for j, root in data.items() for t in range(root.power)],
+        lambda j, ts: log_mu_at_root(data[j], 4 * M * M, norm_sq, prec_bits, ctx, ts),
+    )
 
 
 def mu_max_coefficient_route(
@@ -197,10 +219,9 @@ def mu_max_coefficient_route(
     """max mu over all roots of the canonical polynomial, coefficient route."""
     check_precision(prec_bits)
     N = 4 * M * M
-    norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
-    per_root = _log_mu_per_root(M, norm_sq, prec_bits, mp.mp)
+    per_root, values = _log_mu_per_root(M, canonical_norm_sq(M), prec_bits, mp.mp)
     with mp.workprec(prec_bits):
-        log_mu_max = max(lm for _, lm in per_root)
+        log_mu_max = max(values.values())
         mu_max = mp.exp(log_mu_max)
         verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
     return ConditionReport(
@@ -323,29 +344,31 @@ def mu_max_spherical_route(
 ) -> ConditionReport:
     """Spherical-route mu_max for the family of parameter M.
 
-    Every count r_j = 4j is divisible by 4, so a family with every phase
-    0 is invariant under the quarter turn: only the azimuth
-    representatives k < r/4 are evaluated there; the reduction never
-    changes the maximum.
+    With every phase 0 only the orbit representatives' gap products are
+    evaluated, and per_root lists each parallel's points k < r/4 with
+    their representatives' values; a phased family is evaluated at and
+    lists every point.
     """
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
     num = numerator_integral_log(point_set)
     N = point_set.N
     reducible = all(par.phase == 0 for par in point_set.parallels)
-    per_root: list[tuple[str, mp.mpf]] = []
+    everywhere = [(par, k) for par in point_set.parallels for k in range(par.count)]
     with mp.workprec(prec_bits):
         base = (
             -mp.log(2)
             + (mp.log(N) + mp.log(N + 1)) / 2
             + num.log_value / 2
         )
-        for par in point_set.parallels:
-            ks = range(par.count // 4) if reducible else range(par.count)
-            gap_logs = point_gap_product_log(point_set, par.index, ks)
-            per_root += [
-                (f"p{par.index}.k{k}", base - gap_log) for k, gap_log in zip(ks, gap_logs)
-            ]
-        log_mu_max = max(lm for _, lm in per_root)
+        per_point, values = _by_orbit(
+            M, [(par.index, k) for par, k in everywhere],
+            lambda j, ks: [base - g for g in point_gap_product_log(point_set, j, ks)], reducible,
+        )
+        per_root = [
+            entry for entry, (par, k) in zip(per_point, everywhere)
+            if not reducible or 4 * k < par.count
+        ]
+        log_mu_max = max(values.values())
         mu_max = mp.exp(log_mu_max)
         verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
     return ConditionReport(
@@ -365,21 +388,21 @@ def mu_max_spherical_route(
 def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport:
     """Certified verdicts for the three standard bounds on mu_max.
 
-    Encloses log mu at every root under mp.iv and compares the exact
-    endpoints of the resulting mu_max^2 enclosure against each threshold
-    of BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N), doubling the interval
-    precision until each verdict resolves or it reaches
-    CERTIFY_PREC_FACTOR times the working precision; unresolved
-    comparisons are reported as None, never as a pass.
+    Encloses log mu at each orbit representative, so at every root, under
+    mp.iv and compares the exact endpoints of the resulting mu_max^2
+    enclosure against each threshold of BOUNDS (N^2, (19/2)^2 (N+1),
+    (227/500)^2 N), doubling the interval precision until each verdict
+    resolves or it reaches CERTIFY_PREC_FACTOR times the working
+    precision; unresolved comparisons are reported as None, never as a pass.
     """
     check_precision(prec_bits)
     cap_bits = CERTIFY_PREC_FACTOR * prec_bits
     N = 4 * M * M
-    norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
+    norm_sq = canonical_norm_sq(M)
     iv_prec = prec_bits
     while True:
-        per_root = _log_mu_per_root(M, norm_sq, iv_prec, mp.iv)
-        top = [max(lm.a for _, lm in per_root), max(lm.b for _, lm in per_root)]
+        per_root, values = _log_mu_per_root(M, norm_sq, iv_prec, mp.iv)
+        top = [max(lm.a for lm in values.values()), max(lm.b for lm in values.values())]
         sq_lo, sq_hi = interval_endpoints(lambda iv: iv.exp(2 * iv.mpf(top)), iv_prec)
         verdicts = _bound_verdicts(N, sq_lo, sq_hi)
         if all(v is not None for v in verdicts.values()) or iv_prec >= cap_bits:
@@ -391,7 +414,9 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
         mu_hi = mp.sqrt(to_mpf(sq_hi))
         mu_mid = (mu_lo + mu_hi) / 2
         log_mu = mp.log(mu_mid)
-        per_root = [(rid, to_mpf(sum(fraction_endpoints(lm)) / 2)) for rid, lm in per_root]
+        # an orbit's roots share one interval object: one conversion each
+        mids = {id(lm): to_mpf(sum(fraction_endpoints(lm)) / 2) for lm in values.values()}
+        per_root = [(rid, mids[id(lm)]) for rid, lm in per_root]
         # Verdicts come from the exact rational comparison above; the
         # extras are decimal views of the enclosure, widened by an ulp
         # so lo <= true mu_max <= hi survives the formatting rounding.

@@ -155,13 +155,15 @@ def sin_sq_pi(ctx, q: RationalLike, offset=0):
 def two_term_log(ctx, R: int, log_x2, log_y2) -> tuple:
     """(base, gap, rim) with log |x^R e^(i theta) - y^R|^2 = base +
     log(gap + rim sin^2(theta/2)) from log x^2, log y^2 under ctx (mp.mp or
-    mp.iv): base = R log max^2, gap = expm1(L)^2, rim = 4 e^L with L = (R/2)
+    mp.iv): base = R log max^2, gap = (1 - e^L)^2, rim = 4 e^L with L = (R/2)
     (log min^2 - log max^2) <= 0.  Both terms are non-negative, nothing the
-    size of x^R is formed, and a pole (log -inf) needs no branch."""
+    size of x^R is formed, and a pole (log -inf) needs no branch.  Only an
+    L (an mp.iv interval: wholly) above -1 takes expm1 for the gap."""
     if log_y2 > log_x2:
         log_x2, log_y2 = log_y2, log_x2
     L = R * (log_y2 - log_x2) / 2
-    return R * log_x2, ctx.expm1(L) ** 2, 4 * ctx.exp(L)
+    e_L = ctx.exp(L)
+    return R * log_x2, (1 - e_L) ** 2 if L < -1 else ctx.expm1(L) ** 2, 4 * e_L
 
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mp.mpf], list[mp.mpf]]] = {}

@@ -18,7 +18,8 @@ precision, which every function that takes the point set reads and its
 JSON prints at.  Coordinates are formed only on request, by
 PointSet.coordinates: the azimuth of point k on parallel j is the exact
 turn 2k/r_j (a multiple of pi) plus the parallel's radian phase as an
-offset, both evaluated by numerics.cos_pi_fraction.
+offset, both evaluated by numerics.cos_pi_fraction.  orbit_representative
+declares the zero-phase family's symmetry group.
 """
 
 from __future__ import annotations
@@ -165,3 +166,15 @@ def build_point_set(
         with mp.workprec(prec_bits):
             parallels = [replace(par, phase=to_mpf(ph)) for par, ph in zip(parallels, phases)]
     return PointSet(M=M, N=4 * M * M, parallels=parallels, prec_bits=prec_bits)
+
+
+def orbit_representative(M: int, index: int, k: int) -> tuple[int, int]:
+    """The orbit representative (min(j, 2M - j), min(k mod r/4, r/4 - k mod r/4))
+    of point or root k of parallel j = index under the quarter turn k -> k + r/4,
+    the conjugation k -> -k and the mirror j <-> 2M - j: on the roots of the real
+    P(z) = Q(z^4), z -> iz, conj(z) and 1/z, the last exact since z^N P(1/z) =
+    -P(z) and mu_norm is invariant under that rotation of the Riemann sphere
+    (Shub & Smale, Complexity of Bezout's theorem I)."""
+    quarter = min(index, 2 * M - index)  # both the mirror's j and r_j / 4
+    k %= quarter
+    return quarter, min(k, quarter - k)

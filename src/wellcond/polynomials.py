@@ -24,6 +24,7 @@ precision of its point set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,6 +210,12 @@ def bombieri_norm_sq(p: DensePolynomial) -> Fraction | mp.mpf:
     )
 
 
+@functools.lru_cache(maxsize=4)
+def canonical_norm_sq(M: int) -> Fraction:
+    """||f||^2 of the canonical polynomial of M, exact, memoised per M."""
+    return bombieri_norm_sq(expand(canonical_polynomial(M)))
+
+
 def roots(f: FactorizedPolynomial, prec_bits: int = DEFAULT_PREC_BITS) -> list[RootEntry]:
     """All degree-many roots, grouped by factor.
 
@@ -249,17 +256,18 @@ def root_derivative_data(M: int) -> list[RootDerivative]:
 
 
 def derivative_modulus_at_root(
-    root: RootDerivative, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp
+    root: RootDerivative, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp, azimuths=None
 ) -> list:
-    """log |f'(z_t)| at every root z_t of one factor, t = 0..r-1, under the
-    mpmath context ctx at prec_bits (floats under mp.mp, enclosures under
-    mp.iv).  The term |rho^(r_m) e^(i pi q_m) - s_m|^2 of factor m is the
-    kernel numerics.two_term_log with R = r_m, (base, gap, rim) once per
-    other factor, sin^2(pi r_m t / r) once per distinct turn.  A vanishing
+    """log |f'(z_t)| at the roots z_t of one factor, t in `azimuths` (default
+    0..r-1), under the mpmath context ctx at prec_bits (mp.mp or mp.iv).  The
+    term |rho^(r_m) e^(i pi q_m) - s_m|^2 of factor m is the kernel
+    numerics.two_term_log with R = r_m, (base, gap, rim) once per other
+    factor, sin^2(pi r_m t / r) once per distinct turn.  A vanishing
     term means a repeated root, where f' = 0: the log is -inf.
     """
     check_precision(prec_bits)
     r = root.power
+    ts = range(r) if azimuths is None else azimuths
     with context_precision(ctx, prec_bits):
         ell = log_fraction(ctx, root.rho_sq)
         base = ctx.log(r) + (r - 1) * ell / 2
@@ -268,10 +276,10 @@ def derivative_modulus_at_root(
             log_m, gap, rim = two_term_log(ctx, r_m, ell, log_fraction(ctx, rho_sq_m))
             terms.append((r_m, gap, rim))
             base += log_m / 2
-        turns = {r_m * t % r for r_m, _, _ in terms for t in range(r)}
+        turns = {r_m * t % r for r_m, _, _ in terms for t in ts}
         sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r)) for j in turns}
         return [
             base
             + ctx.log(ctx.fprod(gap + rim * sin_sq[r_m * t % r] for r_m, gap, rim in terms)) / 2
-            for t in range(r)
+            for t in ts
         ]

@@ -19,6 +19,7 @@ to pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -28,6 +29,7 @@ import mpmath as mp
 from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
+    context_precision,
     fmt_real,
     frac_str,
     interval_endpoints,
@@ -99,6 +101,20 @@ def _log_enclosure(n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
     return interval_endpoints(lambda iv: iv.log(iv.mpf(n)), prec_bits)
 
 
+@functools.lru_cache(maxsize=None)
+def _inv_e4m1(prec_bits: int) -> Fraction:
+    """Lower end of an enclosure of 1/(e^4 - 1), once per precision."""
+    return interval_endpoints(lambda iv: 1 / (iv.exp(iv.mpf(4)) - 1), prec_bits)[0]
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _weighted_term(ell: int, prec_bits: int):
+    """mp.iv enclosure of ell^(1/3) (e/2)^(4/ell), once per (ell, precision)."""
+    iv = mp.iv
+    with context_precision(iv, prec_bits):
+        return iv.exp(iv.log(iv.mpf(ell)) / 3) * iv.exp((1 - iv.log(iv.mpf(2))) * 4 / ell)
+
+
 def r_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
     """R(M) = sum_{j=1}^{M-1} (j/M)^(4j), exactly, with its 1/16 and
     1/30 checks; each check's value is R(M)."""
@@ -130,7 +146,7 @@ def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCh
     companion = sum(
         Fraction(ell * (ell + 1), j * j) ** (2 * j) for j in range(ell + 2, M + 1)
     )
-    bound_lo, _ = interval_endpoints(lambda iv: 1 / (iv.exp(iv.mpf(4)) - 1), prec_bits)
+    bound_lo = _inv_e4m1(prec_bits)
     return [
         SumCheck(check_id, {"ell": ell, "M": M}, value, bound, bound - value, prec_bits)
         for check_id, value, bound in (
@@ -150,22 +166,14 @@ def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
         raise ValueError(f"M must be a positive integer, got {M!r}")
     check_precision(prec_bits)
 
-    def lhs(iv):
-        one = iv.mpf(1)
-        acc = iv.mpf(0)
-        log2 = iv.log(iv.mpf(2))
-        for ell in range(1, M):
-            root = iv.exp(iv.log(iv.mpf(ell)) / 3)
-            acc += root * iv.exp((one - log2) * 4 / ell)
-        return acc
-
     def rhs(iv):
         log2 = iv.log(iv.mpf(2))
         m13 = iv.exp(iv.log(iv.mpf(M)) / 3)
         return iv.mpf(3) / 4 * (m13 ** 4) + 12 * (1 - log2) * m13 + 3
 
-    lhs_lo, lhs_hi = (
-        interval_endpoints(lhs, prec_bits) if M > 1 else (Fraction(0), Fraction(0))
+    lhs_lo, lhs_hi = interval_endpoints(
+        lambda iv: sum((_weighted_term(ell, prec_bits) for ell in range(1, M)), iv.mpf(0)),
+        prec_bits,
     )
     rhs_lo, rhs_hi = interval_endpoints(rhs, prec_bits)
     margin = rhs_lo - lhs_hi

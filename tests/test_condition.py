@@ -5,13 +5,16 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from wellcond import condition, polynomials
 from wellcond.cli import main as cli_main
 from wellcond.condition import (
     BOUNDS,
     CERTIFY_PREC_FACTOR,
     LOWER_CONST,
     _bound_verdicts,
+    _log_mu_per_root,
     certify_bound,
+    log_mu_at_root,
     mu_max_coefficient_route,
     mu_max_spherical_route,
     numerator_integral_log,
@@ -19,9 +22,15 @@ from wellcond.condition import (
     point_gap_product_log,
     theta_product_log_turn,
 )
-from wellcond.numerics import gauss_legendre, to_mpf
-from wellcond.points import SpherePoint, build_point_set
-from wellcond.polynomials import bombieri_norm_sq, canonical_polynomial, expand
+from wellcond.numerics import fraction_endpoints, gauss_legendre, to_mpf
+from wellcond.points import SpherePoint, build_point_set, orbit_representative
+from wellcond.polynomials import (
+    bombieri_norm_sq,
+    canonical_norm_sq,
+    canonical_polynomial,
+    expand,
+    root_derivative_data,
+)
 from polynomial_oracle import mu_sq_enclosures
 from sphere_oracle import distance_sq, numerator_by_product_rule, product_rule_nodes
 
@@ -109,23 +118,119 @@ def test_routes_agree(M):
 
 
 def test_spherical_route_symmetry_reduction_identical():
-    """The quarter-turn reduced route equals the maximum over all points."""
+    """The orbit-reduced route lists the points k < r/4 of every parallel,
+    each equal to its own gap product, and its maximum is the maximum
+    over all points."""
     prec = 192
-    M = 2
-    fast = mu_max_spherical_route(M, prec)
-    assert fast.extras["symmetry_reduced"]
-    assert len(fast.per_root) == 4 * M * M // 4
-    ps = build_point_set(M, prec_bits=prec)
-    num = numerator_integral_log(ps)
-    N = ps.N
+    tol = mp.mpf(2) ** -(prec - 16)
+    for M in (2, 5, 8):
+        fast = mu_max_spherical_route(M, prec)
+        assert fast.extras["symmetry_reduced"]
+        ps = build_point_set(M, prec_bits=prec)
+        num = numerator_integral_log(ps)
+        N = ps.N
+        with mp.workprec(prec):
+            base = -mp.log(2) + (mp.log(N) + mp.log(N + 1)) / 2 + num.log_value / 2
+            full = {
+                f"p{par.index}.k{k}": base - gap_log
+                for par in ps.parallels
+                for k, gap_log in enumerate(point_gap_product_log(ps, par.index, range(par.count)))
+            }
+            assert abs(max(full.values()) - fast.log_mu_max) < tol
+            for rid, lm in fast.per_root:
+                assert abs(lm - full[rid]) < tol, rid
+        assert [rid for rid, _ in fast.per_root] == [
+            f"p{par.index}.k{k}" for par in ps.parallels for k in range(par.count // 4)
+        ]
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_orbit_reduced_per_root_matches_full_evaluation(M):
+    """Every root's log mu, filled from its orbit representative, equals
+    the evaluation of all factors at all turns: within 2^-(prec-16) under
+    mp, and under mp.iv each representative's enclosure overlaps the
+    full evaluation's enclosure of every root of its orbit."""
+    prec = 256
+    N = 4 * M * M
+    norm_sq = canonical_norm_sq(M)
+    full = {
+        ctx: [
+            (f"p{root.parallel}.k{t}", lm)
+            for root in root_derivative_data(M)
+            for t, lm in enumerate(log_mu_at_root(root, N, norm_sq, prec, ctx))
+        ]
+        for ctx in (mp.mp, mp.iv)
+    }
+    rep = mu_max_coefficient_route(M, prec)
+    assert [rid for rid, _ in rep.per_root] == [rid for rid, _ in full[mp.mp]]
     with mp.workprec(prec):
-        base = -mp.log(2) + (mp.log(N) + mp.log(N + 1)) / 2 + num.log_value / 2
-        full = max(
-            base - gap_log
-            for par in ps.parallels
-            for gap_log in point_gap_product_log(ps, par.index, range(par.count))
-        )
-        assert abs(full - fast.log_mu_max) < mp.mpf(2) ** -150
+        for (rid, got), (_, want) in zip(rep.per_root, full[mp.mp]):
+            assert abs(got - want) < mp.mpf(2) ** -(prec - 16), rid
+    per_root, values = _log_mu_per_root(M, norm_sq, prec, mp.iv)
+    assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
+    for (rid, enclosure), (full_rid, full_enclosure) in zip(per_root, full[mp.iv]):
+        assert rid == full_rid
+        lo, hi = fraction_endpoints(enclosure)
+        full_lo, full_hi = fraction_endpoints(full_enclosure)
+        assert lo <= full_hi and full_lo <= hi, rid
+
+
+@pytest.fixture
+def evaluated(monkeypatch) -> list[int]:
+    """The number of azimuths each call of condition's per-root and
+    per-point evaluations (log_mu_at_root, point_gap_product_log) covers,
+    in call order."""
+    counts: list[int] = []
+    for name in ("log_mu_at_root", "point_gap_product_log"):
+
+        def counted(*args, _fn=getattr(condition, name), **kwargs):
+            out = _fn(*args, **kwargs)
+            counts.append(len(out))
+            return out
+
+        monkeypatch.setattr(condition, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("M", [3, 5])
+def test_symmetry_declaration_is_the_only_reduction(M, monkeypatch, evaluated):
+    """With points.orbit_representative replaced by the trivial group,
+    every route evaluates every root or point, and mu_max and the
+    verdicts stay as they are."""
+    prec = 256
+    N = 4 * M * M
+    orbits = sum(j // 2 + 1 for j in range(1, M + 1))
+    routes = (mu_max_coefficient_route, certify_bound, mu_max_spherical_route)
+    reports = {}
+    for group in ("declared", "trivial"):
+        if group == "trivial":
+            monkeypatch.setattr(condition, "orbit_representative", lambda M, j, k: (j, k))
+        for route in routes:
+            evaluated.clear()
+            rep = route(M, prec)
+            reports[group, route] = rep
+            assert sum(evaluated) == (N if group == "trivial" else orbits), (group, route.__name__)
+    for route in routes:
+        a, b = reports["declared", route], reports["trivial", route]
+        assert a.verdicts == b.verdicts and a.certified == b.certified
+        with mp.workprec(prec):
+            assert abs(a.log_mu_max - b.log_mu_max) < mp.mpf(2) ** -(prec - 16)
+
+
+def test_orbits_evaluate_one_factor_per_mirror_pair(monkeypatch, evaluated):
+    """For M = 5..8 each route evaluates the factors (or gap products) of
+    parallels 1..M only, 26 calls where the full evaluation makes 48, and
+    the coefficient and certified routes of one M form ||f||^2 once."""
+    canonical_norm_sq.cache_clear()
+    expands = []
+    monkeypatch.setattr(polynomials, "expand", lambda f: expands.append(f) or expand(f))
+    for route in (mu_max_coefficient_route, certify_bound, mu_max_spherical_route):
+        evaluated.clear()
+        for M in range(5, 9):
+            route(M, 256)
+        assert len(evaluated) == 26, route.__name__
+    assert len(expands) == 4
+    canonical_norm_sq.cache_clear()
 
 
 def test_uniform_nonzero_phase_matches_zero_phase():

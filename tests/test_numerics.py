@@ -9,11 +9,13 @@ from wellcond.numerics import (
     cos_pi_fraction,
     cos_pi_fraction_interval,
     fmt_real,
+    fraction_endpoints,
     fraction_from_mpf,
     frac_str,
     gauss_legendre,
     to_fraction,
     to_mpf,
+    two_term_log,
 )
 
 
@@ -121,3 +123,31 @@ def test_cos_pi_fraction_offset():
         # a zero offset of any type keeps the exact values
         assert cos_pi_fraction(Fraction(1, 2), mp.mpf(0)) == 0
         assert cos_pi_fraction(Fraction(3), 0.0) == -1
+
+
+@pytest.mark.parametrize("log_x2,log_y2", [("0.3", "0.1"), ("0.05", "0.4"), ("2", "-1"), ("-3", "0.5")])
+def test_two_term_log_matches_the_direct_modulus(log_x2, log_y2):
+    """base + log(gap + rim sin^2(theta/2)) equals log |x^R e^(i theta) -
+    y^R|^2 on both sides of L = -1 (one exp for both terms below it,
+    expm1 above), and the mp.iv enclosure, also for an L straddling -1,
+    contains the 512-bit value."""
+    prec, R = 256, 8
+    with mp.workprec(prec):
+        lx, ly, theta = mp.mpf(log_x2), mp.mpf(log_y2), mp.mpf("0.7")
+        base, gap, rim = two_term_log(mp.mp, R, lx, ly)
+        got = base + mp.log(gap + rim * mp.sin(theta / 2) ** 2)
+        # the second enclosure widens log x^2 by +-1/4, so L spans 2
+        log_x2_ivs = [[lx, lx], [lx - mp.mpf(1) / 4, lx + mp.mpf(1) / 4]]
+    with mp.workprec(512):
+        want = mp.log(abs(mp.exp(R * lx / 2 + 1j * theta) - mp.exp(R * ly / 2)) ** 2)
+        assert abs(got - want) < mp.mpf(2) ** -(prec - 16) * max(1, abs(want))
+    old = mp.iv.prec
+    mp.iv.prec = prec
+    try:
+        for log_x2_iv in log_x2_ivs:
+            base, gap, rim = two_term_log(mp.iv, R, mp.iv.mpf(log_x2_iv), mp.iv.mpf(ly))
+            sin_sq = mp.iv.sin(mp.iv.mpf(theta) / 2) ** 2
+            lo, hi = fraction_endpoints(base + mp.iv.log(gap + rim * sin_sq))
+            assert lo <= to_fraction(want) <= hi
+    finally:
+        mp.iv.prec = old

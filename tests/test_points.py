@@ -10,6 +10,7 @@ from wellcond.points import (
     SpherePoint,
     build_parallels,
     build_point_set,
+    orbit_representative,
 )
 from sphere_oracle import inverse_stereographic, stereographic
 
@@ -149,3 +150,23 @@ def test_phases_are_rounded_at_the_point_set_precision():
             mp.mpf("0.1"), mp.mpf("0.7"), mp.mpf("-1.2")
         ]
     assert ps.parallels[0].phase._mpf_[3] > 53  # mantissa bits
+
+
+@pytest.mark.parametrize("M,orbits", [(1, 1), (4, 8), (5, 11), (8, 24)])
+def test_orbit_representatives(M, orbits):
+    """The representative is constant under the quarter turn, the
+    conjugation and the mirror, is its own representative, and sits on
+    parallels 1..M at azimuths 0..r/8: 8 orbits over 64 points at M = 4,
+    11 over 100 at M = 5 and 24 over 256 at M = 8."""
+    reps = set()
+    for par in build_parallels(M):
+        r = par.count
+        for k in range(r):
+            rep = orbit_representative(M, par.index, k)
+            assert rep == orbit_representative(M, par.index, (k + r // 4) % r)
+            assert rep == orbit_representative(M, par.index, -k % r)
+            assert rep == orbit_representative(M, 2 * M - par.index, k)
+            assert orbit_representative(M, *rep) == rep
+            assert 1 <= rep[0] <= M and 0 <= 8 * rep[1] <= r
+            reps.add(rep)
+    assert len(reps) == orbits

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from wellcond import sums
-from wellcond.numerics import fraction_from_mpf, to_mpf
+from wellcond.numerics import fraction_from_mpf, interval_endpoints, to_mpf
 from wellcond.sums import (
     sum_check_suite,
     CSV_HEADER,
@@ -103,6 +103,31 @@ def test_weighted_sum_margin_positive():
         (check,) = weighted_sum(M)
         assert check.passed
         assert check.margin > 0 or M == 1
+
+
+def test_weighted_sum_memoised_terms_match_a_fresh_enclosure():
+    """The memoised per-ell terms, summed in the same order, give the
+    values of enclosing every term afresh for each M, and tail_sum's
+    1/(e^4 - 1) is enclosed once per precision."""
+    prec = 256
+
+    def fresh_lhs(iv, M):
+        acc, log2 = iv.mpf(0), iv.log(iv.mpf(2))
+        for ell in range(1, M):
+            acc += iv.exp(iv.log(iv.mpf(ell)) / 3) * iv.exp((iv.mpf(1) - log2) * 4 / ell)
+        return acc
+
+    sums._weighted_term.cache_clear()
+    for M in (2, 5, 17, 64):
+        lo, hi = interval_endpoints(lambda iv: fresh_lhs(iv, M), prec)
+        (check,) = weighted_sum(M, prec)
+        with mp.workprec(prec):
+            assert check.value == to_mpf((lo + hi) / 2), M
+    assert sums._weighted_term.cache_info().currsize == 63
+    sums._inv_e4m1.cache_clear()
+    for ell, M in ((1, 5), (3, 9), (2, 40)):
+        tail_sum(ell, M, prec)
+    assert sums._inv_e4m1.cache_info().misses == 1
 
 
 def test_suite_all_checks_pass():
