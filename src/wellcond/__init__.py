@@ -50,6 +50,7 @@ from .polynomials import (
     bombieri_norm_sq,
     canonical_polynomial,
     expand,
+    product_norm_sq,
     roots,
 )
 from .sums import (
@@ -93,6 +94,7 @@ __all__ = [
     "mu_max_spherical_route",
     "numerator_integral_log",
     "point_gap_product_log",
+    "product_norm_sq",
     "r_sum",
     "roots",
     "s_n",

@@ -6,8 +6,8 @@ Two routes compute mu_norm for the degree-N = 4M^2 family:
 
       mu(f, z) = sqrt(N) * (1 + |z|^2)^((N-2)/2) * ||f|| / |f'(z)|
 
-  with ||f|| the Bombieri-Weyl norm, formed once per M
-  (polynomials.canonical_norm_sq), and
+  with ||f|| the Bombieri-Weyl norm, formed once per M for every route
+  (polynomials.product_norm_sq), and
   |f'(z)| from the factor-wise closed form of
   polynomials.derivative_modulus_at_root (one term per other factor,
   not N - 1 root differences), assembled in log-domain;
@@ -88,11 +88,10 @@ from .numerics import (
 from .points import PointSet, build_point_set, orbit_representative
 from .polynomials import (
     RootDerivative,
-    bombieri_norm_sq,
     canonical_norm_sq,
     derivative_modulus_at_root,
-    expand,
     family_polynomial,
+    product_norm_sq,
     root_derivative_data,
 )
 
@@ -190,7 +189,7 @@ def log_mu_at_root(
         return [base - log_fp for log_fp in log_fps]
 
 
-def _by_orbit(M: int, points, evaluate, symmetric: bool = True):
+def by_orbit(M: int, points, evaluate, symmetric: bool = True):
     """([(p{j}.k{t}, value)] in the order of `points`, {representative: value})
     for (parallel j, azimuth t) pairs, evaluate(j, ts) called once per parallel
     j on its representatives' ascending azimuths ts; a representative is
@@ -204,10 +203,10 @@ def _by_orbit(M: int, points, evaluate, symmetric: bool = True):
 
 
 def _log_mu_per_root(M: int, norm_sq: Fraction, prec_bits: int, ctx):
-    """_by_orbit of log mu under ctx at prec_bits, ||f||^2 = norm_sq, over
+    """by_orbit of log mu under ctx at prec_bits, ||f||^2 = norm_sq, over
     every root of the canonical polynomial of M, in factor order."""
     data = {root.parallel: root for root in root_derivative_data(M)}
-    return _by_orbit(
+    return by_orbit(
         M, [(j, t) for j, root in data.items() for t in range(root.power)],
         lambda j, ts: log_mu_at_root(data[j], 4 * M * M, norm_sq, prec_bits, ctx, ts),
     )
@@ -302,7 +301,7 @@ def numerator_integral_log(point_set: PointSet) -> NumeratorIntegral:
         scale = Fraction(4**N, N + 1)
         for fac, w in zip(f.factors, weights):
             scale *= w**fac.power
-        value = to_mpf(scale * bombieri_norm_sq(expand(f)))
+        value = to_mpf(scale * product_norm_sq(f))
         return NumeratorIntegral(log_value=mp.log(value))
 
 
@@ -360,7 +359,7 @@ def mu_max_spherical_route(
             + (mp.log(N) + mp.log(N + 1)) / 2
             + num.log_value / 2
         )
-        per_point, values = _by_orbit(
+        per_point, values = by_orbit(
             M, [(par.index, k) for par, k in everywhere],
             lambda j, ks: [base - g for g in point_gap_product_log(point_set, j, ks)], reducible,
         )

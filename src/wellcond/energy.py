@@ -77,7 +77,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .condition import point_gap_product_log, theta_product_log_turn
+from .condition import by_orbit, point_gap_product_log, theta_product_log_turn
 from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
@@ -753,6 +753,9 @@ def verify_denominator(
 
     Against the parallel sum:  >= S_N(h) + log(2 sqrt(2) M) - 1/8.
     Absolute floor:            >= (1/2) log(2N) - kappa N - 9/8.
+
+    The gap products are evaluated at the orbit representatives only
+    (condition.by_orbit); every point's cell holds its representative's.
     """
     ps = build_point_set(M, prec_bits=prec_bits)
     kap = kappa(prec_bits)
@@ -761,10 +764,15 @@ def verify_denominator(
     with mp.workprec(prec_bits):
         abs_rhs = mp.log(2 * ps.N) / 2 - kap * ps.N - mp.mpf(9) / 8
         s_values = _s_n_values([par.height for par in ps.parallels], ps)
+        gap_logs, _ = by_orbit(
+            M, [(par.index, k) for par in ps.parallels for k in range(par.count)],
+            lambda j, ks: point_gap_product_log(ps, j, ks),
+        )
+        gap_logs = iter(gap_logs)
         for par, s_val in zip(ps.parallels, s_values):
             sum_rhs = s_val + mp.log(2 * mp.sqrt(2) * M) - mp.mpf(1) / 8
-            gap_logs = point_gap_product_log(ps, par.index, range(par.count))
-            for k, lhs in enumerate(gap_logs):
+            for k in range(par.count):
+                _, lhs = next(gap_logs)
                 params = {"parallel": par.index, "k": k}
                 sum_cells.append(Cell(params, lhs, sum_rhs, lhs - sum_rhs))
                 abs_cells.append(Cell(params, lhs, abs_rhs, lhs - abs_rhs))

@@ -140,7 +140,15 @@ def cos_pi_fraction(q: RationalLike, offset: RealLike = 0) -> mp.mpf:
         return mp.cos(mp.pi * to_mpf(q) + offset)
     if q.denominator <= 2:
         return mp.mpf((1, 0, -1, 0)[int(2 * q)])
-    return mp.cospi(to_mpf(q))
+    return +_cos_pi(q, mp.mp.prec)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _cos_pi(q: Fraction, prec_bits: int) -> mp.mpf:
+    """cos(pi * q) at prec_bits, memoised: a grid of turns asks for the same
+    cosines on every parallel of the same count, and for sines as cosines."""
+    with mp.workprec(prec_bits):
+        return mp.cospi(to_mpf(q))
 
 
 def sin_sq_pi(ctx, q: RationalLike, offset=0):

@@ -14,8 +14,12 @@ rho_j^2 = (2M^2 - j^2)/j^2 this is
 
     P(z) = (z^(4M) - 1) * prod_{j=1}^{M-1} (z^(4j) - s_j)(z^(4j) - 1/s_j).
 
-Expansion, Bombieri-Weyl norms and the factor-wise data of |f'| stay
-in exact rational arithmetic; |f'| at the roots takes the kernel
+Expansion takes each factor z^r - p/q as (q z^r - p)/q, multiplies integer
+numerators a_i over one common denominator D = prod q and reduces each
+a_i / D once; product_norm_sq forms the Bombieri-Weyl norm from the same
+numerators, ||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f.
+These and the factor-wise data of |f'| stay in exact rational
+arithmetic; |f'| at the roots takes the kernel
 numerics.two_term_log once per other factor, under an mpmath context at
 a caller-chosen binary precision (floats under mp.mp, enclosures under
 mp.iv), and the rotated (complex) shifts of a phased family the
@@ -183,18 +187,40 @@ def family_polynomial(point_set: PointSet) -> tuple[FactorizedPolynomial, tuple[
     return FactorizedPolynomial(factors), tuple((1 - par.height) / 2 for par in pars)
 
 
+def _numerators(f: FactorizedPolynomial) -> tuple[list, int]:
+    """Numerators a_i and one common denominator D of f's coefficients a_i / D.
+
+    Each factor z^r - p/q is (q z^r - p)/q: the loop multiplies integer
+    numerators by q z^r - p and D by q, so no step reduces a fraction.  A
+    complex shift enters with p = shift, q = 1, and its a_i are mpc at the
+    working precision.
+    """
+    a, D = [1], 1
+    for fac in f.factors:
+        s, r = fac.shift, fac.power
+        p, q = (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1)
+        new = [0] * (len(a) + r)
+        for i, c in enumerate(a):
+            if c:
+                new[i + r] += q * c
+                new[i] -= p * c
+        a, D = new, D * q
+    return a, D
+
+
+def _over(x, d: int):
+    """x / d: an exact Fraction for an integer x, rounded for an mpc or mpf x."""
+    return Fraction(x, d) if isinstance(x, int) else x / d
+
+
 def expand(f: FactorizedPolynomial) -> DensePolynomial:
     """Multiply the binomial factors into dense coefficients: exact for
-    rational shifts, at the working precision for complex ones."""
-    coeffs = [Fraction(1)]
-    for fac in f.factors:
-        new = [Fraction(0)] * (len(coeffs) + fac.power)
-        for i, c in enumerate(coeffs):
-            if c:
-                new[i + fac.power] += c
-                new[i] -= fac.shift * c
-        coeffs = new
-    return DensePolynomial(coeffs=tuple(coeffs))
+    rational shifts (each a_i / D of _numerators reduced once), at the
+    working precision for complex ones."""
+    a, D = _numerators(f)
+    for i, c in enumerate(a):
+        a[i] = _over(c, D)  # in place: each integer is freed as its Fraction is formed
+    return DensePolynomial(coeffs=tuple(a))
 
 
 def bombieri_norm_sq(p: DensePolynomial) -> Fraction | mp.mpf:
@@ -211,9 +237,29 @@ def bombieri_norm_sq(p: DensePolynomial) -> Fraction | mp.mpf:
 
 
 @functools.lru_cache(maxsize=4)
+def product_norm_sq(f: FactorizedPolynomial) -> Fraction | mp.mpf:
+    """bombieri_norm_sq(expand(f)) from the numerators of _numerators:
+
+        ||f||^2 = sum_i |a_i|^2 i! (N - i)! / (N! D^2),
+
+    one big-integer sum (i and N - i share their weight) and one division;
+    for complex shifts (D = 1) an mpf at the working precision of the first
+    call.  Memoised on f's value, so the canonical polynomial and a
+    zero-phase family_polynomial share one entry."""
+    a, D = _numerators(f)
+    N = len(a) - 1
+    weight, total = math.factorial(N), 0  # weight = i! (N - i)!
+    for i in range(N // 2 + 1):
+        sq = sum(abs(a[k]) ** 2 for k in {i, N - i})
+        if sq:
+            total += sq * weight
+        weight = weight * (i + 1) // (N - i or 1)  # (i + 1)! (N - i - 1)!
+    return _over(total, math.factorial(N) * D * D)
+
+
 def canonical_norm_sq(M: int) -> Fraction:
-    """||f||^2 of the canonical polynomial of M, exact, memoised per M."""
-    return bombieri_norm_sq(expand(canonical_polynomial(M)))
+    """||f||^2 of the canonical polynomial of M, exact (product_norm_sq)."""
+    return product_norm_sq(canonical_polynomial(M))
 
 
 def roots(f: FactorizedPolynomial, prec_bits: int = DEFAULT_PREC_BITS) -> list[RootEntry]:

@@ -1,7 +1,9 @@
 """Brute-force references for the polynomial layer, kept out of the package.
 
-Horner evaluation, the exact formal derivative and the O(N) product over
-root differences check the closed form of |f'(z)| that
+The factor-by-factor product in Fraction (or mpc) arithmetic checks the
+integer-numerator expansion of ``wellcond.polynomials.expand``.  Horner
+evaluation, the exact formal derivative and the O(N) product over root
+differences check the closed form of |f'(z)| that
 ``wellcond.polynomials`` evaluates, at degrees small enough for the
 O(N^2) total cost.  The exact-rational enclosure of mu^2 checks the
 interval evaluation of ``wellcond.condition.certify_bound``.
@@ -13,11 +15,31 @@ from typing import Sequence
 import mpmath as mp
 
 from wellcond.numerics import cos_pi_fraction_interval, to_mpf
-from wellcond.polynomials import DensePolynomial, RootEntry, root_derivative_data
+from wellcond.polynomials import (
+    DensePolynomial,
+    FactorizedPolynomial,
+    RootEntry,
+    root_derivative_data,
+)
 
 
 class RepeatedRootError(ValueError):
     """Raised when two roots of the list coincide exactly."""
+
+
+def expand_by_fractions(f: FactorizedPolynomial) -> DensePolynomial:
+    """Multiply the binomial factors into dense coefficients one factor at
+    a time, each coefficient a reduced Fraction (an mpc for complex shifts)
+    after every step."""
+    coeffs = [Fraction(1)]
+    for fac in f.factors:
+        new = [Fraction(0)] * (len(coeffs) + fac.power)
+        for i, c in enumerate(coeffs):
+            if c:
+                new[i + fac.power] += c
+                new[i] -= fac.shift * c
+        coeffs = new
+    return DensePolynomial(coeffs=tuple(coeffs))
 
 
 def evaluate(p: DensePolynomial, z) -> mp.mpc:

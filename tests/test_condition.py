@@ -29,6 +29,7 @@ from wellcond.polynomials import (
     canonical_norm_sq,
     canonical_polynomial,
     expand,
+    product_norm_sq,
     root_derivative_data,
 )
 from polynomial_oracle import mu_sq_enclosures
@@ -220,17 +221,19 @@ def test_symmetry_declaration_is_the_only_reduction(M, monkeypatch, evaluated):
 def test_orbits_evaluate_one_factor_per_mirror_pair(monkeypatch, evaluated):
     """For M = 5..8 each route evaluates the factors (or gap products) of
     parallels 1..M only, 26 calls where the full evaluation makes 48, and
-    the coefficient and certified routes of one M form ||f||^2 once."""
-    canonical_norm_sq.cache_clear()
-    expands = []
-    monkeypatch.setattr(polynomials, "expand", lambda f: expands.append(f) or expand(f))
+    the coefficient, certified and spherical routes of one M form the
+    numerators of ||f||^2 once between them."""
+    product_norm_sq.cache_clear()
+    formed = []
+    numerators = polynomials._numerators
+    monkeypatch.setattr(polynomials, "_numerators", lambda f: formed.append(f.degree) or numerators(f))
     for route in (mu_max_coefficient_route, certify_bound, mu_max_spherical_route):
         evaluated.clear()
         for M in range(5, 9):
             route(M, 256)
         assert len(evaluated) == 26, route.__name__
-    assert len(expands) == 4
-    canonical_norm_sq.cache_clear()
+    assert formed == [4 * M * M for M in range(5, 9)]
+    product_norm_sq.cache_clear()
 
 
 def test_uniform_nonzero_phase_matches_zero_phase():

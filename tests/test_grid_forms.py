@@ -42,7 +42,7 @@ from wellcond.numerics import (
     to_mpf,
     two_term_log,
 )
-from wellcond.points import SpherePoint, build_point_set
+from wellcond.points import SpherePoint, build_point_set, orbit_representative
 from sphere_oracle import (
     distance_sq,
     gap_product_by_point,
@@ -250,7 +250,8 @@ def test_band_integral_takes_the_closed_form_on_the_edges():
 @pytest.mark.parametrize("M,seed", [(3, 2), (5, 1)])
 def test_suites_match_one_query_oracles(M, seed):
     """Numerator, S_N + N kappa and denominator cells, each recomputed one
-    query at a time; a coincidence is skipped with the same note."""
+    query at a time (a denominator cell at its orbit representative); a
+    coincidence is skipped with the same note."""
     ps = build_point_set(M, prec_bits=PREC)
     kap = kappa(PREC)
     rng = random.Random(seed)
@@ -281,12 +282,16 @@ def test_suites_match_one_query_oracles(M, seed):
         assert [c.lhs for c in chain.cells] == [v for v in vals for _side in (0, 1)]
         assert [s_n(c, ps) for _, c in probes] == [s_n_by_parallel(c, ps) for _, c in probes]
 
+    # a denominator cell holds its orbit representative's gap product,
+    # within 2^-(prec-16) of the point's own
     denom_sum, _ = verify_denominator(M, PREC)
     cells = []
     with mp.workprec(PREC):
         for par in ps.parallels:
             rhs = s_n_by_parallel(par.height, ps) + mp.log(2 * mp.sqrt(2) * M) - mp.mpf(1) / 8
             for k in range(par.count):
-                lhs = gap_product_by_point(ps, par.index, k, PREC)
+                lhs = gap_product_by_point(ps, *orbit_representative(M, par.index, k), PREC)
+                own = gap_product_by_point(ps, par.index, k, PREC)
+                assert abs(lhs - own) < mp.mpf(2) ** (16 - PREC), (par.index, k)
                 cells.append(({"parallel": par.index, "k": k}, lhs, rhs, lhs - rhs))
     assert cell_tuples(denom_sum) == cells

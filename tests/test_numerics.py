@@ -51,6 +51,22 @@ def test_cos_pi_fraction_exact_special_values():
         assert cos_pi_fraction(Fraction(7, 3)) == third
 
 
+@pytest.mark.parametrize("prec", [64, 300])
+def test_memoised_cosine_has_the_bits_of_cospi(prec):
+    """The zero-offset cosine is memoised on (q mod 2, precision) and
+    returns the bits of mp.cospi at the caller's precision, also when the
+    same turn was asked for at another precision first."""
+    turns = [Fraction(1, 3), Fraction(7, 3), Fraction(-5, 12), Fraction(2, 7), Fraction(13, 24)]
+    for other in (53, 512):
+        with mp.workprec(other):
+            [cos_pi_fraction(q) for q in turns]
+    with mp.workprec(prec):
+        for q in turns:
+            for _ in range(2):
+                got = cos_pi_fraction(q)
+                assert got._mpf_ == mp.cospi(to_mpf(q % 2))._mpf_, q
+
+
 def test_cos_pi_fraction_interval_encloses_truth():
     q = Fraction(1, 7)
     lo, hi = cos_pi_fraction_interval(q, 128)

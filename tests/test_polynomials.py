@@ -9,6 +9,7 @@ from polynomial_oracle import (
     RepeatedRootError,
     derivative,
     evaluate,
+    expand_by_fractions,
     log_derivative_modulus_by_gaps,
 )
 from wellcond.condition import log_mu_at_root
@@ -24,6 +25,7 @@ from wellcond.polynomials import (
     derivative_modulus_at_root,
     expand,
     family_polynomial,
+    product_norm_sq,
     root_derivative_data,
     roots,
 )
@@ -79,6 +81,76 @@ def test_expand_small_product_by_hand():
         Fraction(-1, 2),
         Fraction(1),
     )
+
+
+@pytest.mark.parametrize("M", range(1, 13))
+def test_expand_equals_the_fraction_product(M):
+    f = canonical_polynomial(M)
+    assert expand(f) == expand_by_fractions(f)
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        # shared denominators, and one of denominator 1
+        [(2, Fraction(3, 4)), (4, Fraction(5, 4)), (1, Fraction(7)), (2, Fraction(1, 4))],
+        # pairwise coprime denominators
+        [(3, Fraction(2, 3)), (1, Fraction(7, 5)), (2, Fraction(11, 49)), (5, Fraction(1))],
+        # a common factor of numerator and D that cancels in some coefficients
+        [(1, Fraction(6, 5)), (1, Fraction(5, 6)), (2, Fraction(10, 3))],
+    ],
+    ids=["shared", "coprime", "cancelling"],
+)
+def test_expand_hand_built_rational_products(shifts):
+    f = FactorizedPolynomial(tuple(Factor(r, s) for r, s in shifts))
+    dense = expand(f)
+    assert dense == expand_by_fractions(f)
+    assert all(type(c) is Fraction for c in dense.coeffs)
+    assert product_norm_sq(f) == bombieri_norm_sq(dense)
+
+
+def test_expand_of_no_factors_is_one():
+    f = FactorizedPolynomial(())
+    assert expand(f).coeffs == (Fraction(1),)
+    assert product_norm_sq(f) == 1
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_phased_expansion_matches_the_fraction_product(M):
+    """Complex shifts go through the same integer loop with q = 1: each
+    coefficient within 2^-(prec-16) of the Fraction/mpc oracle (exact
+    where both are exact), and the norm within the same bound."""
+    prec = 256
+    phases = [0.1 * (j + 1) - 0.35 for j in range(2 * M - 1)]
+    f, _ = family_polynomial(build_point_set(M, phases=phases, prec_bits=prec))
+    with mp.workprec(prec):
+        got, want = expand(f).coeffs, expand_by_fractions(f).coeffs
+        tol = mp.mpf(2) ** (16 - prec)
+        for c, w in zip(got, want, strict=True):
+            if isinstance(w, Fraction):
+                assert c == w
+            else:
+                assert abs(c - w) <= tol * max(1, abs(w))
+        norm, want_norm = product_norm_sq(f), bombieri_norm_sq(expand_by_fractions(f))
+        assert abs(norm - want_norm) <= tol * want_norm
+
+
+@pytest.mark.parametrize("M", range(1, 17))
+def test_product_norm_equals_the_dense_norm(M):
+    f = canonical_polynomial(M)
+    assert product_norm_sq(f) == bombieri_norm_sq(expand(f))
+
+
+def test_zero_phase_family_shares_the_canonical_norm():
+    """A zero-phase family_polynomial equals canonical_polynomial(M), so
+    product_norm_sq forms its norm once."""
+    product_norm_sq.cache_clear()
+    f, _ = family_polynomial(build_point_set(4))
+    assert f == canonical_polynomial(4)
+    product_norm_sq(canonical_polynomial(4))
+    product_norm_sq(f)
+    assert product_norm_sq.cache_info().misses == 1
+    product_norm_sq.cache_clear()
 
 
 def test_bombieri_norm_hand_values():
