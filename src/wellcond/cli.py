@@ -40,7 +40,7 @@ from .condition import (
 from .energy import log_energy, verification_suite
 from .numerics import MIN_PREC_BITS, fmt_real
 from .points import build_point_set
-from .polynomials import coeff_str, expand, family_polynomial
+from .polynomials import coeff_str, coeff_strs, expand, family_polynomial
 from .sums import CSV_HEADER as SUMS_CSV_HEADER
 from .sums import sum_check_suite
 
@@ -252,7 +252,7 @@ def _generate_one(prec: int, phases: dict, fmt: str, M: int) -> dict:
             for j, k, p in ps.coordinates()
         ]
         factor_rows = [[str(f.power), coeff_str(f.shift)] for f in fac.factors]
-        dense_rows = [[str(i), coeff_str(c)] for i, c in enumerate(dense.coeffs)]
+        dense_rows = [[str(i), c] for i, c in enumerate(coeff_strs(dense.coeffs))]
     return {
         "M": M,
         "point_rows": point_rows,

@@ -17,12 +17,15 @@ Two representations are fixed here for the whole package:
 * an azimuth is an exact turn q (a rational multiple of pi) plus a
   radian offset; ``cos_pi_fraction(q, offset)`` and
   ``sin_sq_pi(ctx, q, offset)`` evaluate it, exactly at multiples of
-  pi/2 (of pi/4 for sin^2) when the offset is 0.
+  pi/2 (of pi/4 for sin^2) when the offset is 0, where
+  ``cos_pi_fraction`` folds q into [0, 1/2] and so is exactly even and
+  exactly odd about q = 1/2.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -131,22 +134,26 @@ def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction,
 def cos_pi_fraction(q: RationalLike, offset: RealLike = 0) -> mp.mpf:
     """cos(pi * q + offset) for rational q at working precision.
 
-    With a zero offset, multiples of 1/2 come out exactly (0 or +-1),
-    which lets callers detect exact point coincidences on uniform
-    azimuth grids.
+    With a zero offset, q mod 2 is folded into [0, 1/2] with a sign, so
+    cos(-q) = cos(q) and cos(1 - q) = -cos(q) bit for bit, and multiples
+    of 1/2 come out exactly (0 or +-1), which lets callers detect exact
+    point coincidences on uniform azimuth grids.
     """
     q = Fraction(q) % 2
     if offset != 0:
         return mp.cos(mp.pi * to_mpf(q) + offset)
-    if q.denominator <= 2:
-        return mp.mpf((1, 0, -1, 0)[int(2 * q)])
-    return +_cos_pi(q, mp.mp.prec)
+    q = min(q, 2 - q)  # cos is even with period 2
+    if 2 * q > 1:
+        return -_cos_pi(1 - q, mp.mp.prec)  # cos(pi (1 - q)) = -cos(pi q)
+    return _cos_pi(q, mp.mp.prec)
 
 
 @functools.lru_cache(maxsize=1 << 12)
 def _cos_pi(q: Fraction, prec_bits: int) -> mp.mpf:
-    """cos(pi * q) at prec_bits, memoised: a grid of turns asks for the same
-    cosines on every parallel of the same count, and for sines as cosines."""
+    """cos(pi * q) for q in [0, 1/2] at prec_bits, memoised: a grid of turns
+    asks for the same cosines on every parallel, and for sines as cosines."""
+    if q.denominator <= 2:
+        return mp.mpf(int(1 - 2 * q))  # 1 or 0
     with mp.workprec(prec_bits):
         return mp.cospi(to_mpf(q))
 
@@ -247,7 +254,25 @@ def _fmt_raw(raw, prec_bits: int) -> str:
     return mp.nstr(x, libmp.prec_to_dps(prec_bits) + 2, strip_zeros=True)
 
 
-def frac_str(q: RationalLike) -> str:
-    """Exact "numerator/denominator" string for a rational."""
+def frac_str(q: RationalLike, digits=None) -> str:
+    """Exact "numerator/denominator" string for a rational; `digits` prints
+    each non-negative integer (int_str by default; a caller that repeats
+    integers passes a memoised one)."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    n, digits = q.numerator, digits or int_str
+    return f"{'-' if n < 0 else ''}{digits(abs(n))}/{digits(q.denominator)}"
+
+
+def int_str(n: int) -> str:
+    """str(n) for an integer of any length: past Python's int-to-str digit
+    limit (sys.get_int_max_str_digits) the limit is lifted for this one
+    conversion and then restored."""
+    try:
+        return str(n)
+    except ValueError:
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(old)

@@ -18,8 +18,11 @@ precision, which every function that takes the point set reads and its
 JSON prints at.  Coordinates are formed only on request, by
 PointSet.coordinates: the azimuth of point k on parallel j is the exact
 turn 2k/r_j (a multiple of pi) plus the parallel's radian phase as an
-offset, both evaluated by numerics.cos_pi_fraction.  orbit_representative
-declares the zero-phase family's symmetry group.
+offset, both evaluated by numerics.cos_pi_fraction, for k < r_j/4 only;
+the other three quarters are exact quarter turns of the first, so a
+coordinate may differ from cos and sin taken point by point in its last
+bits.  orbit_representative declares the zero-phase family's symmetry
+group, under which its coordinates are invariant bit for bit.
 """
 
 from __future__ import annotations
@@ -91,18 +94,21 @@ class PointSet:
 
     def coordinates(self) -> list[tuple[int, int, SpherePoint]]:
         """Flat (parallel index, azimuth index, point) triples, formed at
-        ``prec_bits``; with zero phases the points on the coordinate axes
-        come out exact."""
+        ``prec_bits``; one (x, y) ring per (count, |height|, phase), which
+        mirror parallels j and 2M - j of equal phase share.  With zero
+        phases the points on the coordinate axes come out exact."""
         out = []
+        rings: dict[tuple, list[tuple[mp.mpf, mp.mpf]]] = {}
         with mp.workprec(self.prec_bits):
             for par in self.parallels:
-                radius = mp.sqrt(to_mpf(par.radius_sq))
+                key = (par.count, abs(par.height), par.phase)
+                if key not in rings:
+                    rings[key] = _ring(par)
                 height = to_mpf(par.height)
-                for k in range(par.count):
-                    turn = Fraction(2 * k, par.count)  # azimuth as multiple of pi
-                    ca = cos_pi_fraction(turn, par.phase)
-                    sa = cos_pi_fraction(turn - Fraction(1, 2), par.phase)  # sin
-                    out.append((par.index, k, SpherePoint(radius * ca, radius * sa, height)))
+                out += [
+                    (par.index, k, SpherePoint(x, y, height))
+                    for k, (x, y) in enumerate(rings[key])
+                ]
         return out
 
     def to_json_dict(self) -> dict:
@@ -125,6 +131,23 @@ class PointSet:
                     for _, _, p in self.coordinates()
                 ],
             }
+
+
+def _ring(par: Parallel) -> list[tuple[mp.mpf, mp.mpf]]:
+    """(x, y) of the parallel's points k = 0..r-1 at working precision:
+    cos_pi_fraction for k < r/4, each later quarter the quarter_turn of
+    the one before."""
+    radius = mp.sqrt(to_mpf(par.radius_sq))
+    quarter = par.count // 4
+    ring = []
+    for k in range(quarter):
+        turn = Fraction(2 * k, par.count)  # azimuth as multiple of pi
+        ca = cos_pi_fraction(turn, par.phase)
+        sa = cos_pi_fraction(turn - Fraction(1, 2), par.phase)  # sin
+        ring.append((radius * ca, radius * sa))
+    for _ in range(3):
+        ring += [quarter_turn(x, y) for x, y in ring[-quarter:]]
+    return ring
 
 
 def _check_m(M: int) -> int:
@@ -166,6 +189,12 @@ def build_point_set(
         with mp.workprec(prec_bits):
             parallels = [replace(par, phase=to_mpf(ph)) for par, ph in zip(parallels, phases)]
     return PointSet(M=M, N=4 * M * M, parallels=parallels, prec_bits=prec_bits)
+
+
+def quarter_turn(x: mp.mpf, y: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+    """The quarter turn k -> k + r/4 of orbit_representative on a point's
+    plane coordinates, exact for any phase and precision."""
+    return -y, x
 
 
 def orbit_representative(M: int, index: int, k: int) -> tuple[int, int]:

@@ -42,6 +42,7 @@ from .numerics import (
     cos_pi_fraction,
     fmt_real,
     frac_str,
+    int_str,
     log_fraction,
     sin_sq_pi,
     to_mpf,
@@ -50,12 +51,21 @@ from .numerics import (
 from .points import Parallel, PointSet, build_parallels
 
 
-def coeff_str(c: Fraction | mp.mpc) -> str:
-    """An exact rational as "num/den", a complex value as "re+imj" or "re-imj"."""
+def coeff_str(c: Fraction | mp.mpc, digits=None) -> str:
+    """An exact rational as "num/den" (its integers printed by `digits`, see
+    numerics.frac_str), a complex value as "re+imj" or "re-imj"."""
     if isinstance(c, mp.mpc):
         re, im = fmt_real(c.real), fmt_real(c.imag)
         return f"{re}{'' if im.startswith('-') else '+'}{im}j"
-    return frac_str(c)
+    return frac_str(c, digits)
+
+
+def coeff_strs(coeffs) -> list[str]:
+    """coeff_str of each value, printing each distinct integer magnitude once
+    (a memo for this call only): dense coefficients repeat magnitudes and
+    denominators."""
+    digits = functools.lru_cache(maxsize=None)(int_str)
+    return [coeff_str(c, digits) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ class DensePolynomial:
     def to_json_dict(self) -> dict:
         return {
             "N": self.degree,
-            "coeffs": [coeff_str(c) for c in self.coeffs],
+            "coeffs": coeff_strs(self.coeffs),
         }
 
 
@@ -215,11 +225,16 @@ def _over(x, d: int):
 
 def expand(f: FactorizedPolynomial) -> DensePolynomial:
     """Multiply the binomial factors into dense coefficients: exact for
-    rational shifts (each a_i / D of _numerators reduced once), at the
-    working precision for complex ones."""
+    rational shifts (a_i / D of _numerators, reduced), at the working
+    precision for complex ones.  Each distinct a_i is divided by D once
+    and -a_i takes the negated quotient (the family has a_(N-i) = -a_i)."""
     a, D = _numerators(f)
+    quotients: dict = {}
     for i, c in enumerate(a):
-        a[i] = _over(c, D)  # in place: each integer is freed as its Fraction is formed
+        if c not in quotients:
+            negated = quotients.get(-c)
+            quotients[c] = _over(c, D) if negated is None else -negated
+        a[i] = quotients[c]
     return DensePolynomial(coeffs=tuple(a))
 
 

@@ -1,6 +1,8 @@
 """Brute-force references for the sphere layer, kept out of the package.
 
-Squared chordal distances between materialised points, the
+Every point's coordinates formed on their own, against which the
+quarter-turn rings of ``wellcond.points.PointSet.coordinates`` are
+checked, squared chordal distances between materialised points, the
 stereographic maps between the sphere and the complex plane, a
 Gauss-Legendre x uniform-azimuth product rule for the numerator
 integral int_S prod_j |p - p_j|^2 dsigma, against which the closed form
@@ -18,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from wellcond.condition import parallel_self_product_log, point_gap_product_log
-from wellcond.numerics import gauss_legendre, sin_sq_pi, to_fraction, to_mpf, two_term_log
+from wellcond.numerics import cos_pi_fraction, gauss_legendre, sin_sq_pi, to_fraction, to_mpf, two_term_log
 from wellcond.points import PointSet, SpherePoint
 from wellcond.polynomials import family_polynomial
 
@@ -99,6 +101,23 @@ def energy_by_resultants(point_set: PointSet) -> mp.mpf:
                 diff = a.shift ** (b.power // g) - b.shift ** (a.power // g)
                 total += 2 * g * mp.log(to_mpf(abs(diff)))
         return -total
+
+
+def coordinates_by_point(point_set: PointSet, prec_bits: int) -> list[tuple[int, int, SpherePoint]]:
+    """The (parallel index, azimuth index, point) triples of
+    PointSet.coordinates with every point formed on its own at prec_bits:
+    radius * (cos, sin) of the exact turn 2k/r (a multiple of pi) plus the
+    parallel's phase, for all r azimuths."""
+    out = []
+    with mp.workprec(prec_bits):
+        for par in point_set.parallels:
+            radius = mp.sqrt(to_mpf(par.radius_sq))
+            for k in range(par.count):
+                turn = Fraction(2 * k, par.count)
+                ca = cos_pi_fraction(turn, par.phase)
+                sa = cos_pi_fraction(turn - Fraction(1, 2), par.phase)
+                out.append((par.index, k, SpherePoint(radius * ca, radius * sa, to_mpf(par.height))))
+    return out
 
 
 def stereographic(p: SpherePoint) -> mp.mpc:

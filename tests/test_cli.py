@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import re
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -478,3 +479,28 @@ def test_generate_phases_dense_coefficients_expand_the_factors(tmp_path):
         shifts = [parse_complex(f["s"]) for f in d["factorized"]["factors"]]
         const = -shifts[0] * shifts[1] * shifts[2]  # (-1)^3 times their product
         assert abs(parse_complex(coeffs[0]) - const) < mp.mpf(2) ** -240 * abs(const)
+
+
+@pytest.mark.parametrize("M,phases", [(3, None), (2, ["0.1", "0.7", "-1.2"])], ids=["M3", "M2-phased"])
+def test_generate_csv_and_json_print_the_same_points(tmp_path, M, phases):
+    argv = ["generate", "--M", M]
+    if phases:
+        (tmp_path / "ph.json").write_text(json.dumps(phases))
+        argv += ["--phases", tmp_path / "ph.json"]
+    assert run([*argv, "--out", tmp_path]) == 0
+    assert run([*argv, "--format", "csv", "--out", tmp_path]) == 0
+    rows = read_rows(tmp_path / f"points_M{M}.csv")[1:]
+    assert [row[2:] for row in rows] == read_json(tmp_path / f"points_M{M}.json")["points"]["points"]
+
+
+def test_generate_prints_coefficients_past_the_int_digit_limit(tmp_path, monkeypatch):
+    """At M = 29 numerators and denominators pass Python's 4,300-digit
+    int-to-str limit; generate prints them, also in worker processes, and
+    leaves the limit as it was."""
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setenv("WELLCOND_WORKERS", "2")
+    assert run(["generate", "--M", "28..29", "--out", tmp_path]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    coeffs = read_json(tmp_path / "polynomial_M29.json")["dense"]["coeffs"]
+    assert len(coeffs) == 4 * 29**2 + 1
+    assert max(len(part) for c in coeffs for part in c.split("/")) > 4300

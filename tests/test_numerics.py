@@ -1,5 +1,6 @@
 """Arbitrary-precision helpers: exact conversions, enclosures, quadrature."""
 
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,6 +14,7 @@ from wellcond.numerics import (
     fraction_from_mpf,
     frac_str,
     gauss_legendre,
+    int_str,
     to_fraction,
     to_mpf,
     two_term_log,
@@ -51,20 +53,36 @@ def test_cos_pi_fraction_exact_special_values():
         assert cos_pi_fraction(Fraction(7, 3)) == third
 
 
+def folded(q: Fraction) -> tuple[int, Fraction]:
+    """(sign, t) with t in [0, 1/2] and cos(pi q) = sign * cos(pi t)."""
+    q = q % 2
+    q = min(q, 2 - q)
+    return (-1, 1 - q) if 2 * q > 1 else (1, q)
+
+
 @pytest.mark.parametrize("prec", [64, 300])
 def test_memoised_cosine_has_the_bits_of_cospi(prec):
-    """The zero-offset cosine is memoised on (q mod 2, precision) and
-    returns the bits of mp.cospi at the caller's precision, also when the
-    same turn was asked for at another precision first."""
-    turns = [Fraction(1, 3), Fraction(7, 3), Fraction(-5, 12), Fraction(2, 7), Fraction(13, 24)]
+    """The zero-offset cosine folds q mod 2 into [0, 1/2] with a sign, is
+    memoised on (folded turn, precision) and returns the bits of +-mp.cospi
+    at the folded turn at the caller's precision, also when the same turn
+    was asked for at another precision first; so cos(-q) = cos(q) and
+    cos(1 - q) = -cos(q) hold bit for bit."""
+    turns = [
+        Fraction(1, 3), Fraction(7, 3), Fraction(-5, 12), Fraction(2, 7),
+        Fraction(13, 24), Fraction(11, 24), Fraction(35, 24), Fraction(-1, 9),
+    ]
     for other in (53, 512):
         with mp.workprec(other):
             [cos_pi_fraction(q) for q in turns]
     with mp.workprec(prec):
         for q in turns:
+            sign, t = folded(q)
             for _ in range(2):
                 got = cos_pi_fraction(q)
-                assert got._mpf_ == mp.cospi(to_mpf(q % 2))._mpf_, q
+                assert got._mpf_ == (sign * mp.cospi(to_mpf(t)))._mpf_, q
+            assert cos_pi_fraction(-q)._mpf_ == got._mpf_, q
+            assert cos_pi_fraction(1 - q)._mpf_ == (-got)._mpf_, q
+            assert cos_pi_fraction(q + 2)._mpf_ == got._mpf_, q
 
 
 def test_cos_pi_fraction_interval_encloses_truth():
@@ -115,6 +133,24 @@ def test_frac_str_round_trip():
     f = Fraction(-7, 12)
     assert parse_frac(frac_str(f)) == f
     assert parse_frac("5") == Fraction(5)
+    assert frac_str(0) == "0/1"
+    printed = []
+    assert frac_str(Fraction(-10, 4), lambda n: printed.append(n) or str(n)) == "-5/2"
+    assert printed == [5, 2]  # digits gets magnitudes only
+
+
+def test_int_str_prints_past_the_digit_limit_and_restores_it():
+    """int_str lifts Python's int-to-str digit limit for its own
+    conversion only; below the limit it is str."""
+    limit = sys.get_int_max_str_digits()
+    big = 10**5000 - 1
+    assert int_str(big) == "9" * 5000
+    assert int_str(-big) == "-" + "9" * 5000
+    assert int_str(-12) == "-12"
+    assert sys.get_int_max_str_digits() == limit
+    if limit:
+        with pytest.raises(ValueError):
+            str(big)
 
 
 def test_to_fraction_is_exact_for_every_input_type():

@@ -12,7 +12,12 @@ from wellcond.points import (
     build_point_set,
     orbit_representative,
 )
-from sphere_oracle import inverse_stereographic, stereographic
+from sphere_oracle import coordinates_by_point, inverse_stereographic, stereographic
+
+PHASED = [
+    (2, ["0.1", "0.7", "-1.2"]),
+    (3, ["0.3", "-0.2", "1.1", "2.5", "0.05"]),
+]
 
 
 def band_of(q, pars):
@@ -170,3 +175,37 @@ def test_orbit_representatives(M, orbits):
             assert 1 <= rep[0] <= M and 0 <= 8 * rep[1] <= r
             reps.add(rep)
     assert len(reps) == orbits
+
+
+@pytest.mark.parametrize("M", [*range(1, 9), 22])
+def test_zero_phase_points_are_invariant_under_the_group(M):
+    """Every point of a zero-phase family has, bit for bit, the coordinates
+    of its orbit_representative point up to the signs and the order of x
+    and y (the quarter turn and the conjugation) and the sign of z (the
+    mirror)."""
+
+    def magnitudes(p):  # the raw (mantissa, exponent, bits) without the sign
+        return sorted([p.x._mpf_[1:], p.y._mpf_[1:]]), p.z._mpf_[1:]
+
+    points = {(j, k): p for j, k, p in build_point_set(M).coordinates()}
+    for (j, k), p in points.items():
+        assert magnitudes(p) == magnitudes(points[orbit_representative(M, j, k)]), (j, k)
+
+
+@pytest.mark.parametrize(
+    "M,phases",
+    [*((M, None) for M in range(1, 9)), *PHASED],
+    ids=[*(f"M{M}" for M in range(1, 9)), "M2-phased", "M3-phased"],
+)
+def test_coordinates_match_each_point_formed_on_its_own(M, phases):
+    """The quarter-turn rings agree with every point formed on its own at
+    64 more bits within 2^-(prec-16), with and without phases."""
+    prec = 256
+    ps = build_point_set(M, phases=phases, prec_bits=prec)
+    got = ps.coordinates()
+    want = coordinates_by_point(ps, prec + 64)
+    assert [(j, k) for j, k, _ in got] == [(j, k) for j, k, _ in want]
+    tol = mp.mpf(2) ** (16 - prec)
+    with mp.workprec(prec + 64):
+        for (_, _, p), (_, _, w) in zip(got, want):
+            assert max(abs(p.x - w.x), abs(p.y - w.y), abs(p.z - w.z)) <= tol

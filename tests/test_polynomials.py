@@ -14,6 +14,7 @@ from polynomial_oracle import (
 )
 from wellcond.condition import log_mu_at_root
 from wellcond.numerics import fraction_endpoints, fraction_from_mpf, to_mpf
+from wellcond import polynomials
 from wellcond.points import build_parallels, build_point_set
 from wellcond.polynomials import (
     DensePolynomial,
@@ -22,6 +23,8 @@ from wellcond.polynomials import (
     RootDerivative,
     bombieri_norm_sq,
     canonical_polynomial,
+    coeff_str,
+    coeff_strs,
     derivative_modulus_at_root,
     expand,
     family_polynomial,
@@ -107,6 +110,37 @@ def test_expand_hand_built_rational_products(shifts):
     assert dense == expand_by_fractions(f)
     assert all(type(c) is Fraction for c in dense.coeffs)
     assert product_norm_sq(f) == bombieri_norm_sq(dense)
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_expand_reduces_each_distinct_magnitude_once(M, monkeypatch):
+    """expand divides each distinct |a_i| of _numerators by D once (-a
+    takes the negated quotient) and still equals the Fraction-loop oracle;
+    the zero-phase family has a_(N-i) = -a_i and a_i = 0 unless 4 | i."""
+    f = canonical_polynomial(M)
+    numerators, _ = polynomials._numerators(f)
+    calls = []
+    over = polynomials._over
+    monkeypatch.setattr(polynomials, "_over", lambda x, d: calls.append(x) or over(x, d))
+    coeffs = expand(f).coeffs
+    assert sorted(map(abs, calls)) == sorted({abs(a) for a in numerators})
+    assert expand(f) == expand_by_fractions(f)
+    N = len(coeffs) - 1
+    assert all(coeffs[N - i] == -c for i, c in enumerate(coeffs))
+    assert all(c == 0 for i, c in enumerate(coeffs) if i % 4)
+
+
+def test_coeff_str_prints_past_the_digit_limit(monkeypatch):
+    """A 5,000-digit rational prints exactly, alone and through the
+    per-call memo of coeff_strs, which prints each magnitude once."""
+    big = Fraction(-(10**5000 - 1), 7)
+    want = "-" + "9" * 5000 + "/7"
+    assert coeff_str(big) == want
+    printed = []
+    int_str = polynomials.int_str
+    monkeypatch.setattr(polynomials, "int_str", lambda n: printed.append(n) or int_str(n))
+    assert coeff_strs([big, -big, big, Fraction(0)]) == [want, want[1:], want, "0/1"]
+    assert printed == [10**5000 - 1, 7, 0, 1]
 
 
 def test_expand_of_no_factors_is_one():
