@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import mpmath as mp
@@ -189,7 +189,40 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) + "\n", byte for byte, without its
+    pure-Python indenting encoder: each container joins its children's
+    texts, so no list of every token is held."""
+    return _json_value(obj, "\n") + "\n"
+
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_value(obj, newline: str) -> str:
+    """obj as json.dumps(indent=2) prints it at the indentation that
+    `newline` (a newline and the enclosing indentation) ends with."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is True or obj is False or obj is None:
+        return _JSON_CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        items = (_json_value(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        items = (f"{_json_key(k)}: {_json_value(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+    return json.dumps(obj)  # a float, or json's TypeError
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -225,6 +258,8 @@ def _map_over_m(fn, m_values: list[int], workers: int) -> list:
     Results are merged in M order, so worker count never changes output.
     """
     if workers > 1 and len(m_values) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; one worker never needs it
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, m_values))
     return [fn(m) for m in m_values]

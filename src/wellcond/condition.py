@@ -49,12 +49,17 @@ Distance products against a full parallel use the closed form
     x^2 = (1-c)(1+h),  y^2 = (1+c)(1-h),
 
 for a query point at height c and azimuth offset dphi from the r
-uniformly spaced points at height h: the kernel with R = r.  The offset
-is an exact turn t (a multiple of pi) plus a radian offset phi, so
+uniformly spaced points at height h: the kernel with R = r, so that
+log Theta = base + log(gap + rim sin^2(r dphi / 2)).  The offset is an
+exact turn t (a multiple of pi) plus a radian offset phi, so
 sin^2(r (pi t + phi)/2) is exactly zero at a coincidence when phi = 0.
 theta_product_log_turn evaluates a grid of heights x turns against one
-parallel: log(1 +- u) once per height u, (base, gap, rim) per (parallel,
-height), sin^2 per (parallel, turn), one log per cell.
+parallel in this product form: log(1 +- u) once per height u, the base
+per (parallel, height), sin^2 per (parallel, turn) and the linear factor
+gap + rim sin^2 per cell, with no log.  log_distance_products sums the
+bases and multiplies the factors over the parallels, then takes one log
+per query point; a coincidence makes a factor, so the product, exactly
+0 and the log -inf.
 
 Precision has one source per input: numerator_integral_log and
 point_gap_product_log read the prec_bits of the point set they take,
@@ -243,26 +248,53 @@ def theta_product_log_turn(
     turns: Sequence,
     prec_bits: int = DEFAULT_PREC_BITS,
     offset=0,
-) -> list[list[mp.mpf]]:
-    """log Theta for every query height c in `heights` and azimuth offset
-    pi * turn + offset (radians), turn in `turns`: row i, column m is
-    (heights[i], turns[m]).
+) -> tuple[list[mp.mpf], list[list[mp.mpf]]]:
+    """log Theta in product form for every query height c in `heights` and
+    azimuth offset pi * turn + offset (radians), turn in `turns`:
+    (bases, factors) with log Theta = bases[i] + log factors[i][m] at the
+    query (heights[i], turns[m]).
 
-    Each cell is base + log(gap + rim sin^2) of numerics.two_term_log,
-    (base, gap, rim) formed once per height, sin^2 once per turn.  With
-    a zero offset, rational turns keep coincidences exact: a cell is -inf
-    precisely when the query point equals a parallel point.
+    The base and the factor gap + rim sin^2 are numerics.two_term_log's,
+    (base, gap, rim) formed once per height, sin^2 once per turn; no cell
+    takes a log.  With a zero offset, rational turns keep coincidences
+    exact: a factor is 0 precisely when the query point equals a
+    parallel point.
     """
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
         sin_sqs = [sin_sq_pi(mp.mp, r * Fraction(turn) / 2, r * offset / 2) for turn in turns]
         log_hp, log_hm = log_one_pm(to_fraction(h), prec_bits)
-        rows = []
+        bases, factors = [], []
         for c in heights:
             log_cp, log_cm = log_one_pm(to_fraction(c), prec_bits)
             base, gap, rim = two_term_log(mp.mp, r, log_cm + log_hp, log_cp + log_hm)
-            rows.append([base + mp.log(gap + rim * s) for s in sin_sqs])
-        return rows
+            bases.append(base)
+            factors.append([gap + rim * s for s in sin_sqs])
+        return bases, factors
+
+
+def log_distance_products(
+    parallels: Sequence, heights: Sequence, turns: Sequence, prec_bits: int, offset=0
+) -> list[list[mp.mpf]]:
+    """log prod over the points of `parallels` of |p - q| for every query
+    q at a height c in `heights` and azimuth pi * turn + offset - phase
+    of each parallel, turn in `turns`: row i, column m is the query
+    (heights[i], turns[m]).
+
+    The Theta grids' bases are summed and their factors multiplied over
+    the parallels, then each query takes one log; a coincidence with a
+    point of a zero-offset parallel gives -inf.
+    """
+    with mp.workprec(prec_bits):
+        bases = [mp.mpf(0)] * len(heights)
+        products = [[mp.mpf(1)] * len(turns) for _ in heights]
+        for par in parallels:
+            par_bases, factors = theta_product_log_turn(
+                par.count, par.height, heights, turns, prec_bits, offset - par.phase
+            )
+            bases = [b + pb for b, pb in zip(bases, par_bases)]
+            products = [[p * f for p, f in zip(row, fs)] for row, fs in zip(products, factors)]
+        return [[(b + mp.log(p)) / 2 for p in row] for b, row in zip(bases, products)]
 
 
 def parallel_self_product_log(
@@ -313,8 +345,9 @@ def point_gap_product_log(
     at the point set's precision.
 
     Splits into the closed-form product within the point's own parallel,
-    formed once, and one Theta row per other parallel: (base, gap, rim)
-    once per pair of parallels, sin^2 once per point.
+    formed once, and log_distance_products over the other parallels:
+    (base, gap, rim) once per pair of parallels, sin^2 once per point
+    and parallel, one log per point.
     """
     prec_bits = point_set.prec_bits
     parallels = point_set.parallels
@@ -322,18 +355,11 @@ def point_gap_product_log(
     if own.index != parallel_index:
         raise ValueError("parallel list is not indexed contiguously")
     turns = [Fraction(2 * k, own.count) for k in azimuths]
+    others = [par for par in parallels if par.index != parallel_index]
     with mp.workprec(prec_bits):
         own_log = parallel_self_product_log(own.count, own.height, prec_bits)
-        totals = [own_log] * len(turns)
-        for par in parallels:
-            if par.index == parallel_index:
-                continue
-            (row,) = theta_product_log_turn(
-                par.count, par.height, [own.height], turns, prec_bits,
-                own.phase - par.phase,
-            )
-            totals = [total + lg / 2 for total, lg in zip(totals, row)]
-        return totals
+        (row,) = log_distance_products(others, [own.height], turns, prec_bits, own.phase)
+        return [own_log + lg for lg in row]
 
 
 def mu_max_spherical_route(

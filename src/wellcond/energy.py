@@ -49,12 +49,16 @@ gates by it.
 
 The suites form each transcendental value once per index it depends
 on: log(1 +- u) and the antiderivatives once per height (a parallel, a
-probe or a band edge), each band's window constants once, and the
-distance products through the Theta grids of
-condition.theta_product_log_turn.  Every cell comes out of the same
-operations in the same order as the one-pair forms: expected_log_parallel,
-band_integral, comparison_{inside,outside}_margin and s_n evaluate the
-same core for a single pair.
+probe or a band edge), each band's window constants once, with the
+outside window's value once per side of the band (the query's log
+cancels), and the distance products through the Theta grids of
+condition.theta_product_log_turn in product form: the bases summed and
+the linear factors multiplied over the parallels, one log per query
+point, at one turn per orbit of points.turn_representative.  Every cell
+comes out of the same operations in the same order as the one-pair
+forms: expected_log_parallel, band_integral,
+comparison_{inside,outside}_margin and s_n evaluate the same core for a
+single pair.
 
 Heights (t, h, c, eps) are exact rationals: every public function here
 converts its height arguments once at entry with numerics.to_fraction,
@@ -69,6 +73,7 @@ derives its tolerance from it and prints its floats at it.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -77,7 +82,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .condition import by_orbit, point_gap_product_log, theta_product_log_turn
+from .condition import by_orbit, log_distance_products, point_gap_product_log
 from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
@@ -90,7 +95,7 @@ from .numerics import (
     to_mpf,
     two_term_log,
 )
-from .points import Parallel, PointSet, build_parallels, build_point_set
+from .points import Parallel, PointSet, build_parallels, build_point_set, turn_representative
 
 HYPOTHESIS_MIN_M = 5  # the smallest M the sharpened bounds are proved for
 
@@ -152,10 +157,10 @@ def expected_log_parallel(t, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
 
 @dataclass(frozen=True)
 class _PoleGap:
-    """The window bounds of a band that use one pole gap g = 1 -+ h."""
+    """The window values of a band that use one pole gap g = 1 -+ h: g is
+    1 - h for a query above the band, 1 + h below it."""
 
-    correction: mp.mpf  # eps^2 / (12 g^2)
-    outside_upper: mp.mpf  # (1/2)(5/6 - log 2) eps^4 / g^4
+    outside: ComparisonMargins  # D in [0, (1/2)(5/6 - log 2) eps^4 / g^4], one per side
     inside_upper: mp.mpf  # (1 - log 2) eps^2 / (2 g^2)
 
 
@@ -180,23 +185,30 @@ def _band(h, eps) -> _Band:
     if h - eps < -1 or h + eps > 1:
         raise ValueError("band must lie inside [-1, 1]")
     epsm, hm = to_mpf(eps), to_mpf(h)
+    center, lo, hi = _height(h), _height(h - eps), _height(h + eps)
 
-    def pole_gap(g: Fraction) -> _PoleGap:
+    def pole_gap(g: Fraction, log_g: mp.mpf, body: mp.mpf) -> _PoleGap:
+        """Outside the band the query's log(1 +- c) cancels between the
+        parallel average and the band average, leaving
+        D = (1/2) log g - body / (4 eps) - eps^2 / (12 g^2)."""
         gap = to_mpf(g)
         return _PoleGap(
-            epsm**2 / (12 * gap**2),
-            (mp.mpf(5) / 6 - mp.log(2)) / 2 * epsm**4 / gap**4,
+            ComparisonMargins(
+                log_g / 2 - body / (4 * epsm) - epsm**2 / (12 * gap**2),
+                mp.mpf(0),
+                (mp.mpf(5) / 6 - mp.log(2)) / 2 * epsm**4 / gap**4,
+            ),
             (1 - mp.log(2)) / 2 * epsm**2 / gap**2,
         )
 
     return _Band(
-        _height(h),
-        _height(h - eps),
-        _height(h + eps),
+        center,
+        lo,
+        hi,
         epsm,
         -epsm / (4 * (1 - hm * hm)),
-        pole_gap(1 - h),
-        pole_gap(1 + h),
+        pole_gap(1 - h, center.log_m, hi.anti_m - lo.anti_m),
+        pole_gap(1 + h, center.log_p, hi.anti_p - lo.anti_p),
     )
 
 
@@ -236,36 +248,32 @@ class ComparisonMargins:
     """Signed margins for a two-sided bound on a computed value.
 
     value lies in [lower_bound, upper_bound] iff both margins are >= 0:
-    lower_margin = value - lower_bound, upper_margin = upper_bound - value.
+    lower_margin = value - lower_bound, upper_margin = upper_bound - value,
+    each formed once: one band side's outside margins serve every query
+    on that side.
     """
 
     value: mp.mpf
     lower_bound: mp.mpf
     upper_bound: mp.mpf
 
-    @property
+    @functools.cached_property
     def lower_margin(self) -> mp.mpf:
         return self.value - self.lower_bound
 
-    @property
+    @functools.cached_property
     def upper_margin(self) -> mp.mpf:
         return self.upper_bound - self.value
 
 
-def _parallel_minus_band(band: _Band, c: _Height) -> mp.mpf:
-    """expected_log_parallel(h, c) - band_integral(h, eps, c) / eps."""
-    return _expected_log(band.center, c) - _band_integral(band, c) / band.eps
-
-
-def _outside_margins(band: _Band, c: _Height) -> ComparisonMargins:
-    gap = band.north if c.u >= band.hi.u else band.south
-    d = _parallel_minus_band(band, c) - gap.correction
-    return ComparisonMargins(value=d, lower_bound=mp.mpf(0), upper_bound=gap.outside_upper)
+def _outside_margins(band: _Band, c: Fraction) -> ComparisonMargins:
+    return (band.north if c >= band.hi.u else band.south).outside
 
 
 def _inside_margins(band: _Band, c: _Height) -> ComparisonMargins:
+    """U = expected_log_parallel(h, c) - band_integral(h, eps, c) / eps."""
     gap = band.north if c.u >= band.center.u else band.south
-    u = _parallel_minus_band(band, c)
+    u = _expected_log(band.center, c) - _band_integral(band, c) / band.eps
     return ComparisonMargins(value=u, lower_bound=band.inside_lower, upper_bound=gap.inside_upper)
 
 
@@ -280,14 +288,15 @@ def comparison_outside_margin(
             - eps^2 / (12 (1 -+ h)^2)
 
     satisfies 0 <= D <= (1/2)(5/6 - log 2) eps^4 / (1 -+ h)^4, using
-    1 - h above the band and 1 + h below it.
+    1 - h above the band and 1 + h below it.  The query's log(1 +- c)
+    cancels, so D is one value per side of the band, formed with it.
     """
     check_precision(prec_bits)
     h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
     if h - eps < c < h + eps:
         raise ValueError("query height must lie outside the open band")
     with mp.workprec(prec_bits):
-        return _outside_margins(_band(h, eps), _height(c))
+        return _outside_margins(_band(h, eps), c)
 
 
 def comparison_inside_margin(
@@ -360,22 +369,12 @@ def log_product_to_set(
     `turns`: row i, column m is the query (heights[i], turns[m]), at the
     point set's precision.
 
-    One Theta grid per parallel (condition.theta_product_log_turn).
-    Against zero-phase parallels the exact turns keep coincidence with a
-    family point exact: that query's value is -inf.
+    condition.log_distance_products over every parallel: one Theta grid
+    per parallel, one log per query.  Against zero-phase parallels the
+    exact turns keep coincidence with a family point exact: that query's
+    value is -inf.
     """
-    prec_bits = point_set.prec_bits
-    with mp.workprec(prec_bits):
-        totals = [[mp.mpf(0)] * len(turns) for _ in heights]
-        for par in point_set.parallels:
-            grid = theta_product_log_turn(
-                par.count, par.height, heights, turns, prec_bits, -par.phase
-            )
-            totals = [
-                [total + lg / 2 for total, lg in zip(row, logs)]
-                for row, logs in zip(totals, grid)
-            ]
-        return totals
+    return log_distance_products(point_set.parallels, heights, turns, point_set.prec_bits)
 
 
 @dataclass
@@ -601,13 +600,14 @@ def verify_comparison(
                 "h": frac_str(par.height),
                 "eps": frac_str(par.half_width),
             }
+            lower, upper = par.lower, par.upper
             for c, c_str in queries:
                 params = {**head, "c": c_str}
-                if par.lower <= c.u <= par.upper:
+                if lower <= c.u <= upper:
                     m = _inside_margins(terms, c)
                     bucket = in_cells
                 else:
-                    m = _outside_margins(terms, c)
+                    m = _outside_margins(terms, c.u)
                     bucket = out_cells
                 bucket.append(
                     Cell({**params, "side": "lower"}, m.value, m.lower_bound, m.lower_margin)
@@ -703,6 +703,9 @@ def verify_numerator(
         log prod <= log 2 - kappa N + (1/3) log(M/ell) + 3/4
                     + (2/ell)(1 - log 2).
     Queries that hit a family point exactly are skipped with a note.
+    The products are evaluated at the representative turns of
+    AZIMUTH_TURNS (points.turn_representative) only; every other turn's
+    cells hold its representative's.
     """
     ps = build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
@@ -713,9 +716,12 @@ def verify_numerator(
     probes = [(par.index, band_probe_heights(par, rng)) for par in ps.parallels[:M]]
     heights = [c for _, cs in probes for c in cs]
     turn_strs = [frac_str(turn) for turn in AZIMUTH_TURNS]
+    reps = [turn_representative(turn) for turn in AZIMUTH_TURNS]
+    columns = sorted(set(reps))
+    picks = [columns.index(rep) for rep in reps]
     with mp.workprec(prec_bits):
         s_values = iter(_s_n_values(heights, ps))
-        lhs_rows = iter(log_product_to_set(heights, AZIMUTH_TURNS, ps))
+        lhs_rows = iter(log_product_to_set(heights, columns, ps))
         for ell, cs in probes:
             exp_rhs = (
                 mp.log(2)
@@ -727,7 +733,8 @@ def verify_numerator(
             for c in cs:
                 sum_rhs = next(s_values) + mp.log(2) + mp.mpf(1) / 2
                 c_str = frac_str(c)
-                for turn_str, lhs in zip(turn_strs, next(lhs_rows)):
+                row = next(lhs_rows)
+                for turn_str, lhs in zip(turn_strs, [row[i] for i in picks]):
                     params = {"band": ell, "c": c_str, "turn": turn_str}
                     if lhs == mp.mpf("-inf"):
                         notes.append(

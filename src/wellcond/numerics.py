@@ -240,14 +240,17 @@ def fmt_real(x) -> str:
     equivalent of the current working precision plus two guard digits.
     Reports repeat values (a cell's value on both sides, a bound shared
     across a band), so the string is memoised on the value's bits and the
-    precision."""
-    if isinstance(x, Fraction):
+    precision, and a value is rounded to the precision only on a miss."""
+    if not isinstance(x, mp.mpf):
         x = to_mpf(x)
-    return _fmt_raw(mp.mpf(x)._mpf_, mp.mp.prec)
+    return _fmt_raw(x._mpf_, mp.mp.prec)
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def _fmt_raw(raw, prec_bits: int) -> str:
+    sign, man, exp, bc = raw
+    if man:  # inf and nan have no mantissa and must not be normalised
+        raw = libmp.normalize(sign, man, exp, bc, prec_bits, libmp.round_nearest)
     x = mp.make_mpf(raw)
     if not mp.isfinite(x):
         return str(x).lstrip("+")  # nan, inf, -inf

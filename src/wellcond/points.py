@@ -22,7 +22,8 @@ offset, both evaluated by numerics.cos_pi_fraction, for k < r_j/4 only;
 the other three quarters are exact quarter turns of the first, so a
 coordinate may differ from cos and sin taken point by point in its last
 bits.  orbit_representative declares the zero-phase family's symmetry
-group, under which its coordinates are invariant bit for bit.
+group, under which its coordinates are invariant bit for bit, and
+turn_representative its action on the azimuth of a query point.
 """
 
 from __future__ import annotations
@@ -207,3 +208,13 @@ def orbit_representative(M: int, index: int, k: int) -> tuple[int, int]:
     quarter = min(index, 2 * M - index)  # both the mirror's j and r_j / 4
     k %= quarter
     return quarter, min(k, quarter - k)
+
+
+def turn_representative(turn) -> Fraction:
+    """The representative in [0, 1/4] of a query's azimuth turn t (a
+    multiple of pi) under the quarter turn t -> t + 1/2 and the conjugation
+    t -> -t of orbit_representative.  Every r_j is a multiple of 4, so both
+    map each zero-phase parallel onto itself, and a query at (c, pi t) has
+    the distances to the family of the query at (c, pi * representative)."""
+    t = Fraction(turn) % Fraction(1, 2)
+    return min(t, Fraction(1, 2) - t)

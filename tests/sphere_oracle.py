@@ -10,8 +10,10 @@ of ``wellcond.condition.numerator_integral_log`` is checked, the
 logarithmic energy as a sum of gap products over every point and as
 the discriminant identity with exact resultants, against which the
 two-term kernel of ``wellcond.energy.log_energy`` is checked, and the
-one-query-at-a-time forms of the Theta products, against which the
-package's grid and per-parallel forms are held bit for bit.
+one-query-at-a-time forms of the Theta products: in product form (bases
+summed, factors multiplied, one log), against which the package's grid
+and per-parallel forms are held bit for bit, and as a sum of one log per
+parallel, against which they are held to 2^-(prec-16).
 """
 
 import math
@@ -25,20 +27,59 @@ from wellcond.points import PointSet, SpherePoint
 from wellcond.polynomials import family_polynomial
 
 
-def theta_log_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
-    """log Theta for one query: every log, (base, gap, rim) and sin^2
-    formed afresh, through the kernel numerics.two_term_log."""
+def theta_by_query(r, h, c, turn, prec_bits: int, offset=0) -> tuple[mp.mpf, mp.mpf]:
+    """(base, factor) with log Theta = base + log factor for one query:
+    every log, (base, gap, rim) and sin^2 formed afresh, through the
+    kernel numerics.two_term_log."""
     h, c, turn = to_fraction(h), to_fraction(c), Fraction(turn)
     with mp.workprec(prec_bits):
         log_x2 = mp.log(to_mpf(1 - c)) + mp.log(to_mpf(1 + h))
         log_y2 = mp.log(to_mpf(1 + c)) + mp.log(to_mpf(1 - h))
         base, gap, rim = two_term_log(mp.mp, r, log_x2, log_y2)
-        return base + mp.log(gap + rim * sin_sq_pi(mp.mp, r * turn / 2, r * offset / 2))
+        return base, gap + rim * sin_sq_pi(mp.mp, r * turn / 2, r * offset / 2)
+
+
+def theta_log_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
+    """log Theta for one query: one log of theta_by_query's factor."""
+    base, factor = theta_by_query(r, h, c, turn, prec_bits, offset)
+    with mp.workprec(prec_bits):
+        return base + mp.log(factor)
+
+
+def _log_product(pairs, prec_bits: int) -> mp.mpf:
+    """(sum of the bases + log prod of the factors) / 2 over (base, factor)
+    pairs, in their order."""
+    with mp.workprec(prec_bits):
+        base, product = mp.mpf(0), mp.mpf(1)
+        for b, f in pairs:
+            base += b
+            product *= f
+        return (base + mp.log(product)) / 2
+
+
+def _others(point_set: PointSet, j: int, k: int):
+    """(parallel, turn, offset) of the point k of parallel j as a query
+    against every other parallel, the offset at the point set's precision."""
+    own = point_set.parallels[j - 1]
+    turn = Fraction(2 * k, own.count)
+    with mp.workprec(point_set.prec_bits):
+        return [(par, turn, own.phase - par.phase) for par in point_set.parallels if par.index != j]
 
 
 def log_product_by_query(c, turn, point_set: PointSet, prec_bits: int) -> mp.mpf:
-    """log prod_i |p_i - q| for the one query (c, pi * turn), summed
-    parallel by parallel; -inf as soon as a parallel holds q."""
+    """log prod_i |p_i - q| for the one query (c, pi * turn): the bases
+    summed and the factors multiplied parallel by parallel, one log; -inf
+    when a parallel holds q."""
+    return _log_product(
+        (theta_by_query(par.count, par.height, c, turn, prec_bits, -par.phase)
+         for par in point_set.parallels),
+        prec_bits,
+    )
+
+
+def log_product_by_parallel_logs(c, turn, point_set: PointSet, prec_bits: int) -> mp.mpf:
+    """log_product_by_query as a sum of one log per parallel; -inf as soon
+    as a parallel holds q."""
     with mp.workprec(prec_bits):
         total = mp.mpf(0)
         for par in point_set.parallels:
@@ -51,16 +92,24 @@ def log_product_by_query(c, turn, point_set: PointSet, prec_bits: int) -> mp.mpf
 
 def gap_product_by_point(point_set: PointSet, j: int, k: int, prec_bits: int) -> mp.mpf:
     """log prod over the other family points of |p - p_other| for the one
-    point k of parallel j."""
+    point k of parallel j: the closed form within its parallel plus
+    _log_product over the others."""
     own = point_set.parallels[j - 1]
-    turn = Fraction(2 * k, own.count)
+    others = [
+        theta_by_query(par.count, par.height, own.height, turn, prec_bits, offset)
+        for par, turn, offset in _others(point_set, j, k)
+    ]
+    with mp.workprec(prec_bits):
+        return parallel_self_product_log(own.count, own.height, prec_bits) + _log_product(others, prec_bits)
+
+
+def gap_product_by_parallel_logs(point_set: PointSet, j: int, k: int, prec_bits: int) -> mp.mpf:
+    """gap_product_by_point as a sum of one log per other parallel."""
+    own = point_set.parallels[j - 1]
     with mp.workprec(prec_bits):
         total = parallel_self_product_log(own.count, own.height, prec_bits)
-        for par in point_set.parallels:
-            if par.index != j:
-                total += theta_log_by_query(
-                    par.count, par.height, own.height, turn, prec_bits, own.phase - par.phase
-                ) / 2
+        for par, turn, offset in _others(point_set, j, k):
+            total += theta_log_by_query(par.count, par.height, own.height, turn, prec_bits, offset) / 2
         return total
 
 

@@ -183,7 +183,8 @@ def test_criterion_08_closed_forms_vs_brute_force():
                 + (rho_q * mp.sin(dphi) - rho_p * mp.sin(ang)) ** 2
                 + (to_mpf(c) - to_mpf(h)) ** 2
             )
-        got = mp.exp(theta_product_log_turn(r, h, [c], [Fraction(1, 16)], PREC)[0][0])
+        (base,), ((factor,),) = theta_product_log_turn(r, h, [c], [Fraction(1, 16)], PREC)
+        got = mp.exp(base) * factor
         assert abs(got - brute) / brute < mp.mpf("1e-20")
 
         # parallel average of log distance vs 4096-node mean (1e-8)

@@ -6,6 +6,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -504,3 +505,68 @@ def test_generate_prints_coefficients_past_the_int_digit_limit(tmp_path, monkeyp
     coeffs = read_json(tmp_path / "polynomial_M29.json")["dense"]["coeffs"]
     assert len(coeffs) == 4 * 29**2 + 1
     assert max(len(part) for c in coeffs for part in c.split("/")) > 4300
+
+
+JSON_EDGE_CASES = [
+    {},
+    [],
+    {"empty": {}, "list": [], "nested": [[], [{}], {"a": []}]},
+    {"text": "é ü ☃ 𝄞", "escapes": "tab\tquote\"back\\slash\nnew", "ключ": "значение"},
+    {2: "int key", 2.5: "float key", True: "bool key", False: 0, None: "null key"},
+    [True, False, None, 0, -7, 10**40, 2.5, -0.0, 1e300, 1e-300, float("inf"), float("-inf")],
+    ("a", ("tuple", 1)),
+    "scalar",
+    3,
+    1.5,
+    True,
+    None,
+]
+
+
+@pytest.mark.parametrize("obj", JSON_EDGE_CASES)
+def test_json_writer_matches_json_dumps_on_edge_cases(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_json_writer_keeps_json_dumps_nan_and_errors():
+    assert cli._json_text([float("nan")]) == json.dumps([float("nan")], indent=2) + "\n"
+    with pytest.raises(TypeError):
+        cli._json_text({"x": object()})
+    with pytest.raises(TypeError):
+        cli._json_text({(1, 2): "tuple key"})
+
+
+def test_json_writer_matches_json_dumps_on_every_command(tmp_path):
+    """Every JSON file the four commands write is json.dumps(indent=2) of
+    what it holds, byte for byte."""
+    out = tmp_path / "out"
+    phases = tmp_path / "phases.json"
+    phases.write_text(json.dumps({"2": ["0.1", "0.7", "-1.2"]}))
+    assert run(["generate", "--M", "2", "--out", out]) == 0
+    assert run(["generate", "--M", "2", "--phases", phases, "--out", out / "phased"]) == 0
+    assert run(["cond", "--M", "2", "--route", "both", "--certify", "--out", out]) == 0
+    assert run(["verify", "--M", "3", "--informational", "--sums-max", "8", "--out", out]) == 0
+    assert run(["sweep", "--M", "1..2", "--format", "json", "--out", out]) == 0
+    files = sorted(out.rglob("*.json"))
+    assert {p.name for p in files} >= {
+        "points_M2.json", "polynomial_M2.json", "cond_M2.json", "verify_M3.json",
+        "sum_checks.json", "sweep.json",
+    }
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+
+
+def test_one_worker_run_imports_no_process_pool(tmp_path):
+    """The process pool's modules load only when a run uses more than one
+    worker."""
+    import subprocess
+
+    code = (
+        "import sys; from wellcond import cli; "
+        f"cli.main(['cond', '--M', '1..2', '--out', {str(tmp_path)!r}]); "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    env = {"PYTHONPATH": str(Path(points.__file__).parents[1]), "WELLCOND_WORKERS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"

@@ -66,22 +66,24 @@ def test_theta_product_matches_brute_force(r, h, c, turn):
     prec = 256
     with mp.workprec(prec):
         dphi = mp.pi * to_mpf(turn)
-        got = mp.exp(theta_product_log_turn(r, h, [c], [turn], prec)[0][0])
+        (base,), ((factor,),) = theta_product_log_turn(r, h, [c], [turn], prec)
+        got = mp.exp(base) * factor
         want = brute_theta(r, h, c, dphi, prec)
         assert abs(got - want) / want < mp.mpf("1e-20")
 
 
 def test_theta_log_turn_exact_zero_at_coincidence():
     turns = [Fraction(0), Fraction(1, 2), Fraction(1, 16)]
-    ((on_grid, quarter, off_grid),) = theta_product_log_turn(
+    (base,), ((on_grid, quarter, off_grid),) = theta_product_log_turn(
         8, Fraction(5, 9), [Fraction(5, 9)], turns, 192
     )
+    assert mp.isfinite(base)
     # q lies exactly on the parallel grid: distance product is zero
-    assert on_grid == mp.mpf("-inf")
+    assert on_grid == 0
     # quarter-turn offset on an 8-point grid also hits a grid point
-    assert quarter == mp.mpf("-inf")
-    # off-grid azimuth stays finite
-    assert mp.isfinite(off_grid)
+    assert quarter == 0
+    # off-grid azimuth stays away from zero
+    assert off_grid > 0
 
 
 @pytest.mark.parametrize("r,h", [(1, Fraction(0)), (4, Fraction(5, 9)), (12, 0)])

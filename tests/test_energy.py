@@ -241,7 +241,7 @@ def test_log_energy_forms_no_distance_product(monkeypatch):
         raise AssertionError("log_energy formed a distance product")
 
     monkeypatch.setattr(energy, "point_gap_product_log", forbidden)
-    monkeypatch.setattr(energy, "theta_product_log_turn", forbidden)
+    monkeypatch.setattr(energy, "log_distance_products", forbidden)
     prec = 256
     ps = build_point_set(6, prec_bits=prec)
     assert_energy_close(log_energy(ps).energy, energy_by_gap_products(ps, prec), prec)

@@ -2,11 +2,15 @@
 
 The suites evaluate each transcendental value once per index it depends
 on: (base, gap, rim) per (parallel, query height), sin^2 per (parallel,
-turn), log(1 +- h) per parallel and per probe, and each band's window
-constants once.  Every cell must still come out of the same operations
-in the same order as the one-query forms, so equality here is `==`, not
-a tolerance.  The kernel itself is held, under mp.iv, to Theta taken
-from the point coordinates.
+turn), one log per query point, log(1 +- h) per parallel and per probe,
+and each band's window constants once.  Every cell must still come out
+of the same operations in the same order as the one-query forms, so
+equality here is `==`, not a tolerance.  Where the suites go further
+than the one-query forms (a product of factors where one log per
+parallel was summed, one numerator column per turn orbit, one outside
+window value per band side), the values are held to 2^-(prec-16) of
+the longer form.  The kernel itself is held, under mp.iv, to Theta
+taken from the point coordinates.
 """
 
 import random
@@ -42,16 +46,19 @@ from wellcond.numerics import (
     to_mpf,
     two_term_log,
 )
-from wellcond.points import SpherePoint, build_point_set, orbit_representative
+from wellcond.points import SpherePoint, build_point_set, orbit_representative, turn_representative
 from sphere_oracle import (
     distance_sq,
+    gap_product_by_parallel_logs,
     gap_product_by_point,
+    log_product_by_parallel_logs,
     log_product_by_query,
-    theta_log_by_query,
+    theta_by_query,
 )
 
 PREC = 256
 MINUS_INF = mp.mpf("-inf")
+TOL = Fraction(1, 2 ** (PREC - 16))
 PHASED = {2: [0.1, 0.7, -1.2], 3: [0.1, 0.7, -1.2, 0.4, 2.0]}
 FAMILIES = [(M, None) for M in (1, 2, 3)] + [(M, PHASED[M]) for M in PHASED]
 FAMILY_IDS = ["1", "2", "3", "2-phased", "3-phased"]
@@ -81,16 +88,16 @@ def test_theta_grid_matches_single_query_oracle(M, phases):
     heights = edge_heights(ps)
     turns = AZIMUTH_TURNS + [Fraction(1, 3), Fraction(7, 5)]
     for par in ps.parallels:
-        grid = theta_product_log_turn(
+        bases, factors = theta_product_log_turn(
             par.count, par.height, heights, turns, PREC, -par.phase
         )
-        assert len(grid) == len(heights)
-        for c, row in zip(heights, grid):
+        assert len(bases) == len(factors) == len(heights)
+        for c, base, row in zip(heights, bases, factors):
             want = [
-                theta_log_by_query(par.count, par.height, c, t, PREC, -par.phase)
+                theta_by_query(par.count, par.height, c, t, PREC, -par.phase)
                 for t in turns
             ]
-            assert row == want, (par.index, c)
+            assert [(base, f) for f in row] == want, (par.index, c)
 
 
 def theta_log_enclosure(par, c, turn, prec_bits):
@@ -132,20 +139,22 @@ def test_kernel_encloses_theta_from_coordinates(M, phases):
     coordinates = fine.coordinates()
     for par in ps.parallels:
         points = [p for j, _, p in coordinates if j == par.index]
-        grid = theta_product_log_turn(par.count, par.height, heights, turns, PREC, -par.phase)
-        for c, row in zip(heights, grid):
-            for turn, got in zip(turns, row):
+        bases, factors = theta_product_log_turn(par.count, par.height, heights, turns, PREC, -par.phase)
+        for c, base, row in zip(heights, bases, factors):
+            for turn, factor in zip(turns, row):
                 enclosure = theta_log_enclosure(par, c, turn, PREC)
                 want = theta_log_from_coordinates(points, c, turn, fine.prec_bits)
                 if want == MINUS_INF:
                     coincidences += 1
-                    assert got == MINUS_INF, (par.index, c, turn)
+                    assert factor == 0, (par.index, c, turn)
                     assert enclosure._mpi_[0] == MINUS_INF._mpf_, (par.index, c, turn)
                     continue
                 lo, hi = fraction_endpoints(enclosure)
                 want = fraction_from_mpf(want)
                 assert lo <= want <= hi, (par.index, c, turn)
-                assert abs(fraction_from_mpf(got) - want) <= tol * max(1, abs(want))
+                with mp.workprec(PREC):
+                    got = fraction_from_mpf(base + mp.log(factor))
+                assert abs(got - want) <= tol * max(1, abs(want))
     # every zero-phase parallel holds its k = 0 point at turn 0
     assert coincidences >= (len(ps.parallels) if phases is None else 0)
     assert coincidences == 0 or phases is None
@@ -178,6 +187,36 @@ def test_gap_products_per_parallel_match_per_point(M, phases):
         # the quarter-turn representatives the spherical route asks for
         quarter = range(par.count // 4)
         assert point_gap_product_log(ps, par.index, quarter) == want[: len(quarter)]
+
+
+def assert_close(got, want, where):
+    """got within 2^-(prec-16) of want, relative above 1; -inf only with -inf."""
+    if want == MINUS_INF:
+        assert got == MINUS_INF, where
+        return
+    got, want = fraction_from_mpf(got), fraction_from_mpf(want)
+    assert abs(got - want) <= TOL * max(1, abs(want)), where
+
+
+@pytest.mark.parametrize(
+    "M,phases",
+    [(M, None) for M in range(1, 7)] + [(M, PHASED[M]) for M in PHASED],
+    ids=[str(M) for M in range(1, 7)] + ["2-phased", "3-phased"],
+)
+def test_product_forms_match_per_parallel_log_sums(M, phases):
+    """One log of the product of the factors against one log per parallel:
+    the point products at every edge height and turn, the gap products at
+    every point, -inf at the same coincidences."""
+    ps = build_point_set(M, phases=phases, prec_bits=PREC)
+    heights = edge_heights(ps)
+    grid = log_product_to_set(heights, AZIMUTH_TURNS, ps)
+    for c, row in zip(heights, grid, strict=True):
+        for turn, got in zip(AZIMUTH_TURNS, row, strict=True):
+            assert_close(got, log_product_by_parallel_logs(c, turn, ps, PREC), (c, turn))
+    for par in ps.parallels:
+        got = point_gap_product_log(ps, par.index, range(par.count))
+        for k, value in enumerate(got):
+            assert_close(value, gap_product_by_parallel_logs(ps, par.index, k, PREC), (par.index, k))
 
 
 def one_pair_comparison_cells(ps, seed):
@@ -224,6 +263,33 @@ def test_comparison_cells_match_one_pair_margins(M, seed):
     assert outside.passed and inside.passed
 
 
+@pytest.mark.parametrize("M,seed", [(3, 5), (7, 1)])
+def test_outside_window_value_does_not_depend_on_the_query(M, seed):
+    """Above (below) a band every outside probe reads one D, formed with
+    the band, within 2^-(prec-16) of expected_log_parallel -
+    band_integral / eps - eps^2 / (12 g^2) taken at that probe."""
+    ps = build_point_set(M, prec_bits=PREC)
+    rng = random.Random(seed)
+    probes = [c for par in ps.parallels for c in band_probe_heights(par, rng)]
+    checked = 0
+    with mp.workprec(PREC):
+        for par in ps.parallels:
+            h, eps = par.height, par.half_width
+            for gap, side in ((1 - h, [c for c in probes if c > par.upper]),
+                              (1 + h, [c for c in probes if c < par.lower])):
+                values = [comparison_outside_margin(h, eps, c, PREC).value for c in side]
+                assert len(set(values)) <= 1, (par.index, gap)
+                for c, value in zip(side, values):
+                    by_c = (
+                        expected_log_parallel(h, c, PREC)
+                        - band_integral(h, eps, c, PREC) / to_mpf(eps)
+                        - to_mpf(eps) ** 2 / (12 * to_mpf(gap) ** 2)
+                    )
+                    assert abs(fraction_from_mpf(value) - fraction_from_mpf(by_c)) <= TOL, (par.index, c)
+                    checked += 1
+    assert checked > len(ps.parallels) * len(probes) // 2
+
+
 def test_band_integral_takes_the_closed_form_on_the_edges():
     """At c = lo and c = hi the value is the outside branch's closed form,
     finite even where the band touches a pole (c = hi = 1, c = lo = -1)."""
@@ -263,7 +329,10 @@ def test_suites_match_one_query_oracles(M, seed):
         for ell, c in probes:
             sum_rhs = s_n_by_parallel(c, ps) + mp.log(2) + mp.mpf(1) / 2
             for turn in AZIMUTH_TURNS:
-                lhs = log_product_by_query(c, turn, ps, PREC)
+                # a folded column holds its turn representative's product,
+                # within 2^-(prec-16) of the query's own
+                lhs = log_product_by_query(c, turn_representative(turn), ps, PREC)
+                assert_close(lhs, log_product_by_query(c, turn, ps, PREC), (c, turn))
                 if lhs == MINUS_INF:
                     notes.append(
                         f"skipped query at c={frac_str(c)}, turn={frac_str(turn)}: "
@@ -275,6 +344,10 @@ def test_suites_match_one_query_oracles(M, seed):
     assert notes, "the band midpoints at turn 0 are family points"
     assert numer_sum.notes == notes
     assert cell_tuples(numer_sum) == cells
+    # each folded column is its representative's, bit for bit
+    lhs = {(cell.params["c"], Fraction(cell.params["turn"])): cell.lhs for cell in numer_sum.cells}
+    for (c, turn), value in lhs.items():
+        assert lhs[c, turn_representative(turn)] == value, (c, turn)
 
     _, chain = verify_sn_kappa(M, PREC, seed)
     with mp.workprec(PREC):

@@ -183,3 +183,15 @@ def test_one_two_term_kernel_for_every_product_between_parallels():
         "energy.log_energy",
     }
     assert callers_of(sources, "expm1") == {"numerics.two_term_log"}
+
+
+def test_one_product_over_the_parallels_for_every_theta_grid():
+    """The point products and the gap products both multiply the Theta
+    grids' factors through condition.log_distance_products, the only
+    caller of the grid."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert callers_of(sources, "theta_product_log_turn") == {"condition.log_distance_products"}
+    assert callers_of(sources, "log_distance_products") == {
+        "condition.point_gap_product_log",
+        "energy.log_product_to_set",
+    }

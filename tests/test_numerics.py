@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 
 from wellcond.numerics import (
     cos_pi_fraction,
@@ -127,6 +128,18 @@ def test_fmt_real_deterministic_and_special():
     assert fmt_real(mp.mpf("inf")) == "inf"
     assert fmt_real(mp.mpf("-inf")) == "-inf"
     assert fmt_real(mp.mpf("nan")) == "nan"
+
+
+def test_fmt_real_rounds_a_wider_value_to_the_working_precision():
+    """A value carrying more bits than the working precision prints as its
+    rounding to that precision, memo hit or miss, at every precision."""
+    with mp.workprec(512):
+        x = mp.mpf(1) / 7
+    for prec in (64, 128, 256, 64):
+        with mp.workprec(prec):
+            want = mp.nstr(+x, libmp.prec_to_dps(prec) + 2, strip_zeros=True)
+            assert fmt_real(x) == fmt_real(+x) == want
+            assert fmt_real(x) == want  # from the memo
 
 
 def test_frac_str_round_trip():
