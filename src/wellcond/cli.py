@@ -11,8 +11,15 @@ Subcommands
 * ``sweep``    — one row per M with mu_max, its normalized ratio and the
   energy residual; plot-ready CSV, runtimes on stderr only.
 
-Outputs are deterministic for a fixed configuration and seed; files are
-written atomically; the process exits 0 only if every gated check
+Every subcommand runs one worker per M through ``_run``: the worker
+returns its M's rendered files and console lines, and ``_run`` writes
+and prints them as soon as that M finishes, in M order, so a run that
+fails at a later M keeps the earlier M's files and sweep's per-M stderr
+lines arrive as progress.  Files that span every M (``cond.csv``,
+``sweep.*``, ``sum_checks.*``) are written after the last M.
+
+Outputs are deterministic for a fixed configuration and seed; each file
+is written atomically; the process exits 0 only if every gated check
 passed.  The environment variable
 ``WELLCOND_WORKERS`` sets the number of processes used across M values.
 """
@@ -25,8 +32,10 @@ import json
 import os
 import sys
 import time
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -108,23 +117,31 @@ def _load_phases_file(path: str | None) -> dict[int, list[str]] | None:
     """Phase overrides keyed by M; values are radian angles as strings.
 
     The file holds either an object {"<M>": [2M-1 angles], ...} with
-    every key an M >= 1, or a bare array applying to whichever M has a
-    matching parallel count; the table keeps a bare array under -1.
+    every key a distinct M >= 1 and every value an array, or a bare
+    array applying to whichever M has a matching parallel count; the
+    table keeps a bare array under -1.
     """
     if path is None:
         return None
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=tuple)  # an object as its (key, value) pairs
         if isinstance(data, list):
-            data = {-1: data}
-        elif isinstance(data, dict):
-            for k in data:
-                if int(k) < 1:
+            table = {-1: data}
+        elif isinstance(data, tuple):
+            table, keys = {}, {}
+            for k, vals in data:
+                M = int(k)
+                if M < 1:
                     raise ValueError(f"key {k!r} is not an M >= 1")
+                if M in keys:
+                    raise ValueError(f"keys {keys[M]!r} and {k!r} both name M={M}")
+                if not isinstance(vals, list):
+                    raise ValueError(f"the value of key {k!r} is not a JSON array")
+                table[M], keys[M] = vals, k
         else:
             raise ValueError("expected a JSON array or object of phase lists")
-        table = {int(k): [str(v) for v in vals] for k, vals in data.items()}
+        table = {M: [str(v) for v in vals] for M, vals in table.items()}
         for vals in table.values():
             for v in vals:
                 # a non-numeric or non-finite angle fails here, before any work
@@ -252,17 +269,51 @@ def _config_block(args, command: str) -> dict:
     return block
 
 
-def _map_over_m(fn, m_values: list[int], workers: int) -> list:
-    """Apply fn to each M, across `workers` processes if more than one.
-
-    Results are merged in M order, so worker count never changes output.
-    """
-    if workers > 1 and len(m_values) > 1:
+def _map_over_m(fn, m_values: list[int], workers: int):
+    """Yield fn(M) for each M in order, across `workers` processes if
+    more than one, so worker count never changes output."""
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; one worker never needs it
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, m_values))
-    return [fn(m) for m in m_values]
+            yield from ex.map(fn, m_values)
+    else:
+        yield from map(fn, m_values)
+
+
+class Done(NamedTuple):
+    """What one M's worker hands back: its files as (name, text) pairs,
+    its stdout and stderr lines, whether its gated checks passed, and
+    its rows of the file that spans every M."""
+
+    files: Sequence[tuple[str, str]]
+    out: Sequence[str]
+    err: Sequence[str] = ()
+    ok: bool = True
+    rows: Sequence = ()
+
+
+def _run(args, command: str, worker) -> tuple[Path, dict, bool, list]:
+    """Validate the input, then run worker(args, config, phases, M) for
+    each M, writing each M's files and printing its lines as it arrives.
+
+    Returns (output directory, config block, whether every M passed,
+    every M's rows in M order).
+    """
+    outdir, phases, workers = _prepare(args)
+    config = _config_block(args, command)
+    fn = functools.partial(worker, args, config, phases)
+    all_ok, rows = True, []
+    for done in _map_over_m(fn, args.M, workers):
+        for name, text in done.files:
+            _write_atomic(outdir / name, text)
+        for line in done.out:
+            print(line)
+        for line in done.err:
+            print(line, file=sys.stderr)
+        all_ok &= done.ok
+        rows += done.rows
+    return outdir, config, all_ok, rows
 
 
 # ----------------------------------------------------------------------
@@ -270,128 +321,45 @@ def _map_over_m(fn, m_values: list[int], workers: int) -> list:
 # ----------------------------------------------------------------------
 
 
-def _generate_one(prec: int, phases: dict, fmt: str, M: int) -> dict:
-    ps = build_point_set(M, phases=phases[M], prec_bits=prec)
-    with mp.workprec(prec):
+def _generate_one(args, config: dict, phases: dict, M: int) -> Done:
+    ps = build_point_set(M, phases=phases[M], prec_bits=args.precision)
+    with mp.workprec(args.precision):
         fac, _ = family_polynomial(ps)
         dense = expand(fac)
-        if fmt == "json":
-            return {
-                "M": M,
-                "points": ps.to_json_dict(),
+        if args.format == "json":
+            points = {"config": config, "points": ps.to_json_dict()}
+            polynomial = {
+                "config": config,
                 "factorized": fac.to_json_dict(),
                 "dense": dense.to_json_dict(),
             }
-        point_rows = [
-            [str(j), str(k), fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
-            for j, k, p in ps.coordinates()
-        ]
-        factor_rows = [[str(f.power), coeff_str(f.shift)] for f in fac.factors]
-        dense_rows = [[str(i), c] for i, c in enumerate(coeff_strs(dense.coeffs))]
-    return {
-        "M": M,
-        "point_rows": point_rows,
-        "factor_rows": factor_rows,
-        "dense_rows": dense_rows,
-    }
+            files = [
+                (f"points_M{M}.json", _json_text(points)),
+                (f"polynomial_M{M}.json", _json_text(polynomial)),
+            ]
+        else:
+            point_rows = [
+                [str(j), str(k), fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
+                for j, k, p in ps.coordinates()
+            ]
+            factor_rows = [[str(f.power), coeff_str(f.shift)] for f in fac.factors]
+            dense_rows = [[str(i), c] for i, c in enumerate(coeff_strs(dense.coeffs))]
+            files = [
+                (f"points_M{M}.csv", _csv_text(["parallel", "k", "x", "y", "z"], point_rows)),
+                (f"factors_M{M}.csv", _csv_text(["r", "s"], factor_rows)),
+                (f"dense_M{M}.csv", _csv_text(["i", "coeff"], dense_rows)),
+            ]
+    return Done(files, [f"M={M}: wrote point set and polynomial to {Path(args.out)}"])
 
 
 def cmd_generate(args) -> int:
-    outdir, phases, workers = _prepare(args)
-    config = _config_block(args, "generate")
-    worker = functools.partial(_generate_one, args.precision, phases, args.format)
-    for payload in _map_over_m(worker, args.M, workers):
-        M = payload["M"]
-        if args.format == "json":
-            _write_atomic(
-                outdir / f"points_M{M}.json",
-                _json_text({"config": config, "points": payload["points"]}),
-            )
-            _write_atomic(
-                outdir / f"polynomial_M{M}.json",
-                _json_text(
-                    {
-                        "config": config,
-                        "factorized": payload["factorized"],
-                        "dense": payload["dense"],
-                    }
-                ),
-            )
-        else:
-            _write_atomic(
-                outdir / f"points_M{M}.csv",
-                _csv_text(["parallel", "k", "x", "y", "z"], payload["point_rows"]),
-            )
-            _write_atomic(
-                outdir / f"factors_M{M}.csv",
-                _csv_text(["r", "s"], payload["factor_rows"]),
-            )
-            _write_atomic(
-                outdir / f"dense_M{M}.csv",
-                _csv_text(["i", "coeff"], payload["dense_rows"]),
-            )
-        print(f"M={M}: wrote point set and polynomial to {outdir}")
+    _run(args, "generate", _generate_one)
     return 0
 
 
 # ----------------------------------------------------------------------
 # cond
 # ----------------------------------------------------------------------
-
-
-def _cond_one(prec: int, route: str, certify: bool, phases: dict, M: int) -> dict:
-    reports = []
-    problems = []
-    rel_diff = None
-    with mp.workprec(prec):
-        if route in ("coeff", "both"):
-            reports.append(mu_max_coefficient_route(M, prec))
-        if route in ("sphere", "both"):
-            reports.append(mu_max_spherical_route(M, prec, phases=phases[M]))
-        if route == "both":
-            a, b = reports[0].mu_max, reports[1].mu_max
-            rel_diff = abs(a - b) / b
-            if rel_diff > ROUTE_TOLERANCE:
-                problems.append(
-                    f"routes disagree: route_rel_diff={mp.nstr(rel_diff, 8)} "
-                    f"> {ROUTE_TOLERANCE}"
-                )
-        if certify:
-            reports.append(certify_bound(M, prec))
-        payload_reports = []
-        for rep in reports:
-            d = rep.to_json_dict()
-            if rel_diff is not None:
-                d["route_rel_diff"] = fmt_real(rel_diff)
-            payload_reports.append(d)
-    gated_ok = not problems and all(
-        v is True for rep in reports for v in rep.verdicts.values()
-    )
-    return {
-        "M": M,
-        "reports": payload_reports,
-        "problems": problems,
-        "gated_ok": gated_ok,
-    }
-
-
-def _cond_csv_rows(payload: dict) -> list[list[str]]:
-    rows = []
-    for d in payload["reports"]:
-        rows.append(
-            [
-                str(d["M"]),
-                str(d["N"]),
-                d["route"],
-                str(d["precision_bits"]),
-                d["mu_max"],
-                d["log_mu_max"],
-                *(str(d["verdicts"][key]) for key in BOUNDS),
-                str(d["certified"]),
-                d.get("route_rel_diff", ""),
-            ]
-        )
-    return rows
 
 
 COND_HEADER = [
@@ -407,36 +375,57 @@ COND_HEADER = [
 ]
 
 
+def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
+    prec, route = args.precision, args.route
+    reports = []
+    rel_diff = None
+    with mp.workprec(prec):
+        if route in ("coeff", "both"):
+            reports.append(mu_max_coefficient_route(M, prec))
+        if route in ("sphere", "both"):
+            reports.append(mu_max_spherical_route(M, prec, phases=phases[M]))
+        if route == "both":
+            a, b = reports[0].mu_max, reports[1].mu_max
+            rel_diff = abs(a - b) / b
+        if args.certify:
+            reports.append(certify_bound(M, prec))
+        dicts = [rep.to_json_dict() for rep in reports]
+        if rel_diff is not None:
+            for d in dicts:
+                d["route_rel_diff"] = fmt_real(rel_diff)
+    agree = rel_diff is None or rel_diff <= ROUTE_TOLERANCE
+    ok = agree and all(v is True for rep in reports for v in rep.verdicts.values())
+    out = [f"M={M} N={dicts[0]['N']}: mu_max={_short(dicts[0]['mu_max'])} verdicts_ok={ok}"]
+    if not agree:
+        out.append(
+            f"M={M}: routes disagree: route_rel_diff={mp.nstr(rel_diff, 8)} "
+            f"> {ROUTE_TOLERANCE}"
+        )
+    if args.format == "json":
+        return Done([(f"cond_M{M}.json", _json_text({"config": config, "reports": dicts}))], out, ok=ok)
+    rows = [
+        [
+            str(d["M"]),
+            str(d["N"]),
+            d["route"],
+            str(d["precision_bits"]),
+            d["mu_max"],
+            d["log_mu_max"],
+            *(str(d["verdicts"][key]) for key in BOUNDS),
+            str(d["certified"]),
+            d.get("route_rel_diff", ""),
+        ]
+        for d in dicts
+    ]
+    return Done([], out, ok=ok, rows=rows)
+
+
 def cmd_cond(args) -> int:
     if args.phases and (args.route != "sphere" or args.certify):
         raise InputError("--phases applies only to --route sphere without --certify")
-    outdir, phases, workers = _prepare(args)
-    config = _config_block(args, "cond")
-    worker = functools.partial(
-        _cond_one, args.precision, args.route, args.certify, phases
-    )
-    payloads = _map_over_m(worker, args.M, workers)
-    all_ok = True
-    csv_rows = []
-    for payload in payloads:
-        M = payload["M"]
-        all_ok &= payload["gated_ok"]
-        if args.format == "json":
-            _write_atomic(
-                outdir / f"cond_M{M}.json",
-                _json_text({"config": config, "reports": payload["reports"]}),
-            )
-        else:
-            csv_rows.extend(_cond_csv_rows(payload))
-        head = payload["reports"][0]
-        print(
-            f"M={M} N={head['N']}: mu_max={_short(head['mu_max'])} "
-            f"verdicts_ok={payload['gated_ok']}"
-        )
-        for problem in payload["problems"]:
-            print(f"M={M}: {problem}")
+    outdir, _, all_ok, rows = _run(args, "cond", _cond_one)
     if args.format == "csv":
-        _write_atomic(outdir / "cond.csv", _csv_text(COND_HEADER, csv_rows))
+        _write_atomic(outdir / "cond.csv", _csv_text(COND_HEADER, rows))
     return 0 if all_ok else 1
 
 
@@ -445,86 +434,52 @@ def cmd_cond(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _verify_one(prec: int, seed: int, informational: bool, M: int) -> dict:
-    suite = verification_suite(M, prec, seed, informational)
-    return {
-        "M": M,
-        "reports": [r.to_json_dict() for r in suite.reports],
-        "refused": suite.refused,
-        "gating": suite.gated,
-        "gated_ok": suite.passed,
-    }
-
-
 VERIFY_HEADER = ["M", "lemma", "cells", "worst_margin", "tolerance", "gated", "pass"]
 
 
-def cmd_verify(args) -> int:
-    outdir, _, workers = _prepare(args)
-    config = _config_block(args, "verify")
-    worker = functools.partial(
-        _verify_one, args.precision, args.seed, args.informational
-    )
-    payloads = _map_over_m(worker, args.M, workers)
-    all_ok = True
-    for payload in payloads:
-        M = payload["M"]
-        all_ok &= payload["gated_ok"]
-        if args.format == "json":
-            _write_atomic(
-                outdir / f"verify_M{M}.json",
-                _json_text(
-                    {
-                        "config": config,
-                        "reports": payload["reports"],
-                        "refused": payload["refused"],
-                    }
-                ),
-            )
-        else:
-            rows = [
-                [
-                    str(d["M"]),
-                    d["lemma"],
-                    str(len(d["cells"])),
-                    d["worst_margin"],
-                    d["tolerance"],
-                    str(payload["gating"][d["lemma"]]),
-                    str(d["pass"]),
-                ]
-                for d in payload["reports"]
+def _verify_one(args, config: dict, phases: dict, M: int) -> Done:
+    suite = verification_suite(M, args.precision, args.seed, args.informational)
+    dicts = [r.to_json_dict() for r in suite.reports]
+    if args.format == "json":
+        doc = {"config": config, "reports": dicts, "refused": suite.refused}
+        files = [(f"verify_M{M}.json", _json_text(doc))]
+    else:
+        rows = [
+            [
+                str(d["M"]),
+                d["lemma"],
+                str(len(d["cells"])),
+                d["worst_margin"],
+                d["tolerance"],
+                str(suite.gated[d["lemma"]]),
+                str(d["pass"]),
             ]
-            _write_atomic(
-                outdir / f"verify_M{M}.csv", _csv_text(VERIFY_HEADER, rows)
-            )
-        for d in payload["reports"]:
-            print(
-                f"M={M} {d['lemma']}: worst_margin={_short(d['worst_margin'])} "
-                f"pass={d['pass']}" + ("" if d["cells"] else " (no cells checked)")
-            )
-        for r in payload["refused"]:
-            print(f"M={M} {r['lemma']}: refused ({r['reason']})")
+            for d in dicts
+        ]
+        files = [(f"verify_M{M}.csv", _csv_text(VERIFY_HEADER, rows))]
+    out = [
+        f"M={M} {d['lemma']}: worst_margin={_short(d['worst_margin'])} "
+        f"pass={d['pass']}" + ("" if d["cells"] else " (no cells checked)")
+        for d in dicts
+    ]
+    out += [f"M={M} {r['lemma']}: refused ({r['reason']})" for r in suite.refused]
+    return Done(files, out, ok=suite.passed)
+
+
+def cmd_verify(args) -> int:
+    outdir, config, all_ok, _ = _run(args, "verify", _verify_one)
     checks = sum_check_suite(args.sums_max, args.precision)
     sums_ok = all(c.passed for c in checks)
-    all_ok &= sums_ok
     if args.format == "json":
-        _write_atomic(
-            outdir / "sum_checks.json",
-            _json_text(
-                {
-                    "config": config,
-                    "checks": [c.to_json_dict() for c in checks],
-                    "pass": sums_ok,
-                }
-            ),
-        )
+        doc = {"config": config, "checks": [c.to_json_dict() for c in checks], "pass": sums_ok}
+        _write_atomic(outdir / "sum_checks.json", _json_text(doc))
     else:
         _write_atomic(
             outdir / "sum_checks.csv",
             _csv_text(SUMS_CSV_HEADER, [c.csv_row() for c in checks]),
         )
     print(f"sum checks: {len(checks)} checks, pass={sums_ok}")
-    return 0 if all_ok else 1
+    return 0 if all_ok and sums_ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -532,9 +487,10 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _sweep_one(prec: int, route: str, M: int) -> dict:
+def _sweep_one(args, config: dict, phases: dict, M: int) -> Done:
+    prec = args.precision
     t0 = time.perf_counter()
-    if route == "sphere":
+    if args.route == "sphere":
         rep = mu_max_spherical_route(M, prec)
     else:
         rep = mu_max_coefficient_route(M, prec)
@@ -551,33 +507,21 @@ def _sweep_one(prec: int, route: str, M: int) -> dict:
             "mu_ratio_sqrt_np1": fmt_real(ratio),
             "energy_residual": fmt_real(erep.residual),
         }
-    gated_ok = all(v is True for v in rep.verdicts.values())
-    return {"M": M, "row": row, "seconds": (cond_dt, energy_dt), "gated_ok": gated_ok}
+    progress = (
+        f"M={M} N={rep.N} mu_max={_short(row['mu_max'])} "
+        f"({cond_dt:.3f}s cond, {energy_dt:.3f}s energy)"
+    )
+    ok = all(v is True for v in rep.verdicts.values())
+    return Done([], [], [progress], ok, [row])
 
 
 def cmd_sweep(args) -> int:
-    outdir, _, workers = _prepare(args)
-    config = _config_block(args, "sweep")
-    worker = functools.partial(_sweep_one, args.precision, args.route)
-    payloads = _map_over_m(worker, args.M, workers)
-    all_ok = True
-    rows = []
-    for payload in payloads:
-        all_ok &= payload["gated_ok"]
-        r = payload["row"]
-        rows.append([str(r[k]) for k in SWEEP_HEADER])
-        print(
-            f"M={r['M']} N={r['N']} mu_max={_short(r['mu_max'])} "
-            "({:.3f}s cond, {:.3f}s energy)".format(*payload["seconds"]),
-            file=sys.stderr,
-        )
+    outdir, config, all_ok, rows = _run(args, "sweep", _sweep_one)
     if args.format == "json":
-        _write_atomic(
-            outdir / "sweep.json",
-            _json_text({"config": config, "rows": [p["row"] for p in payloads]}),
-        )
+        _write_atomic(outdir / "sweep.json", _json_text({"config": config, "rows": rows}))
     else:
-        _write_atomic(outdir / "sweep.csv", _csv_text(SWEEP_HEADER, rows))
+        csv_rows = [[str(r[k]) for k in SWEEP_HEADER] for r in rows]
+        _write_atomic(outdir / "sweep.csv", _csv_text(SWEEP_HEADER, csv_rows))
     print(f"sweep: {len(rows)} rows, bounds_ok={all_ok}")
     return 0 if all_ok else 1
 

@@ -129,16 +129,81 @@ def test_verify_seed_determinism(tmp_path):
     assert (a / "verify_M5.json").read_bytes() != (b / "verify_M5.json").read_bytes()
 
 
-def test_workers_do_not_change_output(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("WELLCOND_WORKERS", "1")
-    run(["cond", "--M", "1..4", "--out", a])
-    monkeypatch.setenv("WELLCOND_WORKERS", "3")
-    run(["cond", "--M", "1..4", "--out", b])
-    for m in range(1, 5):
-        fa = (a / f"cond_M{m}.json").read_bytes()
-        fb = (b / f"cond_M{m}.json").read_bytes()
-        assert fa == fb, m
+_RUNTIMES = re.compile(r" \(\d+\.\d+s cond, \d+\.\d+s energy\)")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--M", "1..3"],
+        ["cond", "--M", "1..4", "--route", "both", "--certify"],
+        ["verify", "--M", "1..3", "--informational", "--sums-max", "4"],
+        ["sweep", "--M", "1..4"],
+    ],
+    ids=["generate", "cond", "verify", "sweep"],
+)
+def test_workers_do_not_change_output(tmp_path, capsys, monkeypatch, argv, fmt):
+    """Every file, console line and exit code is the same with one worker
+    as with three, whose rendered files cross the process boundary."""
+    runs = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("WELLCOND_WORKERS", workers)
+        (tmp_path / workers).mkdir()
+        monkeypatch.chdir(tmp_path / workers)  # generate prints its --out path
+        out = Path("out")
+        rc = run([*argv, "--format", fmt, "--out", out])
+        console = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((rc, console.out, _RUNTIMES.sub("", console.err), files))
+    assert runs[0][3]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "command,name,written",
+    [
+        ("generate", "build_point_set", ["points_M{}.json", "polynomial_M{}.json"]),
+        ("cond", "mu_max_coefficient_route", ["cond_M{}.json"]),
+        ("verify", "verification_suite", ["verify_M{}.json"]),
+    ],
+)
+def test_each_m_is_written_before_the_next_m_runs(
+    tmp_path, monkeypatch, command, name, written
+):
+    """M's files are on disk when the worker of M + 1 starts, so a run
+    that fails at a later M keeps the earlier M's files."""
+    seen = {}
+    inner = getattr(cli, name)
+
+    def spy(M, *args, **kwargs):
+        seen[M] = {p.name for p in tmp_path.iterdir()}
+        if M == 3:
+            raise RuntimeError("stop at M=3")
+        return inner(M, *args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    with pytest.raises(RuntimeError, match="M=3"):
+        run([command, "--M", "1..4", "--out", tmp_path])
+    assert list(seen) == [1, 2, 3]
+    for M, names in seen.items():
+        assert names == {pattern.format(m) for m in range(1, M) for pattern in written}
+    assert {p.name for p in tmp_path.iterdir()} == seen[3]
+
+
+def test_sweep_prints_each_m_before_the_next_m_runs(tmp_path, capsys, monkeypatch):
+    progress = {}
+    inner = cli.mu_max_coefficient_route
+
+    def spy(M, *args, **kwargs):
+        progress[M] = capsys.readouterr().err
+        return inner(M, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "mu_max_coefficient_route", spy)
+    assert run(["sweep", "--M", "1..3", "--out", tmp_path]) == 0
+    assert progress[1] == ""
+    assert progress[2].startswith("M=1 N=4 mu_max=1.4142136 (")
+    assert progress[3].startswith("M=2 N=16 mu_max=")
 
 
 def test_sweep_rows_and_bounds(tmp_path, capsys):
@@ -220,17 +285,37 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def test_non_numeric_phase_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "phases",
+    [["a", "b", "c"], {"2": "123"}, {"2": 5}, {"2": {"0": 1, "1": 2, "2": 3}}],
+    ids=["letters", "string-value", "number-value", "object-value"],
+)
+def test_non_numeric_phase_exits_2(tmp_path, capsys, phases):
+    # a string value is not split into its characters, nor an object into its keys
+    (tmp_path / "ph.json").write_text(json.dumps(phases))
+    out = tmp_path / "out"
+    for command in (["generate"], ["cond", "--route", "sphere"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--M", "2", "--phases", tmp_path / "ph.json", "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if isinstance(phases, dict):
+            assert "the value of key '2' is not a JSON array" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("second", ["02", "2"])
+def test_phase_keys_naming_one_m_exit_2(tmp_path, capsys, second):
+    # json.load alone would keep the last of two keys for one M
     phases = tmp_path / "ph.json"
-    phases.write_text(json.dumps(["a", "b", "c"]))
+    phases.write_text(f'{{"2": [0, 0, 0], "{second}": [1, 1, 1]}}')
     with pytest.raises(SystemExit) as exc:
-        run(
-            ["cond", "--M", "2", "--route", "sphere", "--phases", phases,
-             "--out", tmp_path]
-        )
+        run(["generate", "--M", "2", "--phases", phases, "--out", tmp_path / "out"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: {phases}: keys '2' and '{second}' both name M=2\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("angles", [["inf", "0", "0"], [0.0, float("nan"), 0.0]])
