@@ -18,6 +18,12 @@ fails at a later M keeps the earlier M's files and sweep's per-M stderr
 lines arrive as progress.  Files that span every M (``cond.csv``,
 ``sweep.*``, ``sum_checks.*``) are written after the last M.
 
+The reports decide their own results (ConditionReport.passed,
+VerificationReport.passed and .gated) and format their own values
+(to_json_dict, which generate's CSV rows are also read from); this
+module renders and aggregates them, and adds one check of its own: with
+--route both the two routes' mu_max agree to relative 2^-(precision-16).
+
 Outputs are deterministic for a fixed configuration and seed; each file
 is written atomically; the process exits 0 only if every gated check
 passed.  The environment variable
@@ -49,11 +55,9 @@ from .condition import (
 from .energy import log_energy, verification_suite
 from .numerics import MIN_PREC_BITS, fmt_real
 from .points import build_point_set
-from .polynomials import coeff_str, coeff_strs, expand, family_polynomial
+from .polynomials import expand, family_polynomial
 from .sums import CSV_HEADER as SUMS_CSV_HEADER
 from .sums import sum_check_suite
-
-ROUTE_TOLERANCE = 1e-6  # largest relative mu_max gap between routes that passes
 
 SWEEP_HEADER = ["M", "N", "mu_max", "mu_ratio_sqrt_np1", "energy_residual"]
 
@@ -113,21 +117,22 @@ def _worker_count(n_items: int) -> int:
     return max(1, min(n, n_items))
 
 
-def _load_phases_file(path: str | None) -> dict[int, list[str]] | None:
-    """Phase overrides keyed by M; values are radian angles as strings.
+def _load_phases(path: str | None, m_values: list[int]) -> dict[int, list[str] | None]:
+    """{M: its phase angles as strings, which build_point_set rounds, or
+    None} for each M of m_values.
 
     The file holds either an object {"<M>": [2M-1 angles], ...} with
     every key a distinct M >= 1 and every value an array, or a bare
-    array applying to whichever M has a matching parallel count; the
-    table keeps a bare array under -1.
+    array applying to whichever M has a matching parallel count.  A file
+    that gives no M of m_values its angles is refused.
     """
     if path is None:
-        return None
+        return dict.fromkeys(m_values)
     try:
         with open(path) as fh:
             data = json.load(fh, object_pairs_hook=tuple)  # an object as its (key, value) pairs
         if isinstance(data, list):
-            table = {-1: data}
+            table = {M: data for M in m_values if len(data) == 2 * M - 1}
         elif isinstance(data, tuple):
             table, keys = {}, {}
             for k, vals in data:
@@ -149,22 +154,13 @@ def _load_phases_file(path: str | None) -> dict[int, list[str]] | None:
                     raise ValueError(f"angle {v!r} is not finite")
     except (OSError, TypeError, ValueError) as e:
         raise InputError(f"{path}: {e}") from None
-    return table
-
-
-def _phases_for(overrides: dict[int, list[str]] | None, M: int) -> list[str] | None:
-    """The angle strings for M, which build_point_set rounds."""
-    if overrides is None:
-        return None
-    want = 2 * M - 1
-    raw = overrides.get(M)
-    if raw is None and -1 in overrides and len(overrides[-1]) == want:
-        raw = overrides[-1]
-    if raw is None:
-        return None
-    if len(raw) != want:
-        raise InputError(f"phases for M={M} must list {want} angles, got {len(raw)}")
-    return raw
+    phases = {M: table.get(M) for M in m_values}
+    for M, raw in phases.items():
+        if raw is not None and len(raw) != 2 * M - 1:
+            raise InputError(f"phases for M={M} must list {2 * M - 1} angles, got {len(raw)}")
+    if all(raw is None for raw in phases.values()):
+        raise InputError(f"{path}: no phases for any requested M")
+    return phases
 
 
 def _prepare(args):
@@ -173,9 +169,8 @@ def _prepare(args):
     Returns (output directory, {M: phases or None}, worker count).
     Input rejected here exits 2 and leaves no directory behind.
     """
-    table = _load_phases_file(getattr(args, "phases", None))
+    phases = _load_phases(getattr(args, "phases", None), args.M)
     workers = _worker_count(len(args.M))
-    phases = {M: _phases_for(table, M) for M in args.M}
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -325,30 +320,24 @@ def _generate_one(args, config: dict, phases: dict, M: int) -> Done:
     ps = build_point_set(M, phases=phases[M], prec_bits=args.precision)
     with mp.workprec(args.precision):
         fac, _ = family_polynomial(ps)
-        dense = expand(fac)
-        if args.format == "json":
-            points = {"config": config, "points": ps.to_json_dict()}
-            polynomial = {
-                "config": config,
-                "factorized": fac.to_json_dict(),
-                "dense": dense.to_json_dict(),
-            }
-            files = [
-                (f"points_M{M}.json", _json_text(points)),
-                (f"polynomial_M{M}.json", _json_text(polynomial)),
-            ]
-        else:
-            point_rows = [
-                [str(j), str(k), fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
-                for j, k, p in ps.coordinates()
-            ]
-            factor_rows = [[str(f.power), coeff_str(f.shift)] for f in fac.factors]
-            dense_rows = [[str(i), c] for i, c in enumerate(coeff_strs(dense.coeffs))]
-            files = [
-                (f"points_M{M}.csv", _csv_text(["parallel", "k", "x", "y", "z"], point_rows)),
-                (f"factors_M{M}.csv", _csv_text(["r", "s"], factor_rows)),
-                (f"dense_M{M}.csv", _csv_text(["i", "coeff"], dense_rows)),
-            ]
+        points, factorized = ps.to_json_dict(), fac.to_json_dict()
+        dense = expand(fac).to_json_dict()
+    if args.format == "json":
+        polynomial = {"config": config, "factorized": factorized, "dense": dense}
+        files = [
+            (f"points_M{M}.json", _json_text({"config": config, "points": points})),
+            (f"polynomial_M{M}.json", _json_text(polynomial)),
+        ]
+    else:
+        ids = [[str(par["j"]), str(k)] for par in points["parallels"] for k in range(par["r"])]
+        point_rows = [jk + xyz for jk, xyz in zip(ids, points["points"])]
+        factor_rows = [[str(f["r"]), f["s"]] for f in factorized["factors"]]
+        dense_rows = [[str(i), c] for i, c in enumerate(dense["coeffs"])]
+        files = [
+            (f"points_M{M}.csv", _csv_text(["parallel", "k", "x", "y", "z"], point_rows)),
+            (f"factors_M{M}.csv", _csv_text(["r", "s"], factor_rows)),
+            (f"dense_M{M}.csv", _csv_text(["i", "coeff"], dense_rows)),
+        ]
     return Done(files, [f"M={M}: wrote point set and polynomial to {Path(args.out)}"])
 
 
@@ -393,13 +382,14 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
         if rel_diff is not None:
             for d in dicts:
                 d["route_rel_diff"] = fmt_real(rel_diff)
-    agree = rel_diff is None or rel_diff <= ROUTE_TOLERANCE
-    ok = agree and all(v is True for rep in reports for v in rep.verdicts.values())
+    tolerance = mp.ldexp(1, 16 - prec)  # relative: the routes' rounding, with 16 bits to spare
+    agree = rel_diff is None or rel_diff <= tolerance
+    ok = agree and all(rep.passed for rep in reports)
     out = [f"M={M} N={dicts[0]['N']}: mu_max={_short(dicts[0]['mu_max'])} verdicts_ok={ok}"]
     if not agree:
         out.append(
             f"M={M}: routes disagree: route_rel_diff={mp.nstr(rel_diff, 8)} "
-            f"> {ROUTE_TOLERANCE}"
+            f"> 2^{16 - prec}"
         )
     if args.format == "json":
         return Done([(f"cond_M{M}.json", _json_text({"config": config, "reports": dicts}))], out, ok=ok)
@@ -451,10 +441,10 @@ def _verify_one(args, config: dict, phases: dict, M: int) -> Done:
                 str(len(d["cells"])),
                 d["worst_margin"],
                 d["tolerance"],
-                str(suite.gated[d["lemma"]]),
+                str(r.gated),
                 str(d["pass"]),
             ]
-            for d in dicts
+            for r, d in zip(suite.reports, dicts)
         ]
         files = [(f"verify_M{M}.csv", _csv_text(VERIFY_HEADER, rows))]
     out = [
@@ -511,8 +501,7 @@ def _sweep_one(args, config: dict, phases: dict, M: int) -> Done:
         f"M={M} N={rep.N} mu_max={_short(row['mu_max'])} "
         f"({cond_dt:.3f}s cond, {energy_dt:.3f}s energy)"
     )
-    ok = all(v is True for v in rep.verdicts.values())
-    return Done([], [], [progress], ok, [row])
+    return Done([], [], [progress], rep.passed, [row])
 
 
 def cmd_sweep(args) -> int:

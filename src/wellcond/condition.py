@@ -35,6 +35,9 @@ coefficient route evaluates it under mp.mp, certify_bound under mp.iv,
 and compares the exact endpoints of the outward-rounded mu_max^2
 enclosure with each threshold, so a bound verdict is a machine-checked
 inequality between rationals (or inconclusive, never falsely passed).
+The two float routes share one report assembly, which compares the
+rounded mu_max^2 exactly.  A ConditionReport decides its own pass:
+`passed` only when every verdict is True.
 
 Each route evaluates one root (or point) per orbit of the family's
 symmetry group, points.orbit_representative: the quarter turn, the
@@ -117,8 +120,8 @@ class ConditionReport:
     """Outcome of one condition-number computation.
 
     verdicts maps bound ids to True/False, or None when a certified run
-    could not resolve the comparison at the precision cap.  The floats
-    print at precision_bits.
+    could not resolve the comparison at the precision cap; `passed` holds
+    only when every verdict is True.  The floats print at precision_bits.
     """
 
     M: int
@@ -131,6 +134,11 @@ class ConditionReport:
     verdicts: dict[str, bool | None]
     certified: bool
     extras: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """Every verdict True; an unresolved (None) verdict fails."""
+        return all(v is True for v in self.verdicts.values())
 
     def to_json_dict(self) -> dict:
         with mp.workprec(self.precision_bits):
@@ -217,28 +225,29 @@ def _log_mu_per_root(M: int, norm_sq: Fraction, prec_bits: int, ctx):
     )
 
 
-def mu_max_coefficient_route(
-    M: int, prec_bits: int = DEFAULT_PREC_BITS
+def _float_report(
+    M: int, route: str, prec_bits: int, per_root: list, values: dict, **extras
 ) -> ConditionReport:
-    """max mu over all roots of the canonical polynomial, coefficient route."""
-    check_precision(prec_bits)
+    """The uncertified report of a route from its per_root listing and its
+    log mu per orbit representative (`values`): mu_max = exp of their max,
+    with exact verdicts on mu_max^2 as rounded."""
     N = 4 * M * M
-    per_root, values = _log_mu_per_root(M, canonical_norm_sq(M), prec_bits, mp.mp)
     with mp.workprec(prec_bits):
         log_mu_max = max(values.values())
         mu_max = mp.exp(log_mu_max)
         verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
     return ConditionReport(
-        M=M,
-        N=N,
-        route="coefficient",
-        precision_bits=prec_bits,
-        mu_max=mu_max,
-        log_mu_max=log_mu_max,
-        per_root=per_root,
-        verdicts=verdicts,
-        certified=False,
+        M, N, route, prec_bits, mu_max, log_mu_max, per_root, verdicts, False, extras
     )
+
+
+def mu_max_coefficient_route(
+    M: int, prec_bits: int = DEFAULT_PREC_BITS
+) -> ConditionReport:
+    """max mu over all roots of the canonical polynomial, coefficient route."""
+    check_precision(prec_bits)
+    per_root, values = _log_mu_per_root(M, canonical_norm_sq(M), prec_bits, mp.mp)
+    return _float_report(M, "coefficient", prec_bits, per_root, values)
 
 
 def theta_product_log_turn(
@@ -393,20 +402,8 @@ def mu_max_spherical_route(
             entry for entry, (par, k) in zip(per_point, everywhere)
             if not reducible or 4 * k < par.count
         ]
-        log_mu_max = max(values.values())
-        mu_max = mp.exp(log_mu_max)
-        verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
-    return ConditionReport(
-        M=point_set.M,
-        N=N,
-        route="spherical",
-        precision_bits=prec_bits,
-        mu_max=mu_max,
-        log_mu_max=log_mu_max,
-        per_root=per_root,
-        verdicts=verdicts,
-        certified=False,
-        extras={"symmetry_reduced": reducible},
+    return _float_report(
+        M, "spherical", prec_bits, per_root, values, symmetry_reduced=reducible
     )
 
 

@@ -44,8 +44,9 @@ condition number: comparison windows between a parallel average and its
 band average, the window and chain bounds on S_N + N kappa, and the
 upper/lower bounds on products of distances from a query point (or a
 family point) to the whole family.  SUITES declares each verify_*
-function's lemmas and hypothesis; verification_suite alone refuses or
-gates by it.
+function's lemmas and hypothesis.  Each report decides for itself:
+`passed` from its margins, and `gated`, set where the report is built,
+False below the hypothesis; verification_suite alone refuses by it.
 
 The suites form each transcendental value once per index it depends
 on: log(1 +- u) and the antiderivatives once per height (a parallel, a
@@ -451,7 +452,9 @@ class VerificationReport:
     either side of zero.  `tolerance` is the rounding allowance for
     this: pass means worst_margin >= -tolerance.  It is 2^(8 - prec) at
     the report's precision_bits, dozens of orders below any
-    non-degenerate margin; the floats print at precision_bits.
+    non-degenerate margin; the floats print at precision_bits.  `gated`
+    is False for an informational run below the suite's hypothesis,
+    whose pass gates nothing.
     """
 
     lemma: str
@@ -461,6 +464,7 @@ class VerificationReport:
     cells: list[Cell]
     precision_bits: int
     notes: list[str] = field(default_factory=list)
+    gated: bool = True
 
     @property
     def tolerance(self) -> mp.mpf:
@@ -564,13 +568,15 @@ def _reports(
     suite: str, M: int, prec_bits: int, grid: str, cells: list, notes: Sequence = ()
 ) -> list[VerificationReport]:
     """One report per lemma of SUITES[suite], one cell list each; below
-    the suite's min_M the hypothesis marks the run informational."""
+    the suite's min_M the hypothesis marks the run informational and the
+    reports ungated."""
     decl = SUITES[suite]
     hyp = decl.hypothesis
-    if M < decl.min_M:
+    gated = M >= decl.min_M
+    if not gated:
         hyp += f" (informational run at M={M})"
     return [
-        VerificationReport(lemma, hyp, M, grid, c, prec_bits, list(notes))
+        VerificationReport(lemma, hyp, M, grid, c, prec_bits, list(notes), gated)
         for lemma, c in zip(decl.lemmas, cells, strict=True)
     ]
 
@@ -789,18 +795,17 @@ def verify_denominator(
 
 @dataclass
 class SuiteResult:
-    """The suites for one M: `reports` in SUITES order, `refused`
+    """The suites for one M: `reports` in SUITES order and `refused`
     ({"lemma", "reason"} for each lemma whose hypothesis M does not
-    meet), and `gated[lemma]`, False for an informational report."""
+    meet)."""
 
     reports: list[VerificationReport] = field(default_factory=list)
     refused: list[dict] = field(default_factory=list)
-    gated: dict[str, bool] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         """Every gated report passes."""
-        return all(r.passed for r in self.reports if self.gated[r.lemma])
+        return all(r.passed for r in self.reports if r.gated)
 
 
 def verification_suite(
@@ -817,14 +822,11 @@ def verification_suite(
     """
     result = SuiteResult()
     for decl in SUITES.values():
-        proved = M >= decl.min_M
-        if not (proved or informational):
+        if M >= decl.min_M or informational:
+            result.reports += decl.run(M, prec_bits, seed)
+        else:
             result.refused += [
                 {"lemma": lemma, "reason": f"hypothesis {decl.hypothesis} not met"}
                 for lemma in decl.lemmas
             ]
-            continue
-        for rep in decl.run(M, prec_bits, seed):
-            result.reports.append(rep)
-            result.gated[rep.lemma] = proved
     return result

@@ -111,6 +111,17 @@ def test_verify_m3_informational_runs_everything(tmp_path):
     d = read_json(tmp_path / "verify_M3.json")
     assert len(d["reports"]) == 9
     assert d["refused"] == []
+    # below the hypothesis only the three general lemmas are gated
+    argv = ["verify", "--M", "3", "--informational", "--format", "csv", "--sums-max", "8"]
+    assert run([*argv, "--out", tmp_path]) == 0
+    header, *rows = read_rows(tmp_path / "verify_M3.csv")
+    gated = {row[1]: row[header.index("gated")] for row in rows}
+    assert gated == {
+        "band_average_outside_window": "True",
+        "band_average_inside_window": "True",
+        "band_correction_log_bounds": "True",
+        **{r["lemma"]: "False" for r in d["reports"][3:]},
+    }
 
 
 def test_verify_m5_all_pass(tmp_path):
@@ -344,6 +355,8 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
         (["cond", "--M", "2", "--route", "sphere", "--certify"], [0.1, 0.7, -1.2], "1"),
         (["generate", "--M", "2"], {"-1": [0.5, 0.5, 0.5]}, "1"),
         (["cond", "--M", "2", "--route", "sphere"], {"0": [0.5, 0.5, 0.5]}, "1"),
+        (["cond", "--M", "2", "--route", "sphere"], [0, 0, 0, 0, 0], "1"),
+        (["cond", "--M", "2", "--route", "sphere"], {"7": [0, 0, 0]}, "1"),
         (["generate", "--M", "1"], None, "x"),
         (["cond", "--M", "1"], None, "x"),
         (["verify", "--M", "5"], None, "x"),
@@ -352,7 +365,8 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
     ids=[
         "nan-phase", "phase-count-generate", "phase-count-cond",
         "phases-route-coeff", "phases-route-both", "phases-certify",
-        "phase-key-minus-1", "phase-key-0", "workers-generate", "workers-cond",
+        "phase-key-minus-1", "phase-key-0", "phases-array-fits-no-m",
+        "phases-keys-name-no-m", "workers-generate", "workers-cond",
         "workers-verify", "workers-sweep",
     ],
 )
@@ -393,20 +407,27 @@ def test_verify_sums_max_below_1_exits_2(tmp_path):
 
 
 def test_cond_route_disagreement_exits_1(tmp_path, capsys, monkeypatch):
-    # a spherical route that doubles mu_max disagrees by 1/2
+    """A spherical mu_max scaled by 2 disagrees by 1/2; one scaled by
+    1 + 2^(24 - prec) disagrees by 2^8 times the tolerance 2^-(prec - 16)."""
+    prec = 256
     spherical = cli.mu_max_spherical_route
+    with mp.workprec(prec):
+        nudge = 1 + mp.ldexp(1, 24 - prec)
+    for scale, shown in [(2, "0.5"), (nudge, "1.44")]:
 
-    def doubled(*args, **kwargs):
-        rep = spherical(*args, **kwargs)
-        return dataclasses.replace(rep, mu_max=2 * rep.mu_max)
+        def scaled(*args, **kwargs):
+            rep = spherical(*args, **kwargs)
+            return dataclasses.replace(rep, mu_max=scale * rep.mu_max)
 
-    monkeypatch.setattr(cli, "mu_max_spherical_route", doubled)
-    rc = run(["cond", "--M", "2", "--route", "both", "--out", tmp_path])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "M=2: routes disagree: route_rel_diff=0.5 " in out
-    reports = read_json(tmp_path / "cond_M2.json")["reports"]
-    assert all(v is True for r in reports for v in r["verdicts"].values())
+        monkeypatch.setattr(cli, "mu_max_spherical_route", scaled)
+        out_dir = tmp_path / shown
+        argv = ["cond", "--M", "2", "--route", "both", "--precision", prec, "--out", out_dir]
+        assert run(argv) == 1
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith(f"M=2: routes disagree: route_rel_diff={shown}")
+        assert line.endswith(" > 2^-240")
+        reports = read_json(out_dir / "cond_M2.json")["reports"]
+        assert all(v is True for r in reports for v in r["verdicts"].values())
 
 
 def test_cond_sweep_and_verify_build_no_coordinates(tmp_path, monkeypatch):

@@ -423,7 +423,7 @@ def test_unresolved_verdict_escalates_to_the_cap_and_never_passes(tmp_path, monk
     assert rep.verdicts["le_N"] is None
     assert rep.verdicts["le_19half_sqrt"] is True and rep.verdicts["ge_lower"] is True
     assert rep.extras["cos_precision_bits"] == CERTIFY_PREC_FACTOR * prec
-    assert rep.certified is False
+    assert rep.certified is False and rep.passed is False
     monkeypatch.setenv("WELLCOND_WORKERS", "1")
     argv = ["cond", "--M", "3", "--route", "coeff", "--certify", "--out", str(tmp_path)]
     assert cli_main(argv) != 0

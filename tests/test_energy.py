@@ -280,15 +280,15 @@ def test_suite_refuses_sharpened_lemmas_below_hypothesis(monkeypatch):
             for lemma in SHARPENED_LEMMAS
         ]
         assert [r.lemma for r in suite.reports] == GENERAL_LEMMAS
-        assert suite.gated == dict.fromkeys(GENERAL_LEMMAS, True)
+        assert all(rep.gated for rep in suite.reports)
 
         info = verification_suite(M, 128, informational=True)
         assert info.refused == []
         assert [r.lemma for r in info.reports] == GENERAL_LEMMAS + SHARPENED_LEMMAS
         for rep in info.reports[3:]:
             assert rep.hypothesis == f"M >= 5 (informational run at M={M})"
-            assert info.gated[rep.lemma] is False
-        assert all(info.gated[lemma] for lemma in GENERAL_LEMMAS)
+            assert rep.gated is False
+        assert all(rep.gated for rep in info.reports[:3])
 
 
 def test_full_suite_m5_passes_and_is_deterministic():
@@ -297,7 +297,7 @@ def test_full_suite_m5_passes_and_is_deterministic():
     suite_b = verification_suite(5, prec, seed=11)
     reps_a, reps_b = suite_a.reports, suite_b.reports
     assert [r.lemma for r in reps_a] == GENERAL_LEMMAS + SHARPENED_LEMMAS
-    assert suite_a.refused == [] and all(suite_a.gated.values())
+    assert suite_a.refused == [] and all(rep.gated for rep in reps_a)
     assert suite_a.passed
     for ra, rb in zip(reps_a, reps_b, strict=True):
         assert ra.passed, (ra.lemma, ra.worst_margin)
