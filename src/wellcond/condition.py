@@ -237,7 +237,16 @@ def _float_report(
         mu_max = mp.exp(log_mu_max)
         verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
     return ConditionReport(
-        M, N, route, prec_bits, mu_max, log_mu_max, per_root, verdicts, False, extras
+        M=M,
+        N=N,
+        route=route,
+        precision_bits=prec_bits,
+        mu_max=mu_max,
+        log_mu_max=log_mu_max,
+        per_root=per_root,
+        verdicts=verdicts,
+        certified=False,
+        extras=extras,
     )
 
 

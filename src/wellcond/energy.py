@@ -463,8 +463,8 @@ class VerificationReport:
     grid: str
     cells: list[Cell]
     precision_bits: int
+    gated: bool
     notes: list[str] = field(default_factory=list)
-    gated: bool = True
 
     @property
     def tolerance(self) -> mp.mpf:
@@ -576,7 +576,7 @@ def _reports(
     if not gated:
         hyp += f" (informational run at M={M})"
     return [
-        VerificationReport(lemma, hyp, M, grid, c, prec_bits, list(notes), gated)
+        VerificationReport(lemma, hyp, M, grid, c, prec_bits, gated, list(notes))
         for lemma, c in zip(decl.lemmas, cells, strict=True)
     ]
 
