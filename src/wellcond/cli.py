@@ -22,7 +22,8 @@ The reports decide their own results (ConditionReport.passed,
 VerificationReport.passed and .gated) and format their own values
 (to_json_dict, which generate's CSV rows are also read from); this
 module renders and aggregates them, and adds one check of its own: with
---route both the two routes' mu_max agree to relative N*2^-(precision-8).
+--route both the two routes' mu_max, for any phases, agree to
+condition.route_tolerance, relative N*2^-(precision-8).
 
 Outputs are deterministic for a fixed configuration and seed; each file
 is written atomically; the process exits 0 only if every gated check
@@ -51,6 +52,7 @@ from .condition import (
     certify_bound,
     mu_max_coefficient_route,
     mu_max_spherical_route,
+    route_tolerance,
 )
 from .energy import log_energy, verification_suite
 from .numerics import MIN_PREC_BITS, fmt_real
@@ -319,7 +321,7 @@ def _run(args, command: str, worker) -> tuple[Path, dict, bool, list]:
 def _generate_one(args, config: dict, phases: dict, M: int) -> Done:
     ps = build_point_set(M, phases=phases[M], prec_bits=args.precision)
     with mp.workprec(args.precision):
-        fac, _ = family_polynomial(ps)
+        fac = family_polynomial(ps)
         points, factorized = ps.to_json_dict(), fac.to_json_dict()
         dense = expand(fac).to_json_dict()
     if args.format == "json":
@@ -370,7 +372,7 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
     rel_diff = None
     with mp.workprec(prec):
         if route in ("coeff", "both"):
-            reports.append(mu_max_coefficient_route(M, prec))
+            reports.append(mu_max_coefficient_route(M, prec, phases=phases[M]))
         if route in ("sphere", "both"):
             reports.append(mu_max_spherical_route(M, prec, phases=phases[M]))
         if route == "both":
@@ -382,10 +384,8 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
         if rel_diff is not None:
             for d in dicts:
                 d["route_rel_diff"] = fmt_real(rel_diff)
-    # relative: log mu sums terms of size N, so the routes round about N
-    # ulps apart (at most 2.88 N measured up to M=128); 2^8 N leaves room
     N = reports[0].N
-    agree = rel_diff is None or rel_diff <= N * mp.ldexp(1, 8 - prec)
+    agree = rel_diff is None or rel_diff <= route_tolerance(N, prec)
     ok = agree and all(rep.passed for rep in reports)
     out = [f"M={M} N={dicts[0]['N']}: mu_max={_short(dicts[0]['mu_max'])} verdicts_ok={ok}"]
     if not agree:
@@ -413,8 +413,9 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
 
 
 def cmd_cond(args) -> int:
-    if args.phases and (args.route != "sphere" or args.certify):
-        raise InputError("--phases applies only to --route sphere without --certify")
+    if args.phases and args.certify:
+        # a phased ||f||^2 is a float, not an enclosure
+        raise InputError("--phases applies only without --certify")
     outdir, _, all_ok, rows = _run(args, "cond", _cond_one)
     if args.format == "csv":
         _write_atomic(outdir / "cond.csv", _csv_text(COND_HEADER, rows))

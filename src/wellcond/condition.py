@@ -1,6 +1,7 @@
 """Normalized condition numbers of the canonical polynomials.
 
-Two routes compute mu_norm for the degree-N = 4M^2 family:
+Two routes compute mu_norm for the degree-N = 4M^2 family from one
+input, its point set (phases included), so each checks the other:
 
 * coefficient route: for each root z of f,
 
@@ -39,12 +40,13 @@ The two float routes share one report assembly, which compares the
 rounded mu_max^2 exactly.  A ConditionReport decides its own pass:
 `passed` only when every verdict is True.
 
-Each route evaluates one root (or point) per orbit of the family's
-symmetry group, points.orbit_representative: the quarter turn, the
-conjugation and the mirror j <-> 2M - j, the last exact because
-z^N P(1/z) = -P(z) and mu_norm is invariant under the rotation z -> 1/z
-of the Riemann sphere.  Every per_root entry, and under mp.iv its
-enclosure, is its representative's.
+On a PointSet.symmetric point set each route evaluates one root (or
+point) per orbit of the family's symmetry group,
+points.orbit_representative: the quarter turn, the conjugation and the
+mirror j <-> 2M - j, the last exact because z^N P(1/z) = -P(z) and
+mu_norm is invariant under the rotation z -> 1/z of the Riemann sphere.
+Every per_root entry, and under mp.iv its enclosure, is its
+representative's.
 
 Distance products against a full parallel use the closed form
 
@@ -93,14 +95,12 @@ from .numerics import (
     to_mpf,
     two_term_log,
 )
-from .points import PointSet, build_point_set, orbit_representative
+from .points import Parallel, PointSet, build_point_set, orbit_representative
 from .polynomials import (
-    RootDerivative,
-    canonical_norm_sq,
     derivative_modulus_at_root,
+    factor_parallels,
     family_polynomial,
     product_norm_sq,
-    root_derivative_data,
 )
 
 LOWER_CONST = Fraction(227, 500)  # 0.454, the floor on mu_max / sqrt(N)
@@ -169,6 +169,13 @@ class NumeratorIntegral:
     gl_nodes = azimuth_nodes = 0
 
 
+def route_tolerance(N: int, prec_bits: int) -> mp.mpf:
+    """The relative gap N * 2^-(prec_bits - 8) allowed between the routes'
+    mu_max: log mu sums terms of size N, so the routes round about N ulps
+    apart (at most 2.88 N measured up to M=128); 2^8 N leaves room."""
+    return N * mp.ldexp(1, 8 - prec_bits)
+
+
 def _bound_verdicts(
     N: int, sq_lo: Fraction, sq_hi: Fraction | None = None
 ) -> dict[str, bool | None]:
@@ -186,28 +193,32 @@ def _bound_verdicts(
 
 
 def log_mu_at_root(
-    root: RootDerivative, N: int, norm_sq: Fraction, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp,
-    azimuths=None,
+    root: Parallel, others: Sequence[Parallel], N: int, norm_sq, prec_bits: int = DEFAULT_PREC_BITS,
+    ctx=mp.mp, azimuths=None,
 ) -> list:
-    """log mu(f, z) at the roots z_t, t in `azimuths` (default all), of one
-    factor of the degree-N family with ||f||^2 = norm_sq, under ctx:
+    """log mu(f, z) at the roots z_t, t in `azimuths` (default all), of the
+    factor of parallel `root` of the degree-N f with other factors
+    `others` (polynomials.derivative_modulus_at_root) and ||f||^2 =
+    norm_sq (a Fraction or an mpf, taken exactly), under ctx:
 
         log mu = (log N + (N-2) log(1 + rho^2) + log ||f||^2) / 2 - log |f'(z)|;
 
     +inf at a repeated root, where log |f'| = -inf."""
-    log_fps = derivative_modulus_at_root(root, prec_bits, ctx, azimuths)
+    log_fps = derivative_modulus_at_root(root, others, prec_bits, ctx, azimuths)
     with context_precision(ctx, prec_bits):
-        log_w = log_fraction(ctx, 1 + root.rho_sq)  # log(1 + |z|^2)
-        base = (ctx.log(N) + (N - 2) * log_w + log_fraction(ctx, norm_sq)) / 2
+        log_w = log_fraction(ctx, 2 / (1 - root.height))  # log(1 + |z|^2)
+        base = (ctx.log(N) + (N - 2) * log_w + log_fraction(ctx, to_fraction(norm_sq))) / 2
         return [base - log_fp for log_fp in log_fps]
 
 
-def by_orbit(M: int, points, evaluate, symmetric: bool = True):
+def by_orbit(point_set: PointSet, points, evaluate):
     """([(p{j}.k{t}, value)] in the order of `points`, {representative: value})
-    for (parallel j, azimuth t) pairs, evaluate(j, ts) called once per parallel
-    j on its representatives' ascending azimuths ts; a representative is
-    points.orbit_representative's, or the point itself if not `symmetric`."""
-    reps = [orbit_representative(M, j, t) if symmetric else (j, t) for j, t in points]
+    for (parallel j, azimuth t) pairs of the point set, evaluate(j, ts) called
+    once per parallel j on its representatives' ascending azimuths ts; a
+    representative is points.orbit_representative's when the point set is
+    symmetric (PointSet.symmetric), else the point itself."""
+    symmetric = point_set.symmetric
+    reps = [orbit_representative(point_set.M, j, t) if symmetric else (j, t) for j, t in points]
     turns: dict[int, list[int]] = {}
     for j, t in sorted(set(reps)):
         turns.setdefault(j, []).append(t)
@@ -215,13 +226,15 @@ def by_orbit(M: int, points, evaluate, symmetric: bool = True):
     return [(f"p{j}.k{t}", values[rep]) for (j, t), rep in zip(points, reps)], values
 
 
-def _log_mu_per_root(M: int, norm_sq: Fraction, prec_bits: int, ctx):
+def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx):
     """by_orbit of log mu under ctx at prec_bits, ||f||^2 = norm_sq, over
-    every root of the canonical polynomial of M, in factor order."""
-    data = {root.parallel: root for root in root_derivative_data(M)}
+    every root of the point set's family polynomial, in factor order."""
+    pars = {par.index: par for par in factor_parallels(point_set.parallels)}
     return by_orbit(
-        M, [(j, t) for j, root in data.items() for t in range(root.power)],
-        lambda j, ts: log_mu_at_root(data[j], 4 * M * M, norm_sq, prec_bits, ctx, ts),
+        point_set, [(j, t) for j, par in pars.items() for t in range(par.count)],
+        lambda j, ts: log_mu_at_root(
+            pars[j], [p for i, p in pars.items() if i != j], point_set.N, norm_sq, prec_bits, ctx, ts
+        ),
     )
 
 
@@ -251,11 +264,14 @@ def _float_report(
 
 
 def mu_max_coefficient_route(
-    M: int, prec_bits: int = DEFAULT_PREC_BITS
+    M: int, prec_bits: int = DEFAULT_PREC_BITS, phases: Sequence | None = None
 ) -> ConditionReport:
-    """max mu over all roots of the canonical polynomial, coefficient route."""
-    check_precision(prec_bits)
-    per_root, values = _log_mu_per_root(M, canonical_norm_sq(M), prec_bits, mp.mp)
+    """max mu over all roots of the family polynomial of M and the phases
+    of points.build_point_set, coefficient route."""
+    point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
+    with mp.workprec(prec_bits):  # a phased ||f||^2 is an mpf at this precision
+        norm_sq = product_norm_sq(family_polynomial(point_set))
+    per_root, values = _log_mu_per_root(point_set, norm_sq, prec_bits, mp.mp)
     return _float_report(M, "coefficient", prec_bits, per_root, values)
 
 
@@ -341,17 +357,17 @@ def numerator_integral_log(point_set: PointSet) -> NumeratorIntegral:
     """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family,
     at the point set's precision.
 
-    Evaluates 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)) for the
-    f and the weights 1/(1 + rho_k^2) of polynomials.family_polynomial;
-    with every phase 0 the value is an exact rational, rounded once.
+    Evaluates 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)) for the f
+    of polynomials.family_polynomial, with the exact weights
+    1/(1 + rho_k^2) = (1 - h_k)/2 of the parallels; with every phase 0 the
+    value is an exact rational, rounded once.
     """
     N = point_set.N
+    scale = Fraction(4**N, N + 1)
+    for par in point_set.parallels:
+        scale *= ((1 - par.height) / 2) ** par.count
     with mp.workprec(point_set.prec_bits):
-        f, weights = family_polynomial(point_set)
-        scale = Fraction(4**N, N + 1)
-        for fac, w in zip(f.factors, weights):
-            scale *= w**fac.power
-        value = to_mpf(scale * product_norm_sq(f))
+        value = to_mpf(scale * product_norm_sq(family_polynomial(point_set)))
         return NumeratorIntegral(log_value=mp.log(value))
 
 
@@ -395,7 +411,7 @@ def mu_max_spherical_route(
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
     num = numerator_integral_log(point_set)
     N = point_set.N
-    reducible = all(par.phase == 0 for par in point_set.parallels)
+    symmetric = point_set.symmetric
     everywhere = [(par, k) for par in point_set.parallels for k in range(par.count)]
     with mp.workprec(prec_bits):
         base = (
@@ -404,15 +420,15 @@ def mu_max_spherical_route(
             + num.log_value / 2
         )
         per_point, values = by_orbit(
-            M, [(par.index, k) for par, k in everywhere],
-            lambda j, ks: [base - g for g in point_gap_product_log(point_set, j, ks)], reducible,
+            point_set, [(par.index, k) for par, k in everywhere],
+            lambda j, ks: [base - g for g in point_gap_product_log(point_set, j, ks)],
         )
         per_root = [
             entry for entry, (par, k) in zip(per_point, everywhere)
-            if not reducible or 4 * k < par.count
+            if not symmetric or 4 * k < par.count
         ]
     return _float_report(
-        M, "spherical", prec_bits, per_root, values, symmetry_reduced=reducible
+        M, "spherical", prec_bits, per_root, values, symmetry_reduced=symmetric
     )
 
 
@@ -426,13 +442,13 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
     resolves or it reaches CERTIFY_PREC_FACTOR times the working
     precision; unresolved comparisons are reported as None, never as a pass.
     """
-    check_precision(prec_bits)
+    point_set = build_point_set(M, prec_bits=prec_bits)
     cap_bits = CERTIFY_PREC_FACTOR * prec_bits
-    N = 4 * M * M
-    norm_sq = canonical_norm_sq(M)
+    N = point_set.N
+    norm_sq = product_norm_sq(family_polynomial(point_set))
     iv_prec = prec_bits
     while True:
-        per_root, values = _log_mu_per_root(M, norm_sq, iv_prec, mp.iv)
+        per_root, values = _log_mu_per_root(point_set, norm_sq, iv_prec, mp.iv)
         top = [max(lm.a for lm in values.values()), max(lm.b for lm in values.values())]
         sq_lo, sq_hi = interval_endpoints(lambda iv: iv.exp(2 * iv.mpf(top)), iv_prec)
         verdicts = _bound_verdicts(N, sq_lo, sq_hi)

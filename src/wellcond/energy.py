@@ -778,7 +778,7 @@ def verify_denominator(
         abs_rhs = mp.log(2 * ps.N) / 2 - kap * ps.N - mp.mpf(9) / 8
         s_values = _s_n_values([par.height for par in ps.parallels], ps)
         gap_logs, _ = by_orbit(
-            M, [(par.index, k) for par in ps.parallels for k in range(par.count)],
+            ps, [(par.index, k) for par in ps.parallels for k in range(par.count)],
             lambda j, ks: point_gap_product_log(ps, j, ks),
         )
         gap_logs = iter(gap_logs)

@@ -22,8 +22,9 @@ offset, both evaluated by numerics.cos_pi_fraction, for k < r_j/4 only;
 the other three quarters are exact quarter turns of the first, so a
 coordinate may differ from cos and sin taken point by point in its last
 bits.  orbit_representative declares the zero-phase family's symmetry
-group, under which its coordinates are invariant bit for bit, and
-turn_representative its action on the azimuth of a query point.
+group, under which its coordinates are invariant bit for bit,
+PointSet.symmetric whether a point set is such a family, and
+turn_representative the group's action on the azimuth of a query point.
 """
 
 from __future__ import annotations
@@ -92,6 +93,12 @@ class PointSet:
     N: int
     parallels: list[Parallel]
     prec_bits: int
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether orbit_representative's group maps the point set onto
+        itself, which is when every phase is 0."""
+        return all(par.phase == 0 for par in self.parallels)
 
     def coordinates(self) -> list[tuple[int, int, SpherePoint]]:
         """Flat (parallel index, azimuth index, point) triples, formed at

@@ -17,13 +17,13 @@ rho_j^2 = (2M^2 - j^2)/j^2 this is
 Expansion takes each factor z^r - p/q as (q z^r - p)/q, multiplies integer
 numerators a_i over one common denominator D = prod q and reduces each
 a_i / D once; product_norm_sq forms the Bombieri-Weyl norm from the same
-numerators, ||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f.
-These and the factor-wise data of |f'| stay in exact rational
-arithmetic; |f'| at the roots takes the kernel
-numerics.two_term_log once per other factor, under an mpmath context at
-a caller-chosen binary precision (floats under mp.mp, enclosures under
-mp.iv), and the rotated (complex) shifts of a phased family the
-precision of its point set.
+numerators, ||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f,
+exact for zero phases; the rotated (complex) shifts of a phased family
+take the precision of its point set.  |f'| at the roots reads the
+Parallel records, each factor's exact height and phase, and takes the
+kernel numerics.two_term_log once per other factor, under an mpmath
+context at a caller-chosen binary precision (floats under mp.mp,
+enclosures under mp.iv).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath as mp
 
@@ -131,22 +132,6 @@ class DensePolynomial:
 
 
 @dataclass(frozen=True)
-class RootDerivative:
-    """Exact data of |f'| at the roots z_t = rho e^(2 pi i t / r) of one
-    factor z^r - rho^r of a monic f with factors z^(r_m) - s_m:
-
-        |f'(z_t)|^2 = r^2 rho^(2(r-1)) prod_{m} |rho^(r_m) e^(i pi q_m) - s_m|^2,
-
-    q_m = 2 r_m t / r, over every other factor m, given in `others` as
-    (r_m, rho_m^2) with s_m = rho_m^(r_m)."""
-
-    parallel: int
-    power: int
-    rho_sq: Fraction
-    others: tuple[tuple[int, Fraction], ...]
-
-
-@dataclass(frozen=True)
 class RootEntry:
     """One root: complex value plus (factor, azimuth) bookkeeping."""
 
@@ -155,7 +140,7 @@ class RootEntry:
     azimuth: int
 
 
-def _factor_parallels(parallels: list[Parallel]) -> list[Parallel]:
+def factor_parallels(parallels: list[Parallel]) -> list[Parallel]:
     """The parallels in factor order: the equator M, then j and 2M - j
     for j = 1..M-1."""
     M = (len(parallels) + 1) // 2
@@ -177,16 +162,17 @@ def canonical_polynomial(M: int) -> FactorizedPolynomial:
     """The degree-4M^2 product with one factor per parallel, in factor
     order: (z^(4M) - 1) first, then for j = 1..M-1 the pair
     (z^(4j) - s_j), (z^(4j) - 1/s_j) of the parallels j and 2M - j."""
-    return FactorizedPolynomial(_factors(_factor_parallels(build_parallels(M))))
+    return FactorizedPolynomial(_factors(factor_parallels(build_parallels(M))))
 
 
-def family_polynomial(point_set: PointSet) -> tuple[FactorizedPolynomial, tuple[Fraction, ...]]:
-    """The monic f whose roots project to the points, and the exact
-    weights 1/(1 + rho_k^2) = (1 - h_k)/2 in factor order.  Rotating the
-    parallel of factor k by phi_k multiplies its shift by exp(i r_k phi_k),
-    an mpc at the point set's precision; with every phase 0 f stays exact.
+def family_polynomial(point_set: PointSet) -> FactorizedPolynomial:
+    """The monic f whose roots project to the points, one factor per
+    parallel in factor order.  Rotating the parallel of factor k by phi_k
+    multiplies its shift by exp(i r_k phi_k), an mpc at the point set's
+    precision; with every phase 0 f stays exact and equals
+    canonical_polynomial(M).
     """
-    pars = _factor_parallels(point_set.parallels)
+    pars = factor_parallels(point_set.parallels)
     factors = _factors(pars)
     if any(par.phase for par in pars):
         with mp.workprec(point_set.prec_bits):
@@ -194,7 +180,7 @@ def family_polynomial(point_set: PointSet) -> tuple[FactorizedPolynomial, tuple[
                 Factor(fac.power, fac.shift * mp.expj(fac.power * par.phase))
                 for fac, par in zip(factors, pars)
             )
-    return FactorizedPolynomial(factors), tuple((1 - par.height) / 2 for par in pars)
+    return FactorizedPolynomial(factors)
 
 
 def _numerators(f: FactorizedPolynomial) -> tuple[list, int]:
@@ -272,11 +258,6 @@ def product_norm_sq(f: FactorizedPolynomial) -> Fraction | mp.mpf:
     return _over(total, math.factorial(N) * D * D)
 
 
-def canonical_norm_sq(M: int) -> Fraction:
-    """||f||^2 of the canonical polynomial of M, exact (product_norm_sq)."""
-    return product_norm_sq(canonical_polynomial(M))
-
-
 def roots(f: FactorizedPolynomial, prec_bits: int = DEFAULT_PREC_BITS) -> list[RootEntry]:
     """All degree-many roots, grouped by factor.
 
@@ -303,44 +284,37 @@ def roots(f: FactorizedPolynomial, prec_bits: int = DEFAULT_PREC_BITS) -> list[R
     return out
 
 
-def root_derivative_data(M: int) -> list[RootDerivative]:
-    """The |f'| data of every factor of the canonical polynomial, in
-    factor order, so its roots come in the order of roots().  Each
-    modulus rho^2 = (1+h)/(1-h) is read from the exact height h of the
-    factor's parallel."""
-    pars = _factor_parallels(build_parallels(M))
-    moduli = [(par.count, _rho_sq(par)) for par in pars]
-    return [
-        RootDerivative(par.index, *moduli[k], tuple(moduli[:k] + moduli[k + 1:]))
-        for k, par in enumerate(pars)
-    ]
-
-
 def derivative_modulus_at_root(
-    root: RootDerivative, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp, azimuths=None
+    root: Parallel, others: Sequence[Parallel], prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp,
+    azimuths=None,
 ) -> list:
-    """log |f'(z_t)| at the roots z_t of one factor, t in `azimuths` (default
-    0..r-1), under the mpmath context ctx at prec_bits (mp.mp or mp.iv).  The
-    term |rho^(r_m) e^(i pi q_m) - s_m|^2 of factor m is the kernel
+    """log |f'(z_t)| at the roots z_t = rho e^(i (2 pi t / r + phi)) of the
+    factor of parallel `root` (count r, phase phi, rho^2 = (1+h)/(1-h)),
+    t in `azimuths` (default 0..r-1), of the monic f whose other factors
+    are those of the parallels `others`, under ctx (mp.mp or mp.iv) at
+    prec_bits.  The term |z_t^(r_m) - s_m|^2 of factor m is the kernel
     numerics.two_term_log with R = r_m, (base, gap, rim) once per other
-    factor, sin^2(pi r_m t / r) once per distinct turn.  A vanishing
+    factor, its sin^2 once per distinct turn r_m t / r and offset
+    r_m (phi - phi_m) / 2, an exact 0 for equal phases.  A vanishing
     term means a repeated root, where f' = 0: the log is -inf.
     """
     check_precision(prec_bits)
-    r = root.power
+    r = root.count
     ts = range(r) if azimuths is None else azimuths
     with context_precision(ctx, prec_bits):
-        ell = log_fraction(ctx, root.rho_sq)
+        ell = log_fraction(ctx, _rho_sq(root))
         base = ctx.log(r) + (r - 1) * ell / 2
         terms = []
-        for r_m, rho_sq_m in root.others:
-            log_m, gap, rim = two_term_log(ctx, r_m, ell, log_fraction(ctx, rho_sq_m))
-            terms.append((r_m, gap, rim))
+        for par in others:
+            log_m, gap, rim = two_term_log(ctx, par.count, ell, log_fraction(ctx, _rho_sq(par)))
+            offset = par.count * (ctx.mpf(root.phase) - ctx.mpf(par.phase)) / 2
+            terms.append((par.count, offset, gap, rim))
             base += log_m / 2
-        turns = {r_m * t % r for r_m, _, _ in terms for t in ts}
-        sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r)) for j in turns}
+        turns = {(r_m * t % r, offset) for r_m, offset, _, _ in terms for t in ts}
+        sin_sq = {(j, offset): sin_sq_pi(ctx, Fraction(j, r), offset) for j, offset in turns}
         return [
-            base
-            + ctx.log(ctx.fprod(gap + rim * sin_sq[r_m * t % r] for r_m, gap, rim in terms)) / 2
+            base + ctx.log(ctx.fprod(
+                gap + rim * sin_sq[r_m * t % r, offset] for r_m, offset, gap, rim in terms
+            )) / 2
             for t in ts
         ]

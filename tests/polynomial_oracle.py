@@ -6,7 +6,9 @@ evaluation, the exact formal derivative and the O(N) product over root
 differences check the closed form of |f'(z)| that
 ``wellcond.polynomials`` evaluates, at degrees small enough for the
 O(N^2) total cost.  The exact-rational enclosure of mu^2 checks the
-interval evaluation of ``wellcond.condition.certify_bound``.
+interval evaluation of ``wellcond.condition.certify_bound``, and log mu
+from a polynomial expanded out of its N roots checks the coefficient
+route of a phased family.
 """
 
 from fractions import Fraction
@@ -15,11 +17,13 @@ from typing import Sequence
 import mpmath as mp
 
 from wellcond.numerics import cos_pi_fraction_interval, to_mpf
+from wellcond.points import PointSet, build_parallels
 from wellcond.polynomials import (
     DensePolynomial,
     FactorizedPolynomial,
     RootEntry,
-    root_derivative_data,
+    bombieri_norm_sq,
+    factor_parallels,
 )
 
 
@@ -47,7 +51,7 @@ def evaluate(p: DensePolynomial, z) -> mp.mpc:
     z = mp.mpc(z)
     acc = mp.mpc(0)
     for c in reversed(p.coeffs):
-        acc = acc * z + to_mpf(c)
+        acc = acc * z + (c if isinstance(c, mp.mpc) else to_mpf(c))
     return acc
 
 
@@ -107,11 +111,13 @@ def mu_sq_enclosures(
         return cos_cache[q]
 
     out = []
-    for root in root_derivative_data(M):
-        r, rho_sq = root.power, root.rho_sq
+    pars = factor_parallels(build_parallels(M))
+    for k, root in enumerate(pars):
+        r, rho_sq = root.count, (1 + root.height) / (1 - root.height)
         numer = N * (1 + rho_sq) ** (N - 2) * norm_sq
         pairs = []
-        for r_m, rho_sq_m in root.others:
+        for par in pars[:k] + pars[k + 1:]:
+            r_m, rho_sq_m = par.count, (1 + par.height) / (1 - par.height)
             x, y = rho_sq ** (r_m // 2), rho_sq_m ** (r_m // 2)  # every r_m is even
             pairs.append((r_m, x * x + y * y, 2 * x * y))
         for t in range(r):
@@ -119,5 +125,34 @@ def mu_sq_enclosures(
             for r_m, a, b in pairs:
                 c_lo, c_hi = cos_iv(Fraction(2 * r_m * t, r))
                 d_lo, d_hi = d_lo * (a - b * c_hi), d_hi * (a - b * c_lo)
-            out.append((f"p{root.parallel}.k{t}", numer / d_hi, numer / d_lo))
+            out.append((f"p{root.index}.k{t}", numer / d_hi, numer / d_lo))
     return out
+
+
+def log_mu_by_expansion(point_set: PointSet, prec_bits: int) -> dict[str, mp.mpf]:
+    """log mu at every root of the point set's family, labelled p{j}.k{t},
+    from the roots alone, at prec_bits: z = rho e^(i (2 pi t / r + phi))
+    for each parallel (count r, phase phi, rho^2 = (1+h)/(1-h)), the monic
+    prod (z - z_i) expanded in mpc, |f'(z)| by Horner on its derivative
+    and ||f||^2 the dense Bombieri norm:
+
+        log mu = (log N + (N-2) log(1 + |z|^2) + log ||f||^2) / 2 - log |f'(z)|.
+    """
+    N = point_set.N
+    with mp.workprec(prec_bits):
+        zs = {}
+        for par in point_set.parallels:
+            rho = mp.sqrt(to_mpf((1 + par.height) / (1 - par.height)))
+            for t in range(par.count):
+                zs[f"p{par.index}.k{t}"] = rho * mp.expj(2 * mp.pi * t / par.count + par.phase)
+        coeffs = [mp.mpc(1)]  # ascending; times (z - z_i) for each root
+        for z in zs.values():
+            coeffs = [low - z * c for low, c in zip([0, *coeffs], [*coeffs, 0])]
+        f = DensePolynomial(coeffs=tuple(coeffs))
+        fp = derivative(f)
+        log_norm = mp.log(bombieri_norm_sq(f))
+        return {
+            label: (mp.log(N) + (N - 2) * mp.log(1 + abs(z) ** 2) + log_norm) / 2
+            - mp.log(abs(evaluate(fp, z)))
+            for label, z in zs.items()
+        }

@@ -136,14 +136,17 @@ def energy_by_resultants(point_set: PointSet) -> mp.mpf:
     resultant formed as the exact rational (or, phased, the mpc)
     a^(q/g) - b^(r/g) of the shifts of ``family_polynomial`` and rounded
     once: -E = N(N-1) log 2 + sum_k [log(r^r |s_k|^(r-1)) + (N-1) r log w_k]
-    + sum_{k<l} 2g log |s_k^(r_l/g) - s_l^(r_k/g)|."""
+    + sum_{k<l} 2g log |s_k^(r_l/g) - s_l^(r_k/g)|, with the weight
+    w = 1/(1 + rho^2) = (1 - h)/2 of each parallel."""
     N = point_set.N
     with mp.workprec(point_set.prec_bits):
-        f, weights = family_polynomial(point_set)
+        f = family_polynomial(point_set)
         total = N * (N - 1) * mp.log(2)
-        for fac, w in zip(f.factors, weights):
+        for par in point_set.parallels:
+            total += (N - 1) * par.count * mp.log(to_mpf((1 - par.height) / 2))
+        for fac in f.factors:
             r = fac.power
-            total += mp.log(to_mpf(r**r * abs(fac.shift) ** (r - 1))) + (N - 1) * r * mp.log(to_mpf(w))
+            total += mp.log(to_mpf(r**r * abs(fac.shift) ** (r - 1)))
         for k, a in enumerate(f.factors):
             for b in f.factors[k + 1 :]:
                 g = math.gcd(a.power, b.power)

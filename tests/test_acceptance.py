@@ -16,6 +16,7 @@ from wellcond.condition import (
     certify_bound,
     mu_max_coefficient_route,
     mu_max_spherical_route,
+    route_tolerance,
     theta_product_log_turn,
 )
 from wellcond.energy import (
@@ -38,6 +39,9 @@ PREC = 256
 # [-0.03567, +0.00673]; the gate adds a small cushion on each side.
 RESIDUAL_LO = mp.mpf("-0.0360")
 RESIDUAL_HI = mp.mpf("+0.0068")
+
+# Rotated families for the route check: one phase (radians) per parallel.
+PHASED = {2: ["0.1", "0.7", "-1.2"], 3: ["0.1", "0.7", "-1.2", "0.4", "2.0"]}
 
 
 @pytest.fixture(scope="module")
@@ -101,15 +105,22 @@ def test_criterion_02_upper_bounds_and_certification(coeff_reports):
 
 
 def test_criterion_03_route_agreement(coeff_reports):
-    """Coefficient and spherical routes agree to relative 1e-6, M = 1..12."""
-    worst = mp.mpf(0)
+    """Coefficient and spherical routes agree to the relative
+    condition.route_tolerance that `cond --route both` gates on,
+    N * 2^-(prec-8), for M = 1..12 and the phased families of PHASED."""
+    cases = [(M, None, coeff_reports[M]) for M in range(1, 13)]
+    cases += [(M, ph, mu_max_coefficient_route(M, PREC, ph)) for M, ph in PHASED.items()]
+    worst = mp.mpf(0)  # as a share of the tolerance
     with mp.workprec(PREC):
-        for M in range(1, 13):
-            sph = mu_max_spherical_route(M, PREC)
-            rel = abs(coeff_reports[M].mu_max - sph.mu_max) / sph.mu_max
-            worst = max(worst, rel)
-            assert rel < mp.mpf("1e-6"), (M, rel)
-    say(f"criterion 3 PASS: route agreement M=1..12, worst rel diff {mp.nstr(worst, 3)}")
+        for M, phases, coeff in cases:
+            sph = mu_max_spherical_route(M, PREC, phases)
+            rel = abs(coeff.mu_max - sph.mu_max) / sph.mu_max
+            worst = max(worst, rel / route_tolerance(coeff.N, PREC))
+            assert rel <= route_tolerance(coeff.N, PREC), (M, phases, rel)
+    say(
+        "criterion 3 PASS: route agreement M=1..12 and phased M=2,3, "
+        f"worst rel diff {mp.nstr(worst, 3)} x N*2^-(prec-8)"
+    )
 
 
 def test_criterion_04_lower_bound(coeff_reports):

@@ -13,11 +13,15 @@ import pytest
 
 from wellcond import cli, points
 from wellcond.cli import main
-from wellcond.condition import mu_max_coefficient_route
+from wellcond.condition import mu_max_coefficient_route, route_tolerance
 from wellcond.energy import verify_t_bounds
 from wellcond.numerics import to_mpf
 from wellcond.points import build_point_set
 from wellcond.sums import weighted_sum
+
+
+# Rotated families: one phase (radians) per parallel.
+PHASED = {"2": ["0.1", "0.7", "-1.2"], "3": ["0.1", "0.7", "-1.2", "0.4", "2.0"]}
 
 
 def run(argv):
@@ -153,14 +157,16 @@ _RUNTIMES = re.compile(r" \(\d+\.\d+s cond, \d+\.\d+s energy\)")
     [
         ["generate", "--M", "1..3"],
         ["cond", "--M", "1..4", "--route", "both", "--certify"],
+        ["cond", "--M", "2..3", "--route", "both", "--phases", "../ph.json"],
         ["verify", "--M", "1..3", "--informational", "--sums-max", "4"],
         ["sweep", "--M", "1..4"],
     ],
-    ids=["generate", "cond", "verify", "sweep"],
+    ids=["generate", "cond", "cond-phased", "verify", "sweep"],
 )
 def test_workers_do_not_change_output(tmp_path, capsys, monkeypatch, argv, fmt):
     """Every file, console line and exit code is the same with one worker
     as with three, whose rendered files cross the process boundary."""
+    (tmp_path / "ph.json").write_text(json.dumps(PHASED))
     runs = []
     for workers in ("1", "3"):
         monkeypatch.setenv("WELLCOND_WORKERS", workers)
@@ -263,6 +269,23 @@ def test_sweep_runtime_columns_excluded_from_determinism(tmp_path):
     assert all("seconds" not in row for row in read_json(a / "sweep.json")["rows"])
 
 
+def test_cond_phases_checks_the_routes_against_each_other(tmp_path):
+    """cond --route both --phases runs both routes on the rotated family,
+    exits 0 and records their relative gap, within N * 2^-(prec-8)."""
+    (tmp_path / "ph.json").write_text(json.dumps(PHASED))
+    out = tmp_path / "out"
+    argv = ["cond", "--M", "2..3", "--route", "both", "--phases", tmp_path / "ph.json"]
+    assert run([*argv, "--out", out]) == 0
+    for M in (2, 3):
+        coeff, sphere = read_json(out / f"cond_M{M}.json")["reports"]
+        assert (coeff["route"], sphere["route"]) == ("coefficient", "spherical")
+        assert len(coeff["per_root"]) == len(sphere["per_root"]) == 4 * M * M
+        assert sphere["symmetry_reduced"] is False
+        rel = mp.mpf(coeff["route_rel_diff"])
+        assert rel == mp.mpf(sphere["route_rel_diff"])
+        assert rel <= route_tolerance(4 * M * M, 256), M
+
+
 def test_phases_file_applies_to_sphere_route(tmp_path):
     phases = tmp_path / "ph.json"
     phases.write_text(json.dumps({"1": [0.7853981633974483]}))
@@ -354,8 +377,6 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
         (["generate", "--M", "1"], ["nan"], "1"),
         (["generate", "--M", "1..2"], {"2": [0.1]}, "1"),
         (["cond", "--M", "2", "--route", "sphere"], {"2": [0.1]}, "1"),
-        (["cond", "--M", "2", "--route", "coeff"], [0.1, 0.7, -1.2], "1"),
-        (["cond", "--M", "2", "--route", "both"], [0.1, 0.7, -1.2], "1"),
         (["cond", "--M", "2", "--route", "sphere", "--certify"], [0.1, 0.7, -1.2], "1"),
         (["generate", "--M", "2"], {"-1": [0.5, 0.5, 0.5]}, "1"),
         (["cond", "--M", "2", "--route", "sphere"], {"0": [0.5, 0.5, 0.5]}, "1"),
@@ -367,8 +388,7 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
         (["sweep", "--M", "1"], None, "x"),
     ],
     ids=[
-        "nan-phase", "phase-count-generate", "phase-count-cond",
-        "phases-route-coeff", "phases-route-both", "phases-certify",
+        "nan-phase", "phase-count-generate", "phase-count-cond", "phases-certify",
         "phase-key-minus-1", "phase-key-0", "phases-array-fits-no-m",
         "phases-keys-name-no-m", "workers-generate", "workers-cond",
         "workers-verify", "workers-sweep",

@@ -23,16 +23,15 @@ from wellcond.condition import (
     theta_product_log_turn,
 )
 from wellcond.numerics import fraction_endpoints, gauss_legendre, to_mpf
-from wellcond.points import SpherePoint, build_point_set, orbit_representative
+from wellcond.points import SpherePoint, build_parallels, build_point_set, orbit_representative
 from wellcond.polynomials import (
     bombieri_norm_sq,
-    canonical_norm_sq,
     canonical_polynomial,
     expand,
+    factor_parallels,
     product_norm_sq,
-    root_derivative_data,
 )
-from polynomial_oracle import mu_sq_enclosures
+from polynomial_oracle import log_mu_by_expansion, mu_sq_enclosures
 from sphere_oracle import distance_sq, numerator_by_product_rule, product_rule_nodes
 
 
@@ -155,12 +154,15 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
     full evaluation's enclosure of every root of its orbit."""
     prec = 256
     N = 4 * M * M
-    norm_sq = canonical_norm_sq(M)
+    norm_sq = product_norm_sq(canonical_polynomial(M))
+    pars = factor_parallels(build_parallels(M))
     full = {
         ctx: [
-            (f"p{root.parallel}.k{t}", lm)
-            for root in root_derivative_data(M)
-            for t, lm in enumerate(log_mu_at_root(root, N, norm_sq, prec, ctx))
+            (f"p{par.index}.k{t}", lm)
+            for k, par in enumerate(pars)
+            for t, lm in enumerate(
+                log_mu_at_root(par, pars[:k] + pars[k + 1:], N, norm_sq, prec, ctx)
+            )
         ]
         for ctx in (mp.mp, mp.iv)
     }
@@ -169,7 +171,7 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
     with mp.workprec(prec):
         for (rid, got), (_, want) in zip(rep.per_root, full[mp.mp]):
             assert abs(got - want) < mp.mpf(2) ** -(prec - 16), rid
-    per_root, values = _log_mu_per_root(M, norm_sq, prec, mp.iv)
+    per_root, values = _log_mu_per_root(build_point_set(M, prec_bits=prec), norm_sq, prec, mp.iv)
     assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
     for (rid, enclosure), (full_rid, full_enclosure) in zip(per_root, full[mp.iv]):
         assert rid == full_rid
@@ -262,6 +264,8 @@ def test_uniform_nonzero_phase_matches_zero_phase():
         b = mu_max_spherical_route(M, prec, phases=[mp.mpf("0.3")] * (2 * M - 1))
         assert a.extras["symmetry_reduced"] and not b.extras["symmetry_reduced"]
         assert abs(a.mu_max - b.mu_max) / a.mu_max < tol
+        c = mu_max_coefficient_route(M, prec, phases=[mp.mpf("0.3")] * (2 * M - 1))
+        assert abs(a.mu_max - c.mu_max) / a.mu_max < tol
 
 
 def test_spherical_route_phases_keep_the_working_precision():
@@ -280,6 +284,25 @@ PHASED = {
     3: [0.1, 0.7, -1.2, 0.4, 2.0],
     5: [0.3, -0.2, 1.1, 0.05, -2.5, 0.9, 0.0, 1.7, -0.4],
 }
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_phased_coefficient_route_matches_expanded_roots(M, evaluated):
+    """With distinct phases the coefficient route evaluates every root
+    once, and each root's log mu is within 2^-(prec-16) of the polynomial
+    expanded from its N roots (Horner on f', the dense Bombieri norm) at
+    64 more bits."""
+    prec = 256
+    rep = mu_max_coefficient_route(M, prec, PHASED[M])
+    assert sum(evaluated) == rep.N
+    want = log_mu_by_expansion(build_point_set(M, phases=PHASED[M], prec_bits=prec), prec + 64)
+    got = dict(rep.per_root)
+    assert got.keys() == want.keys()
+    with mp.workprec(prec):
+        tol = mp.mpf(2) ** -(prec - 16)
+        for rid, lm in got.items():
+            assert abs(lm - want[rid]) < tol, rid
+        assert abs(rep.log_mu_max - max(want.values())) < tol
 
 
 @pytest.mark.parametrize(

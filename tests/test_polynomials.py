@@ -1,5 +1,6 @@
 """Factorized family, exact expansion, norms, and root extraction."""
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
@@ -15,21 +16,20 @@ from polynomial_oracle import (
 from wellcond.condition import log_mu_at_root
 from wellcond.numerics import fraction_endpoints, fraction_from_mpf, to_mpf
 from wellcond import polynomials
-from wellcond.points import build_parallels, build_point_set
+from wellcond.points import Parallel, build_parallels, build_point_set
 from wellcond.polynomials import (
     DensePolynomial,
     Factor,
     FactorizedPolynomial,
-    RootDerivative,
     bombieri_norm_sq,
     canonical_polynomial,
     coeff_str,
     coeff_strs,
     derivative_modulus_at_root,
     expand,
+    factor_parallels,
     family_polynomial,
     product_norm_sq,
-    root_derivative_data,
     roots,
 )
 
@@ -156,7 +156,7 @@ def test_phased_expansion_matches_the_fraction_product(M):
     where both are exact), and the norm within the same bound."""
     prec = 256
     phases = [0.1 * (j + 1) - 0.35 for j in range(2 * M - 1)]
-    f, _ = family_polynomial(build_point_set(M, phases=phases, prec_bits=prec))
+    f = family_polynomial(build_point_set(M, phases=phases, prec_bits=prec))
     with mp.workprec(prec):
         got, want = expand(f).coeffs, expand_by_fractions(f).coeffs
         tol = mp.mpf(2) ** (16 - prec)
@@ -179,7 +179,7 @@ def test_zero_phase_family_shares_the_canonical_norm():
     """A zero-phase family_polynomial equals canonical_polynomial(M), so
     product_norm_sq forms its norm once."""
     product_norm_sq.cache_clear()
-    f, _ = family_polynomial(build_point_set(4))
+    f = family_polynomial(build_point_set(4))
     assert f == canonical_polynomial(4)
     product_norm_sq(canonical_polynomial(4))
     product_norm_sq(f)
@@ -220,11 +220,18 @@ def test_roots_satisfy_their_factors(M):
             assert abs(val) < mp.mpf(2) ** -(prec - 16) * max(1, abs(float(g.shift)))
 
 
+def factor_inputs(M: int) -> list[tuple[Parallel, list[Parallel]]]:
+    """(parallel, the other factors' parallels) of each factor of the
+    canonical polynomial of M, in factor order."""
+    pars = factor_parallels(build_parallels(M))
+    return [(par, pars[:k] + pars[k + 1:]) for k, par in enumerate(pars)]
+
+
 def test_factor_to_parallel_mapping_m3():
-    """The parallel of each factor's roots, as root_derivative_data labels
+    """The parallel of each factor's roots, as factor_parallels orders
     them, in the factor order the roots come in."""
     f = canonical_polynomial(3)
-    parallels = [root.parallel for root in root_derivative_data(3) for _ in range(root.power)]
+    parallels = [par.index for par in factor_parallels(build_parallels(3)) for _ in range(par.count)]
     got = {
         (f.factors[entry.factor].power, f.factors[entry.factor].shift): parallel
         for entry, parallel in zip(roots(f, 64), parallels, strict=True)
@@ -248,38 +255,35 @@ def test_derivative_modulus_matches_direct_evaluation():
     for M in range(1, 5):
         f = canonical_polynomial(M)
         rs, fine = roots(f, prec), roots(f, prec + 64)
-        data = root_derivative_data(M)
-        heights = [par.height for par in build_parallels(M)]
+        data = factor_inputs(M)
         assert len(data) == len(f.factors)
-        assert sum(root.power for root in data) == len(rs) == f.degree
-        floats = [v for root in data for v in derivative_modulus_at_root(root, prec)]
+        assert sum(root.count for root, _ in data) == len(rs) == f.degree
+        floats = [v for args in data for v in derivative_modulus_at_root(*args, prec)]
         enclosures = [
-            v for root in data for v in derivative_modulus_at_root(root, prec, mp.iv)
+            v for args in data for v in derivative_modulus_at_root(*args, prec, mp.iv)
         ]
         i = 0
-        for fi, (root, fac) in enumerate(zip(data, f.factors, strict=True)):
+        for fi, ((root, _), fac) in enumerate(zip(data, f.factors, strict=True)):
             # the roots lie on the stereographic image of their parallel
-            h = heights[root.parallel - 1]
-            assert root.rho_sq == (1 + h) / (1 - h) and root.power == fac.power
-            for t in range(root.power):
+            rho_sq = (1 + root.height) / (1 - root.height)
+            assert fac.shift == rho_sq ** (root.count // 2) and root.count == fac.power
+            for t in range(root.count):
                 entry = rs[i]
                 assert (entry.factor, entry.azimuth) == (fi, t)
                 with mp.workprec(prec):
-                    assert abs(abs(entry.value) ** 2 - to_mpf(root.rho_sq)) < tol * root.rho_sq
+                    assert abs(abs(entry.value) ** 2 - to_mpf(rho_sq)) < tol * rho_sq
                     want = log_derivative_modulus_by_gaps(rs, i, prec)
                     # |log a - log b| bounds the relative error of a vs b
-                    assert abs(floats[i] - want) < tol, (M, root.parallel, t)
+                    assert abs(floats[i] - want) < tol, (M, root.index, t)
                 exact = fraction_from_mpf(log_derivative_modulus_by_gaps(fine, i, prec + 64))
                 lo, hi = fraction_endpoints(enclosures[i])
-                assert lo <= exact <= hi and hi - lo < 2 * tol_q, (M, root.parallel, t)
+                assert lo <= exact <= hi and hi - lo < 2 * tol_q, (M, root.index, t)
                 i += 1
     # Horner on the exact derivative agrees too, at M = 2 where its
     # cancellation stays small.
     f = canonical_polynomial(2)
     rs = roots(f, prec)
-    floats = [
-        v for root in root_derivative_data(2) for v in derivative_modulus_at_root(root, prec)
-    ]
+    floats = [v for args in factor_inputs(2) for v in derivative_modulus_at_root(*args, prec)]
     dp = derivative(expand(f))
     with mp.workprec(prec):
         for i in (0, 5, 11):
@@ -292,15 +296,19 @@ def test_multiple_root_gives_infinite_mu():
     """A repeated root has f' = 0: log |f'| = log 0 = -inf and log mu = +inf,
     under mp and under mp.iv."""
     prec = 256
-    # f = (z^4 - 1)^2: at every root the other copy of the factor gives
-    # L = 0 and a turn q = 2t = 0 mod 2, so its term vanishes exactly.
+    # f = (z^4 - 1)^2, two equal parallels on the equator (rho^2 = 1): at
+    # every root the other copy of the factor gives L = 0, a turn q = 2t
+    # = 0 mod 2 and an offset exactly 0, so its term vanishes exactly;
+    # rotating both copies by one phase keeps the offset exactly 0.
     f = FactorizedPolynomial(factors=(Factor(4, Fraction(1)), Factor(4, Fraction(1))))
-    root = RootDerivative(parallel=1, power=4, rho_sq=Fraction(1), others=((4, Fraction(1)),))
-    for ctx in (mp.mp, mp.iv):
-        for log_fp in derivative_modulus_at_root(root, prec, ctx):
-            assert log_fp == ctx.mpf("-inf"), ctx
-        for log_mu in log_mu_at_root(root, 8, bombieri_norm_sq(expand(f)), prec, ctx):
-            assert log_mu == ctx.mpf("+inf"), ctx
+    equator = Parallel(1, 4, Fraction(0), Fraction(1, 2))
+    for root in (equator, dataclasses.replace(equator, phase=mp.mpf("0.3"))):
+        for ctx in (mp.mp, mp.iv):
+            for log_fp in derivative_modulus_at_root(root, [root], prec, ctx):
+                assert log_fp == ctx.mpf("-inf"), ctx
+            norm_sq = bombieri_norm_sq(expand(f))
+            for log_mu in log_mu_at_root(root, [root], 8, norm_sq, prec, ctx):
+                assert log_mu == ctx.mpf("+inf"), ctx
     with pytest.raises(RepeatedRootError):
         log_derivative_modulus_by_gaps(roots(f, prec), 0, prec)
 
@@ -320,9 +328,9 @@ def test_rotated_shifts_keep_the_point_set_precision():
     its shifts at the point set's 256 bits."""
     assert mp.mp.prec == 53
     ps = build_point_set(2, phases=["0.1", "0.7", "-1.2"], prec_bits=256)
-    f, _ = family_polynomial(ps)
+    f = family_polynomial(ps)
     with mp.workprec(256):
-        want, _ = family_polynomial(ps)
+        want = family_polynomial(ps)
     assert [fac.shift for fac in f.factors] == [fac.shift for fac in want.factors]
     assert all(isinstance(fac.shift, mp.mpc) for fac in f.factors)
     assert f.factors[0].shift.real._mpf_[3] > 53  # mantissa bits
