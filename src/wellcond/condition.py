@@ -206,7 +206,7 @@ def log_mu_at_root(
     +inf at a repeated root, where log |f'| = -inf."""
     log_fps = derivative_modulus_at_root(root, others, prec_bits, ctx, azimuths)
     with context_precision(ctx, prec_bits):
-        log_w = log_fraction(ctx, 2 / (1 - root.height))  # log(1 + |z|^2)
+        log_w = log_fraction(ctx, 1 + root.rho_sq)  # log(1 + |z|^2)
         base = (ctx.log(N) + (N - 2) * log_w + log_fraction(ctx, to_fraction(norm_sq))) / 2
         return [base - log_fp for log_fp in log_fps]
 

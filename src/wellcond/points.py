@@ -30,6 +30,7 @@ turn_representative the group's action on the azimuth of a query point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,6 +69,11 @@ class Parallel:
     @property
     def upper(self) -> Fraction:
         return self.height + self.half_width
+
+    @cached_property
+    def rho_sq(self) -> Fraction:
+        """Squared modulus (1+h)/(1-h) of the parallel's stereographic image."""
+        return (1 + self.height) / (1 - self.height)
 
     @property
     def radius_sq(self) -> Fraction:

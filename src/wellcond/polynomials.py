@@ -148,14 +148,9 @@ def factor_parallels(parallels: list[Parallel]) -> list[Parallel]:
     return [parallels[i - 1] for i in order]
 
 
-def _rho_sq(par: Parallel) -> Fraction:
-    """Squared root modulus (1+h)/(1-h) of the parallel's factor."""
-    return (1 + par.height) / (1 - par.height)
-
-
 def _factors(pars: list[Parallel]) -> tuple[Factor, ...]:
     """The exact factor z^r - rho^r of each parallel, in the given order."""
-    return tuple(Factor(par.count, _rho_sq(par) ** (par.count // 2)) for par in pars)
+    return tuple(Factor(par.count, par.rho_sq ** (par.count // 2)) for par in pars)
 
 
 def canonical_polynomial(M: int) -> FactorizedPolynomial:
@@ -289,7 +284,7 @@ def derivative_modulus_at_root(
     azimuths=None,
 ) -> list:
     """log |f'(z_t)| at the roots z_t = rho e^(i (2 pi t / r + phi)) of the
-    factor of parallel `root` (count r, phase phi, rho^2 = (1+h)/(1-h)),
+    factor of parallel `root` (count r, phase phi, rho^2 = Parallel.rho_sq),
     t in `azimuths` (default 0..r-1), of the monic f whose other factors
     are those of the parallels `others`, under ctx (mp.mp or mp.iv) at
     prec_bits.  The term |z_t^(r_m) - s_m|^2 of factor m is the kernel
@@ -302,12 +297,12 @@ def derivative_modulus_at_root(
     r = root.count
     ts = range(r) if azimuths is None else azimuths
     with context_precision(ctx, prec_bits):
-        ell = log_fraction(ctx, _rho_sq(root))
+        ell = log_fraction(ctx, root.rho_sq)
         base = ctx.log(r) + (r - 1) * ell / 2
-        terms = []
+        phi, terms = ctx.mpf(root.phase), []
         for par in others:
-            log_m, gap, rim = two_term_log(ctx, par.count, ell, log_fraction(ctx, _rho_sq(par)))
-            offset = par.count * (ctx.mpf(root.phase) - ctx.mpf(par.phase)) / 2
+            log_m, gap, rim = two_term_log(ctx, par.count, ell, log_fraction(ctx, par.rho_sq))
+            offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
             terms.append((par.count, offset, gap, rim))
             base += log_m / 2
         turns = {(r_m * t % r, offset) for r_m, offset, _, _ in terms for t in ts}
