@@ -30,8 +30,8 @@ turn_representative the group's action on the azimuth of a query point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import mpmath as mp

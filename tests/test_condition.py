@@ -241,12 +241,14 @@ def test_orbits_evaluate_one_factor_per_mirror_pair(monkeypatch, evaluated):
 
 
 def test_uniform_nonzero_phase_matches_zero_phase():
-    """Rotating every parallel by the same angle changes no distance.
+    """Rotating every parallel by the same angle changes no distance,
+    and no mu.
 
     The phased family goes through the radian-offset path of the point
-    coordinates and the complex expansion of the numerator, the
-    zero-phase family through the exact-turn path and the exact rational
-    numerator; they agree to rounding.
+    coordinates and the complex expansion of the numerator and of ||f||^2,
+    the zero-phase family through the exact-turn path and the exact
+    rational numerator; both routes agree with the zero-phase family to
+    rounding.
     """
     prec = 256
     M = 2
