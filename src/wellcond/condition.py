@@ -27,15 +27,17 @@ input, its point set (phases included), so each checks the other:
   ((1+|z|^2)(1+|z_j|^2)) and the Bombieri-Weyl integral
   int_S |f|^2 / (1+|z|^2)^N dsigma = ||f||^2 / (N+1) (Shub & Smale,
   Complexity of Bezout's theorem I), and the per-point denominators
-  are Theta products over the points.  Both routes assemble the kernel
-  numerics.two_term_log: gap products over heights here, |f'| over
-  moduli there, so the route check compares two assemblies of it.
+  are Theta products over the points, through the kernel
+  numerics.two_term_log, while |f'| takes exact rational terms, so the
+  route check compares two kernels.
 
 log mu at the roots is written once, against an mpmath context: the
-coefficient route evaluates it under mp.mp, certify_bound under mp.iv,
-and compares the exact endpoints of the outward-rounded mu_max^2
-enclosure with each threshold, so a bound verdict is a machine-checked
-inequality between rationals (or inconclusive, never falsely passed).
+coefficient route evaluates it under mp.mp at every root, certify_bound
+under mp.iv at the real roots, where each parallel's mu peaks for zero
+phases, and compares the exact endpoints of the outward-rounded
+mu_max^2 enclosure with each threshold, so a bound verdict is a
+machine-checked inequality between rationals (or inconclusive, never
+falsely passed).
 The two float routes share one report assembly, which compares the
 rounded mu_max^2 exactly.  A ConditionReport decides its own pass:
 `passed` only when every verdict is True.
@@ -46,7 +48,8 @@ points.orbit_representative: the quarter turn, the conjugation and the
 mirror j <-> 2M - j, the last exact because z^N P(1/z) = -P(z) and
 mu_norm is invariant under the rotation z -> 1/z of the Riemann sphere.
 Every per_root entry, and under mp.iv its enclosure, is its
-representative's.
+representative's; certify_bound lists the 2M - 1 real roots and
+evaluates the M of parallels 1..M.
 
 Distance products against a full parallel use the closed form
 
@@ -226,12 +229,13 @@ def by_orbit(point_set: PointSet, points, evaluate):
     return [(f"p{j}.k{t}", values[rep]) for (j, t), rep in zip(points, reps)], values
 
 
-def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx):
+def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx, points):
     """by_orbit of log mu under ctx at prec_bits, ||f||^2 = norm_sq, over
-    every root of the point set's family polynomial, in factor order."""
+    the roots (parallel j, azimuth t) in `points` of the point set's
+    family polynomial."""
     pars = {par.index: par for par in factor_parallels(point_set.parallels)}
     return by_orbit(
-        point_set, [(j, t) for j, par in pars.items() for t in range(par.count)],
+        point_set, points,
         lambda j, ts: log_mu_at_root(
             pars[j], [p for i, p in pars.items() if i != j], point_set.N, norm_sq, prec_bits, ctx, ts
         ),
@@ -271,7 +275,8 @@ def mu_max_coefficient_route(
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
     with mp.workprec(prec_bits):  # a phased ||f||^2 is an mpf at this precision
         norm_sq = product_norm_sq(family_polynomial(point_set))
-    per_root, values = _log_mu_per_root(point_set, norm_sq, prec_bits, mp.mp)
+    roots = [(par.index, t) for par in factor_parallels(point_set.parallels) for t in range(par.count)]
+    per_root, values = _log_mu_per_root(point_set, norm_sq, prec_bits, mp.mp, roots)
     return _float_report(M, "coefficient", prec_bits, per_root, values)
 
 
@@ -435,20 +440,33 @@ def mu_max_spherical_route(
 def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport:
     """Certified verdicts for the three standard bounds on mu_max.
 
-    Encloses log mu at each orbit representative, so at every root, under
-    mp.iv and compares the exact endpoints of the resulting mu_max^2
-    enclosure against each threshold of BOUNDS (N^2, (19/2)^2 (N+1),
-    (227/500)^2 N), doubling the interval precision until each verdict
-    resolves or it reaches CERTIFY_PREC_FACTOR times the working
-    precision; unresolved comparisons are reported as None, never as a pass.
+    mu_max is attained at a real root: at the root z_t = rho_j e^(2 pi i t / r_j)
+    of parallel j, each other factor m contributes
+
+        |z_t^(r_m) - s_m|^2 = (rho_j^(r_m) - s_m)^2 + 4 rho_j^(r_m) s_m sin^2(pi r_m t / r_j)
+                           >= (rho_j^(r_m) - s_m)^2,
+
+    since s_m > 0, with equality at t = 0 for every m at once, while the
+    root's own factor, r_j rho_j^(r_j - 1), and (1 + rho_j^2)^(N-2) ||f||^2
+    do not depend on t.
+    So mu(f, z_t) <= mu(f, rho_j), and mu_max is the largest mu at the
+    real roots (j, 0), of which by_orbit evaluates the M representatives
+    j <= M.  It encloses log mu there under mp.iv and compares the exact
+    endpoints of the resulting mu_max^2 enclosure against each threshold
+    of BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N), doubling the interval
+    precision until each verdict resolves or it reaches
+    CERTIFY_PREC_FACTOR times the working precision; unresolved
+    comparisons are reported as None, never as a pass.  per_root lists
+    the 2M - 1 real roots p{j}.k0 in factor order.
     """
     point_set = build_point_set(M, prec_bits=prec_bits)
     cap_bits = CERTIFY_PREC_FACTOR * prec_bits
     N = point_set.N
     norm_sq = product_norm_sq(family_polynomial(point_set))
+    real_roots = [(par.index, 0) for par in factor_parallels(point_set.parallels)]
     iv_prec = prec_bits
     while True:
-        per_root, values = _log_mu_per_root(point_set, norm_sq, iv_prec, mp.iv)
+        per_root, values = _log_mu_per_root(point_set, norm_sq, iv_prec, mp.iv, real_roots)
         top = [max(lm.a for lm in values.values()), max(lm.b for lm in values.values())]
         sq_lo, sq_hi = interval_endpoints(lambda iv: iv.exp(2 * iv.mpf(top)), iv_prec)
         verdicts = _bound_verdicts(N, sq_lo, sq_hi)

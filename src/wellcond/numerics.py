@@ -6,8 +6,10 @@ binary precision: floats under mp.mp, outward-rounded intervals under
 mp.iv.  This module owns the conversions between the two worlds,
 rigorous enclosures of cos(pi * q) for rational q, Gauss-Legendre
 nodes (the package integrates nothing numerically; the enclosures and
-the nodes serve references in the tests), and ``two_term_log``, the one
-kernel for every product of distances between parallels.
+the nodes serve references in the tests), ``round_fraction``, which
+rounds an exact rational once under either context, and
+``two_term_log``, the one kernel for the products of distances between
+parallels on the sphere (the Theta grids and the energy).
 
 Two representations are fixed here for the whole package:
 
@@ -101,6 +103,16 @@ def log_fraction(ctx, q: Fraction):
     """log q for a positive rational q under ctx at its precision: a float
     under mp, an enclosure under mp.iv."""
     return ctx.log(ctx.mpf(q.numerator) / q.denominator)
+
+
+def round_fraction(ctx, q: Fraction):
+    """A rational q under ctx at its precision, rounded once: to nearest
+    under mp.mp (to_mpf), outward under mp.iv (a point where q is
+    representable)."""
+    if ctx is mp.iv:
+        n, d = q.numerator, q.denominator
+        return ctx.make_mpf(tuple(libmp.from_rational(n, d, ctx.prec, rnd) for rnd in "fc"))
+    return to_mpf(q)
 
 
 def fraction_endpoints(x) -> tuple[Fraction, Fraction]:

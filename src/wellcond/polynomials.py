@@ -20,9 +20,10 @@ a_i / D once; product_norm_sq forms the Bombieri-Weyl norm from the same
 numerators, ||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f,
 exact for zero phases; the rotated (complex) shifts of a phased family
 take the precision of its point set.  |f'| at the roots reads the
-Parallel records, each factor's exact height and phase, and takes the
-kernel numerics.two_term_log once per other factor, under an mpmath
-context at a caller-chosen binary precision (floats under mp.mp,
+Parallel records, each factor's exact height and phase: every other
+factor's term is (a - s)^2 + 4 a s sin^2, with a and s exact rational
+powers of the squared moduli, its gap and rim rounded once under an
+mpmath context at a caller-chosen binary precision (floats under mp.mp,
 enclosures under mp.iv).
 """
 
@@ -45,9 +46,9 @@ from .numerics import (
     frac_str,
     int_str,
     log_fraction,
+    round_fraction,
     sin_sq_pi,
     to_mpf,
-    two_term_log,
 )
 from .points import Parallel, PointSet, build_parallels
 
@@ -287,24 +288,30 @@ def derivative_modulus_at_root(
     factor of parallel `root` (count r, phase phi, rho^2 = Parallel.rho_sq),
     t in `azimuths` (default 0..r-1), of the monic f whose other factors
     are those of the parallels `others`, under ctx (mp.mp or mp.iv) at
-    prec_bits.  The term |z_t^(r_m) - s_m|^2 of factor m is the kernel
-    numerics.two_term_log with R = r_m, (base, gap, rim) once per other
-    factor, its sin^2 once per distinct turn r_m t / r and offset
-    r_m (phi - phi_m) / 2, an exact 0 for equal phases.  A vanishing
-    term means a repeated root, where f' = 0: the log is -inf.
+    prec_bits:
+
+        |f'(z_t)|^2 = r^2 rho^(2(r-1)) prod_m ((a_m - s_m)^2 + 4 a_m s_m sin^2(theta_m / 2)),
+
+    with a_m = (rho^2)^(r_m/2) and s_m = (rho_m^2)^(r_m/2) exact rationals
+    (every count is even), so each factor's gap (a_m - s_m)^2 and rim
+    4 a_m s_m are rounded once under ctx, and theta_m / 2 = pi r_m t / r
+    plus the offset r_m (phi - phi_m) / 2, an exact 0 for equal phases;
+    sin^2 is taken once per distinct turn and offset, and the log once
+    per root.  A vanishing term means a repeated root, where f' = 0: the
+    log is -inf.
     """
     check_precision(prec_bits)
-    r = root.count
+    r, rho_sq = root.count, root.rho_sq
     ts = range(r) if azimuths is None else azimuths
     with context_precision(ctx, prec_bits):
-        ell = log_fraction(ctx, root.rho_sq)
-        base = ctx.log(r) + (r - 1) * ell / 2
+        base = ctx.log(r) + (r - 1) * log_fraction(ctx, rho_sq) / 2
         phi, terms = ctx.mpf(root.phase), []
         for par in others:
-            log_m, gap, rim = two_term_log(ctx, par.count, ell, log_fraction(ctx, par.rho_sq))
+            a, s = rho_sq ** (par.count // 2), par.rho_sq ** (par.count // 2)
             offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
-            terms.append((par.count, offset, gap, rim))
-            base += log_m / 2
+            terms.append(
+                (par.count, offset, round_fraction(ctx, (a - s) ** 2), round_fraction(ctx, 4 * a * s))
+            )
         turns = {(r_m * t % r, offset) for r_m, offset, _, _ in terms for t in ts}
         sin_sq = {(j, offset): sin_sq_pi(ctx, Fraction(j, r), offset) for j, offset in turns}
         return [

@@ -5,10 +5,12 @@ integer-numerator expansion of ``wellcond.polynomials.expand``.  Horner
 evaluation, the exact formal derivative and the O(N) product over root
 differences check the closed form of |f'(z)| that
 ``wellcond.polynomials`` evaluates, at degrees small enough for the
-O(N^2) total cost.  The exact-rational enclosure of mu^2 checks the
-interval evaluation of ``wellcond.condition.certify_bound``, and log mu
-from a polynomial expanded out of its N roots checks the coefficient
-route of a phased family.
+O(N^2) total cost.  The exact-rational enclosure of mu^2 at every root
+and the exact mu^2 at the real roots, in integers only, check the
+interval evaluation of ``wellcond.condition.certify_bound`` and the
+argument that it needs only the real roots, and log mu from a
+polynomial expanded out of its N roots checks the coefficient route of
+a phased family.
 """
 
 from fractions import Fraction
@@ -126,6 +128,34 @@ def mu_sq_enclosures(
                 c_lo, c_hi = cos_iv(Fraction(2 * r_m * t, r))
                 d_lo, d_hi = d_lo * (a - b * c_hi), d_hi * (a - b * c_lo)
             out.append((f"p{root.index}.k{t}", numer / d_hi, numer / d_lo))
+    return out
+
+
+def mu_sq_at_real_roots(M: int, norm_sq: Fraction) -> dict[str, Fraction]:
+    """mu^2 exactly at the real root rho_j of every parallel j of the
+    canonical polynomial of parameter M with ||f||^2 = norm_sq, labelled
+    p{j}.k0 in factor order, from integers only:
+
+        mu(rho_j)^2 = N (1 + rho_j^2)^(N-2) ||f||^2
+                      / (r_j^2 rho_j^(2(r_j-1)) prod_m (a_m - s_m)^2),
+
+    a_m = (rho_j^2)^(r_m/2), s_m = (rho_m^2)^(r_m/2) with rho^2 = n/d in
+    lowest terms, numerator and denominator multiplied out and divided
+    once.  The cost grows about as M^5, so this stays an oracle.
+    """
+    N = 4 * M * M
+    pars = factor_parallels(build_parallels(M))
+    ratios = [((1 + par.height) / (1 - par.height)) for par in pars]
+    out = {}
+    for k, root in enumerate(pars):
+        r, n, d = root.count, ratios[k].numerator, ratios[k].denominator
+        num = N * (n + d) ** (N - 2) * norm_sq.numerator * d ** (r - 1)
+        den = d ** (N - 2) * norm_sq.denominator * r * r * n ** (r - 1)
+        for par, ratio in zip(pars[:k] + pars[k + 1:], ratios[:k] + ratios[k + 1:]):
+            e, n_m, d_m = par.count // 2, ratio.numerator, ratio.denominator
+            num *= (d * d_m) ** (2 * e)
+            den *= ((n * d_m) ** e - (n_m * d) ** e) ** 2
+        out[f"p{root.index}.k0"] = Fraction(num, den)
     return out
 
 

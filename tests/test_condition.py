@@ -31,7 +31,7 @@ from wellcond.polynomials import (
     factor_parallels,
     product_norm_sq,
 )
-from polynomial_oracle import log_mu_by_expansion, mu_sq_enclosures
+from polynomial_oracle import log_mu_by_expansion, mu_sq_at_real_roots, mu_sq_enclosures
 from sphere_oracle import distance_sq, numerator_by_product_rule, product_rule_nodes
 
 
@@ -171,7 +171,8 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
     with mp.workprec(prec):
         for (rid, got), (_, want) in zip(rep.per_root, full[mp.mp]):
             assert abs(got - want) < mp.mpf(2) ** -(prec - 16), rid
-    per_root, values = _log_mu_per_root(build_point_set(M, prec_bits=prec), norm_sq, prec, mp.iv)
+    roots = [(par.index, t) for par in pars for t in range(par.count)]
+    per_root, values = _log_mu_per_root(build_point_set(M, prec_bits=prec), norm_sq, prec, mp.iv, roots)
     assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
     for (rid, enclosure), (full_rid, full_enclosure) in zip(per_root, full[mp.iv]):
         assert rid == full_rid
@@ -200,22 +201,28 @@ def evaluated(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("M", [3, 5])
 def test_symmetry_declaration_is_the_only_reduction(M, monkeypatch, evaluated):
     """With points.orbit_representative replaced by the trivial group,
-    every route evaluates every root or point, and mu_max and the
-    verdicts stay as they are."""
+    the float routes evaluate every root or point and certify_bound every
+    real root, where it evaluates M (one per mirror pair) under the
+    declared group, and mu_max and the verdicts stay as they are."""
     prec = 256
     N = 4 * M * M
     orbits = sum(j // 2 + 1 for j in range(1, M + 1))
-    routes = (mu_max_coefficient_route, certify_bound, mu_max_spherical_route)
+    counts = {  # route -> (declared, trivial)
+        mu_max_coefficient_route: (orbits, N),
+        certify_bound: (M, 2 * M - 1),
+        mu_max_spherical_route: (orbits, N),
+    }
     reports = {}
     for group in ("declared", "trivial"):
         if group == "trivial":
             monkeypatch.setattr(condition, "orbit_representative", lambda M, j, k: (j, k))
-        for route in routes:
+        for route, (declared, trivial) in counts.items():
             evaluated.clear()
             rep = route(M, prec)
             reports[group, route] = rep
-            assert sum(evaluated) == (N if group == "trivial" else orbits), (group, route.__name__)
-    for route in routes:
+            want = trivial if group == "trivial" else declared
+            assert sum(evaluated) == want, (group, route.__name__)
+    for route in counts:
         a, b = reports["declared", route], reports["trivial", route]
         assert a.verdicts == b.verdicts and a.certified == b.certified
         with mp.workprec(prec):
@@ -409,26 +416,62 @@ def test_certified_encloses_float_route():
 
 def test_certified_route_matches_fraction_oracle():
     """For M = 1..8 the interval enclosures agree with the exact-rational
-    ones: the same roots, the same verdicts, overlapping mu_max^2
-    enclosures, a mu_max enclosure narrower than 2^-(prec-16) relative
-    and per-root log mu within 2^-(prec-16)."""
+    ones at every root: per_root lists the real roots k = 0, each log mu
+    within 2^-(prec-16) of the oracle's, the oracle's largest mu^2 over
+    all roots is its largest over the real roots, and the verdicts match,
+    with overlapping mu_max^2 enclosures and a mu_max enclosure narrower
+    than 2^-(prec-16) relative."""
     prec = 256
     for M in range(1, 9):
         rep = certify_bound(M, prec)
         norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
         oracle = mu_sq_enclosures(M, norm_sq, prec)
-        assert [rid for rid, _ in rep.per_root] == [rid for rid, _, _ in oracle]
+        real = [entry for entry in oracle if entry[0].endswith(".k0")]
+        assert [rid for rid, _ in rep.per_root] == [rid for rid, _, _ in real]
         sq_lo = max(lo for _, lo, _ in oracle)
         sq_hi = max(hi for _, _, hi in oracle)
+        assert (sq_lo, sq_hi) == (max(lo for _, lo, _ in real), max(hi for _, _, hi in real)), M
         assert _bound_verdicts(rep.N, sq_lo, sq_hi) == rep.verdicts, M
         mu_lo = Fraction(rep.extras["mu_max_lo"])
         mu_hi = Fraction(rep.extras["mu_max_hi"])
         assert mu_lo**2 <= sq_hi and sq_lo <= mu_hi**2, M
         assert mu_hi - mu_lo < mu_lo / 2 ** (prec - 16), M
         with mp.workprec(prec):
-            for (rid, got), (_, lo, hi) in zip(rep.per_root, oracle):
+            for (rid, got), (_, lo, hi) in zip(rep.per_root, real):
                 want = mp.log(to_mpf((lo + hi) / 2)) / 2
                 assert abs(got - want) < mp.mpf(2) ** -(prec - 16), (M, rid)
+
+
+@pytest.mark.parametrize("M", range(1, 17))
+def test_exact_mu_max_sits_at_z_1_inside_the_enclosure(M):
+    """mu^2 at the real roots, exact in integers
+    (polynomial_oracle.mu_sq_at_real_roots): the mirror parallels j and
+    2M - j give equal values, the equator's root z = 1 (p{M}.k0) gives
+    the largest, and that maximum lies in certify_bound's mu_max^2
+    enclosure, whose per_root lists the same real roots."""
+    rep = certify_bound(M, 256)
+    exact = mu_sq_at_real_roots(M, product_norm_sq(canonical_polynomial(M)))
+    assert list(exact) == [rid for rid, _ in rep.per_root]
+    for j in range(1, M):
+        assert exact[f"p{j}.k0"] == exact[f"p{2 * M - j}.k0"], j
+    top = exact.pop(f"p{M}.k0")
+    assert all(sq < top for sq in exact.values())
+    assert Fraction(rep.extras["mu_max_lo"]) ** 2 <= top <= Fraction(rep.extras["mu_max_hi"]) ** 2
+
+
+@pytest.mark.parametrize("M", [4, 8])
+def test_each_parallel_peaks_at_its_real_root_on_both_float_routes(M):
+    """On the coefficient and the spherical route, the largest log mu of
+    every parallel is the one at k = 0, the argument certify_bound rests
+    on."""
+    for route in (mu_max_coefficient_route, mu_max_spherical_route):
+        rows: dict[str, dict[int, mp.mpf]] = {}
+        for rid, lm in route(M, 256).per_root:
+            j, k = rid.split(".k")
+            rows.setdefault(j, {})[int(k)] = lm
+        assert len(rows) == 2 * M - 1, route.__name__
+        for j, row in rows.items():
+            assert max(row.values()) == row[0], (route.__name__, j)
 
 
 def test_unresolved_verdict_escalates_to_the_cap_and_never_passes(tmp_path, monkeypatch):

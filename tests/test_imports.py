@@ -1,7 +1,7 @@
 """Every name a wellcond module imports is used in that module, every
 private module-level helper is used somewhere in the package, every
-function the benchmark tracer wraps exists, and the products between
-parallels share one kernel."""
+function the benchmark tracer wraps exists, and the Theta grids and
+the energy share one two-term kernel."""
 
 import ast
 import importlib
@@ -172,17 +172,18 @@ def test_callers_checker_finds_names_attributes_and_nested_calls():
     assert callers_of({"x": src}, "kernel") == {"x.c", "x.m"}
 
 
-def test_one_two_term_kernel_for_every_product_between_parallels():
-    """|f'| at the roots, the Theta grids and the energy's resultants all
-    evaluate the two-term form through numerics.two_term_log, and no
-    other function forms its expm1 term."""
+def test_one_two_term_kernel_for_the_theta_grids_and_the_energy():
+    """The Theta grids and the energy's resultants evaluate the two-term
+    form through numerics.two_term_log, and no other function forms its
+    expm1 term; |f'| at the roots takes no log per factor but rounds each
+    factor's exact gap and rim once (numerics.round_fraction)."""
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert callers_of(sources, "two_term_log") == {
-        "polynomials.derivative_modulus_at_root",
         "condition.theta_product_log_turn",
         "energy.log_energy",
     }
     assert callers_of(sources, "expm1") == {"numerics.two_term_log"}
+    assert callers_of(sources, "round_fraction") == {"polynomials.derivative_modulus_at_root"}
 
 
 def test_one_product_over_the_parallels_for_every_theta_grid():
