@@ -6,7 +6,7 @@ binary precision: floats under mp.mp, outward-rounded intervals under
 mp.iv.  This module owns the conversions between the two worlds,
 rigorous enclosures of cos(pi * q) for rational q, Gauss-Legendre
 nodes (the package integrates nothing numerically; the enclosures and
-the nodes serve references in the tests), ``round_fraction``, which
+the nodes serve references in the tests), ``round_ratio``, which
 rounds an exact rational once under either context, and
 ``two_term_log``, the one kernel for the products of distances between
 parallels on the sphere (the Theta grids and the energy).
@@ -105,14 +105,13 @@ def log_fraction(ctx, q: Fraction):
     return ctx.log(ctx.mpf(q.numerator) / q.denominator)
 
 
-def round_fraction(ctx, q: Fraction):
-    """A rational q under ctx at its precision, rounded once: to nearest
-    under mp.mp (to_mpf), outward under mp.iv (a point where q is
-    representable)."""
+def round_ratio(ctx, n: int, d: int):
+    """The rational n / d of integers (d > 0) under ctx at its precision,
+    rounded once: to nearest under mp.mp, outward under mp.iv (a point
+    where n / d is representable).  No gcd is taken."""
     if ctx is mp.iv:
-        n, d = q.numerator, q.denominator
         return ctx.make_mpf(tuple(libmp.from_rational(n, d, ctx.prec, rnd) for rnd in "fc"))
-    return to_mpf(q)
+    return ctx.make_mpf(libmp.from_rational(n, d, ctx.prec, "n"))
 
 
 def fraction_endpoints(x) -> tuple[Fraction, Fraction]:

@@ -46,7 +46,7 @@ from .numerics import (
     frac_str,
     int_str,
     log_fraction,
-    round_fraction,
+    round_ratio,
     sin_sq_pi,
     to_mpf,
 )
@@ -293,25 +293,27 @@ def derivative_modulus_at_root(
         |f'(z_t)|^2 = r^2 rho^(2(r-1)) prod_m ((a_m - s_m)^2 + 4 a_m s_m sin^2(theta_m / 2)),
 
     with a_m = (rho^2)^(r_m/2) and s_m = (rho_m^2)^(r_m/2) exact rationals
-    (every count is even), so each factor's gap (a_m - s_m)^2 and rim
-    4 a_m s_m are rounded once under ctx, and theta_m / 2 = pi r_m t / r
+    (every count is even), put over one integer denominator, so each
+    factor's gap (a_m - s_m)^2 and rim 4 a_m s_m are ratios of integers,
+    rounded once under ctx (numerics.round_ratio), and theta_m / 2 = pi r_m t / r
     plus the offset r_m (phi - phi_m) / 2, an exact 0 for equal phases;
     sin^2 is taken once per distinct turn and offset, and the log once
     per root.  A vanishing term means a repeated root, where f' = 0: the
     log is -inf.
     """
     check_precision(prec_bits)
-    r, rho_sq = root.count, root.rho_sq
+    r, n, d = root.count, root.rho_sq.numerator, root.rho_sq.denominator
     ts = range(r) if azimuths is None else azimuths
     with context_precision(ctx, prec_bits):
-        base = ctx.log(r) + (r - 1) * log_fraction(ctx, rho_sq) / 2
+        base = ctx.log(r) + (r - 1) * log_fraction(ctx, root.rho_sq) / 2
         phi, terms = ctx.mpf(root.phase), []
         for par in others:
-            a, s = rho_sq ** (par.count // 2), par.rho_sq ** (par.count // 2)
+            # (rho^2)^e = a / p and (rho_m^2)^e = s / p, all integers
+            e, n_m, d_m = par.count // 2, par.rho_sq.numerator, par.rho_sq.denominator
+            a, s, p_sq = (n * d_m) ** e, (n_m * d) ** e, (d * d_m) ** (2 * e)
             offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
-            terms.append(
-                (par.count, offset, round_fraction(ctx, (a - s) ** 2), round_fraction(ctx, 4 * a * s))
-            )
+            gap, rim = round_ratio(ctx, (a - s) ** 2, p_sq), round_ratio(ctx, 4 * a * s, p_sq)
+            terms.append((par.count, offset, gap, rim))
         turns = {(r_m * t % r, offset) for r_m, offset, _, _ in terms for t in ts}
         sin_sq = {(j, offset): sin_sq_pi(ctx, Fraction(j, r), offset) for j, offset in turns}
         return [

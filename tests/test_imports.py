@@ -176,14 +176,14 @@ def test_one_two_term_kernel_for_the_theta_grids_and_the_energy():
     """The Theta grids and the energy's resultants evaluate the two-term
     form through numerics.two_term_log, and no other function forms its
     expm1 term; |f'| at the roots takes no log per factor but rounds each
-    factor's exact gap and rim once (numerics.round_fraction)."""
+    factor's exact gap and rim once (numerics.round_ratio)."""
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert callers_of(sources, "two_term_log") == {
         "condition.theta_product_log_turn",
         "energy.log_energy",
     }
     assert callers_of(sources, "expm1") == {"numerics.two_term_log"}
-    assert callers_of(sources, "round_fraction") == {"polynomials.derivative_modulus_at_root"}
+    assert callers_of(sources, "round_ratio") == {"polynomials.derivative_modulus_at_root"}
 
 
 def test_one_product_over_the_parallels_for_every_theta_grid():
