@@ -145,7 +145,7 @@ def mu_sq_at_real_roots(M: int, norm_sq: Fraction) -> dict[str, Fraction]:
     """
     N = 4 * M * M
     pars = factor_parallels(build_parallels(M))
-    ratios = [((1 + par.height) / (1 - par.height)) for par in pars]
+    ratios = [(1 + par.height) / (1 - par.height) for par in pars]
     out = {}
     for k, root in enumerate(pars):
         r, n, d = root.count, ratios[k].numerator, ratios[k].denominator
