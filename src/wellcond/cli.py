@@ -23,7 +23,9 @@ VerificationReport.passed and .gated) and format their own values
 (to_json_dict, which generate's CSV rows are also read from); this
 module renders and aggregates them, and adds one check of its own: with
 --route both the two routes' mu_max, for any phases, agree to
-condition.route_tolerance, relative N*2^-(precision-8).
+condition.route_tolerance, relative N*2^-(precision-8).  With --certify
+the coefficient report is read off the certified one
+(condition.coefficient_report), so cond evaluates mu at the roots once.
 
 Outputs are deterministic for a fixed configuration and seed; each file
 is written atomically; the process exits 0 only if every gated check
@@ -50,6 +52,7 @@ from . import __version__
 from .condition import (
     BOUNDS,
     certify_bound,
+    coefficient_report,
     mu_max_coefficient_route,
     mu_max_spherical_route,
     route_tolerance,
@@ -360,6 +363,9 @@ COND_HEADER = [
     "precision_bits",
     "mu_max",
     "log_mu_max",
+    "argmax_root",
+    "mu_max_lo",
+    "mu_max_hi",
     *BOUNDS,
     "certified",
     "route_rel_diff",
@@ -371,15 +377,21 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
     reports = []
     rel_diff = None
     with mp.workprec(prec):
+        # --certify implies zero phases; the coefficient route then reads
+        # the certificate's enclosures, so mu is evaluated once
+        certified = certify_bound(M, prec) if args.certify else None
         if route in ("coeff", "both"):
-            reports.append(mu_max_coefficient_route(M, prec, phases=phases[M]))
+            if certified:
+                reports.append(coefficient_report(certified))
+            else:
+                reports.append(mu_max_coefficient_route(M, prec, phases=phases[M]))
         if route in ("sphere", "both"):
             reports.append(mu_max_spherical_route(M, prec, phases=phases[M]))
         if route == "both":
             a, b = reports[0].mu_max, reports[1].mu_max
             rel_diff = abs(a - b) / b
-        if args.certify:
-            reports.append(certify_bound(M, prec))
+        if certified:
+            reports.append(certified)
         dicts = [rep.to_json_dict() for rep in reports]
         if rel_diff is not None:
             for d in dicts:
@@ -403,6 +415,9 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
             str(d["precision_bits"]),
             d["mu_max"],
             d["log_mu_max"],
+            d["argmax_root"],
+            d.get("mu_max_lo", ""),
+            d.get("mu_max_hi", ""),
             *(str(d["verdicts"][key]) for key in BOUNDS),
             str(d["certified"]),
             d.get("route_rel_diff", ""),

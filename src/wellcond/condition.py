@@ -11,7 +11,8 @@ input, its point set (phases included), so each checks the other:
   (polynomials.product_norm_sq), and
   |f'(z)| from the factor-wise closed form of
   polynomials.derivative_modulus_at_root (one term per other factor,
-  not N - 1 root differences), assembled in log-domain;
+  not N - 1 root differences), assembled in log-domain, with log N and
+  log ||f||^2 formed once per pass (log_scale);
 
 * spherical route: with the roots pushed onto the sphere by inverse
   stereographic projection,
@@ -32,24 +33,29 @@ input, its point set (phases included), so each checks the other:
   route check compares two kernels.
 
 log mu at the roots is written once, against an mpmath context: the
-coefficient route evaluates it under mp.mp at every root, certify_bound
-under mp.iv at the real roots, where each parallel's mu peaks for zero
-phases, and compares the exact endpoints of the outward-rounded
-mu_max^2 enclosure with each threshold, so a bound verdict is a
-machine-checked inequality between rationals (or inconclusive, never
-falsely passed).
+coefficient route evaluates it under mp.mp, certify_bound under mp.iv,
+and compares the exact endpoints of the outward-rounded mu_max^2
+enclosure with each threshold, so a bound verdict is a machine-checked
+inequality between rationals (or inconclusive, never falsely passed).
 The two float routes share one report assembly, which compares the
-rounded mu_max^2 exactly.  A ConditionReport decides its own pass:
-`passed` only when every verdict is True.
+rounded mu_max^2 exactly and names the maximising root.  A
+ConditionReport decides its own pass: `passed` only when every verdict
+is True.  coefficient_report reads the coefficient route's report off
+certify_bound's, so a certified run evaluates mu once.
 
-On a PointSet.symmetric point set each route evaluates one root (or
-point) per orbit of the family's symmetry group,
-points.orbit_representative: the quarter turn, the conjugation and the
-mirror j <-> 2M - j, the last exact because z^N P(1/z) = -P(z) and
-mu_norm is invariant under the rotation z -> 1/z of the Riemann sphere.
-Every per_root entry, and under mp.iv its enclosure, is its
-representative's; certify_bound lists the 2M - 1 real roots and
-evaluates the M of parallels 1..M.
+evaluated_roots chooses, in one place, the roots (and points) every
+route evaluates.  On a PointSet.symmetric point set these are the real
+roots (j, 0): for zero phases every shift is positive, so each other
+factor's term of |f'|^2, and each other parallel's Theta factor of a
+gap product, gap + rim sin^2, is smallest where every sin^2 is 0, which
+is at t = 0 on every parallel at once; so each parallel's mu peaks at
+its real root (certify_bound, mu_max_spherical_route).  by_orbit then
+evaluates one of them per orbit of the family's symmetry group,
+points.orbit_representative: the mirror j <-> 2M - j, exact because
+z^N P(1/z) = -P(z) and mu_norm is invariant under the rotation
+z -> 1/z of the Riemann sphere, leaves the M of parallels 1..M.  Every
+per_root entry, and under mp.iv its enclosure, is its
+representative's.  A phased point set is evaluated at every root.
 
 Distance products against a full parallel use the closed form
 
@@ -143,6 +149,12 @@ class ConditionReport:
         """Every verdict True; an unresolved (None) verdict fails."""
         return all(v is True for v in self.verdicts.values())
 
+    @property
+    def argmax_root(self) -> str:
+        """The root of per_root with the largest log mu (on a certified
+        report, the largest enclosure midpoint), the first listed on a tie."""
+        return max(self.per_root, key=lambda entry: entry[1])[0]
+
     def to_json_dict(self) -> dict:
         with mp.workprec(self.precision_bits):
             out = {
@@ -152,6 +164,7 @@ class ConditionReport:
                 "precision_bits": self.precision_bits,
                 "mu_max": fmt_real(self.mu_max),
                 "log_mu_max": fmt_real(self.log_mu_max),
+                "argmax_root": self.argmax_root,
                 "per_root": [
                     {"root": rid, "log_mu": fmt_real(lm)} for rid, lm in self.per_root
                 ],
@@ -195,23 +208,44 @@ def _bound_verdicts(
     return verdicts
 
 
+def log_scale(N: int, norm_sq, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp) -> tuple:
+    """(log N, log ||f||^2) under ctx at prec_bits, with ||f||^2 = norm_sq
+    (a Fraction or an mpf, taken exactly): log_mu_at_root's scale, formed
+    once per pass over the roots."""
+    with context_precision(ctx, prec_bits):
+        return ctx.log(N), log_fraction(ctx, to_fraction(norm_sq))
+
+
 def log_mu_at_root(
-    root: Parallel, others: Sequence[Parallel], N: int, norm_sq, prec_bits: int = DEFAULT_PREC_BITS,
-    ctx=mp.mp, azimuths=None,
+    root: Parallel, others: Sequence[Parallel], log_n, log_norm_sq,
+    prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp, azimuths=None,
 ) -> list:
     """log mu(f, z) at the roots z_t, t in `azimuths` (default all), of the
-    factor of parallel `root` of the degree-N f with other factors
-    `others` (polynomials.derivative_modulus_at_root) and ||f||^2 =
-    norm_sq (a Fraction or an mpf, taken exactly), under ctx:
+    factor of parallel `root` of the f with other factors `others`
+    (polynomials.derivative_modulus_at_root), of degree N the sum of the
+    counts, under ctx at prec_bits, with (log N, log ||f||^2) =
+    (log_n, log_norm_sq) of log_scale:
 
         log mu = (log N + (N-2) log(1 + rho^2) + log ||f||^2) / 2 - log |f'(z)|;
 
     +inf at a repeated root, where log |f'| = -inf."""
+    N = root.count + sum(par.count for par in others)
     log_fps = derivative_modulus_at_root(root, others, prec_bits, ctx, azimuths)
     with context_precision(ctx, prec_bits):
         log_w = log_fraction(ctx, 1 + root.rho_sq)  # log(1 + |z|^2)
-        base = (ctx.log(N) + (N - 2) * log_w + log_fraction(ctx, to_fraction(norm_sq))) / 2
+        base = (log_n + (N - 2) * log_w + log_norm_sq) / 2
         return [base - log_fp for log_fp in log_fps]
+
+
+def evaluated_roots(point_set: PointSet, parallels: Sequence[Parallel]) -> list[tuple[int, int]]:
+    """The (parallel j, azimuth t) roots, or points, at which every route
+    evaluates mu, over `parallels` in their order: on a symmetric point
+    set (PointSet.symmetric) the real root t = 0 of each, where each
+    parallel's mu peaks (certify_bound, mu_max_spherical_route), else
+    every root."""
+    if point_set.symmetric:
+        return [(par.index, 0) for par in parallels]
+    return [(par.index, t) for par in parallels for t in range(par.count)]
 
 
 def by_orbit(point_set: PointSet, points, evaluate):
@@ -229,28 +263,29 @@ def by_orbit(point_set: PointSet, points, evaluate):
     return [(f"p{j}.k{t}", values[rep]) for (j, t), rep in zip(points, reps)], values
 
 
-def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx, points):
+def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx, points=None):
     """by_orbit of log mu under ctx at prec_bits, ||f||^2 = norm_sq, over
-    the roots (parallel j, azimuth t) in `points` of the point set's
-    family polynomial."""
+    the roots (parallel j, azimuth t) in `points` (default evaluated_roots
+    in factor order) of the point set's family polynomial."""
     pars = {par.index: par for par in factor_parallels(point_set.parallels)}
+    if points is None:
+        points = evaluated_roots(point_set, pars.values())
+    log_n, log_norm_sq = log_scale(point_set.N, norm_sq, prec_bits, ctx)
     return by_orbit(
         point_set, points,
         lambda j, ts: log_mu_at_root(
-            pars[j], [p for i, p in pars.items() if i != j], point_set.N, norm_sq, prec_bits, ctx, ts
+            pars[j], [p for i, p in pars.items() if i != j], log_n, log_norm_sq, prec_bits, ctx, ts
         ),
     )
 
 
-def _float_report(
-    M: int, route: str, prec_bits: int, per_root: list, values: dict, **extras
-) -> ConditionReport:
-    """The uncertified report of a route from its per_root listing and its
-    log mu per orbit representative (`values`): mu_max = exp of their max,
-    with exact verdicts on mu_max^2 as rounded."""
+def _float_report(M: int, route: str, prec_bits: int, per_root: list, **extras) -> ConditionReport:
+    """The uncertified report of a route from its per_root listing of
+    log mu: mu_max = exp of their max, with exact verdicts on mu_max^2
+    as rounded."""
     N = 4 * M * M
     with mp.workprec(prec_bits):
-        log_mu_max = max(values.values())
+        log_mu_max = max(lm for _, lm in per_root)
         mu_max = mp.exp(log_mu_max)
         verdicts = _bound_verdicts(N, to_fraction(mu_max) ** 2)
     return ConditionReport(
@@ -271,13 +306,28 @@ def mu_max_coefficient_route(
     M: int, prec_bits: int = DEFAULT_PREC_BITS, phases: Sequence | None = None
 ) -> ConditionReport:
     """max mu over all roots of the family polynomial of M and the phases
-    of points.build_point_set, coefficient route."""
+    of points.build_point_set, coefficient route.
+
+    mu is evaluated at evaluated_roots, in factor order: with every phase
+    0 at the real roots, where each parallel's mu peaks (certify_bound
+    proves it), so per_root lists the 2M - 1 real roots p{j}.k0 and
+    by_orbit evaluates the M of parallels 1..M; a phased family is
+    evaluated at and lists every root.
+    """
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
     with mp.workprec(prec_bits):  # a phased ||f||^2 is an mpf at this precision
         norm_sq = product_norm_sq(family_polynomial(point_set))
-    roots = [(par.index, t) for par in factor_parallels(point_set.parallels) for t in range(par.count)]
-    per_root, values = _log_mu_per_root(point_set, norm_sq, prec_bits, mp.mp, roots)
-    return _float_report(M, "coefficient", prec_bits, per_root, values)
+    per_root, _ = _log_mu_per_root(point_set, norm_sq, prec_bits, mp.mp)
+    return _float_report(M, "coefficient", prec_bits, per_root)
+
+
+def coefficient_report(certified: ConditionReport) -> ConditionReport:
+    """The coefficient route's report of the zero-phase family, read off
+    certify_bound's report `certified`: the midpoints of its log mu
+    enclosures at the real roots, the roots mu_max_coefficient_route
+    evaluates, with mu_max and the verdicts formed from them as that
+    route forms its own, so a certified run evaluates mu once."""
+    return _float_report(certified.M, "coefficient", certified.precision_bits, certified.per_root)
 
 
 def theta_product_log_turn(
@@ -408,32 +458,33 @@ def mu_max_spherical_route(
 ) -> ConditionReport:
     """Spherical-route mu_max for the family of parameter M.
 
-    With every phase 0 only the orbit representatives' gap products are
-    evaluated, and per_root lists each parallel's points k < r/4 with
-    their representatives' values; a phased family is evaluated at and
-    lists every point.
+    mu at a point is a constant less its gap product's log, so mu_max
+    sits where a gap product is smallest.  With every phase 0 that is at
+    a real point (j, 0): against each other parallel m the point k of
+    parallel j has log Theta = base + log(gap + rim sin^2(pi r_m k / r_j)),
+    where base, gap >= 0 and rim >= 0 depend only on the two heights, and
+    its own parallel's product does not depend on k, so every factor, and
+    the gap product, is smallest at k = 0, where every sin^2 is 0.  So the
+    route evaluates evaluated_roots in parallel order: per_root lists
+    the 2M - 1 real points p{j}.k0 and by_orbit evaluates the M of
+    parallels 1..M; a phased family is evaluated at and lists every
+    point.
     """
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
     num = numerator_integral_log(point_set)
     N = point_set.N
-    symmetric = point_set.symmetric
-    everywhere = [(par, k) for par in point_set.parallels for k in range(par.count)]
     with mp.workprec(prec_bits):
         base = (
             -mp.log(2)
             + (mp.log(N) + mp.log(N + 1)) / 2
             + num.log_value / 2
         )
-        per_point, values = by_orbit(
-            point_set, [(par.index, k) for par, k in everywhere],
+        per_root, _ = by_orbit(
+            point_set, evaluated_roots(point_set, point_set.parallels),
             lambda j, ks: [base - g for g in point_gap_product_log(point_set, j, ks)],
         )
-        per_root = [
-            entry for entry, (par, k) in zip(per_point, everywhere)
-            if not symmetric or 4 * k < par.count
-        ]
     return _float_report(
-        M, "spherical", prec_bits, per_root, values, symmetry_reduced=symmetric
+        M, "spherical", prec_bits, per_root, symmetry_reduced=point_set.symmetric
     )
 
 
@@ -450,9 +501,10 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
     root's own factor, r_j rho_j^(r_j - 1), and (1 + rho_j^2)^(N-2) ||f||^2
     do not depend on t.
     So mu(f, z_t) <= mu(f, rho_j), and mu_max is the largest mu at the
-    real roots (j, 0), of which by_orbit evaluates the M representatives
-    j <= M.  It encloses log mu there under mp.iv and compares the exact
-    endpoints of the resulting mu_max^2 enclosure against each threshold
+    real roots (j, 0), evaluated_roots of the zero-phase family, of which
+    by_orbit evaluates the M representatives j <= M.  It encloses log mu
+    there under mp.iv and compares the exact endpoints of the resulting
+    mu_max^2 enclosure against each threshold
     of BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N), doubling the interval
     precision until each verdict resolves or it reaches
     CERTIFY_PREC_FACTOR times the working precision; unresolved
@@ -463,10 +515,9 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
     cap_bits = CERTIFY_PREC_FACTOR * prec_bits
     N = point_set.N
     norm_sq = product_norm_sq(family_polynomial(point_set))
-    real_roots = [(par.index, 0) for par in factor_parallels(point_set.parallels)]
     iv_prec = prec_bits
     while True:
-        per_root, values = _log_mu_per_root(point_set, norm_sq, iv_prec, mp.iv, real_roots)
+        per_root, values = _log_mu_per_root(point_set, norm_sq, iv_prec, mp.iv)
         top = [max(lm.a for lm in values.values()), max(lm.b for lm in values.values())]
         sq_lo, sq_hi = interval_endpoints(lambda iv: iv.exp(2 * iv.mpf(top)), iv_prec)
         verdicts = _bound_verdicts(N, sq_lo, sq_hi)

@@ -24,7 +24,7 @@ Parallel records, each factor's exact height and phase: every other
 factor's term is (a - s)^2 + 4 a s sin^2, with a and s exact rational
 powers of the squared moduli, its gap and rim rounded once under an
 mpmath context at a caller-chosen binary precision (floats under mp.mp,
-enclosures under mp.iv).
+enclosures under mp.iv), and no rim where every sin^2 it meets is 0.
 """
 
 from __future__ import annotations
@@ -298,8 +298,11 @@ def derivative_modulus_at_root(
     rounded once under ctx (numerics.round_ratio), and theta_m / 2 = pi r_m t / r
     plus the offset r_m (phi - phi_m) / 2, an exact 0 for equal phases;
     sin^2 is taken once per distinct turn and offset, and the log once
-    per root.  A vanishing term means a repeated root, where f' = 0: the
-    log is -inf.
+    per root.  A term whose sin^2 is exactly 0 at every requested root
+    (equal phases, r_m t / r an integer for each t: every term at a real
+    root of the zero-phase family) is its gap alone, with no rim formed,
+    as gap + rim * 0 would give it bit for bit.  A vanishing term means a
+    repeated root, where f' = 0: the log is -inf.
     """
     check_precision(prec_bits)
     r, n, d = root.count, root.rho_sq.numerator, root.rho_sq.denominator
@@ -311,14 +314,18 @@ def derivative_modulus_at_root(
             # (rho^2)^e = a / p and (rho_m^2)^e = s / p, all integers
             e, n_m, d_m = par.count // 2, par.rho_sq.numerator, par.rho_sq.denominator
             a, s, p_sq = (n * d_m) ** e, (n_m * d) ** e, (d * d_m) ** (2 * e)
+            gap = round_ratio(ctx, (a - s) ** 2, p_sq)
+            if par.phase == root.phase and not any(par.count * t % r for t in ts):
+                terms.append((par.count, 0, gap, None))
+                continue
             offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
-            gap, rim = round_ratio(ctx, (a - s) ** 2, p_sq), round_ratio(ctx, 4 * a * s, p_sq)
-            terms.append((par.count, offset, gap, rim))
-        turns = {(r_m * t % r, offset) for r_m, offset, _, _ in terms for t in ts}
+            terms.append((par.count, offset, gap, round_ratio(ctx, 4 * a * s, p_sq)))
+        turns = {(r_m * t % r, offset) for r_m, offset, _, rim in terms if rim is not None for t in ts}
         sin_sq = {(j, offset): sin_sq_pi(ctx, Fraction(j, r), offset) for j, offset in turns}
         return [
             base + ctx.log(ctx.fprod(
-                gap + rim * sin_sq[r_m * t % r, offset] for r_m, offset, gap, rim in terms
+                gap if rim is None else gap + rim * sin_sq[r_m * t % r, offset]
+                for r_m, offset, gap, rim in terms
             )) / 2
             for t in ts
         ]

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from wellcond import cli, points
+from wellcond import cli, condition, points
 from wellcond.cli import main
 from wellcond.condition import mu_max_coefficient_route, route_tolerance
 from wellcond.energy import verify_t_bounds
@@ -99,6 +99,54 @@ def test_cond_csv_format(tmp_path):
     rows = read_rows(tmp_path / "cond.csv")
     assert rows[0][0] == "M" and len(rows) == 3
     assert rows[1][0] == "1" and rows[2][0] == "2"
+
+
+def test_cond_csv_names_the_argmax_and_the_enclosure(tmp_path):
+    """Every cond.csv row names its maximising root, and the certified row
+    carries the enclosure endpoints of the JSON report; the float rows
+    leave them empty."""
+    argv = ["cond", "--M", "3", "--route", "both", "--certify"]
+    assert run([*argv, "--format", "csv", "--out", tmp_path / "csv"]) == 0
+    assert run([*argv, "--out", tmp_path / "json"]) == 0
+    header, *rows = read_rows(tmp_path / "csv" / "cond.csv")
+    assert header == cli.COND_HEADER
+    assert header[6:9] == ["argmax_root", "mu_max_lo", "mu_max_hi"]
+    reports = read_json(tmp_path / "json" / "cond_M3.json")["reports"]
+    assert [row[2] for row in rows] == [r["route"] for r in reports]
+    for row, rep in zip(rows, reports, strict=True):
+        got = dict(zip(header, row, strict=True))
+        assert got["argmax_root"] == rep["argmax_root"] == "p3.k0"
+        assert got["mu_max_lo"] == rep.get("mu_max_lo", "")
+        assert got["mu_max_hi"] == rep.get("mu_max_hi", "")
+    assert rows[2][7] and rows[2][8] and not any(row[7] or row[8] for row in rows[:2])
+
+
+def test_cond_certify_evaluates_mu_once(tmp_path, monkeypatch):
+    """With --certify the coefficient report is read off the certificate:
+    mu_max_coefficient_route is not called, log mu is evaluated once per
+    mirror pair of parallels, and the routes still agree."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the float coefficient route ran")
+
+    evaluated = []
+    log_mu_at_root = condition.log_mu_at_root
+
+    def counted(root, *args, **kwargs):
+        evaluated.append(root.index)
+        return log_mu_at_root(root, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "mu_max_coefficient_route", forbidden)
+    monkeypatch.setattr(condition, "log_mu_at_root", counted)
+    argv = ["cond", "--M", "2..3", "--route", "both", "--certify", "--out", tmp_path]
+    assert run(argv) == 0
+    assert sorted(evaluated) == [1, 1, 2, 2, 3]
+    for M in (2, 3):
+        coeff, sphere, cert = read_json(tmp_path / f"cond_M{M}.json")["reports"]
+        assert (coeff["route"], cert["route"]) == ("coefficient", "coefficient-certified")
+        assert [e["root"] for e in coeff["per_root"]] == [e["root"] for e in cert["per_root"]]
+        assert mp.mpf(coeff["route_rel_diff"]) <= route_tolerance(4 * M * M, 256)
+        assert mp.mpf(cert["mu_max_lo"]) <= mp.mpf(coeff["mu_max"]) <= mp.mpf(cert["mu_max_hi"])
 
 
 def test_verify_m3_refuses_gated_but_exits_zero(tmp_path):
@@ -508,7 +556,8 @@ def test_zero_phases_file_is_symmetry_reduced(tmp_path):
         ["cond", "--M", "2", "--route", "sphere", "--phases", phases, "--out", out]
     ) == 0
     rep = read_json(out / "cond_M2.json")["reports"][0]
-    assert rep["symmetry_reduced"] is True and len(rep["per_root"]) == 4
+    assert rep["symmetry_reduced"] is True
+    assert [e["root"] for e in rep["per_root"]] == ["p1.k0", "p2.k0", "p3.k0"]
 
 
 # At mpmath's default 53-bit context the library prints what the CLI

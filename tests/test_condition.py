@@ -14,7 +14,9 @@ from wellcond.condition import (
     _bound_verdicts,
     _log_mu_per_root,
     certify_bound,
+    coefficient_report,
     log_mu_at_root,
+    log_scale,
     mu_max_coefficient_route,
     mu_max_spherical_route,
     numerator_integral_log,
@@ -120,7 +122,7 @@ def test_routes_agree(M):
 
 
 def test_spherical_route_symmetry_reduction_identical():
-    """The orbit-reduced route lists the points k < r/4 of every parallel,
+    """The reduced route lists the real point k = 0 of every parallel,
     each equal to its own gap product, and its maximum is the maximum
     over all points."""
     prec = 192
@@ -141,9 +143,7 @@ def test_spherical_route_symmetry_reduction_identical():
             assert abs(max(full.values()) - fast.log_mu_max) < tol
             for rid, lm in fast.per_root:
                 assert abs(lm - full[rid]) < tol, rid
-        assert [rid for rid, _ in fast.per_root] == [
-            f"p{par.index}.k{k}" for par in ps.parallels for k in range(par.count // 4)
-        ]
+        assert [rid for rid, _ in fast.per_root] == [f"p{par.index}.k0" for par in ps.parallels]
 
 
 @pytest.mark.parametrize("M", range(1, 9))
@@ -151,7 +151,8 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
     """Every root's log mu, filled from its orbit representative, equals
     the evaluation of all factors at all turns: within 2^-(prec-16) under
     mp, and under mp.iv each representative's enclosure overlaps the
-    full evaluation's enclosure of every root of its orbit."""
+    full evaluation's enclosure of every root of its orbit.  The
+    coefficient route lists the full evaluation's real roots k = 0."""
     prec = 256
     N = 4 * M * M
     norm_sq = product_norm_sq(canonical_polynomial(M))
@@ -161,18 +162,27 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
             (f"p{par.index}.k{t}", lm)
             for k, par in enumerate(pars)
             for t, lm in enumerate(
-                log_mu_at_root(par, pars[:k] + pars[k + 1:], N, norm_sq, prec, ctx)
+                log_mu_at_root(par, pars[:k] + pars[k + 1:], *log_scale(N, norm_sq, prec, ctx), prec, ctx)
             )
         ]
         for ctx in (mp.mp, mp.iv)
     }
+    tol = mp.mpf(2) ** -(prec - 16)
     rep = mu_max_coefficient_route(M, prec)
-    assert [rid for rid, _ in rep.per_root] == [rid for rid, _ in full[mp.mp]]
+    real = [(rid, lm) for rid, lm in full[mp.mp] if rid.endswith(".k0")]
+    assert [rid for rid, _ in rep.per_root] == [rid for rid, _ in real]
     with mp.workprec(prec):
-        for (rid, got), (_, want) in zip(rep.per_root, full[mp.mp]):
-            assert abs(got - want) < mp.mpf(2) ** -(prec - 16), rid
+        for (rid, got), (_, want) in zip(rep.per_root, real):
+            assert abs(got - want) < tol, rid
     roots = [(par.index, t) for par in pars for t in range(par.count)]
-    per_root, values = _log_mu_per_root(build_point_set(M, prec_bits=prec), norm_sq, prec, mp.iv, roots)
+    ps = build_point_set(M, prec_bits=prec)
+    per_root, values = _log_mu_per_root(ps, norm_sq, prec, mp.mp, roots)
+    assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
+    assert [rid for rid, _ in per_root] == [rid for rid, _ in full[mp.mp]]
+    with mp.workprec(prec):
+        for (rid, got), (_, want) in zip(per_root, full[mp.mp]):
+            assert abs(got - want) < tol, rid
+    per_root, values = _log_mu_per_root(ps, norm_sq, prec, mp.iv, roots)
     assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
     for (rid, enclosure), (full_rid, full_enclosure) in zip(per_root, full[mp.iv]):
         assert rid == full_rid
@@ -201,17 +211,13 @@ def evaluated(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("M", [3, 5])
 def test_symmetry_declaration_is_the_only_reduction(M, monkeypatch, evaluated):
     """With points.orbit_representative replaced by the trivial group,
-    the float routes evaluate every root or point and certify_bound every
-    real root, where it evaluates M (one per mirror pair) under the
-    declared group, and mu_max and the verdicts stay as they are."""
+    every route evaluates every real root or point, where it evaluates M
+    (one per mirror pair) under the declared group, and mu_max and the
+    verdicts stay as they are."""
     prec = 256
-    N = 4 * M * M
-    orbits = sum(j // 2 + 1 for j in range(1, M + 1))
-    counts = {  # route -> (declared, trivial)
-        mu_max_coefficient_route: (orbits, N),
-        certify_bound: (M, 2 * M - 1),
-        mu_max_spherical_route: (orbits, N),
-    }
+    counts = dict.fromkeys(  # route -> (declared, trivial)
+        (mu_max_coefficient_route, certify_bound, mu_max_spherical_route), (M, 2 * M - 1)
+    )
     reports = {}
     for group in ("declared", "trivial"):
         if group == "trivial":
@@ -456,22 +462,70 @@ def test_exact_mu_max_sits_at_z_1_inside_the_enclosure(M):
         assert exact[f"p{j}.k0"] == exact[f"p{2 * M - j}.k0"], j
     top = exact.pop(f"p{M}.k0")
     assert all(sq < top for sq in exact.values())
+    assert rep.argmax_root == f"p{M}.k0"
     assert Fraction(rep.extras["mu_max_lo"]) ** 2 <= top <= Fraction(rep.extras["mu_max_hi"]) ** 2
 
 
-@pytest.mark.parametrize("M", [4, 8])
+@pytest.mark.parametrize("M", [4, 8, 16])
 def test_each_parallel_peaks_at_its_real_root_on_both_float_routes(M):
-    """On the coefficient and the spherical route, the largest log mu of
-    every parallel is the one at k = 0, the argument certify_bound rests
-    on."""
-    for route in (mu_max_coefficient_route, mu_max_spherical_route):
-        rows: dict[str, dict[int, mp.mpf]] = {}
-        for rid, lm in route(M, 256).per_root:
-            j, k = rid.split(".k")
-            rows.setdefault(j, {})[int(k)] = lm
-        assert len(rows) == 2 * M - 1, route.__name__
-        for j, row in rows.items():
-            assert max(row.values()) == row[0], (route.__name__, j)
+    """Evaluated at every root, log mu (log_mu_at_root) is largest on each
+    parallel at k = 0, and the gap product (point_gap_product_log) is
+    smallest there: the argument both float routes and certify_bound
+    rest on to evaluate the real roots alone.  Each route's mu_max is
+    the largest over every root, and its argmax the equator's z = 1."""
+    prec = 256
+    ps = build_point_set(M, prec_bits=prec)
+    norm_sq = product_norm_sq(canonical_polynomial(M))
+    logs = log_scale(ps.N, norm_sq, prec)
+    pars = factor_parallels(ps.parallels)
+    top = {}
+    for k, par in enumerate(pars):
+        row = log_mu_at_root(par, pars[:k] + pars[k + 1:], *logs, prec)
+        assert len(row) == par.count and max(row) == row[0], ("coefficient", par.index)
+        gaps = point_gap_product_log(ps, par.index, range(par.count))
+        assert min(gaps) == gaps[0], ("spherical", par.index)
+        top[par.index] = row[0]
+    rep = mu_max_coefficient_route(M, prec)
+    assert rep.log_mu_max == max(top.values()) == top[M]
+    with mp.workprec(prec):
+        sphere = mu_max_spherical_route(M, prec)
+        assert abs(sphere.log_mu_max - top[M]) < mp.mpf(2) ** -(prec - 16)
+    assert rep.argmax_root == sphere.argmax_root == f"p{M}.k0"
+
+
+def test_coefficient_report_reads_the_certificate():
+    """The coefficient report read off certify_bound's lists the roots that
+    mu_max_coefficient_route lists, each log mu within 2^-(prec-16) of
+    its, with the same verdicts and argmax, and a mu_max inside the
+    certified enclosure."""
+    prec = 256
+    tol = mp.mpf(2) ** -(prec - 16)
+    for M in range(1, 9):
+        cert = certify_bound(M, prec)
+        got, want = coefficient_report(cert), mu_max_coefficient_route(M, prec)
+        assert (got.route, got.certified, got.extras) == ("coefficient", False, {})
+        assert [rid for rid, _ in got.per_root] == [rid for rid, _ in want.per_root]
+        assert got.verdicts == want.verdicts and got.argmax_root == want.argmax_root, M
+        with mp.workprec(prec):
+            for (rid, a), (_, b) in zip(got.per_root, want.per_root):
+                assert abs(a - b) < tol, (M, rid)
+            assert abs(got.mu_max - want.mu_max) < tol * want.mu_max, M
+            lo, hi = mp.mpf(cert.extras["mu_max_lo"]), mp.mpf(cert.extras["mu_max_hi"])
+            assert lo <= got.mu_max <= hi, M
+
+
+def test_log_scale_is_formed_once_per_pass(monkeypatch):
+    """log N and log ||f||^2 are formed once per pass over the roots, not
+    once per parallel: once by the float coefficient route, and once by
+    certify_bound at each interval precision it tries."""
+    formed = []
+    inner = condition.log_scale
+    monkeypatch.setattr(condition, "log_scale", lambda *args: formed.append(args[2]) or inner(*args))
+    mu_max_coefficient_route(5, 256, phases=[0.1] * 9)
+    mu_max_coefficient_route(5, 256)
+    rep = certify_bound(5, 256)
+    assert rep.extras["cos_precision_bits"] == 256
+    assert formed == [256, 256, 256]
 
 
 def test_unresolved_verdict_escalates_to_the_cap_and_never_passes(tmp_path, monkeypatch):
@@ -539,5 +593,6 @@ def test_report_json_shape():
     d = rep.to_json_dict()
     assert d["M"] == 2 and d["N"] == 16
     assert d["route"] == "coefficient"
-    assert len(d["per_root"]) == 16
+    assert [e["root"] for e in d["per_root"]] == ["p2.k0", "p1.k0", "p3.k0"]
+    assert d["argmax_root"] == "p2.k0"
     assert set(d["verdicts"]) == {"le_N", "le_19half_sqrt", "ge_lower"}

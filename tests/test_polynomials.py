@@ -13,7 +13,7 @@ from polynomial_oracle import (
     expand_by_fractions,
     log_derivative_modulus_by_gaps,
 )
-from wellcond.condition import log_mu_at_root
+from wellcond.condition import log_mu_at_root, log_scale
 from wellcond.numerics import fraction_endpoints, fraction_from_mpf, to_mpf
 from wellcond import polynomials
 from wellcond.points import Parallel, build_parallels, build_point_set
@@ -227,6 +227,27 @@ def factor_inputs(M: int) -> list[tuple[Parallel, list[Parallel]]]:
     return [(par, pars[:k] + pars[k + 1:]) for k, par in enumerate(pars)]
 
 
+@pytest.mark.parametrize("M", [2, 5])
+def test_real_roots_round_no_rim_and_keep_every_bit(M, monkeypatch):
+    """At a real root of the zero-phase family every sin^2 is exactly 0,
+    so each other factor rounds its gap alone, and log |f'| equals, bit
+    for bit, the t = 0 entry of the evaluation at every root, which rounds
+    the rims, under mp and under mp.iv."""
+    prec = 256
+    rounded = []
+    round_ratio = polynomials.round_ratio
+    monkeypatch.setattr(
+        polynomials, "round_ratio", lambda ctx, n, d: rounded.append(n) or round_ratio(ctx, n, d)
+    )
+    for ctx, raw in ((mp.mp, lambda x: x._mpf_), (mp.iv, lambda x: x._mpi_)):
+        for root, others in factor_inputs(M):
+            rounded.clear()
+            (real,) = derivative_modulus_at_root(root, others, prec, ctx, [0])
+            assert len(rounded) == len(others), (ctx, root.index)
+            every = derivative_modulus_at_root(root, others, prec, ctx)
+            assert raw(real) == raw(every[0]), (ctx, root.index)
+
+
 def test_factor_to_parallel_mapping_m3():
     """The parallel of each factor's roots, as factor_parallels orders
     them, in the factor order the roots come in."""
@@ -307,7 +328,7 @@ def test_multiple_root_gives_infinite_mu():
             for log_fp in derivative_modulus_at_root(root, [root], prec, ctx):
                 assert log_fp == ctx.mpf("-inf"), ctx
             norm_sq = bombieri_norm_sq(expand(f))
-            for log_mu in log_mu_at_root(root, [root], 8, norm_sq, prec, ctx):
+            for log_mu in log_mu_at_root(root, [root], *log_scale(8, norm_sq, prec, ctx), prec, ctx):
                 assert log_mu == ctx.mpf("+inf"), ctx
     with pytest.raises(RepeatedRootError):
         log_derivative_modulus_by_gaps(roots(f, prec), 0, prec)
