@@ -381,7 +381,7 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
         # the certificate's enclosures, so mu is evaluated once
         certified = certify_bound(M, prec) if args.certify else None
         if route in ("coeff", "both"):
-            if certified:
+            if certified is not None:
                 reports.append(coefficient_report(certified))
             else:
                 reports.append(mu_max_coefficient_route(M, prec, phases=phases[M]))
@@ -390,7 +390,7 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
         if route == "both":
             a, b = reports[0].mu_max, reports[1].mu_max
             rel_diff = abs(a - b) / b
-        if certified:
+        if certified is not None:
             reports.append(certified)
         dicts = [rep.to_json_dict() for rep in reports]
         if rel_diff is not None:
