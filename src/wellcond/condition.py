@@ -28,9 +28,10 @@ input, its point set (phases included), so each checks the other:
   ((1+|z|^2)(1+|z_j|^2)) and the Bombieri-Weyl integral
   int_S |f|^2 / (1+|z|^2)^N dsigma = ||f||^2 / (N+1) (Shub & Smale,
   Complexity of Bezout's theorem I), and the per-point denominators
-  are Theta products over the points, through the kernel
-  numerics.two_term_log, while |f'| takes exact rational terms, so the
-  route check compares two kernels.
+  are Theta products over the points.  Both routes take each factor's
+  terms from exact integers, each rounded once, but the terms differ
+  (|f'| pairs roots on the plane, Theta points on the sphere), so the
+  route check compares two forms.
 
 log mu at the roots is written once, against an mpmath context: the
 coefficient route evaluates it under mp.mp, certify_bound under mp.iv,
@@ -63,17 +64,19 @@ Distance products against a full parallel use the closed form
     x^2 = (1-c)(1+h),  y^2 = (1+c)(1-h),
 
 for a query point at height c and azimuth offset dphi from the r
-uniformly spaced points at height h: the kernel with R = r, so that
-log Theta = base + log(gap + rim sin^2(r dphi / 2)).  The offset is an
-exact turn t (a multiple of pi) plus a radian offset phi, so
-sin^2(r (pi t + phi)/2) is exactly zero at a coincidence when phi = 0.
-theta_product_log_turn evaluates a grid of heights x turns against one
-parallel in this product form: log(1 +- u) once per height u, the base
-per (parallel, height), sin^2 per (parallel, turn) and the linear factor
-gap + rim sin^2 per cell, with no log.  log_distance_products sums the
-bases and multiplies the factors over the parallels, then takes one log
-per query point; a coincidence makes a factor, so the product, exactly
-0 and the log -inf.
+uniformly spaced points at height h, so that Theta = gap + rim
+sin^2(r dphi / 2) with gap = (x^r - y^r)^2 and rim = 4 (xy)^r.  Every
+count r is even and every height an exact rational, so x^r and y^r are
+ratios of integers: theta_product_log_turn forms them from the powers
+of the query heights (query_powers, one chain per height over the
+exponents) and of the parallel's height, rounds x^r - y^r, x^r and y^r
+once each (numerics.round_ratio), and takes no exp or log.  The offset
+is an exact turn t (a multiple of pi) plus a radian offset phi, so
+sin^2(r (pi t + phi)/2) is exactly zero at a coincidence when phi = 0,
+and where every sin^2 is 0 (at the real points) no rim is formed.
+log_distance_products multiplies the factors over the parallels, then
+takes one log per query point; a coincidence makes a factor, so the
+product, exactly 0 and the log -inf.
 
 Precision has one source per input: numerator_integral_log and
 point_gap_product_log read the prec_bits of the point set they take,
@@ -92,17 +95,17 @@ import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC_BITS,
+    check_height,
     check_precision,
     context_precision,
     fmt_real,
     fraction_endpoints,
     interval_endpoints,
     log_fraction,
-    log_one_pm,
+    round_ratio,
     sin_sq_pi,
     to_fraction,
     to_mpf,
-    two_term_log,
 )
 from .points import Parallel, PointSet, build_point_set, orbit_representative
 from .polynomials import (
@@ -330,6 +333,26 @@ def coefficient_report(certified: ConditionReport) -> ConditionReport:
     return _float_report(certified.M, "coefficient", certified.precision_bits, certified.per_root)
 
 
+def query_powers(heights: Sequence, exponents) -> dict[int, list[tuple[int, int, int]]]:
+    """{e: [((q - p)^e, (q + p)^e, q^e) for each query height c = p/q in
+    `heights`]} for every e in `exponents`: the query side of
+    theta_product_log_turn's exact terms, each height's powers one chain
+    over the ascending exponents."""
+    chain = sorted(set(exponents))
+    powers: dict[int, list[tuple[int, int, int]]] = {e: [] for e in chain}
+    for c in heights:
+        c = check_height(c)
+        terms = (c.denominator - c.numerator, c.denominator + c.numerator, c.denominator)
+        run, last, steps = (1, 1, 1), 0, {}
+        for e in chain:
+            if e - last not in steps:
+                steps[e - last] = tuple(t ** (e - last) for t in terms)
+            run = tuple(x * y for x, y in zip(run, steps[e - last]))
+            powers[e].append(run)
+            last = e
+    return powers
+
+
 def theta_product_log_turn(
     r: int,
     h,
@@ -337,29 +360,53 @@ def theta_product_log_turn(
     turns: Sequence,
     prec_bits: int = DEFAULT_PREC_BITS,
     offset=0,
-) -> tuple[list[mp.mpf], list[list[mp.mpf]]]:
-    """log Theta in product form for every query height c in `heights` and
-    azimuth offset pi * turn + offset (radians), turn in `turns`:
-    (bases, factors) with log Theta = bases[i] + log factors[i][m] at the
-    query (heights[i], turns[m]).
+    powers: Sequence | None = None,
+) -> list[list[mp.mpf]]:
+    """Theta in product form for every query height c in `heights` and
+    azimuth offset pi * turn + offset (radians), turn in `turns`: factors
+    with log Theta = log factors[i][m] at the query (heights[i], turns[m]).
 
-    The base and the factor gap + rim sin^2 are numerics.two_term_log's,
-    (base, gap, rim) formed once per height, sin^2 once per turn; no cell
-    takes a log.  With a zero offset, rational turns keep coincidences
-    exact: a factor is 0 precisely when the query point equals a
-    parallel point.
+    For an even count r = 2e, c = p/q and h = u/v, each factor is
+
+        Theta = gap + rim sin^2(r (pi turn + offset) / 2),
+        gap = ((a - b) / D)^2,  rim = 4 (a / D)(b / D),
+
+    with x^r = a / D and y^r = b / D exact: a = ((q - p)(v + u))^e,
+    b = ((q + p)(v - u))^e, D = (qv)^e.  a - b, a and b are rounded once
+    each (numerics.round_ratio), so a coincidence gives an exact 0 and a
+    near one keeps its relative accuracy; no rim is formed where every
+    sin^2 is exactly 0.  `powers` is query_powers(heights, [e])[e], formed
+    here if not given; the parallel's powers are formed once per call and
+    sin^2 once per turn; no cell takes a log.  With a zero offset,
+    rational turns keep coincidences exact: a factor is 0 precisely when
+    the query point equals a parallel point.
     """
     check_precision(prec_bits)
+    if not isinstance(r, int) or r < 2 or r % 2:
+        raise ValueError(f"point count must be a positive even integer, got {r!r}")
+    e, h = r // 2, check_height(h)
+    u, v = h.numerator, h.denominator
+    ve_p, ve_m, ve = (v + u) ** e, (v - u) ** e, v**e
+    if powers is None:
+        powers = query_powers(heights, [e])[e]
     with mp.workprec(prec_bits):
-        sin_sqs = [sin_sq_pi(mp.mp, r * Fraction(turn) / 2, r * offset / 2) for turn in turns]
-        log_hp, log_hm = log_one_pm(to_fraction(h), prec_bits)
-        bases, factors = [], []
-        for c in heights:
-            log_cp, log_cm = log_one_pm(to_fraction(c), prec_bits)
-            base, gap, rim = two_term_log(mp.mp, r, log_cm + log_hp, log_cp + log_hm)
-            bases.append(base)
+        shift = r * offset / 2
+        sin_sqs = [
+            sin_sq_pi(mp.mp, Fraction(r * t.numerator, 2 * t.denominator), shift)
+            for t in map(Fraction, turns)
+        ]
+        rimless = not any(sin_sqs)
+        factors = []
+        for qe_m, qe_p, qe in powers:
+            a, b, d = qe_m * ve_p, qe_p * ve_m, qe * ve
+            diff = round_ratio(mp.mp, a - b, d)
+            gap = diff * diff
+            if rimless:
+                factors.append([gap] * len(sin_sqs))
+                continue
+            rim = 4 * round_ratio(mp.mp, a, d) * round_ratio(mp.mp, b, d)
             factors.append([gap + rim * s for s in sin_sqs])
-        return bases, factors
+        return factors
 
 
 def log_distance_products(
@@ -370,20 +417,21 @@ def log_distance_products(
     of each parallel, turn in `turns`: row i, column m is the query
     (heights[i], turns[m]).
 
-    The Theta grids' bases are summed and their factors multiplied over
-    the parallels, then each query takes one log; a coincidence with a
-    point of a zero-offset parallel gives -inf.
+    The query heights' powers are formed once (query_powers, one chain
+    over the parallels' exponents), the Theta grids' factors multiplied
+    over the parallels, and each query takes one log; a coincidence with
+    a point of a zero-offset parallel gives -inf.
     """
+    powers = query_powers(heights, [par.count // 2 for par in parallels])
     with mp.workprec(prec_bits):
-        bases = [mp.mpf(0)] * len(heights)
         products = [[mp.mpf(1)] * len(turns) for _ in heights]
         for par in parallels:
-            par_bases, factors = theta_product_log_turn(
-                par.count, par.height, heights, turns, prec_bits, offset - par.phase
+            factors = theta_product_log_turn(
+                par.count, par.height, heights, turns, prec_bits, offset - par.phase,
+                powers[par.count // 2],
             )
-            bases = [b + pb for b, pb in zip(bases, par_bases)]
             products = [[p * f for p, f in zip(row, fs)] for row, fs in zip(products, factors)]
-        return [[(b + mp.log(p)) / 2 for p in row] for b, row in zip(bases, products)]
+        return [[mp.log(p) / 2 for p in row] for row in products]
 
 
 def parallel_self_product_log(
@@ -435,8 +483,8 @@ def point_gap_product_log(
 
     Splits into the closed-form product within the point's own parallel,
     formed once, and log_distance_products over the other parallels:
-    (base, gap, rim) once per pair of parallels, sin^2 once per point
-    and parallel, one log per point.
+    the exact gap (and, off the real point, rim) once per pair of
+    parallels, sin^2 once per point and parallel, one log per point.
     """
     prec_bits = point_set.prec_bits
     parallels = point_set.parallels
@@ -461,8 +509,8 @@ def mu_max_spherical_route(
     mu at a point is a constant less its gap product's log, so mu_max
     sits where a gap product is smallest.  With every phase 0 that is at
     a real point (j, 0): against each other parallel m the point k of
-    parallel j has log Theta = base + log(gap + rim sin^2(pi r_m k / r_j)),
-    where base, gap >= 0 and rim >= 0 depend only on the two heights, and
+    parallel j has Theta = gap + rim sin^2(pi r_m k / r_j), where
+    gap >= 0 and rim >= 0 depend only on the two heights, and
     its own parallel's product does not depend on k, so every factor, and
     the gap product, is smallest at k = 0, where every sin^2 is 0.  So the
     route evaluates evaluated_roots in parallel order: per_root lists

@@ -18,7 +18,9 @@ whose roots z_i project to the points, s_k = rho_k^(r_k) e^(i r_k phi_k)
 with |Disc(z^r - s)| = r^r |s|^(r-1) and |Res(z^r - a, z^q - b)| =
 |a^(q/g) - b^(r/g)|^g, g = gcd(r, q) (Shub & Smale, Complexity of
 Bezout's theorem III): |a^(q/g) - b^(r/g)|^2 is the kernel
-numerics.two_term_log with R = lcm(r, q), as are the Theta products.
+numerics.two_term_log with R = lcm(r, q), in the log domain, since the
+exact powers would run to R (up to 16,128 at M = 64) times the bits of
+a height; the Theta products, with R = r, take exact terms instead.
 
 The workhorse quantities, for a query point q at height c:
 
@@ -53,9 +55,10 @@ on: log(1 +- u) and the antiderivatives once per height (a parallel, a
 probe or a band edge), each band's window constants once, with the
 outside window's value once per side of the band (the query's log
 cancels), and the distance products through the Theta grids of
-condition.theta_product_log_turn in product form: the bases summed and
-the linear factors multiplied over the parallels, one log per query
-point, at one turn per orbit of points.turn_representative.  Every cell
+condition.theta_product_log_turn in product form: each probe height's
+exact powers once, the linear factors multiplied over the parallels,
+one log per query point, at one turn per orbit of
+points.turn_representative.  Every cell
 comes out of the same operations in the same order as the one-pair
 forms: expected_log_parallel, band_integral,
 comparison_{inside,outside}_margin and s_n evaluate the same core for a
@@ -132,7 +135,7 @@ class _Height:
 
 def _height(u) -> _Height:
     u = to_fraction(u)
-    log_p, log_m = log_one_pm(u, mp.mp.prec)  # shared with the Theta grids
+    log_p, log_m = log_one_pm(u, mp.mp.prec)  # memoised across the suites
     wp, wm = to_mpf(1 + u), to_mpf(1 - u)
     anti_p = mp.mpf(1) if u == -1 else wp * log_p - (wp - 1)
     anti_m = mp.mpf(-1) if u == 1 else -wm * log_m - (1 - wm)
@@ -397,23 +400,37 @@ def log_energy(point_set: PointSet) -> EnergyReport:
     """E(P) = sum_{i != j} log 1/|p_i - p_j| by the identity of the module
     docstring, at the point set's precision: logs of rho_k^2 and of the
     weight per factor, one kernel call per factor pair with R = lcm(r_k,
-    r_l) and theta = R (phi_k - phi_l); a repeated root gives -inf."""
+    r_l) and theta = R (phi_k - phi_l); a repeated root gives -inf.
+
+    On a symmetric point set (PointSet.symmetric) the mirror k <-> 2M - k
+    maps the pair (k, l) to one with the same R and log rho^2 values
+    negated, so the same L and log(gap + rim sin^2), taken once per orbit
+    of pairs; each pair's base is R times the larger of its own two logs."""
     prec_bits = point_set.prec_bits
     N = point_set.N
     pars = point_set.parallels
+    mirror = len(pars) - 1 if point_set.symmetric else None
     with mp.workprec(prec_bits):
         logs = [log_fraction(mp.mp, (1 + par.height) / (1 - par.height)) for par in pars]
         total = N * (N - 1) * mp.log(2)
         for par, ell in zip(pars, logs):
             r, log_w = par.count, log_fraction(mp.mp, (1 - par.height) / 2)  # w = 1/(1 + rho^2)
             total += r * mp.log(r) + r * (r - 1) * ell / 2 + (N - 1) * r * log_w
+        shared = {}  # the mirror pair's log(gap + rim sin^2), awaiting it
         for k, (a, log_a) in enumerate(zip(pars, logs)):
-            for b, log_b in zip(pars[k + 1 :], logs[k + 1 :]):
+            for m, (b, log_b) in enumerate(zip(pars[k + 1 :], logs[k + 1 :]), k + 1):
                 g = math.gcd(a.count, b.count)
                 R = a.count // g * b.count
-                base, gap, rim = two_term_log(mp.mp, R, log_a, log_b)
-                sin_sq = sin_sq_pi(mp.mp, 0, R * (a.phase - b.phase) / 2)
-                total += g * (base + mp.log(gap + rim * sin_sq))
+                term = shared.pop((k, m), None)
+                if term is None:
+                    base, gap, rim = two_term_log(mp.mp, R, log_a, log_b)
+                    sin_sq = sin_sq_pi(mp.mp, 0, R * (a.phase - b.phase) / 2)
+                    term = mp.log(gap + rim * sin_sq)
+                    if mirror is not None and k + m < mirror:
+                        shared[mirror - m, mirror - k] = term
+                else:
+                    base = R * max(log_a, log_b)
+                total += g * (base + term)
         energy = -total
         residual = (energy - kappa(prec_bits) * N * N + mp.mpf(N) / 2 * mp.log(N)) / N
     return EnergyReport(point_set.M, N, prec_bits, energy, residual)
@@ -470,8 +487,9 @@ class VerificationReport:
     def tolerance(self) -> mp.mpf:
         return mp.ldexp(1, 8 - self.precision_bits)
 
-    @property
+    @functools.cached_property
     def worst_margin(self) -> mp.mpf:
+        """The smallest margin (+inf on an empty grid), formed once."""
         if not self.cells:
             return mp.mpf("+inf")
         return min(c.margin for c in self.cells)

@@ -7,15 +7,17 @@ mp.iv.  This module owns the conversions between the two worlds,
 rigorous enclosures of cos(pi * q) for rational q, Gauss-Legendre
 nodes (the package integrates nothing numerically; the enclosures and
 the nodes serve references in the tests), ``round_ratio``, which
-rounds an exact rational once under either context, and
-``two_term_log``, the one kernel for the products of distances between
-parallels on the sphere (the Theta grids and the energy).
+rounds an exact rational once under either context (the exact terms of
+|f'| at the roots and of the Theta grids), and ``two_term_log``, the
+log-domain kernel for the resultants of the energy, whose powers are
+too large to form exactly.
 
 Two representations are fixed here for the whole package:
 
 * a height is an exact ``Fraction``; public functions that take heights
-  convert their input once at entry with ``to_fraction`` (ints, floats
-  and finite mpfs are dyadic or integer rationals, so this is exact);
+  convert their input once at entry with ``to_fraction``, or with
+  ``check_height`` where it must lie in [-1, 1] (ints, floats and
+  finite mpfs are dyadic or integer rationals, so this is exact);
 * an azimuth is an exact turn q (a rational multiple of pi) plus a
   radian offset; ``cos_pi_fraction(q, offset)`` and
   ``sin_sq_pi(ctx, q, offset)`` evaluate it, exactly at multiples of
@@ -108,10 +110,23 @@ def log_fraction(ctx, q: Fraction):
 def round_ratio(ctx, n: int, d: int):
     """The rational n / d of integers (d > 0) under ctx at its precision,
     rounded once: to nearest under mp.mp, outward under mp.iv (a point
-    where n / d is representable).  No gcd is taken."""
+    where n / d is representable), bit for bit libmp.from_rational's.  No
+    gcd is taken, and the powers of two of n and d are split off in one
+    step each (_raw_int), where from_rational strips them a byte at a time."""
+    num, den = _raw_int(n), _raw_int(d)
     if ctx is mp.iv:
-        return ctx.make_mpf(tuple(libmp.from_rational(n, d, ctx.prec, rnd) for rnd in "fc"))
-    return ctx.make_mpf(libmp.from_rational(n, d, ctx.prec, "n"))
+        return ctx.make_mpf(tuple(libmp.mpf_div(num, den, ctx.prec, rnd) for rnd in "fc"))
+    return ctx.make_mpf(libmp.mpf_div(num, den, ctx.prec, "n"))
+
+
+def _raw_int(n: int) -> tuple:
+    """The exact raw libmp tuple (sign, odd mantissa, exponent, bits) of n."""
+    if not n:
+        return libmp.fzero
+    man = abs(n)
+    exp = (man & -man).bit_length() - 1
+    man = libmp.MPZ(man >> exp)
+    return (int(n < 0), man, exp, man.bit_length())
 
 
 def fraction_endpoints(x) -> tuple[Fraction, Fraction]:
@@ -130,10 +145,17 @@ def interval_endpoints(fn, prec_bits: int) -> tuple[Fraction, Fraction]:
 def log_one_pm(u: Fraction, prec_bits: int) -> tuple[mp.mpf, mp.mpf]:
     """(log(1 + u), log(1 - u)) for an exact height u in [-1, 1] at
     prec_bits (-inf at a pole), memoised: every parallel asks for them."""
-    if not -1 <= u <= 1:
-        raise ValueError("heights must lie in [-1, 1]")
+    check_height(u)
     with mp.workprec(prec_bits):
         return log_fraction(mp.mp, 1 + u), log_fraction(mp.mp, 1 - u)
+
+
+def check_height(u: RealLike) -> Fraction:
+    """The exact height u (numerics.to_fraction), which must lie in [-1, 1]."""
+    u = to_fraction(u)
+    if not -1 <= u <= 1:
+        raise ValueError("heights must lie in [-1, 1]")
+    return u
 
 
 def cos_pi_fraction_interval(q: RationalLike, prec_bits: int) -> tuple[Fraction, Fraction]:
@@ -172,10 +194,11 @@ def _cos_pi(q: Fraction, prec_bits: int) -> mp.mpf:
 def sin_sq_pi(ctx, q: RationalLike, offset=0):
     """sin^2(pi * q + offset) for rational q under ctx (mp.mp or mp.iv);
     exactly 0, 1/2 or 1 at quarter turns (4q an integer) with offset 0."""
-    q = Fraction(q) % 1  # sin^2 has period pi
-    if offset == 0 and (4 * q).denominator == 1:
-        return ctx.mpf((0, 0.5, 1, 0.5)[int(4 * q)])
-    return ctx.sin(ctx.pi * (ctx.mpf(q.numerator) / q.denominator) + offset) ** 2
+    q = q if isinstance(q, Fraction) else Fraction(q)
+    n, d = q.numerator % q.denominator, q.denominator  # q mod 1: sin^2 has period pi
+    if offset == 0 and 4 * n % d == 0:
+        return ctx.mpf((0, 0.5, 1, 0.5)[4 * n // d])
+    return ctx.sin(ctx.pi * (ctx.mpf(n) / d) + offset) ** 2
 
 
 def two_term_log(ctx, R: int, log_x2, log_y2) -> tuple:

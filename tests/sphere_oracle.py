@@ -10,10 +10,12 @@ of ``wellcond.condition.numerator_integral_log`` is checked, the
 logarithmic energy as a sum of gap products over every point and as
 the discriminant identity with exact resultants, against which the
 two-term kernel of ``wellcond.energy.log_energy`` is checked, and the
-one-query-at-a-time forms of the Theta products: in product form (bases
-summed, factors multiplied, one log), against which the package's grid
-and per-parallel forms are held bit for bit, and as a sum of one log per
-parallel, against which they are held to 2^-(prec-16).
+one-query-at-a-time forms of the Theta products: in product form (each
+factor from exact rationals, the factors multiplied, one log), against
+which the package's grid and per-parallel forms are held bit for bit,
+and as a sum of one log per parallel through the two-term kernel
+``wellcond.numerics.two_term_log``, against which they are held to
+2^-(prec-16).
 """
 
 import math
@@ -27,34 +29,36 @@ from wellcond.points import PointSet, SpherePoint
 from wellcond.polynomials import family_polynomial
 
 
-def theta_by_query(r, h, c, turn, prec_bits: int, offset=0) -> tuple[mp.mpf, mp.mpf]:
-    """(base, factor) with log Theta = base + log factor for one query:
-    every log, (base, gap, rim) and sin^2 formed afresh, through the
-    kernel numerics.two_term_log."""
+def theta_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
+    """Theta for one query, every term formed afresh in exact rationals:
+    x^r = X and y^r = Y from x^2 = (1-c)(1+h) and y^2 = (1+c)(1-h), with
+    X - Y, X and Y each rounded once, the gap (X - Y)^2 and the rim 4XY."""
+    h, c, turn = to_fraction(h), to_fraction(c), Fraction(turn)
+    X, Y = ((1 - c) * (1 + h)) ** (r // 2), ((1 + c) * (1 - h)) ** (r // 2)
+    with mp.workprec(prec_bits):
+        diff = to_mpf(X - Y)
+        return diff * diff + 4 * to_mpf(X) * to_mpf(Y) * sin_sq_pi(mp.mp, r * turn / 2, r * offset / 2)
+
+
+def theta_log_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
+    """log Theta for one query through the two-term kernel
+    numerics.two_term_log: every log, (base, gap, rim) and sin^2 formed
+    afresh, base + log(gap + rim sin^2)."""
     h, c, turn = to_fraction(h), to_fraction(c), Fraction(turn)
     with mp.workprec(prec_bits):
         log_x2 = mp.log(to_mpf(1 - c)) + mp.log(to_mpf(1 + h))
         log_y2 = mp.log(to_mpf(1 + c)) + mp.log(to_mpf(1 - h))
         base, gap, rim = two_term_log(mp.mp, r, log_x2, log_y2)
-        return base, gap + rim * sin_sq_pi(mp.mp, r * turn / 2, r * offset / 2)
+        return base + mp.log(gap + rim * sin_sq_pi(mp.mp, r * turn / 2, r * offset / 2))
 
 
-def theta_log_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
-    """log Theta for one query: one log of theta_by_query's factor."""
-    base, factor = theta_by_query(r, h, c, turn, prec_bits, offset)
+def _log_product(factors, prec_bits: int) -> mp.mpf:
+    """log prod of the factors / 2, multiplied in their order."""
     with mp.workprec(prec_bits):
-        return base + mp.log(factor)
-
-
-def _log_product(pairs, prec_bits: int) -> mp.mpf:
-    """(sum of the bases + log prod of the factors) / 2 over (base, factor)
-    pairs, in their order."""
-    with mp.workprec(prec_bits):
-        base, product = mp.mpf(0), mp.mpf(1)
-        for b, f in pairs:
-            base += b
+        product = mp.mpf(1)
+        for f in factors:
             product *= f
-        return (base + mp.log(product)) / 2
+        return mp.log(product) / 2
 
 
 def _others(point_set: PointSet, j: int, k: int):
@@ -67,9 +71,8 @@ def _others(point_set: PointSet, j: int, k: int):
 
 
 def log_product_by_query(c, turn, point_set: PointSet, prec_bits: int) -> mp.mpf:
-    """log prod_i |p_i - q| for the one query (c, pi * turn): the bases
-    summed and the factors multiplied parallel by parallel, one log; -inf
-    when a parallel holds q."""
+    """log prod_i |p_i - q| for the one query (c, pi * turn): the factors
+    multiplied parallel by parallel, one log; -inf when a parallel holds q."""
     return _log_product(
         (theta_by_query(par.count, par.height, c, turn, prec_bits, -par.phase)
          for par in point_set.parallels),

@@ -60,25 +60,64 @@ def brute_theta(r, h, c, dphi, prec):
         (8, Fraction(5, 9), Fraction(1, 4), Fraction(1, 16)),
         (12, Fraction(0), Fraction(-7, 10), Fraction(3, 16)),
         (4, Fraction(8, 9), Fraction(8, 9), Fraction(1, 8)),
-        (5, Fraction(-1, 3), Fraction(2, 3), Fraction(0)),
+        (6, Fraction(-1, 3), Fraction(2, 3), Fraction(0)),
+        (2, Fraction(-1, 3), Fraction(2, 3), Fraction(1, 5)),
     ],
 )
 def test_theta_product_matches_brute_force(r, h, c, turn):
     prec = 256
     with mp.workprec(prec):
         dphi = mp.pi * to_mpf(turn)
-        (base,), ((factor,),) = theta_product_log_turn(r, h, [c], [turn], prec)
-        got = mp.exp(base) * factor
+        ((got,),) = theta_product_log_turn(r, h, [c], [turn], prec)
         want = brute_theta(r, h, c, dphi, prec)
         assert abs(got - want) / want < mp.mpf("1e-20")
 
 
+@pytest.mark.parametrize("r", [5, 1, 0, -4, 8.0])
+def test_theta_product_refuses_an_odd_or_non_positive_count(r):
+    """Theta's exact terms are powers of x^2 and y^2: r must be even."""
+    with pytest.raises(ValueError, match="positive even integer"):
+        theta_product_log_turn(r, Fraction(1, 3), [Fraction(1, 2)], [Fraction(0)], 128)
+
+
+def test_theta_product_checks_every_height_itself():
+    """A height outside [-1, 1] raises from the kernel itself, the
+    parallel's also when the query powers are passed in."""
+    ok, bad = Fraction(1, 3), Fraction(5, 4)
+    for h, c in [(bad, ok), (ok, bad), (-bad, ok), (ok, -bad)]:
+        with pytest.raises(ValueError, match=r"heights must lie in \[-1, 1\]"):
+            theta_product_log_turn(8, h, [c], [Fraction(0)], 128)
+    powers = condition.query_powers([ok], [4])[4]
+    with pytest.raises(ValueError, match=r"heights must lie in \[-1, 1\]"):
+        theta_product_log_turn(8, bad, [ok], [Fraction(0)], 128, powers=powers)
+    with pytest.raises(ValueError, match=r"heights must lie in \[-1, 1\]"):
+        condition.log_distance_products(build_parallels(2), [bad], [Fraction(0)], 128)
+
+
+@pytest.mark.parametrize(
+    "r,h,delta", [(8, Fraction(5, 9), Fraction(1, 2**40)), (28, Fraction(13, 49), Fraction(1, 2**60))]
+)
+def test_theta_near_a_coincidence_keeps_its_relative_accuracy(r, h, delta):
+    """At turn 0 a query at c = h + delta is a near coincidence: Theta is
+    the exact rational (x^r - y^r)^2, tiny, and the grid's log Theta lies
+    within 2^-(prec-16) of its log, formed from that rational at twice
+    the precision."""
+    prec = 256
+    c = h + delta
+    e = r // 2
+    exact = (((1 - c) * (1 + h)) ** e - ((1 + c) * (1 - h)) ** e) ** 2
+    ((got,),) = theta_product_log_turn(r, h, [c], [Fraction(0)], prec)
+    with mp.workprec(2 * prec):
+        want = mp.log(to_mpf(exact))
+        assert want < -50
+        assert abs(mp.log(got) - want) <= mp.mpf(2) ** (16 - prec)
+
+
 def test_theta_log_turn_exact_zero_at_coincidence():
     turns = [Fraction(0), Fraction(1, 2), Fraction(1, 16)]
-    (base,), ((on_grid, quarter, off_grid),) = theta_product_log_turn(
+    ((on_grid, quarter, off_grid),) = theta_product_log_turn(
         8, Fraction(5, 9), [Fraction(5, 9)], turns, 192
     )
-    assert mp.isfinite(base)
     # q lies exactly on the parallel grid: distance product is zero
     assert on_grid == 0
     # quarter-turn offset on an 8-point grid also hits a grid point

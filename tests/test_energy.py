@@ -8,6 +8,7 @@ import pytest
 from wellcond import energy
 from wellcond.energy import (
     ComparisonMargins,
+    SuiteResult,
     band_integral,
     comparison_inside_margin,
     comparison_outside_margin,
@@ -247,6 +248,22 @@ def test_log_energy_forms_no_distance_product(monkeypatch):
     assert_energy_close(log_energy(ps).energy, energy_by_gap_products(ps, prec), prec)
 
 
+@pytest.mark.parametrize(
+    "M,phases", [(2, None), (4, None), (5, None), (3, [0.1, 0.7, -1.2, 0.4, 2.0])],
+    ids=["2", "4", "5", "3-phased"],
+)
+def test_log_energy_takes_one_kernel_call_per_mirror_orbit_of_pairs(monkeypatch, M, phases):
+    """On a symmetric point set the pairs (k, l) and (2M - k, 2M - l)
+    share one kernel call: (P + M - 1) / 2 calls for the P pairs, M - 1
+    of them their own mirror; a phased set takes one per pair."""
+    kernel, calls = energy.two_term_log, []
+    monkeypatch.setattr(energy, "two_term_log", lambda *a: calls.append(a) or kernel(*a))
+    ps = build_point_set(M, phases=phases, prec_bits=256)
+    pairs = (2 * M - 1) * (2 * M - 2) // 2
+    assert_energy_close(log_energy(ps).energy, energy_by_resultants(ps), 256)
+    assert len(calls) == (pairs if phases else (pairs + M - 1) // 2)
+
+
 GENERAL_LEMMAS = [
     "band_average_outside_window",
     "band_average_inside_window",
@@ -325,6 +342,24 @@ def test_t_bounds_report_covers_all_ell():
     rep = verify_t_bounds(6, 192)
     assert rep.passed
     assert len(rep.cells) == 2 * 6
+
+
+def test_worst_margin_is_formed_once_per_report():
+    """Writing a report and deciding its suite read the cells twice: once
+    for the JSON cells, once for the worst margin, shared by `passed`."""
+    rep = verify_t_bounds(4, 128)
+
+    class CountedCells(list):
+        passes = 0
+
+        def __iter__(self):
+            CountedCells.passes += 1
+            return super().__iter__()
+
+    rep.cells = CountedCells(rep.cells)
+    out = rep.to_json_dict()
+    assert rep.passed and SuiteResult([rep]).passed and out["pass"]
+    assert CountedCells.passes == 2
 
 
 def test_grid_strings_count_probe_heights():

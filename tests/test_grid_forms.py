@@ -1,16 +1,16 @@
 """The grid and per-parallel forms against their one-query oracles, bit for bit.
 
-The suites evaluate each transcendental value once per index it depends
-on: (base, gap, rim) per (parallel, query height), sin^2 per (parallel,
-turn), one log per query point, log(1 +- h) per parallel and per probe,
-and each band's window constants once.  Every cell must still come out
+The suites evaluate each value once per index it depends on: the exact
+gap and rim per (parallel, query height), sin^2 per (parallel, turn),
+one log per query point, log(1 +- h) per parallel and per probe, and
+each band's window constants once.  Every cell must still come out
 of the same operations in the same order as the one-query forms, so
 equality here is `==`, not a tolerance.  Where the suites go further
 than the one-query forms (a product of factors where one log per
 parallel was summed, one numerator column per turn orbit, one outside
 window value per band side), the values are held to 2^-(prec-16) of
-the longer form.  The kernel itself is held, under mp.iv, to Theta
-taken from the point coordinates.
+the longer form.  The two-term kernel is held, under mp.iv, to Theta
+taken from the point coordinates, and the grid to both.
 """
 
 import random
@@ -88,16 +88,16 @@ def test_theta_grid_matches_single_query_oracle(M, phases):
     heights = edge_heights(ps)
     turns = AZIMUTH_TURNS + [Fraction(1, 3), Fraction(7, 5)]
     for par in ps.parallels:
-        bases, factors = theta_product_log_turn(
+        factors = theta_product_log_turn(
             par.count, par.height, heights, turns, PREC, -par.phase
         )
-        assert len(bases) == len(factors) == len(heights)
-        for c, base, row in zip(heights, bases, factors):
+        assert len(factors) == len(heights)
+        for c, row in zip(heights, factors):
             want = [
                 theta_by_query(par.count, par.height, c, t, PREC, -par.phase)
                 for t in turns
             ]
-            assert [(base, f) for f in row] == want, (par.index, c)
+            assert row == want, (par.index, c)
 
 
 def theta_log_enclosure(par, c, turn, prec_bits):
@@ -126,7 +126,8 @@ def theta_log_from_coordinates(points, c, turn, prec_bits):
 @pytest.mark.parametrize("M,phases", FAMILIES[1:], ids=FAMILY_IDS[1:])
 def test_kernel_encloses_theta_from_coordinates(M, phases):
     """Under mp.iv the two-term kernel encloses Theta taken from the point
-    coordinates at 64 more bits: at both poles, every band edge, the
+    coordinates at 64 more bits, and the grid's exact-term Theta lies
+    within 2^-(prec-16) of it: at both poles, every band edge, the
     parallels' own heights (coincidences at turn 0 without phases, -inf
     exactly under mp) and seeded heights, with and without phases."""
     ps = build_point_set(M, phases=phases, prec_bits=PREC)
@@ -139,8 +140,8 @@ def test_kernel_encloses_theta_from_coordinates(M, phases):
     coordinates = fine.coordinates()
     for par in ps.parallels:
         points = [p for j, _, p in coordinates if j == par.index]
-        bases, factors = theta_product_log_turn(par.count, par.height, heights, turns, PREC, -par.phase)
-        for c, base, row in zip(heights, bases, factors):
+        factors = theta_product_log_turn(par.count, par.height, heights, turns, PREC, -par.phase)
+        for c, row in zip(heights, factors):
             for turn, factor in zip(turns, row):
                 enclosure = theta_log_enclosure(par, c, turn, PREC)
                 want = theta_log_from_coordinates(points, c, turn, fine.prec_bits)
@@ -153,7 +154,7 @@ def test_kernel_encloses_theta_from_coordinates(M, phases):
                 want = fraction_from_mpf(want)
                 assert lo <= want <= hi, (par.index, c, turn)
                 with mp.workprec(PREC):
-                    got = fraction_from_mpf(base + mp.log(factor))
+                    got = fraction_from_mpf(mp.log(factor))
                 assert abs(got - want) <= tol * max(1, abs(want))
     # every zero-phase parallel holds its k = 0 point at turn 0
     assert coincidences >= (len(ps.parallels) if phases is None else 0)

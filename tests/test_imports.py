@@ -172,18 +172,18 @@ def test_callers_checker_finds_names_attributes_and_nested_calls():
     assert callers_of({"x": src}, "kernel") == {"x.c", "x.m"}
 
 
-def test_one_two_term_kernel_for_the_theta_grids_and_the_energy():
-    """The Theta grids and the energy's resultants evaluate the two-term
-    form through numerics.two_term_log, and no other function forms its
-    expm1 term; |f'| at the roots takes no log per factor but rounds each
-    factor's exact gap and rim once (numerics.round_ratio)."""
+def test_one_two_term_kernel_for_the_energy_and_exact_terms_for_the_rest():
+    """Only the energy's resultants evaluate the two-term form through
+    numerics.two_term_log, and no other function forms its expm1 term;
+    |f'| at the roots and the Theta grids take no log per factor but
+    round each factor's exact terms once (numerics.round_ratio)."""
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert callers_of(sources, "two_term_log") == {
-        "condition.theta_product_log_turn",
-        "energy.log_energy",
-    }
+    assert callers_of(sources, "two_term_log") == {"energy.log_energy"}
     assert callers_of(sources, "expm1") == {"numerics.two_term_log"}
-    assert callers_of(sources, "round_ratio") == {"polynomials.derivative_modulus_at_root"}
+    assert callers_of(sources, "round_ratio") == {
+        "polynomials.derivative_modulus_at_root",
+        "condition.theta_product_log_turn",
+    }
 
 
 def test_one_product_over_the_parallels_for_every_theta_grid():

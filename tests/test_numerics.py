@@ -16,6 +16,7 @@ from wellcond.numerics import (
     frac_str,
     gauss_legendre,
     int_str,
+    round_ratio,
     to_fraction,
     to_mpf,
     two_term_log,
@@ -216,3 +217,33 @@ def test_two_term_log_matches_the_direct_modulus(log_x2, log_y2):
             assert lo <= to_fraction(want) <= hi
     finally:
         mp.iv.prec = old
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [
+        (0, 7),
+        (0, 2**300),
+        (-5, 3),
+        (-(3**200) << 517, 7**90 << 1200),
+        (5**120 << 2000, 3**77 << 40),
+        (1 << 900, 1 << 3),
+        (-(1 << 65), 3 << 4000),
+        (2**256 - 1, 2**200 + 1),
+    ],
+)
+def test_round_ratio_is_from_rational_bit_for_bit(n, d):
+    """round_ratio splits off the powers of two itself, yet rounds n / d
+    as libmp.from_rational does: to nearest under mp, to floor and
+    ceiling under mp.iv, at n = 0, negative n and long runs of trailing
+    zeros in n and d."""
+    for prec in (64, 256):
+        with mp.workprec(prec):
+            assert round_ratio(mp.mp, n, d)._mpf_ == libmp.from_rational(n, d, prec, "n")
+        old = mp.iv.prec
+        mp.iv.prec = prec
+        try:
+            got = round_ratio(mp.iv, n, d)._mpi_
+            assert got == (libmp.from_rational(n, d, prec, "f"), libmp.from_rational(n, d, prec, "c"))
+        finally:
+            mp.iv.prec = old
