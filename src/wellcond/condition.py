@@ -28,10 +28,10 @@ input, its point set (phases included), so each checks the other:
   ((1+|z|^2)(1+|z_j|^2)) and the Bombieri-Weyl integral
   int_S |f|^2 / (1+|z|^2)^N dsigma = ||f||^2 / (N+1) (Shub & Smale,
   Complexity of Bezout's theorem I), and the per-point denominators
-  are Theta products over the points.  Both routes take each factor's
-  terms from exact integers, each rounded once, but the terms differ
-  (|f'| pairs roots on the plane, Theta points on the sphere), so the
-  route check compares two forms.
+  are Theta products over the points.  Both routes form their factors
+  through one kernel, numerics.binomial_factors, but each from its own
+  exact integers (|f'| pairs roots on the plane, Theta points on the
+  sphere), so the route check compares two forms.
 
 log mu at the roots is written once, against an mpmath context: the
 coefficient route evaluates it under mp.mp, certify_bound under mp.iv,
@@ -67,16 +67,13 @@ for a query point at height c and azimuth offset dphi from the r
 uniformly spaced points at height h, so that Theta = gap + rim
 sin^2(r dphi / 2) with gap = (x^r - y^r)^2 and rim = 4 (xy)^r.  Every
 count r is even and every height an exact rational, so x^r and y^r are
-ratios of integers: theta_product_log_turn forms them from the powers
-of the query heights (query_powers, one chain per height over the
-exponents) and of the parallel's height, rounds x^r - y^r, x^r and y^r
-once each (numerics.round_ratio), and takes no exp or log.  The offset
-is an exact turn t (a multiple of pi) plus a radian offset phi, so
-sin^2(r (pi t + phi)/2) is exactly zero at a coincidence when phi = 0,
-and where every sin^2 is 0 (at the real points) no rim is formed.
-log_distance_products multiplies the factors over the parallels, then
-takes one log per query point; a coincidence makes a factor, so the
-product, exactly 0 and the log -inf.
+ratios of integers, formed from the powers of the query heights
+(query_powers) and of the parallel's height, and the factors come from
+numerics.binomial_factors.  The offset is an exact turn t (a multiple
+of pi) plus a radian offset phi, so sin^2(r (pi t + phi)/2) is exactly
+zero at a coincidence when phi = 0.  log_distance_products multiplies
+the factors over the parallels, then takes one log per query point; a
+coincidence makes a factor, so the product, exactly 0 and the log -inf.
 
 Precision has one source per input: numerator_integral_log and
 point_gap_product_log read the prec_bits of the point set they take,
@@ -95,6 +92,7 @@ import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC_BITS,
+    binomial_factors,
     check_height,
     check_precision,
     context_precision,
@@ -102,7 +100,6 @@ from .numerics import (
     fraction_endpoints,
     interval_endpoints,
     log_fraction,
-    round_ratio,
     sin_sq_pi,
     to_fraction,
     to_mpf,
@@ -266,16 +263,14 @@ def by_orbit(point_set: PointSet, points, evaluate):
     return [(f"p{j}.k{t}", values[rep]) for (j, t), rep in zip(points, reps)], values
 
 
-def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx, points=None):
+def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx):
     """by_orbit of log mu under ctx at prec_bits, ||f||^2 = norm_sq, over
-    the roots (parallel j, azimuth t) in `points` (default evaluated_roots
-    in factor order) of the point set's family polynomial."""
+    the evaluated_roots, in factor order, of the point set's family
+    polynomial."""
     pars = {par.index: par for par in factor_parallels(point_set.parallels)}
-    if points is None:
-        points = evaluated_roots(point_set, pars.values())
     log_n, log_norm_sq = log_scale(point_set.N, norm_sq, prec_bits, ctx)
     return by_orbit(
-        point_set, points,
+        point_set, evaluated_roots(point_set, pars.values()),
         lambda j, ts: log_mu_at_root(
             pars[j], [p for i, p in pars.items() if i != j], log_n, log_norm_sq, prec_bits, ctx, ts
         ),
@@ -372,14 +367,11 @@ def theta_product_log_turn(
         gap = ((a - b) / D)^2,  rim = 4 (a / D)(b / D),
 
     with x^r = a / D and y^r = b / D exact: a = ((q - p)(v + u))^e,
-    b = ((q + p)(v - u))^e, D = (qv)^e.  a - b, a and b are rounded once
-    each (numerics.round_ratio), so a coincidence gives an exact 0 and a
-    near one keeps its relative accuracy; no rim is formed where every
-    sin^2 is exactly 0.  `powers` is query_powers(heights, [e])[e], formed
-    here if not given; the parallel's powers are formed once per call and
-    sin^2 once per turn; no cell takes a log.  With a zero offset,
-    rational turns keep coincidences exact: a factor is 0 precisely when
-    the query point equals a parallel point.
+    b = ((q + p)(v - u))^e, D = (qv)^e, from numerics.binomial_factors.
+    `powers` is query_powers(heights, [e])[e], formed here if not given;
+    the parallel's powers are formed once per call and sin^2 once per
+    turn.  With a zero offset, rational turns keep coincidences exact: a
+    factor is 0 precisely when the query point equals a parallel point.
     """
     check_precision(prec_bits)
     if not isinstance(r, int) or r < 2 or r % 2:
@@ -395,18 +387,10 @@ def theta_product_log_turn(
             sin_sq_pi(mp.mp, Fraction(r * t.numerator, 2 * t.denominator), shift)
             for t in map(Fraction, turns)
         ]
-        rimless = not any(sin_sqs)
-        factors = []
-        for qe_m, qe_p, qe in powers:
-            a, b, d = qe_m * ve_p, qe_p * ve_m, qe * ve
-            diff = round_ratio(mp.mp, a - b, d)
-            gap = diff * diff
-            if rimless:
-                factors.append([gap] * len(sin_sqs))
-                continue
-            rim = 4 * round_ratio(mp.mp, a, d) * round_ratio(mp.mp, b, d)
-            factors.append([gap + rim * s for s in sin_sqs])
-        return factors
+        return [
+            binomial_factors(mp.mp, qe_m * ve_p, qe_p * ve_m, qe * ve, sin_sqs)
+            for qe_m, qe_p, qe in powers
+        ]
 
 
 def log_distance_products(
@@ -462,16 +446,18 @@ def numerator_integral_log(point_set: PointSet) -> NumeratorIntegral:
 
     Evaluates 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)) for the f
     of polynomials.family_polynomial, with the exact weights
-    1/(1 + rho_k^2) = (1 - h_k)/2 of the parallels; with every phase 0 the
-    value is an exact rational, rounded once.
+    1/(1 + rho_k^2) = (1 - h_k)/2 of the parallels, as one ratio of
+    integers rounded once (a phased ||f||^2, an mpf, taken exactly).
     """
     N = point_set.N
-    scale = Fraction(4**N, N + 1)
-    for par in point_set.parallels:
-        scale *= ((1 - par.height) / 2) ** par.count
+    num, den = 4**N, N + 1
+    for par in point_set.parallels:  # (1 - h) / 2 = (v - u) / 2v for h = u / v
+        u, v = par.height.numerator, par.height.denominator
+        num, den = num * (v - u) ** par.count, den * (2 * v) ** par.count
     with mp.workprec(point_set.prec_bits):
-        value = to_mpf(scale * product_norm_sq(family_polynomial(point_set)))
-        return NumeratorIntegral(log_value=mp.log(value))
+        norm_sq = to_fraction(product_norm_sq(family_polynomial(point_set)))
+        num, den = num * norm_sq.numerator, den * norm_sq.denominator
+        return NumeratorIntegral(log_value=log_fraction(mp.mp, num, den))
 
 
 def point_gap_product_log(

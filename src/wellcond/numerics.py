@@ -6,11 +6,11 @@ binary precision: floats under mp.mp, outward-rounded intervals under
 mp.iv.  This module owns the conversions between the two worlds,
 rigorous enclosures of cos(pi * q) for rational q, Gauss-Legendre
 nodes (the package integrates nothing numerically; the enclosures and
-the nodes serve references in the tests), ``round_ratio``, which
-rounds an exact rational once under either context (the exact terms of
-|f'| at the roots and of the Theta grids), and ``two_term_log``, the
-log-domain kernel for the resultants of the energy, whose powers are
-too large to form exactly.
+the nodes serve references in the tests), ``round_ratio``, the one
+routine that rounds an exact ratio, ``binomial_factors``, the one
+kernel for the terms |A e^(i theta) - B|^2 of exact A, B (|f'| at the
+roots, the Theta grids), and ``two_term_log``, the log-domain kernel
+for the energy's resultants, whose powers are too large to form.
 
 Two representations are fixed here for the whole package:
 
@@ -53,13 +53,10 @@ def check_precision(prec_bits: int) -> int:
 
 
 def to_mpf(x: RealLike) -> mp.mpf:
-    """Convert to mpf at the current working precision.
-
-    Fractions are rounded correctly (one rounding, via from_rational)
-    rather than through a separate numerator/denominator division.
-    """
+    """Convert to mpf at the current working precision, a Fraction rounded
+    once (round_ratio)."""
     if isinstance(x, Fraction):
-        return mp.mpf(libmp.from_rational(x.numerator, x.denominator, mp.mp.prec, "n"))
+        return round_ratio(mp.mp, x.numerator, x.denominator)
     return mp.mpf(x)
 
 
@@ -101,10 +98,11 @@ def context_precision(ctx, prec_bits: int):
         ctx.prec = old
 
 
-def log_fraction(ctx, q: Fraction):
-    """log q for a positive rational q under ctx at its precision: a float
-    under mp, an enclosure under mp.iv."""
-    return ctx.log(ctx.mpf(q.numerator) / q.denominator)
+def log_fraction(ctx, q: RationalLike, d: int = 1):
+    """log(q / d) for a positive rational q and an integer d > 0 under ctx
+    at its precision, q / d rounded once (round_ratio) with no gcd taken:
+    a float under mp, an enclosure under mp.iv."""
+    return ctx.log(round_ratio(ctx, q.numerator, q.denominator * d))
 
 
 def round_ratio(ctx, n: int, d: int):
@@ -113,10 +111,10 @@ def round_ratio(ctx, n: int, d: int):
     where n / d is representable), bit for bit libmp.from_rational's.  No
     gcd is taken, and the powers of two of n and d are split off in one
     step each (_raw_int), where from_rational strips them a byte at a time."""
-    num, den = _raw_int(n), _raw_int(d)
+    num, den, prec = _raw_int(n), _raw_int(d), ctx.prec
     if ctx is mp.iv:
-        return ctx.make_mpf(tuple(libmp.mpf_div(num, den, ctx.prec, rnd) for rnd in "fc"))
-    return ctx.make_mpf(libmp.mpf_div(num, den, ctx.prec, "n"))
+        return ctx.make_mpf((libmp.mpf_div(num, den, prec, "f"), libmp.mpf_div(num, den, prec, "c")))
+    return ctx.make_mpf(libmp.mpf_div(num, den, prec, "n"))
 
 
 def _raw_int(n: int) -> tuple:
@@ -124,7 +122,7 @@ def _raw_int(n: int) -> tuple:
     if not n:
         return libmp.fzero
     man = abs(n)
-    exp = (man & -man).bit_length() - 1
+    exp = 0 if man & 1 else (man & -man).bit_length() - 1
     man = libmp.MPZ(man >> exp)
     return (int(n < 0), man, exp, man.bit_length())
 
@@ -196,9 +194,32 @@ def sin_sq_pi(ctx, q: RationalLike, offset=0):
     exactly 0, 1/2 or 1 at quarter turns (4q an integer) with offset 0."""
     q = q if isinstance(q, Fraction) else Fraction(q)
     n, d = q.numerator % q.denominator, q.denominator  # q mod 1: sin^2 has period pi
-    if offset == 0 and 4 * n % d == 0:
-        return ctx.mpf((0, 0.5, 1, 0.5)[4 * n // d])
+    if offset == 0:
+        return _sin_sq_pi(ctx, n, d, ctx.prec)
     return ctx.sin(ctx.pi * (ctx.mpf(n) / d) + offset) ** 2
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _sin_sq_pi(ctx, n: int, d: int, prec_bits: int):
+    """sin^2(pi n / d), 0 <= n < d, under ctx at prec_bits (its precision),
+    memoised as _cos_pi is: a grid asks for the same turns on every parallel."""
+    if 4 * n % d == 0:
+        return ctx.mpf((0, 0.5, 1, 0.5)[4 * n // d])
+    return ctx.sin(ctx.pi * (ctx.mpf(n) / d)) ** 2
+
+
+def binomial_factors(ctx, a: int, b: int, d: int, sin_sqs: list) -> list:
+    """[gap + rim s for s in sin_sqs], |A e^(i theta) - B|^2 at each
+    s = sin^2(theta / 2), for A = a / d and B = b / d (integers, d > 0)
+    under ctx (mp.mp or mp.iv): gap = (a - b)^2 / d^2 and rim = 4ab / d^2,
+    each rounded once (round_ratio), so a = b gives an exact 0.  Where every
+    s is exactly 0 the gap alone fills the list, as gap + rim * 0 would."""
+    d_sq = d * d
+    gap = round_ratio(ctx, (a - b) ** 2, d_sq)
+    if sin_sqs.count(0) == len(sin_sqs):
+        return [gap] * len(sin_sqs)
+    rim = round_ratio(ctx, 4 * a * b, d_sq)
+    return [gap + rim * s for s in sin_sqs]
 
 
 def two_term_log(ctx, R: int, log_x2, log_y2) -> tuple:

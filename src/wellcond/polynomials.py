@@ -21,10 +21,9 @@ numerators, ||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f,
 exact for zero phases; the rotated (complex) shifts of a phased family
 take the precision of its point set.  |f'| at the roots reads the
 Parallel records, each factor's exact height and phase: every other
-factor's term is (a - s)^2 + 4 a s sin^2, with a and s exact rational
-powers of the squared moduli, its gap and rim rounded once under an
-mpmath context at a caller-chosen binary precision (floats under mp.mp,
-enclosures under mp.iv), and no rim where every sin^2 it meets is 0.
+factor's term (a - s)^2 + 4 a s sin^2, a and s exact powers of the
+squared moduli, comes from numerics.binomial_factors, the kernel the
+Theta grids share, under mp.mp or mp.iv at a caller-chosen precision.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC_BITS,
+    binomial_factors,
     check_precision,
     context_precision,
     cos_pi_fraction,
@@ -46,7 +46,6 @@ from .numerics import (
     frac_str,
     int_str,
     log_fraction,
-    round_ratio,
     sin_sq_pi,
     to_mpf,
 )
@@ -293,16 +292,12 @@ def derivative_modulus_at_root(
         |f'(z_t)|^2 = r^2 rho^(2(r-1)) prod_m ((a_m - s_m)^2 + 4 a_m s_m sin^2(theta_m / 2)),
 
     with a_m = (rho^2)^(r_m/2) and s_m = (rho_m^2)^(r_m/2) exact rationals
-    (every count is even), put over one integer denominator, so each
-    factor's gap (a_m - s_m)^2 and rim 4 a_m s_m are ratios of integers,
-    rounded once under ctx (numerics.round_ratio), and theta_m / 2 = pi r_m t / r
-    plus the offset r_m (phi - phi_m) / 2, an exact 0 for equal phases;
-    sin^2 is taken once per distinct turn and offset, and the log once
-    per root.  A term whose sin^2 is exactly 0 at every requested root
-    (equal phases, r_m t / r an integer for each t: every term at a real
-    root of the zero-phase family) is its gap alone, with no rim formed,
-    as gap + rim * 0 would give it bit for bit.  A vanishing term means a
-    repeated root, where f' = 0: the log is -inf.
+    (every count is even) over one integer denominator, each term from
+    numerics.binomial_factors, and theta_m / 2 = pi r_m t / r plus the
+    offset r_m (phi - phi_m) / 2.  At equal phases an integer r_m t / r
+    gives sin^2 = 0, decided on the integers (every term at a real root of
+    the zero-phase family); other sin^2 are taken once per distinct turn
+    of a term.  A vanishing term means a repeated root: log |f'| = -inf.
     """
     check_precision(prec_bits)
     r, n, d = root.count, root.rho_sq.numerator, root.rho_sq.denominator
@@ -313,19 +308,15 @@ def derivative_modulus_at_root(
         for par in others:
             # (rho^2)^e = a / p and (rho_m^2)^e = s / p, all integers
             e, n_m, d_m = par.count // 2, par.rho_sq.numerator, par.rho_sq.denominator
-            a, s, p_sq = (n * d_m) ** e, (n_m * d) ** e, (d * d_m) ** (2 * e)
-            gap = round_ratio(ctx, (a - s) ** 2, p_sq)
-            if par.phase == root.phase and not any(par.count * t % r for t in ts):
-                terms.append((par.count, 0, gap, None))
-                continue
-            offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
-            terms.append((par.count, offset, gap, round_ratio(ctx, 4 * a * s, p_sq)))
-        turns = {(r_m * t % r, offset) for r_m, offset, _, rim in terms if rim is not None for t in ts}
-        sin_sq = {(j, offset): sin_sq_pi(ctx, Fraction(j, r), offset) for j, offset in turns}
+            turns = [par.count * t % r for t in ts]
+            if par.phase == root.phase and not any(turns):
+                sin_sqs = turns  # the int 0, an exact sin^2, at every t
+            else:
+                offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
+                sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r), offset) for j in set(turns)}
+                sin_sqs = [sin_sq[j] for j in turns]
+            a, s, p = (n * d_m) ** e, (n_m * d) ** e, (d * d_m) ** e
+            terms.append(binomial_factors(ctx, a, s, p, sin_sqs))
         return [
-            base + ctx.log(ctx.fprod(
-                gap if rim is None else gap + rim * sin_sq[r_m * t % r, offset]
-                for r_m, offset, gap, rim in terms
-            )) / 2
-            for t in ts
+            base + ctx.log(ctx.fprod(term[i] for term in terms)) / 2 for i in range(len(ts))
         ]

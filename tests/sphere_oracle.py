@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath import libmp
 
 from wellcond.condition import parallel_self_product_log, point_gap_product_log
 from wellcond.numerics import cos_pi_fraction, gauss_legendre, sin_sq_pi, to_fraction, to_mpf, two_term_log
@@ -31,13 +32,16 @@ from wellcond.polynomials import family_polynomial
 
 def theta_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
     """Theta for one query, every term formed afresh in exact rationals:
-    x^r = X and y^r = Y from x^2 = (1-c)(1+h) and y^2 = (1+c)(1-h), with
-    X - Y, X and Y each rounded once, the gap (X - Y)^2 and the rim 4XY."""
+    x^r = X and y^r = Y from x^2 = (1-c)(1+h) and y^2 = (1+c)(1-h), the gap
+    (X - Y)^2 and the rim 4XY each rounded once by libmp.from_rational."""
     h, c, turn = to_fraction(h), to_fraction(c), Fraction(turn)
     X, Y = ((1 - c) * (1 + h)) ** (r // 2), ((1 + c) * (1 - h)) ** (r // 2)
     with mp.workprec(prec_bits):
-        diff = to_mpf(X - Y)
-        return diff * diff + 4 * to_mpf(X) * to_mpf(Y) * sin_sq_pi(mp.mp, r * turn / 2, r * offset / 2)
+        gap, rim = (
+            mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, prec_bits, "n"))
+            for q in ((X - Y) ** 2, 4 * X * Y)
+        )
+        return gap + rim * sin_sq_pi(mp.mp, r * turn / 2, r * offset / 2)
 
 
 def theta_log_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:

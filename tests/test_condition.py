@@ -12,7 +12,7 @@ from wellcond.condition import (
     CERTIFY_PREC_FACTOR,
     LOWER_CONST,
     _bound_verdicts,
-    _log_mu_per_root,
+    by_orbit,
     certify_bound,
     coefficient_report,
     log_mu_at_root,
@@ -215,13 +215,23 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
             assert abs(got - want) < tol, rid
     roots = [(par.index, t) for par in pars for t in range(par.count)]
     ps = build_point_set(M, prec_bits=prec)
-    per_root, values = _log_mu_per_root(ps, norm_sq, prec, mp.mp, roots)
+    by_index = {par.index: par for par in pars}
+    orbits = {}
+    for ctx in (mp.mp, mp.iv):
+        scale = log_scale(N, norm_sq, prec, ctx)
+        orbits[ctx] = by_orbit(
+            ps, roots,
+            lambda j, ts: log_mu_at_root(
+                by_index[j], [p for p in pars if p.index != j], *scale, prec, ctx, ts
+            ),
+        )
+    per_root, values = orbits[mp.mp]
     assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
     assert [rid for rid, _ in per_root] == [rid for rid, _ in full[mp.mp]]
     with mp.workprec(prec):
         for (rid, got), (_, want) in zip(per_root, full[mp.mp]):
             assert abs(got - want) < tol, rid
-    per_root, values = _log_mu_per_root(ps, norm_sq, prec, mp.iv, roots)
+    per_root, values = orbits[mp.iv]
     assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
     for (rid, enclosure), (full_rid, full_enclosure) in zip(per_root, full[mp.iv]):
         assert rid == full_rid
@@ -374,10 +384,12 @@ def test_numerator_integral_matches_product_rule(M, phases):
         assert abs(got - want) < mp.mpf(2) ** -(prec - 16)
 
 
-@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("M", range(1, 9))
 def test_numerator_integral_zero_phase_is_exact_rational(M):
-    """I = 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)), rounded once;
-    at M = 1, f = z^4 - 1 on the equator gives 4^4 * 2 / (5 * 2^4)."""
+    """I = 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)), rounded once,
+    and its log within 2^-(prec-16) of the exact rational's log taken at
+    twice the precision; at M = 1, f = z^4 - 1 on the equator gives
+    4^4 * 2 / (5 * 2^4)."""
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
     N = ps.N
@@ -387,8 +399,12 @@ def test_numerator_integral_zero_phase_is_exact_rational(M):
         exact /= (1 + rho_sq) ** par.count
     if M == 1:
         assert exact == Fraction(32, 5)
+    got = numerator_integral_log(ps).log_value
     with mp.workprec(prec):
-        assert numerator_integral_log(ps).log_value == mp.log(to_mpf(exact))
+        assert got == mp.log(to_mpf(exact))
+    with mp.workprec(2 * prec):
+        want = mp.log(to_mpf(exact))
+        assert abs(got - want) <= mp.mpf(2) ** (16 - prec) * max(1, abs(want))
 
 
 def test_numerator_integral_matches_point_quadrature_with_phases():

@@ -1,7 +1,8 @@
 """Every name a wellcond module imports is used in that module, every
 private module-level helper is used somewhere in the package, every
-function the benchmark tracer wraps exists, and the Theta grids and
-the energy share one two-term kernel."""
+function the benchmark tracer wraps exists, |f'| and the Theta grids
+share one binomial kernel, the energy alone takes the two-term kernel,
+and only numerics rounds an exact ratio."""
 
 import ast
 import importlib
@@ -175,15 +176,19 @@ def test_callers_checker_finds_names_attributes_and_nested_calls():
 def test_one_two_term_kernel_for_the_energy_and_exact_terms_for_the_rest():
     """Only the energy's resultants evaluate the two-term form through
     numerics.two_term_log, and no other function forms its expm1 term;
-    |f'| at the roots and the Theta grids take no log per factor but
-    round each factor's exact terms once (numerics.round_ratio)."""
+    |f'| at the roots and the Theta grids take no log per factor but form
+    their binomial terms through one kernel, numerics.binomial_factors,
+    and every exact ratio is rounded inside numerics by round_ratio, with
+    no libmp.from_rational in the package."""
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert callers_of(sources, "two_term_log") == {"energy.log_energy"}
     assert callers_of(sources, "expm1") == {"numerics.two_term_log"}
-    assert callers_of(sources, "round_ratio") == {
+    assert callers_of(sources, "binomial_factors") == {
         "polynomials.derivative_modulus_at_root",
         "condition.theta_product_log_turn",
     }
+    assert {caller.split(".")[0] for caller in callers_of(sources, "round_ratio")} == {"numerics"}
+    assert callers_of(sources, "from_rational") == set()
 
 
 def test_one_product_over_the_parallels_for_every_theta_grid():

@@ -1,5 +1,6 @@
 """Arbitrary-precision helpers: exact conversions, enclosures, quadrature."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import mpmath as mp
 import pytest
 from mpmath import libmp
 
+from wellcond import numerics
 from wellcond.numerics import (
     cos_pi_fraction,
     cos_pi_fraction_interval,
@@ -16,7 +18,10 @@ from wellcond.numerics import (
     frac_str,
     gauss_legendre,
     int_str,
+    binomial_factors,
+    log_fraction,
     round_ratio,
+    sin_sq_pi,
     to_fraction,
     to_mpf,
     two_term_log,
@@ -236,10 +241,11 @@ def test_round_ratio_is_from_rational_bit_for_bit(n, d):
     """round_ratio splits off the powers of two itself, yet rounds n / d
     as libmp.from_rational does: to nearest under mp, to floor and
     ceiling under mp.iv, at n = 0, negative n and long runs of trailing
-    zeros in n and d."""
+    zeros in n and d; to_mpf of the Fraction n / d rounds it so too."""
     for prec in (64, 256):
         with mp.workprec(prec):
             assert round_ratio(mp.mp, n, d)._mpf_ == libmp.from_rational(n, d, prec, "n")
+            assert to_mpf(Fraction(n, d))._mpf_ == libmp.from_rational(n, d, prec, "n")
         old = mp.iv.prec
         mp.iv.prec = prec
         try:
@@ -247,3 +253,84 @@ def test_round_ratio_is_from_rational_bit_for_bit(n, d):
             assert got == (libmp.from_rational(n, d, prec, "f"), libmp.from_rational(n, d, prec, "c"))
         finally:
             mp.iv.prec = old
+
+
+def rounded_once(ctx, q: Fraction):
+    """q rounded once by libmp.from_rational under ctx at its precision:
+    to nearest under mp, to the floor and ceiling pair under mp.iv."""
+    n, d = q.numerator, q.denominator
+    if ctx is mp.iv:
+        return ctx.make_mpf(tuple(libmp.from_rational(n, d, ctx.prec, rnd) for rnd in "fc"))
+    return ctx.make_mpf(libmp.from_rational(n, d, ctx.prec, "n"))
+
+
+def raw_value(x):
+    """The raw libmp data of an mpf or an mp.iv interval, for bit equality."""
+    return x._mpi_ if hasattr(x, "_mpi_") else x._mpf_
+
+
+@pytest.mark.parametrize("ctx", [mp.mp, mp.iv], ids=["mp", "iv"])
+@pytest.mark.parametrize(
+    "a,b,d",
+    [(7**40, 5**48, 3**55), (17, 3, 1), (3**200 + 1, 3**200, 2**317 + 1), (0, 11**30, 13**29)],
+)
+def test_binomial_factors_round_gap_and_rim_once(ctx, a, b, d):
+    """Each factor is gap + rim sin^2 with gap = (a - b)^2 / d^2 and rim =
+    4ab / d^2 each rounded once, as libmp.from_rational rounds the exact
+    rational: to nearest under mp, to floor and ceiling under mp.iv."""
+    with numerics.context_precision(ctx, 128):
+        sin_sqs = [sin_sq_pi(ctx, q) for q in (Fraction(1, 7), Fraction(1, 2), Fraction(0), Fraction(2, 5))]
+        gap = rounded_once(ctx, Fraction((a - b) ** 2, d * d))
+        rim = rounded_once(ctx, Fraction(4 * a * b, d * d))
+        got = binomial_factors(ctx, a, b, d, sin_sqs)
+        assert [raw_value(x) for x in got] == [raw_value(gap + rim * s) for s in sin_sqs]
+
+
+@pytest.mark.parametrize("ctx", [mp.mp, mp.iv], ids=["mp", "iv"])
+def test_binomial_factors_equal_terms_and_zero_sines(ctx, monkeypatch):
+    """a = b gives a gap of exactly 0 and factors rim sin^2; an all-zero
+    sin^2 list, as ints or as the context's zeros, rounds the gap alone."""
+    rounded, round_ratio_ = [], numerics.round_ratio
+    monkeypatch.setattr(
+        numerics, "round_ratio", lambda c, n, d: rounded.append(n) or round_ratio_(c, n, d)
+    )
+    a, d = 5**60, 2**50 * 3**40
+    with numerics.context_precision(ctx, 128):
+        zero = ctx.mpf(0)
+        half = sin_sq_pi(ctx, Fraction(1, 4))
+        assert raw_value(binomial_factors(ctx, a, a, d, [zero])[0]) == raw_value(zero)
+        rim = rounded_once(ctx, Fraction(4 * a * a, d * d))
+        assert raw_value(binomial_factors(ctx, a, a, d, [half])[0]) == raw_value(rim * half)
+        gap = rounded_once(ctx, Fraction((a - 1) ** 2, d * d))
+        for sin_sqs in ([0], [0, 0, 0], [zero, zero]):
+            rounded.clear()
+            got = binomial_factors(ctx, a, 1, d, sin_sqs)
+            assert rounded == [(a - 1) ** 2]
+            assert [raw_value(x) for x in got] == [raw_value(gap)] * len(sin_sqs)
+        rounded.clear()
+        binomial_factors(ctx, a, 1, d, [0, half])
+        assert rounded == [(a - 1) ** 2, 4 * a]
+
+
+def test_log_fraction_rounds_once():
+    """log_fraction rounds q once, even where its numerator has more bits
+    than the precision, so rounding the numerator first and then the
+    quotient would give another value: among seeded q near 1 with
+    200-bit terms, the first whose two roundings move log q."""
+    prec = 64
+    rng = random.Random(5)
+    with mp.workprec(prec):
+        for _ in range(200):
+            d = rng.getrandbits(200) | 1 << 199 | 1
+            q = Fraction(d + rng.getrandbits(190), d)
+            once = mp.log(rounded_once(mp.mp, q))
+            if mp.log(mp.mpf(q.numerator) / q.denominator) != once:
+                break
+        else:
+            raise AssertionError("no q whose two roundings differ")
+        assert q.numerator.bit_length() > prec
+        assert log_fraction(mp.mp, q)._mpf_ == once._mpf_
+        # an unreduced ratio, split as q / d, rounds the same once
+        assert log_fraction(mp.mp, 3 * q.numerator, 3 * q.denominator)._mpf_ == once._mpf_
+    with numerics.context_precision(mp.iv, prec):
+        assert log_fraction(mp.iv, q)._mpi_ == mp.iv.log(rounded_once(mp.iv, q))._mpi_

@@ -14,8 +14,8 @@ from polynomial_oracle import (
     log_derivative_modulus_by_gaps,
 )
 from wellcond.condition import log_mu_at_root, log_scale
-from wellcond.numerics import fraction_endpoints, fraction_from_mpf, to_mpf
-from wellcond import polynomials
+from wellcond.numerics import context_precision, fraction_endpoints, fraction_from_mpf, to_mpf
+from wellcond import numerics, polynomials
 from wellcond.points import Parallel, build_parallels, build_point_set
 from wellcond.polynomials import (
     DensePolynomial,
@@ -230,22 +230,41 @@ def factor_inputs(M: int) -> list[tuple[Parallel, list[Parallel]]]:
 @pytest.mark.parametrize("M", [2, 5])
 def test_real_roots_round_no_rim_and_keep_every_bit(M, monkeypatch):
     """At a real root of the zero-phase family every sin^2 is exactly 0,
-    so each other factor rounds its gap alone, and log |f'| equals, bit
-    for bit, the t = 0 entry of the evaluation at every root, which rounds
-    the rims, under mp and under mp.iv."""
+    so the kernel rounds each other factor's gap alone, and log |f'|
+    equals, bit for bit, the t = 0 entry of the evaluation at every root,
+    which rounds the rims, under mp and under mp.iv."""
     prec = 256
-    rounded = []
-    round_ratio = polynomials.round_ratio
+    rounded, kernel_calls = [], []
+    round_ratio, kernel = numerics.round_ratio, polynomials.binomial_factors
     monkeypatch.setattr(
-        polynomials, "round_ratio", lambda ctx, n, d: rounded.append(n) or round_ratio(ctx, n, d)
+        numerics, "round_ratio", lambda ctx, n, d: rounded.append(n) or round_ratio(ctx, n, d)
+    )
+    monkeypatch.setattr(
+        polynomials, "binomial_factors", lambda *args: kernel_calls.append(args) or kernel(*args)
     )
     for ctx, raw in ((mp.mp, lambda x: x._mpf_), (mp.iv, lambda x: x._mpi_)):
         for root, others in factor_inputs(M):
             rounded.clear()
+            kernel_calls.clear()
             (real,) = derivative_modulus_at_root(root, others, prec, ctx, [0])
-            assert len(rounded) == len(others), (ctx, root.index)
+            assert len(kernel_calls) == len(others), (ctx, root.index)
+            # log rho^2 of the base, then one gap per other factor and no rim
+            assert len(rounded) == 1 + len(others), (ctx, root.index)
             every = derivative_modulus_at_root(root, others, prec, ctx)
             assert raw(real) == raw(every[0]), (ctx, root.index)
+
+
+@pytest.mark.parametrize("ctx", [mp.mp, mp.iv], ids=["mp", "iv"])
+def test_no_other_factor_leaves_the_base_alone(ctx):
+    """At M = 1 the equator's factor z^4 - 1 is f itself: the product over
+    the other factors is 1, and log |f'| = log r + (r - 1) log rho^2 / 2 is
+    log 4 at every root, bit for bit."""
+    (equator,) = build_parallels(1)
+    raw = (lambda x: x._mpi_) if ctx is mp.iv else (lambda x: x._mpf_)
+    got = derivative_modulus_at_root(equator, [], 256, ctx)
+    with context_precision(ctx, 256):
+        want = ctx.log(4)
+    assert [raw(value) for value in got] == [raw(want)] * 4
 
 
 def test_factor_to_parallel_mapping_m3():
