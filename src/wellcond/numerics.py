@@ -301,6 +301,12 @@ def fmt_real(x) -> str:
     return _fmt_raw(x._mpf_, mp.mp.prec)
 
 
+def fmt_negated(s: str) -> str:
+    """fmt_real(-x) from s = fmt_real(x) of a finite x: the sign flipped,
+    and zero, which has no sign, kept."""
+    return s[1:] if s.startswith("-") else s if s == "0.0" else "-" + s
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def _fmt_raw(raw, prec_bits: int) -> str:
     sign, man, exp, bc = raw

@@ -15,16 +15,17 @@ family (polynomials) and the phases all come from it.  Heights and
 half-widths are exact rationals.  build_parallels gives the zero-phase
 geometry; build_point_set rounds each phase once, at the point set's
 precision, which every function that takes the point set reads and its
-JSON prints at.  Coordinates are formed only on request, by
-PointSet.coordinates: the azimuth of point k on parallel j is the exact
-turn 2k/r_j (a multiple of pi) plus the parallel's radian phase as an
-offset, both evaluated by numerics.cos_pi_fraction, for k < r_j/4 only;
-the other three quarters are exact quarter turns of the first, so a
-coordinate may differ from cos and sin taken point by point in its last
-bits.  orbit_representative declares the zero-phase family's symmetry
-group, under which its coordinates are invariant bit for bit,
-PointSet.symmetric whether a point set is such a family, and
-turn_representative the group's action on the azimuth of a query point.
+JSON prints at.  Coordinates are formed only on request, once per
+distinct ring by PointSet's ring builder: the azimuth of point k on
+parallel j is the exact turn 2k/r_j (a multiple of pi) plus the
+parallel's radian phase as an offset, both evaluated by
+numerics.cos_pi_fraction, for k < r_j/4 only; the other three quarters
+are exact quarter turns of the first, so a coordinate may differ from
+cos and sin taken point by point in its last bits.  orbit_representative
+declares the zero-phase family's symmetry group, under which its
+coordinates are invariant bit for bit, PointSet.symmetric whether a
+point set is such a family, and turn_representative the group's action
+on the azimuth of a query point.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .numerics import (
     DEFAULT_PREC_BITS,
     check_precision,
     cos_pi_fraction,
+    fmt_negated,
     fmt_real,
     frac_str,
     to_mpf,
@@ -90,10 +92,17 @@ class SpherePoint:
     z: mp.mpf
 
 
+def quarter_turn(x: mp.mpf, y: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+    """The quarter turn k -> k + r/4 of orbit_representative on a point's
+    plane coordinates, exact for any phase and precision."""
+    return -y, x
+
+
 @dataclass
 class PointSet:
     """The full family: its parallels, with every phase rounded at
-    ``prec_bits``, the precision coordinates are formed and printed at."""
+    ``prec_bits``, the precision coordinates are formed and printed at;
+    coordinates() and to_json_dict() both read the ring builder _rings."""
 
     M: int
     N: int
@@ -106,27 +115,44 @@ class PointSet:
         itself, which is when every phase is 0."""
         return all(par.phase == 0 for par in self.parallels)
 
-    def coordinates(self) -> list[tuple[int, int, SpherePoint]]:
-        """Flat (parallel index, azimuth index, point) triples, formed at
-        ``prec_bits``; one (x, y) ring per (count, |height|, phase), which
-        mirror parallels j and 2M - j of equal phase share.  With zero
-        phases the points on the coordinate axes come out exact."""
+    def _rings(self, form=lambda v: v, turn=quarter_turn) -> list[tuple[Parallel, list[tuple]]]:
+        """Each parallel with its ring, the (x, y) of its points k = 0..r-1
+        at ``prec_bits``: form of each _first_quarter value, each later
+        quarter the turn of the one before.  One ring is built per (count,
+        |height|, phase), which mirror parallels of equal phase share."""
+        rings: dict[tuple, list[tuple]] = {}
         out = []
-        rings: dict[tuple, list[tuple[mp.mpf, mp.mpf]]] = {}
         with mp.workprec(self.prec_bits):
             for par in self.parallels:
                 key = (par.count, abs(par.height), par.phase)
                 if key not in rings:
-                    rings[key] = _ring(par)
+                    ring = [(form(x), form(y)) for x, y in _first_quarter(par)]
+                    for _ in range(3):
+                        ring += [turn(x, y) for x, y in ring[-(par.count // 4):]]
+                    rings[key] = ring
+                out.append((par, rings[key]))
+        return out
+
+    def coordinates(self) -> list[tuple[int, int, SpherePoint]]:
+        """Flat (parallel index, azimuth index, point) triples, formed at
+        ``prec_bits`` from the ring builder.  With zero phases the points
+        on the coordinate axes come out exact."""
+        out = []
+        with mp.workprec(self.prec_bits):
+            for par, ring in self._rings():
                 height = to_mpf(par.height)
-                out += [
-                    (par.index, k, SpherePoint(x, y, height))
-                    for k, (x, y) in enumerate(rings[key])
-                ]
+                out += [(par.index, k, SpherePoint(x, y, height)) for k, (x, y) in enumerate(ring)]
         return out
 
     def to_json_dict(self) -> dict:
+        """The parallels, and the points of coordinates() as [x, y, z]
+        fmt_real strings: each distinct ring's first quarter is formatted
+        once and turned as strings, each parallel's z once."""
         with mp.workprec(self.prec_bits):
+            points = []
+            for par, ring in self._rings(fmt_real, lambda x, y: (fmt_negated(y), x)):
+                z = fmt_real(par.height)
+                points += [[x, y, z] for x, y in ring]
             return {
                 "M": self.M,
                 "N": self.N,
@@ -140,28 +166,21 @@ class PointSet:
                     }
                     for par in self.parallels
                 ],
-                "points": [
-                    [fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)]
-                    for _, _, p in self.coordinates()
-                ],
+                "points": points,
             }
 
 
-def _ring(par: Parallel) -> list[tuple[mp.mpf, mp.mpf]]:
-    """(x, y) of the parallel's points k = 0..r-1 at working precision:
-    cos_pi_fraction for k < r/4, each later quarter the quarter_turn of
-    the one before."""
+def _first_quarter(par: Parallel) -> list[tuple[mp.mpf, mp.mpf]]:
+    """(x, y) of the parallel's points k < r/4 at working precision, each
+    azimuth the exact turn 2k/r plus the phase, by cos_pi_fraction."""
     radius = mp.sqrt(to_mpf(par.radius_sq))
-    quarter = par.count // 4
-    ring = []
-    for k in range(quarter):
+    out = []
+    for k in range(par.count // 4):
         turn = Fraction(2 * k, par.count)  # azimuth as multiple of pi
         ca = cos_pi_fraction(turn, par.phase)
         sa = cos_pi_fraction(turn - Fraction(1, 2), par.phase)  # sin
-        ring.append((radius * ca, radius * sa))
-    for _ in range(3):
-        ring += [quarter_turn(x, y) for x, y in ring[-quarter:]]
-    return ring
+        out.append((radius * ca, radius * sa))
+    return out
 
 
 def _check_m(M: int) -> int:
@@ -203,12 +222,6 @@ def build_point_set(
         with mp.workprec(prec_bits):
             parallels = [replace(par, phase=to_mpf(ph)) for par, ph in zip(parallels, phases)]
     return PointSet(M=M, N=4 * M * M, parallels=parallels, prec_bits=prec_bits)
-
-
-def quarter_turn(x: mp.mpf, y: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """The quarter turn k -> k + r/4 of orbit_representative on a point's
-    plane coordinates, exact for any phase and precision."""
-    return -y, x
 
 
 def orbit_representative(M: int, index: int, k: int) -> tuple[int, int]:

@@ -14,16 +14,17 @@ rho_j^2 = (2M^2 - j^2)/j^2 this is
 
     P(z) = (z^(4M) - 1) * prod_{j=1}^{M-1} (z^(4j) - s_j)(z^(4j) - 1/s_j).
 
-Expansion takes each factor z^r - p/q as (q z^r - p)/q, multiplies integer
-numerators a_i over one common denominator D = prod q and reduces each
-a_i / D once; product_norm_sq forms the Bombieri-Weyl norm from the same
-numerators, ||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f,
-exact for zero phases; the rotated (complex) shifts of a phased family
-take the precision of its point set.  |f'| at the roots reads the
-Parallel records, each factor's exact height and phase: every other
-factor's term (a - s)^2 + 4 a s sin^2, a and s exact powers of the
-squared moduli, comes from numerics.binomial_factors, the kernel the
-Theta grids share, under mp.mp or mp.iv at a caller-chosen precision.
+Expansion forms integer numerators a_i over one common denominator
+D = prod q in w = z^4, each mirror pair as one palindromic trinomial of
+which half is formed (_numerators), and reduces each a_i / D once;
+product_norm_sq forms the Bombieri-Weyl norm from the same numerators,
+||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f, exact for
+zero phases; the rotated (complex) shifts of a phased family take the
+precision of its point set.  |f'| at the roots reads the Parallel
+records, each factor's exact height and phase: every other factor's
+term (a - s)^2 + 4 a s sin^2, a and s exact powers of the squared
+moduli, comes from numerics.binomial_factors, the kernel the Theta
+grids share, under mp.mp or mp.iv at a caller-chosen precision.
 """
 
 from __future__ import annotations
@@ -178,25 +179,57 @@ def family_polynomial(point_set: PointSet) -> FactorizedPolynomial:
     return FactorizedPolynomial(factors)
 
 
+def _reciprocal_pairs(factors: Sequence[Factor]) -> tuple[list[Factor], list[Factor]]:
+    """(pairs, rest): if every shift is rational, each factor z^r - s
+    matched with an unused earlier z^r - 1/s, one factor per pair; rest is
+    every unmatched factor in factor order."""
+    if not all(isinstance(fac.shift, Fraction) for fac in factors):
+        return [], list(factors)
+    waiting: dict[tuple, list[int]] = {}
+    pairs, paired = [], set()
+    for k, fac in enumerate(factors):
+        partners = waiting.get((fac.power, 1 / fac.shift))
+        if partners:
+            paired |= {k, partners.pop()}
+            pairs.append(fac)
+        else:
+            waiting.setdefault((fac.power, fac.shift), []).append(k)
+    return pairs, [fac for k, fac in enumerate(factors) if k not in paired]
+
+
 def _numerators(f: FactorizedPolynomial) -> tuple[list, int]:
     """Numerators a_i and one common denominator D of f's coefficients a_i / D.
 
-    Each factor z^r - p/q is (q z^r - p)/q: the loop multiplies integer
-    numerators by q z^r - p and D by q, so no step reduces a fraction.  A
-    complex shift enters with p = shift, q = 1, and its a_i are mpc at the
-    working precision.
+    The product is formed in w = z^g, g the gcd of the powers, and D =
+    prod q over the factors z^r - p/q, so no step reduces a fraction.  A
+    pair z^r - p/q, z^r - q/p of _reciprocal_pairs enters as the
+    palindromic pq w^(2e) - (p^2 + q^2) w^e + pq, e = r/g, which keeps
+    the product palindromic: each entry i <= n/2 is formed once and
+    mirrored.  Each other factor enters, in factor order, as q w^e - p; a
+    complex shift with p = shift, q = 1, its a_i mpc at working precision.
     """
+    g = math.gcd(*(fac.power for fac in f.factors)) or 1
+    pairs, rest = _reciprocal_pairs(f.factors)
     a, D = [1], 1
-    for fac in f.factors:
-        s, r = fac.shift, fac.power
+    for fac in pairs:
+        e, p, q = fac.power // g, fac.shift.numerator, fac.shift.denominator
+        c, b, size = p * q, p * p + q * q, len(a) + 2 * e
+        # entry i is c (a[i] + a[i - 2e]) - b a[i - e]; u is a padded with zeros
+        u, h = [0] * (2 * e) + a + [0] * (2 * e), (size + 1) // 2
+        half = [c * (x + z) - b * y for x, y, z in zip(u[:h], u[e:e + h], u[2 * e:2 * e + h])]
+        a, D = half + half[:size // 2][::-1], D * c
+    for fac in rest:
+        s, e = fac.shift, fac.power // g
         p, q = (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1)
-        new = [0] * (len(a) + r)
+        new = [0] * (len(a) + e)
         for i, c in enumerate(a):
             if c:
-                new[i + r] += q * c
+                new[i + e] += q * c
                 new[i] -= p * c
         a, D = new, D * q
-    return a, D
+    z = [0] * (g * (len(a) - 1) + 1)
+    z[::g] = a
+    return z, D
 
 
 def _over(x, d: int):

@@ -142,10 +142,24 @@ def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCh
     if not (isinstance(ell, int) and isinstance(M, int) and 1 <= ell <= M - 2):
         raise ValueError(f"need 1 <= ell <= M - 2, got ell={ell!r}, M={M!r}")
     check_precision(prec_bits)
-    envelope = sum(Fraction(ell + 1, j) ** (4 * j) for j in range(ell + 2, M + 1))
-    companion = sum(
-        Fraction(ell * (ell + 1), j * j) ** (2 * j) for j in range(ell + 2, M + 1)
-    )
+    return _tail_checks(ell, M, *_tail_values(ell, [M])[M], prec_bits)
+
+
+def _tail_values(ell: int, ms) -> dict[int, tuple[Fraction, Fraction]]:
+    """{M: (envelope, companion)} of tail_sum for one ell at each M of ms,
+    accumulated once over ascending j."""
+    out, envelope, companion, j = {}, 0, 0, ell + 2
+    for M in sorted(ms):
+        while j <= M:
+            envelope += Fraction(ell + 1, j) ** (4 * j)
+            companion += Fraction(ell * (ell + 1), j * j) ** (2 * j)
+            j += 1
+        out[M] = (envelope, companion)
+    return out
+
+
+def _tail_checks(ell: int, M: int, envelope, companion, prec_bits: int) -> list[SumCheck]:
+    """tail_sum's two checks of the sums `envelope` and `companion`."""
     bound_lo = _inv_e4m1(prec_bits)
     return [
         SumCheck(check_id, {"ell": ell, "M": M}, value, bound, bound - value, prec_bits)
@@ -254,10 +268,16 @@ def sum_check_suite(
                     prec_bits,
                 )
             )
-    for M in range(3, max_m + 1):
-        if M <= 18 or M in (24, 32, 48, 64) or M == max_m:
-            for ell in _tail_grid(M):
-                checks.extend(tail_sum(ell, M, prec_bits))
+    grid = [
+        (ell, M)
+        for M in range(3, max_m + 1)
+        if M <= 18 or M in (24, 32, 48, 64) or M == max_m
+        for ell in _tail_grid(M)
+    ]
+    ells = {ell for ell, _ in grid}
+    tails = {ell: _tail_values(ell, [M for e, M in grid if e == ell]) for ell in ells}
+    for ell, M in grid:
+        checks.extend(_tail_checks(ell, M, *tails[ell][M], prec_bits))
     for M in range(1, max_m + 1):
         checks.extend(weighted_sum(M, prec_bits))
     harmonic = list(accumulate((Fraction(1, j) for j in range(1, max_m + 1)), initial=Fraction(0)))

@@ -1,7 +1,11 @@
 """Brute-force references for the polynomial layer, kept out of the package.
 
 The factor-by-factor product in Fraction (or mpc) arithmetic checks the
-integer-numerator expansion of ``wellcond.polynomials.expand``.  Horner
+integer-numerator expansion of ``wellcond.polynomials.expand``, and the
+binomial-at-a-time product of integer numerators in z, with no pairing
+and no w = z^g, checks ``wellcond.polynomials._numerators``: equal
+integers and D for rational shifts, the same mpc operations in the same
+order for a phased family.  Horner
 evaluation, the exact formal derivative and the O(N) product over root
 differences check the closed form of |f'(z)| that
 ``wellcond.polynomials`` evaluates, at degrees small enough for the
@@ -46,6 +50,23 @@ def expand_by_fractions(f: FactorizedPolynomial) -> DensePolynomial:
                 new[i] -= fac.shift * c
         coeffs = new
     return DensePolynomial(coeffs=tuple(coeffs))
+
+
+def numerators_by_binomials(f: FactorizedPolynomial) -> tuple[list, int]:
+    """Numerators a_i over one common denominator D = prod q of f's
+    coefficients, one factor z^r - p/q at a time as (q z^r - p)/q in
+    factor order; a complex shift enters with p = shift, q = 1."""
+    a, D = [1], 1
+    for fac in f.factors:
+        s, r = fac.shift, fac.power
+        p, q = (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1)
+        new = [0] * (len(a) + r)
+        for i, c in enumerate(a):
+            if c:
+                new[i + r] += q * c
+                new[i] -= p * c
+        a, D = new, D * q
+    return a, D
 
 
 def evaluate(p: DensePolynomial, z) -> mp.mpc:

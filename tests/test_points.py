@@ -1,11 +1,13 @@
 """Parallel/band layout, phases, and spherical coordinates on request."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from wellcond.numerics import to_fraction, to_mpf
+from wellcond import points
+from wellcond.numerics import fmt_real, to_fraction, to_mpf
 from wellcond.points import (
     SpherePoint,
     build_parallels,
@@ -209,3 +211,25 @@ def test_coordinates_match_each_point_formed_on_its_own(M, phases):
     with mp.workprec(prec + 64):
         for (_, _, p), (_, _, w) in zip(got, want):
             assert max(abs(p.x - w.x), abs(p.y - w.y), abs(p.z - w.z)) <= tol
+
+
+def seeded_phases(M: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    return [repr(rng.uniform(-3.2, 3.2)) for _ in range(2 * M - 1)]
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["zero-phase", "seeded"])
+@pytest.mark.parametrize("M", range(1, 9))
+def test_point_json_prints_each_point_of_coordinates(M, seed, monkeypatch):
+    """to_json_dict's points are [fmt_real(x), fmt_real(y), fmt_real(z)] of
+    each point of coordinates(), in order, while fmt_real runs at most
+    once per entry of each distinct ring plus once per parallel (the
+    phase, the z and the first quarter of each ring is all it formats)."""
+    ps = build_point_set(M, phases=None if seed is None else seeded_phases(M, seed))
+    with mp.workprec(ps.prec_bits):
+        want = [[fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)] for _, _, p in ps.coordinates()]
+    calls = []
+    monkeypatch.setattr(points, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
+    assert ps.to_json_dict()["points"] == want
+    rings = {(par.count, abs(par.height), par.phase): par.count for par in ps.parallels}
+    assert len(calls) <= sum(rings.values()) + len(ps.parallels)

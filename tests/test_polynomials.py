@@ -12,6 +12,7 @@ from polynomial_oracle import (
     evaluate,
     expand_by_fractions,
     log_derivative_modulus_by_gaps,
+    numerators_by_binomials,
 )
 from wellcond.condition import log_mu_at_root, log_scale
 from wellcond.numerics import context_precision, fraction_endpoints, fraction_from_mpf, to_mpf
@@ -101,8 +102,18 @@ def test_expand_equals_the_fraction_product(M):
         [(3, Fraction(2, 3)), (1, Fraction(7, 5)), (2, Fraction(11, 49)), (5, Fraction(1))],
         # a common factor of numerator and D that cancels in some coefficients
         [(1, Fraction(6, 5)), (1, Fraction(5, 6)), (2, Fraction(10, 3))],
+        # a repeated shift: s, s, 1/s pairs once and leaves one s
+        [(4, Fraction(3, 5)), (4, Fraction(3, 5)), (8, Fraction(2)), (4, Fraction(5, 3))],
+        # two s = 1 factors pair with each other
+        [(2, Fraction(1)), (4, Fraction(7, 2)), (2, Fraction(1))],
+        # reciprocal shifts of unequal powers do not pair
+        [(2, Fraction(7, 3)), (4, Fraction(3, 7)), (6, Fraction(1))],
+        # powers of gcd 3
+        [(3, Fraction(2, 5)), (6, Fraction(5, 2)), (3, Fraction(5, 2)), (9, Fraction(1))],
+        # odd powers, gcd 1, a pair of odd power
+        [(1, Fraction(2, 3)), (3, Fraction(3, 2)), (5, Fraction(7)), (1, Fraction(3, 2))],
     ],
-    ids=["shared", "coprime", "cancelling"],
+    ids=["shared", "coprime", "cancelling", "repeated", "ones", "unequal-powers", "gcd3", "odd"],
 )
 def test_expand_hand_built_rational_products(shifts):
     f = FactorizedPolynomial(tuple(Factor(r, s) for r, s in shifts))
@@ -110,6 +121,58 @@ def test_expand_hand_built_rational_products(shifts):
     assert dense == expand_by_fractions(f)
     assert all(type(c) is Fraction for c in dense.coeffs)
     assert product_norm_sq(f) == bombieri_norm_sq(dense)
+    assert polynomials._numerators(f) == numerators_by_binomials(f)
+
+
+@pytest.mark.parametrize(
+    "shifts,rest",
+    [
+        ([(4, Fraction(3, 5)), (4, Fraction(3, 5)), (8, Fraction(2)), (4, Fraction(5, 3))], [0, 2]),
+        ([(2, Fraction(1)), (4, Fraction(7, 2)), (2, Fraction(1))], [1]),
+        ([(2, Fraction(7, 3)), (4, Fraction(3, 7)), (6, Fraction(1))], [0, 1, 2]),
+        ([(3, Fraction(2, 5)), (6, Fraction(5, 2)), (3, Fraction(5, 2)), (9, Fraction(1))], [1, 3]),
+        ([(4, Fraction(2)), (4, Fraction(1, 2)), (4, Fraction(1, 2)), (4, Fraction(2))], []),
+    ],
+    ids=["repeated", "ones", "unequal-powers", "gcd3", "twice"],
+)
+def test_reciprocal_pairs_match_each_factor_once(shifts, rest):
+    """Each factor z^r - s pairs with at most one unused z^r - 1/s of the
+    same power; the unmatched factors keep factor order."""
+    factors = tuple(Factor(r, s) for r, s in shifts)
+    pairs, unmatched = polynomials._reciprocal_pairs(factors)
+    assert unmatched == [factors[k] for k in rest]
+    assert 2 * len(pairs) == len(factors) - len(rest)
+
+
+@pytest.mark.parametrize("M", range(1, 13))
+def test_family_numerators_equal_the_binomial_loop(M):
+    """The paired, palindromic product in w = z^4 gives the integers and
+    the D of one binomial at a time in z."""
+    f = canonical_polynomial(M)
+    pairs, rest = polynomials._reciprocal_pairs(f.factors)
+    assert len(pairs) == M - 1 and rest == [f.factors[0]]
+    assert polynomials._numerators(f) == numerators_by_binomials(f)
+
+
+@pytest.mark.parametrize(
+    "M,phases",
+    [
+        (2, ["0.1", "0.7", "-1.2"]),
+        # the mirror pair j = 2, 4 has phase 0 on both parallels
+        (3, ["0.3", "0", "1.1", "0", "0.05"]),
+        (4, ["0", "0.25", "0", "0.125", "0", "1.5", "0"]),
+    ],
+)
+def test_phased_numerators_are_the_binomial_loop(M, phases):
+    """A phased family has only complex shifts, so it forms no pair, even a
+    mirror pair whose phases are both 0, and _numerators does the binomial
+    loop's mpc operations in its order: the values are equal bit for bit."""
+    ps = build_point_set(M, phases=phases)
+    with mp.workprec(ps.prec_bits):
+        f = family_polynomial(ps)
+        assert all(isinstance(fac.shift, mp.mpc) for fac in f.factors)
+        assert polynomials._reciprocal_pairs(f.factors) == ([], list(f.factors))
+        assert polynomials._numerators(f) == numerators_by_binomials(f)
 
 
 @pytest.mark.parametrize("M", range(1, 9))

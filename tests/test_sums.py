@@ -176,6 +176,31 @@ def test_suite_encloses_each_log_ratio_once(monkeypatch):
             assert 0 < gap < slack, (c.check_id, ell, M)
 
 
+def test_suite_tail_sums_equal_each_sum_taken_afresh(monkeypatch):
+    """The suite's tail checks equal tail_sum at every (ell, M) of the
+    grid, in the grid's order (M, then ell), and their sums equal the
+    sums taken from scratch, while the suite accumulates each ell's sums
+    once, over all its M."""
+    max_m = 24
+    grid = [(ell, M) for M in (*range(3, 19), 24) for ell in sums._tail_grid(M)]
+    calls = []
+    real = sums._tail_values
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            sums, "_tail_values", lambda ell, ms: calls.append((ell, list(ms))) or real(ell, ms)
+        )
+        got = [c for c in sum_check_suite(max_m) if c.check_id.startswith("tail_")]
+    assert sorted(calls) == [
+        (ell, [M for e, M in grid if e == ell]) for ell in sorted({ell for ell, _ in grid})
+    ]
+    assert got == [c for ell, M in grid for c in tail_sum(ell, M)]
+    for ell, M in grid:
+        envelope, companion = tail_sum(ell, M)
+        js = range(ell + 2, M + 1)
+        assert envelope.value == sum(Fraction(ell + 1, j) ** (4 * j) for j in js)
+        assert companion.value == sum(Fraction(ell * (ell + 1), j * j) ** (2 * j) for j in js)
+
+
 def test_suite_tail_grid_reaches_max_m():
     """--sums-max past the fixed grid still checks tail sums at max_m."""
     tails = [
