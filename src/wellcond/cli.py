@@ -208,7 +208,9 @@ def _write_atomic(path: Path, text: str) -> None:
 def _json_text(obj) -> str:
     """json.dumps(obj, indent=2) + "\n", byte for byte, without its
     pure-Python indenting encoder: each container joins its children's
-    texts, so no list of every token is held."""
+    texts, so no list of every token is held.  A dict or list of its
+    exact type skips the scalar tests, and every container encodes its
+    str keys and values in place, with no call per string."""
     return _json_value(obj, "\n") + "\n"
 
 
@@ -218,20 +220,32 @@ _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 def _json_value(obj, newline: str) -> str:
     """obj as json.dumps(indent=2) prints it at the indentation that
     `newline` (a newline and the enclosing indentation) ends with."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is True or obj is False or obj is None:
-        return _JSON_CONSTANTS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+    kind = type(obj)
+    if kind is not dict and kind is not list:  # the common containers skip the scalar tests
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is True or obj is False or obj is None:
+            return _JSON_CONSTANTS[obj]
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if not isinstance(obj, (list, tuple, dict)):
+            return json.dumps(obj)  # a float, or json's TypeError
+    is_dict = kind is dict or isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        items = (_json_value(v, inner) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
-    if isinstance(obj, dict):
-        items = (f"{_json_key(k)}: {_json_value(v, inner)}" for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
-    return json.dumps(obj)  # a float, or json's TypeError
+    # the children's texts are a temporary of join, freed before the
+    # brackets are added, so a large container is not held twice over
+    if is_dict:
+        return "{" + inner + ("," + inner).join([
+            (encode_basestring_ascii(k) if type(k) is str else _json_key(k))
+            + ": "
+            + (encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner))
+            for k, v in obj.items()
+        ]) + newline + "}"
+    return "[" + inner + ("," + inner).join([
+        encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner) for v in obj
+    ]) + newline + "]"
 
 
 def _json_key(key) -> str:

@@ -52,17 +52,19 @@ False below the hypothesis; verification_suite alone refuses by it.
 
 The suites form each transcendental value once per index it depends
 on: log(1 +- u) and the antiderivatives once per height (a parallel, a
-probe or a band edge), each band's window constants once, with the
-outside window's value once per side of the band (the query's log
-cancels), and the distance products through the Theta grids of
-condition.theta_product_log_turn in product form: each probe height's
-exact powers once, the linear factors multiplied over the parallels,
-one log per query point, at one turn per orbit of
-points.turn_representative.  Every cell
-comes out of the same operations in the same order as the one-pair
-forms: expected_log_parallel, band_integral,
-comparison_{inside,outside}_margin and s_n evaluate the same core for a
-single pair.
+probe or a band edge) and precision, in a record (_height) memoised
+across the suites, which share the seeded probe heights, and across
+every S_N, which reads each parallel's; each band's window constants
+once, with the outside window's value once per side of the band (the
+query's log cancels), and its inside probes by two bisections over the
+probe heights, ranked once; and the distance products through the
+Theta grids of condition.theta_product_log_turn in product form: each
+probe height's exact powers once, the linear factors multiplied over
+the parallels, one log per query point, at one turn per orbit of
+points.turn_representative.  Every cell comes out of the same
+operations in the same order as the one-pair forms:
+expected_log_parallel, band_integral, comparison_{inside,outside}_margin
+and s_n evaluate the same core for a single pair.
 
 Heights (t, h, c, eps) are exact rationals: every public function here
 converts its height arguments once at entry with numerics.to_fraction,
@@ -72,7 +74,8 @@ radian offset, as in condition.theta_product_log_turn.
 
 log_energy, s_n and log_product_to_set compute at the prec_bits of the
 point set they take; a VerificationReport records its precision_bits,
-derives its tolerance from it and prints its floats at it.
+derives its tolerance from it and prints its floats at it, passing it to
+each cell's fmt_real, so printing enters no working precision.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -133,12 +137,16 @@ class _Height:
     anti_m: mp.mpf
 
 
-def _height(u) -> _Height:
-    u = to_fraction(u)
-    log_p, log_m = log_one_pm(u, mp.mp.prec)  # memoised across the suites
-    wp, wm = to_mpf(1 + u), to_mpf(1 - u)
-    anti_p = mp.mpf(1) if u == -1 else wp * log_p - (wp - 1)
-    anti_m = mp.mpf(-1) if u == 1 else -wm * log_m - (1 - wm)
+@functools.lru_cache(maxsize=1 << 12)
+def _height(u: Fraction, prec_bits: int) -> _Height:
+    """The record of the exact height u at prec_bits, memoised as
+    numerics.log_one_pm is: the suites share the probe heights, and
+    every S_N asks for each parallel's."""
+    log_p, log_m = log_one_pm(u, prec_bits)
+    with mp.workprec(prec_bits):
+        wp, wm = to_mpf(1 + u), to_mpf(1 - u)
+        anti_p = mp.mpf(1) if u == -1 else wp * log_p - (wp - 1)
+        anti_m = mp.mpf(-1) if u == 1 else -wm * log_m - (1 - wm)
     return _Height(u, log_p, log_m, anti_p, anti_m)
 
 
@@ -156,7 +164,8 @@ def expected_log_parallel(t, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     """
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
-        return _expected_log(_height(t), _height(c))
+        t, c = _height(to_fraction(t), prec_bits), _height(to_fraction(c), prec_bits)
+        return _expected_log(t, c)
 
 
 @dataclass(frozen=True)
@@ -188,8 +197,8 @@ def _band(h, eps) -> _Band:
         raise ValueError("band half-width must be positive")
     if h - eps < -1 or h + eps > 1:
         raise ValueError("band must lie inside [-1, 1]")
-    epsm, hm = to_mpf(eps), to_mpf(h)
-    center, lo, hi = _height(h), _height(h - eps), _height(h + eps)
+    epsm, hm, prec = to_mpf(eps), to_mpf(h), mp.mp.prec
+    center, lo, hi = _height(h, prec), _height(h - eps, prec), _height(h + eps, prec)
 
     def pole_gap(g: Fraction, log_g: mp.mpf, body: mp.mpf) -> _PoleGap:
         """Outside the band the query's log(1 +- c) cancels between the
@@ -244,7 +253,7 @@ def band_integral(h, eps, c, prec_bits: int = DEFAULT_PREC_BITS) -> mp.mpf:
     """
     check_precision(prec_bits)
     with mp.workprec(prec_bits):
-        return _band_integral(_band(h, eps), _height(c))
+        return _band_integral(_band(h, eps), _height(to_fraction(c), prec_bits))
 
 
 @dataclass(frozen=True)
@@ -268,10 +277,6 @@ class ComparisonMargins:
     @functools.cached_property
     def upper_margin(self) -> mp.mpf:
         return self.upper_bound - self.value
-
-
-def _outside_margins(band: _Band, c: Fraction) -> ComparisonMargins:
-    return (band.north if c >= band.hi.u else band.south).outside
 
 
 def _inside_margins(band: _Band, c: _Height) -> ComparisonMargins:
@@ -300,7 +305,8 @@ def comparison_outside_margin(
     if h - eps < c < h + eps:
         raise ValueError("query height must lie outside the open band")
     with mp.workprec(prec_bits):
-        return _outside_margins(_band(h, eps), c)
+        band = _band(h, eps)
+        return (band.north if c >= band.hi.u else band.south).outside
 
 
 def comparison_inside_margin(
@@ -320,16 +326,17 @@ def comparison_inside_margin(
     if not h - eps <= c <= h + eps:
         raise ValueError("query height must lie in the closed band")
     with mp.workprec(prec_bits):
-        return _inside_margins(_band(h, eps), _height(c))
+        return _inside_margins(_band(h, eps), _height(c, prec_bits))
 
 
 def _s_n_values(heights: Sequence, point_set: PointSet) -> list[mp.mpf]:
     """S_N at each height at the working precision: log(1 +- h_j) once
     per parallel and log(1 +- c) once per height."""
-    parallels = [(par.count, _height(par.height)) for par in point_set.parallels]
+    prec = mp.mp.prec
+    parallels = [(par.count, _height(par.height, prec)) for par in point_set.parallels]
     out = []
     for c in heights:
-        c = _height(c)
+        c = _height(to_fraction(c), prec)
         acc = mp.mpf(0)
         for count, t in parallels:
             acc += count * _expected_log(t, c)
@@ -450,12 +457,14 @@ class Cell:
     rhs: mp.mpf
     margin: mp.mpf
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, prec_bits: int) -> dict:
+        """The cell with its floats printed at prec_bits (its report's
+        precision) and its params as they are, not copied."""
         return {
-            "params": dict(self.params),
-            "lhs": fmt_real(self.lhs),
-            "rhs": fmt_real(self.rhs),
-            "margin": fmt_real(self.margin),
+            "params": self.params,
+            "lhs": fmt_real(self.lhs, prec_bits),
+            "rhs": fmt_real(self.rhs, prec_bits),
+            "margin": fmt_real(self.margin, prec_bits),
         }
 
 
@@ -500,18 +509,18 @@ class VerificationReport:
         return bool(self.cells and self.worst_margin >= -self.tolerance)
 
     def to_json_dict(self) -> dict:
-        with mp.workprec(self.precision_bits):
-            return {
-                "lemma": self.lemma,
-                "hypothesis": self.hypothesis,
-                "M": self.M,
-                "grid": self.grid,
-                "cells": [c.to_json_dict() for c in self.cells],
-                "worst_margin": fmt_real(self.worst_margin),
-                "tolerance": fmt_real(self.tolerance),
-                "pass": self.passed,
-                "notes": list(self.notes),
-            }
+        prec = self.precision_bits
+        return {
+            "lemma": self.lemma,
+            "hypothesis": self.hypothesis,
+            "M": self.M,
+            "grid": self.grid,
+            "cells": [c.to_json_dict(prec) for c in self.cells],
+            "worst_margin": fmt_real(self.worst_margin, prec),
+            "tolerance": fmt_real(self.tolerance, prec),
+            "pass": self.passed,
+            "notes": list(self.notes),
+        }
 
 
 def band_probe_heights(par: Parallel, rng: random.Random) -> list[Fraction]:
@@ -609,14 +618,24 @@ def verify_comparison(
     Sweeps every (band, probe height) pair of the standard grid; each
     pair is classified by whether the probe lies in the closed band and
     checked against the corresponding window.  No hypothesis on M.
+
+    The probes are ranked by height once; a band's inside probes are
+    then the ranks between two bisections of the ranked heights, and an
+    outside probe is above the band (north) or below it (south) by its
+    rank alone.
     """
     ps = build_point_set(M, prec_bits=prec_bits)
     rng = random.Random(seed)
     probes = [h for par in ps.parallels for h in band_probe_heights(par, rng)]
+    order = sorted(range(len(probes)), key=probes.__getitem__)
+    ranked = [probes[i] for i in order]
+    rank = [0] * len(probes)
+    for r, i in enumerate(order):
+        rank[i] = r
     out_cells: list[Cell] = []
     in_cells: list[Cell] = []
     with mp.workprec(prec_bits):
-        queries = [(_height(c), frac_str(c)) for c in probes]
+        queries = [(_height(c, prec_bits), frac_str(c), r) for c, r in zip(probes, rank)]
         for par in ps.parallels:
             terms = _band(par.height, par.half_width)
             head = {
@@ -624,14 +643,14 @@ def verify_comparison(
                 "h": frac_str(par.height),
                 "eps": frac_str(par.half_width),
             }
-            lower, upper = par.lower, par.upper
-            for c, c_str in queries:
+            first, stop = bisect_left(ranked, par.lower), bisect_right(ranked, par.upper)
+            for c, c_str, r in queries:
                 params = {**head, "c": c_str}
-                if lower <= c.u <= upper:
+                if first <= r < stop:
                     m = _inside_margins(terms, c)
                     bucket = in_cells
                 else:
-                    m = _outside_margins(terms, c.u)
+                    m = (terms.north if r >= stop else terms.south).outside
                     bucket = out_cells
                 bucket.append(
                     Cell({**params, "side": "lower"}, m.value, m.lower_bound, m.lower_margin)

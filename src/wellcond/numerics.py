@@ -290,15 +290,23 @@ def gauss_legendre(n: int, prec_bits: int = DEFAULT_PREC_BITS) -> tuple[list[mp.
     return nodes, weights
 
 
-def fmt_real(x) -> str:
+def fmt_real(x, prec_bits: int | None = None) -> str:
     """Deterministic decimal string for report output, at the decimal
-    equivalent of the current working precision plus two guard digits.
-    Reports repeat values (a cell's value on both sides, a bound shared
-    across a band), so the string is memoised on the value's bits and the
-    precision, and a value is rounded to the precision only on a miss."""
-    if not isinstance(x, mp.mpf):
-        x = to_mpf(x)
-    return _fmt_raw(x._mpf_, mp.mp.prec)
+    equivalent of prec_bits (None: the working precision) plus two guard
+    digits; a record that passes its own precision prints the same under
+    any context, and no context is entered.  An int or a Fraction is
+    rounded once at prec_bits, as to_mpf rounds it there.  Reports repeat
+    values (a cell's value on both sides, a bound shared across a band),
+    so the string is memoised on the value's bits and the precision, and
+    a value is rounded to the precision only on a miss."""
+    prec = prec_bits or mp.mp.prec
+    if isinstance(x, mp.mpf):
+        raw = x._mpf_
+    elif isinstance(x, (int, Fraction)):
+        raw = libmp.mpf_div(_raw_int(x.numerator), _raw_int(x.denominator), prec, "n")
+    else:
+        raw = mp.mpf(x)._mpf_  # a float, exact at any precision >= 53
+    return _fmt_raw(raw, prec)
 
 
 def fmt_negated(s: str) -> str:
@@ -322,7 +330,7 @@ def frac_str(q: RationalLike, digits=None) -> str:
     """Exact "numerator/denominator" string for a rational; `digits` prints
     each non-negative integer (int_str by default; a caller that repeats
     integers passes a memoised one)."""
-    q = Fraction(q)
+    q = q if isinstance(q, Fraction) else Fraction(q)
     n, digits = q.numerator, digits or int_str
     return f"{'-' if n < 0 else ''}{digits(abs(n))}/{digits(q.denominator)}"
 

@@ -2,7 +2,8 @@
 
 Four families of sums, each with explicit bounds:
 
-* R(M) = sum_{j=1}^{M-1} (j/M)^(4j), exactly rational;
+* R(M) = sum_{j=1}^{M-1} (j/M)^(4j), exactly rational, formed as one
+  ratio sum_j j^(4j) M^(4(M-1-j)) / M^(4(M-1)) reduced once;
   R(M) <= 1/16 for M >= 2 and R(M) <= 1/30 for M >= 5.
 * tail(ell, M) = sum_{j=ell+2}^{M} ((ell+1)/j)^(4j) <= 1/(e^4 - 1),
   together with its smaller companion sum_{j} (ell(ell+1)/j^2)^(2j).
@@ -14,7 +15,11 @@ Four families of sums, each with explicit bounds:
 Rational sums are evaluated exactly; transcendental bounds are enclosed
 by interval arithmetic, and a check passes only if the exact value
 clears the conservative endpoint, so rounding can never flip a verdict
-to pass.
+to pass.  The suite accumulates what several grid points share once
+over ascending M: each ell's tail sums, and the weighted sums' left-side
+enclosure, with the interval additions of each M's sum in their order,
+so every check equals the one taken alone.  A check prints at its own
+precision_bits and enters no working precision.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .numerics import (
     context_precision,
     fmt_real,
     frac_str,
+    fraction_endpoints,
     interval_endpoints,
     to_mpf,
 )
@@ -59,15 +65,15 @@ class SumCheck:
         return self.margin >= 0
 
     def to_json_dict(self) -> dict:
-        with mp.workprec(self.precision_bits):
-            return {
-                "id": self.check_id,
-                "params": dict(self.params),
-                "value": _fmt_value(self.value),
-                "bound": _fmt_value(self.bound),
-                "margin": _fmt_value(self.margin),
-                "pass": self.passed,
-            }
+        prec = self.precision_bits
+        return {
+            "id": self.check_id,
+            "params": self.params,
+            "value": _fmt_value(self.value, prec),
+            "bound": _fmt_value(self.bound, prec),
+            "margin": _fmt_value(self.margin, prec),
+            "pass": self.passed,
+        }
 
     def csv_row(self) -> list[str]:
         d = self.to_json_dict()
@@ -85,15 +91,14 @@ CSV_HEADER = ["id", "params", "value", "bound", "margin", "pass"]
 _MAX_EXACT_BITS = 13288
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, Fraction):
-        if (
-            v.numerator.bit_length() <= _MAX_EXACT_BITS
-            and v.denominator.bit_length() <= _MAX_EXACT_BITS
-        ):
-            return frac_str(v)
-        return fmt_real(to_mpf(v))
-    return fmt_real(v)
+def _fmt_value(v, prec_bits: int) -> str:
+    if (
+        isinstance(v, Fraction)
+        and v.numerator.bit_length() <= _MAX_EXACT_BITS
+        and v.denominator.bit_length() <= _MAX_EXACT_BITS
+    ):
+        return frac_str(v)
+    return fmt_real(v, prec_bits)
 
 
 def _log_enclosure(n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
@@ -117,11 +122,15 @@ def _weighted_term(ell: int, prec_bits: int):
 
 def r_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
     """R(M) = sum_{j=1}^{M-1} (j/M)^(4j), exactly, with its 1/16 and
-    1/30 checks; each check's value is R(M)."""
+    1/30 checks; each check's value is R(M), formed as one ratio over
+    the common denominator M^(4(M-1)) and reduced once."""
     if not isinstance(M, int) or M < 2:
         raise ValueError(f"R(M) needs an integer M >= 2, got {M!r}")
     check_precision(prec_bits)
-    value = sum(Fraction(j, M) ** (4 * j) for j in range(1, M))
+    m4, num = M**4, 0
+    for j in range(1, M):  # Horner's rule for sum_j j^(4j) M^(4(M-1-j))
+        num = num * m4 + j ** (4 * j)
+    value = Fraction(num, m4 ** (M - 1))
     bounds = [("r_sum_le_1_16", Fraction(1, 16))]
     if M >= 5:
         bounds.append(("r_sum_le_1_30", Fraction(1, 30)))
@@ -179,16 +188,32 @@ def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
     if not isinstance(M, int) or M < 1:
         raise ValueError(f"M must be a positive integer, got {M!r}")
     check_precision(prec_bits)
+    return _weighted_checks(M, *_weighted_lhs([M], prec_bits)[M], prec_bits)
+
+
+def _weighted_lhs(ms, prec_bits: int) -> dict[int, tuple[Fraction, Fraction]]:
+    """{M: endpoints of weighted_sum's left-side enclosure} at each M of
+    ms, accumulated once over ascending ell: every M's sum takes the same
+    interval additions, in the same order, as summing its terms afresh."""
+    out, ell = {}, 1
+    with context_precision(mp.iv, prec_bits):
+        acc = mp.iv.mpf(0)
+        for M in sorted(ms):
+            while ell < M:
+                acc += _weighted_term(ell, prec_bits)
+                ell += 1
+            out[M] = fraction_endpoints(acc)
+    return out
+
+
+def _weighted_checks(M: int, lhs_lo: Fraction, lhs_hi: Fraction, prec_bits: int) -> list[SumCheck]:
+    """weighted_sum's check of the left-side enclosure [lhs_lo, lhs_hi]."""
 
     def rhs(iv):
         log2 = iv.log(iv.mpf(2))
         m13 = iv.exp(iv.log(iv.mpf(M)) / 3)
         return iv.mpf(3) / 4 * (m13 ** 4) + 12 * (1 - log2) * m13 + 3
 
-    lhs_lo, lhs_hi = interval_endpoints(
-        lambda iv: sum((_weighted_term(ell, prec_bits) for ell in range(1, M)), iv.mpf(0)),
-        prec_bits,
-    )
     rhs_lo, rhs_hi = interval_endpoints(rhs, prec_bits)
     margin = rhs_lo - lhs_hi
     with mp.workprec(prec_bits):
@@ -278,8 +303,9 @@ def sum_check_suite(
     tails = {ell: _tail_values(ell, [M for e, M in grid if e == ell]) for ell in ells}
     for ell, M in grid:
         checks.extend(_tail_checks(ell, M, *tails[ell][M], prec_bits))
+    lhs = _weighted_lhs(range(1, max_m + 1), prec_bits)
     for M in range(1, max_m + 1):
-        checks.extend(weighted_sum(M, prec_bits))
+        checks.extend(_weighted_checks(M, *lhs[M], prec_bits))
     harmonic = list(accumulate((Fraction(1, j) for j in range(1, max_m + 1)), initial=Fraction(0)))
     logs = {n: _log_enclosure(n, prec_bits) for n in range(1, max_m + 2)}
     for M in range(2, max_m + 1):

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import enum
 import json
 import re
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -687,9 +689,23 @@ def test_generate_prints_coefficients_past_the_int_digit_limit(tmp_path, monkeyp
     assert max(len(part) for c in coeffs for part in c.split("/")) > 4300
 
 
+class _Label(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 JSON_EDGE_CASES = [
     {},
     [],
+    {"label": _Label("sub"), "level": _Level.HIGH, _Label("key"): [_Level.LOW]},
+    [_Label("sub"), _Level.LOW, "plain", {"in": _Label("dict")}],
+    {"a": "str key", 2: "int key", None: [], "b": {"c": "d"}, 0.5: "x"},
+    [OrderedDict([("x", "y"), ("n", [1, "z"])]), OrderedDict(), {"k": OrderedDict(a="b")}],
+    ["s", {"k": "v"}, ["t", [], {}], "u", ("w", "v"), "", 3],
     {"empty": {}, "list": [], "nested": [[], [{}], {"a": []}]},
     {"text": "é ü ☃ 𝄞", "escapes": "tab\tquote\"back\\slash\nnew", "ключ": "значение"},
     {2: "int key", 2.5: "float key", True: "bool key", False: 0, None: "null key"},

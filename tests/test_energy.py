@@ -26,7 +26,7 @@ from wellcond.energy import (
     verify_t_bounds,
 )
 from wellcond.condition import parallel_self_product_log
-from wellcond.numerics import to_fraction, to_mpf
+from wellcond.numerics import fmt_real, log_fraction, to_fraction, to_mpf
 from wellcond.points import build_parallels, build_point_set
 from sphere_oracle import distance_sq, energy_by_gap_products, energy_by_resultants
 
@@ -408,3 +408,46 @@ def test_height_inputs_match_equal_fraction_bit_for_bit(convert):
                 got = (got.value, got.lower_bound, got.upper_bound)
                 want = (want.value, want.lower_bound, want.upper_bound)
             assert got == want, (fn.__name__, args)
+
+
+@pytest.mark.parametrize("u", [Fraction(1, 3), Fraction(-5, 7), Fraction(1), Fraction(-1)])
+def test_height_records_hold_the_asked_precision(u):
+    """_height(u, prec) is the record at prec whatever the working
+    precision, memoised on (height, precision)."""
+    energy._height.cache_clear()
+    with mp.workprec(53):
+        records = {prec: energy._height(u, prec) for prec in (64, 256)}
+    for prec, rec in records.items():
+        assert energy._height(u, prec) is rec
+        with mp.workprec(prec):
+            log_p = log_fraction(mp.mp, 1 + u) if u > -1 else mp.mpf("-inf")
+            log_m = log_fraction(mp.mp, 1 - u) if u < 1 else mp.mpf("-inf")
+            wp, wm = to_mpf(1 + u), to_mpf(1 - u)
+            assert (rec.u, rec.log_p, rec.log_m) == (u, log_p, log_m)
+            assert rec.anti_p == (1 if u == -1 else wp * log_p - (wp - 1))
+            assert rec.anti_m == (-1 if u == 1 else -wm * log_m - (1 - wm))
+    if abs(u) < 1:
+        assert records[64].log_p != records[256].log_p
+        assert abs(records[64].log_p - records[256].log_p) < mp.mpf(2) ** -60
+
+
+def test_report_json_prints_at_its_precision_under_any_context():
+    """A report prints its cells, worst margin and tolerance at its
+    precision_bits under any working precision, each cell's params as
+    they are."""
+    reports = [*verify_comparison(3, 128, seed=2), verify_t_bounds(4, 96), *verify_denominator(5, 160)]
+    for rep in reports:
+        with mp.workprec(53):
+            low = rep.to_json_dict()
+        with mp.workprec(512):
+            high = rep.to_json_dict()
+        assert low == high
+        with mp.workprec(rep.precision_bits):
+            assert low["cells"] == [
+                {"params": c.params, "lhs": fmt_real(c.lhs), "rhs": fmt_real(c.rhs), "margin": fmt_real(c.margin)}
+                for c in rep.cells
+            ]
+            assert (low["worst_margin"], low["tolerance"]) == (
+                fmt_real(rep.worst_margin), fmt_real(rep.tolerance)
+            )
+        assert all(d["params"] is c.params for d, c in zip(low["cells"], rep.cells))

@@ -148,6 +148,27 @@ def test_fmt_real_rounds_a_wider_value_to_the_working_precision():
             assert fmt_real(x) == want  # from the memo
 
 
+with mp.workprec(512):
+    _SEVENTH_512 = mp.mpf(1) / 7
+
+
+@pytest.mark.parametrize(
+    "x",
+    [_SEVENTH_512, Fraction(-(10**40), 3**90), 7**60, 0, 2.5, mp.mpf("-inf")],
+    ids=["mpf", "fraction", "int", "zero", "float", "inf"],
+)
+def test_fmt_real_at_a_given_precision_ignores_the_context(x):
+    """fmt_real(x, prec) under any working precision prints what
+    fmt_real(x) prints under workprec(prec): an int or a Fraction wider
+    than the context is rounded once, at prec."""
+    for prec in (64, 256):
+        with mp.workprec(prec):
+            want = fmt_real(x)
+        for context in (53, 512):
+            with mp.workprec(context):
+                assert fmt_real(x, prec) == want, (prec, context)
+
+
 def test_frac_str_round_trip():
     f = Fraction(-7, 12)
     assert parse_frac(frac_str(f)) == f

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from wellcond import sums
-from wellcond.numerics import fraction_from_mpf, interval_endpoints, to_mpf
+from wellcond.numerics import fmt_real, frac_str, fraction_from_mpf, interval_endpoints, to_mpf
 from wellcond.sums import (
     sum_check_suite,
     CSV_HEADER,
@@ -15,6 +15,17 @@ from wellcond.sums import (
     tail_sum,
     weighted_sum,
 )
+
+
+def r_sum_by_terms(M):
+    """R(M) term by term, one Fraction addition per j: the oracle of
+    r_sum's one ratio."""
+    return sum(Fraction(j, M) ** (4 * j) for j in range(1, M))
+
+
+def test_r_sum_equals_the_term_by_term_sum():
+    for M in range(2, 65):
+        assert r_sum(M)[0].value == r_sum_by_terms(M), M
 
 
 def test_r2_is_exactly_one_sixteenth():
@@ -48,7 +59,7 @@ def test_r_stays_exact_past_m_64():
     for M in (65, 90):
         checks = r_sum(M)
         assert [c.check_id for c in checks] == ["r_sum_le_1_16", "r_sum_le_1_30"]
-        value = sum(Fraction(j, M) ** (4 * j) for j in range(1, M))
+        value = r_sum_by_terms(M)
         for c in checks:
             assert c.value == value and c.margin == c.bound - value and c.passed
 
@@ -128,6 +139,62 @@ def test_weighted_sum_memoised_terms_match_a_fresh_enclosure():
     for ell, M in ((1, 5), (3, 9), (2, 40)):
         tail_sum(ell, M, prec)
     assert sums._inv_e4m1.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("max_m", [64, 300])
+def test_suite_weighted_checks_equal_weighted_sum(max_m, monkeypatch):
+    """The suite accumulates the weighted sums' left side once over
+    ascending M; each of its checks equals weighted_sum(M) taken alone,
+    for every M = 1..max_m.  At max_m = 300 the suite runs without its
+    tail and harmonic grids, whose exact sums would take seconds there."""
+    if max_m > 64:
+        monkeypatch.setattr(sums, "_tail_grid", lambda M: [])
+        monkeypatch.setattr(sums, "_harmonic_checks", lambda *args: [])
+    got = [c for c in sum_check_suite(max_m) if c.check_id == "weighted_sum_le_cubic_bound"]
+    assert [c.params["M"] for c in got] == list(range(1, max_m + 1))
+    for c in got:
+        (want,) = weighted_sum(c.params["M"])
+        assert (c.value, c.bound, c.margin) == (want.value, want.bound, want.margin)
+        assert c == want
+
+
+def _is_long(v):
+    """A Fraction too long to print exactly: it prints as a decimal."""
+    return isinstance(v, Fraction) and sums._MAX_EXACT_BITS < max(
+        v.numerator.bit_length(), v.denominator.bit_length()
+    )
+
+
+def test_check_json_prints_at_its_precision_under_any_context():
+    """A check prints the same under any working precision: exact values
+    as num/den, the rest as fmt_real at its precision_bits, a Fraction
+    past _MAX_EXACT_BITS rounded once at that precision."""
+    checks = [*tail_sum(1, 64), *tail_sum(1, 64, 128), *weighted_sum(7, 96), *r_sum(9), *harmonic_bounds(2, 9)]
+    assert any(_is_long(v) for c in checks for v in (c.value, c.bound, c.margin))
+    for c in checks:
+        with mp.workprec(53):
+            low = c.to_json_dict()
+        with mp.workprec(512):
+            high = c.to_json_dict()
+        assert low == high
+        with mp.workprec(c.precision_bits):
+            for key in ("value", "bound", "margin"):
+                v = getattr(c, key)
+                exact = isinstance(v, Fraction) and not _is_long(v)
+                assert low[key] == (frac_str(v) if exact else fmt_real(to_mpf(v))), (c.check_id, key)
+
+
+def test_formatting_the_suite_enters_no_working_precision(monkeypatch):
+    """Each check prints at its own precision_bits without entering
+    mp.workprec, which the suite's 4,542 checks at max_m = 64 would
+    otherwise enter once each."""
+    checks = sum_check_suite(64)
+    calls = []
+    real = mp.workprec
+    monkeypatch.setattr(mp, "workprec", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    docs = [c.to_json_dict() for c in checks]
+    assert len(docs) == 4542
+    assert calls == []
 
 
 def test_suite_all_checks_pass():
