@@ -26,13 +26,10 @@ from .energy import (
     EnergyReport,
     VerificationReport,
     band_integral,
-    comparison_inside_margin,
-    comparison_outside_margin,
     expected_log_parallel,
     kappa,
     log_energy,
     log_product_to_set,
-    s_n,
     t_ell,
     verification_suite,
 )
@@ -40,7 +37,6 @@ from .numerics import DEFAULT_PREC_BITS
 from .points import (
     Parallel,
     PointSet,
-    SpherePoint,
     build_parallels,
     build_point_set,
 )
@@ -56,10 +52,7 @@ from .polynomials import (
 from .sums import (
     SumCheck,
     sum_check_suite,
-    harmonic_bounds,
     r_sum,
-    tail_sum,
-    weighted_sum,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +65,6 @@ __all__ = [
     "FactorizedPolynomial",
     "Parallel",
     "PointSet",
-    "SpherePoint",
     "SumCheck",
     "VerificationReport",
     "sum_check_suite",
@@ -82,11 +74,8 @@ __all__ = [
     "build_point_set",
     "canonical_polynomial",
     "certify_bound",
-    "comparison_inside_margin",
-    "comparison_outside_margin",
     "expand",
     "expected_log_parallel",
-    "harmonic_bounds",
     "kappa",
     "log_energy",
     "log_product_to_set",
@@ -97,11 +86,8 @@ __all__ = [
     "product_norm_sq",
     "r_sum",
     "roots",
-    "s_n",
     "t_ell",
-    "tail_sum",
     "theta_product_log_turn",
     "verification_suite",
-    "weighted_sum",
     "__version__",
 ]

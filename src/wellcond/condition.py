@@ -130,7 +130,8 @@ class ConditionReport:
 
     verdicts maps bound ids to True/False, or None when a certified run
     could not resolve the comparison at the precision cap; `passed` holds
-    only when every verdict is True.  The floats print at precision_bits.
+    only when every verdict is True.  The floats print at precision_bits,
+    with no context entered.
     """
 
     M: int
@@ -156,23 +157,20 @@ class ConditionReport:
         return max(self.per_root, key=lambda entry: entry[1])[0]
 
     def to_json_dict(self) -> dict:
-        with mp.workprec(self.precision_bits):
-            out = {
-                "M": self.M,
-                "N": self.N,
-                "route": self.route,
-                "precision_bits": self.precision_bits,
-                "mu_max": fmt_real(self.mu_max),
-                "log_mu_max": fmt_real(self.log_mu_max),
-                "argmax_root": self.argmax_root,
-                "per_root": [
-                    {"root": rid, "log_mu": fmt_real(lm)} for rid, lm in self.per_root
-                ],
-                "verdicts": dict(self.verdicts),
-                "certified": self.certified,
-            }
-        out.update(self.extras)
-        return out
+        prec = self.precision_bits
+        return {
+            "M": self.M,
+            "N": self.N,
+            "route": self.route,
+            "precision_bits": prec,
+            "mu_max": fmt_real(self.mu_max, prec),
+            "log_mu_max": fmt_real(self.log_mu_max, prec),
+            "argmax_root": self.argmax_root,
+            "per_root": [{"root": rid, "log_mu": fmt_real(lm, prec)} for rid, lm in self.per_root],
+            "verdicts": dict(self.verdicts),
+            "certified": self.certified,
+            **self.extras,
+        }
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,9 @@ probe heights, ranked once; and the distance products through the
 Theta grids of condition.theta_product_log_turn in product form: each
 probe height's exact powers once, the linear factors multiplied over
 the parallels, one log per query point, at one turn per orbit of
-points.turn_representative.  Every cell comes out of the same
-operations in the same order as the one-pair forms:
-expected_log_parallel, band_integral, comparison_{inside,outside}_margin
-and s_n evaluate the same core for a single pair.
+points.turn_representative.  The single-pair expected_log_parallel
+and band_integral evaluate the same cores (_height, _band) as the
+suites' hoisted loops.
 
 Heights (t, h, c, eps) are exact rationals: every public function here
 converts its height arguments once at entry with numerics.to_fraction,
@@ -72,8 +71,8 @@ so an int, float or mpf input gives the same bits as the equal
 Fraction.  A query azimuth is an exact turn (a multiple of pi) plus a
 radian offset, as in condition.theta_product_log_turn.
 
-log_energy, s_n and log_product_to_set compute at the prec_bits of the
-point set they take; a VerificationReport records its precision_bits,
+log_energy and log_product_to_set compute at the prec_bits of the point
+set they take; a VerificationReport records its precision_bits,
 derives its tolerance from it and prints its floats at it, passing it to
 each cell's fmt_real, so printing enters no working precision.
 """
@@ -93,11 +92,11 @@ import mpmath as mp
 from .condition import by_orbit, log_distance_products, point_gap_product_log
 from .numerics import (
     DEFAULT_PREC_BITS,
+    check_height,
     check_precision,
     fmt_real,
     frac_str,
     log_fraction,
-    log_one_pm,
     sin_sq_pi,
     to_fraction,
     to_mpf,
@@ -139,11 +138,12 @@ class _Height:
 
 @functools.lru_cache(maxsize=1 << 12)
 def _height(u: Fraction, prec_bits: int) -> _Height:
-    """The record of the exact height u at prec_bits, memoised as
-    numerics.log_one_pm is: the suites share the probe heights, and
-    every S_N asks for each parallel's."""
-    log_p, log_m = log_one_pm(u, prec_bits)
+    """The record of the exact height u in [-1, 1] (numerics.check_height)
+    at prec_bits, memoised on (height, precision): the suites share the
+    probe heights, and every S_N asks for each parallel's."""
+    check_height(u)
     with mp.workprec(prec_bits):
+        log_p, log_m = log_fraction(mp.mp, 1 + u), log_fraction(mp.mp, 1 - u)
         wp, wm = to_mpf(1 + u), to_mpf(1 - u)
         anti_p = mp.mpf(1) if u == -1 else wp * log_p - (wp - 1)
         anti_m = mp.mpf(-1) if u == 1 else -wm * log_m - (1 - wm)
@@ -286,49 +286,6 @@ def _inside_margins(band: _Band, c: _Height) -> ComparisonMargins:
     return ComparisonMargins(value=u, lower_bound=band.inside_lower, upper_bound=gap.inside_upper)
 
 
-def comparison_outside_margin(
-    h, eps, c, prec_bits: int = DEFAULT_PREC_BITS
-) -> ComparisonMargins:
-    """Parallel average minus band average, query outside the band.
-
-    For c >= h + eps (resp. c <= h - eps) the difference
-
-        D = expected_log_parallel(h, c) - band_integral(h, eps, c)/eps
-            - eps^2 / (12 (1 -+ h)^2)
-
-    satisfies 0 <= D <= (1/2)(5/6 - log 2) eps^4 / (1 -+ h)^4, using
-    1 - h above the band and 1 + h below it.  The query's log(1 +- c)
-    cancels, so D is one value per side of the band, formed with it.
-    """
-    check_precision(prec_bits)
-    h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
-    if h - eps < c < h + eps:
-        raise ValueError("query height must lie outside the open band")
-    with mp.workprec(prec_bits):
-        band = _band(h, eps)
-        return (band.north if c >= band.hi.u else band.south).outside
-
-
-def comparison_inside_margin(
-    h, eps, c, prec_bits: int = DEFAULT_PREC_BITS
-) -> ComparisonMargins:
-    """Parallel average minus band average, query inside the band.
-
-    For h - eps <= c <= h + eps the difference
-    U = expected_log_parallel(h, c) - band_integral(h, eps, c)/eps obeys
-
-        -eps / (4 (1 - h^2)) <= U <= (1 - log 2) eps^2 / (2 (1 -+ h)^2),
-
-    with 1 - h when c >= h and 1 + h when c < h.
-    """
-    check_precision(prec_bits)
-    h, eps, c = to_fraction(h), to_fraction(eps), to_fraction(c)
-    if not h - eps <= c <= h + eps:
-        raise ValueError("query height must lie in the closed band")
-    with mp.workprec(prec_bits):
-        return _inside_margins(_band(h, eps), _height(c, prec_bits))
-
-
 def _s_n_values(heights: Sequence, point_set: PointSet) -> list[mp.mpf]:
     """S_N at each height at the working precision: log(1 +- h_j) once
     per parallel and log(1 +- c) once per height."""
@@ -342,13 +299,6 @@ def _s_n_values(heights: Sequence, point_set: PointSet) -> list[mp.mpf]:
             acc += count * _expected_log(t, c)
         out.append(acc)
     return out
-
-
-def s_n(c, point_set: PointSet) -> mp.mpf:
-    """S_N(c) = sum_j r_j * expected_log_parallel(h_j, c), at the point
-    set's precision."""
-    with mp.workprec(point_set.prec_bits):
-        return _s_n_values([c], point_set)[0]
 
 
 def t_ell(ell: int, M: int) -> Fraction:
@@ -614,6 +564,22 @@ def verify_comparison(
     seed: int = 0,
 ) -> list[VerificationReport]:
     """Margins for the outside/inside band-average comparison windows.
+
+    For the band [h - eps, h + eps] of a parallel and a probe height c
+    outside it (c >= h + eps, or c <= h - eps) the difference
+
+        D = expected_log_parallel(h, c) - band_integral(h, eps, c)/eps
+            - eps^2 / (12 g^2)
+
+    satisfies 0 <= D <= (1/2)(5/6 - log 2) eps^4 / g^4, with the pole gap
+    g = 1 - h above the band and 1 + h below it.  The query's log(1 +- c)
+    cancels, so D is one value per side of the band, formed with it.
+    Inside it (h - eps <= c <= h + eps) the difference
+    U = expected_log_parallel(h, c) - band_integral(h, eps, c)/eps obeys
+
+        -eps / (4 (1 - h^2)) <= U <= (1 - log 2) eps^2 / (2 g^2),
+
+    with g = 1 - h when c >= h and 1 + h when c < h.
 
     Sweeps every (band, probe height) pair of the standard grid; each
     pair is classified by whether the probe lies in the closed band and

@@ -139,15 +139,6 @@ def interval_endpoints(fn, prec_bits: int) -> tuple[Fraction, Fraction]:
         return fraction_endpoints(fn(mp.iv))
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def log_one_pm(u: Fraction, prec_bits: int) -> tuple[mp.mpf, mp.mpf]:
-    """(log(1 + u), log(1 - u)) for an exact height u in [-1, 1] at
-    prec_bits (-inf at a pole), memoised: every parallel asks for them."""
-    check_height(u)
-    with mp.workprec(prec_bits):
-        return log_fraction(mp.mp, 1 + u), log_fraction(mp.mp, 1 - u)
-
-
 def check_height(u: RealLike) -> Fraction:
     """The exact height u (numerics.to_fraction), which must lie in [-1, 1]."""
     u = to_fraction(u)

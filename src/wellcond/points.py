@@ -15,17 +15,17 @@ family (polynomials) and the phases all come from it.  Heights and
 half-widths are exact rationals.  build_parallels gives the zero-phase
 geometry; build_point_set rounds each phase once, at the point set's
 precision, which every function that takes the point set reads and its
-JSON prints at.  Coordinates are formed only on request, once per
-distinct ring by PointSet's ring builder: the azimuth of point k on
-parallel j is the exact turn 2k/r_j (a multiple of pi) plus the
-parallel's radian phase as an offset, both evaluated by
-numerics.cos_pi_fraction, for k < r_j/4 only; the other three quarters
-are exact quarter turns of the first, so a coordinate may differ from
-cos and sin taken point by point in its last bits.  orbit_representative
-declares the zero-phase family's symmetry group, under which its
-coordinates are invariant bit for bit, PointSet.symmetric whether a
-point set is such a family, and turn_representative the group's action
-on the azimuth of a query point.
+JSON prints at.  Coordinates are formed only for that JSON, once per
+distinct ring: the azimuth of point k on parallel j is the exact turn
+2k/r_j (a multiple of pi) plus the parallel's radian phase as an
+offset, both evaluated by numerics.cos_pi_fraction, for k < r_j/4 only;
+the other three quarters are exact quarter turns of the first's
+strings, so a coordinate may differ from cos and sin taken point by
+point in its last digits.  orbit_representative declares the
+zero-phase family's symmetry group, under which its printed
+coordinates are invariant up to sign and order, PointSet.symmetric
+whether a point set is such a family, and turn_representative the
+group's action on the azimuth of a query point.
 """
 
 from __future__ import annotations
@@ -83,26 +83,10 @@ class Parallel:
         return 1 - self.height * self.height
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of S^2 as high-precision coordinates."""
-
-    x: mp.mpf
-    y: mp.mpf
-    z: mp.mpf
-
-
-def quarter_turn(x: mp.mpf, y: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """The quarter turn k -> k + r/4 of orbit_representative on a point's
-    plane coordinates, exact for any phase and precision."""
-    return -y, x
-
-
 @dataclass
 class PointSet:
     """The full family: its parallels, with every phase rounded at
-    ``prec_bits``, the precision coordinates are formed and printed at;
-    coordinates() and to_json_dict() both read the ring builder _rings."""
+    ``prec_bits``, the precision its coordinates are formed and printed at."""
 
     M: int
     N: int
@@ -115,44 +99,24 @@ class PointSet:
         itself, which is when every phase is 0."""
         return all(par.phase == 0 for par in self.parallels)
 
-    def _rings(self, form=lambda v: v, turn=quarter_turn) -> list[tuple[Parallel, list[tuple]]]:
-        """Each parallel with its ring, the (x, y) of its points k = 0..r-1
-        at ``prec_bits``: form of each _first_quarter value, each later
-        quarter the turn of the one before.  One ring is built per (count,
-        |height|, phase), which mirror parallels of equal phase share."""
-        rings: dict[tuple, list[tuple]] = {}
-        out = []
+    def to_json_dict(self) -> dict:
+        """The parallels, and every point as [x, y, z] fmt_real strings at
+        ``prec_bits``.  One ring is formed per (count, |height|, phase),
+        which mirror parallels of equal phase share: its first quarter's
+        (x, y) formatted once (_first_quarter), each later quarter the
+        quarter turn (x, y) -> (-y, x) of the one before, as strings."""
+        rings: dict[tuple, list[tuple[str, str]]] = {}
+        points = []
         with mp.workprec(self.prec_bits):
             for par in self.parallels:
                 key = (par.count, abs(par.height), par.phase)
                 if key not in rings:
-                    ring = [(form(x), form(y)) for x, y in _first_quarter(par)]
+                    ring = [(fmt_real(x), fmt_real(y)) for x, y in _first_quarter(par)]
                     for _ in range(3):
-                        ring += [turn(x, y) for x, y in ring[-(par.count // 4):]]
+                        ring += [(fmt_negated(y), x) for x, y in ring[-(par.count // 4):]]
                     rings[key] = ring
-                out.append((par, rings[key]))
-        return out
-
-    def coordinates(self) -> list[tuple[int, int, SpherePoint]]:
-        """Flat (parallel index, azimuth index, point) triples, formed at
-        ``prec_bits`` from the ring builder.  With zero phases the points
-        on the coordinate axes come out exact."""
-        out = []
-        with mp.workprec(self.prec_bits):
-            for par, ring in self._rings():
-                height = to_mpf(par.height)
-                out += [(par.index, k, SpherePoint(x, y, height)) for k, (x, y) in enumerate(ring)]
-        return out
-
-    def to_json_dict(self) -> dict:
-        """The parallels, and the points of coordinates() as [x, y, z]
-        fmt_real strings: each distinct ring's first quarter is formatted
-        once and turned as strings, each parallel's z once."""
-        with mp.workprec(self.prec_bits):
-            points = []
-            for par, ring in self._rings(fmt_real, lambda x, y: (fmt_negated(y), x)):
                 z = fmt_real(par.height)
-                points += [[x, y, z] for x, y in ring]
+                points += [[x, y, z] for x, y in rings[key]]
             return {
                 "M": self.M,
                 "N": self.N,
@@ -213,7 +177,7 @@ def build_point_set(
 ) -> PointSet:
     """The family of M; phases, if given, supply one azimuth (radians)
     per parallel, each rounded once at prec_bits.  No coordinates are
-    formed (see PointSet.coordinates)."""
+    formed (see PointSet.to_json_dict)."""
     check_precision(prec_bits)
     parallels = build_parallels(M)
     if phases is not None:

@@ -15,11 +15,12 @@ Four families of sums, each with explicit bounds:
 Rational sums are evaluated exactly; transcendental bounds are enclosed
 by interval arithmetic, and a check passes only if the exact value
 clears the conservative endpoint, so rounding can never flip a verdict
-to pass.  The suite accumulates what several grid points share once
-over ascending M: each ell's tail sums, and the weighted sums' left-side
+to pass.  r_sum forms one M's checks; sum_check_suite forms every
+grid's, and accumulates what several grid points share once over
+ascending M: each ell's tail sums, and the weighted sums' left-side
 enclosure, with the interval additions of each M's sum in their order,
-so every check equals the one taken alone.  A check prints at its own
-precision_bits and enters no working precision.
+so every check equals the one formed from its own terms.  A check
+prints at its own precision_bits and enters no working precision.
 """
 
 from __future__ import annotations
@@ -140,22 +141,8 @@ def r_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
     ]
 
 
-def tail_sum(ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
-    """Tail sums over j = ell+2 .. M with the 1/(e^4 - 1) bound.
-
-    The envelope sum ((ell+1)/j)^(4j) is checked against the bound; the
-    smaller companion sum ((ell (ell+1))/j^2)^(2j), which appears when
-    two narrowing factors differ, against the envelope (the second
-    check's value and bound).
-    """
-    if not (isinstance(ell, int) and isinstance(M, int) and 1 <= ell <= M - 2):
-        raise ValueError(f"need 1 <= ell <= M - 2, got ell={ell!r}, M={M!r}")
-    check_precision(prec_bits)
-    return _tail_checks(ell, M, *_tail_values(ell, [M])[M], prec_bits)
-
-
 def _tail_values(ell: int, ms) -> dict[int, tuple[Fraction, Fraction]]:
-    """{M: (envelope, companion)} of tail_sum for one ell at each M of ms,
+    """{M: (tail(ell, M), its companion)} for one ell at each M of ms,
     accumulated once over ascending j."""
     out, envelope, companion, j = {}, 0, 0, ell + 2
     for M in sorted(ms):
@@ -168,7 +155,9 @@ def _tail_values(ell: int, ms) -> dict[int, tuple[Fraction, Fraction]]:
 
 
 def _tail_checks(ell: int, M: int, envelope, companion, prec_bits: int) -> list[SumCheck]:
-    """tail_sum's two checks of the sums `envelope` and `companion`."""
+    """The two checks of the tail sums at (ell, M): the envelope against
+    the lower end of 1/(e^4 - 1)'s enclosure, the companion against the
+    envelope."""
     bound_lo = _inv_e4m1(prec_bits)
     return [
         SumCheck(check_id, {"ell": ell, "M": M}, value, bound, bound - value, prec_bits)
@@ -179,21 +168,9 @@ def _tail_checks(ell: int, M: int, envelope, companion, prec_bits: int) -> list[
     ]
 
 
-def weighted_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
-    """sum_{ell=1}^{M-1} ell^(1/3) (e/2)^(4/ell) vs its cubic-root bound.
-
-    Both sides are enclosed by interval arithmetic; the check compares
-    the unfavourable endpoints, so a pass is rigorous.
-    """
-    if not isinstance(M, int) or M < 1:
-        raise ValueError(f"M must be a positive integer, got {M!r}")
-    check_precision(prec_bits)
-    return _weighted_checks(M, *_weighted_lhs([M], prec_bits)[M], prec_bits)
-
-
 def _weighted_lhs(ms, prec_bits: int) -> dict[int, tuple[Fraction, Fraction]]:
-    """{M: endpoints of weighted_sum's left-side enclosure} at each M of
-    ms, accumulated once over ascending ell: every M's sum takes the same
+    """{M: endpoints of the weighted sum's enclosure} at each M of ms,
+    accumulated once over ascending ell: every M's sum takes the same
     interval additions, in the same order, as summing its terms afresh."""
     out, ell = {}, 1
     with context_precision(mp.iv, prec_bits):
@@ -207,7 +184,8 @@ def _weighted_lhs(ms, prec_bits: int) -> dict[int, tuple[Fraction, Fraction]]:
 
 
 def _weighted_checks(M: int, lhs_lo: Fraction, lhs_hi: Fraction, prec_bits: int) -> list[SumCheck]:
-    """weighted_sum's check of the left-side enclosure [lhs_lo, lhs_hi]."""
+    """The check of the weighted sum's enclosure [lhs_lo, lhs_hi] against
+    the enclosed cubic-root bound, between the unfavourable endpoints."""
 
     def rhs(iv):
         log2 = iv.log(iv.mpf(2))
@@ -229,25 +207,10 @@ def _weighted_checks(M: int, lhs_lo: Fraction, lhs_hi: Fraction, prec_bits: int)
         ]
 
 
-def harmonic_bounds(
-    ell: int, M: int, prec_bits: int = DEFAULT_PREC_BITS
-) -> list[SumCheck]:
-    """Partial harmonic sum sum_{j=ell+1}^{M} 1/j between its log bounds.
-
-    The bounds are the conservative ends of log(M+1) - log(ell+1)
-    (lower) and log(M) - log(ell) (upper), each log n enclosed.
-    """
-    if not (isinstance(ell, int) and isinstance(M, int) and M >= 2 and 1 <= ell <= M - 1):
-        raise ValueError(f"need M >= 2 and 1 <= ell <= M - 1, got ell={ell!r}, M={M!r}")
-    check_precision(prec_bits)
-    value = sum(Fraction(1, j) for j in range(ell + 1, M + 1))
-    logs = {n: _log_enclosure(n, prec_bits) for n in (ell, ell + 1, M, M + 1)}
-    return _harmonic_checks(ell, M, value, logs, prec_bits)
-
-
 def _harmonic_checks(ell: int, M: int, value: Fraction, logs: dict, prec_bits: int) -> list[SumCheck]:
-    """harmonic_bounds' two checks of the sum `value`, each bound a
-    difference of the unfavourable ends of the enclosures logs[n] of log n."""
+    """The two checks of the harmonic sum `value` at (ell, M), each bound
+    a difference of the unfavourable ends of the enclosures logs[n] of
+    log n."""
     lower = logs[M + 1][1] - logs[ell + 1][0]
     upper = logs[M][0] - logs[ell][1]
     params = {"ell": ell, "M": M}

@@ -1,8 +1,8 @@
 """Brute-force references for the sphere layer, kept out of the package.
 
-Every point's coordinates formed on their own, against which the
-quarter-turn rings of ``wellcond.points.PointSet.coordinates`` are
-checked, squared chordal distances between materialised points, the
+Every point's coordinates formed on their own (``SpherePoint``), against
+which the quarter-turn rings that ``wellcond.points.PointSet.to_json_dict``
+prints are checked, squared chordal distances between materialised points, the
 stereographic maps between the sphere and the complex plane, a
 Gauss-Legendre x uniform-azimuth product rule for the numerator
 integral int_S prod_j |p - p_j|^2 dsigma, against which the closed form
@@ -19,6 +19,7 @@ and as a sum of one log per parallel through the two-term kernel
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,8 +27,17 @@ from mpmath import libmp
 
 from wellcond.condition import parallel_self_product_log, point_gap_product_log
 from wellcond.numerics import cos_pi_fraction, gauss_legendre, sin_sq_pi, to_fraction, to_mpf, two_term_log
-from wellcond.points import PointSet, SpherePoint
+from wellcond.points import PointSet
 from wellcond.polynomials import family_polynomial
+
+
+@dataclass(frozen=True)
+class SpherePoint:
+    """A point of S^2 as high-precision coordinates."""
+
+    x: mp.mpf
+    y: mp.mpf
+    z: mp.mpf
 
 
 def theta_by_query(r, h, c, turn, prec_bits: int, offset=0) -> mp.mpf:
@@ -163,10 +173,10 @@ def energy_by_resultants(point_set: PointSet) -> mp.mpf:
 
 
 def coordinates_by_point(point_set: PointSet, prec_bits: int) -> list[tuple[int, int, SpherePoint]]:
-    """The (parallel index, azimuth index, point) triples of
-    PointSet.coordinates with every point formed on its own at prec_bits:
-    radius * (cos, sin) of the exact turn 2k/r (a multiple of pi) plus the
-    parallel's phase, for all r azimuths."""
+    """The (parallel index, azimuth index, point) triples of the family,
+    in the order of PointSet.to_json_dict's points, with every point formed
+    on its own at prec_bits: radius * (cos, sin) of the exact turn 2k/r (a
+    multiple of pi) plus the parallel's phase, for all r azimuths."""
     out = []
     with mp.workprec(prec_bits):
         for par in point_set.parallels:

@@ -31,6 +31,7 @@ from wellcond.numerics import to_mpf
 from wellcond.points import build_parallels, build_point_set
 from wellcond.polynomials import canonical_polynomial
 from wellcond.cli import main as cli_main
+from sphere_oracle import coordinates_by_point
 
 PREC = 256
 
@@ -239,7 +240,7 @@ def test_criterion_08_closed_forms_vs_brute_force():
             rho = mp.sqrt(1 - tq * tq)
             qx, qy = rho * mp.cospi(to_mpf(q[1])), rho * mp.sinpi(to_mpf(q[1]))
             acc = mp.mpf(0)
-            for _, _, p in ps.coordinates():
+            for _, _, p in coordinates_by_point(ps, PREC):
                 acc += (
                     mp.log((qx - p.x) ** 2 + (qy - p.y) ** 2 + (tq - p.z) ** 2) / 2
                 )

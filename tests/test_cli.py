@@ -19,7 +19,7 @@ from wellcond.condition import mu_max_coefficient_route, route_tolerance
 from wellcond.energy import verify_t_bounds
 from wellcond.numerics import to_mpf
 from wellcond.points import build_point_set
-from wellcond.sums import weighted_sum
+from wellcond.sums import sum_check_suite
 
 
 # Rotated families: one phase (radians) per parallel.
@@ -590,7 +590,10 @@ def test_library_sum_check_prints_like_verify(tmp_path):
         d for d in read_json(tmp_path / "sum_checks.json")["checks"]
         if d["id"] == "weighted_sum_le_cubic_bound" and d["params"] == {"M": 1}
     ]
-    (check,) = weighted_sum(1)
+    (check,) = [
+        c for c in sum_check_suite(2)
+        if c.check_id == "weighted_sum_le_cubic_bound" and c.params == {"M": 1}
+    ]
     assert len(written["margin"]) > 70
     assert check.to_json_dict() == written
 

@@ -24,8 +24,8 @@ from wellcond.condition import (
     point_gap_product_log,
     theta_product_log_turn,
 )
-from wellcond.numerics import fraction_endpoints, gauss_legendre, to_mpf
-from wellcond.points import SpherePoint, build_parallels, build_point_set, orbit_representative
+from wellcond.numerics import fmt_real, fraction_endpoints, gauss_legendre, to_mpf
+from wellcond.points import build_parallels, build_point_set, orbit_representative
 from wellcond.polynomials import (
     bombieri_norm_sq,
     canonical_polynomial,
@@ -34,7 +34,13 @@ from wellcond.polynomials import (
     product_norm_sq,
 )
 from polynomial_oracle import log_mu_by_expansion, mu_sq_at_real_roots, mu_sq_enclosures
-from sphere_oracle import distance_sq, numerator_by_product_rule, product_rule_nodes
+from sphere_oracle import (
+    SpherePoint,
+    coordinates_by_point,
+    distance_sq,
+    numerator_by_product_rule,
+    product_rule_nodes,
+)
 
 
 def brute_theta(r, h, c, dphi, prec):
@@ -418,7 +424,7 @@ def test_numerator_integral_matches_point_quadrature_with_phases():
     num = numerator_integral_log(ps)
     n_gl, n_az = product_rule_nodes(ps.N)
     nodes, weights = gauss_legendre(n_gl, prec)
-    pts = [p for _, _, p in ps.coordinates()]
+    pts = [p for _, _, p in coordinates_by_point(ps, prec)]
     with mp.workprec(prec):
         acc = mp.mpf(0)
         for c, w in zip(nodes, weights):
@@ -440,7 +446,7 @@ def test_point_gap_product_matches_brute_force():
 
 
 def _check_gap_products(ps, prec, indices):
-    flat = ps.coordinates()
+    flat = coordinates_by_point(ps, prec)
     with mp.workprec(prec):
         for idx in indices:
             par_index, azimuth, p = flat[idx]
@@ -651,3 +657,27 @@ def test_report_json_shape():
     assert [e["root"] for e in d["per_root"]] == ["p2.k0", "p1.k0", "p3.k0"]
     assert d["argmax_root"] == "p2.k0"
     assert set(d["verdicts"]) == {"le_N", "le_19half_sqrt", "ge_lower"}
+
+
+def test_report_json_prints_at_its_precision_under_any_context(monkeypatch):
+    """A coefficient, a spherical and a certified report print the same
+    under any working precision: their floats at precision_bits, with no
+    mp.workprec entered."""
+    reports = [
+        mu_max_coefficient_route(3, 128),
+        mu_max_spherical_route(2, 96, phases=[0.1, 0.7, -1.2]),
+        certify_bound(3, 160),
+    ]
+    calls = []
+    real = mp.workprec
+    monkeypatch.setattr(mp, "workprec", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    for rep in reports:
+        with real(53):
+            low = rep.to_json_dict()
+        with real(512):
+            high = rep.to_json_dict()
+        assert low == high, rep.route
+        with real(rep.precision_bits):
+            assert low["mu_max"] == fmt_real(rep.mu_max)
+            assert [e["log_mu"] for e in low["per_root"]] == [fmt_real(lm) for _, lm in rep.per_root]
+    assert calls == []

@@ -7,16 +7,12 @@ import pytest
 
 from wellcond import energy
 from wellcond.energy import (
-    ComparisonMargins,
     SuiteResult,
     band_integral,
-    comparison_inside_margin,
-    comparison_outside_margin,
     expected_log_parallel,
     kappa,
     log_energy,
     log_product_to_set,
-    s_n,
     t_ell,
     verification_suite,
     verify_comparison,
@@ -28,7 +24,7 @@ from wellcond.energy import (
 from wellcond.condition import parallel_self_product_log
 from wellcond.numerics import fmt_real, log_fraction, to_fraction, to_mpf
 from wellcond.points import build_parallels, build_point_set
-from sphere_oracle import distance_sq, energy_by_gap_products, energy_by_resultants
+from sphere_oracle import coordinates_by_point, distance_sq, energy_by_gap_products, energy_by_resultants
 
 
 def pairwise_log_energy(points, prec):
@@ -141,13 +137,6 @@ def test_comparison_margins_nonnegative_small_m():
             assert rep.passed, (M, rep.lemma, rep.worst_margin)
 
 
-def test_comparison_raises_outside_domain():
-    with pytest.raises(ValueError):
-        comparison_outside_margin(Fraction(5, 9), Fraction(2, 9), Fraction(1, 2), 128)
-    with pytest.raises(ValueError):
-        comparison_inside_margin(Fraction(5, 9), Fraction(2, 9), Fraction(9, 10), 128)
-
-
 def test_log_product_to_set_matches_pairwise_sum():
     prec = 256
     # the phased M = 2 family puts the sign of each parallel's phase offset
@@ -163,7 +152,7 @@ def test_log_product_to_set_matches_pairwise_sum():
             qx = rho * mp.cospi(to_mpf(q[1]))
             qy = rho * mp.sinpi(to_mpf(q[1]))
             acc = mp.mpf(0)
-            for _, _, p in ps.coordinates():
+            for _, _, p in coordinates_by_point(ps, prec):
                 d2 = (qx - p.x) ** 2 + (qy - p.y) ** 2 + (t - p.z) ** 2
                 acc += mp.log(d2) / 2
             assert abs(got - acc) < mp.mpf("1e-25"), (M, phases)
@@ -179,7 +168,7 @@ def test_s_n_equator_branch_consistency():
     prec = 192
     ps = build_point_set(3, prec_bits=prec)
     with mp.workprec(prec):
-        v = s_n(Fraction(1, 2), ps)
+        (v,) = energy._s_n_values([Fraction(1, 2)], ps)
         # direct: sum r_j * expected - parallel-weighted
         acc = mp.fsum(
             p.count * expected_log_parallel(p.height, Fraction(1, 2), prec)
@@ -211,7 +200,7 @@ def test_energy_parallel_vs_pairwise(M, phases):
     prec = 256
     ps = build_point_set(M, phases=phases, prec_bits=prec)
     a = log_energy(ps)
-    b = pairwise_log_energy([p for _, _, p in ps.coordinates()], prec)
+    b = pairwise_log_energy([p for _, _, p in coordinates_by_point(ps, prec)], prec)
     assert_energy_close(a.energy, b, prec)
     assert a.residual is not None and a.N == 4 * M * M
 
@@ -381,40 +370,41 @@ def test_height_inputs_match_equal_fraction_bit_for_bit(convert):
         # 256-bit dyadics, not floats: each equals its to_mpf image
         two_thirds = to_fraction(mp.mpf(2) / 3)
         inside = to_fraction(mp.mpf(1) / 3 + mp.mpf(1) / 4)
-    # (function, heights): the outside margin probes above and below the
-    # band, the inside margin both halves of it
+    # (function, heights): band_integral probes below, inside and above
+    # the band
     cases = [
         (expected_log_parallel, (Fraction(5, 8), Fraction(-3, 16))),
         (band_integral, (h, eps, Fraction(-3, 16))),
         (band_integral, (h, eps, Fraction(9, 16))),
-        (comparison_outside_margin, (h, eps, Fraction(3, 4))),
-        (comparison_outside_margin, (h, eps, Fraction(-1, 4))),
-        (comparison_inside_margin, (h, eps, Fraction(9, 16))),
-        (comparison_inside_margin, (h, eps, Fraction(7, 16))),
+        (band_integral, (h, eps, Fraction(3, 4))),
         (parallel_self_product_log, (12, Fraction(3, 8))),
     ]
     if convert is to_mpf:
         cases += [
             (expected_log_parallel, (two_thirds, h)),
             (band_integral, (h, eps, two_thirds)),
-            (comparison_inside_margin, (h, eps, inside)),
+            (band_integral, (h, eps, inside)),
             (parallel_self_product_log, (12, two_thirds)),
         ]
     with mp.workprec(prec):
         for fn, args in cases:
             want = fn(*args, prec)
             got = fn(*(a if isinstance(a, int) else convert(a) for a in args), prec)
-            if isinstance(want, ComparisonMargins):
-                got = (got.value, got.lower_bound, got.upper_bound)
-                want = (want.value, want.lower_bound, want.upper_bound)
             assert got == want, (fn.__name__, args)
 
 
-@pytest.mark.parametrize("u", [Fraction(1, 3), Fraction(-5, 7), Fraction(1), Fraction(-1)])
+@pytest.mark.parametrize(
+    "u", [Fraction(1, 3), Fraction(-5, 7), Fraction(1), Fraction(-1), Fraction(9, 8)]
+)
 def test_height_records_hold_the_asked_precision(u):
     """_height(u, prec) is the record at prec whatever the working
-    precision, memoised on (height, precision)."""
+    precision, memoised on (height, precision); a height outside [-1, 1]
+    is refused."""
     energy._height.cache_clear()
+    if abs(u) > 1:
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            energy._height(u, 64)
+        return
     with mp.workprec(53):
         records = {prec: energy._height(u, prec) for prec in (64, 256)}
     for prec, rec in records.items():

@@ -22,14 +22,15 @@ import pytest
 from wellcond.condition import point_gap_product_log, theta_product_log_turn
 from wellcond.energy import (
     AZIMUTH_TURNS,
+    _band,
+    _height,
+    _inside_margins,
+    _s_n_values,
     band_integral,
     band_probe_heights,
-    comparison_inside_margin,
-    comparison_outside_margin,
     expected_log_parallel,
     kappa,
     log_product_to_set,
-    s_n,
     verify_comparison,
     verify_denominator,
     verify_numerator,
@@ -46,8 +47,10 @@ from wellcond.numerics import (
     to_mpf,
     two_term_log,
 )
-from wellcond.points import SpherePoint, build_point_set, orbit_representative, turn_representative
+from wellcond.points import build_point_set, orbit_representative, turn_representative
 from sphere_oracle import (
+    SpherePoint,
+    coordinates_by_point,
     distance_sq,
     gap_product_by_parallel_logs,
     gap_product_by_point,
@@ -113,7 +116,7 @@ def theta_log_enclosure(par, c, turn, prec_bits):
 
 
 def theta_log_from_coordinates(points, c, turn, prec_bits):
-    """log prod over `points` (one parallel's, from PointSet.coordinates())
+    """log prod over `points` (one parallel's, from coordinates_by_point)
     of |p - q|^2 for the query q at (c, pi * turn), at prec_bits."""
     with mp.workprec(prec_bits):
         radius = mp.sqrt(to_mpf(1 - c * c))
@@ -137,7 +140,7 @@ def test_kernel_encloses_theta_from_coordinates(M, phases):
     turns = [Fraction(0), Fraction(1, 16), Fraction(1, 4), Fraction(1, 3)]
     tol = Fraction(1, 2 ** (PREC - 16))
     coincidences = 0
-    coordinates = fine.coordinates()
+    coordinates = coordinates_by_point(fine, fine.prec_bits)
     for par in ps.parallels:
         points = [p for j, _, p in coordinates if j == par.index]
         factors = theta_product_log_turn(par.count, par.height, heights, turns, PREC, -par.phase)
@@ -221,8 +224,11 @@ def test_product_forms_match_per_parallel_log_sums(M, phases):
 
 
 def one_pair_comparison_cells(ps, seed):
-    """(outside, inside) cells of verify_comparison, each pair through the
-    public one-pair margin functions."""
+    """(outside, inside) cells of verify_comparison, each (band, probe)
+    pair taken on its own: the band's constants formed afresh (_band),
+    the probe's record (_height), its inside margins (_inside_margins) or
+    the outside window of the band side it lies on, found by comparing
+    the heights."""
     rng = random.Random(seed)
     probes = [c for par in ps.parallels for c in band_probe_heights(par, rng)]
     out_cells, in_cells = [], []
@@ -230,10 +236,11 @@ def one_pair_comparison_cells(ps, seed):
         for par in ps.parallels:
             h, eps = par.height, par.half_width
             for c in probes:
+                band = _band(h, eps)
                 if h - eps <= c <= h + eps:
-                    m, bucket = comparison_inside_margin(h, eps, c, PREC), in_cells
+                    m, bucket = _inside_margins(band, _height(c, PREC)), in_cells
                 else:
-                    m, bucket = comparison_outside_margin(h, eps, c, PREC), out_cells
+                    m, bucket = (band.north if c > h + eps else band.south).outside, out_cells
                 params = {"band": par.index, "h": frac_str(h), "eps": frac_str(eps), "c": frac_str(c)}
                 bucket.append(({**params, "side": "lower"}, m.value, m.lower_bound, m.lower_margin))
                 bucket.append(({**params, "side": "upper"}, m.value, m.upper_bound, m.upper_margin))
@@ -276,11 +283,11 @@ def test_outside_window_value_does_not_depend_on_the_query(M, seed):
     with mp.workprec(PREC):
         for par in ps.parallels:
             h, eps = par.height, par.half_width
-            for gap, side in ((1 - h, [c for c in probes if c > par.upper]),
-                              (1 + h, [c for c in probes if c < par.lower])):
-                values = [comparison_outside_margin(h, eps, c, PREC).value for c in side]
-                assert len(set(values)) <= 1, (par.index, gap)
-                for c, value in zip(side, values):
+            band = _band(h, eps)
+            for gap, pole, side in ((1 - h, band.north, [c for c in probes if c > par.upper]),
+                                    (1 + h, band.south, [c for c in probes if c < par.lower])):
+                value = pole.outside.value
+                for c in side:
                     by_c = (
                         expected_log_parallel(h, c, PREC)
                         - band_integral(h, eps, c, PREC) / to_mpf(eps)
@@ -354,7 +361,7 @@ def test_suites_match_one_query_oracles(M, seed):
     with mp.workprec(PREC):
         vals = [s_n_by_parallel(c, ps) + ps.N * kap for _, c in probes]
         assert [c.lhs for c in chain.cells] == [v for v in vals for _side in (0, 1)]
-        assert [s_n(c, ps) for _, c in probes] == [s_n_by_parallel(c, ps) for _, c in probes]
+        assert _s_n_values([c for _, c in probes], ps) == [s_n_by_parallel(c, ps) for _, c in probes]
 
     # a denominator cell holds its orbit representative's gap product,
     # within 2^-(prec-16) of the point's own

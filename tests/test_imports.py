@@ -1,6 +1,7 @@
 """Every name a wellcond module imports is used in that module, every
 private module-level helper is used somewhere in the package, every
-function the benchmark tracer wraps exists, |f'| and the Theta grids
+public name is read by the program, the tracer or the acceptance tests,
+every function the benchmark tracer wraps exists, |f'| and the Theta grids
 share one binomial kernel, the energy alone takes the two-term kernel,
 and only numerics rounds an exact ratio."""
 
@@ -38,13 +39,11 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """`module.name` for each module-level `_`-prefixed function, class or
-    constant that no code in any of the sources reads outside its own
-    definition (a name read, an attribute or an import of it)."""
-    trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    reads: list[tuple[ast.AST, str]] = []  # (node, name read there)
-    for tree in trees.values():
+def _reads(trees) -> list[tuple[ast.AST, str]]:
+    """(node, name) for each name read in the trees: a name loaded, an
+    attribute or an import of it."""
+    reads = []
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.append((node, node.id))
@@ -52,16 +51,54 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 reads.append((node, node.attr))
             elif isinstance(node, ast.ImportFrom):
                 reads += [(node, a.name) for a in node.names]
+    return reads
+
+
+def _read_outside(name: str, definition: ast.AST, reads) -> bool:
+    own = {id(n) for n in ast.walk(definition)}
+    return any(read == name and id(node) not in own for node, read in reads)
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each module-level `_`-prefixed function, class or
+    constant that no code in any of the sources reads outside its own
+    definition."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = _reads(trees.values())
     dead = []
     for mod, tree in trees.items():
         for stmt in tree.body:
-            own = {id(n) for n in ast.walk(stmt)}
             for name in _defined_names(stmt):
-                if name.startswith("_") and not name.startswith("__") and not any(
-                    read == name and id(node) not in own for node, read in reads
-                ):
+                private = name.startswith("_") and not name.startswith("__")
+                if private and not _read_outside(name, stmt, reads):
                     dead.append(f"{mod}.{name}")
     return sorted(dead)
+
+
+def unread_public_names(sources: dict[str, str], kept=frozenset()) -> list[str]:
+    """`module.name` for each public module-level function or class, and
+    `module.Class.name` for each public method or property of such a
+    class, that no code in the sources reads outside its own definition,
+    unless `kept` names it."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = _reads(trees.values())
+    unread = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(f"{mod}.{stmt.name}", stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                defs += [
+                    (f"{mod}.{stmt.name}.{node.name}", node)
+                    for node in stmt.body
+                    if isinstance(node, ast.FunctionDef)
+                ]
+            for dotted, node in defs:
+                public = not node.name.startswith("_") and dotted not in kept
+                if public and not _read_outside(node.name, node, reads):
+                    unread.append(dotted)
+    return sorted(unread)
 
 
 def test_checker_flags_an_unused_name():
@@ -77,6 +114,46 @@ def test_dead_helper_checker_flags_a_planted_helper():
     }
     sources["a"] += "def _imported():\n    return 1\n"
     assert dead_private_names(sources) == ["a._dead"]
+
+
+def test_public_name_checker_flags_a_planted_function_and_method():
+    sources = {
+        "a": "def used():\n    return helper()\n"
+        "def unused():\n    return unused()\n"
+        "def helper():\n    return 1\n"
+        "def kept():\n    return 2\n"
+        "class Record:\n"
+        "    def read(self):\n        return 0\n"
+        "    def unread_method(self):\n        return self.unread_method()\n"
+        "    @property\n    def shown(self):\n        return 3\n"
+        "    def _private(self):\n        return 4\n",
+        "b": "from .a import used, Record\n\ndef read_all(r):\n    return r.read()\n",
+    }
+    assert unread_public_names(sources, kept={"a.kept", "b.read_all"}) == [
+        "a.Record.shown",
+        "a.Record.unread_method",
+        "a.unused",
+    ]
+
+
+def public_names_outside_the_program() -> set[str]:
+    """`module.name` for each name the benchmark tracer wraps (TRACED in
+    perfbench/spans.py) or tests/test_acceptance.py imports from the
+    package: both reach the program from outside src/."""
+    kept = set(traced_names((ROOT / "perfbench" / "spans.py").read_text()))
+    for node in ast.walk(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wellcond."):
+            kept |= {f"{node.module.removeprefix('wellcond.')}.{a.name}" for a in node.names}
+    return kept
+
+
+def test_every_public_name_is_read_by_the_program():
+    """A public function, class, method or property of the package is read
+    in src/ outside its own definition (the package's __init__ does not
+    count), wrapped by the tracer, or imported by the acceptance tests;
+    reference code that only tests call belongs in tests/."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unread_public_names(sources, public_names_outside_the_program()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

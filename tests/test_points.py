@@ -1,4 +1,4 @@
-"""Parallel/band layout, phases, and spherical coordinates on request."""
+"""Parallel/band layout, phases, and the printed spherical coordinates."""
 
 import random
 from fractions import Fraction
@@ -8,18 +8,44 @@ import pytest
 
 from wellcond import points
 from wellcond.numerics import fmt_real, to_fraction, to_mpf
-from wellcond.points import (
-    SpherePoint,
-    build_parallels,
-    build_point_set,
-    orbit_representative,
-)
-from sphere_oracle import coordinates_by_point, inverse_stereographic, stereographic
+from wellcond.points import build_parallels, build_point_set, orbit_representative
+from sphere_oracle import SpherePoint, coordinates_by_point, inverse_stereographic, stereographic
 
 PHASED = [
     (2, ["0.1", "0.7", "-1.2"]),
     (3, ["0.3", "-0.2", "1.1", "2.5", "0.05"]),
 ]
+
+
+def printed_rows(ps):
+    """{(parallel index, azimuth index): [x, y, z]} of the strings that
+    ps.to_json_dict() prints, in its order."""
+    rows = ps.to_json_dict()["points"]
+    keys = [(par.index, k) for par in ps.parallels for k in range(par.count)]
+    assert len(rows) == len(keys)
+    return dict(zip(keys, rows))
+
+
+def printed_points(ps, prec_bits):
+    """(parallel index, azimuth index, point) of each printed point, its
+    strings read at prec_bits."""
+    with mp.workprec(prec_bits):
+        return [(j, k, SpherePoint(*map(mp.mpf, row))) for (j, k), row in printed_rows(ps).items()]
+
+
+def quarter_turn_points(ps):
+    """[x, y, z] of every point, formed as mpfs at ps.prec_bits: each
+    parallel's first quarter from points._first_quarter, each later
+    quarter the turn (x, y) -> (-y, x) of the one before, and then
+    printed by fmt_real."""
+    out = []
+    with mp.workprec(ps.prec_bits):
+        for par in ps.parallels:
+            ring = points._first_quarter(par)
+            for _ in range(3):
+                ring += [(-y, x) for x, y in ring[-(par.count // 4):]]
+            out += [[fmt_real(x), fmt_real(y), fmt_real(par.height)] for x, y in ring]
+    return out
 
 
 def band_of(q, pars):
@@ -98,24 +124,20 @@ def test_band_of_boundary_rule_m3():
 
 def test_equator_points_exact_axes_m1():
     ps = build_point_set(1, prec_bits=128)
-    pts = [(p.x, p.y, p.z) for _, _, p in ps.coordinates()]
-    assert pts == [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+    assert ps.to_json_dict()["points"] == [
+        ["1.0", "0.0", "0.0"], ["0.0", "1.0", "0.0"], ["-1.0", "0.0", "0.0"], ["0.0", "-1.0", "0.0"]
+    ]
 
 
 @pytest.mark.parametrize("M", [2, 3])
 def test_points_lie_on_their_parallels(M):
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
-    coords = ps.coordinates()
-    assert [(j, k) for j, k, _ in coords] == [
-        (par.index, k) for par in ps.parallels for k in range(par.count)
-    ]
     with mp.workprec(prec):
-        for j, _, p in coords:
-            par = ps.parallels[j - 1]
-            h = to_mpf(par.height)
-            r_sq = to_mpf(par.radius_sq)
-            assert abs(p.z - h) == 0
+        heights = [fmt_real(par.height) for par in ps.parallels for _ in range(par.count)]
+        assert [z for _, _, z in printed_rows(ps).values()] == heights
+        for j, _, p in printed_points(ps, prec):
+            r_sq = to_mpf(ps.parallels[j - 1].radius_sq)
             assert abs(p.x**2 + p.y**2 - r_sq) < mp.mpf(2) ** -(prec - 8)
 
 
@@ -123,7 +145,7 @@ def test_stereographic_round_trip():
     prec = 256
     ps = build_point_set(2, prec_bits=prec)
     with mp.workprec(prec):
-        for _, _, p in ps.coordinates():
+        for _, _, p in coordinates_by_point(ps, prec):
             z = stereographic(p)
             q = inverse_stereographic(z, prec)
             assert abs(q.x - p.x) < mp.mpf(2) ** -(prec - 12)
@@ -137,7 +159,7 @@ def test_phase_overrides_validated_and_applied():
     prec = 192
     with mp.workprec(prec):
         ps = build_point_set(1, phases=[mp.pi / 4], prec_bits=prec)
-        (_, _, p0), *_ = ps.coordinates()
+        (_, _, p0), *_ = printed_points(ps, prec)
         assert abs(p0.x - mp.sqrt(2) / 2) < mp.mpf(2) ** -(prec - 8)
         assert abs(p0.y - mp.sqrt(2) / 2) < mp.mpf(2) ** -(prec - 8)
 
@@ -181,17 +203,18 @@ def test_orbit_representatives(M, orbits):
 
 @pytest.mark.parametrize("M", [*range(1, 9), 22])
 def test_zero_phase_points_are_invariant_under_the_group(M):
-    """Every point of a zero-phase family has, bit for bit, the coordinates
-    of its orbit_representative point up to the signs and the order of x
-    and y (the quarter turn and the conjugation) and the sign of z (the
+    """Every printed point of a zero-phase family has the strings of its
+    orbit_representative point up to the signs and the order of x and y
+    (the quarter turn and the conjugation) and the sign of z (the
     mirror)."""
 
-    def magnitudes(p):  # the raw (mantissa, exponent, bits) without the sign
-        return sorted([p.x._mpf_[1:], p.y._mpf_[1:]]), p.z._mpf_[1:]
+    def magnitudes(p):
+        x, y, z = (v.removeprefix("-") for v in p)
+        return sorted([x, y]), z
 
-    points = {(j, k): p for j, k, p in build_point_set(M).coordinates()}
-    for (j, k), p in points.items():
-        assert magnitudes(p) == magnitudes(points[orbit_representative(M, j, k)]), (j, k)
+    printed = printed_rows(build_point_set(M))
+    for (j, k), p in printed.items():
+        assert magnitudes(p) == magnitudes(printed[orbit_representative(M, j, k)]), (j, k)
 
 
 @pytest.mark.parametrize(
@@ -200,11 +223,12 @@ def test_zero_phase_points_are_invariant_under_the_group(M):
     ids=[*(f"M{M}" for M in range(1, 9)), "M2-phased", "M3-phased"],
 )
 def test_coordinates_match_each_point_formed_on_its_own(M, phases):
-    """The quarter-turn rings agree with every point formed on its own at
-    64 more bits within 2^-(prec-16), with and without phases."""
+    """The printed quarter-turn rings, read back at 64 more bits, agree
+    with every point formed on its own there within 2^-(prec-16), with
+    and without phases."""
     prec = 256
     ps = build_point_set(M, phases=phases, prec_bits=prec)
-    got = ps.coordinates()
+    got = printed_points(ps, prec + 64)
     want = coordinates_by_point(ps, prec + 64)
     assert [(j, k) for j, k, _ in got] == [(j, k) for j, k, _ in want]
     tol = mp.mpf(2) ** (16 - prec)
@@ -221,13 +245,13 @@ def seeded_phases(M: int, seed: int) -> list[str]:
 @pytest.mark.parametrize("seed", [None, 7], ids=["zero-phase", "seeded"])
 @pytest.mark.parametrize("M", range(1, 9))
 def test_point_json_prints_each_point_of_coordinates(M, seed, monkeypatch):
-    """to_json_dict's points are [fmt_real(x), fmt_real(y), fmt_real(z)] of
-    each point of coordinates(), in order, while fmt_real runs at most
-    once per entry of each distinct ring plus once per parallel (the
-    phase, the z and the first quarter of each ring is all it formats)."""
+    """to_json_dict's points, whose quarter turns negate strings, are the
+    fmt_real strings of the rings turned as mpfs (quarter_turn_points), in
+    order, while fmt_real runs at most once per entry of each distinct
+    ring plus once per parallel (the phase, the z and the first quarter of
+    each ring is all it formats)."""
     ps = build_point_set(M, phases=None if seed is None else seeded_phases(M, seed))
-    with mp.workprec(ps.prec_bits):
-        want = [[fmt_real(p.x), fmt_real(p.y), fmt_real(p.z)] for _, _, p in ps.coordinates()]
+    want = quarter_turn_points(ps)
     calls = []
     monkeypatch.setattr(points, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
     assert ps.to_json_dict()["points"] == want

@@ -7,14 +7,28 @@ import pytest
 
 from wellcond import sums
 from wellcond.numerics import fmt_real, frac_str, fraction_from_mpf, interval_endpoints, to_mpf
-from wellcond.sums import (
-    sum_check_suite,
-    CSV_HEADER,
-    harmonic_bounds,
-    r_sum,
-    tail_sum,
-    weighted_sum,
-)
+from wellcond.sums import CSV_HEADER, r_sum, sum_check_suite
+
+PREC = 256
+
+
+def tail_checks(ell, M, prec_bits=PREC):
+    """The suite's two tail checks at one (ell, M)."""
+    return sums._tail_checks(ell, M, *sums._tail_values(ell, [M])[M], prec_bits)
+
+
+def weighted_checks(M, prec_bits=PREC):
+    """The suite's weighted-sum check at one M."""
+    return sums._weighted_checks(M, *sums._weighted_lhs([M], prec_bits)[M], prec_bits)
+
+
+def harmonic_checks(ell, M, prec_bits=PREC):
+    """The suite's two harmonic checks at one (ell, M), the sum taken
+    directly as sum_{j=ell+1}^{M} 1/j: the reference for the suite's
+    differences of harmonic numbers."""
+    value = sum(Fraction(1, j) for j in range(ell + 1, M + 1))
+    logs = {n: sums._log_enclosure(n, prec_bits) for n in (ell, ell + 1, M, M + 1)}
+    return sums._harmonic_checks(ell, M, value, logs, prec_bits)
 
 
 def r_sum_by_terms(M):
@@ -71,7 +85,7 @@ def test_r_rejects_bad_m():
 
 
 def test_tail_single_term_hand_value():
-    envelope, companion = tail_sum(3, 5)
+    envelope, companion = tail_checks(3, 5)
     assert envelope.value == Fraction(4, 5) ** 20
     assert companion.value == Fraction(12, 25) ** 10
     assert companion.bound == envelope.value
@@ -79,7 +93,7 @@ def test_tail_single_term_hand_value():
 
 
 def test_tail_bound_holds_on_worst_small_ell():
-    bound = [c for c in tail_sum(1, 16) if c.check_id == "tail_sum_le_inv_e4m1"][0]
+    bound = [c for c in tail_checks(1, 16) if c.check_id == "tail_sum_le_inv_e4m1"][0]
     assert bound.passed
     # the enclosure endpoint really is below 1/(e^4 - 1)
     with mp.workprec(128):
@@ -88,20 +102,13 @@ def test_tail_bound_holds_on_worst_small_ell():
 
 def test_tail_companion_never_exceeds_envelope_form():
     for ell, M in ((1, 6), (2, 9), (5, 12)):
-        envelope, companion = tail_sum(ell, M)
+        envelope, companion = tail_checks(ell, M)
         assert companion.bound == envelope.value
         assert companion.value <= envelope.value
 
 
-def test_tail_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        tail_sum(4, 5)
-    with pytest.raises(ValueError):
-        tail_sum(0, 5)
-
-
 def test_harmonic_sandwich_hand_case():
-    lower, upper = harmonic_bounds(1, 2)
+    lower, upper = harmonic_checks(1, 2)
     assert lower.value == upper.value == Fraction(1, 2)
     with mp.workprec(128):
         assert abs(to_mpf(lower.bound) - mp.log(mp.mpf(3) / 2)) < mp.mpf(2) ** -100
@@ -111,14 +118,14 @@ def test_harmonic_sandwich_hand_case():
 
 def test_weighted_sum_margin_positive():
     for M in (1, 2, 5, 32, 64):
-        (check,) = weighted_sum(M)
+        (check,) = weighted_checks(M)
         assert check.passed
         assert check.margin > 0 or M == 1
 
 
 def test_weighted_sum_memoised_terms_match_a_fresh_enclosure():
     """The memoised per-ell terms, summed in the same order, give the
-    values of enclosing every term afresh for each M, and tail_sum's
+    values of enclosing every term afresh for each M, and the tail checks'
     1/(e^4 - 1) is enclosed once per precision."""
     prec = 256
 
@@ -131,20 +138,21 @@ def test_weighted_sum_memoised_terms_match_a_fresh_enclosure():
     sums._weighted_term.cache_clear()
     for M in (2, 5, 17, 64):
         lo, hi = interval_endpoints(lambda iv: fresh_lhs(iv, M), prec)
-        (check,) = weighted_sum(M, prec)
+        (check,) = weighted_checks(M, prec)
         with mp.workprec(prec):
             assert check.value == to_mpf((lo + hi) / 2), M
     assert sums._weighted_term.cache_info().currsize == 63
     sums._inv_e4m1.cache_clear()
     for ell, M in ((1, 5), (3, 9), (2, 40)):
-        tail_sum(ell, M, prec)
+        tail_checks(ell, M, prec)
     assert sums._inv_e4m1.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("max_m", [64, 300])
 def test_suite_weighted_checks_equal_weighted_sum(max_m, monkeypatch):
     """The suite accumulates the weighted sums' left side once over
-    ascending M; each of its checks equals weighted_sum(M) taken alone,
+    ascending M; each of its checks equals weighted_checks(M), formed
+    from that M's sum alone,
     for every M = 1..max_m.  At max_m = 300 the suite runs without its
     tail and harmonic grids, whose exact sums would take seconds there."""
     if max_m > 64:
@@ -153,7 +161,7 @@ def test_suite_weighted_checks_equal_weighted_sum(max_m, monkeypatch):
     got = [c for c in sum_check_suite(max_m) if c.check_id == "weighted_sum_le_cubic_bound"]
     assert [c.params["M"] for c in got] == list(range(1, max_m + 1))
     for c in got:
-        (want,) = weighted_sum(c.params["M"])
+        (want,) = weighted_checks(c.params["M"])
         assert (c.value, c.bound, c.margin) == (want.value, want.bound, want.margin)
         assert c == want
 
@@ -169,7 +177,7 @@ def test_check_json_prints_at_its_precision_under_any_context():
     """A check prints the same under any working precision: exact values
     as num/den, the rest as fmt_real at its precision_bits, a Fraction
     past _MAX_EXACT_BITS rounded once at that precision."""
-    checks = [*tail_sum(1, 64), *tail_sum(1, 64, 128), *weighted_sum(7, 96), *r_sum(9), *harmonic_bounds(2, 9)]
+    checks = [*tail_checks(1, 64), *tail_checks(1, 64, 128), *weighted_checks(7, 96), *r_sum(9), *harmonic_checks(2, 9)]
     assert any(_is_long(v) for c in checks for v in (c.value, c.bound, c.margin))
     for c in checks:
         with mp.workprec(53):
@@ -215,7 +223,7 @@ def test_suite_all_checks_pass():
 
 
 def test_suite_encloses_each_log_ratio_once(monkeypatch):
-    """The harmonic checks equal harmonic_bounds at every (ell, M), with
+    """The harmonic checks equal those of the direct sum at every (ell, M), with
     each log n enclosed once, n = 1..max_m + 1; every bound is a
     difference of two such enclosures, on the conservative side of the
     log ratio and within a few ulps of it."""
@@ -231,7 +239,7 @@ def test_suite_encloses_each_log_ratio_once(monkeypatch):
         patch.setattr(sums, "_log_enclosure", counting)
         got = [c for c in sum_check_suite(max_m) if c.check_id.startswith("harmonic_")]
     assert calls == list(range(1, max_m + 2))
-    want = [c for M in range(2, max_m + 1) for ell in range(1, M) for c in harmonic_bounds(ell, M)]
+    want = [c for M in range(2, max_m + 1) for ell in range(1, M) for c in harmonic_checks(ell, M)]
     assert got == want
     slack = Fraction(1, 2 ** (256 - 8))
     with mp.workprec(512):
@@ -244,7 +252,7 @@ def test_suite_encloses_each_log_ratio_once(monkeypatch):
 
 
 def test_suite_tail_sums_equal_each_sum_taken_afresh(monkeypatch):
-    """The suite's tail checks equal tail_sum at every (ell, M) of the
+    """The suite's tail checks equal those formed at each (ell, M) of the
     grid, in the grid's order (M, then ell), and their sums equal the
     sums taken from scratch, while the suite accumulates each ell's sums
     once, over all its M."""
@@ -260,9 +268,9 @@ def test_suite_tail_sums_equal_each_sum_taken_afresh(monkeypatch):
     assert sorted(calls) == [
         (ell, [M for e, M in grid if e == ell]) for ell in sorted({ell for ell, _ in grid})
     ]
-    assert got == [c for ell, M in grid for c in tail_sum(ell, M)]
+    assert got == [c for ell, M in grid for c in tail_checks(ell, M)]
     for ell, M in grid:
-        envelope, companion = tail_sum(ell, M)
+        envelope, companion = tail_checks(ell, M)
         js = range(ell + 2, M + 1)
         assert envelope.value == sum(Fraction(ell + 1, j) ** (4 * j) for j in js)
         assert companion.value == sum(Fraction(ell * (ell + 1), j * j) ** (2 * j) for j in js)
@@ -290,7 +298,7 @@ def test_check_serialization_round_trip():
 
 def test_huge_rationals_format_without_overflow():
     """Exact values beyond ~4000 digits fall back to decimal display."""
-    checks = tail_sum(1, 64)
+    checks = tail_checks(1, 64)
     for c in checks:
         for cell in c.csv_row():
             assert len(cell) < 5000
