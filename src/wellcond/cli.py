@@ -59,12 +59,9 @@ from .condition import (
 )
 from .energy import log_energy, verification_suite
 from .numerics import MIN_PREC_BITS, fmt_real
-from .points import build_point_set
+from .points import build_point_set, round_phase
 from .polynomials import expand, family_polynomial
-from .sums import CSV_HEADER as SUMS_CSV_HEADER
 from .sums import sum_check_suite
-
-SWEEP_HEADER = ["M", "N", "mu_max", "mu_ratio_sqrt_np1", "energy_residual"]
 
 
 # ----------------------------------------------------------------------
@@ -122,9 +119,12 @@ def _worker_count(n_items: int) -> int:
     return max(1, min(n, n_items))
 
 
-def _load_phases(path: str | None, m_values: list[int]) -> dict[int, list[str] | None]:
+def _load_phases(
+    path: str | None, m_values: list[int], prec_bits: int
+) -> dict[int, list[str] | None]:
     """{M: its phase angles as strings, which build_point_set rounds, or
-    None} for each M of m_values.
+    None} for each M of m_values; every angle must pass
+    points.round_phase at prec_bits.
 
     The file holds either an object {"<M>": [2M-1 angles], ...} with
     every key a distinct M >= 1 and every value an array, or a bare
@@ -154,9 +154,7 @@ def _load_phases(path: str | None, m_values: list[int]) -> dict[int, list[str] |
         table = {M: [str(v) for v in vals] for M, vals in table.items()}
         for vals in table.values():
             for v in vals:
-                # a non-numeric or non-finite angle fails here, before any work
-                if not mp.isfinite(mp.mpf(v)):
-                    raise ValueError(f"angle {v!r} is not finite")
+                round_phase(v, prec_bits)  # a bad angle fails here, before any work
     except (OSError, TypeError, ValueError) as e:
         raise InputError(f"{path}: {e}") from None
     phases = {M: table.get(M) for M in m_values}
@@ -174,7 +172,7 @@ def _prepare(args):
     Returns (output directory, {M: phases or None}, worker count).
     Input rejected here exits 2 and leaves no directory behind.
     """
-    phases = _load_phases(getattr(args, "phases", None), args.M)
+    phases = _load_phases(getattr(args, "phases", None), args.M, args.precision)
     workers = _worker_count(len(args.M))
     outdir = Path(args.out)
     try:
@@ -261,6 +259,19 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     for row in rows:
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _csv_row(header: list[str], record: dict) -> list[str]:
+    """The CSV row of a report's JSON dict: each header key's value as
+    str, "" where the record has none, a params dict as its sorted
+    key=value pairs joined by ";"."""
+    row = []
+    for key in header:
+        value = record.get(key, "")
+        if isinstance(value, dict):
+            value = ";".join(f"{k}={v}" for k, v in sorted(value.items()))
+        row.append(str(value))
+    return row
 
 
 def _config_block(args, command: str) -> dict:
@@ -421,23 +432,7 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
         )
     if args.format == "json":
         return Done([(f"cond_M{M}.json", _json_text({"config": config, "reports": dicts}))], out, ok=ok)
-    rows = [
-        [
-            str(d["M"]),
-            str(d["N"]),
-            d["route"],
-            str(d["precision_bits"]),
-            d["mu_max"],
-            d["log_mu_max"],
-            d["argmax_root"],
-            d.get("mu_max_lo", ""),
-            d.get("mu_max_hi", ""),
-            *(str(d["verdicts"][key]) for key in BOUNDS),
-            str(d["certified"]),
-            d.get("route_rel_diff", ""),
-        ]
-        for d in dicts
-    ]
+    rows = [_csv_row(COND_HEADER, {**d, **d["verdicts"]}) for d in dicts]
     return Done([], out, ok=ok, rows=rows)
 
 
@@ -457,6 +452,7 @@ def cmd_cond(args) -> int:
 
 
 VERIFY_HEADER = ["M", "lemma", "cells", "worst_margin", "tolerance", "gated", "pass"]
+SUMS_HEADER = ["id", "params", "value", "bound", "margin", "pass"]
 
 
 def _verify_one(args, config: dict, phases: dict, M: int) -> Done:
@@ -467,15 +463,7 @@ def _verify_one(args, config: dict, phases: dict, M: int) -> Done:
         files = [(f"verify_M{M}.json", _json_text(doc))]
     else:
         rows = [
-            [
-                str(d["M"]),
-                d["lemma"],
-                str(len(d["cells"])),
-                d["worst_margin"],
-                d["tolerance"],
-                str(r.gated),
-                str(d["pass"]),
-            ]
+            _csv_row(VERIFY_HEADER, {**d, "cells": len(d["cells"]), "gated": r.gated})
             for r, d in zip(suite.reports, dicts)
         ]
         files = [(f"verify_M{M}.csv", _csv_text(VERIFY_HEADER, rows))]
@@ -492,14 +480,13 @@ def cmd_verify(args) -> int:
     outdir, config, all_ok, _ = _run(args, "verify", _verify_one)
     checks = sum_check_suite(args.sums_max, args.precision)
     sums_ok = all(c.passed for c in checks)
+    dicts = [c.to_json_dict() for c in checks]
     if args.format == "json":
-        doc = {"config": config, "checks": [c.to_json_dict() for c in checks], "pass": sums_ok}
+        doc = {"config": config, "checks": dicts, "pass": sums_ok}
         _write_atomic(outdir / "sum_checks.json", _json_text(doc))
     else:
-        _write_atomic(
-            outdir / "sum_checks.csv",
-            _csv_text(SUMS_CSV_HEADER, [c.csv_row() for c in checks]),
-        )
+        rows = [_csv_row(SUMS_HEADER, d) for d in dicts]
+        _write_atomic(outdir / "sum_checks.csv", _csv_text(SUMS_HEADER, rows))
     print(f"sum checks: {len(checks)} checks, pass={sums_ok}")
     return 0 if all_ok and sums_ok else 1
 
@@ -507,6 +494,9 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
+
+
+SWEEP_HEADER = ["M", "N", "mu_max", "mu_ratio_sqrt_np1", "energy_residual"]
 
 
 def _sweep_one(args, config: dict, phases: dict, M: int) -> Done:
@@ -541,7 +531,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _write_atomic(outdir / "sweep.json", _json_text({"config": config, "rows": rows}))
     else:
-        csv_rows = [[str(r[k]) for k in SWEEP_HEADER] for r in rows]
+        csv_rows = [_csv_row(SWEEP_HEADER, r) for r in rows]
         _write_atomic(outdir / "sweep.csv", _csv_text(SWEEP_HEADER, csv_rows))
     print(f"sweep: {len(rows)} rows, bounds_ok={all_ok}")
     return 0 if all_ok else 1

@@ -40,30 +40,35 @@ The workhorse quantities, for a query point q at height c:
 * T_ell: the second-order correction sum_{j != ell}
   r_j^3 / (12 N^2 (1 -+ h_j)^2), an exact rational.
 
-The verify_* functions sweep deterministic-plus-seeded grids and report
-signed margins for each inequality in the chain that controls the
-condition number: comparison windows between a parallel average and its
-band average, the window and chain bounds on S_N + N kappa, and the
-upper/lower bounds on products of distances from a query point (or a
-family point) to the whole family.  SUITES declares each verify_*
-function's lemmas and hypothesis.  Each report decides for itself:
-`passed` from its margins, and `gated`, set where the report is built,
-False below the hypothesis; verification_suite alone refuses by it.
+The verify_* functions report signed margins for each inequality in the
+chain that controls the condition number: comparison windows between a
+parallel average and its band average, the window and chain bounds on
+S_N + N kappa, and the upper/lower bounds on products of distances from
+a query point (or a family point) to the whole family.  Their probe
+heights come from one grid per seed, _probe_grid, which draws every
+band's band_probe_heights from one random.Random(seed) in band order,
+so the suites that probe the first M bands read the heights
+verify_comparison probes there.  Every two-sided cell is one of the
+pair ComparisonMargins.cells forms from its cached margins.  SUITES
+declares each verify_* function's lemmas and hypothesis.  Each report
+decides for itself: `passed` from its margins, and `gated`, set where
+the report is built, False below the hypothesis; verification_suite
+alone refuses by it.
 
 The suites form each transcendental value once per index it depends
 on: log(1 +- u) and the antiderivatives once per height (a parallel, a
 probe or a band edge) and precision, in a record (_height) memoised
-across the suites, which share the seeded probe heights, and across
-every S_N, which reads each parallel's; each band's window constants
-once, with the outside window's value once per side of the band (the
-query's log cancels), and its inside probes by two bisections over the
-probe heights, ranked once; and the distance products through the
-Theta grids of condition.theta_product_log_turn in product form: each
-probe height's exact powers once, the linear factors multiplied over
-the parallels, one log per query point, at one turn per orbit of
-points.turn_representative.  The single-pair expected_log_parallel
-and band_integral evaluate the same cores (_height, _band) as the
-suites' hoisted loops.
+across the suites and across every S_N, which reads each parallel's;
+each band's window constants once, with the outside window's value
+once per side of the band (the query's log cancels), and its inside
+probes by two bisections over the probe heights, ranked once; and the
+distance products through the Theta grids of
+condition.theta_product_log_turn in product form: each probe height's
+exact powers once, the linear factors multiplied over the parallels,
+one log per query point, at one turn per orbit of
+points.turn_representative.  The single-pair expected_log_parallel and
+band_integral evaluate the same cores (_height, _band) as the suites'
+hoisted loops.
 
 Heights (t, h, c, eps) are exact rationals: every public function here
 converts its height arguments once at entry with numerics.to_fraction,
@@ -262,8 +267,8 @@ class ComparisonMargins:
 
     value lies in [lower_bound, upper_bound] iff both margins are >= 0:
     lower_margin = value - lower_bound, upper_margin = upper_bound - value,
-    each formed once: one band side's outside margins serve every query
-    on that side.
+    each formed once: one band side's outside margins serve the cells of
+    every query on that side.
     """
 
     value: mp.mpf
@@ -277,6 +282,14 @@ class ComparisonMargins:
     @functools.cached_property
     def upper_margin(self) -> mp.mpf:
         return self.upper_bound - self.value
+
+    def cells(self, params: dict) -> tuple[Cell, Cell]:
+        """The lower and upper cells at params, the one form of every
+        two-sided cell: the value against each bound, with its margin."""
+        return (
+            Cell({**params, "side": "lower"}, self.value, self.lower_bound, self.lower_margin),
+            Cell({**params, "side": "upper"}, self.value, self.upper_bound, self.upper_margin),
+        )
 
 
 def _inside_margins(band: _Band, c: _Height) -> ComparisonMargins:
@@ -490,6 +503,14 @@ def band_probe_heights(par: Parallel, rng: random.Random) -> list[Fraction]:
     return heights
 
 
+def _probe_grid(parallels: Sequence[Parallel], seed: int) -> list[list[Fraction]]:
+    """band_probe_heights of each parallel, in order, all drawn from one
+    random.Random(seed): the suites that probe the first M bands read the
+    heights that verify_comparison draws for them."""
+    rng = random.Random(seed)
+    return [band_probe_heights(par, rng) for par in parallels]
+
+
 AZIMUTH_TURNS = [Fraction(m, 16) for m in range(8)]  # multiples of pi in [0, pi/2)
 
 
@@ -581,18 +602,13 @@ def verify_comparison(
 
     with g = 1 - h when c >= h and 1 + h when c < h.
 
-    Sweeps every (band, probe height) pair of the standard grid; each
-    pair is classified by whether the probe lies in the closed band and
-    checked against the corresponding window.  No hypothesis on M.
-
-    The probes are ranked by height once; a band's inside probes are
-    then the ranks between two bisections of the ranked heights, and an
-    outside probe is above the band (north) or below it (south) by its
-    rank alone.
+    Sweeps every band against every height of _probe_grid: a probe in
+    the closed band is checked against the inside window, any other
+    against the outside window of its side, found by the probe's rank
+    among the heights ranked once.  No hypothesis on M.
     """
     ps = build_point_set(M, prec_bits=prec_bits)
-    rng = random.Random(seed)
-    probes = [h for par in ps.parallels for h in band_probe_heights(par, rng)]
+    probes = [h for heights in _probe_grid(ps.parallels, seed) for h in heights]
     order = sorted(range(len(probes)), key=probes.__getitem__)
     ranked = [probes[i] for i in order]
     rank = [0] * len(probes)
@@ -613,17 +629,9 @@ def verify_comparison(
             for c, c_str, r in queries:
                 params = {**head, "c": c_str}
                 if first <= r < stop:
-                    m = _inside_margins(terms, c)
-                    bucket = in_cells
+                    in_cells += _inside_margins(terms, c).cells(params)
                 else:
-                    m = (terms.north if r >= stop else terms.south).outside
-                    bucket = out_cells
-                bucket.append(
-                    Cell({**params, "side": "lower"}, m.value, m.lower_bound, m.lower_margin)
-                )
-                bucket.append(
-                    Cell({**params, "side": "upper"}, m.value, m.upper_bound, m.upper_margin)
-                )
+                    out_cells += (terms.north if r >= stop else terms.south).outside.cells(params)
     grid = (
         f"{len(ps.parallels)} bands x {len(probes)} probe heights "
         f"(5 structural + {N_RANDOM_PROBES} seeded per band, seed={seed})"
@@ -642,16 +650,17 @@ def verify_sn_kappa(
     Chain:  -1 + (1/3) log((M+1)/(ell+1)) <= S_N + N kappa
                                           <= (1/3) log(M/ell)
                                              + 2 (1 - log 2)/ell + 1/4.
+
+    Probes the first M bands of _probe_grid.
     """
     ps = build_point_set(M, prec_bits=prec_bits)
-    rng = random.Random(seed)
     kap = kappa(prec_bits)
     win_cells: list[Cell] = []
     chain_cells: list[Cell] = []
-    probes = [(par.index, band_probe_heights(par, rng)) for par in ps.parallels[:M]]
+    probes = _probe_grid(ps.parallels[:M], seed)
     with mp.workprec(prec_bits):
-        s_values = iter(_s_n_values([c for _, cs in probes for c in cs], ps))
-        for ell, heights in probes:
+        s_values = iter(_s_n_values([c for cs in probes for c in cs], ps))
+        for ell, heights in enumerate(probes, 1):
             t_corr = to_mpf(t_ell(ell, M))
             win_hi = 2 * (1 - mp.log(2)) / ell + mp.mpf(1) / 15
             chain_lo = -1 + mp.log(mp.mpf(M + 1) / (ell + 1)) / 3
@@ -663,19 +672,8 @@ def verify_sn_kappa(
             for c in heights:
                 val = next(s_values) + ps.N * kap
                 params = {"band": ell, "c": frac_str(c)}
-                win = val - t_corr
-                win_cells.append(
-                    Cell({**params, "side": "lower"}, win, mp.mpf(-1), win - (-1))
-                )
-                win_cells.append(
-                    Cell({**params, "side": "upper"}, win, win_hi, win_hi - win)
-                )
-                chain_cells.append(
-                    Cell({**params, "side": "lower"}, val, chain_lo, val - chain_lo)
-                )
-                chain_cells.append(
-                    Cell({**params, "side": "upper"}, val, chain_hi, chain_hi - val)
-                )
+                win_cells += ComparisonMargins(val - t_corr, mp.mpf(-1), win_hi).cells(params)
+                chain_cells += ComparisonMargins(val, chain_lo, chain_hi).cells(params)
     grid = (
         f"bands 1..{M} x {5 + N_RANDOM_PROBES} probe heights "
         f"(5 structural + {N_RANDOM_PROBES} seeded per band, seed={seed})"
@@ -695,8 +693,7 @@ def verify_t_bounds(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> VerificationR
             val = to_mpf(t_ell(ell, M))
             lo = mp.log(mp.mpf(M + 1) / (ell + 1)) / 3
             hi = mp.log(mp.mpf(M) / ell) / 3 + mp.mpf(1) / 6
-            cells.append(Cell({"ell": ell, "side": "lower"}, val, lo, val - lo))
-            cells.append(Cell({"ell": ell, "side": "upper"}, val, hi, hi - val))
+            cells += ComparisonMargins(val, lo, hi).cells({"ell": ell})
     return _reports("verify_t_bounds", M, prec_bits, f"ell = 1..{M}", [cells])[0]
 
 
@@ -711,19 +708,19 @@ def verify_numerator(
     Explicit form, q in band ell <= M:
         log prod <= log 2 - kappa N + (1/3) log(M/ell) + 3/4
                     + (2/ell)(1 - log 2).
-    Queries that hit a family point exactly are skipped with a note.
-    The products are evaluated at the representative turns of
-    AZIMUTH_TURNS (points.turn_representative) only; every other turn's
-    cells hold its representative's.
+    The queries are the first M bands of _probe_grid at each turn of
+    AZIMUTH_TURNS; one that hits a family point exactly is skipped with
+    a note.  The products are evaluated at the representative turns
+    (points.turn_representative) only; every other turn's cells hold its
+    representative's.
     """
     ps = build_point_set(M, prec_bits=prec_bits)
-    rng = random.Random(seed)
     kap = kappa(prec_bits)
     sum_cells: list[Cell] = []
     exp_cells: list[Cell] = []
     notes: list[str] = []
-    probes = [(par.index, band_probe_heights(par, rng)) for par in ps.parallels[:M]]
-    heights = [c for _, cs in probes for c in cs]
+    probes = _probe_grid(ps.parallels[:M], seed)
+    heights = [c for cs in probes for c in cs]
     turn_strs = [frac_str(turn) for turn in AZIMUTH_TURNS]
     reps = [turn_representative(turn) for turn in AZIMUTH_TURNS]
     columns = sorted(set(reps))
@@ -731,7 +728,7 @@ def verify_numerator(
     with mp.workprec(prec_bits):
         s_values = iter(_s_n_values(heights, ps))
         lhs_rows = iter(log_product_to_set(heights, columns, ps))
-        for ell, cs in probes:
+        for ell, cs in enumerate(probes, 1):
             exp_rhs = (
                 mp.log(2)
                 - kap * ps.N

@@ -170,21 +170,36 @@ def build_parallels(M: int) -> list[Parallel]:
     return out
 
 
+def round_phase(angle, prec_bits: int) -> mp.mpf:
+    """The angle (radians) rounded once at prec_bits.  ValueError unless
+    it is finite with |angle| < 2^prec_bits: past that its ulp is at
+    least 2 rad, so it names no rotation, and every sin or cos would
+    reduce it at its full length."""
+    with mp.workprec(prec_bits):
+        phase = to_mpf(angle)
+    if not mp.isfinite(phase):
+        raise ValueError(f"angle {angle!r} is not finite")
+    if not -mp.ldexp(1, prec_bits) < phase < mp.ldexp(1, prec_bits):
+        raise ValueError(f"angle {angle!r} is not below 2^{prec_bits} in magnitude")
+    return phase
+
+
 def build_point_set(
     M: int,
     phases: Sequence | None = None,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> PointSet:
     """The family of M; phases, if given, supply one azimuth (radians)
-    per parallel, each rounded once at prec_bits.  No coordinates are
+    per parallel, each rounded once by round_phase.  No coordinates are
     formed (see PointSet.to_json_dict)."""
     check_precision(prec_bits)
     parallels = build_parallels(M)
     if phases is not None:
         if len(phases) != len(parallels):
             raise ValueError(f"need {len(parallels)} phases for M={M}, got {len(phases)}")
-        with mp.workprec(prec_bits):
-            parallels = [replace(par, phase=to_mpf(ph)) for par, ph in zip(parallels, phases)]
+        parallels = [
+            replace(par, phase=round_phase(ph, prec_bits)) for par, ph in zip(parallels, phases)
+        ]
     return PointSet(M=M, N=4 * M * M, parallels=parallels, prec_bits=prec_bits)
 
 

@@ -18,13 +18,14 @@ Expansion forms integer numerators a_i over one common denominator
 D = prod q in w = z^4, each mirror pair as one palindromic trinomial of
 which half is formed (_numerators), and reduces each a_i / D once;
 product_norm_sq forms the Bombieri-Weyl norm from the same numerators,
-||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f, exact for
-zero phases; the rotated (complex) shifts of a phased family take the
-precision of its point set.  |f'| at the roots reads the Parallel
-records, each factor's exact height and phase: every other factor's
-term (a - s)^2 + 4 a s sin^2, a and s exact powers of the squared
-moduli, comes from numerics.binomial_factors, the kernel the Theta
-grids share, under mp.mp or mp.iv at a caller-chosen precision.
+||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f so that
+both routes of one M share it, exact for zero phases; the rotated
+(complex) shifts of a phased family take the precision of its point
+set.  |f'| at the roots reads the Parallel records, each factor's
+exact height and phase: every other factor's term (a - s)^2 +
+4 a s sin^2, a and s exact powers of the squared moduli, comes from
+numerics.binomial_factors, the kernel the Theta grids share, under
+mp.mp or mp.iv at a caller-chosen precision.
 """
 
 from __future__ import annotations
@@ -273,8 +274,9 @@ def product_norm_sq(f: FactorizedPolynomial) -> Fraction | mp.mpf:
 
     one big-integer sum (i and N - i share their weight) and one division;
     for complex shifts (D = 1) an mpf at the working precision of the first
-    call.  Memoised on f's value, so the canonical polynomial and a
-    zero-phase family_polynomial share one entry."""
+    call.  Memoised on f's value, so the coefficient and spherical routes
+    of one M, each forming family_polynomial of its own point set, share
+    one entry."""
     a, D = _numerators(f)
     N = len(a) - 1
     weight, total = math.factorial(N), 0  # weight = i! (N - i)!

@@ -76,13 +76,6 @@ class SumCheck:
             "pass": self.passed,
         }
 
-    def csv_row(self) -> list[str]:
-        d = self.to_json_dict()
-        params = ";".join(f"{k}={v}" for k, v in sorted(d["params"].items()))
-        return [d["id"], params, d["value"], d["bound"], d["margin"], str(d["pass"])]
-
-
-CSV_HEADER = ["id", "params", "value", "bound", "margin", "pass"]
 
 
 # Exact rationals print as num/den up to this many bits per side
@@ -111,14 +104,6 @@ def _log_enclosure(n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
 def _inv_e4m1(prec_bits: int) -> Fraction:
     """Lower end of an enclosure of 1/(e^4 - 1), once per precision."""
     return interval_endpoints(lambda iv: 1 / (iv.exp(iv.mpf(4)) - 1), prec_bits)[0]
-
-
-@functools.lru_cache(maxsize=1 << 10)
-def _weighted_term(ell: int, prec_bits: int):
-    """mp.iv enclosure of ell^(1/3) (e/2)^(4/ell), once per (ell, precision)."""
-    iv = mp.iv
-    with context_precision(iv, prec_bits):
-        return iv.exp(iv.log(iv.mpf(ell)) / 3) * iv.exp((1 - iv.log(iv.mpf(2))) * 4 / ell)
 
 
 def r_sum(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> list[SumCheck]:
@@ -170,14 +155,15 @@ def _tail_checks(ell: int, M: int, envelope, companion, prec_bits: int) -> list[
 
 def _weighted_lhs(ms, prec_bits: int) -> dict[int, tuple[Fraction, Fraction]]:
     """{M: endpoints of the weighted sum's enclosure} at each M of ms,
-    accumulated once over ascending ell: every M's sum takes the same
-    interval additions, in the same order, as summing its terms afresh."""
-    out, ell = {}, 1
-    with context_precision(mp.iv, prec_bits):
-        acc = mp.iv.mpf(0)
+    accumulated once over ascending ell, each term ell^(1/3) (e/2)^(4/ell)
+    enclosed once: every M's sum takes the same interval additions, in
+    the same order, as summing its terms afresh."""
+    out, ell, iv = {}, 1, mp.iv
+    with context_precision(iv, prec_bits):
+        acc = iv.mpf(0)
         for M in sorted(ms):
             while ell < M:
-                acc += _weighted_term(ell, prec_bits)
+                acc += iv.exp(iv.log(iv.mpf(ell)) / 3) * iv.exp((1 - iv.log(iv.mpf(2))) * 4 / ell)
                 ell += 1
             out[M] = fraction_endpoints(acc)
     return out

@@ -421,6 +421,30 @@ def test_non_finite_phase_exits_2(tmp_path, capsys, angles):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("angle", ["1e1000000", "-1e100000", 2.0**256])
+def test_phase_of_magnitude_two_to_the_precision_exits_2(tmp_path, capsys, angle):
+    """An angle of magnitude 2^precision or more names no rotation: it is
+    refused before any work, not reduced at full length by every sin and
+    cos."""
+    phases = tmp_path / "ph.json"
+    phases.write_text(json.dumps([angle, 0, 0]))
+    out = tmp_path / "out"
+    for command in (["generate"], ["cond", "--route", "sphere"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--M", "2", "--phases", phases, "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not below 2^256 in magnitude" in err
+        assert not out.exists()
+
+
+def test_csv_row_reads_each_header_key_of_a_record():
+    record = {"M": 3, "lemma": "x", "pass": False, "params": {"M": 4, "ell": 1}, "extra": "y"}
+    header = ["lemma", "M", "absent", "params", "pass"]
+    assert cli._csv_row(header, record) == ["x", "3", "", "M=4;ell=1", "False"]
+
+
 @pytest.mark.parametrize(
     "argv,phases,workers",
     [

@@ -101,6 +101,76 @@ def unread_public_names(sources: dict[str, str], kept=frozenset()) -> list[str]:
     return sorted(unread)
 
 
+def scopes_of(source: str, match) -> list[str]:
+    """The dotted name of the function, method or class around each node
+    of source that match(node) accepts, "<module>" outside all of them,
+    in source order."""
+    found = []
+
+    def visit(node, scope):
+        if match(node):
+            found.append(scope or "<module>")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def side_key(node) -> bool:
+    """A dict display with a "side" key: the half of a two-sided cell."""
+    return isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value == "side" for k in node.keys
+    )
+
+
+def random_constructor(node) -> bool:
+    """A call of random.Random, or of Random imported bare."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "Random"
+
+
+def test_scope_checker_flags_planted_side_keys_and_generators():
+    src = (
+        "import random\n"
+        "_RNG = random.Random(1)\n"
+        "LIMITS = {'side': 'upper'}\n"
+        "class ComparisonMargins:\n"
+        "    def cells(self, p):\n"
+        "        return Cell({**p, 'side': 'lower'}), Cell({**p, 'side': 'upper'})\n"
+        "def _probe_grid(seed):\n"
+        "    return random.Random(seed)\n"
+        "def verify(p):\n"
+        "    from random import Random\n"
+        "    rng = Random(2)\n"
+        "    return Cell({**p, 'side': 'lower', 'seed': rng.random()}), {**p}\n"
+    )
+    assert scopes_of(src, side_key) == [
+        "<module>", "ComparisonMargins.cells", "ComparisonMargins.cells", "verify"
+    ]
+    assert scopes_of(src, random_constructor) == ["<module>", "_probe_grid", "verify"]
+
+
+def test_every_two_sided_cell_comes_from_comparison_margins():
+    """A cell's "side" key is built only by ComparisonMargins.cells, so
+    each two-sided bound is formed, and printed, in one place."""
+    sides = {
+        f"{p.stem}.{scope}" for p in MODULES for scope in scopes_of(p.read_text(), side_key)
+    }
+    assert sides == {"energy.ComparisonMargins.cells"}
+
+
+def test_energy_seeds_one_probe_grid():
+    """energy draws its seeded probe heights from one random.Random, in
+    _probe_grid, so every suite reads the same heights for a seed."""
+    source = (SRC / "energy.py").read_text()
+    assert scopes_of(source, random_constructor) == ["_probe_grid"]
+
+
 def test_checker_flags_an_unused_name():
     src = "from fractions import Fraction\nimport mpmath as mp\nx = mp.mpf(1)\n"
     assert unused_imports(src) == ["Fraction"]

@@ -237,6 +237,19 @@ def test_coordinates_match_each_point_formed_on_its_own(M, phases):
             assert max(abs(p.x - w.x), abs(p.y - w.y), abs(p.z - w.z)) <= tol
 
 
+def test_round_phase_refuses_an_angle_of_magnitude_two_to_the_precision():
+    """Below 2^prec an angle rounds once; at 2^prec and past it its ulp
+    is at least 2 rad and it is refused, as is a non-finite one."""
+    assert points.round_phase(2**256 - 1, 256) == 2**256 - 1
+    assert points.round_phase("-0.5", 64) == mp.mpf("-0.5")
+    for angle in (2**256, -(2**256), "1e1000000", "inf", "nan"):
+        with pytest.raises(ValueError):
+            points.round_phase(angle, 256)
+    with pytest.raises(ValueError, match="not below 2\\^256"):
+        build_point_set(2, phases=["1e1000000", "0", "0"])
+    assert build_point_set(2, phases=[2**256 - 1, 0, 0]).parallels[0].phase == 2**256 - 1
+
+
 def seeded_phases(M: int, seed: int) -> list[str]:
     rng = random.Random(seed)
     return [repr(rng.uniform(-3.2, 3.2)) for _ in range(2 * M - 1)]

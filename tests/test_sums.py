@@ -6,8 +6,9 @@ import mpmath as mp
 import pytest
 
 from wellcond import sums
+from wellcond.cli import SUMS_HEADER, _csv_row
 from wellcond.numerics import fmt_real, frac_str, fraction_from_mpf, interval_endpoints, to_mpf
-from wellcond.sums import CSV_HEADER, r_sum, sum_check_suite
+from wellcond.sums import r_sum, sum_check_suite
 
 PREC = 256
 
@@ -124,9 +125,9 @@ def test_weighted_sum_margin_positive():
 
 
 def test_weighted_sum_memoised_terms_match_a_fresh_enclosure():
-    """The memoised per-ell terms, summed in the same order, give the
-    values of enclosing every term afresh for each M, and the tail checks'
-    1/(e^4 - 1) is enclosed once per precision."""
+    """The running sum over ascending ell gives the values of enclosing
+    every term afresh for each M, and the tail checks' 1/(e^4 - 1) is
+    enclosed once per precision."""
     prec = 256
 
     def fresh_lhs(iv, M):
@@ -135,13 +136,11 @@ def test_weighted_sum_memoised_terms_match_a_fresh_enclosure():
             acc += iv.exp(iv.log(iv.mpf(ell)) / 3) * iv.exp((iv.mpf(1) - log2) * 4 / ell)
         return acc
 
-    sums._weighted_term.cache_clear()
     for M in (2, 5, 17, 64):
         lo, hi = interval_endpoints(lambda iv: fresh_lhs(iv, M), prec)
         (check,) = weighted_checks(M, prec)
         with mp.workprec(prec):
             assert check.value == to_mpf((lo + hi) / 2), M
-    assert sums._weighted_term.cache_info().currsize == 63
     sums._inv_e4m1.cache_clear()
     for ell, M in ((1, 5), (3, 9), (2, 40)):
         tail_checks(ell, M, prec)
@@ -291,15 +290,14 @@ def test_check_serialization_round_trip():
     d = check.to_json_dict()
     assert d["id"] == "r_sum_le_1_16"
     assert d["value"] == "1/16" and d["pass"] is True
-    row = check.csv_row()
-    assert len(row) == len(CSV_HEADER)
-    assert row[0] == d["id"] and row[-1] == "True"
+    row = _csv_row(SUMS_HEADER, d)
+    assert row == [d["id"], "M=2", d["value"], d["bound"], d["margin"], "True"]
 
 
 def test_huge_rationals_format_without_overflow():
     """Exact values beyond ~4000 digits fall back to decimal display."""
     checks = tail_checks(1, 64)
     for c in checks:
-        for cell in c.csv_row():
+        for cell in _csv_row(SUMS_HEADER, c.to_json_dict()):
             assert len(cell) < 5000
     assert all(c.passed for c in checks)
