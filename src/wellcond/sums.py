@@ -77,7 +77,6 @@ class SumCheck:
         }
 
 
-
 # Exact rationals print as num/den up to this many bits per side
 # (roughly 4000 decimal digits); larger ones fall back to a decimal at
 # the check's precision so reports stay readable.  Checks themselves always

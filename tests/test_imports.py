@@ -3,7 +3,8 @@ private module-level helper is used somewhere in the package, every
 public name is read by the program, the tracer or the acceptance tests,
 every function the benchmark tracer wraps exists, |f'| and the Theta grids
 share one binomial kernel, the energy alone takes the two-term kernel,
-and only numerics rounds an exact ratio."""
+only numerics rounds an exact ratio, only ComparisonMargins.cells builds
+a two-sided cell and energy seeds one probe grid."""
 
 import ast
 import importlib
