@@ -457,20 +457,22 @@ SUMS_HEADER = ["id", "params", "value", "bound", "margin", "pass"]
 
 def _verify_one(args, config: dict, phases: dict, M: int) -> Done:
     suite = verification_suite(M, args.precision, args.seed, args.informational)
-    dicts = [r.to_json_dict() for r in suite.reports]
+    rows = [
+        {"M": r.M, "lemma": r.lemma, "cells": len(r.cells), **r.printed_margins(),
+         "gated": r.gated, "pass": r.passed}
+        for r in suite.reports
+    ]
     if args.format == "json":
-        doc = {"config": config, "reports": dicts, "refused": suite.refused}
+        reports = [r.to_json_dict() for r in suite.reports]
+        doc = {"config": config, "reports": reports, "refused": suite.refused}
         files = [(f"verify_M{M}.json", _json_text(doc))]
     else:
-        rows = [
-            _csv_row(VERIFY_HEADER, {**d, "cells": len(d["cells"]), "gated": r.gated})
-            for r, d in zip(suite.reports, dicts)
-        ]
-        files = [(f"verify_M{M}.csv", _csv_text(VERIFY_HEADER, rows))]
+        csv_rows = [_csv_row(VERIFY_HEADER, row) for row in rows]
+        files = [(f"verify_M{M}.csv", _csv_text(VERIFY_HEADER, csv_rows))]
     out = [
-        f"M={M} {d['lemma']}: worst_margin={_short(d['worst_margin'])} "
-        f"pass={d['pass']}" + ("" if d["cells"] else " (no cells checked)")
-        for d in dicts
+        f"M={M} {row['lemma']}: worst_margin={_short(row['worst_margin'])} "
+        f"pass={row['pass']}" + ("" if row["cells"] else " (no cells checked)")
+        for row in rows
     ]
     out += [f"M={M} {r['lemma']}: refused ({r['reason']})" for r in suite.refused]
     return Done(files, out, ok=suite.passed)

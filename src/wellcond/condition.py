@@ -51,11 +51,8 @@ factor's term of |f'|^2, and each other parallel's Theta factor of a
 gap product, gap + rim sin^2, is smallest where every sin^2 is 0, which
 is at t = 0 on every parallel at once; so each parallel's mu peaks at
 its real root (certify_bound, mu_max_spherical_route).  by_orbit then
-evaluates one of them per orbit of the family's symmetry group,
-points.orbit_representative: the mirror j <-> 2M - j, exact because
-z^N P(1/z) = -P(z) and mu_norm is invariant under the rotation
-z -> 1/z of the Riemann sphere, leaves the M of parallels 1..M.  Every
-per_root entry, and under mp.iv its enclosure, is its
+evaluates parallels 1..M only, each mapped to it by points.mirror_index,
+and every per_root entry, under mp.iv its enclosure, is its
 representative's.  A phased point set is evaluated at every root.
 
 Distance products against a full parallel use the closed form
@@ -74,6 +71,9 @@ of pi) plus a radian offset phi, so sin^2(r (pi t + phi)/2) is exactly
 zero at a coincidence when phi = 0.  log_distance_products multiplies
 the factors over the parallels, then takes one log per query point; a
 coincidence makes a factor, so the product, exactly 0 and the log -inf.
+Where every parallel's relative offset is 0 it evaluates one turn per
+orbit of points.turn_representative, the quarter turn and the
+conjugation, and gives every turn its representative's value.
 
 Precision has one source per input: numerator_integral_log and
 point_gap_product_log read the prec_bits of the point set they take,
@@ -104,7 +104,7 @@ from .numerics import (
     to_fraction,
     to_mpf,
 )
-from .points import Parallel, PointSet, build_point_set, orbit_representative
+from .points import Parallel, PointSet, build_point_set, mirror_index, turn_representative
 from .polynomials import (
     derivative_modulus_at_root,
     factor_parallels,
@@ -246,19 +246,18 @@ def evaluated_roots(point_set: PointSet, parallels: Sequence[Parallel]) -> list[
     return [(par.index, t) for par in parallels for t in range(par.count)]
 
 
-def by_orbit(point_set: PointSet, points, evaluate):
-    """([(p{j}.k{t}, value)] in the order of `points`, {representative: value})
-    for (parallel j, azimuth t) pairs of the point set, evaluate(j, ts) called
-    once per parallel j on its representatives' ascending azimuths ts; a
-    representative is points.orbit_representative's when the point set is
-    symmetric (PointSet.symmetric), else the point itself."""
-    symmetric = point_set.symmetric
-    reps = [orbit_representative(point_set.M, j, t) if symmetric else (j, t) for j, t in points]
+def by_orbit(point_set: PointSet, points, evaluate) -> list[tuple[str, object]]:
+    """[(p{j}.k{t}, value)] in the order of `points` for (parallel j,
+    azimuth t) pairs of the point set, evaluate(j, ts) called once per
+    parallel j on its representatives' ascending azimuths ts; on a
+    symmetric point set (j, t) is represented on min(j, mirror_index(M, j))."""
+    M, symmetric = point_set.M, point_set.symmetric
+    reps = [(min(j, mirror_index(M, j)), t) if symmetric else (j, t) for j, t in points]
     turns: dict[int, list[int]] = {}
     for j, t in sorted(set(reps)):
         turns.setdefault(j, []).append(t)
     values = {(j, t): v for j, ts in turns.items() for t, v in zip(ts, evaluate(j, ts))}
-    return [(f"p{j}.k{t}", values[rep]) for (j, t), rep in zip(points, reps)], values
+    return [(f"p{j}.k{t}", values[rep]) for (j, t), rep in zip(points, reps)]
 
 
 def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx):
@@ -304,16 +303,14 @@ def mu_max_coefficient_route(
     """max mu over all roots of the family polynomial of M and the phases
     of points.build_point_set, coefficient route.
 
-    mu is evaluated at evaluated_roots, in factor order: with every phase
-    0 at the real roots, where each parallel's mu peaks (certify_bound
-    proves it), so per_root lists the 2M - 1 real roots p{j}.k0 and
-    by_orbit evaluates the M of parallels 1..M; a phased family is
-    evaluated at and lists every root.
+    mu is evaluated by by_orbit at evaluated_roots, in factor order: with
+    every phase 0 the real roots, where each parallel's mu peaks
+    (certify_bound proves it).
     """
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
     with mp.workprec(prec_bits):  # a phased ||f||^2 is an mpf at this precision
         norm_sq = product_norm_sq(family_polynomial(point_set))
-    per_root, _ = _log_mu_per_root(point_set, norm_sq, prec_bits, mp.mp)
+    per_root = _log_mu_per_root(point_set, norm_sq, prec_bits, mp.mp)
     return _float_report(M, "coefficient", prec_bits, per_root)
 
 
@@ -402,18 +399,24 @@ def log_distance_products(
     The query heights' powers are formed once (query_powers, one chain
     over the parallels' exponents), the Theta grids' factors multiplied
     over the parallels, and each query takes one log; a coincidence with
-    a point of a zero-offset parallel gives -inf.
+    a point of a zero-offset parallel gives -inf.  When every offset -
+    phase is 0, each turn reads its points.turn_representative's column.
     """
+    if all(par.phase == offset for par in parallels):
+        turns = [turn_representative(t) for t in turns]
+    column = {t: m for m, t in enumerate(dict.fromkeys(turns))}
+    distinct, picks = list(column), [column[t] for t in turns]
     powers = query_powers(heights, [par.count // 2 for par in parallels])
     with mp.workprec(prec_bits):
-        products = [[mp.mpf(1)] * len(turns) for _ in heights]
+        products = [[mp.mpf(1)] * len(distinct) for _ in heights]
         for par in parallels:
             factors = theta_product_log_turn(
-                par.count, par.height, heights, turns, prec_bits, offset - par.phase,
+                par.count, par.height, heights, distinct, prec_bits, offset - par.phase,
                 powers[par.count // 2],
             )
             products = [[p * f for p, f in zip(row, fs)] for row, fs in zip(products, factors)]
-        return [[mp.log(p) / 2 for p in row] for row in products]
+        logs = [[mp.log(p) / 2 for p in row] for row in products]
+    return [[row[m] for m in picks] for row in logs]
 
 
 def parallel_self_product_log(
@@ -497,10 +500,7 @@ def mu_max_spherical_route(
     gap >= 0 and rim >= 0 depend only on the two heights, and
     its own parallel's product does not depend on k, so every factor, and
     the gap product, is smallest at k = 0, where every sin^2 is 0.  So the
-    route evaluates evaluated_roots in parallel order: per_root lists
-    the 2M - 1 real points p{j}.k0 and by_orbit evaluates the M of
-    parallels 1..M; a phased family is evaluated at and lists every
-    point.
+    route evaluates by_orbit at evaluated_roots, in parallel order.
     """
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
     num = numerator_integral_log(point_set)
@@ -511,7 +511,7 @@ def mu_max_spherical_route(
             + (mp.log(N) + mp.log(N + 1)) / 2
             + num.log_value / 2
         )
-        per_root, _ = by_orbit(
+        per_root = by_orbit(
             point_set, evaluated_roots(point_set, point_set.parallels),
             lambda j, ks: [base - g for g in point_gap_product_log(point_set, j, ks)],
         )
@@ -533,9 +533,8 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
     root's own factor, r_j rho_j^(r_j - 1), and (1 + rho_j^2)^(N-2) ||f||^2
     do not depend on t.
     So mu(f, z_t) <= mu(f, rho_j), and mu_max is the largest mu at the
-    real roots (j, 0), evaluated_roots of the zero-phase family, of which
-    by_orbit evaluates the M representatives j <= M.  It encloses log mu
-    there under mp.iv and compares the exact endpoints of the resulting
+    real roots (j, 0), evaluated_roots of the zero-phase family, which
+    by_orbit evaluates.  It encloses log mu there under mp.iv and compares the exact endpoints of the resulting
     mu_max^2 enclosure against each threshold
     of BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N), doubling the interval
     precision until each verdict resolves or it reaches
@@ -549,8 +548,8 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
     norm_sq = product_norm_sq(family_polynomial(point_set))
     iv_prec = prec_bits
     while True:
-        per_root, values = _log_mu_per_root(point_set, norm_sq, iv_prec, mp.iv)
-        top = [max(lm.a for lm in values.values()), max(lm.b for lm in values.values())]
+        per_root = _log_mu_per_root(point_set, norm_sq, iv_prec, mp.iv)
+        top = [max(lm.a for _, lm in per_root), max(lm.b for _, lm in per_root)]
         sq_lo, sq_hi = interval_endpoints(lambda iv: iv.exp(2 * iv.mpf(top)), iv_prec)
         verdicts = _bound_verdicts(N, sq_lo, sq_hi)
         if all(v is not None for v in verdicts.values()) or iv_prec >= cap_bits:
@@ -562,9 +561,7 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
         mu_hi = mp.sqrt(to_mpf(sq_hi))
         mu_mid = (mu_lo + mu_hi) / 2
         log_mu = mp.log(mu_mid)
-        # an orbit's roots share one interval object: one conversion each
-        mids = {id(lm): to_mpf(sum(fraction_endpoints(lm)) / 2) for lm in values.values()}
-        per_root = [(rid, mids[id(lm)]) for rid, lm in per_root]
+        per_root = [(rid, to_mpf(sum(fraction_endpoints(lm)) / 2)) for rid, lm in per_root]
         # Verdicts come from the exact rational comparison above; the
         # extras are decimal views of the enclosure, widened by an ulp
         # so lo <= true mu_max <= hi survives the formatting rounding.

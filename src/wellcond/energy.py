@@ -65,10 +65,9 @@ probes by two bisections over the probe heights, ranked once; and the
 distance products through the Theta grids of
 condition.theta_product_log_turn in product form: each probe height's
 exact powers once, the linear factors multiplied over the parallels,
-one log per query point, at one turn per orbit of
-points.turn_representative.  The single-pair expected_log_parallel and
-band_integral evaluate the same cores (_height, _band) as the suites'
-hoisted loops.
+one log per query point and turn orbit.  The single-pair
+expected_log_parallel and band_integral evaluate the same cores
+(_height, _band) as the suites' hoisted loops.
 
 Heights (t, h, c, eps) are exact rationals: every public function here
 converts its height arguments once at entry with numerics.to_fraction,
@@ -107,7 +106,7 @@ from .numerics import (
     to_mpf,
     two_term_log,
 )
-from .points import Parallel, PointSet, build_parallels, build_point_set, turn_representative
+from .points import Parallel, PointSet, build_parallels, build_point_set, mirror_index
 
 HYPOTHESIS_MIN_M = 5  # the smallest M the sharpened bounds are proved for
 
@@ -372,14 +371,14 @@ def log_energy(point_set: PointSet) -> EnergyReport:
     weight per factor, one kernel call per factor pair with R = lcm(r_k,
     r_l) and theta = R (phi_k - phi_l); a repeated root gives -inf.
 
-    On a symmetric point set (PointSet.symmetric) the mirror k <-> 2M - k
-    maps the pair (k, l) to one with the same R and log rho^2 values
+    On a symmetric point set (PointSet.symmetric) points.mirror_index
+    maps the pair (j, l) to one with the same R and log rho^2 values
     negated, so the same L and log(gap + rim sin^2), taken once per orbit
     of pairs; each pair's base is R times the larger of its own two logs."""
     prec_bits = point_set.prec_bits
-    N = point_set.N
+    M, N = point_set.M, point_set.N
     pars = point_set.parallels
-    mirror = len(pars) - 1 if point_set.symmetric else None
+    symmetric = point_set.symmetric
     with mp.workprec(prec_bits):
         logs = [log_fraction(mp.mp, (1 + par.height) / (1 - par.height)) for par in pars]
         total = N * (N - 1) * mp.log(2)
@@ -388,16 +387,17 @@ def log_energy(point_set: PointSet) -> EnergyReport:
             total += r * mp.log(r) + r * (r - 1) * ell / 2 + (N - 1) * r * log_w
         shared = {}  # the mirror pair's log(gap + rim sin^2), awaiting it
         for k, (a, log_a) in enumerate(zip(pars, logs)):
-            for m, (b, log_b) in enumerate(zip(pars[k + 1 :], logs[k + 1 :]), k + 1):
+            for b, log_b in zip(pars[k + 1 :], logs[k + 1 :]):
                 g = math.gcd(a.count, b.count)
                 R = a.count // g * b.count
-                term = shared.pop((k, m), None)
+                term = shared.pop((a.index, b.index), None)
                 if term is None:
                     base, gap, rim = two_term_log(mp.mp, R, log_a, log_b)
                     sin_sq = sin_sq_pi(mp.mp, 0, R * (a.phase - b.phase) / 2)
                     term = mp.log(gap + rim * sin_sq)
-                    if mirror is not None and k + m < mirror:
-                        shared[mirror - m, mirror - k] = term
+                    pair = (mirror_index(M, b.index), mirror_index(M, a.index))
+                    if symmetric and pair > (a.index, b.index):  # the mirror pair comes later
+                        shared[pair] = term
                 else:
                     base = R * max(log_a, log_b)
                 total += g * (base + term)
@@ -471,16 +471,22 @@ class VerificationReport:
         """Every margin within tolerance; an empty grid never passes."""
         return bool(self.cells and self.worst_margin >= -self.tolerance)
 
-    def to_json_dict(self) -> dict:
+    def printed_margins(self) -> dict:
+        """worst_margin and tolerance as to_json_dict prints them."""
         prec = self.precision_bits
+        return {
+            "worst_margin": fmt_real(self.worst_margin, prec),
+            "tolerance": fmt_real(self.tolerance, prec),
+        }
+
+    def to_json_dict(self) -> dict:
         return {
             "lemma": self.lemma,
             "hypothesis": self.hypothesis,
             "M": self.M,
             "grid": self.grid,
-            "cells": [c.to_json_dict(prec) for c in self.cells],
-            "worst_margin": fmt_real(self.worst_margin, prec),
-            "tolerance": fmt_real(self.tolerance, prec),
+            "cells": [c.to_json_dict(self.precision_bits) for c in self.cells],
+            **self.printed_margins(),
             "pass": self.passed,
             "notes": list(self.notes),
         }
@@ -710,9 +716,7 @@ def verify_numerator(
                     + (2/ell)(1 - log 2).
     The queries are the first M bands of _probe_grid at each turn of
     AZIMUTH_TURNS; one that hits a family point exactly is skipped with
-    a note.  The products are evaluated at the representative turns
-    (points.turn_representative) only; every other turn's cells hold its
-    representative's.
+    a note.
     """
     ps = build_point_set(M, prec_bits=prec_bits)
     kap = kappa(prec_bits)
@@ -722,12 +726,9 @@ def verify_numerator(
     probes = _probe_grid(ps.parallels[:M], seed)
     heights = [c for cs in probes for c in cs]
     turn_strs = [frac_str(turn) for turn in AZIMUTH_TURNS]
-    reps = [turn_representative(turn) for turn in AZIMUTH_TURNS]
-    columns = sorted(set(reps))
-    picks = [columns.index(rep) for rep in reps]
     with mp.workprec(prec_bits):
         s_values = iter(_s_n_values(heights, ps))
-        lhs_rows = iter(log_product_to_set(heights, columns, ps))
+        lhs_rows = iter(log_product_to_set(heights, AZIMUTH_TURNS, ps))
         for ell, cs in enumerate(probes, 1):
             exp_rhs = (
                 mp.log(2)
@@ -739,8 +740,7 @@ def verify_numerator(
             for c in cs:
                 sum_rhs = next(s_values) + mp.log(2) + mp.mpf(1) / 2
                 c_str = frac_str(c)
-                row = next(lhs_rows)
-                for turn_str, lhs in zip(turn_strs, [row[i] for i in picks]):
+                for turn_str, lhs in zip(turn_strs, next(lhs_rows)):
                     params = {"band": ell, "c": c_str, "turn": turn_str}
                     if lhs == mp.mpf("-inf"):
                         notes.append(
@@ -766,9 +766,6 @@ def verify_denominator(
 
     Against the parallel sum:  >= S_N(h) + log(2 sqrt(2) M) - 1/8.
     Absolute floor:            >= (1/2) log(2N) - kappa N - 9/8.
-
-    The gap products are evaluated at the orbit representatives only
-    (condition.by_orbit); every point's cell holds its representative's.
     """
     ps = build_point_set(M, prec_bits=prec_bits)
     kap = kappa(prec_bits)
@@ -777,11 +774,8 @@ def verify_denominator(
     with mp.workprec(prec_bits):
         abs_rhs = mp.log(2 * ps.N) / 2 - kap * ps.N - mp.mpf(9) / 8
         s_values = _s_n_values([par.height for par in ps.parallels], ps)
-        gap_logs, _ = by_orbit(
-            ps, [(par.index, k) for par in ps.parallels for k in range(par.count)],
-            lambda j, ks: point_gap_product_log(ps, j, ks),
-        )
-        gap_logs = iter(gap_logs)
+        points = [(par.index, k) for par in ps.parallels for k in range(par.count)]
+        gap_logs = iter(by_orbit(ps, points, functools.partial(point_gap_product_log, ps)))
         for par, s_val in zip(ps.parallels, s_values):
             sum_rhs = s_val + mp.log(2 * mp.sqrt(2) * M) - mp.mpf(1) / 8
             for k in range(par.count):

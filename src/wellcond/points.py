@@ -21,11 +21,12 @@ distinct ring: the azimuth of point k on parallel j is the exact turn
 offset, both evaluated by numerics.cos_pi_fraction, for k < r_j/4 only;
 the other three quarters are exact quarter turns of the first's
 strings, so a coordinate may differ from cos and sin taken point by
-point in its last digits.  orbit_representative declares the
-zero-phase family's symmetry group, under which its printed
-coordinates are invariant up to sign and order, PointSet.symmetric
-whether a point set is such a family, and turn_representative the
-group's action on the azimuth of a query point.
+point in its last digits.
+
+The zero-phase family (PointSet.symmetric) is invariant under a group
+declared here once: turn_representative is its action on an azimuth
+turn (the quarter turn and the conjugation), mirror_index the mirror
+of a parallel across the equator.
 """
 
 from __future__ import annotations
@@ -95,8 +96,7 @@ class PointSet:
 
     @property
     def symmetric(self) -> bool:
-        """Whether orbit_representative's group maps the point set onto
-        itself, which is when every phase is 0."""
+        """Whether every phase is 0, which makes the point set invariant."""
         return all(par.phase == 0 for par in self.parallels)
 
     def to_json_dict(self) -> dict:
@@ -203,23 +203,22 @@ def build_point_set(
     return PointSet(M=M, N=4 * M * M, parallels=parallels, prec_bits=prec_bits)
 
 
-def orbit_representative(M: int, index: int, k: int) -> tuple[int, int]:
-    """The orbit representative (min(j, 2M - j), min(k mod r/4, r/4 - k mod r/4))
-    of point or root k of parallel j = index under the quarter turn k -> k + r/4,
-    the conjugation k -> -k and the mirror j <-> 2M - j: on the roots of the real
-    P(z) = Q(z^4), z -> iz, conj(z) and 1/z, the last exact since z^N P(1/z) =
-    -P(z) and mu_norm is invariant under that rotation of the Riemann sphere
-    (Shub & Smale, Complexity of Bezout's theorem I)."""
-    quarter = min(index, 2 * M - index)  # both the mirror's j and r_j / 4
-    k %= quarter
-    return quarter, min(k, quarter - k)
+def mirror_index(M: int, index: int) -> int:
+    """The parallel 2M - j that the mirror h -> -h maps parallel j = index
+    onto: on the roots of the real P(z) = Q(z^4), z -> 1/z, exact since
+    z^N P(1/z) = -P(z) and mu_norm is invariant under that rotation of the
+    Riemann sphere (Shub & Smale, Complexity of Bezout's theorem I)."""
+    return 2 * M - index
 
 
 def turn_representative(turn) -> Fraction:
-    """The representative in [0, 1/4] of a query's azimuth turn t (a
+    """The representative in [0, 1/4] of a rational azimuth turn t (a
     multiple of pi) under the quarter turn t -> t + 1/2 and the conjugation
-    t -> -t of orbit_representative.  Every r_j is a multiple of 4, so both
-    map each zero-phase parallel onto itself, and a query at (c, pi t) has
-    the distances to the family of the query at (c, pi * representative)."""
-    t = Fraction(turn) % Fraction(1, 2)
-    return min(t, Fraction(1, 2) - t)
+    t -> -t, z -> iz and conj(z) on the roots.  Every r_j is a multiple of
+    4, so both map each zero-phase parallel onto itself, and a query at
+    (c, pi t) has the distances to the family of the query at
+    (c, pi * representative).  For t = p/d it is min(n, d - n) / 2d with
+    n = 2p mod d."""
+    t = turn if isinstance(turn, Fraction) else Fraction(turn)
+    n = 2 * t.numerator % t.denominator
+    return Fraction(min(n, t.denominator - n), 2 * t.denominator)

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from wellcond import cli, condition, points
+from wellcond import cli, condition, energy, points
 from wellcond.cli import main
 from wellcond.condition import mu_max_coefficient_route, route_tolerance
 from wellcond.energy import verify_t_bounds
@@ -187,6 +187,30 @@ def test_verify_m5_all_pass(tmp_path):
     d = read_json(tmp_path / "verify_M5.json")
     assert len(d["reports"]) == 9
     assert all(r["pass"] for r in d["reports"])
+
+
+def test_verify_csv_formats_no_cell(tmp_path, monkeypatch, capsys):
+    """A CSV run reads each report's cell count and printed margins, never
+    a cell's strings, and its rows and console lines carry what the JSON
+    run prints."""
+    argv = ["verify", "--M", "5", "--sums-max", "4"]
+    assert run([*argv, "--out", tmp_path]) == 0
+    json_out = capsys.readouterr().out
+    reports = read_json(tmp_path / "verify_M5.json")["reports"]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a CSV run formatted a cell")
+
+    monkeypatch.setattr(energy.Cell, "to_json_dict", forbidden)
+    assert run([*argv, "--format", "csv", "--out", tmp_path]) == 0
+    assert capsys.readouterr().out == json_out
+    header, *rows = read_rows(tmp_path / "verify_M5.csv")
+    assert [dict(zip(header, row)) for row in rows] == [
+        {"M": "5", "lemma": r["lemma"], "cells": str(len(r["cells"])),
+         "worst_margin": r["worst_margin"], "tolerance": r["tolerance"],
+         "gated": "True", "pass": str(r["pass"])}
+        for r in reports
+    ]
 
 
 def test_verify_seed_determinism(tmp_path):

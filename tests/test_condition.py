@@ -25,7 +25,7 @@ from wellcond.condition import (
     theta_product_log_turn,
 )
 from wellcond.numerics import fmt_real, fraction_endpoints, gauss_legendre, to_mpf
-from wellcond.points import build_parallels, build_point_set, orbit_representative
+from wellcond.points import build_parallels, build_point_set
 from wellcond.polynomials import (
     bombieri_norm_sq,
     canonical_polynomial,
@@ -193,8 +193,9 @@ def test_spherical_route_symmetry_reduction_identical():
 
 @pytest.mark.parametrize("M", range(1, 9))
 def test_orbit_reduced_per_root_matches_full_evaluation(M):
-    """Every root's log mu, filled from its orbit representative, equals
-    the evaluation of all factors at all turns: within 2^-(prec-16) under
+    """Every root's log mu, filled from its mirror representative on
+    parallels 1..M, which by_orbit evaluates at every turn, equals the
+    evaluation of all factors at all turns: within 2^-(prec-16) under
     mp, and under mp.iv each representative's enclosure overlaps the
     full evaluation's enclosure of every root of its orbit.  The
     coefficient route lists the full evaluation's real roots k = 0."""
@@ -222,23 +223,26 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
     roots = [(par.index, t) for par in pars for t in range(par.count)]
     ps = build_point_set(M, prec_bits=prec)
     by_index = {par.index: par for par in pars}
-    orbits = {}
+    orbits, evaluated = {}, {}
     for ctx in (mp.mp, mp.iv):
         scale = log_scale(N, norm_sq, prec, ctx)
-        orbits[ctx] = by_orbit(
-            ps, roots,
-            lambda j, ts: log_mu_at_root(
-                by_index[j], [p for p in pars if p.index != j], *scale, prec, ctx, ts
-            ),
-        )
-    per_root, values = orbits[mp.mp]
-    assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
+        evaluated[ctx] = []
+
+        def evaluate(j, ts, ctx=ctx, scale=scale):
+            evaluated[ctx] += [(j, t) for t in ts]
+            others = [p for p in pars if p.index != j]
+            return log_mu_at_root(by_index[j], others, *scale, prec, ctx, ts)
+
+        orbits[ctx] = by_orbit(ps, roots, evaluate)
+    mirror_reps = [(j, t) for j in range(1, M + 1) for t in range(4 * j)]
+    per_root = orbits[mp.mp]
+    assert evaluated[mp.mp] == mirror_reps
     assert [rid for rid, _ in per_root] == [rid for rid, _ in full[mp.mp]]
     with mp.workprec(prec):
         for (rid, got), (_, want) in zip(per_root, full[mp.mp]):
             assert abs(got - want) < tol, rid
-    per_root, values = orbits[mp.iv]
-    assert len(values) == sum(j // 2 + 1 for j in range(1, M + 1))
+    per_root = orbits[mp.iv]
+    assert evaluated[mp.iv] == mirror_reps
     for (rid, enclosure), (full_rid, full_enclosure) in zip(per_root, full[mp.iv]):
         assert rid == full_rid
         lo, hi = fraction_endpoints(enclosure)
@@ -265,10 +269,10 @@ def evaluated(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("M", [3, 5])
 def test_symmetry_declaration_is_the_only_reduction(M, monkeypatch, evaluated):
-    """With points.orbit_representative replaced by the trivial group,
-    every route evaluates every real root or point, where it evaluates M
-    (one per mirror pair) under the declared group, and mu_max and the
-    verdicts stay as they are."""
+    """With points.mirror_index and points.turn_representative replaced by
+    the trivial group, every route evaluates every real root or point,
+    where it evaluates M (one per mirror pair) under the declared group,
+    and mu_max and the verdicts stay as they are."""
     prec = 256
     counts = dict.fromkeys(  # route -> (declared, trivial)
         (mu_max_coefficient_route, certify_bound, mu_max_spherical_route), (M, 2 * M - 1)
@@ -276,7 +280,8 @@ def test_symmetry_declaration_is_the_only_reduction(M, monkeypatch, evaluated):
     reports = {}
     for group in ("declared", "trivial"):
         if group == "trivial":
-            monkeypatch.setattr(condition, "orbit_representative", lambda M, j, k: (j, k))
+            monkeypatch.setattr(condition, "mirror_index", lambda M, j: j)
+            monkeypatch.setattr(condition, "turn_representative", Fraction)
         for route, (declared, trivial) in counts.items():
             evaluated.clear()
             rep = route(M, prec)

@@ -19,6 +19,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from wellcond import condition
 from wellcond.condition import point_gap_product_log, theta_product_log_turn
 from wellcond.energy import (
     AZIMUTH_TURNS,
@@ -47,7 +48,7 @@ from wellcond.numerics import (
     to_mpf,
     two_term_log,
 )
-from wellcond.points import build_point_set, orbit_representative, turn_representative
+from wellcond.points import build_point_set, mirror_index, turn_representative
 from sphere_oracle import (
     SpherePoint,
     coordinates_by_point,
@@ -191,6 +192,65 @@ def test_gap_products_per_parallel_match_per_point(M, phases):
         # the quarter-turn representatives the spherical route asks for
         quarter = range(par.count // 4)
         assert point_gap_product_log(ps, par.index, quarter) == want[: len(quarter)]
+
+
+@pytest.fixture
+def asked_turns(monkeypatch) -> list[list[Fraction]]:
+    """The turns of each theta_product_log_turn call, in call order."""
+    asked = []
+
+    def spy(r, h, heights, turns, *args):
+        asked.append(list(turns))
+        return theta_product_log_turn(r, h, heights, turns, *args)
+
+    monkeypatch.setattr(condition, "theta_product_log_turn", spy)
+    return asked
+
+
+@pytest.mark.parametrize("M", range(2, 9))
+def test_zero_phase_grids_give_each_turn_its_representatives_value(M, asked_turns):
+    """On a zero-phase family the point products and the gap products of
+    every turn are exactly (==) those of its turn_representative, and
+    the Theta grids are asked for the distinct representatives only."""
+    ps = build_point_set(M, prec_bits=PREC)
+    heights = edge_heights(ps)[::3]
+    turns = [Fraction(m, 16) for m in range(-8, 24)]
+    reps = [turn_representative(t) for t in turns]
+    grid = log_product_to_set(heights, turns, ps)
+    assert asked_turns == [list(dict.fromkeys(reps))] * len(ps.parallels)
+    asked_turns.clear()
+    rep_grid = log_product_to_set(heights, reps, ps)
+    assert grid == rep_grid
+    assert asked_turns == [list(dict.fromkeys(reps))] * len(ps.parallels)
+    for par in ps.parallels:
+        asked_turns.clear()
+        got = point_gap_product_log(ps, par.index, range(par.count))
+        turns = [Fraction(2 * k, par.count) for k in range(par.count)]
+        distinct = list(dict.fromkeys(map(turn_representative, turns)))
+        assert asked_turns == [distinct] * (len(ps.parallels) - 1), par.index
+        for k, turn in enumerate(turns):
+            rep_k = int(turn_representative(turn) * par.count / 2)
+            (want,) = point_gap_product_log(ps, par.index, [rep_k])
+            assert got[k] == want, (par.index, k)
+
+
+@pytest.mark.parametrize("M", sorted(PHASED))
+def test_phased_grids_evaluate_every_turn(M, asked_turns):
+    """On a phased family every turn is evaluated, and each value equals
+    its per-query oracle."""
+    ps = build_point_set(M, phases=PHASED[M], prec_bits=PREC)
+    heights = edge_heights(ps)
+    turns = [Fraction(m, 16) for m in range(-8, 24)]
+    grid = log_product_to_set(heights, turns, ps)
+    assert asked_turns == [turns] * len(ps.parallels)
+    for c, row in zip(heights, grid, strict=True):
+        assert row == [log_product_by_query(c, t, ps, PREC) for t in turns], c
+    for par in ps.parallels:
+        asked_turns.clear()
+        got = point_gap_product_log(ps, par.index, range(par.count))
+        want_turns = [Fraction(2 * k, par.count) for k in range(par.count)]
+        assert asked_turns == [want_turns] * (len(ps.parallels) - 1), par.index
+        assert got == [gap_product_by_point(ps, par.index, k, PREC) for k in range(par.count)]
 
 
 def assert_close(got, want, where):
@@ -370,8 +430,10 @@ def test_suites_match_one_query_oracles(M, seed):
     with mp.workprec(PREC):
         for par in ps.parallels:
             rhs = s_n_by_parallel(par.height, ps) + mp.log(2 * mp.sqrt(2) * M) - mp.mpf(1) / 8
+            rep_index = min(par.index, mirror_index(M, par.index))
             for k in range(par.count):
-                lhs = gap_product_by_point(ps, *orbit_representative(M, par.index, k), PREC)
+                rep_k = turn_representative(Fraction(2 * k, par.count)) * par.count / 2
+                lhs = gap_product_by_point(ps, rep_index, int(rep_k), PREC)
                 own = gap_product_by_point(ps, par.index, k, PREC)
                 assert abs(lhs - own) < mp.mpf(2) ** (16 - PREC), (par.index, k)
                 cells.append(({"parallel": par.index, "k": k}, lhs, rhs, lhs - rhs))

@@ -4,7 +4,8 @@ public name is read by the program, the tracer or the acceptance tests,
 every function the benchmark tracer wraps exists, |f'| and the Theta grids
 share one binomial kernel, the energy alone takes the two-term kernel,
 only numerics rounds an exact ratio, only ComparisonMargins.cells builds
-a two-sided cell and energy seeds one probe grid."""
+a two-sided cell, energy seeds one probe grid and one function applies
+each half of the family's symmetry group."""
 
 import ast
 import importlib
@@ -349,3 +350,42 @@ def test_one_product_over_the_parallels_for_every_theta_grid():
         "condition.point_gap_product_log",
         "energy.log_product_to_set",
     }
+
+
+def reads_of(name: str):
+    """A matcher for a load of `name`, bare or as an attribute."""
+
+    def match(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == name
+
+    return match
+
+
+def test_reads_checker_flags_planted_reads_of_the_group():
+    src = (
+        "from .points import mirror_index, turn_representative\n"
+        "def by_orbit(M, j):\n    return min(j, mirror_index(M, j))\n"
+        "def verify_numerator(turns):\n"
+        "    return sorted({points.turn_representative(t) for t in turns})\n"
+        "def log_energy(M, j):\n    mirror = mirror_index\n    return mirror(M, j)\n"
+    )
+    assert scopes_of(src, reads_of("mirror_index")) == ["by_orbit", "log_energy"]
+    assert scopes_of(src, reads_of("turn_representative")) == ["verify_numerator"]
+
+
+def test_one_place_applies_each_half_of_the_symmetry_group():
+    """points declares the zero-phase family's group once: in src/ only
+    condition.log_distance_products applies its turn action,
+    turn_representative, and only condition.by_orbit and
+    energy.log_energy read the mirror, mirror_index."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+
+    def readers(name):
+        return {
+            f"{mod}.{scope}" for mod, src in sources.items() for scope in scopes_of(src, reads_of(name))
+        }
+
+    assert readers("turn_representative") == {"condition.log_distance_products"}
+    assert readers("mirror_index") == {"condition.by_orbit", "energy.log_energy"}

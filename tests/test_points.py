@@ -8,7 +8,7 @@ import pytest
 
 from wellcond import points
 from wellcond.numerics import fmt_real, to_fraction, to_mpf
-from wellcond.points import build_parallels, build_point_set, orbit_representative
+from wellcond.points import build_parallels, build_point_set, mirror_index, turn_representative
 from sphere_oracle import SpherePoint, coordinates_by_point, inverse_stereographic, stereographic
 
 PHASED = [
@@ -181,21 +181,43 @@ def test_phases_are_rounded_at_the_point_set_precision():
     assert ps.parallels[0].phase._mpf_[3] > 53  # mantissa bits
 
 
+def orbit_point(M: int, j: int, k: int, count: int) -> tuple[int, int]:
+    """The (parallel, azimuth index) representative of point k of parallel
+    j, which has `count` points, under turn_representative and the mirror."""
+    turn = turn_representative(Fraction(2 * k, count))
+    return min(j, mirror_index(M, j)), int(turn * count / 2)
+
+
 @pytest.mark.parametrize("M,orbits", [(1, 1), (4, 8), (5, 11), (8, 24)])
 def test_orbit_representatives(M, orbits):
-    """The representative is constant under the quarter turn, the
-    conjugation and the mirror, is its own representative, and sits on
-    parallels 1..M at azimuths 0..r/8: 8 orbits over 64 points at M = 4,
-    11 over 100 at M = 5 and 24 over 256 at M = 8."""
+    """turn_representative lies in [0, 1/4], is its own representative and
+    is constant under the quarter turn t -> t + 1/2 and the conjugation
+    t -> -t, on every family turn a point of the same parallel; the
+    mirror is an involution that fixes only the equator j = M.  Together
+    they leave 8 orbits over 64 points at M = 4, 11 over 100 at M = 5
+    and 24 over 256 at M = 8, each represented on parallels 1..M at
+    azimuths 0..r/8."""
+    half = Fraction(1, 2)
+    for j in range(1, 2 * M):
+        assert mirror_index(M, mirror_index(M, j)) == j
+        assert (mirror_index(M, j) == j) == (j == M)
+    rng = random.Random(M)
+    turns = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(50)]
+    for t in [0, 1, -3, *turns]:
+        rep = turn_representative(t)
+        assert 0 <= rep <= half / 2 and turn_representative(rep) == rep
+        assert turn_representative(t + half) == rep == turn_representative(-t)
+        assert rep == min(Fraction(t) % half, half - Fraction(t) % half)
     reps = set()
     for par in build_parallels(M):
         r = par.count
         for k in range(r):
-            rep = orbit_representative(M, par.index, k)
-            assert rep == orbit_representative(M, par.index, (k + r // 4) % r)
-            assert rep == orbit_representative(M, par.index, -k % r)
-            assert rep == orbit_representative(M, 2 * M - par.index, k)
-            assert orbit_representative(M, *rep) == rep
+            rep = orbit_point(M, par.index, k, r)
+            assert rep == orbit_point(M, par.index, (k + r // 4) % r, r)
+            assert rep == orbit_point(M, par.index, -k % r, r)
+            assert rep == orbit_point(M, 2 * M - par.index, k, r)
+            assert orbit_point(M, *rep, r) == rep
+            assert (turn_representative(Fraction(2 * k, r)) * r / 2).denominator == 1
             assert 1 <= rep[0] <= M and 0 <= 8 * rep[1] <= r
             reps.add(rep)
     assert len(reps) == orbits
@@ -204,17 +226,18 @@ def test_orbit_representatives(M, orbits):
 @pytest.mark.parametrize("M", [*range(1, 9), 22])
 def test_zero_phase_points_are_invariant_under_the_group(M):
     """Every printed point of a zero-phase family has the strings of its
-    orbit_representative point up to the signs and the order of x and y
-    (the quarter turn and the conjugation) and the sign of z (the
-    mirror)."""
+    orbit_point up to the signs and the order of x and y (the quarter
+    turn and the conjugation) and the sign of z (the mirror)."""
 
     def magnitudes(p):
         x, y, z = (v.removeprefix("-") for v in p)
         return sorted([x, y]), z
 
-    printed = printed_rows(build_point_set(M))
+    ps = build_point_set(M)
+    printed = printed_rows(ps)
     for (j, k), p in printed.items():
-        assert magnitudes(p) == magnitudes(printed[orbit_representative(M, j, k)]), (j, k)
+        rep = orbit_point(M, j, k, ps.parallels[j - 1].count)
+        assert magnitudes(p) == magnitudes(printed[rep]), (j, k)
 
 
 @pytest.mark.parametrize(
