@@ -400,7 +400,8 @@ def log_distance_products(
     over the parallels' exponents), the Theta grids' factors multiplied
     over the parallels, and each query takes one log; a coincidence with
     a point of a zero-offset parallel gives -inf.  When every offset -
-    phase is 0, each turn reads its points.turn_representative's column.
+    phase is 0, each turn reads its points.turn_representative's column,
+    since every family count is a multiple of 4.
     """
     if all(par.phase == offset for par in parallels):
         turns = [turn_representative(t) for t in turns]
@@ -534,8 +535,9 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
     do not depend on t.
     So mu(f, z_t) <= mu(f, rho_j), and mu_max is the largest mu at the
     real roots (j, 0), evaluated_roots of the zero-phase family, which
-    by_orbit evaluates.  It encloses log mu there under mp.iv and compares the exact endpoints of the resulting
-    mu_max^2 enclosure against each threshold
+    by_orbit evaluates.  It encloses log mu there under mp.iv and
+    compares the exact endpoints of the resulting mu_max^2 enclosure
+    against each threshold
     of BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N), doubling the interval
     precision until each verdict resolves or it reaches
     CERTIFY_PREC_FACTOR times the working precision; unresolved
