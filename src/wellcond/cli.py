@@ -36,6 +36,7 @@ passed.  The environment variable
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -183,11 +184,9 @@ def _prepare(args):
 
 
 def _short(s: str) -> str:
-    """Console-friendly 8-significant-digit view of a report number."""
-    try:
-        return mp.nstr(mp.mpf(s), 8)
-    except ValueError:
-        return s
+    """Console-friendly 8-significant-digit view of a report number, a
+    fmt_real string ("inf" and "nan" included)."""
+    return mp.nstr(mp.mpf(s), 8)
 
 # ----------------------------------------------------------------------
 # Output plumbing
@@ -195,19 +194,23 @@ def _short(s: str) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file beside it, which a
+    failed write removes."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as e:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise SystemExit(f"error: cannot write {path}: {e}") from e
 
 
 def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2) + "\n", byte for byte, without its
-    pure-Python indenting encoder: each container joins its children's
-    texts, so no list of every token is held.  A dict or list of its
-    exact type skips the scalar tests, and every container encodes its
+    """json.dumps(obj, indent=2) + "\n", byte for byte, for the values a
+    report holds: exact dicts with str keys, lists, str, int, bool and
+    None; any other type raises TypeError.  Each container joins its
+    children's texts, so no list of every token is held, and encodes its
     str keys and values in place, with no call per string."""
     return _json_value(obj, "\n") + "\n"
 
@@ -220,23 +223,22 @@ def _json_value(obj, newline: str) -> str:
     `newline` (a newline and the enclosing indentation) ends with."""
     kind = type(obj)
     if kind is not dict and kind is not list:  # the common containers skip the scalar tests
-        if isinstance(obj, str):
+        if kind is str:
             return encode_basestring_ascii(obj)
-        if obj is True or obj is False or obj is None:
-            return _JSON_CONSTANTS[obj]
-        if isinstance(obj, int):
+        if kind is int:
             return int.__repr__(obj)
-        if not isinstance(obj, (list, tuple, dict)):
-            return json.dumps(obj)  # a float, or json's TypeError
-    is_dict = kind is dict or isinstance(obj, dict)
+        if kind is bool or obj is None:
+            return _JSON_CONSTANTS[obj]
+        raise TypeError(f"a report holds no {kind.__name__}")
     if not obj:
-        return "{}" if is_dict else "[]"
+        return "{}" if kind is dict else "[]"
     inner = newline + "  "
     # the children's texts are a temporary of join, freed before the
-    # brackets are added, so a large container is not held twice over
-    if is_dict:
+    # brackets are added, so a large container is not held twice over;
+    # encode_basestring_ascii raises TypeError on a key that is no str
+    if kind is dict:
         return "{" + inner + ("," + inner).join([
-            (encode_basestring_ascii(k) if type(k) is str else _json_key(k))
+            encode_basestring_ascii(k)
             + ": "
             + (encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner))
             for k, v in obj.items()
@@ -244,14 +246,6 @@ def _json_value(obj, newline: str) -> str:
     return "[" + inner + ("," + inner).join([
         encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner) for v in obj
     ]) + newline + "]"
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return f'"{json.dumps(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:

@@ -64,13 +64,13 @@ for a query point at height c and azimuth offset dphi from the r
 uniformly spaced points at height h, so that Theta = gap + rim
 sin^2(r dphi / 2) with gap = (x^r - y^r)^2 and rim = 4 (xy)^r.  Every
 count r is even and every height an exact rational, so x^r and y^r are
-ratios of integers, formed from the powers of the query heights
-(query_powers) and of the parallel's height, and the factors come from
-numerics.binomial_factors.  The offset is an exact turn t (a multiple
-of pi) plus a radian offset phi, so sin^2(r (pi t + phi)/2) is exactly
-zero at a coincidence when phi = 0.  log_distance_products multiplies
-the factors over the parallels, then takes one log per query point; a
-coincidence makes a factor, so the product, exactly 0 and the log -inf.
+ratios of integers, formed per query height and parallel, and the
+factors come from numerics.binomial_factors.  The offset is an exact
+turn t (a multiple of pi) plus a radian offset phi, so sin^2(r (pi t +
+phi)/2) is exactly zero at a coincidence when phi = 0.
+log_distance_products multiplies the factors over the parallels, then
+takes one log per query point; a coincidence makes a factor, so the
+product, exactly 0 and the log -inf.
 Where every parallel's relative offset is 0 it evaluates one turn per
 orbit of points.turn_representative, the quarter turn and the
 conjugation, and gives every turn its representative's value.
@@ -215,11 +215,11 @@ def log_scale(N: int, norm_sq, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp) ->
 
 
 def log_mu_at_root(
-    root: Parallel, others: Sequence[Parallel], log_n, log_norm_sq,
-    prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp, azimuths=None,
+    root: Parallel, others: Sequence[Parallel], azimuths: Sequence[int], log_n, log_norm_sq,
+    prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp,
 ) -> list:
-    """log mu(f, z) at the roots z_t, t in `azimuths` (default all), of the
-    factor of parallel `root` of the f with other factors `others`
+    """log mu(f, z) at the roots z_t, t in `azimuths`, of the factor of
+    parallel `root` of the f with other factors `others`
     (polynomials.derivative_modulus_at_root), of degree N the sum of the
     counts, under ctx at prec_bits, with (log N, log ||f||^2) =
     (log_n, log_norm_sq) of log_scale:
@@ -228,7 +228,7 @@ def log_mu_at_root(
 
     +inf at a repeated root, where log |f'| = -inf."""
     N = root.count + sum(par.count for par in others)
-    log_fps = derivative_modulus_at_root(root, others, prec_bits, ctx, azimuths)
+    log_fps = derivative_modulus_at_root(root, others, azimuths, prec_bits, ctx)
     with context_precision(ctx, prec_bits):
         log_w = log_fraction(ctx, 1 + root.rho_sq)  # log(1 + |z|^2)
         base = (log_n + (N - 2) * log_w + log_norm_sq) / 2
@@ -269,7 +269,7 @@ def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx):
     return by_orbit(
         point_set, evaluated_roots(point_set, pars.values()),
         lambda j, ts: log_mu_at_root(
-            pars[j], [p for i, p in pars.items() if i != j], log_n, log_norm_sq, prec_bits, ctx, ts
+            pars[j], [p for i, p in pars.items() if i != j], ts, log_n, log_norm_sq, prec_bits, ctx
         ),
     )
 
@@ -323,26 +323,6 @@ def coefficient_report(certified: ConditionReport) -> ConditionReport:
     return _float_report(certified.M, "coefficient", certified.precision_bits, certified.per_root)
 
 
-def query_powers(heights: Sequence, exponents) -> dict[int, list[tuple[int, int, int]]]:
-    """{e: [((q - p)^e, (q + p)^e, q^e) for each query height c = p/q in
-    `heights`]} for every e in `exponents`: the query side of
-    theta_product_log_turn's exact terms, each height's powers one chain
-    over the ascending exponents."""
-    chain = sorted(set(exponents))
-    powers: dict[int, list[tuple[int, int, int]]] = {e: [] for e in chain}
-    for c in heights:
-        c = check_height(c)
-        terms = (c.denominator - c.numerator, c.denominator + c.numerator, c.denominator)
-        run, last, steps = (1, 1, 1), 0, {}
-        for e in chain:
-            if e - last not in steps:
-                steps[e - last] = tuple(t ** (e - last) for t in terms)
-            run = tuple(x * y for x, y in zip(run, steps[e - last]))
-            powers[e].append(run)
-            last = e
-    return powers
-
-
 def theta_product_log_turn(
     r: int,
     h,
@@ -350,7 +330,6 @@ def theta_product_log_turn(
     turns: Sequence,
     prec_bits: int = DEFAULT_PREC_BITS,
     offset=0,
-    powers: Sequence | None = None,
 ) -> list[list[mp.mpf]]:
     """Theta in product form for every query height c in `heights` and
     azimuth offset pi * turn + offset (radians), turn in `turns`: factors
@@ -362,20 +341,17 @@ def theta_product_log_turn(
         gap = ((a - b) / D)^2,  rim = 4 (a / D)(b / D),
 
     with x^r = a / D and y^r = b / D exact: a = ((q - p)(v + u))^e,
-    b = ((q + p)(v - u))^e, D = (qv)^e, from numerics.binomial_factors.
-    `powers` is query_powers(heights, [e])[e], formed here if not given;
-    the parallel's powers are formed once per call and sin^2 once per
-    turn.  With a zero offset, rational turns keep coincidences exact: a
-    factor is 0 precisely when the query point equals a parallel point.
+    b = ((q + p)(v - u))^e, D = (qv)^e, from numerics.binomial_factors,
+    and sin^2 taken once per turn.  With a zero offset, rational turns
+    keep coincidences exact: a factor is 0 precisely when the query point
+    equals a parallel point.
     """
     check_precision(prec_bits)
     if not isinstance(r, int) or r < 2 or r % 2:
         raise ValueError(f"point count must be a positive even integer, got {r!r}")
     e, h = r // 2, check_height(h)
     u, v = h.numerator, h.denominator
-    ve_p, ve_m, ve = (v + u) ** e, (v - u) ** e, v**e
-    if powers is None:
-        powers = query_powers(heights, [e])[e]
+    heights = [check_height(c) for c in heights]
     with mp.workprec(prec_bits):
         shift = r * offset / 2
         sin_sqs = [
@@ -383,8 +359,10 @@ def theta_product_log_turn(
             for t in map(Fraction, turns)
         ]
         return [
-            binomial_factors(mp.mp, qe_m * ve_p, qe_p * ve_m, qe * ve, sin_sqs)
-            for qe_m, qe_p, qe in powers
+            binomial_factors(
+                mp.mp, ((q - p) * (v + u)) ** e, ((q + p) * (v - u)) ** e, (q * v) ** e, sin_sqs
+            )
+            for p, q in ((c.numerator, c.denominator) for c in heights)
         ]
 
 
@@ -396,24 +374,21 @@ def log_distance_products(
     of each parallel, turn in `turns`: row i, column m is the query
     (heights[i], turns[m]).
 
-    The query heights' powers are formed once (query_powers, one chain
-    over the parallels' exponents), the Theta grids' factors multiplied
-    over the parallels, and each query takes one log; a coincidence with
-    a point of a zero-offset parallel gives -inf.  When every offset -
-    phase is 0, each turn reads its points.turn_representative's column,
-    since every family count is a multiple of 4.
+    The Theta grids' factors are multiplied over the parallels and each
+    query takes one log; a coincidence with a point of a zero-offset
+    parallel gives -inf.  When every offset - phase is 0, each turn
+    reads its points.turn_representative's column, since every family
+    count is a multiple of 4.
     """
     if all(par.phase == offset for par in parallels):
         turns = [turn_representative(t) for t in turns]
     column = {t: m for m, t in enumerate(dict.fromkeys(turns))}
     distinct, picks = list(column), [column[t] for t in turns]
-    powers = query_powers(heights, [par.count // 2 for par in parallels])
     with mp.workprec(prec_bits):
         products = [[mp.mpf(1)] * len(distinct) for _ in heights]
         for par in parallels:
             factors = theta_product_log_turn(
-                par.count, par.height, heights, distinct, prec_bits, offset - par.phase,
-                powers[par.count // 2],
+                par.count, par.height, heights, distinct, prec_bits, offset - par.phase
             )
             products = [[p * f for p, f in zip(row, fs)] for row, fs in zip(products, factors)]
         logs = [[mp.log(p) / 2 for p in row] for row in products]
@@ -428,13 +403,10 @@ def parallel_self_product_log(
     For r equally spaced points on a circle of radius sqrt(1 - h^2) the
     product of distances from any fixed point to all others is
     r * radius^(r-1), i.e. the log is log r + (r-1)/2 * log(1 - h^2).
-    A single-point parallel gives the empty product, log 1 = 0.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"point count must be a positive integer, got {r!r}")
     check_precision(prec_bits)
-    if r == 1:
-        return mp.mpf(0)
     h = to_fraction(h)
     if abs(h) >= 1:
         raise ValueError("parallel height must satisfy |h| < 1")

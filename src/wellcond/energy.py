@@ -63,11 +63,10 @@ each band's window constants once, with the outside window's value
 once per side of the band (the query's log cancels), and its inside
 probes by two bisections over the probe heights, ranked once; and the
 distance products through the Theta grids of
-condition.theta_product_log_turn in product form: each probe height's
-exact powers once, the linear factors multiplied over the parallels,
-one log per query point and turn orbit.  The single-pair
-expected_log_parallel and band_integral evaluate the same cores
-(_height, _band) as the suites' hoisted loops.
+condition.theta_product_log_turn in product form: the factors
+multiplied over the parallels, one log per query point and turn orbit.
+The single-pair expected_log_parallel and band_integral evaluate the
+same cores (_height, _band) as the suites' hoisted loops.
 
 Heights (t, h, c, eps) are exact rationals: every public function here
 converts its height arguments once at entry with numerics.to_fraction,
@@ -461,10 +460,13 @@ class VerificationReport:
 
     @functools.cached_property
     def worst_margin(self) -> mp.mpf:
-        """The smallest margin (+inf on an empty grid), formed once."""
-        if not self.cells:
+        """The smallest margin, formed once: +inf on an empty grid, and nan
+        if any margin is nan, which min alone keeps only when it comes
+        first."""
+        margins = [c.margin for c in self.cells]
+        if not margins:
             return mp.mpf("+inf")
-        return min(c.margin for c in self.cells)
+        return mp.mpf("nan") if any(mp.isnan(m) for m in margins) else min(margins)
 
     @property
     def passed(self) -> bool:

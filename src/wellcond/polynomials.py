@@ -315,14 +315,13 @@ def roots(f: FactorizedPolynomial, prec_bits: int = DEFAULT_PREC_BITS) -> list[R
 
 
 def derivative_modulus_at_root(
-    root: Parallel, others: Sequence[Parallel], prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp,
-    azimuths=None,
+    root: Parallel, others: Sequence[Parallel], azimuths: Sequence[int],
+    prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp,
 ) -> list:
     """log |f'(z_t)| at the roots z_t = rho e^(i (2 pi t / r + phi)) of the
     factor of parallel `root` (count r, phase phi, rho^2 = Parallel.rho_sq),
-    t in `azimuths` (default 0..r-1), of the monic f whose other factors
-    are those of the parallels `others`, under ctx (mp.mp or mp.iv) at
-    prec_bits:
+    t in `azimuths`, of the monic f whose other factors are those of the
+    parallels `others`, under ctx (mp.mp or mp.iv) at prec_bits:
 
         |f'(z_t)|^2 = r^2 rho^(2(r-1)) prod_m ((a_m - s_m)^2 + 4 a_m s_m sin^2(theta_m / 2)),
 
@@ -336,14 +335,13 @@ def derivative_modulus_at_root(
     """
     check_precision(prec_bits)
     r, n, d = root.count, root.rho_sq.numerator, root.rho_sq.denominator
-    ts = range(r) if azimuths is None else azimuths
     with context_precision(ctx, prec_bits):
         base = ctx.log(r) + (r - 1) * log_fraction(ctx, root.rho_sq) / 2
         phi, terms = ctx.mpf(root.phase), []
         for par in others:
             # (rho^2)^e = a / p and (rho_m^2)^e = s / p, all integers
             e, n_m, d_m = par.count // 2, par.rho_sq.numerator, par.rho_sq.denominator
-            turns = [par.count * t % r for t in ts]
+            turns = [par.count * t % r for t in azimuths]
             if par.phase == root.phase and not any(turns):
                 sin_sqs = turns  # the int 0, an exact sin^2, at every t
             else:
@@ -353,5 +351,5 @@ def derivative_modulus_at_root(
             a, s, p = (n * d_m) ** e, (n_m * d) ** e, (d * d_m) ** e
             terms.append(binomial_factors(ctx, a, s, p, sin_sqs))
         return [
-            base + ctx.log(ctx.fprod(term[i] for term in terms)) / 2 for i in range(len(ts))
+            base + ctx.log(ctx.fprod(term[i] for term in terms)) / 2 for i in range(len(azimuths))
         ]

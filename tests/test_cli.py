@@ -749,6 +749,13 @@ class _Level(enum.IntEnum):
     HIGH = 2
 
 
+class _Rows(list):
+    pass
+
+
+# Cases of the types reports hold, and cases that hold another type (a
+# float, a tuple, a non-str key, a subclass of dict, list, str or int),
+# which the writer refuses.
 JSON_EDGE_CASES = [
     {},
     [],
@@ -767,16 +774,48 @@ JSON_EDGE_CASES = [
     1.5,
     True,
     None,
+    ["s", {"k": "v"}, ["t", [], {}], "u", ["w", "v"], "", 3],
+    {"a": "str key", "2": "int key", "null": [], "b": {"c": "d"}},
+    [True, False, None, 0, -7, 10**40, -(10**40)],
+    {"k": [{"deep": [[{"x": ["y", 1, None]}]]}]},
+    # one removed type per case, at the top or nested
+    {2: "int key"}, {None: []}, {0.5: "x"}, {True: "bool key"},
+    2.5, [2.5], {"x": -0.0}, float("inf"), [float("-inf")],
+    ("a",), (), ["s", ("w", "v")], {"t": ()},
+    OrderedDict(), [OrderedDict([("x", "y")])], {"k": OrderedDict(a="b")},
+    _Rows(), [_Rows(["a"])],
+    _Label("sub"), [_Label("sub")], {"label": _Label("sub")},
+    _Level.HIGH, [_Level.LOW], {"level": _Level.HIGH},
 ]
+
+
+def _report_value(obj) -> bool:
+    """Whether obj holds only what a report holds: exact dicts with str
+    keys, exact lists, and exact str, int, bool and None."""
+    kind = type(obj)
+    if kind is dict:
+        return all(isinstance(k, str) and _report_value(v) for k, v in obj.items())
+    if kind is list:
+        return all(map(_report_value, obj))
+    return kind in (str, int, bool, type(None))
 
 
 @pytest.mark.parametrize("obj", JSON_EDGE_CASES)
 def test_json_writer_matches_json_dumps_on_edge_cases(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+    """A case of the types reports hold prints as json.dumps(indent=2)
+    prints it; a case that holds any other type raises TypeError."""
+    if _report_value(obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+    else:
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
 
 
 def test_json_writer_keeps_json_dumps_nan_and_errors():
-    assert cli._json_text([float("nan")]) == json.dumps([float("nan")], indent=2) + "\n"
+    """json.dumps's errors stay TypeErrors, and a nan, which no report
+    holds as a float, is one too."""
+    with pytest.raises(TypeError):
+        cli._json_text([float("nan")])
     with pytest.raises(TypeError):
         cli._json_text({"x": object()})
     with pytest.raises(TypeError):
@@ -817,3 +856,13 @@ def test_one_worker_run_imports_no_process_pool(tmp_path):
     env = {"PYTHONPATH": str(Path(points.__file__).parents[1]), "WELLCOND_WORKERS": "1"}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    """A file that cannot be written (here a directory stands at its
+    path) exits 1 with one error line, and its temporary file is gone."""
+    (tmp_path / "verify_M2.json").mkdir()
+    with pytest.raises(SystemExit) as exit_:
+        run(["verify", "--M", "2", "--informational", "--sums-max", "2", "--out", tmp_path])
+    assert str(exit_.value.code).startswith(f"error: cannot write {tmp_path / 'verify_M2.json'}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verify_M2.json"]

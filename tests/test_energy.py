@@ -351,6 +351,24 @@ def test_worst_margin_is_formed_once_per_report():
     assert CountedCells.passes == 2
 
 
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-later"])
+def test_a_nan_margin_anywhere_fails_the_report(nan_first):
+    """min keeps a nan only when it comes first, so a report reads its
+    worst margin as nan, prints it so and fails, wherever the nan cell
+    sits."""
+    cells = [
+        energy.Cell({"k": 0}, mp.mpf(2), mp.mpf(1), mp.mpf(1)),
+        energy.Cell({"k": 1}, mp.mpf(0), mp.nan, mp.nan),
+    ]
+    rep = energy.VerificationReport(
+        "lemma", "none", 1, "two cells", cells[::-1] if nan_first else cells, 128, True
+    )
+    assert mp.isnan(rep.worst_margin)
+    assert rep.printed_margins()["worst_margin"] == "nan"
+    assert not rep.passed and not SuiteResult([rep]).passed
+    assert rep.to_json_dict()["pass"] is False
+
+
 def test_grid_strings_count_probe_heights():
     """The grid prose counts 5 structural plus 8 seeded heights."""
     for rep in verify_sn_kappa(3, 128):

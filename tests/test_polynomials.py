@@ -309,11 +309,11 @@ def test_real_roots_round_no_rim_and_keep_every_bit(M, monkeypatch):
         for root, others in factor_inputs(M):
             rounded.clear()
             kernel_calls.clear()
-            (real,) = derivative_modulus_at_root(root, others, prec, ctx, [0])
+            (real,) = derivative_modulus_at_root(root, others, [0], prec, ctx)
             assert len(kernel_calls) == len(others), (ctx, root.index)
             # log rho^2 of the base, then one gap per other factor and no rim
             assert len(rounded) == 1 + len(others), (ctx, root.index)
-            every = derivative_modulus_at_root(root, others, prec, ctx)
+            every = derivative_modulus_at_root(root, others, range(root.count), prec, ctx)
             assert raw(real) == raw(every[0]), (ctx, root.index)
 
 
@@ -324,7 +324,7 @@ def test_no_other_factor_leaves_the_base_alone(ctx):
     log 4 at every root, bit for bit."""
     (equator,) = build_parallels(1)
     raw = (lambda x: x._mpi_) if ctx is mp.iv else (lambda x: x._mpf_)
-    got = derivative_modulus_at_root(equator, [], 256, ctx)
+    got = derivative_modulus_at_root(equator, [], range(equator.count), 256, ctx)
     with context_precision(ctx, 256):
         want = ctx.log(4)
     assert [raw(value) for value in got] == [raw(want)] * 4
@@ -361,9 +361,13 @@ def test_derivative_modulus_matches_direct_evaluation():
         data = factor_inputs(M)
         assert len(data) == len(f.factors)
         assert sum(root.count for root, _ in data) == len(rs) == f.degree
-        floats = [v for args in data for v in derivative_modulus_at_root(*args, prec)]
+        floats = [
+            v for root, others in data
+            for v in derivative_modulus_at_root(root, others, range(root.count), prec)
+        ]
         enclosures = [
-            v for args in data for v in derivative_modulus_at_root(*args, prec, mp.iv)
+            v for root, others in data
+            for v in derivative_modulus_at_root(root, others, range(root.count), prec, mp.iv)
         ]
         i = 0
         for fi, ((root, _), fac) in enumerate(zip(data, f.factors, strict=True)):
@@ -386,7 +390,10 @@ def test_derivative_modulus_matches_direct_evaluation():
     # cancellation stays small.
     f = canonical_polynomial(2)
     rs = roots(f, prec)
-    floats = [v for args in factor_inputs(2) for v in derivative_modulus_at_root(*args, prec)]
+    floats = [
+        v for root, others in factor_inputs(2)
+        for v in derivative_modulus_at_root(root, others, range(root.count), prec)
+    ]
     dp = derivative(expand(f))
     with mp.workprec(prec):
         for i in (0, 5, 11):
@@ -407,10 +414,11 @@ def test_multiple_root_gives_infinite_mu():
     equator = Parallel(1, 4, Fraction(0), Fraction(1, 2))
     for root in (equator, dataclasses.replace(equator, phase=mp.mpf("0.3"))):
         for ctx in (mp.mp, mp.iv):
-            for log_fp in derivative_modulus_at_root(root, [root], prec, ctx):
+            for log_fp in derivative_modulus_at_root(root, [root], range(root.count), prec, ctx):
                 assert log_fp == ctx.mpf("-inf"), ctx
             norm_sq = bombieri_norm_sq(expand(f))
-            for log_mu in log_mu_at_root(root, [root], *log_scale(8, norm_sq, prec, ctx), prec, ctx):
+            scale = log_scale(8, norm_sq, prec, ctx)
+            for log_mu in log_mu_at_root(root, [root], range(root.count), *scale, prec, ctx):
                 assert log_mu == ctx.mpf("+inf"), ctx
     with pytest.raises(RepeatedRootError):
         log_derivative_modulus_by_gaps(roots(f, prec), 0, prec)
