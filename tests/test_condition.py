@@ -206,11 +206,9 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
         ctx: [
             (f"p{par.index}.k{t}", lm)
             for k, par in enumerate(pars)
-            for t, lm in enumerate(
-                log_mu_at_root(
-                    par, pars[:k] + pars[k + 1:], range(par.count), *log_scale(N, norm_sq, prec, ctx), prec, ctx
-                )
-            )
+            for t, lm in enumerate(log_mu_at_root(
+                par, pars[:k] + pars[k + 1:], range(par.count), *log_scale(N, norm_sq, prec, ctx), prec, ctx
+            ))
         ]
         for ctx in (mp.mp, mp.iv)
     }
