@@ -46,7 +46,7 @@ from .polynomials import (
     bombieri_norm_sq,
     canonical_polynomial,
     expand,
-    product_norm_sq,
+    norm_sq,
     roots,
 )
 from .sums import (
@@ -81,9 +81,9 @@ __all__ = [
     "log_product_to_set",
     "mu_max_coefficient_route",
     "mu_max_spherical_route",
+    "norm_sq",
     "numerator_integral_log",
     "point_gap_product_log",
-    "product_norm_sq",
     "r_sum",
     "roots",
     "t_ell",

@@ -7,12 +7,11 @@ input, its point set (phases included), so each checks the other:
 
       mu(f, z) = sqrt(N) * (1 + |z|^2)^((N-2)/2) * ||f|| / |f'(z)|
 
-  with ||f|| the Bombieri-Weyl norm, formed once per M for every route
-  (polynomials.product_norm_sq), and
-  |f'(z)| from the factor-wise closed form of
-  polynomials.derivative_modulus_at_root (one term per other factor,
-  not N - 1 root differences), assembled in log-domain, with log N and
-  log ||f||^2 formed once per pass (log_scale);
+  with ||f|| the Bombieri-Weyl norm (polynomials.norm_sq, under the
+  pass's context at its precision) and |f'(z)| from the factor-wise
+  closed form of polynomials.derivative_modulus_at_root (one term per
+  other factor, not N - 1 root differences), assembled in log-domain,
+  with log N and log ||f||^2 formed once per pass over the roots;
 
 * spherical route: with the roots pushed onto the sphere by inverse
   stereographic projection,
@@ -109,7 +108,7 @@ from .polynomials import (
     derivative_modulus_at_root,
     factor_parallels,
     family_polynomial,
-    product_norm_sq,
+    norm_sq,
 )
 
 LOWER_CONST = Fraction(227, 500)  # 0.454, the floor on mu_max / sqrt(N)
@@ -206,14 +205,6 @@ def _bound_verdicts(
     return verdicts
 
 
-def log_scale(N: int, norm_sq, prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp) -> tuple:
-    """(log N, log ||f||^2) under ctx at prec_bits, with ||f||^2 = norm_sq
-    (a Fraction or an mpf, taken exactly): log_mu_at_root's scale, formed
-    once per pass over the roots."""
-    with context_precision(ctx, prec_bits):
-        return ctx.log(N), log_fraction(ctx, to_fraction(norm_sq))
-
-
 def log_mu_at_root(
     root: Parallel, others: Sequence[Parallel], azimuths: Sequence[int], log_n, log_norm_sq,
     prec_bits: int = DEFAULT_PREC_BITS, ctx=mp.mp,
@@ -222,7 +213,7 @@ def log_mu_at_root(
     parallel `root` of the f with other factors `others`
     (polynomials.derivative_modulus_at_root), of degree N the sum of the
     counts, under ctx at prec_bits, with (log N, log ||f||^2) =
-    (log_n, log_norm_sq) of log_scale:
+    (log_n, log_norm_sq) formed once per pass (_log_mu_per_root):
 
         log mu = (log N + (N-2) log(1 + rho^2) + log ||f||^2) / 2 - log |f'(z)|;
 
@@ -260,12 +251,14 @@ def by_orbit(point_set: PointSet, points, evaluate) -> list[tuple[str, object]]:
     return [(f"p{j}.k{t}", values[rep]) for (j, t), rep in zip(points, reps)]
 
 
-def _log_mu_per_root(point_set: PointSet, norm_sq, prec_bits: int, ctx):
-    """by_orbit of log mu under ctx at prec_bits, ||f||^2 = norm_sq, over
-    the evaluated_roots, in factor order, of the point set's family
-    polynomial."""
+def _log_mu_per_root(point_set: PointSet, prec_bits: int, ctx):
+    """by_orbit of log mu under ctx at prec_bits over the evaluated_roots,
+    in factor order, of the point set's family polynomial f, with log N and
+    log ||f||^2 (polynomials.norm_sq under ctx) formed once."""
     pars = {par.index: par for par in factor_parallels(point_set.parallels)}
-    log_n, log_norm_sq = log_scale(point_set.N, norm_sq, prec_bits, ctx)
+    with context_precision(ctx, prec_bits):
+        log_n = ctx.log(point_set.N)
+        log_norm_sq = ctx.log(norm_sq(family_polynomial(point_set), ctx))
     return by_orbit(
         point_set, evaluated_roots(point_set, pars.values()),
         lambda j, ts: log_mu_at_root(
@@ -308,9 +301,7 @@ def mu_max_coefficient_route(
     (certify_bound proves it).
     """
     point_set = build_point_set(M, phases=phases, prec_bits=prec_bits)
-    with mp.workprec(prec_bits):  # a phased ||f||^2 is an mpf at this precision
-        norm_sq = product_norm_sq(family_polynomial(point_set))
-    per_root = _log_mu_per_root(point_set, norm_sq, prec_bits, mp.mp)
+    per_root = _log_mu_per_root(point_set, prec_bits, mp.mp)
     return _float_report(M, "coefficient", prec_bits, per_root)
 
 
@@ -419,9 +410,9 @@ def numerator_integral_log(point_set: PointSet) -> NumeratorIntegral:
     at the point set's precision.
 
     Evaluates 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)) for the f
-    of polynomials.family_polynomial, with the exact weights
-    1/(1 + rho_k^2) = (1 - h_k)/2 of the parallels, as one ratio of
-    integers rounded once (a phased ||f||^2, an mpf, taken exactly).
+    of polynomials.family_polynomial: the exact weights 1/(1 + rho_k^2) =
+    (1 - h_k)/2 of the parallels give one ratio of integers, whose log is
+    rounded once, and ||f||^2 is polynomials.norm_sq under mp.mp.
     """
     N = point_set.N
     num, den = 4**N, N + 1
@@ -429,9 +420,8 @@ def numerator_integral_log(point_set: PointSet) -> NumeratorIntegral:
         u, v = par.height.numerator, par.height.denominator
         num, den = num * (v - u) ** par.count, den * (2 * v) ** par.count
     with mp.workprec(point_set.prec_bits):
-        norm_sq = to_fraction(product_norm_sq(family_polynomial(point_set)))
-        num, den = num * norm_sq.numerator, den * norm_sq.denominator
-        return NumeratorIntegral(log_value=log_fraction(mp.mp, num, den))
+        log_norm_sq = mp.log(norm_sq(family_polynomial(point_set), mp.mp))
+        return NumeratorIntegral(log_value=log_fraction(mp.mp, num, den) + log_norm_sq)
 
 
 def point_gap_product_log(
@@ -507,8 +497,9 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
     do not depend on t.
     So mu(f, z_t) <= mu(f, rho_j), and mu_max is the largest mu at the
     real roots (j, 0), evaluated_roots of the zero-phase family, which
-    by_orbit evaluates.  It encloses log mu there under mp.iv and
-    compares the exact endpoints of the resulting mu_max^2 enclosure
+    by_orbit evaluates.  It encloses log mu there under mp.iv, with
+    ||f||^2 enclosed by polynomials.norm_sq at each interval precision,
+    and compares the exact endpoints of the resulting mu_max^2 enclosure
     against each threshold
     of BOUNDS (N^2, (19/2)^2 (N+1), (227/500)^2 N), doubling the interval
     precision until each verdict resolves or it reaches
@@ -519,10 +510,9 @@ def certify_bound(M: int, prec_bits: int = DEFAULT_PREC_BITS) -> ConditionReport
     point_set = build_point_set(M, prec_bits=prec_bits)
     cap_bits = CERTIFY_PREC_FACTOR * prec_bits
     N = point_set.N
-    norm_sq = product_norm_sq(family_polynomial(point_set))
     iv_prec = prec_bits
     while True:
-        per_root = _log_mu_per_root(point_set, norm_sq, iv_prec, mp.iv)
+        per_root = _log_mu_per_root(point_set, iv_prec, mp.iv)
         top = [max(lm.a for _, lm in per_root), max(lm.b for _, lm in per_root)]
         sq_lo, sq_hi = interval_endpoints(lambda iv: iv.exp(2 * iv.mpf(top)), iv_prec)
         verdicts = _bound_verdicts(N, sq_lo, sq_hi)

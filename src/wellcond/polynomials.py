@@ -16,16 +16,16 @@ rho_j^2 = (2M^2 - j^2)/j^2 this is
 
 Expansion forms integer numerators a_i over one common denominator
 D = prod q in w = z^4, each mirror pair as one palindromic trinomial of
-which half is formed (_numerators), and reduces each a_i / D once;
-product_norm_sq forms the Bombieri-Weyl norm from the same numerators,
-||f||^2 = sum_i a_i^2 i! (N - i)! / (N! D^2), memoised on f so that
-both routes of one M share it, exact for zero phases; the rotated
-(complex) shifts of a phased family take the precision of its point
-set.  |f'| at the roots reads the Parallel records, each factor's
-exact height and phase: every other factor's term (a - s)^2 +
-4 a s sin^2, a and s exact powers of the squared moduli, comes from
-numerics.binomial_factors, the kernel the Theta grids share, under
-mp.mp or mp.iv at a caller-chosen precision.
+which half is formed (_numerators), and reduces each a_i / D once.
+norm_sq runs the same loop over context numbers, for zero-phase and
+phased families alike, and forms the Bombieri-Weyl norm
+||f||^2 = sum_i |a_i|^2 / (binom(N, i) D^2) under mp.mp, or as an
+enclosure under mp.iv, at the caller's precision; the exact norm is
+bombieri_norm_sq(expand(f)).  |f'| at the roots reads the Parallel
+records, each factor's exact height and phase: every other factor's
+term (a - s)^2 + 4 a s sin^2, a and s exact powers of the squared
+moduli, comes from numerics.binomial_factors, the kernel the Theta
+grids share, under mp.mp or mp.iv at a caller-chosen precision.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from .numerics import (
     to_mpf,
 )
 from .points import Parallel, PointSet, build_parallels
+
+NORM_GUARD_BITS = 16  # norm_sq's working bits above its context's precision
 
 
 def coeff_str(c: Fraction | mp.mpc, digits=None) -> str:
@@ -198,7 +200,7 @@ def _reciprocal_pairs(factors: Sequence[Factor]) -> tuple[list[Factor], list[Fac
     return pairs, [fac for k, fac in enumerate(factors) if k not in paired]
 
 
-def _numerators(f: FactorizedPolynomial) -> tuple[list, int]:
+def _numerators(f: FactorizedPolynomial, num=int) -> tuple[list, object]:
     """Numerators a_i and one common denominator D of f's coefficients a_i / D.
 
     The product is formed in w = z^g, g the gcd of the powers, and D =
@@ -208,20 +210,22 @@ def _numerators(f: FactorizedPolynomial) -> tuple[list, int]:
     the product palindromic: each entry i <= n/2 is formed once and
     mirrored.  Each other factor enters, in factor order, as q w^e - p; a
     complex shift with p = shift, q = 1, its a_i mpc at working precision.
+    Every integer the loop starts from enters as num of it: an exact int
+    for expand, a context number (ctx.mpf) for norm_sq.
     """
     g = math.gcd(*(fac.power for fac in f.factors)) or 1
     pairs, rest = _reciprocal_pairs(f.factors)
-    a, D = [1], 1
+    zero, a, D = num(0), [num(1)], 1
     for fac in pairs:
         e, p, q = fac.power // g, fac.shift.numerator, fac.shift.denominator
-        c, b, size = p * q, p * p + q * q, len(a) + 2 * e
+        c, b, size = num(p * q), num(p * p + q * q), len(a) + 2 * e
         # entry i is c (a[i] + a[i - 2e]) - b a[i - e]; u is a padded with zeros
-        u, h = [0] * (2 * e) + a + [0] * (2 * e), (size + 1) // 2
+        u, h = [zero] * (2 * e) + a + [zero] * (2 * e), (size + 1) // 2
         half = [c * (x + z) - b * y for x, y, z in zip(u[:h], u[e:e + h], u[2 * e:2 * e + h])]
         a, D = half + half[:size // 2][::-1], D * c
     for fac in rest:
         s, e = fac.shift, fac.power // g
-        p, q = (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1)
+        p, q = (num(s.numerator), num(s.denominator)) if isinstance(s, Fraction) else (s, 1)
         new = [0] * (len(a) + e)
         for i, c in enumerate(a):
             if c:
@@ -266,26 +270,24 @@ def bombieri_norm_sq(p: DensePolynomial) -> Fraction | mp.mpf:
     )
 
 
-@functools.lru_cache(maxsize=4)
-def product_norm_sq(f: FactorizedPolynomial) -> Fraction | mp.mpf:
-    """bombieri_norm_sq(expand(f)) from the numerators of _numerators:
+def norm_sq(f: FactorizedPolynomial, ctx):
+    """bombieri_norm_sq(expand(f)) under ctx (mp.mp, or mp.iv for rational
+    shifts) at its precision, from the numerators of _numerators formed
+    over ctx numbers:
 
-        ||f||^2 = sum_i |a_i|^2 i! (N - i)! / (N! D^2),
+        ||f||^2 = sum_i |a_i|^2 / (binom(N, i) D^2),
 
-    one big-integer sum (i and N - i share their weight) and one division;
-    for complex shifts (D = 1) an mpf at the working precision of the first
-    call.  Memoised on f's value, so the coefficient and spherical routes
-    of one M, each forming family_polynomial of its own point set, share
-    one entry."""
-    a, D = _numerators(f)
-    N = len(a) - 1
-    weight, total = math.factorial(N), 0  # weight = i! (N - i)!
-    for i in range(N // 2 + 1):
-        sq = sum(abs(a[k]) ** 2 for k in {i, N - i})
-        if sq:
-            total += sq * weight
-        weight = weight * (i + 1) // (N - i or 1)  # (i + 1)! (N - i - 1)!
-    return _over(total, math.factorial(N) * D * D)
+    each exact binom(N, i) rounded once.  The loop runs NORM_GUARD_BITS
+    above ctx's precision, which covers the rounding it accumulates: under
+    mp.mp the value, under mp.iv the width of its enclosure."""
+    with context_precision(ctx, ctx.prec + NORM_GUARD_BITS):
+        a, D = _numerators(f, ctx.mpf)
+        N, total, comb = len(a) - 1, 0, 1  # comb = binom(N, i)
+        for i, c in enumerate(a):
+            if c:
+                total += abs(c) ** 2 / ctx.mpf(comb)
+            comb = comb * (N - i) // (i + 1)
+        return total / (D * D)
 
 
 def roots(f: FactorizedPolynomial, prec_bits: int = DEFAULT_PREC_BITS) -> list[RootEntry]:
@@ -328,10 +330,11 @@ def derivative_modulus_at_root(
     with a_m = (rho^2)^(r_m/2) and s_m = (rho_m^2)^(r_m/2) exact rationals
     (every count is even) over one integer denominator, each term from
     numerics.binomial_factors, and theta_m / 2 = pi r_m t / r plus the
-    offset r_m (phi - phi_m) / 2.  At equal phases an integer r_m t / r
-    gives sin^2 = 0, decided on the integers (every term at a real root of
-    the zero-phase family); other sin^2 are taken once per distinct turn
-    of a term.  A vanishing term means a repeated root: log |f'| = -inf.
+    offset r_m (phi - phi_m) / 2, exactly 0 at equal phases, where an
+    integer r_m t / r gives an exact sin^2 = 0 (numerics.sin_sq_pi; every
+    term at a real root of the zero-phase family).  sin^2 is taken once
+    per distinct turn of a term.  A vanishing term means a repeated root:
+    log |f'| = -inf.
     """
     check_precision(prec_bits)
     r, n, d = root.count, root.rho_sq.numerator, root.rho_sq.denominator
@@ -342,12 +345,9 @@ def derivative_modulus_at_root(
             # (rho^2)^e = a / p and (rho_m^2)^e = s / p, all integers
             e, n_m, d_m = par.count // 2, par.rho_sq.numerator, par.rho_sq.denominator
             turns = [par.count * t % r for t in azimuths]
-            if par.phase == root.phase and not any(turns):
-                sin_sqs = turns  # the int 0, an exact sin^2, at every t
-            else:
-                offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
-                sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r), offset) for j in set(turns)}
-                sin_sqs = [sin_sq[j] for j in turns]
+            offset = par.count * (phi - ctx.mpf(par.phase)) / 2
+            sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r), offset) for j in set(turns)}
+            sin_sqs = [sin_sq[j] for j in turns]
             a, s, p = (n * d_m) ** e, (n_m * d) ** e, (d * d_m) ** e
             terms.append(binomial_factors(ctx, a, s, p, sin_sqs))
         return [

@@ -12,7 +12,8 @@ differences check the closed form of |f'(z)| that
 O(N^2) total cost.  The exact-rational enclosure of mu^2 at every root
 and the exact mu^2 at the real roots, in integers only, check the
 interval evaluation of ``wellcond.condition.certify_bound`` and the
-argument that it needs only the real roots, and log mu from a
+argument that it needs only the real roots, log_scale takes the log of
+an exact ||f||^2 for log mu at chosen roots, and log mu from a
 polynomial expanded out of its N roots checks the coefficient route of
 a phased family.
 """
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from wellcond.numerics import cos_pi_fraction_interval, to_mpf
+from wellcond.numerics import cos_pi_fraction_interval, context_precision, log_fraction, to_mpf
 from wellcond.points import PointSet, build_parallels
 from wellcond.polynomials import (
     DensePolynomial,
@@ -106,6 +107,13 @@ def log_derivative_modulus_by_gaps(
                 raise RepeatedRootError(f"roots {i} and {j} coincide")
             acc += mp.log(gap_sq) / 2
         return acc
+
+
+def log_scale(N: int, norm_sq: Fraction, prec_bits: int, ctx=mp.mp) -> tuple:
+    """(log N, log ||f||^2) under ctx at prec_bits for an exact ||f||^2 =
+    norm_sq, each rounded once: the scale condition.log_mu_at_root takes."""
+    with context_precision(ctx, prec_bits):
+        return ctx.log(N), log_fraction(ctx, norm_sq)
 
 
 def mu_sq_enclosures(

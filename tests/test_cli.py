@@ -75,8 +75,8 @@ def test_cond_m1_sqrt2(tmp_path):
 
 
 def test_cond_both_routes_agree(tmp_path):
-    """At M=64 the routes differ by 1.75 N ulps at 256 bits, already 0.44
-    of an N-free bound 2^-(prec - 16); the exit code holds them to
+    """At M=64 the routes differ by 0.25 N ulps at 256 bits, 0.06 of an
+    N-free bound 2^-(prec - 16); the exit code holds them to
     N 2^-(prec - 8)."""
     for M in (3, 64):
         assert run(["cond", "--M", M, "--route", "both", "--out", tmp_path]) == 0

@@ -16,7 +16,6 @@ from wellcond.condition import (
     certify_bound,
     coefficient_report,
     log_mu_at_root,
-    log_scale,
     mu_max_coefficient_route,
     mu_max_spherical_route,
     numerator_integral_log,
@@ -31,9 +30,8 @@ from wellcond.polynomials import (
     canonical_polynomial,
     expand,
     factor_parallels,
-    product_norm_sq,
 )
-from polynomial_oracle import log_mu_by_expansion, mu_sq_at_real_roots, mu_sq_enclosures
+from polynomial_oracle import log_mu_by_expansion, log_scale, mu_sq_at_real_roots, mu_sq_enclosures
 from sphere_oracle import (
     SpherePoint,
     coordinates_by_point,
@@ -200,7 +198,7 @@ def test_orbit_reduced_per_root_matches_full_evaluation(M):
     coefficient route lists the full evaluation's real roots k = 0."""
     prec = 256
     N = 4 * M * M
-    norm_sq = product_norm_sq(canonical_polynomial(M))
+    norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
     pars = factor_parallels(build_parallels(M))
     full = {
         ctx: [
@@ -297,19 +295,19 @@ def test_symmetry_declaration_is_the_only_reduction(M, monkeypatch, evaluated):
 def test_orbits_evaluate_one_factor_per_mirror_pair(monkeypatch, evaluated):
     """For M = 5..8 each route evaluates the factors (or gap products) of
     parallels 1..M only, 26 calls where the full evaluation makes 48, and
-    the coefficient, certified and spherical routes of one M form the
-    numerators of ||f||^2 once between them."""
-    product_norm_sq.cache_clear()
+    each of the coefficient, certified and spherical routes forms the
+    numerators of ||f||^2 once per M."""
     formed = []
     numerators = polynomials._numerators
-    monkeypatch.setattr(polynomials, "_numerators", lambda f: formed.append(f.degree) or numerators(f))
+    monkeypatch.setattr(
+        polynomials, "_numerators", lambda f, num: formed.append(f.degree) or numerators(f, num)
+    )
     for route in (mu_max_coefficient_route, certify_bound, mu_max_spherical_route):
         evaluated.clear()
         for M in range(5, 9):
             route(M, 256)
         assert len(evaluated) == 26, route.__name__
-    assert formed == [4 * M * M for M in range(5, 9)]
-    product_norm_sq.cache_clear()
+    assert formed == [4 * M * M for M in range(5, 9)] * 3
 
 
 def test_uniform_nonzero_phase_matches_zero_phase():
@@ -396,10 +394,9 @@ def test_numerator_integral_matches_product_rule(M, phases):
 
 @pytest.mark.parametrize("M", range(1, 9))
 def test_numerator_integral_zero_phase_is_exact_rational(M):
-    """I = 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)), rounded once,
-    and its log within 2^-(prec-16) of the exact rational's log taken at
-    twice the precision; at M = 1, f = z^4 - 1 on the equator gives
-    4^4 * 2 / (5 * 2^4)."""
+    """log I, I = 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)), within
+    2^-(prec-16) of the exact rational's log taken at twice the precision;
+    at M = 1, f = z^4 - 1 on the equator gives 4^4 * 2 / (5 * 2^4)."""
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
     N = ps.N
@@ -410,8 +407,6 @@ def test_numerator_integral_zero_phase_is_exact_rational(M):
     if M == 1:
         assert exact == Fraction(32, 5)
     got = numerator_integral_log(ps).log_value
-    with mp.workprec(prec):
-        assert got == mp.log(to_mpf(exact))
     with mp.workprec(2 * prec):
         want = mp.log(to_mpf(exact))
         assert abs(got - want) <= mp.mpf(2) ** (16 - prec) * max(1, abs(want))
@@ -521,7 +516,7 @@ def test_exact_mu_max_sits_at_z_1_inside_the_enclosure(M):
     the largest, and that maximum lies in certify_bound's mu_max^2
     enclosure, whose per_root lists the same real roots."""
     rep = certify_bound(M, 256)
-    exact = mu_sq_at_real_roots(M, product_norm_sq(canonical_polynomial(M)))
+    exact = mu_sq_at_real_roots(M, bombieri_norm_sq(expand(canonical_polynomial(M))))
     assert list(exact) == [rid for rid, _ in rep.per_root]
     for j in range(1, M):
         assert exact[f"p{j}.k0"] == exact[f"p{2 * M - j}.k0"], j
@@ -540,7 +535,7 @@ def test_each_parallel_peaks_at_its_real_root_on_both_float_routes(M):
     the largest over every root, and its argmax the equator's z = 1."""
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
-    norm_sq = product_norm_sq(canonical_polynomial(M))
+    norm_sq = bombieri_norm_sq(expand(canonical_polynomial(M)))
     logs = log_scale(ps.N, norm_sq, prec)
     pars = factor_parallels(ps.parallels)
     top = {}
@@ -581,16 +576,17 @@ def test_coefficient_report_reads_the_certificate():
 
 def test_log_scale_is_formed_once_per_pass(monkeypatch):
     """log N and log ||f||^2 are formed once per pass over the roots, not
-    once per parallel: once by the float coefficient route, and once by
-    certify_bound at each interval precision it tries."""
+    once per parallel, so ||f||^2 (polynomials.norm_sq) is too: once by
+    the float coefficient route, under mp.mp, and once by certify_bound at
+    each interval precision it tries, under mp.iv."""
     formed = []
-    inner = condition.log_scale
-    monkeypatch.setattr(condition, "log_scale", lambda *args: formed.append(args[2]) or inner(*args))
+    inner = condition.norm_sq
+    monkeypatch.setattr(condition, "norm_sq", lambda f, ctx: formed.append((ctx, ctx.prec)) or inner(f, ctx))
     mu_max_coefficient_route(5, 256, phases=[0.1] * 9)
     mu_max_coefficient_route(5, 256)
     rep = certify_bound(5, 256)
     assert rep.extras["cos_precision_bits"] == 256
-    assert formed == [256, 256, 256]
+    assert formed == [(mp.mp, 256), (mp.mp, 256), (mp.iv, 256)]
 
 
 def test_unresolved_verdict_escalates_to_the_cap_and_never_passes(tmp_path, monkeypatch):

@@ -3,9 +3,9 @@ private module-level helper is used somewhere in the package, every
 public name is read by the program, the tracer or the acceptance tests,
 every function the benchmark tracer wraps exists, |f'| and the Theta grids
 share one binomial kernel, the energy alone takes the two-term kernel,
-only numerics rounds an exact ratio, only ComparisonMargins.cells builds
-a two-sided cell, energy seeds one probe grid and one function applies
-each half of the family's symmetry group."""
+every route takes one norm, only numerics rounds an exact ratio, only
+ComparisonMargins.cells builds a two-sided cell, energy seeds one probe
+grid and one function applies each half of the family's symmetry group."""
 
 import ast
 import importlib
@@ -338,6 +338,15 @@ def test_one_two_term_kernel_for_the_energy_and_exact_terms_for_the_rest():
     }
     assert {caller.split(".")[0] for caller in callers_of(sources, "round_ratio")} == {"numerics"}
     assert callers_of(sources, "from_rational") == set()
+
+
+def test_one_norm_for_every_route():
+    """||f||^2 has one formula: in src/ only polynomials.expand, exact, and
+    polynomials.norm_sq, over context numbers, run the numerator loop, and
+    no product_norm_sq, the exact memoised norm it replaced, is left."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert callers_of(sources, "_numerators") == {"polynomials.expand", "polynomials.norm_sq"}
+    assert not any("product_norm_sq" in src for src in sources.values())
 
 
 def test_one_product_over_the_parallels_for_every_theta_grid():

@@ -12,11 +12,17 @@ from polynomial_oracle import (
     evaluate,
     expand_by_fractions,
     log_derivative_modulus_by_gaps,
+    log_scale,
     numerators_by_binomials,
 )
-from wellcond.condition import log_mu_at_root, log_scale
+from wellcond.condition import (
+    certify_bound,
+    log_mu_at_root,
+    mu_max_coefficient_route,
+    mu_max_spherical_route,
+)
 from wellcond.numerics import context_precision, fraction_endpoints, fraction_from_mpf, to_mpf
-from wellcond import numerics, polynomials
+from wellcond import condition, numerics, polynomials
 from wellcond.points import Parallel, build_parallels, build_point_set
 from wellcond.polynomials import (
     DensePolynomial,
@@ -30,13 +36,19 @@ from wellcond.polynomials import (
     expand,
     factor_parallels,
     family_polynomial,
-    product_norm_sq,
+    norm_sq,
     roots,
 )
 
 
 def factor_set(f: FactorizedPolynomial) -> set:
     return {(g.power, g.shift) for g in f.factors}
+
+
+def norm_enclosure(f: FactorizedPolynomial, prec: int = 256) -> tuple[Fraction, Fraction]:
+    """The exact endpoints of norm_sq(f) under mp.iv at prec."""
+    with context_precision(mp.iv, prec):
+        return fraction_endpoints(norm_sq(f, mp.iv))
 
 
 def test_family_m1_is_z4_minus_1():
@@ -120,7 +132,8 @@ def test_expand_hand_built_rational_products(shifts):
     dense = expand(f)
     assert dense == expand_by_fractions(f)
     assert all(type(c) is Fraction for c in dense.coeffs)
-    assert product_norm_sq(f) == bombieri_norm_sq(dense)
+    lo, hi = norm_enclosure(f)
+    assert lo <= bombieri_norm_sq(dense) <= hi
     assert polynomials._numerators(f) == numerators_by_binomials(f)
 
 
@@ -209,7 +222,8 @@ def test_coeff_str_prints_past_the_digit_limit(monkeypatch):
 def test_expand_of_no_factors_is_one():
     f = FactorizedPolynomial(())
     assert expand(f).coeffs == (Fraction(1),)
-    assert product_norm_sq(f) == 1
+    assert norm_enclosure(f) == (1, 1)
+    assert norm_sq(f, mp.mp) == 1
 
 
 @pytest.mark.parametrize("M", [2, 3])
@@ -228,26 +242,41 @@ def test_phased_expansion_matches_the_fraction_product(M):
                 assert c == w
             else:
                 assert abs(c - w) <= tol * max(1, abs(w))
-        norm, want_norm = product_norm_sq(f), bombieri_norm_sq(expand_by_fractions(f))
+        norm, want_norm = norm_sq(f, mp.mp), bombieri_norm_sq(expand_by_fractions(f))
         assert abs(norm - want_norm) <= tol * want_norm
 
 
 @pytest.mark.parametrize("M", range(1, 17))
 def test_product_norm_equals_the_dense_norm(M):
+    """norm_sq of the factorized family holds the exact dense norm
+    bombieri_norm_sq(expand(f)): under mp.iv in an enclosure narrower than
+    2^-prec relative (2^-264 measured up to M=16), and under mp.mp within
+    2^-(prec-16) relative."""
+    prec = 256
     f = canonical_polynomial(M)
-    assert product_norm_sq(f) == bombieri_norm_sq(expand(f))
+    exact = bombieri_norm_sq(expand(f))
+    lo, hi = norm_enclosure(f, prec)
+    assert lo <= exact <= hi
+    assert hi - lo < exact / 2**prec
+    with mp.workprec(prec):
+        got = fraction_from_mpf(norm_sq(f, mp.mp))
+    assert abs(got - exact) <= exact / 2 ** (prec - 16)
 
 
-def test_zero_phase_family_shares_the_canonical_norm():
+def test_zero_phase_family_shares_the_canonical_norm(monkeypatch):
     """A zero-phase family_polynomial equals canonical_polynomial(M), so
-    product_norm_sq forms its norm once."""
-    product_norm_sq.cache_clear()
-    f = family_polynomial(build_point_set(4))
-    assert f == canonical_polynomial(4)
-    product_norm_sq(canonical_polynomial(4))
-    product_norm_sq(f)
-    assert product_norm_sq.cache_info().misses == 1
-    product_norm_sq.cache_clear()
+    the coefficient, certified and spherical routes of one M, each forming
+    the family of its own point set, all take norm_sq of the canonical
+    polynomial, at their working precision."""
+    taken = []
+    inner = condition.norm_sq
+    monkeypatch.setattr(
+        condition, "norm_sq", lambda f, ctx: taken.append((f, ctx, ctx.prec)) or inner(f, ctx)
+    )
+    for route in (mu_max_coefficient_route, certify_bound, mu_max_spherical_route):
+        route(4, 256)
+    f = canonical_polynomial(4)
+    assert taken == [(f, mp.mp, 256), (f, mp.iv, 256), (f, mp.mp, 256)]
 
 
 def test_bombieri_norm_hand_values():
