@@ -17,11 +17,11 @@ rho_j^2 = (2M^2 - j^2)/j^2 this is
 Expansion forms integer numerators a_i over one common denominator
 D = prod q in w = z^4, each mirror pair as one palindromic trinomial of
 which half is formed (_numerators), and reduces each a_i / D once.
-norm_sq runs the same loop over context numbers, for zero-phase and
-phased families alike, and forms the Bombieri-Weyl norm
-||f||^2 = sum_i |a_i|^2 / (binom(N, i) D^2) under mp.mp, or as an
-enclosure under mp.iv, at the caller's precision; the exact norm is
-bombieri_norm_sq(expand(f)).  |f'| at the roots reads the Parallel
+norm_sq runs the same loop over context numbers and forms the
+Bombieri-Weyl norm ||f||^2 = sum_i |a_i|^2 / (binom(N, i) D^2) at the
+caller's precision: under mp.mp for zero-phase and phased families
+alike, as an enclosure under mp.iv for rational shifts; the exact norm
+is bombieri_norm_sq(expand(f)).  |f'| at the roots reads the Parallel
 records, each factor's exact height and phase: every other factor's
 term (a - s)^2 + 4 a s sin^2, a and s exact powers of the squared
 moduli, comes from numerics.binomial_factors, the kernel the Theta
@@ -278,8 +278,9 @@ def norm_sq(f: FactorizedPolynomial, ctx):
         ||f||^2 = sum_i |a_i|^2 / (binom(N, i) D^2),
 
     each exact binom(N, i) rounded once.  The loop runs NORM_GUARD_BITS
-    above ctx's precision, which covers the rounding it accumulates: under
-    mp.mp the value, under mp.iv the width of its enclosure."""
+    above ctx's precision, which covers the rounding it accumulates (under
+    mp.mp in the value, under mp.iv in the width of its enclosure), and
+    the result keeps those bits."""
     with context_precision(ctx, ctx.prec + NORM_GUARD_BITS):
         a, D = _numerators(f, ctx.mpf)
         N, total, comb = len(a) - 1, 0, 1  # comb = binom(N, i)
