@@ -409,19 +409,24 @@ def numerator_integral_log(point_set: PointSet) -> NumeratorIntegral:
     """log of int_S prod_j |p - p_j|^2 dsigma(p) over the whole family,
     at the point set's precision.
 
-    Evaluates 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)) for the f
-    of polynomials.family_polynomial: the exact weights 1/(1 + rho_k^2) =
-    (1 - h_k)/2 of the parallels give one ratio of integers, whose log is
-    rounded once, and ||f||^2 is polynomials.norm_sq under mp.mp.
+    Evaluates 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)), f the family
+    polynomial and 1/(1 + rho_k^2) = (1 - h_k)/2 exact, rounded once: ||f||^2
+    is norm_sq under mp.iv, its precision doubled until the logs of both
+    ends agree, or for a phased f under mp.mp, taken exactly.
     """
-    N = point_set.N
-    num, den = 4**N, N + 1
+    N, f, prec = point_set.N, family_polynomial(point_set), point_set.prec_bits
+    num, den, iv_prec = 4**N, N + 1, prec
     for par in point_set.parallels:  # (1 - h) / 2 = (v - u) / 2v for h = u / v
         u, v = par.height.numerator, par.height.denominator
         num, den = num * (v - u) ** par.count, den * (2 * v) ** par.count
-    with mp.workprec(point_set.prec_bits):
-        log_norm_sq = mp.log(norm_sq(family_polynomial(point_set), mp.mp))
-        return NumeratorIntegral(log_value=log_fraction(mp.mp, num, den) + log_norm_sq)
+    with mp.workprec(prec):
+        while True:
+            ends = (interval_endpoints(lambda iv: norm_sq(f, iv), iv_prec) if point_set.symmetric
+                    else [to_fraction(norm_sq(f, mp.mp))])
+            logs = {log_fraction(mp.mp, num * q.numerator, den * q.denominator) for q in ends}
+            if len(logs) == 1:
+                return NumeratorIntegral(log_value=logs.pop())
+            iv_prec *= 2
 
 
 def point_gap_product_log(

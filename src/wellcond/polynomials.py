@@ -278,9 +278,9 @@ def norm_sq(f: FactorizedPolynomial, ctx):
         ||f||^2 = sum_i |a_i|^2 / (binom(N, i) D^2),
 
     each exact binom(N, i) rounded once.  The loop runs NORM_GUARD_BITS
-    above ctx's precision, which covers the rounding it accumulates (under
-    mp.mp in the value, under mp.iv in the width of its enclosure), and
-    the result keeps those bits."""
+    above ctx's precision and the result keeps those bits; for M = 1..16
+    the tests hold the value under mp.mp to 2^-(prec - 16) and the width
+    of the enclosure under mp.iv to 2^-prec, relative to the exact norm."""
     with context_precision(ctx, ctx.prec + NORM_GUARD_BITS):
         a, D = _numerators(f, ctx.mpf)
         N, total, comb = len(a) - 1, 0, 1  # comb = binom(N, i)
@@ -331,11 +331,10 @@ def derivative_modulus_at_root(
     with a_m = (rho^2)^(r_m/2) and s_m = (rho_m^2)^(r_m/2) exact rationals
     (every count is even) over one integer denominator, each term from
     numerics.binomial_factors, and theta_m / 2 = pi r_m t / r plus the
-    offset r_m (phi - phi_m) / 2, exactly 0 at equal phases, where an
-    integer r_m t / r gives an exact sin^2 = 0 (numerics.sin_sq_pi; every
-    term at a real root of the zero-phase family).  sin^2 is taken once
-    per distinct turn of a term.  A vanishing term means a repeated root:
-    log |f'| = -inf.
+    offset r_m (phi - phi_m) / 2.  At equal phases an integer r_m t / r
+    gives sin^2 = 0, decided on the integers (every term at a real root of
+    the zero-phase family); other sin^2 are taken once per distinct turn
+    of a term.  A vanishing term means a repeated root: log |f'| = -inf.
     """
     check_precision(prec_bits)
     r, n, d = root.count, root.rho_sq.numerator, root.rho_sq.denominator
@@ -346,9 +345,12 @@ def derivative_modulus_at_root(
             # (rho^2)^e = a / p and (rho_m^2)^e = s / p, all integers
             e, n_m, d_m = par.count // 2, par.rho_sq.numerator, par.rho_sq.denominator
             turns = [par.count * t % r for t in azimuths]
-            offset = par.count * (phi - ctx.mpf(par.phase)) / 2
-            sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r), offset) for j in set(turns)}
-            sin_sqs = [sin_sq[j] for j in turns]
+            if par.phase == root.phase and not any(turns):
+                sin_sqs = turns  # the int 0, an exact sin^2, at every t
+            else:
+                offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
+                sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r), offset) for j in set(turns)}
+                sin_sqs = [sin_sq[j] for j in turns]
             a, s, p = (n * d_m) ** e, (n_m * d) ** e, (d * d_m) ** e
             terms.append(binomial_factors(ctx, a, s, p, sin_sqs))
         return [

@@ -394,9 +394,10 @@ def test_numerator_integral_matches_product_rule(M, phases):
 
 @pytest.mark.parametrize("M", range(1, 9))
 def test_numerator_integral_zero_phase_is_exact_rational(M):
-    """log I, I = 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)), within
-    2^-(prec-16) of the exact rational's log taken at twice the precision;
-    at M = 1, f = z^4 - 1 on the equator gives 4^4 * 2 / (5 * 2^4)."""
+    """I = 4^N ||f||^2 / ((N+1) prod_k (1 + rho_k^2)^(r_k)), rounded once,
+    and its log within 2^-(prec-16) of the exact rational's log taken at
+    twice the precision; at M = 1, f = z^4 - 1 on the equator gives
+    4^4 * 2 / (5 * 2^4)."""
     prec = 256
     ps = build_point_set(M, prec_bits=prec)
     N = ps.N
@@ -407,9 +408,31 @@ def test_numerator_integral_zero_phase_is_exact_rational(M):
     if M == 1:
         assert exact == Fraction(32, 5)
     got = numerator_integral_log(ps).log_value
+    with mp.workprec(prec):
+        assert got == mp.log(to_mpf(exact))
     with mp.workprec(2 * prec):
         want = mp.log(to_mpf(exact))
         assert abs(got - want) <= mp.mpf(2) ** (16 - prec) * max(1, abs(want))
+
+
+def test_numerator_integral_doubles_the_enclosure_until_it_rounds_once(monkeypatch):
+    """An enclosure of ||f||^2 too wide to round once at the working
+    precision is formed again at twice the interval precision, and the
+    result is still the exactly rounded rational's log."""
+    M, prec = 3, 256
+    ps = build_point_set(M, prec_bits=prec)
+    formed, inner = [], condition.norm_sq
+
+    def widened(f, ctx):
+        formed.append(ctx.prec)
+        value = inner(f, ctx)
+        return value * ctx.mpf([1 - mp.mpf(2) ** -200, 1 + mp.mpf(2) ** -200]) if ctx.prec == prec else value
+
+    monkeypatch.setattr(condition, "norm_sq", widened)
+    got = numerator_integral_log(ps).log_value
+    assert formed == [prec, 2 * prec]
+    monkeypatch.undo()
+    assert got == numerator_integral_log(ps).log_value
 
 
 def test_numerator_integral_matches_point_quadrature_with_phases():

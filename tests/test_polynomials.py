@@ -267,7 +267,9 @@ def test_zero_phase_family_shares_the_canonical_norm(monkeypatch):
     """A zero-phase family_polynomial equals canonical_polynomial(M), so
     the coefficient, certified and spherical routes of one M, each forming
     the family of its own point set, all take norm_sq of the canonical
-    polynomial, at their working precision."""
+    polynomial, at their working precision: the float coefficient route
+    under mp.mp, and certify_bound and the spherical route's rounded-once
+    numerator integral under mp.iv."""
     taken = []
     inner = condition.norm_sq
     monkeypatch.setattr(
@@ -276,7 +278,7 @@ def test_zero_phase_family_shares_the_canonical_norm(monkeypatch):
     for route in (mu_max_coefficient_route, certify_bound, mu_max_spherical_route):
         route(4, 256)
     f = canonical_polynomial(4)
-    assert taken == [(f, mp.mp, 256), (f, mp.iv, 256), (f, mp.mp, 256)]
+    assert taken == [(f, mp.mp, 256), (f, mp.iv, 256), (f, mp.iv, 256)]
 
 
 def test_bombieri_norm_hand_values():
