@@ -432,7 +432,8 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
 
 def cmd_cond(args) -> int:
     if args.phases and args.certify:
-        # a phased ||f||^2 is a float, not an enclosure
+        # the phased shifts are rounded: an enclosure of ||f||^2 would hold the
+        # norm of the rounded factors, not of the polynomial whose roots are the points
         raise InputError("--phases applies only without --certify")
     outdir, _, all_ok, rows = _run(args, "cond", _cond_one)
     if args.format == "csv":

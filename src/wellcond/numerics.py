@@ -5,12 +5,13 @@ Everything in this package computes either with exact rationals
 binary precision: floats under mp.mp, outward-rounded intervals under
 mp.iv.  This module owns the conversions between the two worlds,
 rigorous enclosures of cos(pi * q) for rational q, Gauss-Legendre
-nodes (the package integrates nothing numerically; the enclosures and
-the nodes serve references in the tests), ``round_ratio``, the one
-routine that rounds an exact ratio, ``binomial_factors``, the one
-kernel for the terms |A e^(i theta) - B|^2 of exact A, B (|f'| at the
-roots, the Theta grids), and ``two_term_log``, the log-domain kernel
-for the energy's resultants, whose powers are too large to form.
+nodes from mpmath's gauss_quadrature (the package integrates nothing
+numerically; the enclosures and the nodes serve references in the
+tests), ``round_ratio``, the one routine that rounds an exact ratio,
+``binomial_factors``, the one kernel for the terms |A e^(i theta) - B|^2
+of exact A, B (|f'| at the roots, the Theta grids), and
+``two_term_log``, the log-domain kernel for the energy's resultants,
+whose powers are too large to form.
 
 Two representations are fixed here for the whole package:
 
@@ -227,58 +228,17 @@ def two_term_log(ctx, R: int, log_x2, log_y2) -> tuple:
     return R * log_x2, (1 - e_L) ** 2 if L < -1 else ctx.expm1(L) ** 2, 4 * e_L
 
 
-_GL_CACHE: dict[tuple[int, int], tuple[list[mp.mpf], list[mp.mpf]]] = {}
-
-
 def gauss_legendre(n: int, prec_bits: int = DEFAULT_PREC_BITS) -> tuple[list[mp.mpf], list[mp.mpf]]:
-    """Gauss-Legendre nodes and weights on [-1, 1] at prec_bits.
-
-    Exact for polynomial integrands of degree <= 2n - 1.  Nodes are
-    found by Newton iteration on the Legendre recurrence, starting from
-    the Chebyshev-angle approximations; results are cached per (n, prec).
-    """
+    """Gauss-Legendre nodes and weights on [-1, 1] at prec_bits, the nodes
+    in descending order: mpmath's gauss_quadrature(n, "legendre"), which
+    solves the eigenproblem of Golub & Welsch (Math. Comp. 1969).  Exact for
+    polynomial integrands of degree <= 2n - 1."""
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
     check_precision(prec_bits)
-    key = (n, prec_bits)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
-
-    with mp.workprec(prec_bits + 16):
-        tol = mp.mpf(2) ** (-(prec_bits + 6))
-        half = []
-        for k in range(n // 2 + n % 2):
-            x = mp.cos(mp.pi * (k + mp.mpf(3) / 4) / (n + mp.mpf(1) / 2))
-            for _ in range(100):
-                p_prev, p = mp.mpf(1), x
-                for j in range(2, n + 1):
-                    p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-                dp = n * (x * p - p_prev) / (x * x - 1)
-                dx = p / dp
-                x -= dx
-                if abs(dx) <= tol * (1 + abs(x)):
-                    break
-            else:
-                raise RuntimeError(f"Legendre node {k} of {n} did not converge")
-            p_prev, p = mp.mpf(1), x
-            for j in range(2, n + 1):
-                p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-            dp = n * (x * p - p_prev) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            half.append((x, w))
-
     with mp.workprec(prec_bits):
-        nodes = [mp.mpf(0)] * n
-        weights = [mp.mpf(0)] * n
-        for k, (x, w) in enumerate(half):
-            xr, wr = +x, +w  # round to target precision
-            nodes[k], weights[k] = xr, wr
-            nodes[n - 1 - k], weights[n - 1 - k] = -xr, wr
-        if n % 2 == 1:
-            nodes[n // 2] = mp.mpf(0)
-
-    _GL_CACHE[key] = (nodes, weights)
-    return nodes, weights
+        nodes, weights = mp.gauss_quadrature(n, "legendre")
+    return list(nodes)[::-1], list(weights)[::-1]
 
 
 def fmt_real(x, prec_bits: int | None = None) -> str:

@@ -19,13 +19,14 @@ D = prod q in w = z^4, each mirror pair as one palindromic trinomial of
 which half is formed (_numerators), and reduces each a_i / D once.
 norm_sq runs the same loop over context numbers and forms the
 Bombieri-Weyl norm ||f||^2 = sum_i |a_i|^2 / (binom(N, i) D^2) at the
-caller's precision: under mp.mp for zero-phase and phased families
-alike, as an enclosure under mp.iv for rational shifts; the exact norm
-is bombieri_norm_sq(expand(f)).  |f'| at the roots reads the Parallel
-records, each factor's exact height and phase: every other factor's
-term (a - s)^2 + 4 a s sin^2, a and s exact powers of the squared
-moduli, comes from numerics.binomial_factors, the kernel the Theta
-grids share, under mp.mp or mp.iv at a caller-chosen precision.
+caller's precision: a float under mp.mp, an enclosure under mp.iv, for
+zero-phase and phased families alike (a phased family's shifts are
+rounded, and the enclosure holds the norm of the rounded factors); the
+exact norm is bombieri_norm_sq(expand(f)).  |f'| at the roots reads the
+Parallel records, each factor's exact height and phase: every other
+factor's term (a - s)^2 + 4 a s sin^2, a and s exact powers of the
+squared moduli, comes from numerics.binomial_factors, the kernel the
+Theta grids share, under mp.mp or mp.iv at a caller-chosen precision.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _reciprocal_pairs(factors: Sequence[Factor]) -> tuple[list[Factor], list[Fac
     return pairs, [fac for k, fac in enumerate(factors) if k not in paired]
 
 
-def _numerators(f: FactorizedPolynomial, num=int) -> tuple[list, object]:
+def _numerators(f: FactorizedPolynomial, num=lambda x: x) -> tuple[list, object]:
     """Numerators a_i and one common denominator D of f's coefficients a_i / D.
 
     The product is formed in w = z^g, g the gcd of the powers, and D =
@@ -209,9 +210,10 @@ def _numerators(f: FactorizedPolynomial, num=int) -> tuple[list, object]:
     palindromic pq w^(2e) - (p^2 + q^2) w^e + pq, e = r/g, which keeps
     the product palindromic: each entry i <= n/2 is formed once and
     mirrored.  Each other factor enters, in factor order, as q w^e - p; a
-    complex shift with p = shift, q = 1, its a_i mpc at working precision.
-    Every integer the loop starts from enters as num of it: an exact int
-    for expand, a context number (ctx.mpf) for norm_sq.
+    complex shift with p = shift, q = 1.  Every value the loop starts from,
+    integer or complex shift, enters as num of it: itself for expand (exact
+    ints, mpc at working precision), a context number (ctx.convert) for
+    norm_sq.
     """
     g = math.gcd(*(fac.power for fac in f.factors)) or 1
     pairs, rest = _reciprocal_pairs(f.factors)
@@ -225,7 +227,7 @@ def _numerators(f: FactorizedPolynomial, num=int) -> tuple[list, object]:
         a, D = half + half[:size // 2][::-1], D * c
     for fac in rest:
         s, e = fac.shift, fac.power // g
-        p, q = (num(s.numerator), num(s.denominator)) if isinstance(s, Fraction) else (s, 1)
+        p, q = map(num, (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1))
         new = [0] * (len(a) + e)
         for i, c in enumerate(a):
             if c:
@@ -271,9 +273,8 @@ def bombieri_norm_sq(p: DensePolynomial) -> Fraction | mp.mpf:
 
 
 def norm_sq(f: FactorizedPolynomial, ctx):
-    """bombieri_norm_sq(expand(f)) under ctx (mp.mp, or mp.iv for rational
-    shifts) at its precision, from the numerators of _numerators formed
-    over ctx numbers:
+    """bombieri_norm_sq(expand(f)) under ctx (mp.mp or mp.iv) at its
+    precision, from the numerators of _numerators formed over ctx numbers:
 
         ||f||^2 = sum_i |a_i|^2 / (binom(N, i) D^2),
 
@@ -282,7 +283,7 @@ def norm_sq(f: FactorizedPolynomial, ctx):
     the tests hold the value under mp.mp to 2^-(prec - 16) and the width
     of the enclosure under mp.iv to 2^-prec, relative to the exact norm."""
     with context_precision(ctx, ctx.prec + NORM_GUARD_BITS):
-        a, D = _numerators(f, ctx.mpf)
+        a, D = _numerators(f, ctx.convert)
         N, total, comb = len(a) - 1, 0, 1  # comb = binom(N, i)
         for i, c in enumerate(a):
             if c:
@@ -344,13 +345,10 @@ def derivative_modulus_at_root(
         for par in others:
             # (rho^2)^e = a / p and (rho_m^2)^e = s / p, all integers
             e, n_m, d_m = par.count // 2, par.rho_sq.numerator, par.rho_sq.denominator
-            turns = [par.count * t % r for t in azimuths]
-            if par.phase == root.phase and not any(turns):
-                sin_sqs = turns  # the int 0, an exact sin^2, at every t
-            else:
-                offset = 0 if par.phase == root.phase else par.count * (phi - ctx.mpf(par.phase)) / 2
-                sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r), offset) for j in set(turns)}
-                sin_sqs = [sin_sq[j] for j in turns]
+            turns, equal = [par.count * t % r for t in azimuths], par.phase == root.phase
+            offset = 0 if equal else par.count * (phi - ctx.mpf(par.phase)) / 2
+            sin_sq = {j: sin_sq_pi(ctx, Fraction(j, r), offset) for j in set(turns) if j or not equal}
+            sin_sqs = [sin_sq.get(j, 0) for j in turns]  # the int 0 at an equal-phase zero turn
             a, s, p = (n * d_m) ** e, (n_m * d) ** e, (d * d_m) ** e
             terms.append(binomial_factors(ctx, a, s, p, sin_sqs))
         return [

@@ -5,7 +5,9 @@ integer-numerator expansion of ``wellcond.polynomials.expand``, and the
 binomial-at-a-time product of integer numerators in z, with no pairing
 and no w = z^g, checks ``wellcond.polynomials._numerators``: equal
 integers and D for rational shifts, the same mpc operations in the same
-order for a phased family.  Horner
+order for a phased family.  The product over Gaussian rationals gives
+the exact norm of a phased family's stored shifts, which the enclosure
+of ``wellcond.polynomials.norm_sq`` under mp.iv must contain.  Horner
 evaluation, the exact formal derivative and the O(N) product over root
 differences check the closed form of |f'(z)| that
 ``wellcond.polynomials`` evaluates, at degrees small enough for the
@@ -18,12 +20,13 @@ polynomial expanded out of its N roots checks the coefficient route of
 a phased family.
 """
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 
-from wellcond.numerics import cos_pi_fraction_interval, context_precision, log_fraction, to_mpf
+from wellcond.numerics import cos_pi_fraction_interval, context_precision, log_fraction, to_fraction, to_mpf
 from wellcond.points import PointSet, build_parallels
 from wellcond.polynomials import (
     DensePolynomial,
@@ -68,6 +71,25 @@ def numerators_by_binomials(f: FactorizedPolynomial) -> tuple[list, int]:
                 new[i] -= p * c
         a, D = new, D * q
     return a, D
+
+
+def norm_sq_by_gaussian_rationals(f: FactorizedPolynomial) -> Fraction:
+    """The exact ||f||^2 = sum_i |c_i|^2 / binom(N, i) of the product of f's
+    factors, each shift taken as the Gaussian rational it stores (an mpc's
+    parts are dyadic), its coefficients (re, im) pairs of Fractions formed
+    one factor at a time."""
+    coeffs = [(Fraction(1), Fraction(0))]
+    for fac in f.factors:
+        sr, si = to_fraction(fac.shift.real), to_fraction(fac.shift.imag)
+        new = [(Fraction(0), Fraction(0))] * (len(coeffs) + fac.power)
+        for i, (cr, ci) in enumerate(coeffs):
+            hr, hi = new[i + fac.power]
+            new[i + fac.power] = (hr + cr, hi + ci)
+            lr, li = new[i]
+            new[i] = (lr - (sr * cr - si * ci), li - (sr * ci + si * cr))
+        coeffs = new
+    N = len(coeffs) - 1
+    return sum((re * re + im * im) / math.comb(N, i) for i, (re, im) in enumerate(coeffs))
 
 
 def evaluate(p: DensePolynomial, z) -> mp.mpc:

@@ -13,6 +13,7 @@ from polynomial_oracle import (
     expand_by_fractions,
     log_derivative_modulus_by_gaps,
     log_scale,
+    norm_sq_by_gaussian_rationals,
     numerators_by_binomials,
 )
 from wellcond.condition import (
@@ -230,7 +231,8 @@ def test_expand_of_no_factors_is_one():
 def test_phased_expansion_matches_the_fraction_product(M):
     """Complex shifts go through the same integer loop with q = 1: each
     coefficient within 2^-(prec-16) of the Fraction/mpc oracle (exact
-    where both are exact), and the norm within the same bound."""
+    where both are exact), and the norm within the same bound; under mp.iv
+    the norm is an interval holding the exact norm of f's dyadic shifts."""
     prec = 256
     phases = [0.1 * (j + 1) - 0.35 for j in range(2 * M - 1)]
     f = family_polynomial(build_point_set(M, phases=phases, prec_bits=prec))
@@ -244,6 +246,11 @@ def test_phased_expansion_matches_the_fraction_product(M):
                 assert abs(c - w) <= tol * max(1, abs(w))
         norm, want_norm = norm_sq(f, mp.mp), bombieri_norm_sq(expand_by_fractions(f))
         assert abs(norm - want_norm) <= tol * want_norm
+    with context_precision(mp.iv, prec):
+        enclosure = norm_sq(f, mp.iv)
+    assert isinstance(enclosure, mp.iv.mpf)
+    lo, hi = fraction_endpoints(enclosure)
+    assert lo <= norm_sq_by_gaussian_rationals(f) <= hi
 
 
 @pytest.mark.parametrize("M", range(1, 17))
