@@ -12,11 +12,12 @@ Subcommands
   energy residual; plot-ready CSV, runtimes on stderr only.
 
 Every subcommand runs one worker per M through ``_run``: the worker
-returns its M's rendered files and console lines, and ``_run`` writes
-and prints them as soon as that M finishes, in M order, so a run that
-fails at a later M keeps the earlier M's files and sweep's per-M stderr
-lines arrive as progress.  Files that span every M (``cond.csv``,
-``sweep.*``, ``sum_checks.*``) are written after the last M.
+returns its M's files (CSV texts and JSON documents) and console lines,
+and ``_run`` writes and prints them as soon as that M finishes, in M
+order, so a run that fails at a later M keeps the earlier M's files and
+sweep's per-M stderr lines arrive as progress.  Files that span every M
+(``cond.csv``, ``sweep.*``, ``sum_checks.*``) are written after the
+last M.
 
 The reports decide their own results (ConditionReport.passed,
 VerificationReport.passed and .gated) and format their own values
@@ -27,10 +28,13 @@ condition.route_tolerance, relative N*2^-(precision-8).  With --certify
 the coefficient report is read off the certified one
 (condition.coefficient_report), so cond evaluates mu at the roots once.
 
-Outputs are deterministic for a fixed configuration and seed; each file
-is written atomically; the process exits 0 only if every gated check
-passed.  The environment variable
-``WELLCOND_WORKERS`` sets the number of processes used across M values.
+Outputs are deterministic for a fixed configuration and seed.  Each
+file is written atomically by ``_write_atomic``, the one writer: a JSON
+document is streamed in pieces (``_json_chunks``) to ``<name>.tmp``,
+so its whole text is never held, and renamed over ``<name>`` once
+complete.  The process exits 0 only if every gated check passed.  The
+environment variable ``WELLCOND_WORKERS`` sets the number of processes
+used across M values.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -193,59 +198,105 @@ def _short(s: str) -> str:
 # ----------------------------------------------------------------------
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to path through a temporary file beside it, which a
-    failed write removes."""
+# Pieces joined per write; they alternate separators and items, so a
+# batch holds about 128 items, never a whole file.
+_WRITE_BATCH = 256
+
+
+def _write_atomic(path: Path, content) -> None:
+    """Write content, a CSV text or a report document, to path through a
+    temporary file beside it, which a failed write removes.
+
+    A document is written as json.dumps(content, indent=2) + "\n", byte
+    for byte, streamed from _json_chunks in batches, so its whole text is
+    never held; a type no report holds raises TypeError mid-write.
+    """
     tmp = path.with_name(path.name + ".tmp")
+    if type(content) is str:
+        pieces = iter((content,))
+    else:
+        pieces = itertools.chain(_json_chunks(content, "\n"), ("\n",))
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            while batch := "".join(itertools.islice(pieces, _WRITE_BATCH)):
+                fh.write(batch)
         os.replace(tmp, path)
     except OSError as e:
+        raise SystemExit(f"error: cannot write {path}: {e}") from e
+    finally:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
-        raise SystemExit(f"error: cannot write {path}: {e}") from e
 
 
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2) + "\n", byte for byte, for the values a
-    report holds: exact dicts with str keys, lists, str, int, bool and
-    None; any other type raises TypeError.  Each container joins its
-    children's texts, so no list of every token is held, and encodes its
-    str keys and values in place, with no call per string."""
-    return _json_value(obj, "\n") + "\n"
+def _opens(obj) -> bool:
+    """Whether _json_chunks opens obj: a non-empty list, or a dict with
+    one below it."""
+    kind = type(obj)
+    if kind is list:
+        return bool(obj)
+    return kind is dict and any(map(_opens, obj.values()))
+
+
+def _json_chunks(obj, newline: str):
+    """The text of json.dumps(obj, indent=2) at the indentation that
+    `newline` (a newline and the enclosing indentation) ends with, in
+    pieces, for the values a report holds: exact dicts with str keys,
+    lists, str, int, bool and None; any other type raises TypeError.
+
+    Each non-empty list is opened item by item and each dict that holds
+    one key by key; everything below those is rendered whole by
+    _json_value, so no piece is longer than one such item.
+    """
+    if not _opens(obj):
+        yield _json_value(obj, newline)
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    if type(obj) is list:
+        sep = "[" + inner
+        for v in obj:
+            yield sep
+            yield from _json_chunks(v, inner)
+            sep = comma
+        yield newline + "]"
+    else:
+        sep = "{" + inner
+        for k, v in obj.items():
+            # encode_basestring_ascii raises TypeError on a key that is no str
+            yield sep + encode_basestring_ascii(k) + ": "
+            yield from _json_chunks(v, inner)
+            sep = comma
+        yield newline + "}"
 
 
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
 def _json_value(obj, newline: str) -> str:
-    """obj as json.dumps(indent=2) prints it at the indentation that
-    `newline` (a newline and the enclosing indentation) ends with."""
+    """obj, which _json_chunks does not open (no non-empty list is in
+    it), as json.dumps(indent=2) prints it at the indentation that
+    `newline` ends with."""
     kind = type(obj)
-    if kind is not dict and kind is not list:  # the common containers skip the scalar tests
-        if kind is str:
-            return encode_basestring_ascii(obj)
-        if kind is int:
-            return int.__repr__(obj)
-        if kind is bool or obj is None:
-            return _JSON_CONSTANTS[obj]
-        raise TypeError(f"a report holds no {kind.__name__}")
-    if not obj:
-        return "{}" if kind is dict else "[]"
-    inner = newline + "  "
-    # the children's texts are a temporary of join, freed before the
-    # brackets are added, so a large container is not held twice over;
-    # encode_basestring_ascii raises TypeError on a key that is no str
     if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        # encode_basestring_ascii raises TypeError on a key that is no str
         return "{" + inner + ("," + inner).join([
             encode_basestring_ascii(k)
             + ": "
             + (encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner))
             for k, v in obj.items()
         ]) + newline + "}"
-    return "[" + inner + ("," + inner).join([
-        encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner) for v in obj
-    ]) + newline + "]"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return _JSON_CONSTANTS[obj]
+    if kind is list and not obj:  # _json_chunks opens every other list
+        return "[]"
+    raise TypeError(f"a report holds no {kind.__name__}")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -301,11 +352,12 @@ def _map_over_m(fn, m_values: list[int], workers: int):
 
 
 class Done(NamedTuple):
-    """What one M's worker hands back: its files as (name, text) pairs,
-    its stdout and stderr lines, whether its gated checks passed, and
-    its rows of the file that spans every M."""
+    """What one M's worker hands back: its files as (name, content)
+    pairs, content a CSV text or a JSON document for _write_atomic, its
+    stdout and stderr lines, whether its gated checks passed, and its
+    rows of the file that spans every M."""
 
-    files: Sequence[tuple[str, str]]
+    files: Sequence[tuple[str, str | dict]]
     out: Sequence[str]
     err: Sequence[str] = ()
     ok: bool = True
@@ -324,8 +376,8 @@ def _run(args, command: str, worker) -> tuple[Path, dict, bool, list]:
     fn = functools.partial(worker, args, config, phases)
     all_ok, rows = True, []
     for done in _map_over_m(fn, args.M, workers):
-        for name, text in done.files:
-            _write_atomic(outdir / name, text)
+        for name, content in done.files:
+            _write_atomic(outdir / name, content)
         for line in done.out:
             print(line)
         for line in done.err:
@@ -349,8 +401,8 @@ def _generate_one(args, config: dict, phases: dict, M: int) -> Done:
     if args.format == "json":
         polynomial = {"config": config, "factorized": factorized, "dense": dense}
         files = [
-            (f"points_M{M}.json", _json_text({"config": config, "points": points})),
-            (f"polynomial_M{M}.json", _json_text(polynomial)),
+            (f"points_M{M}.json", {"config": config, "points": points}),
+            (f"polynomial_M{M}.json", polynomial),
         ]
     else:
         ids = [[str(par["j"]), str(k)] for par in points["parallels"] for k in range(par["r"])]
@@ -425,7 +477,7 @@ def _cond_one(args, config: dict, phases: dict, M: int) -> Done:
             f"> {N}*2^{8 - prec}"
         )
     if args.format == "json":
-        return Done([(f"cond_M{M}.json", _json_text({"config": config, "reports": dicts}))], out, ok=ok)
+        return Done([(f"cond_M{M}.json", {"config": config, "reports": dicts})], out, ok=ok)
     rows = [_csv_row(COND_HEADER, {**d, **d["verdicts"]}) for d in dicts]
     return Done([], out, ok=ok, rows=rows)
 
@@ -460,7 +512,7 @@ def _verify_one(args, config: dict, phases: dict, M: int) -> Done:
     if args.format == "json":
         reports = [r.to_json_dict() for r in suite.reports]
         doc = {"config": config, "reports": reports, "refused": suite.refused}
-        files = [(f"verify_M{M}.json", _json_text(doc))]
+        files = [(f"verify_M{M}.json", doc)]
     else:
         csv_rows = [_csv_row(VERIFY_HEADER, row) for row in rows]
         files = [(f"verify_M{M}.csv", _csv_text(VERIFY_HEADER, csv_rows))]
@@ -480,7 +532,7 @@ def cmd_verify(args) -> int:
     dicts = [c.to_json_dict() for c in checks]
     if args.format == "json":
         doc = {"config": config, "checks": dicts, "pass": sums_ok}
-        _write_atomic(outdir / "sum_checks.json", _json_text(doc))
+        _write_atomic(outdir / "sum_checks.json", doc)
     else:
         rows = [_csv_row(SUMS_HEADER, d) for d in dicts]
         _write_atomic(outdir / "sum_checks.csv", _csv_text(SUMS_HEADER, rows))
@@ -526,7 +578,7 @@ def _sweep_one(args, config: dict, phases: dict, M: int) -> Done:
 def cmd_sweep(args) -> int:
     outdir, config, all_ok, rows = _run(args, "sweep", _sweep_one)
     if args.format == "json":
-        _write_atomic(outdir / "sweep.json", _json_text({"config": config, "rows": rows}))
+        _write_atomic(outdir / "sweep.json", {"config": config, "rows": rows})
     else:
         csv_rows = [_csv_row(SWEEP_HEADER, r) for r in rows]
         _write_atomic(outdir / "sweep.csv", _csv_text(SWEEP_HEADER, csv_rows))

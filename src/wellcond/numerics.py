@@ -82,7 +82,10 @@ def fraction_from_mpf(x: mp.mpf) -> Fraction:
 
 
 def to_fraction(x: RealLike) -> Fraction:
-    """Exact Fraction equal to an int, Fraction, float or finite mpf."""
+    """Exact Fraction equal to an int, Fraction, float or finite mpf; a
+    Fraction is returned as it is."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, mp.mpf):
         return fraction_from_mpf(x)
     return Fraction(x)
@@ -143,7 +146,7 @@ def interval_endpoints(fn, prec_bits: int) -> tuple[Fraction, Fraction]:
 def check_height(u: RealLike) -> Fraction:
     """The exact height u (numerics.to_fraction), which must lie in [-1, 1]."""
     u = to_fraction(u)
-    if not -1 <= u <= 1:
+    if abs(u.numerator) > u.denominator:  # |u| <= 1 on the integers
         raise ValueError("heights must lie in [-1, 1]")
     return u
 

@@ -239,7 +239,7 @@ _RUNTIMES = re.compile(r" \(\d+\.\d+s cond, \d+\.\d+s energy\)")
 )
 def test_workers_do_not_change_output(tmp_path, capsys, monkeypatch, argv, fmt):
     """Every file, console line and exit code is the same with one worker
-    as with three, whose rendered files cross the process boundary."""
+    as with three, whose documents cross the process boundary."""
     (tmp_path / "ph.json").write_text(json.dumps(PHASED))
     runs = []
     for workers in ("1", "3"):
@@ -800,26 +800,32 @@ def _report_value(obj) -> bool:
     return kind in (str, int, bool, type(None))
 
 
+def _streamed(obj) -> str:
+    """The text _write_atomic writes for the document obj: its streamed
+    pieces, joined."""
+    return "".join(cli._json_chunks(obj, "\n")) + "\n"
+
+
 @pytest.mark.parametrize("obj", JSON_EDGE_CASES)
 def test_json_writer_matches_json_dumps_on_edge_cases(obj):
     """A case of the types reports hold prints as json.dumps(indent=2)
     prints it; a case that holds any other type raises TypeError."""
     if _report_value(obj):
-        assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+        assert _streamed(obj) == json.dumps(obj, indent=2) + "\n"
     else:
         with pytest.raises(TypeError):
-            cli._json_text(obj)
+            _streamed(obj)
 
 
 def test_json_writer_keeps_json_dumps_nan_and_errors():
     """json.dumps's errors stay TypeErrors, and a nan, which no report
     holds as a float, is one too."""
     with pytest.raises(TypeError):
-        cli._json_text([float("nan")])
+        _streamed([float("nan")])
     with pytest.raises(TypeError):
-        cli._json_text({"x": object()})
+        _streamed({"x": object()})
     with pytest.raises(TypeError):
-        cli._json_text({(1, 2): "tuple key"})
+        _streamed({(1, 2): "tuple key"})
 
 
 def test_json_writer_matches_json_dumps_on_every_command(tmp_path):
@@ -841,6 +847,45 @@ def test_json_writer_matches_json_dumps_on_every_command(tmp_path):
     for path in files:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+        again = tmp_path / "again.json"
+        cli._write_atomic(again, json.loads(text))
+        assert again.read_bytes() == path.read_bytes(), path.name
+
+
+def test_json_writer_streams_no_piece_longer_than_a_cell(tmp_path, monkeypatch):
+    """No piece of the stream of verify --M 5's documents is longer than
+    its longest cell or sum check text, so no report, list or file is
+    ever rendered whole."""
+    written = {}
+    write = cli._write_atomic
+
+    def spy(path, content):
+        written[path.name] = content
+        write(path, content)
+
+    monkeypatch.setattr(cli, "_write_atomic", spy)
+    assert run(["verify", "--M", "5", "--sums-max", "8", "--out", tmp_path]) == 0
+    verify, sums = written["verify_M5.json"], written["sum_checks.json"]
+    for name, items, depth in [
+        ("verify_M5.json", [c for r in verify["reports"] for c in r["cells"]], 8),
+        ("sum_checks.json", sums["checks"], 4),
+    ]:
+        pieces = list(cli._json_chunks(written[name], "\n"))
+        assert "".join(pieces) + "\n" == (tmp_path / name).read_text()
+        indent = "\n" + " " * depth
+        longest = max(len(json.dumps(item, indent=2).replace("\n", indent)) for item in items)
+        assert max(map(len, pieces)) <= longest, name
+
+
+def test_failed_stream_leaves_neither_the_file_nor_its_temporary_file(tmp_path):
+    """A document holding a type no report holds raises TypeError after
+    its first batches are written, and leaves neither the file nor
+    <name>.tmp."""
+    doc = {"cells": [{"margin": "0.5"}] * 1000 + [{"margin": 0.5}]}
+    assert 2 * 1000 > cli._WRITE_BATCH  # a separator and a cell per item
+    with pytest.raises(TypeError, match="a report holds no float"):
+        cli._write_atomic(tmp_path / "verify_M2.json", doc)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_one_worker_run_imports_no_process_pool(tmp_path):
